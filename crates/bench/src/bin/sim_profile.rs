@@ -3,8 +3,11 @@
 //! (quiescent cones skipped), and the batched engine (N independent
 //! stimulus lanes evaluated bit-parallel). Same design, same stimulus
 //! (lane 0), every engine runs to completion and must produce the reference
-//! GEMM result. The measurements are written to `BENCH_sim_profile.json` so
-//! CI can archive engine-throughput baselines next to the pass profile.
+//! GEMM result. It also times what every simulation pays before its first
+//! cycle: `Harness::new`, `set_engine(Event)` and `Harness::new_batched`
+//! (best of ten builds per repetition). The measurements are written to
+//! `BENCH_sim_profile.json` so CI can archive engine-throughput baselines
+//! next to the pass profile.
 //!
 //! Flags:
 //!   --quick       one repetition instead of three
@@ -34,6 +37,18 @@ struct EngineRun {
     lanes: usize,
     /// Aggregate throughput: (cycles x lanes) per second.
     lane_cycles_per_s: f64,
+}
+
+/// Wall time of `f` (its result is dropped after the clock stops).
+fn timed<T>(f: impl FnOnce() -> T) -> (u128, T) {
+    let t0 = Instant::now();
+    let out = f();
+    (t0.elapsed().as_nanos(), out)
+}
+
+/// Best of `reps` calls of `f`, each returning the nanoseconds it measured.
+fn best_ns(reps: usize, f: impl FnMut() -> u128) -> u128 {
+    std::iter::repeat_with(f).take(reps).min().unwrap_or(0)
 }
 
 fn main() {
@@ -137,17 +152,17 @@ fn main() {
     // One batched pass simulates `lanes` independent GEMMs: lane 0 carries
     // the baseline stimulus, later lanes offset matrix A per lane so every
     // lane computes (and checks) a different product.
+    let lane_args: Vec<Vec<HarnessArg>> = (0..lanes)
+        .map(|lane| {
+            let al: Vec<i128> = a.iter().map(|v| v + lane as i128).collect();
+            vec![
+                HarnessArg::mem_from(&al),
+                HarnessArg::mem_from(&b),
+                HarnessArg::zero_mem(nn),
+            ]
+        })
+        .collect();
     let measure_batched = || -> EngineRun {
-        let lane_args: Vec<Vec<HarnessArg>> = (0..lanes)
-            .map(|lane| {
-                let al: Vec<i128> = a.iter().map(|v| v + lane as i128).collect();
-                vec![
-                    HarnessArg::mem_from(&al),
-                    HarnessArg::mem_from(&b),
-                    HarnessArg::zero_mem(nn),
-                ]
-            })
-            .collect();
         let expects: Vec<Vec<i128>> = lane_args
             .iter()
             .map(|la| match &la[0] {
@@ -187,6 +202,25 @@ fn main() {
         println!("assigns {na} (settle tape {st}), always {nal} (step tape {sp}), regs {nr}");
         (na, st, nal, sp, nr)
     };
+    // Build cost: best-of-N wall time of each step a simulation request
+    // pays before its first cycle.
+    let build_reps = 10 * reps;
+    let build_new_ns = best_ns(build_reps, || {
+        timed(|| Harness::new(&design, &m, func, &args).expect("harness")).0
+    });
+    let build_event_ns = best_ns(build_reps, || {
+        let mut h = Harness::new(&design, &m, func, &args).expect("harness");
+        timed(|| h.set_engine(verilog::Engine::Event)).0
+    });
+    let build_batched_ns = best_ns(build_reps, || {
+        timed(|| Harness::new_batched(&design, &m, func, &lane_args).expect("batched harness")).0
+    });
+    println!(
+        "build (best of {build_reps}): Harness::new {:.3} ms, set_engine(Event) {:.3} ms, Harness::new_batched({lanes}) {:.3} ms",
+        build_new_ns as f64 / 1e6,
+        build_event_ns as f64 / 1e6,
+        build_batched_ns as f64 / 1e6
+    );
     println!("GEMM N={n} testbench, best of {reps}, {lanes} batched lanes");
     let (bc, _, _) = measure(verilog::Engine::Bytecode, "bytecode", false, false);
     let (tw, _, _) = measure(verilog::Engine::TreeWalk, "tree-walk", false, false);
@@ -297,12 +331,16 @@ fn main() {
         sched.dirty_cones.to_json(),
     );
     let doc = format!(
-        "{{\n  \"gemm_n\": {n},\n  \"reps\": {reps},\n  \"tape\": {{\"assigns\":{},\"settle_tape\":{},\"always\":{},\"step_tape\":{},\"regs\":{}}},\n  \"engines\": [\n{}\n  ],\n  \"speedup_bytecode_vs_treewalk\": {:.2},\n  \"speedup_event_vs_bytecode\": {:.2},\n  \"speedup_batched_lane_cycles_vs_bytecode\": {:.2},\n  \"telemetry\": {{\"overhead_pct\":{:.1},\"overhead_pct_bytecode\":{:.1},\"toggle_coverage\":{:.6}}},\n  \"quiescence\": {{\"overall\":{:.6},\"worst_cone\":\"{}\",\"worst_fraction\":{:.6}}},\n  \"sched\": {}\n}}\n",
+        "{{\n  \"gemm_n\": {n},\n  \"reps\": {reps},\n  \"tape\": {{\"assigns\":{},\"settle_tape\":{},\"always\":{},\"step_tape\":{},\"regs\":{}}},\n  \"build\": {{\"reps\":{},\"harness_new_ns\":{},\"set_engine_event_ns\":{},\"harness_new_batched_ns\":{}}},\n  \"engines\": [\n{}\n  ],\n  \"speedup_bytecode_vs_treewalk\": {:.2},\n  \"speedup_event_vs_bytecode\": {:.2},\n  \"speedup_batched_lane_cycles_vs_bytecode\": {:.2},\n  \"telemetry\": {{\"overhead_pct\":{:.1},\"overhead_pct_bytecode\":{:.1},\"toggle_coverage\":{:.6}}},\n  \"quiescence\": {{\"overall\":{:.6},\"worst_cone\":\"{}\",\"worst_fraction\":{:.6}}},\n  \"sched\": {}\n}}\n",
         tape.0,
         tape.1,
         tape.2,
         tape.3,
         tape.4,
+        build_reps,
+        build_new_ns,
+        build_event_ns,
+        build_batched_ns,
         engines.join(",\n"),
         speedup,
         speedup_event,

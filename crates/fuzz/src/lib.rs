@@ -601,10 +601,16 @@ pub fn synth_multi_func(rng: &mut StdRng) -> String {
         // function's latency (the add after the call is combinational).
         let callee = rng.gen_range(0..k);
         let d = delays[callee];
+        // `f0` declares two data arguments, every later function three.
+        let (call_args, call_types) = if callee == 0 {
+            ("%0, %1", "i32, i32")
+        } else {
+            ("%0, %1, %2", "i32, i32, i32")
+        };
         out.push_str(&format!(
             "\"hir.func\"() ({{\n\
              ^bb(%0: i32, %1: i32, %2: i32, %3: !hir.time):\n\
-             \x20 %4 = \"hir.call\"(%0, %1, %3) {{callee = @f{callee}, offset = 0 : index}} : (i32, i32, !hir.time) -> (i32)\n\
+             \x20 %4 = \"hir.call\"({call_args}, %3) {{callee = @f{callee}, offset = 0 : index}} : ({call_types}, !hir.time) -> (i32)\n\
              \x20 %5 = \"hir.delay\"(%2, %3) {{by = {d} : index, offset = 0 : index}} : (i32, !hir.time) -> (i32)\n\
              \x20 %6 = \"hir.add\"(%4, %5) : (i32, i32) -> (i32)\n\
              \x20 \"hir.return\"(%6) : (i32) -> ()\n\
@@ -786,6 +792,19 @@ mod tests {
             assert_eq!(outcome.parse_errors, 0, "seed {seed}:\n{src}");
             assert!(outcome.verified, "seed {seed}:\n{src}");
             assert!(outcome.optimized, "seed {seed}:\n{src}");
+        }
+    }
+
+    #[test]
+    fn synthesized_multi_func_modules_pass_codegen() {
+        // Every call passes its callee's declared arity, so no generated
+        // module gets through verification only to fail in codegen.
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let src = synth_multi_func(&mut rng);
+            let outcome = run_pipeline(&src).expect("no panic");
+            assert!(outcome.verified, "seed {seed}:\n{src}");
+            assert!(outcome.codegen_ok, "seed {seed}:\n{src}");
         }
     }
 

@@ -575,6 +575,27 @@ mod more_tests {
     }
 
     #[test]
+    fn call_arity_mismatch_is_rejected_at_the_call() {
+        let mut hb = HirBuilder::new();
+        let i32t = || Type::int(32);
+        hb.extern_func("f0", &[i32t(), i32t(), i32t()], &[i32t()], &[1]);
+        let f = hb.func("caller", &[("a", i32t()), ("b", i32t())], &[1]);
+        let t = f.time_var(hb.module());
+        let args = f.args(hb.module());
+        let r = hb.call("f0", &args, t, 0);
+        hb.return_(&r);
+        let m = hb.finish();
+        let mut diags = DiagnosticEngine::new();
+        assert!(verify_schedule(&m, &mut diags).is_err());
+        let text = diags.render();
+        assert!(
+            text.contains("call to @f0 passes 2 argument(s) but the callee declares 3"),
+            "{text}"
+        );
+        assert!(text.contains("hir.call"), "snippet names the call: {text}");
+    }
+
+    #[test]
     fn dynamic_ii_loops_get_conservative_windows() {
         // Outer loop yields on the inner %tf (dynamic II): an outer value
         // used one cycle later than defined must be rejected (window 1).

@@ -395,8 +395,21 @@ impl Analyzer<'_> {
             );
             return;
         };
+        let args = call.args(m);
+        let declared = callee.arg_types(m).len();
+        if args.len() != declared {
+            self.error(
+                op,
+                format!(
+                    "Schedule error: call to @{} passes {} argument(s) but the callee declares {declared}!",
+                    call.callee(m),
+                    args.len()
+                ),
+            );
+            return;
+        }
         let arg_delays = callee.arg_delays(m);
-        for (i, arg) in call.args(m).into_iter().enumerate() {
+        for (i, arg) in args.into_iter().enumerate() {
             if matches!(self.validity(arg), Validity::Memref) {
                 continue;
             }

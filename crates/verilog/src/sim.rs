@@ -10,7 +10,7 @@
 use crate::ast::*;
 use crate::elaborate::{flatten, ElabError};
 use obs::json::escape as json_escape;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A runtime simulation failure (a fired assertion or an engine limit).
@@ -257,6 +257,105 @@ pub(crate) enum Insn {
     JumpIfZero { src: u32, target: u32 },
 }
 
+impl Insn {
+    /// Visit every register operand and destination, in field order.
+    fn for_each_reg(&mut self, mut f: impl FnMut(&mut u32)) {
+        use Insn::*;
+        match self {
+            LoadNet { dst, .. } | MaskReg { dst, .. } => f(dst),
+            MemRead { dst, addr, .. } => {
+                f(dst);
+                f(addr);
+            }
+            Slice { dst, src, .. }
+            | Not { dst, src, .. }
+            | LNot { dst, src }
+            | RedOr { dst, src }
+            | ConcatFirst { dst, src, .. }
+            | ConcatPush { dst, src, .. }
+            | SignExtend { dst, src, .. } => {
+                f(dst);
+                f(src);
+            }
+            Binary { dst, a, b, .. } => {
+                f(dst);
+                f(a);
+                f(b);
+            }
+            Select {
+                dst,
+                cond,
+                then,
+                els,
+                ..
+            } => {
+                f(dst);
+                f(cond);
+                f(then);
+                f(els);
+            }
+            StoreNet { src, .. } | EmitNet { src, .. } | JumpIfZero { src, .. } => f(src),
+            EmitMem { addr, src, .. } => {
+                f(addr);
+                f(src);
+            }
+            Assert { guard, cond, .. } => {
+                f(guard);
+                f(cond);
+            }
+            Jump { .. } => {}
+        }
+    }
+}
+
+/// FxHash (the rustc hasher): one rotate-xor-multiply per word. The build
+/// tables key on tape instructions and on the net and memory names of the
+/// design being compiled, where SipHash's collision-flood resistance buys
+/// nothing and its per-key cost dominated the simulator build.
+#[derive(Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl std::hash::Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut buf = [0u8; 8];
+            buf[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(buf));
+        }
+    }
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+type FxHashMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
+
 /// Lowers compiled expression trees into [`Insn`] tapes. One builder is
 /// shared by the settle and step tapes so they share the register file and
 /// constant pool.
@@ -265,7 +364,7 @@ struct TapeBuilder {
     insns: Vec<Insn>,
     next_reg: u32,
     /// Masked constant value -> preloaded register.
-    consts: HashMap<u64, u32>,
+    consts: FxHashMap<u64, u32>,
     const_init: Vec<(u32, u64)>,
     msgs: Vec<String>,
 }
@@ -520,22 +619,25 @@ impl TapeBuilder {
 ///   which is confined to the same mask.
 ///
 /// `consts` carries the preloaded constant registers so their (exact)
-/// values participate in the mask analysis.
+/// values participate in the mask analysis; `n_regs` bounds every register
+/// the tape names.
 ///
 /// Returns the optimized tape plus the old-pc -> new-pc map (length
 /// `tape.len() + 1`; dropped insns map to the position of their successor),
 /// so callers can remap chain boundaries recorded before CSE.
-fn cse_tape(tape: Vec<Insn>, consts: &[(u32, u64)]) -> (Vec<Insn>, Vec<u32>) {
+fn cse_tape(tape: Vec<Insn>, consts: &[(u32, u64)], n_regs: u32) -> (Vec<Insn>, Vec<u32>) {
     use Insn::*;
-    let mut rep: HashMap<u32, u32> = HashMap::new();
-    let resolve = |rep: &HashMap<u32, u32>, r: u32| -> u32 { *rep.get(&r).unwrap_or(&r) };
-    let mut table: HashMap<Insn, u32> = HashMap::new();
-    // Net index -> table key currently caching a load of that net.
-    let mut net_loads: HashMap<u32, Insn> = HashMap::new();
+    // Register -> the register its value is renamed to (itself if kept).
+    let mut rep: Vec<u32> = (0..n_regs).collect();
+    let resolve = |rep: &[u32], r: u32| -> u32 { rep[r as usize] };
+    let mut table: FxHashMap<Insn, u32> = FxHashMap::default();
     // Net index -> register known to hold exactly the net's current value.
-    let mut net_fwd: HashMap<u32, u32> = HashMap::new();
+    let mut net_fwd: FxHashMap<u32, u32> = FxHashMap::default();
     // Register -> mask its value is always confined to (reg & !mask == 0).
-    let mut known: HashMap<u32, u64> = consts.iter().map(|&(r, v)| (r, v)).collect();
+    let mut known: Vec<Option<u64>> = vec![None; n_regs as usize];
+    for &(r, v) in consts {
+        known[r as usize] = Some(v);
+    }
     let mut out: Vec<Insn> = Vec::with_capacity(tape.len());
     // old pc -> new pc, for patching forward jump targets afterward.
     let mut pc_map: Vec<u32> = Vec::with_capacity(tape.len() + 1);
@@ -586,7 +688,7 @@ fn cse_tape(tape: Vec<Insn>, consts: &[(u32, u64)]) -> (Vec<Insn>, Vec<u32>) {
         // Store-to-load forwarding: the net provably holds `src` verbatim.
         if let LoadNet { dst, net } = insn {
             if let Some(&src) = net_fwd.get(&net) {
-                rep.insert(dst, src);
+                rep[dst as usize] = src;
                 continue;
             }
         }
@@ -668,17 +770,14 @@ fn cse_tape(tape: Vec<Insn>, consts: &[(u32, u64)]) -> (Vec<Insn>, Vec<u32>) {
         match keyed {
             Some((key, dst, result_mask)) => {
                 if let Some(&prev) = table.get(&key) {
-                    rep.insert(dst, prev);
+                    rep[dst as usize] = prev;
                     continue; // drop the duplicate
                 }
                 if region_ends.is_empty() {
-                    if let LoadNet { net, .. } = key {
-                        net_loads.insert(net, key.clone());
-                    }
                     table.insert(key, dst);
                 }
                 if result_mask != u64::MAX {
-                    known.insert(dst, result_mask);
+                    known[dst as usize] = Some(result_mask);
                 }
                 out.push(insn);
             }
@@ -687,25 +786,21 @@ fn cse_tape(tape: Vec<Insn>, consts: &[(u32, u64)]) -> (Vec<Insn>, Vec<u32>) {
                     StoreNet { net, src, m } => {
                         // Blocking assign: later loads of this net see the
                         // new value, so the cached load (if any) is stale.
-                        if let Some(key) = net_loads.remove(&net) {
-                            table.remove(&key);
-                        }
-                        if region_ends.is_empty() && known.get(&src).is_some_and(|&km| km & !m == 0)
+                        table.remove(&LoadNet { dst: 0, net });
+                        if region_ends.is_empty()
+                            && known[src as usize].is_some_and(|km| km & !m == 0)
                         {
                             net_fwd.insert(net, src);
                         } else {
                             net_fwd.remove(&net);
                         }
                     }
-                    ConcatFirst { dst, m, .. } => {
-                        known.insert(dst, m);
+                    ConcatFirst { dst, m, .. } | MaskReg { dst, m } => {
+                        known[dst as usize] = Some(m);
                     }
                     ConcatPush { dst, .. } => {
                         // Accumulator grows past its own push mask.
-                        known.remove(&dst);
-                    }
-                    MaskReg { dst, m } => {
-                        known.insert(dst, m);
+                        known[dst as usize] = None;
                     }
                     Jump { target } | JumpIfZero { target, .. } => {
                         region_ends.push(target);
@@ -803,11 +898,11 @@ struct Vcd {
 /// The simulator. See module docs.
 pub struct Simulator {
     net_names: Vec<String>,
-    net_index: HashMap<String, usize>,
+    net_index: FxHashMap<String, usize>,
     net_width: Vec<u32>,
     values: Vec<u64>,
     mem_names: Vec<String>,
-    mem_index: HashMap<String, usize>,
+    mem_index: FxHashMap<String, usize>,
     mem_width: Vec<u32>,
     memories: Vec<Vec<u64>>,
     /// Continuous assigns in topological order: (net, expr).
@@ -818,6 +913,7 @@ pub struct Simulator {
     /// Bytecode lowering of `always` (EmitNet/EmitMem/Assert + jumps).
     step_tape: Vec<Insn>,
     /// Register file shared by both tapes; constants preloaded at build.
+    /// Dense: every register is named by some tape instruction.
     regs: Vec<u64>,
     /// Assertion messages referenced by `Insn::Assert`.
     msgs: Vec<String>,
@@ -858,25 +954,54 @@ pub struct Simulator {
     batch_lanes: usize,
 }
 
+/// Lists the compiled program: net and memory tables, the compiled assigns
+/// and statements, both tapes with their chain starts, the register file
+/// and the assertion messages. Two simulators built from equivalent
+/// modules print identically until they run.
+impl fmt::Debug for Simulator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mem_depths: Vec<usize> = self.memories.iter().map(Vec::len).collect();
+        f.debug_struct("Simulator")
+            .field("net_names", &self.net_names)
+            .field("net_width", &self.net_width)
+            .field("values", &self.values)
+            .field("mem_names", &self.mem_names)
+            .field("mem_width", &self.mem_width)
+            .field("mem_depths", &mem_depths)
+            .field("assigns", &self.assigns)
+            .field("always", &self.always)
+            .field("settle_tape", &self.settle_tape)
+            .field("settle_chain_starts", &self.settle_chain_starts)
+            .field("step_tape", &self.step_tape)
+            .field("step_chain_starts", &self.step_chain_starts)
+            .field("regs", &self.regs)
+            .field("msgs", &self.msgs)
+            .finish_non_exhaustive()
+    }
+}
+
 impl Simulator {
-    /// Flatten `top` within `design` and compile it for simulation.
+    /// Flatten `top` within `design` and compile it for simulation. A top
+    /// module without instances is already flat and is compiled in place.
     ///
     /// # Errors
     /// Fails on elaboration errors, undeclared nets, or combinational loops.
     pub fn new(design: &Design, top: &str) -> Result<Self, BuildError> {
-        let flat = flatten(design, top)?;
-        Self::from_flat(&flat)
+        match design.find(top) {
+            Some(m) if m.instances.is_empty() => Self::from_flat(m),
+            _ => Self::from_flat(&flatten(design, top)?),
+        }
     }
 
     /// Build from an already-flat module (no instances).
     pub fn from_flat(flat: &VModule) -> Result<Self, BuildError> {
         let mut sim = Simulator {
             net_names: Vec::new(),
-            net_index: HashMap::new(),
+            net_index: FxHashMap::default(),
             net_width: Vec::new(),
             values: Vec::new(),
             mem_names: Vec::new(),
-            mem_index: HashMap::new(),
+            mem_index: FxHashMap::default(),
             mem_width: Vec::new(),
             memories: Vec::new(),
             assigns: Vec::new(),
@@ -947,7 +1072,7 @@ impl Simulator {
             });
         }
         let settle = tb.take_tape();
-        let (settle_tape, settle_map) = cse_tape(settle, &tb.const_init);
+        let (settle_tape, settle_map) = cse_tape(settle, &tb.const_init, tb.next_reg);
         sim.settle_tape = settle_tape;
         sim.settle_chain_starts = settle_starts
             .iter()
@@ -959,12 +1084,30 @@ impl Simulator {
             tb.stmt(s);
         }
         let step = tb.take_tape();
-        let (step_tape, step_map) = cse_tape(step, &tb.const_init);
+        let (step_tape, step_map) = cse_tape(step, &tb.const_init, tb.next_reg);
         sim.step_tape = step_tape;
         sim.step_chain_starts = step_starts.iter().map(|&s| step_map[s as usize]).collect();
-        sim.regs = vec![0; tb.next_reg as usize];
-        for (r, v) in &tb.const_init {
-            sim.regs[*r as usize] = *v;
+        // CSE leaves most of the lowered registers unnamed. Renumber the
+        // survivors densely, in order of first use, so the register file
+        // (copied once per lane by the batched engine) holds only live ones.
+        let mut renamed = vec![u32::MAX; tb.next_reg as usize];
+        let mut live = 0u32;
+        for insn in sim.settle_tape.iter_mut().chain(sim.step_tape.iter_mut()) {
+            insn.for_each_reg(|r| {
+                let slot = &mut renamed[*r as usize];
+                if *slot == u32::MAX {
+                    *slot = live;
+                    live += 1;
+                }
+                *r = *slot;
+            });
+        }
+        sim.regs = vec![0; live as usize];
+        for &(r, v) in &tb.const_init {
+            let nr = renamed[r as usize];
+            if nr != u32::MAX {
+                sim.regs[nr as usize] = v;
+            }
         }
         sim.msgs = tb.msgs;
         Ok(sim)
@@ -2757,16 +2900,17 @@ fn topo_sort(
     net_names: &[String],
     compiled: Vec<(usize, CExpr, Vec<usize>)>,
 ) -> Result<Vec<(usize, CExpr)>, BuildError> {
-    let mut producer: HashMap<usize, usize> = HashMap::new(); // net -> assign idx
+    let mut producer = vec![usize::MAX; net_names.len()]; // net -> assign idx
     for (i, (net, _, _)) in compiled.iter().enumerate() {
-        producer.insert(*net, i);
+        producer[*net] = i;
     }
     let n = compiled.len();
     let mut indegree = vec![0usize; n];
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (i, (_, _, deps)) in compiled.iter().enumerate() {
-        for d in deps {
-            if let Some(&p) = producer.get(d) {
+        for &d in deps {
+            let p = producer[d];
+            if p != usize::MAX {
                 dependents[p].push(i);
                 indegree[i] += 1;
             }
@@ -3076,8 +3220,9 @@ impl EventState {
         // coarse cones remain the telemetry reporting unit;
         // `settle_unit_cone` maps scheduler units onto them.
         let n_assigns = sim.assigns.len();
-        let settle_cones = partition_settle(&sim.assigns, &sim.net_names);
-        let step_cones = partition_step(&sim.always, &sim.net_names, &sim.mem_names);
+        let settle_cones = partition_settle(&sim.assigns, n_nets);
+        let step_effects = sim.step_effects();
+        let step_cones = partition_step(&step_effects, n_nets, n_mems);
         let mut ev = EventState {
             settle_chains: chain_bounds(&sim.settle_chain_starts, sim.settle_tape.len()),
             step_chains: chain_bounds(&sim.step_chain_starts, sim.step_tape.len()),
@@ -3124,15 +3269,13 @@ impl EventState {
         for (i, (net, e)) in sim.assigns.iter().enumerate() {
             let mut deps = Vec::new();
             collect_deps(e, &mut deps);
-            deps.sort_unstable();
-            deps.dedup();
-            for d in deps {
-                settle_readers[d].push(i as u32);
+            for d in id_set(deps) {
+                settle_readers[d as usize].push(i as u32);
             }
-            let mut mems = BTreeSet::new();
-            collect_mem_reads_into(e, &mut mems);
-            for m in mems {
-                settle_mem_readers[m].push(i as u32);
+            let mut mems = Vec::new();
+            collect_mem_reads(e, &mut mems);
+            for m in id_set(mems) {
+                settle_mem_readers[m as usize].push(i as u32);
             }
             ev.settle_writer[*net] = i as u32;
         }
@@ -3149,25 +3292,15 @@ impl EventState {
                 step_mem_readers[m as usize].push(c as u32);
             }
             for &i in &cone.members {
-                let mut reads = BTreeSet::new();
-                let mut writes = BTreeSet::new();
-                let mut mreads = BTreeSet::new();
-                let mut mwrites = BTreeSet::new();
-                stmt_effects(
-                    &sim.always[i as usize],
-                    &mut reads,
-                    &mut writes,
-                    &mut mreads,
-                    &mut mwrites,
-                );
-                for w in writes {
-                    if step_writers[w].last() != Some(&(c as u32)) {
-                        step_writers[w].push(c as u32);
+                let fx = &step_effects[i as usize];
+                for &w in &fx.writes {
+                    if step_writers[w as usize].last() != Some(&(c as u32)) {
+                        step_writers[w as usize].push(c as u32);
                     }
                 }
-                for m in mwrites {
-                    if step_mem_writers[m].last() != Some(&(c as u32)) {
-                        step_mem_writers[m].push(c as u32);
+                for &m in &fx.mwrites {
+                    if step_mem_writers[m as usize].last() != Some(&(c as u32)) {
+                        step_mem_writers[m as usize].push(c as u32);
                     }
                 }
             }
@@ -4665,11 +4798,10 @@ impl SchedStatsReport {
 
 /// One static fanin cone: a connected group of settle assigns (or step
 /// statements) together with the external inputs whose stability implies
-/// the whole group would recompute to its previous result.
+/// the whole group would recompute to its previous result. Cones carry no
+/// names: only the report paths build them
+/// ([`Simulator::settle_cone_names`], [`Simulator::step_cone_names`]).
 struct Cone {
-    name: String,
-    /// Number of assigns / always-statements grouped into this cone.
-    units: u32,
     /// Assign indices (settle) or always-statement indices (step) grouped
     /// into this cone, in tape order. The event scheduler executes exactly
     /// these chains when the cone is activated.
@@ -4683,6 +4815,24 @@ struct Cone {
     busy_since: Option<u64>,
     /// Closed busy intervals, half-open `[start, end)` in cycles.
     busy_intervals: Vec<(u64, u64)>,
+}
+
+impl Cone {
+    fn new(members: Vec<usize>, inputs: Vec<u32>, mem_inputs: Vec<u32>) -> Cone {
+        Cone {
+            members: members.into_iter().map(|i| i as u32).collect(),
+            inputs,
+            mem_inputs,
+            quiescent_cycles: 0,
+            busy_since: None,
+            busy_intervals: Vec::new(),
+        }
+    }
+
+    /// Number of assigns / always-statements grouped into this cone.
+    fn units(&self) -> u64 {
+        self.members.len() as u64
+    }
 }
 
 /// Per-net counters in a [`TelemetryReport`].
@@ -4972,47 +5122,56 @@ impl UnionFind {
 
     /// Groups of member indices, ordered by each group's first member.
     fn groups(&mut self, n: usize) -> Vec<Vec<usize>> {
-        let mut by_root: HashMap<usize, usize> = HashMap::new();
+        let mut group_of_root = vec![usize::MAX; n];
         let mut out: Vec<Vec<usize>> = Vec::new();
         for i in 0..n {
             let r = self.find(i);
-            let g = *by_root.entry(r).or_insert_with(|| {
+            if group_of_root[r] == usize::MAX {
+                group_of_root[r] = out.len();
                 out.push(Vec::new());
-                out.len() - 1
-            });
-            out[g].push(i);
+            }
+            out[group_of_root[r]].push(i);
         }
         out
     }
 }
 
-fn collect_mem_reads_into(e: &CExpr, out: &mut BTreeSet<usize>) {
+/// Push every memory `e` reads (with repeats).
+fn collect_mem_reads(e: &CExpr, out: &mut Vec<usize>) {
     match e {
         CExpr::Const { .. } | CExpr::Net { .. } => {}
         CExpr::MemRead { mem, addr, .. } => {
-            out.insert(*mem);
-            collect_mem_reads_into(addr, out);
+            out.push(*mem);
+            collect_mem_reads(addr, out);
         }
-        CExpr::Slice { base, .. } => collect_mem_reads_into(base, out),
-        CExpr::Unary { arg, .. } => collect_mem_reads_into(arg, out),
+        CExpr::Slice { base, .. } => collect_mem_reads(base, out),
+        CExpr::Unary { arg, .. } => collect_mem_reads(arg, out),
         CExpr::Binary { lhs, rhs, .. } => {
-            collect_mem_reads_into(lhs, out);
-            collect_mem_reads_into(rhs, out);
+            collect_mem_reads(lhs, out);
+            collect_mem_reads(rhs, out);
         }
         CExpr::Ternary {
             cond, then, els, ..
         } => {
-            collect_mem_reads_into(cond, out);
-            collect_mem_reads_into(then, out);
-            collect_mem_reads_into(els, out);
+            collect_mem_reads(cond, out);
+            collect_mem_reads(then, out);
+            collect_mem_reads(els, out);
         }
         CExpr::Concat { parts, .. } => {
             for p in parts {
-                collect_mem_reads_into(p, out);
+                collect_mem_reads(p, out);
             }
         }
-        CExpr::SignExtend { arg, .. } => collect_mem_reads_into(arg, out),
+        CExpr::SignExtend { arg, .. } => collect_mem_reads(arg, out),
     }
+}
+
+/// `ids` sorted and deduplicated, as `u32`.
+fn id_set(ids: impl IntoIterator<Item = usize>) -> Vec<u32> {
+    let mut v: Vec<u32> = ids.into_iter().map(|i| i as u32).collect();
+    v.sort_unstable();
+    v.dedup();
+    v
 }
 
 /// Partition the topo-ordered assigns into connected fanin cones: two
@@ -5020,72 +5179,87 @@ fn collect_mem_reads_into(e: &CExpr, out: &mut BTreeSet<usize>) {
 /// are the nets it reads but does not produce, plus every memory it reads;
 /// if none of those changed over a cycle, re-running the cone would
 /// reproduce its previous outputs.
-fn partition_settle(assigns: &[(usize, CExpr)], net_names: &[String]) -> Vec<Cone> {
+fn partition_settle(assigns: &[(usize, CExpr)], n_nets: usize) -> Vec<Cone> {
     let n = assigns.len();
     let mut uf = UnionFind::new(n);
-    let producer: HashMap<usize, usize> = assigns
-        .iter()
-        .enumerate()
-        .map(|(i, (net, _))| (*net, i))
-        .collect();
+    let mut producer = vec![usize::MAX; n_nets];
+    for (i, (net, _)) in assigns.iter().enumerate() {
+        producer[*net] = i;
+    }
     let mut deps_per: Vec<Vec<usize>> = Vec::with_capacity(n);
     for (i, (_, e)) in assigns.iter().enumerate() {
         let mut deps = Vec::new();
         collect_deps(e, &mut deps);
         for &d in &deps {
-            if let Some(&p) = producer.get(&d) {
-                uf.union(i, p);
+            if producer[d] != usize::MAX {
+                uf.union(i, producer[d]);
             }
         }
         deps_per.push(deps);
     }
+    let mut written = vec![false; n_nets];
     let mut cones = Vec::new();
     for members in uf.groups(n) {
-        let written: HashSet<usize> = members.iter().map(|&i| assigns[i].0).collect();
-        let mut inputs = BTreeSet::new();
-        let mut mem_inputs = BTreeSet::new();
         for &i in &members {
-            for &d in &deps_per[i] {
-                if !written.contains(&d) {
-                    inputs.insert(d as u32);
-                }
-            }
-            collect_mem_reads_into(&assigns[i].1, &mut mem_inputs);
+            written[assigns[i].0] = true;
         }
-        cones.push(Cone {
-            name: net_names[assigns[members[0]].0].clone(),
-            units: members.len() as u32,
-            inputs: inputs.into_iter().collect(),
-            mem_inputs: mem_inputs.into_iter().map(|m| m as u32).collect(),
-            members: members.into_iter().map(|i| i as u32).collect(),
-            quiescent_cycles: 0,
-            busy_since: None,
-            busy_intervals: Vec::new(),
-        });
+        let mut inputs = Vec::new();
+        let mut mem_inputs = Vec::new();
+        for &i in &members {
+            inputs.extend(deps_per[i].iter().copied().filter(|&d| !written[d]));
+            collect_mem_reads(&assigns[i].1, &mut mem_inputs);
+        }
+        for &i in &members {
+            written[assigns[i].0] = false;
+        }
+        cones.push(Cone::new(members, id_set(inputs), id_set(mem_inputs)));
     }
     cones
 }
 
+/// The nets and memories one always-statement reads and writes, each
+/// sorted and deduplicated.
+#[derive(Default)]
+struct StmtEffects {
+    reads: Vec<u32>,
+    writes: Vec<u32>,
+    mreads: Vec<u32>,
+    mwrites: Vec<u32>,
+}
+
+impl StmtEffects {
+    fn of(s: &CStmt) -> StmtEffects {
+        let mut fx: [Vec<usize>; 4] = Default::default();
+        let [reads, writes, mreads, mwrites] = &mut fx;
+        stmt_effects(s, reads, writes, mreads, mwrites);
+        let [reads, writes, mreads, mwrites] = fx.map(id_set);
+        StmtEffects {
+            reads,
+            writes,
+            mreads,
+            mwrites,
+        }
+    }
+}
+
 fn stmt_effects(
     s: &CStmt,
-    reads: &mut BTreeSet<usize>,
-    writes: &mut BTreeSet<usize>,
-    mreads: &mut BTreeSet<usize>,
-    mwrites: &mut BTreeSet<usize>,
+    reads: &mut Vec<usize>,
+    writes: &mut Vec<usize>,
+    mreads: &mut Vec<usize>,
+    mwrites: &mut Vec<usize>,
 ) {
-    let expr = |e: &CExpr, reads: &mut BTreeSet<usize>, mreads: &mut BTreeSet<usize>| {
-        let mut deps = Vec::new();
-        collect_deps(e, &mut deps);
-        reads.extend(deps);
-        collect_mem_reads_into(e, mreads);
+    let expr = |e: &CExpr, reads: &mut Vec<usize>, mreads: &mut Vec<usize>| {
+        collect_deps(e, reads);
+        collect_mem_reads(e, mreads);
     };
     match s {
         CStmt::AssignNet { net, rhs } => {
-            writes.insert(*net);
+            writes.push(*net);
             expr(rhs, reads, mreads);
         }
         CStmt::AssignMem { mem, addr, rhs } => {
-            mwrites.insert(*mem);
+            mwrites.push(*mem);
             expr(addr, reads, mreads);
             expr(rhs, reads, mreads);
         }
@@ -5107,79 +5281,36 @@ fn stmt_effects(
 /// next-state is a function of the union of their reads). A step cone's
 /// inputs are everything it reads; registers it updates from their own old
 /// value count as inputs too, keeping self-incrementing state "busy".
-fn partition_step(always: &[CStmt], net_names: &[String], mem_names: &[String]) -> Vec<Cone> {
-    let n = always.len();
-    let mut effects = Vec::with_capacity(n);
-    for s in always {
-        let mut reads = BTreeSet::new();
-        let mut writes = BTreeSet::new();
-        let mut mreads = BTreeSet::new();
-        let mut mwrites = BTreeSet::new();
-        stmt_effects(s, &mut reads, &mut writes, &mut mreads, &mut mwrites);
-        effects.push((reads, writes, mreads, mwrites));
-    }
+fn partition_step(effects: &[StmtEffects], n_nets: usize, n_mems: usize) -> Vec<Cone> {
+    let n = effects.len();
     let mut uf = UnionFind::new(n);
-    let mut net_writer: HashMap<usize, usize> = HashMap::new();
-    let mut mem_writer: HashMap<usize, usize> = HashMap::new();
-    for (i, (_, writes, _, mwrites)) in effects.iter().enumerate() {
-        for &w in writes {
-            match net_writer.get(&w) {
-                Some(&j) => uf.union(i, j),
-                None => {
-                    net_writer.insert(w, i);
-                }
-            }
-        }
-        for &m in mwrites {
-            match mem_writer.get(&m) {
-                Some(&j) => uf.union(i, j),
-                None => {
-                    mem_writer.insert(m, i);
+    let mut net_writer = vec![usize::MAX; n_nets];
+    let mut mem_writer = vec![usize::MAX; n_mems];
+    for (i, fx) in effects.iter().enumerate() {
+        for (writer, targets) in [
+            (&mut net_writer, &fx.writes),
+            (&mut mem_writer, &fx.mwrites),
+        ] {
+            for &w in targets {
+                match writer[w as usize] {
+                    usize::MAX => writer[w as usize] = i,
+                    j => uf.union(i, j),
                 }
             }
         }
     }
-    let mut cones = Vec::new();
-    let mut used_names: HashSet<String> = HashSet::new();
-    for members in uf.groups(n) {
-        let mut inputs = BTreeSet::new();
-        let mut mem_inputs = BTreeSet::new();
-        for &i in &members {
-            let (reads, _, mreads, _) = &effects[i];
-            inputs.extend(reads.iter().map(|&r| r as u32));
-            mem_inputs.extend(mreads.iter().map(|&m| m as u32));
-        }
-        let first = &effects[members[0]];
-        let mut name = first
-            .1
-            .iter()
-            .next()
-            .map(|&w| net_names[w].clone())
-            .or_else(|| first.3.iter().next().map(|&m| mem_names[m].clone()))
-            .or_else(|| {
-                first
-                    .0
-                    .iter()
-                    .next()
-                    .map(|&r| format!("assert@{}", net_names[r]))
-            })
-            .unwrap_or_else(|| "cone".to_string());
-        if !used_names.insert(name.clone()) {
-            name = format!("{name}#{}", members[0]);
-            used_names.insert(name.clone());
-        }
-        cones.push(Cone {
-            name,
-            units: members.len() as u32,
-            inputs: inputs.into_iter().collect(),
-            mem_inputs: mem_inputs.into_iter().collect(),
-            members: members.into_iter().map(|i| i as u32).collect(),
-            quiescent_cycles: 0,
-            busy_since: None,
-            busy_intervals: Vec::new(),
-        });
-    }
-    cones
+    uf.groups(n)
+        .into_iter()
+        .map(|members| {
+            let mut inputs = Vec::new();
+            let mut mem_inputs = Vec::new();
+            for &i in &members {
+                inputs.extend(effects[i].reads.iter().map(|&r| r as usize));
+                mem_inputs.extend(effects[i].mreads.iter().map(|&m| m as usize));
+            }
+            Cone::new(members, id_set(inputs), id_set(mem_inputs))
+        })
+        .collect()
 }
 
 /// The counting twin of [`run_tape`]: identical semantics, plus per-insn
@@ -5315,7 +5446,72 @@ fn run_tape_counting(
     executed
 }
 
+/// Per-cone wake rows of a [`SchedStatsReport`].
+fn cone_wakes_report(cones: &[Cone], names: Vec<String>, wakes: &[u64]) -> Vec<SchedConeWakes> {
+    cones
+        .iter()
+        .zip(names)
+        .zip(wakes)
+        .map(|((c, cone), &wakes)| SchedConeWakes {
+            cone,
+            units: c.units(),
+            wakes,
+        })
+        .collect()
+}
+
 impl Simulator {
+    fn step_effects(&self) -> Vec<StmtEffects> {
+        self.always.iter().map(StmtEffects::of).collect()
+    }
+
+    fn settle_cones(&self) -> Vec<Cone> {
+        partition_settle(&self.assigns, self.values.len())
+    }
+
+    fn step_cones(&self) -> Vec<Cone> {
+        partition_step(&self.step_effects(), self.values.len(), self.memories.len())
+    }
+
+    /// Report names of the settle cones: each cone's first target net.
+    fn settle_cone_names(&self, cones: &[Cone]) -> Vec<String> {
+        cones
+            .iter()
+            .map(|c| self.net_names[self.assigns[c.members[0] as usize].0].clone())
+            .collect()
+    }
+
+    /// Report names of the step cones: the first member's lowest written
+    /// net, else its lowest written memory, else `assert@` its lowest read
+    /// net; a repeated name gets `#<first member>` appended.
+    fn step_cone_names(&self, cones: &[Cone]) -> Vec<String> {
+        let net = |i: u32| self.net_names[i as usize].clone();
+        let mut used: HashSet<String> = HashSet::new();
+        cones
+            .iter()
+            .map(|c| {
+                let first = StmtEffects::of(&self.always[c.members[0] as usize]);
+                let mut name = first
+                    .writes
+                    .first()
+                    .map(|&w| net(w))
+                    .or_else(|| {
+                        first
+                            .mwrites
+                            .first()
+                            .map(|&m| self.mem_names[m as usize].clone())
+                    })
+                    .or_else(|| first.reads.first().map(|&r| format!("assert@{}", net(r))))
+                    .unwrap_or_else(|| "cone".to_string());
+                if !used.insert(name.clone()) {
+                    name = format!("{name}#{}", c.members[0]);
+                    used.insert(name.clone());
+                }
+                name
+            })
+            .collect()
+    }
+
     /// Turn on the telemetry plane. Idempotent; settles first so counting
     /// starts from a consistent baseline. With `record_trace`, per-cone
     /// busy/quiescent intervals are kept for [`telemetry_trace`].
@@ -5357,8 +5553,8 @@ impl Simulator {
                 &mut f,
             );
         }
-        let settle_cones = partition_settle(&self.assigns, &self.net_names);
-        let step_cones = partition_step(&self.always, &self.net_names, &self.mem_names);
+        let settle_cones = self.settle_cones();
+        let step_cones = self.step_cones();
         self.telemetry = Some(Box::new(Telemetry {
             prev: self.values.clone(),
             toggle_cycles: vec![0; self.values.len()],
@@ -5424,12 +5620,13 @@ impl Simulator {
                     },
             })
             .collect();
-        let cone_report = |cones: &[Cone]| {
+        let cone_report = |cones: &[Cone], names: Vec<String>| {
             cones
                 .iter()
-                .map(|c| ConeTelemetry {
-                    name: c.name.clone(),
-                    units: u64::from(c.units),
+                .zip(names)
+                .map(|(c, name)| ConeTelemetry {
+                    name,
+                    units: c.units(),
                     inputs: (c.inputs.len() + c.mem_inputs.len()) as u64,
                     quiescent_cycles: c.quiescent_cycles,
                 })
@@ -5444,8 +5641,8 @@ impl Simulator {
         Some(TelemetryReport {
             cycles: t.cycles,
             nets,
-            settle_cones: cone_report(&t.settle_cones),
-            step_cones: cone_report(&t.step_cones),
+            settle_cones: cone_report(&t.settle_cones, self.settle_cone_names(&t.settle_cones)),
+            step_cones: cone_report(&t.step_cones, self.step_cone_names(&t.step_cones)),
             settle_insns: insn_report(
                 &t.settle_tape,
                 &t.settle_exec,
@@ -5473,9 +5670,9 @@ impl Simulator {
             return None;
         }
         let mut spans = Vec::new();
-        let mut emit = |phase: &str, cones: &[Cone]| {
-            for c in cones {
-                let track = format!("{phase}/{}", c.name);
+        let mut emit = |phase: &str, cones: &[Cone], names: Vec<String>| {
+            for (c, name) in cones.iter().zip(names) {
+                let track = format!("{phase}/{name}");
                 let mut cursor = 0u64;
                 let mut intervals = c.busy_intervals.clone();
                 if let Some(start) = c.busy_since {
@@ -5507,8 +5704,12 @@ impl Simulator {
                 }
             }
         };
-        emit("settle", &t.settle_cones);
-        emit("step", &t.step_cones);
+        emit(
+            "settle",
+            &t.settle_cones,
+            self.settle_cone_names(&t.settle_cones),
+        );
+        emit("step", &t.step_cones, self.step_cone_names(&t.step_cones));
         // When the sched-stats plane is also on, ride its per-cycle dirty-
         // set occupancy along as a Chrome counter track ("ph":"C").
         let counters: Vec<obs::trace::CounterPoint> = match self.sched.as_deref() {
@@ -5543,7 +5744,7 @@ impl Simulator {
             return;
         }
         self.settle();
-        let n_step_cones = partition_step(&self.always, &self.net_names, &self.mem_names).len();
+        let n_step_cones = self.step_cones().len();
         self.sched = Some(Box::new(SchedStats {
             cycles: 0,
             dirty_cones: obs::Histogram::new(),
@@ -5601,8 +5802,10 @@ impl Simulator {
             Engine::Event => "event",
             Engine::Batched => "batched",
         };
-        let settle_cones = partition_settle(&self.assigns, &self.net_names);
-        let step_cones = partition_step(&self.always, &self.net_names, &self.mem_names);
+        let settle_cones = self.settle_cones();
+        let step_cones = self.step_cones();
+        let settle_names = self.settle_cone_names(&settle_cones);
+        let step_names = self.step_cone_names(&step_cones);
         let n_settle_units = self.assigns.len() as u64;
         let n_step_cones = step_cones.len() as u64;
         let mut rep = SchedStatsReport {
@@ -5642,24 +5845,8 @@ impl Simulator {
                 for (u, &w) in es.settle_unit_wakes.iter().enumerate() {
                     cone_wakes[ev.settle_unit_cone[u] as usize] += w;
                 }
-                rep.settle_cones = settle_cones
-                    .iter()
-                    .zip(&cone_wakes)
-                    .map(|(c, &w)| SchedConeWakes {
-                        cone: c.name.clone(),
-                        units: u64::from(c.units),
-                        wakes: w,
-                    })
-                    .collect();
-                rep.step_cones = step_cones
-                    .iter()
-                    .zip(&es.step_cone_wakes)
-                    .map(|(c, &w)| SchedConeWakes {
-                        cone: c.name.clone(),
-                        units: u64::from(c.units),
-                        wakes: w,
-                    })
-                    .collect();
+                rep.settle_cones = cone_wakes_report(&settle_cones, settle_names, &cone_wakes);
+                rep.step_cones = cone_wakes_report(&step_cones, step_names, &es.step_cone_wakes);
             }
         } else {
             // Full-tape engines: synthesize the trivially-full schedule —
@@ -5672,22 +5859,13 @@ impl Simulator {
             rep.settle_run_len.record_n(n_settle_units, sc.full_settles);
             rep.step_run_len
                 .record_n(self.step_chain_starts.len() as u64, sc.cycles);
-            rep.settle_cones = settle_cones
-                .iter()
-                .map(|c| SchedConeWakes {
-                    cone: c.name.clone(),
-                    units: u64::from(c.units),
-                    wakes: sc.full_settles,
-                })
-                .collect();
-            rep.step_cones = step_cones
-                .iter()
-                .map(|c| SchedConeWakes {
-                    cone: c.name.clone(),
-                    units: u64::from(c.units),
-                    wakes: sc.cycles,
-                })
-                .collect();
+            rep.settle_cones = cone_wakes_report(
+                &settle_cones,
+                settle_names,
+                &vec![sc.full_settles; settle_cones.len()],
+            );
+            rep.step_cones =
+                cone_wakes_report(&step_cones, step_names, &vec![sc.cycles; step_cones.len()]);
         }
         Some(rep)
     }
@@ -5887,9 +6065,9 @@ mod tests {
         assert!(err.message.contains("address out of bounds"), "{err}");
     }
 
-    #[test]
-    fn hierarchical_design_simulates() {
-        // Reuse the elaborate test structure: two chained incrementers.
+    /// Two chained incrementers instantiated by `top` (the elaborate test
+    /// structure).
+    fn chained_incrementers() -> Design {
         let mut inc = VModule::new("inc");
         inc.port("clk", Dir::Input, 1);
         inc.port("x", Dir::Input, 8);
@@ -5921,9 +6099,58 @@ mod tests {
         let mut d = Design::new();
         d.add(inc);
         d.add(top);
+        d
+    }
+
+    #[test]
+    fn hierarchical_design_simulates() {
+        let d = chained_incrementers();
         let mut sim = Simulator::new(&d, "top").expect("build");
         sim.set("a", 7);
         assert_eq!(sim.get("b"), 9);
+    }
+
+    #[test]
+    fn instance_free_top_builds_like_its_flat_copy() {
+        for (d, top) in [(counter(), "counter"), (mx_design(), "mx")] {
+            assert!(d.find(top).expect("top").instances.is_empty());
+            let direct = Simulator::new(&d, top).expect("build");
+            let flat = flatten(&d, top).expect("flatten");
+            let via_flat = Simulator::from_flat(&flat).expect("build");
+            assert_eq!(format!("{direct:?}"), format!("{via_flat:?}"), "{top}");
+        }
+    }
+
+    #[test]
+    fn top_with_instances_still_takes_the_flatten_path() {
+        let d = chained_incrementers();
+        let direct = Simulator::new(&d, "top").expect("build");
+        let flat = flatten(&d, "top").expect("flatten");
+        let via_flat = Simulator::from_flat(&flat).expect("build");
+        assert_eq!(format!("{direct:?}"), format!("{via_flat:?}"));
+        // Compiled in place, the top alone would leave `b` undriven.
+        let mut unflattened = Simulator::from_flat(d.find("top").expect("top")).expect("build");
+        unflattened.set("a", 7);
+        assert_eq!(unflattened.get("b"), 0);
+    }
+
+    #[test]
+    fn register_file_is_dense_in_order_of_first_use() {
+        for (d, top) in [
+            (counter(), "counter"),
+            (mx_design(), "mx"),
+            (chained_incrementers(), "top"),
+        ] {
+            let sim = Simulator::new(&d, top).expect("build");
+            let mut seen = 0u32;
+            for insn in sim.settle_tape.iter().chain(&sim.step_tape) {
+                insn.clone().for_each_reg(|r| {
+                    assert!(*r <= seen, "{top}: register {r} named before {seen}");
+                    seen = seen.max(*r + 1);
+                });
+            }
+            assert_eq!(seen as usize, sim.regs.len(), "{top}: unused registers");
+        }
     }
 
     #[test]

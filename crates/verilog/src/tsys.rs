@@ -26,7 +26,6 @@
 //! of Btor2MLIR and btormc)
 
 use crate::ast::{BinOp, Design, Dir};
-use crate::elaborate::flatten;
 use crate::sim::{self, BuildError, Simulator};
 use std::collections::{BTreeMap, HashMap};
 
@@ -511,8 +510,11 @@ fn mask_width(m: u64) -> u32 {
 /// lowering's fragment (e.g. a net driven by both an assign and an always).
 pub fn lower(design: &Design, top: &str) -> Result<TransitionSystem, BuildError> {
     let simulator = Simulator::new(design, top)?;
-    let flat = flatten(design, top)?;
-    Lowering::new(&simulator, &flat.ports).run()
+    // Flattening copies the top module's ports unchanged.
+    let top_module = design
+        .find(top)
+        .expect("Simulator::new resolved the top module");
+    Lowering::new(&simulator, &top_module.ports).run()
 }
 
 /// Per-memory word-state bookkeeping.

@@ -62,6 +62,36 @@ fn verify_only_rejects_schedule_errors() {
 }
 
 #[test]
+fn call_arity_mismatch_is_a_schedule_diagnostic() {
+    // A 2-argument call to a callee declaring three data arguments must be
+    // rejected by schedule verification at the call site, before codegen.
+    let dir = std::env::temp_dir().join("hirc_test_arity");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("arity.mlir");
+    std::fs::write(
+        &input,
+        r#""hir.func"() {arg_types = [i32, i32, i32], external = unit, result_delays = [1 : index], result_types = [i32], sym_name = "f0"} : () -> ()
+"hir.func"() ({
+^bb(%0: i32, %1: i32, %2: !hir.time):
+  %3 = "hir.call"(%0, %1, %2) {callee = @f0, offset = 0 : index} : (i32, i32, !hir.time) -> (i32)
+  "hir.return"(%3) : (i32) -> ()
+}) {arg_names = ["a", "b"], result_delays = [1 : index], sym_name = "f1"} : () -> ()
+"#,
+    )
+    .unwrap();
+    for extra in [&["--verify-only"][..], &[]] {
+        let out = hirc().arg(&input).args(extra).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {err}");
+        assert!(
+            err.contains("error:\nSchedule error: call to @f0 passes 2 argument(s) but the callee declares 3!")
+                && err.contains("hir.call @f0(%0, %1) at %2"),
+            "{extra:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn optimize_flag_runs_pipeline_and_output_still_compiles() {
     let dir = std::env::temp_dir().join("hirc_test_opt");
     std::fs::create_dir_all(&dir).unwrap();
