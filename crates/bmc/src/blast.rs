@@ -13,18 +13,46 @@
 
 use crate::sat::{Lit, Solver};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A word value: literals, least significant bit first.
 pub type BV = Vec<Lit>;
+
+/// FxHash (the rustc hasher): one rotate-xor-multiply per literal. The gate
+/// caches key on literals the blaster itself allocated, where SipHash's
+/// collision-flood resistance buys nothing. Nothing iterates the caches, so
+/// the hasher cannot change gate numbering.
+#[derive(Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // `Lit` keys hash through `write_u32`; this only completes the trait.
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+    fn write_u32(&mut self, i: u32) {
+        self.hash =
+            (self.hash.rotate_left(5) ^ u64::from(i)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Bit-blasting context. `solver` is public so callers can run queries and
 /// read models directly.
 pub struct Blaster {
     pub solver: Solver,
     tru: Lit,
-    and_cache: HashMap<(Lit, Lit), Lit>,
-    xor_cache: HashMap<(Lit, Lit), Lit>,
-    ite_cache: HashMap<(Lit, Lit, Lit), Lit>,
+    and_cache: FxHashMap<(Lit, Lit), Lit>,
+    xor_cache: FxHashMap<(Lit, Lit), Lit>,
+    ite_cache: FxHashMap<(Lit, Lit, Lit), Lit>,
     /// Structural-hash statistics: gate lookups served from a cache vs
     /// gates that allocated a fresh variable and clauses.
     pub cache_hits: u64,
@@ -45,9 +73,9 @@ impl Blaster {
         Blaster {
             solver,
             tru: t,
-            and_cache: HashMap::new(),
-            xor_cache: HashMap::new(),
-            ite_cache: HashMap::new(),
+            and_cache: FxHashMap::default(),
+            xor_cache: FxHashMap::default(),
+            ite_cache: FxHashMap::default(),
             cache_hits: 0,
             cache_misses: 0,
         }

@@ -31,7 +31,7 @@ use hir::types::MemrefInfo;
 use hir_codegen::testbench::{Harness, HarnessArg, HarnessReport};
 use hir_codegen::{bus, extern_stubs, generate_design, module_name, CodegenOptions};
 use ir::Module;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use verilog::tsys::{lower, TransitionSystem};
 use verilog::Design;
 
@@ -535,11 +535,9 @@ pub fn check_func_equivalence(
         let ts_b = lower(&design_b, &top).map_err(|e| EquivError::Lower(e.to_string()))?;
         (ts_a, ts_b)
     };
-    let mut phases = PhaseMs {
-        lower: lower_started.elapsed().as_millis() as u64,
-        blast: 0,
-        solve: 0,
-        replay: 0,
+    let mut phases = Phases {
+        lower: lower_started.elapsed(),
+        ..Phases::default()
     };
 
     let mut bl = Blaster::new();
@@ -568,7 +566,7 @@ pub fn check_func_equivalence(
     let mut side_b = make_side(&bl, &ts_b, &env, &init_words);
 
     let report =
-        |status: EquivStatus, bl: &Blaster, phases: &PhaseMs, frames: &[FrameStats]| FuncReport {
+        |status: EquivStatus, bl: &Blaster, phases: &Phases, frames: &[FrameStats]| FuncReport {
             func: func_name.to_string(),
             k: opts.k_cycles,
             status,
@@ -587,10 +585,10 @@ pub fn check_func_equivalence(
                 clauses: bl.solver.num_clauses() as u64,
                 vars: u64::from(bl.solver.num_vars()),
                 frames: frames.to_vec(),
-                lower_ms: phases.lower,
-                blast_ms: phases.blast,
-                solve_ms: phases.solve,
-                replay_ms: phases.replay,
+                lower_ms: phases.lower.as_millis() as u64,
+                blast_ms: phases.blast.as_millis() as u64,
+                solve_ms: phases.solve.as_millis() as u64,
+                replay_ms: phases.replay.as_millis() as u64,
             },
         };
 
@@ -608,7 +606,7 @@ pub fn check_func_equivalence(
             let fb = step_side(&mut bl, &mut side_b, &env, &scalars, cycle)?;
             observe_diff(&mut bl, &env, &side_a, &fa, &side_b, &fb)?
         };
-        phases.blast += blast_started.elapsed().as_millis() as u64;
+        phases.blast += blast_started.elapsed();
         frames.push(FrameStats {
             cycle,
             clauses_added: bl.solver.num_clauses() as u64 - last_clauses,
@@ -625,7 +623,7 @@ pub fn check_func_equivalence(
             let _sp = obs::span("equiv_solve");
             bl.solver.solve(&[obs.diff], budget)
         };
-        phases.solve += solve_started.elapsed().as_millis() as u64;
+        phases.solve += solve_started.elapsed();
         match res {
             SatResult::Unsat => {
                 // Proven no divergence at this cycle; pin it for the rest
@@ -655,7 +653,7 @@ pub fn check_func_equivalence(
                     }
                 };
                 drop(_rsp);
-                phases.replay += replay_started.elapsed().as_millis() as u64;
+                phases.replay += replay_started.elapsed();
                 return Ok(report(status, &bl, &phases, &frames));
             }
             SatResult::Unknown => {
@@ -669,7 +667,7 @@ pub fn check_func_equivalence(
                     let _sp = obs::span("equiv_replay");
                     sampled_fallback(unopt, opt, func_name, opts, reason)?
                 };
-                phases.replay += replay_started.elapsed().as_millis() as u64;
+                phases.replay += replay_started.elapsed();
                 return Ok(report(st, &bl, &phases, &frames));
             }
         }
@@ -677,12 +675,15 @@ pub fn check_func_equivalence(
     Ok(report(EquivStatus::Proved, &bl, &phases, &frames))
 }
 
-/// Wall-clock accumulators per proof phase, in milliseconds.
-struct PhaseMs {
-    lower: u64,
-    blast: u64,
-    solve: u64,
-    replay: u64,
+/// Wall-clock accumulators per proof phase. Blast and solve run once per
+/// unrolled cycle, often for well under a millisecond each, so the phases
+/// are summed exactly and rounded to whole milliseconds only in the report.
+#[derive(Default)]
+struct Phases {
+    lower: Duration,
+    blast: Duration,
+    solve: Duration,
+    replay: Duration,
 }
 
 /// Check every non-external function the two modules share.

@@ -6,6 +6,10 @@
 //! compact: this solver exists to discharge the bounded equivalence queries
 //! of [`crate::equiv`], offline, with no external dependencies.
 //!
+//! Costs follow what a query touches, not the instance size: decisions pop
+//! a variable heap instead of scanning every variable, conflict analysis
+//! clears only the marks it set, and all clause literals live in one arena.
+//!
 //! Solving is incremental: clauses may be added between [`Solver::solve`]
 //! calls, and queries take assumption literals. Every query accepts a
 //! conflict budget and an optional wall-clock deadline and returns
@@ -103,8 +107,11 @@ enum Assign {
     False,
 }
 
+/// A clause: a slice of [`Solver::lits`].
+#[derive(Clone, Copy)]
 struct Clause {
-    lits: Vec<Lit>,
+    start: u32,
+    len: u32,
     learnt: bool,
     /// Move-to-front score for learnt-clause reduction.
     activity: f64,
@@ -121,6 +128,8 @@ struct Watch {
 pub struct Solver {
     num_vars: u32,
     clauses: Vec<Clause>,
+    /// Every clause's literals, back to back in clause order.
+    lits: Vec<Lit>,
     /// Indexed by `Lit.0`: clauses watching that literal.
     watches: Vec<Vec<Watch>>,
     assigns: Vec<Assign>,
@@ -137,6 +146,14 @@ pub struct Solver {
     /// VSIDS activity per variable, plus the additive bump.
     activity: Vec<f64>,
     var_inc: f64,
+    /// Binary max-heap of variables ordered by [`Solver::decides_before`].
+    /// Every unassigned variable is in it; `decide` pops assigned ones
+    /// lazily.
+    heap: Vec<u32>,
+    /// Position of each variable in `heap`, or `NOT_IN_HEAP`.
+    heap_pos: Vec<u32>,
+    /// Conflict-analysis marks; all false between conflicts.
+    seen: Vec<bool>,
     /// Empty clause added → permanently unsat.
     unsat: bool,
     /// Statistics over the solver's lifetime.
@@ -151,6 +168,7 @@ pub struct Solver {
 }
 
 const NO_REASON: u32 = u32::MAX;
+const NOT_IN_HEAP: u32 = u32::MAX;
 
 impl Default for Solver {
     fn default() -> Self {
@@ -163,6 +181,7 @@ impl Solver {
         Solver {
             num_vars: 0,
             clauses: Vec::new(),
+            lits: Vec::new(),
             watches: Vec::new(),
             assigns: Vec::new(),
             phase: Vec::new(),
@@ -173,6 +192,9 @@ impl Solver {
             prop_head: 0,
             activity: Vec::new(),
             var_inc: 1.0,
+            heap: Vec::new(),
+            heap_pos: Vec::new(),
+            seen: Vec::new(),
             unsat: false,
             conflicts: 0,
             decisions: 0,
@@ -194,6 +216,9 @@ impl Solver {
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
+        self.heap_pos.push(NOT_IN_HEAP);
+        self.seen.push(false);
+        self.heap_insert(v);
         v
     }
 
@@ -236,29 +261,32 @@ impl Solver {
         if self.unsat {
             return false;
         }
-        // Simplify: drop duplicate/false literals, detect tautology.
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
+        // Simplify straight into the arena's tail: drop duplicate/false
+        // literals, detect tautology.
+        let start = self.lits.len();
         for &l in lits {
             debug_assert!(l.var() < self.num_vars, "literal for unallocated var");
-            match self.value(l) {
-                Assign::True => return true, // satisfied at level 0
+            let satisfied = match self.value(l) {
+                Assign::True => true, // satisfied at level 0
                 Assign::False => continue,
-                Assign::Unset => {}
+                Assign::Unset => self.lits[start..].contains(&l.flip()), // tautology
+            };
+            if satisfied {
+                self.lits.truncate(start);
+                return true;
             }
-            if c.contains(&l.flip()) {
-                return true; // tautology
-            }
-            if !c.contains(&l) {
-                c.push(l);
+            if !self.lits[start..].contains(&l) {
+                self.lits.push(l);
             }
         }
-        match c.len() {
+        match self.lits.len() - start {
             0 => {
                 self.unsat = true;
                 false
             }
             1 => {
-                self.enqueue(c[0], NO_REASON);
+                let unit = self.lits.pop().expect("one simplified literal");
+                self.enqueue(unit, NO_REASON);
                 if self.propagate().is_some() {
                     self.unsat = true;
                     false
@@ -267,28 +295,37 @@ impl Solver {
                 }
             }
             _ => {
-                self.attach(c, false);
+                self.attach(start, false);
                 true
             }
         }
     }
 
-    fn attach(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
+    /// Attach the arena's literals from `start` on as a new clause.
+    fn attach(&mut self, start: usize, learnt: bool) -> u32 {
         let idx = self.clauses.len() as u32;
-        self.watches[lits[0].flip().0 as usize].push(Watch {
+        let (l0, l1) = (self.lits[start], self.lits[start + 1]);
+        self.watches[l0.flip().0 as usize].push(Watch {
             clause: idx,
-            blocker: lits[1],
+            blocker: l1,
         });
-        self.watches[lits[1].flip().0 as usize].push(Watch {
+        self.watches[l1.flip().0 as usize].push(Watch {
             clause: idx,
-            blocker: lits[0],
+            blocker: l0,
         });
         self.clauses.push(Clause {
-            lits,
+            start: u32::try_from(start).expect("clause arena exceeds u32 literals"),
+            len: (self.lits.len() - start) as u32,
             learnt,
             activity: 0.0,
         });
         idx
+    }
+
+    /// The literals of clause `ci`.
+    fn clause_lits(&self, ci: usize) -> &[Lit] {
+        let c = self.clauses[ci];
+        &self.lits[c.start as usize..(c.start + c.len) as usize]
     }
 
     fn enqueue(&mut self, l: Lit, reason: u32) {
@@ -320,14 +357,15 @@ impl Solver {
                     i += 1;
                     continue;
                 }
-                let ci = w.clause as usize;
+                let c = self.clauses[w.clause as usize];
+                let (start, end) = (c.start as usize, (c.start + c.len) as usize);
                 // Normalize: watched literal we're processing at slot 1.
                 let false_lit = l.flip();
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                if self.lits[start] == false_lit {
+                    self.lits.swap(start, start + 1);
                 }
-                debug_assert_eq!(self.clauses[ci].lits[1], false_lit);
-                let first = self.clauses[ci].lits[0];
+                debug_assert_eq!(self.lits[start + 1], false_lit);
+                let first = self.lits[start];
                 if first != w.blocker && self.value(first) == Assign::True {
                     ws[i] = Watch {
                         clause: w.clause,
@@ -338,10 +376,10 @@ impl Solver {
                 }
                 // Look for a non-false literal to watch instead.
                 let mut moved = false;
-                for k in 2..self.clauses[ci].lits.len() {
-                    if self.value(self.clauses[ci].lits[k]) != Assign::False {
-                        self.clauses[ci].lits.swap(1, k);
-                        let nw = self.clauses[ci].lits[1];
+                for k in start + 2..end {
+                    if self.value(self.lits[k]) != Assign::False {
+                        self.lits.swap(start + 1, k);
+                        let nw = self.lits[start + 1];
                         self.watches[nw.flip().0 as usize].push(Watch {
                             clause: w.clause,
                             blocker: first,
@@ -376,14 +414,91 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            // Scaling can merge distinct activities into ties, which the
+            // heap must then order by index.
+            for i in (0..self.heap.len() / 2).rev() {
+                self.sift_down(i);
+            }
+        } else if self.heap_pos[v as usize] != NOT_IN_HEAP {
+            self.sift_up(self.heap_pos[v as usize] as usize);
         }
+    }
+
+    // ------------------------------------------------------ decision heap
+
+    /// Decision order: higher activity first, lower index among ties —
+    /// the variable a linear scan over all variables would pick.
+    fn decides_before(&self, a: u32, b: u32) -> bool {
+        let (x, y) = (self.activity[a as usize], self.activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn heap_place(&mut self, i: usize, v: u32) {
+        self.heap[i] = v;
+        self.heap_pos[v as usize] = i as u32;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !self.decides_before(v, p) {
+                break;
+            }
+            self.heap_place(i, p);
+            i = parent;
+        }
+        self.heap_place(i, v);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let v = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && self.decides_before(self.heap[right], self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !self.decides_before(c, v) {
+                break;
+            }
+            self.heap_place(i, c);
+            i = child;
+        }
+        self.heap_place(i, v);
+    }
+
+    fn heap_insert(&mut self, v: u32) {
+        if self.heap_pos[v as usize] != NOT_IN_HEAP {
+            return;
+        }
+        self.heap.push(v);
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    fn heap_pop(&mut self) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty heap");
+        self.heap_pos[top as usize] = NOT_IN_HEAP;
+        if !self.heap.is_empty() {
+            self.heap_place(0, last);
+            self.sift_down(0);
+        }
+        Some(top)
     }
 
     /// First-UIP learning. Returns (learnt clause, backtrack level); the
     /// asserting literal is first.
     fn analyze(&mut self, confl: u32) -> (Vec<Lit>, u32) {
         let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot for the UIP
-        let mut seen = vec![false; self.num_vars as usize];
         let mut counter = 0u32;
         let mut confl = confl as usize;
         let mut trail_idx = self.trail.len();
@@ -392,11 +507,11 @@ impl Solver {
         let mut uip = Lit(0);
         loop {
             self.clauses[confl].activity += 1.0;
-            let lits_len = self.clauses[confl].lits.len();
-            for k in 0..lits_len {
-                let q = self.clauses[confl].lits[k];
+            let Clause { start, len, .. } = self.clauses[confl];
+            for k in start as usize..(start + len) as usize {
+                let q = self.lits[k];
                 let v = q.var() as usize;
-                if seen[v] || self.level[v] == 0 {
+                if self.seen[v] || self.level[v] == 0 {
                     continue;
                 }
                 // Skip the literal currently being resolved (it is assigned
@@ -404,7 +519,7 @@ impl Solver {
                 if self.value(q) == Assign::True {
                     continue;
                 }
-                seen[v] = true;
+                self.seen[v] = true;
                 self.bump_var(q.var());
                 if self.level[v] == cur_level {
                     counter += 1;
@@ -415,12 +530,12 @@ impl Solver {
             // Pick the next current-level literal off the trail.
             loop {
                 trail_idx -= 1;
-                if seen[self.trail[trail_idx].var() as usize] {
+                if self.seen[self.trail[trail_idx].var() as usize] {
                     break;
                 }
             }
             uip = self.trail[trail_idx];
-            seen[uip.var() as usize] = false;
+            self.seen[uip.var() as usize] = false;
             counter -= 1;
             if counter == 0 {
                 break;
@@ -428,6 +543,11 @@ impl Solver {
             confl = self.reason[uip.var() as usize] as usize;
         }
         learnt[0] = uip.flip();
+        // Every current-level mark was cleared as its literal was resolved;
+        // the marks still set are exactly the rest of the learnt clause.
+        for l in &learnt[1..] {
+            self.seen[l.var() as usize] = false;
+        }
         // Backtrack level: highest level among the other literals.
         let bt = learnt[1..]
             .iter()
@@ -451,9 +571,11 @@ impl Solver {
     fn backtrack_to(&mut self, level: u32) {
         while self.trail_lim.len() as u32 > level {
             let lim = self.trail_lim.pop().unwrap() as usize;
-            for &l in &self.trail[lim..] {
-                self.assigns[l.var() as usize] = Assign::Unset;
-                self.reason[l.var() as usize] = NO_REASON;
+            for k in lim..self.trail.len() {
+                let v = self.trail[k].var();
+                self.assigns[v as usize] = Assign::Unset;
+                self.reason[v as usize] = NO_REASON;
+                self.heap_insert(v);
             }
             self.trail.truncate(lim);
         }
@@ -466,43 +588,57 @@ impl Solver {
     fn reduce_learnts(&mut self) {
         debug_assert!(self.trail_lim.is_empty());
         let mut learnt_idx: Vec<usize> = (0..self.clauses.len())
-            .filter(|&i| self.clauses[i].learnt && self.clauses[i].lits.len() > 2)
+            .filter(|&i| self.clauses[i].learnt && self.clauses[i].len > 2)
             .collect();
         if learnt_idx.len() < 64 {
             return;
         }
         // Locked clauses (reason of a current assignment) must survive.
-        let locked: std::collections::HashSet<u32> = self
-            .trail
-            .iter()
-            .map(|l| self.reason[l.var() as usize])
-            .filter(|&r| r != NO_REASON)
-            .collect();
+        let mut locked = vec![false; self.clauses.len()];
+        for l in &self.trail {
+            let r = self.reason[l.var() as usize];
+            if r != NO_REASON {
+                locked[r as usize] = true;
+            }
+        }
         learnt_idx.sort_by(|&a, &b| {
             self.clauses[a]
                 .activity
                 .partial_cmp(&self.clauses[b].activity)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let drop: std::collections::HashSet<usize> = learnt_idx[..learnt_idx.len() / 2]
-            .iter()
-            .copied()
-            .filter(|&i| !locked.contains(&(i as u32)))
-            .collect();
-        if drop.is_empty() {
+        let mut drop = vec![false; self.clauses.len()];
+        let mut dropped = 0;
+        for &i in &learnt_idx[..learnt_idx.len() / 2] {
+            if !locked[i] {
+                drop[i] = true;
+                dropped += 1;
+            }
+        }
+        if dropped == 0 {
             return;
         }
-        // Compact the clause database and remap indices.
+        // Compact the clause database and its arena in place (clauses sit
+        // in the arena in index order, so every move is towards the front)
+        // and remap indices.
         let mut remap = vec![NO_REASON; self.clauses.len()];
-        let mut kept: Vec<Clause> = Vec::with_capacity(self.clauses.len() - drop.len());
-        for (i, c) in std::mem::take(&mut self.clauses).into_iter().enumerate() {
-            if drop.contains(&i) {
+        let (mut kept, mut arena_len) = (0, 0);
+        for i in 0..self.clauses.len() {
+            if drop[i] {
                 continue;
             }
-            remap[i] = kept.len() as u32;
-            kept.push(c);
+            let mut c = self.clauses[i];
+            let start = c.start as usize;
+            self.lits
+                .copy_within(start..start + c.len as usize, arena_len);
+            c.start = arena_len as u32;
+            arena_len += c.len as usize;
+            remap[i] = kept as u32;
+            self.clauses[kept] = c;
+            kept += 1;
         }
-        self.clauses = kept;
+        self.clauses.truncate(kept);
+        self.lits.truncate(arena_len);
         for r in &mut self.reason {
             if *r != NO_REASON {
                 *r = remap[*r as usize];
@@ -513,13 +649,14 @@ impl Solver {
             w.clear();
         }
         for (i, c) in self.clauses.iter().enumerate() {
-            self.watches[c.lits[0].flip().0 as usize].push(Watch {
+            let (l0, l1) = (self.lits[c.start as usize], self.lits[c.start as usize + 1]);
+            self.watches[l0.flip().0 as usize].push(Watch {
                 clause: i as u32,
-                blocker: c.lits[1],
+                blocker: l1,
             });
-            self.watches[c.lits[1].flip().0 as usize].push(Watch {
+            self.watches[l1.flip().0 as usize].push(Watch {
                 clause: i as u32,
-                blocker: c.lits[0],
+                blocker: l0,
             });
         }
         // The rebuilt watches may sit on literals that are already false;
@@ -544,19 +681,18 @@ impl Solver {
         1u64 << (k - 1)
     }
 
-    /// Decide: pick the unassigned variable with highest activity, assign
-    /// its saved phase.
+    /// Decide: pick the unassigned variable with highest activity (lowest
+    /// index among ties), assign its saved phase.
     fn decide(&mut self) -> bool {
-        let mut best: Option<u32> = None;
-        for v in 0..self.num_vars {
-            if self.assigns[v as usize] == Assign::Unset {
-                match best {
-                    Some(b) if self.activity[b as usize] >= self.activity[v as usize] => {}
-                    _ => best = Some(v),
-                }
+        let pick = loop {
+            match self.heap_pop() {
+                Some(v) if self.assigns[v as usize] != Assign::Unset => {}
+                other => break other,
             }
-        }
-        let Some(v) = best else {
+        };
+        #[cfg(test)]
+        assert_eq!(pick, self.scan_decision(), "heap and linear scan disagree");
+        let Some(v) = pick else {
             return false;
         };
         self.decisions += 1;
@@ -569,6 +705,22 @@ impl Solver {
         };
         self.enqueue(l, NO_REASON);
         true
+    }
+
+    /// The linear scan the decision heap replaces, kept as the reference
+    /// every test-build decision is checked against.
+    #[cfg(test)]
+    fn scan_decision(&self) -> Option<u32> {
+        let mut best: Option<u32> = None;
+        for v in 0..self.num_vars {
+            if self.assigns[v as usize] == Assign::Unset {
+                match best {
+                    Some(b) if self.activity[b as usize] >= self.activity[v as usize] => {}
+                    _ => best = Some(v),
+                }
+            }
+        }
+        best
     }
 
     /// Solve under assumptions. The model (for Sat) is readable via
@@ -637,7 +789,9 @@ impl Solver {
                             self.enqueue(learnt[0], NO_REASON);
                         }
                     } else {
-                        let ci = self.attach(learnt.clone(), true);
+                        let start = self.lits.len();
+                        self.lits.extend_from_slice(&learnt);
+                        let ci = self.attach(start, true);
                         if self.value(learnt[0]) == Assign::Unset {
                             self.enqueue(learnt[0], ci);
                         }
@@ -694,8 +848,8 @@ impl Solver {
         for i in 0..self.trail_level0_len() {
             out.push_str(&format!("{} 0\n", self.trail[i].dimacs()));
         }
-        for c in self.clauses.iter().filter(|c| !c.learnt) {
-            for &l in &c.lits {
+        for ci in (0..self.clauses.len()).filter(|&ci| !self.clauses[ci].learnt) {
+            for &l in self.clause_lits(ci) {
                 out.push_str(&format!("{} ", l.dimacs()));
             }
             out.push_str("0\n");
@@ -841,9 +995,8 @@ mod tests {
         assert_eq!(s.solve(&[], Budget::UNLIMITED), SatResult::Sat);
     }
 
-    #[test]
-    fn conflict_budget_returns_unknown() {
-        // A hard-enough instance: pigeonhole 5→4.
+    /// Pigeonhole 5→4: unsat, and hard enough to need real search.
+    fn pigeonhole_5_into_4() -> Solver {
         let p = |i: i64, h: i64| i * 4 + h + 1;
         let mut s = Solver::new();
         for _ in 0..20 {
@@ -860,6 +1013,12 @@ mod tests {
                 }
             }
         }
+        s
+    }
+
+    #[test]
+    fn conflict_budget_returns_unknown() {
+        let mut s = pigeonhole_5_into_4();
         assert_eq!(s.solve(&[], Budget::conflicts(3)), SatResult::Unknown);
         // And with a real budget it finishes (pigeonhole 5→4 is small).
         assert_eq!(s.solve(&[], Budget::UNLIMITED), SatResult::Unsat);
@@ -910,6 +1069,131 @@ mod tests {
             Solver::from_dimacs("p cnf 1 1\n5 0\n").is_err(),
             "var beyond p"
         );
+    }
+
+    /// SplitMix64, the seeded source of the random instances below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// A random DIMACS literal over variables `1..=num_vars`.
+        fn lit(&mut self, num_vars: u64) -> i64 {
+            let v = self.below(num_vars) as i64 + 1;
+            if self.below(2) == 0 {
+                v
+            } else {
+                -v
+            }
+        }
+    }
+
+    /// Whether any assignment of `num_vars` variables satisfies every
+    /// clause and every assumption, by enumeration.
+    fn brute_force_sat(num_vars: u64, clauses: &[Vec<i64>], assumptions: &[i64]) -> bool {
+        (0..1u64 << num_vars).any(|m| {
+            let holds = |n: i64| (m >> (n.unsigned_abs() - 1) & 1 == 1) == (n > 0);
+            clauses.iter().all(|c| c.iter().any(|&n| holds(n)))
+                && assumptions.iter().all(|&n| holds(n))
+        })
+    }
+
+    /// Random CNFs with clauses added and assumptions passed between
+    /// incremental solves: every verdict matches enumeration, and every model
+    /// satisfies every clause and assumption. Test builds also check each
+    /// decision against the linear scan (see `decide`).
+    #[test]
+    fn random_cnfs_match_brute_force() {
+        let mut rng = Rng(20_261_017);
+        let (mut sat, mut unsat) = (0, 0);
+        for _ in 0..500 {
+            let num_vars = 3 + rng.below(10);
+            let mut s = Solver::new();
+            for _ in 0..num_vars {
+                s.new_var();
+            }
+            let mut clauses: Vec<Vec<i64>> = Vec::new();
+            for round in 0..3 {
+                // A first batch near the 3-SAT threshold makes the solver
+                // search and learn; later batches tighten it incrementally.
+                let batch = if round == 0 {
+                    3 * num_vars + rng.below(2 * num_vars)
+                } else {
+                    1 + rng.below(num_vars / 2)
+                };
+                for _ in 0..batch {
+                    let width = if rng.below(16) == 0 {
+                        1 + rng.below(2)
+                    } else {
+                        3 + rng.below(2)
+                    };
+                    let c: Vec<i64> = (0..width).map(|_| rng.lit(num_vars)).collect();
+                    s.add_clause(&c.iter().map(|&n| lit(n)).collect::<Vec<_>>());
+                    clauses.push(c);
+                }
+                let assumptions: Vec<i64> = (0..rng.below(4)).map(|_| rng.lit(num_vars)).collect();
+                let assumed: Vec<Lit> = assumptions.iter().map(|&n| lit(n)).collect();
+                let got = s.solve(&assumed, Budget::UNLIMITED);
+                let want = brute_force_sat(num_vars, &clauses, &assumptions);
+                assert_eq!(
+                    got,
+                    if want {
+                        SatResult::Sat
+                    } else {
+                        SatResult::Unsat
+                    }
+                );
+                if got == SatResult::Sat {
+                    sat += 1;
+                    for c in &clauses {
+                        assert!(c.iter().any(|&n| s.model_value(lit(n))), "clause {c:?}");
+                    }
+                    for &n in &assumptions {
+                        assert!(s.model_value(lit(n)), "assumption {n}");
+                    }
+                } else {
+                    unsat += 1;
+                }
+            }
+        }
+        assert!(
+            sat > 100 && unsat > 100,
+            "{sat} sat / {unsat} unsat queries"
+        );
+    }
+
+    /// Starting just below the rescale threshold, the first conflicts scale
+    /// every activity by 1e-100 and rebuild the decision heap; every later
+    /// decision must still match the linear scan.
+    #[test]
+    fn activity_rescale_keeps_heap_decisions_exact() {
+        let mut s = pigeonhole_5_into_4();
+        s.var_inc = 0.99e100;
+        assert_eq!(s.solve(&[], Budget::UNLIMITED), SatResult::Unsat);
+        assert!(s.decisions > 0);
+        assert!(s.var_inc < 1e50, "activities were never rescaled");
+    }
+
+    /// A rescale can underflow distinct small activities to the same value;
+    /// the rebuilt heap must then break the new tie by index, as the scan
+    /// does.
+    #[test]
+    fn rescale_ties_are_broken_by_index() {
+        let mut s = solver_with(6, &[]);
+        s.var_inc = 1e-250;
+        s.bump_var(1); // var 1 now ranks above var 0 ...
+        s.var_inc = 0.99e100;
+        s.bump_var(3);
+        s.bump_var(3); // ... until this rescale flushes its activity to 0.
+        assert_eq!(s.activity[1], 0.0);
+        while s.decide() {}
+        assert_eq!(s.decisions, 6);
     }
 
     #[test]
