@@ -38,7 +38,7 @@ use hir::ops::{
 use hir::types::{Dim, MemKind, MemrefInfo};
 use hir::CmpPredicate;
 use ir::{Module, OpId, SymbolTable, ValueId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use verilog::{BinOp, Design, Dir, Expr, Instance, LValue, Stmt, VModule};
 
@@ -284,7 +284,7 @@ impl Gate {
 }
 
 /// One access to a memory port bank, to be muxed.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct PortAccess {
     /// Enable expression (the op's pulse, possibly gated by `hir.if`).
     enable: Expr,
@@ -307,7 +307,7 @@ enum PortKind {
     Internal { alloc: OpId, port_index: usize },
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct PortInfo {
     kind: PortKind,
     info: MemrefInfo,
@@ -332,7 +332,11 @@ struct FuncCodegen<'m> {
     busy: Vec<Expr>,
     /// Roots whose chains carry condition VALUES, not activity pulses —
     /// excluded from `busy`.
-    condition_roots: std::collections::HashSet<String>,
+    condition_roots: HashSet<String>,
+    /// Read-data nets of internal memories declared so far.
+    rdata_nets: HashSet<String>,
+    /// Memory arrays of internal allocs declared so far.
+    memory_names: HashSet<String>,
     /// Resource tally filled in as hardware is emitted.
     res: FuncResources,
 }
@@ -361,7 +365,9 @@ pub fn generate_func_with_resources(
         next_id: 0,
         instance_count: 0,
         busy: Vec::new(),
-        condition_roots: std::collections::HashSet::new(),
+        condition_roots: HashSet::new(),
+        rdata_nets: HashSet::new(),
+        memory_names: HashSet::new(),
         res: FuncResources {
             function: func.name(m),
             ..FuncResources::default()
@@ -465,11 +471,13 @@ impl<'m> FuncCodegen<'m> {
             }
         }
 
-        // Memories and port muxes.
-        let mut port_ids: Vec<ValueId> = self.ports.keys().copied().collect();
-        port_ids.sort();
-        for id in port_ids {
-            self.emit_port(id)?;
+        // Memories and port muxes. Each port is emitted once, so its
+        // accesses move out of the map rather than being copied.
+        let mut ports: Vec<(ValueId, PortInfo)> =
+            std::mem::take(&mut self.ports).into_iter().collect();
+        ports.sort_by_key(|(id, _)| *id);
+        for (_, port) in ports {
+            self.emit_port(port)?;
         }
 
         // The `busy` output (an `ap_idle`-style indicator): high while any
@@ -603,7 +611,8 @@ impl<'m> FuncCodegen<'m> {
         times: &mut HashMap<ValueId, TimeRef>,
         gate: &Gate,
     ) -> Result<()> {
-        for &op in self.m.block(block).ops().to_vec().iter() {
+        let m = self.m;
+        for &op in m.block(block).ops() {
             self.emit_op(op, env, times, gate)?;
         }
         Ok(())
@@ -966,7 +975,7 @@ impl<'m> FuncCodegen<'m> {
             PortKind::External { base } => bus(&base, bank, banks, "rd_data"),
             PortKind::Internal { alloc, port_index } => {
                 let name = format!("m{}_{}_b{bank}_rdata", alloc.index(), port_index);
-                if self.module.width_of(&name).is_none() {
+                if self.rdata_nets.insert(name.clone()) {
                     match mem_kind {
                         MemKind::Reg => {
                             self.module.wire(&name, width);
@@ -1137,19 +1146,24 @@ impl<'m> FuncCodegen<'m> {
         }
         let d = y.offset(m);
         let iters = lp.iterations(m);
+        // Each replica binds the body's values in the caller's maps, and
+        // unbinds them afterwards: the next replica and the code after the
+        // loop see exactly the bindings from before it.
+        let scoped = body_values(m, lp.id());
         for (k, iv) in iters.iter().enumerate() {
-            // Each replica: fresh value bindings for body-defined values.
-            let mut body_env = env.clone();
-            let mut body_times = times.clone();
-            body_env.insert(lp.induction_var(m), CgVal::Const(*iv as i128));
-            body_times.insert(
+            env.insert(lp.induction_var(m), CgVal::Const(*iv as i128));
+            times.insert(
                 lp.iter_time(m),
                 TimeRef {
                     root: t.root.clone(),
                     extra: t.extra + base + k as i64 * d,
                 },
             );
-            self.emit_block(lp.body(m), &mut body_env, &mut body_times, gate)?;
+            self.emit_block(lp.body(m), env, times, gate)?;
+            for v in &scoped {
+                env.remove(v);
+                times.remove(v);
+            }
         }
         // Completion time: after the last iteration starts.
         times.insert(
@@ -1389,8 +1403,7 @@ impl<'m> FuncCodegen<'m> {
 
     /// Emit the address/enable muxes, conflict assertions, and (for internal
     /// allocs) the memory itself for one memref port.
-    fn emit_port(&mut self, port_id: ValueId) -> Result<()> {
-        let port = self.ports[&port_id].clone();
+    fn emit_port(&mut self, port: PortInfo) -> Result<()> {
         let banks = port.info.num_banks();
         let dir = match port.info.port {
             hir::types::Port::Read => "read",
@@ -1406,32 +1419,30 @@ impl<'m> FuncCodegen<'m> {
         let addr_w = port.info.addr_bits().max(1);
         let depth = port.info.bank_size();
 
-        for b in 0..banks {
-            let reads: Vec<&PortAccess> = port.reads.iter().filter(|a| a.bank == b).collect();
-            let writes: Vec<&PortAccess> = port.writes.iter().filter(|a| a.bank == b).collect();
+        let banked = by_bank(port.reads, banks)
+            .into_iter()
+            .zip(by_bank(port.writes, banks));
+        for (b, (reads, writes)) in (0..banks).zip(banked) {
             if self.options.assertions {
                 self.conflict_asserts(&reads);
                 self.conflict_asserts(&writes);
             }
+            let has_reads = !reads.is_empty();
+            let has_writes = !writes.is_empty();
             let rd_en = or_all(reads.iter().map(|a| a.enable.clone()));
-            let rd_addr = mux_chain(
-                reads.iter().map(|a| (a.enable.clone(), a.addr.clone())),
-                addr_w,
-            );
+            let rd_addr = mux_chain(reads.into_iter().map(|a| (a.enable, a.addr)), addr_w);
             let wr_en = or_all(writes.iter().map(|a| a.enable.clone()));
-            let wr_addr = mux_chain(
-                writes.iter().map(|a| (a.enable.clone(), a.addr.clone())),
-                addr_w,
-            );
             // Every write access carries data by construction; fall back to
             // zero rather than panic if that invariant ever breaks.
-            let wr_data = mux_chain(
-                writes.iter().map(|a| {
-                    let data = a.wdata.clone().unwrap_or_else(|| Expr::c(0, width));
-                    (a.enable.clone(), data)
-                }),
-                width,
-            );
+            let (wr_addr, wr_data): (Vec<_>, Vec<_>) = writes
+                .into_iter()
+                .map(|a| {
+                    let data = a.wdata.unwrap_or_else(|| Expr::c(0, width));
+                    ((a.enable.clone(), a.addr), (a.enable, data))
+                })
+                .unzip();
+            let wr_addr = mux_chain(wr_addr.into_iter(), addr_w);
+            let wr_data = mux_chain(wr_data.into_iter(), width);
 
             match &port.kind {
                 PortKind::External { base } => {
@@ -1459,7 +1470,7 @@ impl<'m> FuncCodegen<'m> {
                 }
                 PortKind::Internal { alloc, port_index } => {
                     let mem = self.internal_memory(*alloc, b, width, depth, port.info.kind);
-                    if port.info.port.can_read() && !reads.is_empty() {
+                    if port.info.port.can_read() && has_reads {
                         let rdata = format!("m{}_{}_b{b}_rdata", alloc.index(), port_index);
                         self.res.unit_nets.push(resources::UnitNet {
                             unit: format!("port.{}.{dir}", port.info.kind.mnemonic()),
@@ -1493,7 +1504,7 @@ impl<'m> FuncCodegen<'m> {
                             }
                         }
                     }
-                    if port.info.port.can_write() && !writes.is_empty() {
+                    if port.info.port.can_write() && has_writes {
                         self.module.main_always().stmts.push(Stmt::If {
                             cond: wr_en,
                             then: vec![Stmt::NonBlocking {
@@ -1519,17 +1530,16 @@ impl<'m> FuncCodegen<'m> {
         kind: MemKind,
     ) -> String {
         let name = format!("m{}_b{bank}", alloc.index());
-        if !self.module.memories.iter().any(|m| m.name == name) {
+        if self.memory_names.insert(name.clone()) {
             self.module
                 .memory(&name, width, depth.max(1), Some(kind.mnemonic()));
         }
         name
     }
 
-    fn conflict_asserts(&mut self, accesses: &[&PortAccess]) {
-        for i in 0..accesses.len() {
-            for j in (i + 1)..accesses.len() {
-                let (a, b) = (accesses[i], accesses[j]);
+    fn conflict_asserts(&mut self, accesses: &[PortAccess]) {
+        for (i, a) in accesses.iter().enumerate() {
+            for b in &accesses[i + 1..] {
                 self.module.main_always().stmts.push(Stmt::Assert {
                     guard: Expr::and(a.enable.clone(), b.enable.clone()),
                     cond: Expr::eq(a.addr.clone(), b.addr.clone()),
@@ -1541,6 +1551,23 @@ impl<'m> FuncCodegen<'m> {
 }
 
 // ------------------------------------------------------------------ helpers
+
+/// Every value bound while emitting `root`'s body: the block arguments of
+/// each region under `root` and the results of each op nested in it.
+fn body_values(m: &Module, root: OpId) -> Vec<ValueId> {
+    let mut out = Vec::new();
+    m.walk(root, &mut |op| {
+        if op != root {
+            out.extend_from_slice(m.op(op).results());
+        }
+        for &r in m.op(op).regions() {
+            for &b in m.region(r).blocks() {
+                out.extend_from_slice(m.block(b).args());
+            }
+        }
+    });
+    out
+}
 
 fn sanitize(s: &str) -> String {
     s.chars()
@@ -1567,6 +1594,18 @@ fn mask64(width: u32) -> u64 {
     }
 }
 
+/// Split a port's accesses by bank, keeping program order within each bank.
+/// Accesses to banks the port does not have are dropped.
+fn by_bank(accesses: Vec<PortAccess>, banks: u64) -> Vec<Vec<PortAccess>> {
+    let mut out: Vec<Vec<PortAccess>> = (0..banks).map(|_| Vec::new()).collect();
+    for a in accesses {
+        if let Some(bank) = out.get_mut(a.bank as usize) {
+            bank.push(a);
+        }
+    }
+    out
+}
+
 fn or_all(exprs: impl Iterator<Item = Expr>) -> Expr {
     let mut acc: Option<Expr> = None;
     for e in exprs {
@@ -1578,10 +1617,9 @@ fn or_all(exprs: impl Iterator<Item = Expr>) -> Expr {
     acc.unwrap_or(Expr::c(0, 1))
 }
 
-fn mux_chain(items: impl Iterator<Item = (Expr, Expr)>, width: u32) -> Expr {
-    let items: Vec<(Expr, Expr)> = items.collect();
+fn mux_chain(items: impl DoubleEndedIterator<Item = (Expr, Expr)>, width: u32) -> Expr {
     let mut acc = Expr::c(0, width);
-    for (en, val) in items.into_iter().rev() {
+    for (en, val) in items.rev() {
         acc = Expr::mux(en, val, acc);
     }
     acc
@@ -1762,6 +1800,106 @@ mod tests {
         if let Err(e) = verilog::Simulator::new(&design, "hir_use_mult") {
             panic!("stubbed design must elaborate: {e}");
         }
+    }
+
+    /// Nested `unroll_for`: every replica binds its own copy of the body's
+    /// values, and the bindings end with the loop, exactly as if each
+    /// replica had started from a copy of the enclosing scope.
+    #[test]
+    fn unroll_bindings_are_per_replica_and_end_with_the_loop() {
+        let build = |use_after_loop: bool| {
+            let mut hb = HirBuilder::new();
+            let o = MemrefInfo::new(
+                vec![Dim::Distributed(2), Dim::Distributed(3)],
+                ir::Type::int(32),
+                MPort::Write,
+                hir::MemKind::Reg,
+            );
+            let f = hb.func("u", &[("a", ir::Type::int(32)), ("O", o.to_type())], &[0]);
+            let t = f.time_var(hb.module());
+            let args = f.args(hb.module());
+            let mut inner_value = None;
+            let outer = hb.unroll_for(0, 2, 1, t, 0);
+            hb.in_unroll(outer, |hb, i, ti| {
+                let x = hb.add(args[0], i);
+                let inner = hb.unroll_for(0, 3, 1, ti, 0);
+                hb.in_unroll(inner, |hb, j, tj| {
+                    let y = hb.add(x, j);
+                    hb.mem_write(y, args[1], &[i, j], tj, 0);
+                    inner_value = Some(y);
+                    hb.yield_at(tj, 0);
+                });
+                hb.yield_at(ti, 0);
+            });
+            let result = if use_after_loop {
+                inner_value.unwrap()
+            } else {
+                args[0]
+            };
+            hb.return_(&[result]);
+            let m = hb.finish();
+            let func = hir::ops::FuncOp::wrap(&m, m.top_ops()[0]).unwrap();
+            generate_func(&m, func, &CodegenOptions::default())
+        };
+
+        let vm = build(false).unwrap();
+        // One `x` per outer replica and one `y` per inner replica, each on
+        // its own wire.
+        let adds: Vec<&verilog::Assign> = vm
+            .assigns
+            .iter()
+            .filter(|a| matches!(a.rhs, Expr::Binary { op: BinOp::Add, .. }))
+            .collect();
+        assert_eq!(adds.len(), 2 + 2 * 3);
+        let data: Vec<String> = (0..6)
+            .map(|b| {
+                let net = bus("O", b, 6, "wr_data");
+                let a = vm.assigns.iter().find(|a| a.lhs == net).unwrap();
+                verilog::print_expr(&a.rhs)
+            })
+            .collect();
+        for (b, d) in data.iter().enumerate() {
+            assert!(
+                data[b + 1..].iter().all(|other| other != d),
+                "bank {b} shares its data wire: {data:?}"
+            );
+        }
+
+        // A body value used after the loop is unbound, with the same error
+        // as any use before definition.
+        assert_eq!(
+            build(true).unwrap_err(),
+            CodegenError("use of value before its generator was emitted".into())
+        );
+    }
+
+    /// File names reach the RTL through location comments and assertion
+    /// messages; quotes, backslashes and line breaks in them must not
+    /// break out of the Verilog string literal or comment.
+    #[test]
+    fn locations_with_quotes_and_newlines_print_valid_verilog() {
+        let mut hb = HirBuilder::new();
+        hb.set_loc(ir::Location::file_line_col("odd\"dir\\x\ny.mlir", 4, 2));
+        let a = MemrefInfo::packed(&[8], ir::Type::int(32), MPort::Read, hir::MemKind::BlockRam);
+        let f = hb.func("q", &[("A", a.to_type()), ("i", ir::Type::int(8))], &[1]);
+        let t = f.time_var(hb.module());
+        let args = f.args(hb.module());
+        let v = hb.mem_read(args[0], &[args[1]], t, 0);
+        let w = hb.add(v, v);
+        hb.return_(&[w]);
+        let m = hb.finish();
+        let func = hir::ops::FuncOp::wrap(&m, m.top_ops()[0]).unwrap();
+        let text =
+            verilog::print_module(&generate_func(&m, func, &CodegenOptions::default()).unwrap());
+        assert!(
+            text.contains(r#"$error("index out of bounds at odd\"dir\\x\012y.mlir:4:2");"#),
+            "{text}"
+        );
+        assert!(text.contains(r#"  // odd"dir\x\ny.mlir:4:2"#), "{text}");
+        assert!(
+            !text.lines().any(|l| l.starts_with("y.mlir")),
+            "no comment or message spills onto a new line: {text}"
+        );
     }
 
     #[test]

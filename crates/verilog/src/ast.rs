@@ -433,7 +433,7 @@ impl Design {
 
 impl fmt::Display for Design {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", crate::printer::print_design(self))
+        f.write_str(&crate::printer::print_design(self))
     }
 }
 
