@@ -40,6 +40,7 @@ use hir::CmpPredicate;
 use ir::{Module, OpId, SymbolTable, ValueId};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::Hash;
 use verilog::{BinOp, Design, Dir, Expr, Instance, LValue, Stmt, VModule};
 
 /// Code generation failure.
@@ -479,6 +480,9 @@ impl<'m> FuncCodegen<'m> {
         for (_, port) in ports {
             self.emit_port(port)?;
         }
+        if self.options.assertions {
+            self.drop_repeated_asserts();
+        }
 
         // The `busy` output (an `ap_idle`-style indicator): high while any
         // pulse is in flight anywhere in the design.
@@ -899,17 +903,22 @@ impl<'m> FuncCodegen<'m> {
                 Dim::Packed(n) => {
                     let idx_expr = self.to_expr_unsigned(idx, addr_w);
                     if self.options.assertions {
+                        // Compare at full width: the truncated in-bank
+                        // address always looks in range, the raw index
+                        // does not (paper §4.5 bounds guard). An index too
+                        // narrow to reach the bound (`2^w <= n`) needs no
+                        // guard.
+                        let can_reach = |w: u32| 1u64.checked_shl(w).is_none_or(|r| r > *n);
                         if let CgVal::Wire(_, natural_w) = idx {
-                            // Compare at full width: the truncated in-bank
-                            // address always looks in range, the raw index
-                            // does not (paper §4.5 bounds guard).
-                            let w_assert = (*natural_w).max(hir::types::bits_for(*n) + 1);
-                            let full_idx = self.to_expr_unsigned(idx, w_assert);
-                            self.module.main_always().stmts.push(Stmt::Assert {
-                                guard: enable.clone(),
-                                cond: Expr::bin(BinOp::ULt, full_idx, Expr::c(*n, w_assert)),
-                                message: format!("index out of bounds at {loc}"),
-                            });
+                            if can_reach(*natural_w) {
+                                let w_assert = (*natural_w).max(hir::types::bits_for(*n) + 1);
+                                let full_idx = self.to_expr_unsigned(idx, w_assert);
+                                self.module.main_always().stmts.push(Stmt::Assert {
+                                    guard: enable.clone(),
+                                    cond: Expr::bin(BinOp::ULt, full_idx, Expr::c(*n, w_assert)),
+                                    message: format!("index out of bounds at {loc}"),
+                                });
+                            }
                         }
                     }
                     addr = Some(match addr {
@@ -1537,15 +1546,34 @@ impl<'m> FuncCodegen<'m> {
         name
     }
 
+    /// One assert per pair of accesses that may address the port
+    /// differently in the same cycle. Structurally equal addresses never
+    /// conflict, so they get none.
     fn conflict_asserts(&mut self, accesses: &[PortAccess]) {
         for (i, a) in accesses.iter().enumerate() {
-            for b in &accesses[i + 1..] {
+            for b in accesses[i + 1..].iter().filter(|b| b.addr != a.addr) {
                 self.module.main_always().stmts.push(Stmt::Assert {
                     guard: Expr::and(a.enable.clone(), b.enable.clone()),
                     cond: Expr::eq(a.addr.clone(), b.addr.clone()),
                     message: format!("memory port conflict between {} and {}", a.loc, b.loc),
                 });
             }
+        }
+    }
+
+    /// Drop every assertion that repeats the guard, condition and message
+    /// of an earlier one. The simulator reports the first failing assert,
+    /// and the first of equal ones is the one kept.
+    fn drop_repeated_asserts(&mut self) {
+        for block in &mut self.module.always {
+            let keep = first_occurrences(
+                block
+                    .stmts
+                    .iter()
+                    .map(|s| matches!(s, Stmt::Assert { .. }).then_some(s)),
+            );
+            let mut keep = keep.into_iter();
+            block.stmts.retain(|_| keep.next().unwrap_or(true));
         }
     }
 }
@@ -1595,7 +1623,9 @@ fn mask64(width: u32) -> u64 {
 }
 
 /// Split a port's accesses by bank, keeping program order within each bank.
-/// Accesses to banks the port does not have are dropped.
+/// Accesses to banks the port does not have are dropped, and so is every
+/// access equal in enable, address and write data to an earlier one in its
+/// bank: it drives the same bus values in the same cycles.
 fn by_bank(accesses: Vec<PortAccess>, banks: u64) -> Vec<Vec<PortAccess>> {
     let mut out: Vec<Vec<PortAccess>> = (0..banks).map(|_| Vec::new()).collect();
     for a in accesses {
@@ -1603,7 +1633,22 @@ fn by_bank(accesses: Vec<PortAccess>, banks: u64) -> Vec<Vec<PortAccess>> {
             bank.push(a);
         }
     }
+    for bank in out.iter_mut().filter(|b| b.len() > 1) {
+        let keep = first_occurrences(
+            bank.iter()
+                .map(|a| Some((&a.enable, &a.addr, a.wdata.as_ref()))),
+        );
+        let mut keep = keep.into_iter();
+        bank.retain(|_| keep.next().unwrap_or(true));
+    }
     out
+}
+
+/// For each key in order, whether it is the first occurrence of its value.
+/// `None` keys are never deduplicated. The keys are borrowed, not cloned.
+fn first_occurrences<K: Eq + Hash>(keys: impl Iterator<Item = Option<K>>) -> Vec<bool> {
+    let mut seen = HashSet::new();
+    keys.map(|k| k.is_none_or(|k| seen.insert(k))).collect()
 }
 
 fn or_all(exprs: impl Iterator<Item = Expr>) -> Expr {
@@ -1900,6 +1945,157 @@ mod tests {
             !text.lines().any(|l| l.starts_with("y.mlir")),
             "no comment or message spills onto a new line: {text}"
         );
+    }
+
+    /// A one-function module reading or writing memref `A` through `body`,
+    /// which gets the builder, `A`, the scalar arguments and the time var.
+    fn port_module(
+        port: MPort,
+        depth: u64,
+        scalars: &[(&str, ir::Type)],
+        body: impl FnOnce(&mut HirBuilder, ValueId, &[ValueId], ValueId),
+    ) -> VModule {
+        let mut hb = HirBuilder::new();
+        let a = MemrefInfo::packed(&[depth], ir::Type::int(32), port, hir::MemKind::BlockRam);
+        let mut args = vec![("A", a.to_type())];
+        args.extend(scalars.iter().cloned());
+        let f = hb.func("pm", &args, &[]);
+        let t = f.time_var(hb.module());
+        let vals = f.args(hb.module());
+        body(&mut hb, vals[0], &vals[1..], t);
+        hb.return_(&[]);
+        let m = hb.finish();
+        let func = hir::ops::FuncOp::wrap(&m, m.top_ops()[0]).unwrap();
+        generate_func(&m, func, &CodegenOptions::default()).unwrap()
+    }
+
+    fn asserts(vm: &VModule) -> Vec<(&Expr, &str)> {
+        vm.always
+            .iter()
+            .flat_map(|b| &b.stmts)
+            .filter_map(|s| match s {
+                Stmt::Assert { cond, message, .. } => Some((cond, message.as_str())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `name[2:0]`: an 8-bit index truncated to an 8-deep port's address.
+    fn low3(name: &str) -> Expr {
+        Expr::Slice {
+            base: Box::new(Expr::r(name)),
+            hi: 2,
+            lo: 0,
+        }
+    }
+
+    fn assign<'a>(vm: &'a VModule, lhs: &str) -> &'a Expr {
+        &vm.assigns.iter().find(|a| a.lhs == lhs).unwrap().rhs
+    }
+
+    /// Two reads enabled together at different addresses keep their
+    /// conflict assert; two at the same address get none.
+    #[test]
+    fn conflict_assert_only_for_different_addresses() {
+        let i8 = ir::Type::int(8);
+        let differ = port_module(
+            MPort::Read,
+            8,
+            &[("i", i8.clone()), ("j", i8.clone())],
+            |hb, a, s, t| {
+                hb.mem_read(a, &[s[0]], t, 0);
+                hb.mem_read(a, &[s[1]], t, 0);
+            },
+        );
+        let conflicts: Vec<&Expr> = asserts(&differ)
+            .into_iter()
+            .filter(|(_, msg)| msg.starts_with("memory port conflict"))
+            .map(|(cond, _)| cond)
+            .collect();
+        assert_eq!(conflicts, [&Expr::eq(low3("i"), low3("j"))]);
+
+        let same = port_module(MPort::Read, 8, &[("i", i8)], |hb, a, s, t| {
+            hb.mem_read(a, &[s[0]], t, 0);
+            let one = hb.const_val(1);
+            hb.mem_read(a, &[s[0]], t, 0);
+            hb.mem_read(a, &[one], t, 0);
+            hb.mem_read(a, &[one], t, 0);
+        });
+        let msgs: Vec<&str> = asserts(&same).into_iter().map(|(_, m)| m).collect();
+        assert_eq!(
+            msgs.iter()
+                .filter(|m| m.starts_with("memory port conflict"))
+                .count(),
+            1,
+            "only the i-vs-1 pair can conflict: {msgs:?}"
+        );
+    }
+
+    /// The bounds guard is written only when the index's natural width can
+    /// reach the bound, and never twice for the same access.
+    #[test]
+    fn bounds_assert_only_when_the_index_can_reach_the_bound() {
+        let count = |w: u32, depth: u64| {
+            let vm = port_module(
+                MPort::Read,
+                depth,
+                &[("i", ir::Type::int(w))],
+                |hb, a, s, t| {
+                    hb.mem_read(a, &[s[0]], t, 0);
+                    hb.mem_read(a, &[s[0]], t, 0);
+                },
+            );
+            asserts(&vm)
+                .iter()
+                .filter(|(_, m)| m.starts_with("index out of bounds"))
+                .count()
+        };
+        assert_eq!(count(2, 4), 0, "2^2 <= 4: every value is in range");
+        assert_eq!(count(2, 5), 0);
+        assert_eq!(count(3, 5), 1, "2^3 > 5: 5..=7 are out of range");
+        assert_eq!(count(8, 4), 1);
+    }
+
+    /// Two writes with the same enable and address but different data are
+    /// different accesses: both stay in the data mux chain.
+    #[test]
+    fn writes_with_different_data_both_stay_in_the_mux_chain() {
+        let i32t = ir::Type::int(32);
+        let vm = port_module(
+            MPort::Write,
+            8,
+            &[("i", ir::Type::int(8)), ("x", i32t.clone()), ("y", i32t)],
+            |hb, a, s, t| {
+                hb.mem_write(s[1], a, &[s[0]], t, 0);
+                hb.mem_write(s[2], a, &[s[0]], t, 0);
+                hb.mem_write(s[1], a, &[s[0]], t, 0);
+            },
+        );
+        assert_eq!(
+            assign(&vm, "A_wr_data"),
+            &Expr::mux(
+                Expr::r("start"),
+                Expr::r("x"),
+                Expr::mux(Expr::r("start"), Expr::r("y"), Expr::c(0, 32))
+            )
+        );
+    }
+
+    /// A read repeated with the same enable and address is one access: one
+    /// mux arm and one enable term.
+    #[test]
+    fn duplicated_read_gives_one_arm_and_one_enable_term() {
+        let vm = port_module(MPort::Read, 8, &[("i", ir::Type::int(8))], |hb, a, s, t| {
+            hb.mem_read(a, &[s[0]], t, 0);
+            hb.mem_read(a, &[s[0]], t, 0);
+        });
+        assert_eq!(assign(&vm, "A_rd_en"), &Expr::r("start"));
+        assert_eq!(
+            assign(&vm, "A_addr"),
+            &Expr::mux(Expr::r("start"), low3("i"), Expr::c(0, 3))
+        );
+        let bounds = asserts(&vm);
+        assert_eq!(bounds.len(), 1, "one bounds guard, no conflict: {bounds:?}");
     }
 
     #[test]

@@ -138,7 +138,7 @@ pub enum UnOp {
 }
 
 /// An expression.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// Sized constant `width'dvalue`.
     Const {
@@ -227,7 +227,7 @@ impl Expr {
 }
 
 /// Assignment target inside an always block.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum LValue {
     Net(String),
     /// `mem[addr]`.
@@ -238,7 +238,7 @@ pub enum LValue {
 }
 
 /// A statement inside an always block.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Stmt {
     /// Non-blocking assignment `lhs <= rhs;`.
     NonBlocking { lhs: LValue, rhs: Expr },

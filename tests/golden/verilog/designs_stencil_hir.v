@@ -100,15 +100,9 @@ module hir_stencil_1d(clk, start, Ai_addr, Ai_rd_en, Ai_rd_data, Bw_waddr, Bw_wr
     // synthesis translate_off
     if (((loop_1_iter_p1 & loop_1_done_p1)) && !((dly_6_0[5:0] == 6'd63))) $error("memory port conflict between hir.mem_write and hir.mem_write");
     // synthesis translate_on
-    // synthesis translate_off
-    if (((start_p2 & loop_1_iter_p1)) && !((1'd0 == 1'd0))) $error("memory port conflict between hir.mem_write and hir.mem_write");
-    // synthesis translate_on
     if ((start_p2 | loop_1_iter_p1)) begin
       m4_b0[(start_p2 ? 1'd0 : (loop_1_iter_p1 ? 1'd0 : 1'd0))] <= (start_p2 ? dly_0_0 : (loop_1_iter_p1 ? m4_0_b1_rdata : 32'd0));
     end
-    // synthesis translate_off
-    if (((start_p2 & loop_1_iter_p1)) && !((1'd0 == 1'd0))) $error("memory port conflict between hir.mem_write and hir.mem_write");
-    // synthesis translate_on
     if ((start_p2 | loop_1_iter_p1)) begin
       m4_b1[(start_p2 ? 1'd0 : (loop_1_iter_p1 ? 1'd0 : 1'd0))] <= (start_p2 ? Ai_rd_data : (loop_1_iter_p1 ? Ai_rd_data : 32'd0));
     end

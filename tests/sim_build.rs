@@ -104,6 +104,6 @@ fn gemm16_register_file_is_compacted() {
     let (design, _) = kernels::compile_hir(&mut m, true).expect("gemm compiles");
     let sim = Simulator::new(&design, &kernels::hir_top(kernels::gemm::FUNC)).expect("build");
     let (_, settle, _, step, regs) = sim.tape_stats();
-    assert_eq!((settle, step), (3153, 7735), "tape sizes moved");
+    assert_eq!((settle, step), (3153, 2241), "tape sizes moved");
     assert!(regs <= 4000, "GEMM N=16 uses {regs} registers");
 }

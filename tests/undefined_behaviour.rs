@@ -15,6 +15,7 @@ use hir_suite::hir::interp::{ArgValue, Interpreter};
 use hir_suite::hir::types::{MemKind, MemrefInfo, Port};
 use hir_suite::hir::HirBuilder;
 use hir_suite::hir_codegen::testbench::{Harness, HarnessArg};
+use hir_suite::hir_codegen::{self, CodegenOptions};
 use hir_suite::ir::Type;
 use hir_suite::kernels;
 
@@ -114,6 +115,63 @@ fn rule3_port_conflicts() {
     Interpreter::new(&m2)
         .run("dyn2", &[ArgValue::tensor_from(&[7, 8])])
         .expect("same-address parallel reads are defined");
+}
+
+/// Builds `@acc(A, i, j)`, which reads `A[i]` twice and `A[j]` once, all
+/// in the start cycle, through one read port of `depth` words. Indices
+/// are `idx_bits` wide.
+fn same_cycle_reads(depth: u64, idx_bits: u32) -> ir::Module {
+    let mut hb = HirBuilder::new();
+    let a = MemrefInfo::packed(&[depth], Type::int(32), Port::Read, MemKind::BlockRam);
+    let idx = Type::int(idx_bits);
+    let f = hb.func(
+        "acc",
+        &[("A", a.to_type()), ("i", idx.clone()), ("j", idx)],
+        &[],
+    );
+    let t = f.time_var(hb.module());
+    let args = f.args(hb.module());
+    hb.mem_read(args[0], &[args[1]], t, 0);
+    hb.mem_read(args[0], &[args[1]], t, 0);
+    hb.mem_read(args[0], &[args[2]], t, 0);
+    hb.return_(&[]);
+    hb.finish()
+}
+
+/// Runs `@acc` in RTL with assertions on; `Err` holds the fired message.
+/// The schedule verifier rejects `A[i]` against `A[j]` conservatively, so
+/// the design goes straight to codegen, as a design that slipped past it
+/// would.
+fn run_acc(m: ir::Module, depth: usize, i: i128, j: i128) -> Result<(), String> {
+    let design = hir_codegen::generate_design(&m, &CodegenOptions::default()).expect("codegen");
+    let func = kernels::find_func(&m, "acc");
+    let data: Vec<i128> = (0..depth as i128).collect();
+    let args = [
+        HarnessArg::mem_from(&data),
+        HarnessArg::Int(i),
+        HarnessArg::Int(j),
+    ];
+    let mut h = Harness::new(&design, &m, func, &args).unwrap();
+    h.run(100).map(|_| ()).map_err(|e| e.0)
+}
+
+/// Rule 3 in RTL: the repeated read of `A[i]` is one access, but two
+/// accesses enabled together at different data-dependent addresses keep
+/// their assert, and the simulator stops on it.
+#[test]
+fn rule3_same_cycle_reads_at_different_addresses_fire_in_rtl() {
+    let err = run_acc(same_cycle_reads(8, 8), 8, 1, 2).unwrap_err();
+    assert!(err.contains("memory port conflict"), "{err}");
+    run_acc(same_cycle_reads(8, 8), 8, 3, 3).expect("same address is defined");
+}
+
+/// Rule 1 in RTL: a dynamic index whose width can reach past the bound
+/// keeps its guard (`2^3 > 5`), and an out-of-range value trips it.
+#[test]
+fn rule1_narrow_index_that_can_overflow_still_trips_in_rtl() {
+    let err = run_acc(same_cycle_reads(5, 3), 5, 6, 6).unwrap_err();
+    assert!(err.contains("index out of bounds"), "{err}");
+    run_acc(same_cycle_reads(5, 3), 5, 4, 4).expect("in range");
 }
 
 /// Rule 4 — loop re-entry (also covered by tests/table1_properties.rs).
