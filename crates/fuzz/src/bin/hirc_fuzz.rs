@@ -38,8 +38,10 @@ options:
                  simulator-engine differential oracle: bytecode vs
                  event-driven on every function, plus one batched pass with
                  LANES random stimulus lanes (default 4) that must reproduce
-                 every scalar run bit for bit. Divergences are saved like
-                 crashes and fail the run.
+                 every scalar run bit for bit, and lane 0 rerun with
+                 telemetry on under both scalar engines, which must keep
+                 the results and report identical counts. Divergences are
+                 saved like crashes and fail the run.
   --help, -h     show this help
 ";
 

@@ -301,7 +301,9 @@ fn random_args(
 /// a compiled input under the bytecode engine, the event-driven engine, and
 /// — when all scalar runs succeed — one batched pass with `lanes` random
 /// stimulus lanes, requiring bit-identical results, latency, and memories
-/// lane for lane. Deterministic per `(source, seed, lanes)`.
+/// lane for lane. Lane 0 also runs with telemetry on under the bytecode and
+/// event engines, which must leave the results unchanged and report
+/// identical counts. Deterministic per `(source, seed, lanes)`.
 ///
 /// # Errors
 /// A [`PanicReport`] if a simulator engine itself panics — a fuzz finding,
@@ -386,6 +388,39 @@ pub fn check_sim_engines(source: &str, seed: u64, lanes: usize) -> Result<SimOra
                             "@{name} lane {lane}: bytecode vs event: {:?} vs {:?}",
                             runs[0], runs[1]
                         ))
+                    }
+                }
+                // Telemetry differential on lane 0: the counting observer
+                // must not change either engine's results, and both engines
+                // must count the same.
+                if lane == 0 {
+                    let mut reports = Vec::new();
+                    for (engine, plain) in [
+                        (verilog::Engine::Bytecode, &runs[0]),
+                        (verilog::Engine::Event, &runs[1]),
+                    ] {
+                        let mut h = Harness::new(&design, &module, f, args).expect("probed above");
+                        h.set_engine(engine);
+                        h.enable_telemetry(false);
+                        let run = h.run(DEFAULT_SIM_MAX_CYCLES).map_err(|e| e.to_string());
+                        let unchanged = match (&run, plain) {
+                            (Ok(a), Ok(b)) => same(a, b),
+                            (Err(a), Err(b)) => a == b,
+                            _ => false,
+                        };
+                        if !unchanged {
+                            return SimOracle::Divergence(format!(
+                                "@{name}: telemetry changed the {engine:?} results: \
+                                 {run:?} vs {plain:?}"
+                            ));
+                        }
+                        reports.push(h.telemetry_report(None));
+                    }
+                    if reports[0] != reports[1] {
+                        return SimOracle::Divergence(format!(
+                            "@{name}: bytecode vs event telemetry: {:?} vs {:?}",
+                            reports[0], reports[1]
+                        ));
                     }
                 }
                 scalar.push(runs.swap_remove(0));

@@ -12,6 +12,7 @@ use crate::elaborate::{flatten, ElabError};
 use obs::json::escape as json_escape;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::ops::Range;
 
 /// A runtime simulation failure (a fired assertion or an engine limit).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -930,9 +931,10 @@ pub struct Simulator {
     cycle_budget: Option<u64>,
     dirty: bool,
     vcd: Option<Vcd>,
-    /// Opt-in telemetry plane (toggle counters, cone quiescence, per-insn
-    /// counters). `None` (the default) keeps the hot loop unperturbed: the
-    /// only cost is this Option check in `settle`/`step`.
+    /// Opt-in telemetry plane (toggle counters, cone quiescence,
+    /// instruction counts). `None` (the default) runs the interpreters with
+    /// the zero-sized observers: the only cost is this Option check in
+    /// `settle`/`step`.
     telemetry: Option<Box<Telemetry>>,
     /// Opt-in scheduler-statistics plane (self-profiling of the *engine*:
     /// dirty-set occupancy, commit-compare outcomes). Same zero-cost-when-
@@ -1569,203 +1571,64 @@ impl Simulator {
     pub fn settle(&mut self) {
         // Two iterations would be needed only for stale memory reads; assigns
         // are topologically ordered so one pass suffices.
+        let tape = &self.settle_tape;
+        let mut failure = None;
+        let mut st = Scalar {
+            regs: &mut self.regs,
+            values: &mut self.values,
+            memories: &self.memories,
+            msgs: &self.msgs,
+            pend_nets: &mut self.pending_nets,
+            pend_mems: &mut self.pending_mems,
+            failure: &mut failure,
+        };
         match self.engine {
-            Engine::Bytecode => {
-                let mut failure = None;
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    // The counting interpreter IS the executor here: it runs
-                    // the instrumented clone of the tape against the live
-                    // state, so results stay bit-identical.
-                    run_tape_counting(
-                        &t.settle_tape,
-                        0,
-                        t.settle_tape.len(),
-                        &mut self.regs,
-                        &mut self.values,
-                        &self.memories,
-                        &self.msgs,
-                        &mut self.pending_nets,
-                        &mut self.pending_mems,
-                        &mut failure,
-                        &mut t.settle_exec,
-                        &mut t.settle_changed,
-                        &t.net_masks,
-                        &t.mem_masks,
-                    );
-                } else {
-                    run_tape(
-                        &self.settle_tape,
-                        0,
-                        self.settle_tape.len(),
-                        &mut self.regs,
-                        &mut self.values,
-                        &self.memories,
-                        &self.msgs,
-                        &mut self.pending_nets,
-                        &mut self.pending_mems,
-                        &mut failure,
-                    );
+            Engine::Bytecode => match self.telemetry.as_deref_mut() {
+                None => exec(tape, 0..tape.len(), &mut st, &mut Plain),
+                Some(t) => {
+                    let mut count = Count::new(Plain, &t.masks);
+                    exec(tape, 0..tape.len(), &mut st, &mut count);
+                    t.settle += count.n;
                 }
-                debug_assert!(failure.is_none(), "settle tape has no assertions");
-            }
+            },
             Engine::TreeWalk => {
                 if let Some(t) = self.telemetry.as_deref_mut() {
-                    // Counts come from a scratch run of the same tape the
-                    // bytecode engine would execute, so both engines report
-                    // identical telemetry; the tree-walk below still drives
-                    // the real state.
-                    t.scratch_values.copy_from_slice(&self.values);
-                    t.scratch_pend_nets.clear();
-                    t.scratch_pend_mems.clear();
-                    let mut failure = None;
-                    run_tape_counting(
-                        &t.settle_tape,
-                        0,
-                        t.settle_tape.len(),
-                        &mut t.scratch_regs,
-                        &mut t.scratch_values,
-                        &self.memories,
-                        &self.msgs,
-                        &mut t.scratch_pend_nets,
-                        &mut t.scratch_pend_mems,
-                        &mut failure,
-                        &mut t.settle_exec,
-                        &mut t.settle_changed,
-                        &t.net_masks,
-                        &t.mem_masks,
-                    );
+                    let n = t.shadow_count(tape, st.values, st.memories, st.msgs);
+                    t.settle += n;
                 }
-                for i in 0..self.assigns.len() {
-                    let (net, expr) = (self.assigns[i].0, &self.assigns[i].1);
-                    let v = eval(expr, &self.values, &self.memories);
-                    self.values[net] = v & mask(self.net_width[net]);
+                for (net, expr) in &self.assigns {
+                    let v = eval(expr, st.values, st.memories);
+                    st.values[*net] = v & mask(self.net_width[*net]);
                 }
             }
             Engine::Event => {
                 let mut ev = self.ev.take().expect("event state built on engine switch");
-                let telem = self.telemetry.is_some();
-                let mut exec_extra = 0u64;
-                let mut changed_extra = 0u64;
-                // Worklist to fixpoint. Units are dispatched in ascending
-                // index order, which is tape order, which is topological
-                // order — so a unit's readers always sit ahead of it and
-                // one in-order sweep converges; the outer loop guards that
-                // invariant (external pokes are the only way bits appear
-                // behind the cursor).
-                if !telem {
-                    // Fast path: coalesced worklist sweep — consecutive
-                    // pending units collapse into single interpreter calls
-                    // (see `settle_sweep`).
-                    settle_sweep(
-                        &self.settle_tape,
-                        &mut self.regs,
-                        &mut self.values,
-                        &self.memories,
-                        &mut ev,
-                    );
-                } else {
-                    loop {
-                        let mut any = false;
-                        for w in 0..ev.settle_pending.len() {
-                            while ev.settle_pending[w] != 0 {
-                                let c = (w << 6) | ev.settle_pending[w].trailing_zeros() as usize;
-                                ev.settle_pending[w] &= ev.settle_pending[w] - 1;
-                                any = true;
-                                ev.stat_settle_runs += 1;
-                                if let Some(sc) = ev.sched.as_deref_mut() {
-                                    sc.settle_run_len.record(1);
-                                }
-                                ev.settle_ran[c] = true;
-                                ev.settle_stale[c] = true;
-                                // Unit c is settle chain c: one assign, one chain.
-                                {
-                                    let (s, e) = ev.settle_chains[c];
-                                    ev.stat_settle_insns += (e - s) as u64;
-                                    let (ex, ch) = run_settle_chain_counting(
-                                        &self.settle_tape,
-                                        s as usize,
-                                        e as usize,
-                                        &mut self.regs,
-                                        &mut self.values,
-                                        &self.memories,
-                                        &mut ev.store_changed,
-                                    );
-                                    exec_extra += ex;
-                                    changed_extra += ch;
-                                }
-                                let mut i = 0;
-                                while i < ev.store_changed.len() {
-                                    let net = ev.store_changed[i] as usize;
-                                    i += 1;
-                                    ev.note_net_change(net, ALL_LANES);
-                                }
-                                ev.store_changed.clear();
-                            }
-                        }
-                        if !any {
-                            break;
-                        }
+                let mut changed = std::mem::take(&mut ev.store_changed);
+                match self.telemetry.as_deref_mut() {
+                    None => settle_sweep(&mut ev, |_, pcs, ev| {
+                        exec(tape, pcs, &mut st, &mut Dirty(&mut changed));
+                        ev.note_changed_nets(&mut changed);
+                    }),
+                    Some(t) => {
+                        settle_sweep(&mut ev, |units, pcs, ev| {
+                            let mut count = Count::new(Dirty(&mut changed), &t.masks);
+                            exec(tape, pcs, &mut st, &mut count);
+                            t.settle += count.n;
+                            ev.settle_ran[units].fill(true);
+                            ev.note_changed_nets(&mut changed);
+                        });
+                        settle_steady_counts(&mut ev, t, tape, &mut st);
                     }
                 }
-                if telem {
-                    // Skipped cones still contribute the counts a full-tape
-                    // run would record: steady-state counts, cached per
-                    // cone and refreshed by one idempotent live re-run
-                    // after each execution.
-                    for c in 0..ev.settle_chains.len() {
-                        if ev.settle_ran[c] {
-                            ev.settle_ran[c] = false;
-                            continue;
-                        }
-                        if ev.settle_stale[c] {
-                            let (s, e) = ev.settle_chains[c];
-                            let (ex_sum, ch_sum) = run_settle_chain_counting(
-                                &self.settle_tape,
-                                s as usize,
-                                e as usize,
-                                &mut self.regs,
-                                &mut self.values,
-                                &self.memories,
-                                &mut ev.store_changed,
-                            );
-                            debug_assert!(ev.store_changed.is_empty());
-                            ev.settle_cache[c] = (ex_sum, ch_sum);
-                            ev.settle_stale[c] = false;
-                        }
-                        exec_extra += ev.settle_cache[c].0;
-                        changed_extra += ev.settle_cache[c].1;
-                    }
-                    if let Some(t) = self.telemetry.as_deref_mut() {
-                        t.settle_exec_extra += exec_extra;
-                        t.settle_changed_extra += changed_extra;
-                    }
-                }
+                ev.store_changed = changed;
                 self.ev = Some(ev);
             }
             Engine::Batched => {
                 if let Some(t) = self.telemetry.as_deref_mut() {
-                    // Counts from a scratch full-tape run mirroring lane 0,
+                    // Counts from a shadow full-tape run mirroring lane 0,
                     // exactly as under the tree-walk oracle.
-                    t.scratch_values.copy_from_slice(&self.values);
-                    t.scratch_pend_nets.clear();
-                    t.scratch_pend_mems.clear();
-                    let mut failure = None;
-                    run_tape_counting(
-                        &t.settle_tape,
-                        0,
-                        t.settle_tape.len(),
-                        &mut t.scratch_regs,
-                        &mut t.scratch_values,
-                        &self.memories,
-                        &self.msgs,
-                        &mut t.scratch_pend_nets,
-                        &mut t.scratch_pend_mems,
-                        &mut failure,
-                        &mut t.settle_exec,
-                        &mut t.settle_changed,
-                        &t.net_masks,
-                        &t.mem_masks,
-                    );
+                    let n = t.shadow_count(tape, st.values, st.memories, st.msgs);
+                    t.settle += n;
                 }
                 let mut ev = self.ev.take().expect("event state built on engine switch");
                 let mut b = self
@@ -1775,47 +1638,19 @@ impl Simulator {
                 // Same run-coalesced sweep as the scalar event engine: every
                 // lane of a merged range sees its in-range producers' final
                 // values (tape order), so in-range re-wakes are cleared.
-                loop {
-                    let mut any = false;
-                    let mut w = 0;
-                    while w < ev.settle_pending.len() {
-                        if ev.settle_pending[w] == 0 {
-                            w += 1;
-                            continue;
+                let values = &mut *st.values;
+                settle_sweep(&mut ev, |_, pcs, ev| {
+                    run_lanes::<true>(tape, pcs, ALL_LANES, &mut b, st.msgs);
+                    let l = b.lanes;
+                    for &(net, lanes) in &b.changed {
+                        if lanes & 1 != 0 {
+                            // Lane 0 mirrors into the scalar values.
+                            values[net as usize] = b.values[net as usize * l];
                         }
-                        let (c0, c1) = pop_pending_run(&mut ev.settle_pending, w);
-                        any = true;
-                        ev.stat_settle_runs += (c1 - c0 + 1) as u64;
-                        if let Some(sc) = ev.sched.as_deref_mut() {
-                            sc.settle_run_len.record((c1 - c0 + 1) as u64);
-                        }
-                        let s = ev.settle_chains[c0].0 as usize;
-                        let e = ev.settle_chains[c1].1 as usize;
-                        ev.stat_settle_insns += (e - s) as u64;
-                        run_settle_range_batched(
-                            &self.settle_tape,
-                            s,
-                            e,
-                            b.lanes,
-                            &mut b.regs,
-                            &mut b.values,
-                            &mut self.values,
-                            &b.mems,
-                            &mut ev.store_changed_lanes,
-                        );
-                        let mut i = 0;
-                        while i < ev.store_changed_lanes.len() {
-                            let (net, lanes_mask) = ev.store_changed_lanes[i];
-                            i += 1;
-                            ev.note_net_change(net as usize, lanes_mask);
-                        }
-                        ev.store_changed_lanes.clear();
-                        clear_bit_range(&mut ev.settle_pending, c0, c1);
+                        ev.note_net_change(net as usize, lanes);
                     }
-                    if !any {
-                        break;
-                    }
-                }
+                    b.changed.clear();
+                });
                 self.ev = Some(ev);
                 self.batch = Some(b);
             }
@@ -1855,367 +1690,91 @@ impl Simulator {
             self.sched_sample_step_entry();
         }
         // Reuse the pending-update buffers across steps: stepping allocates
-        // nothing in either engine.
+        // nothing in any engine.
         let mut net_updates = std::mem::take(&mut self.pending_nets);
         let mut mem_updates = std::mem::take(&mut self.pending_mems);
         net_updates.clear();
         mem_updates.clear();
         let mut failure: Option<String> = None;
+        let tape = &self.step_tape;
+        let mut st = Scalar {
+            regs: &mut self.regs,
+            values: &mut self.values,
+            memories: &self.memories,
+            msgs: &self.msgs,
+            pend_nets: &mut net_updates,
+            pend_mems: &mut mem_updates,
+            failure: &mut failure,
+        };
         match self.engine {
-            Engine::Bytecode => {
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    run_tape_counting(
-                        &t.step_tape,
-                        0,
-                        t.step_tape.len(),
-                        &mut self.regs,
-                        &mut self.values,
-                        &self.memories,
-                        &self.msgs,
-                        &mut net_updates,
-                        &mut mem_updates,
-                        &mut failure,
-                        &mut t.step_exec,
-                        &mut t.step_changed,
-                        &t.net_masks,
-                        &t.mem_masks,
-                    );
-                } else {
-                    run_tape(
-                        &self.step_tape,
-                        0,
-                        self.step_tape.len(),
-                        &mut self.regs,
-                        &mut self.values,
-                        &self.memories,
-                        &self.msgs,
-                        &mut net_updates,
-                        &mut mem_updates,
-                        &mut failure,
-                    );
+            Engine::Bytecode => match self.telemetry.as_deref_mut() {
+                None => exec(tape, 0..tape.len(), &mut st, &mut Plain),
+                Some(t) => {
+                    let mut count = Count::new(Plain, &t.masks);
+                    exec(tape, 0..tape.len(), &mut st, &mut count);
+                    t.step += count.n;
                 }
-            }
+            },
             Engine::TreeWalk => {
                 if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.scratch_values.copy_from_slice(&self.values);
-                    t.scratch_pend_nets.clear();
-                    t.scratch_pend_mems.clear();
-                    let mut scratch_failure = None;
-                    run_tape_counting(
-                        &t.step_tape,
-                        0,
-                        t.step_tape.len(),
-                        &mut t.scratch_regs,
-                        &mut t.scratch_values,
-                        &self.memories,
-                        &self.msgs,
-                        &mut t.scratch_pend_nets,
-                        &mut t.scratch_pend_mems,
-                        &mut scratch_failure,
-                        &mut t.step_exec,
-                        &mut t.step_changed,
-                        &t.net_masks,
-                        &t.mem_masks,
-                    );
+                    let n = t.shadow_count(tape, st.values, st.memories, st.msgs);
+                    t.step += n;
                 }
-                for i in 0..self.always.len() {
-                    self.exec(
-                        &self.always[i],
-                        &mut net_updates,
-                        &mut mem_updates,
-                        &mut failure,
-                    );
+                for s in &self.always {
+                    self.exec(s, &mut net_updates, &mut mem_updates, &mut failure);
                 }
             }
             Engine::Event => {
                 let mut ev = self.ev.take().expect("event state built on engine switch");
-                let telem = self.telemetry.is_some();
-                if !telem {
-                    // Fast path: pop pending cones off the summary bitset in
-                    // tape order (quiescent cones cost ~1/64 load each) and
-                    // merge member chains that sit back-to-back in the tape
-                    // into one interpreter call. Step chains are independent
-                    // (non-blocking semantics: every write lands in the
-                    // pending-update buffers, not the live state), so the
-                    // merge never reorders an observable read after a write.
-                    let mut rs = usize::MAX;
-                    let mut re = 0usize;
-                    let mut run_chains = 0u64;
-                    for w in 0..ev.step_dirty.len() {
-                        while ev.step_dirty[w] != 0 {
-                            let c = (w << 6) | ev.step_dirty[w].trailing_zeros() as usize;
-                            ev.step_dirty[w] &= ev.step_dirty[w] - 1;
-                            ev.step_pending[c] = 0;
-                            ev.stat_step_runs += 1;
-                            let (ms, me) = (
-                                ev.step_members_off[c] as usize,
-                                ev.step_members_off[c + 1] as usize,
-                            );
-                            for mi in ms..me {
-                                let chain = ev.step_members_flat[mi] as usize;
-                                let (s, e) = ev.step_chains[chain];
-                                ev.stat_step_insns += (e - s) as u64;
-                                let (s, e) = (s as usize, e as usize);
-                                if rs == usize::MAX {
-                                    (rs, re) = (s, e);
-                                    run_chains = 1;
-                                } else if s == re {
-                                    re = e;
-                                    run_chains += 1;
-                                } else {
-                                    run_tape(
-                                        &self.step_tape,
-                                        rs,
-                                        re,
-                                        &mut self.regs,
-                                        &mut self.values,
-                                        &self.memories,
-                                        &self.msgs,
-                                        &mut net_updates,
-                                        &mut mem_updates,
-                                        &mut failure,
-                                    );
-                                    if let Some(sc) = ev.sched.as_deref_mut() {
-                                        sc.step_run_len.record(run_chains);
-                                    }
-                                    (rs, re) = (s, e);
-                                    run_chains = 1;
-                                }
-                            }
-                        }
+                match self.telemetry.as_deref_mut() {
+                    None => step_sweep(&mut ev, |pcs, _| exec(tape, pcs, &mut st, &mut Plain)),
+                    Some(t) => {
+                        step_steady_counts(&mut ev, t, tape, &mut st);
+                        step_sweep(&mut ev, |pcs, _| {
+                            let mut count = Count::new(Plain, &t.masks);
+                            exec(tape, pcs, &mut st, &mut count);
+                            t.step += count.n;
+                        });
                     }
-                    if rs != usize::MAX {
-                        run_tape(
-                            &self.step_tape,
-                            rs,
-                            re,
-                            &mut self.regs,
-                            &mut self.values,
-                            &self.memories,
-                            &self.msgs,
-                            &mut net_updates,
-                            &mut mem_updates,
-                            &mut failure,
-                        );
-                        if let Some(sc) = ev.sched.as_deref_mut() {
-                            sc.step_run_len.record(run_chains);
-                        }
-                    }
-                    self.ev = Some(ev);
-                    // Telemetry-instrumented dispatch below is skipped.
-                } else {
-                    for c in 0..(ev.step_members_off.len() - 1) {
-                        if ev.step_pending[c] != 0 {
-                            ev.step_pending[c] = 0;
-                            ev.stat_step_runs += 1;
-                            if telem {
-                                ev.step_stale[c] = true;
-                            }
-                            let (ms, me) = (
-                                ev.step_members_off[c] as usize,
-                                ev.step_members_off[c + 1] as usize,
-                            );
-                            for mi in ms..me {
-                                let chain = ev.step_members_flat[mi] as usize;
-                                let (s, e) = ev.step_chains[chain];
-                                ev.stat_step_insns += (e - s) as u64;
-                                if let Some(sc) = ev.sched.as_deref_mut() {
-                                    // Telemetry dispatch runs chains singly.
-                                    sc.step_run_len.record(1);
-                                }
-                                if let Some(t) = self.telemetry.as_deref_mut() {
-                                    let (ex, ch) = run_step_chain_counting(
-                                        &self.step_tape,
-                                        s as usize,
-                                        e as usize,
-                                        &mut self.regs,
-                                        &self.values,
-                                        &self.memories,
-                                        &self.msgs,
-                                        &mut net_updates,
-                                        &mut mem_updates,
-                                        &mut failure,
-                                        &t.net_masks,
-                                        &t.mem_masks,
-                                    );
-                                    t.step_exec_extra += ex;
-                                    t.step_changed_extra += ch;
-                                } else {
-                                    run_tape(
-                                        &self.step_tape,
-                                        s as usize,
-                                        e as usize,
-                                        &mut self.regs,
-                                        &mut self.values,
-                                        &self.memories,
-                                        &self.msgs,
-                                        &mut net_updates,
-                                        &mut mem_updates,
-                                        &mut failure,
-                                    );
-                                }
-                            }
-                        } else if telem {
-                            if ev.step_stale[c] {
-                                // Refresh the steady counts with one idempotent
-                                // re-run on the live state (inputs unchanged):
-                                // emissions go to scratch buffers.
-                                let mut ex_sum = 0u64;
-                                let mut ch_sum = 0u64;
-                                let (ms, me) = (
-                                    ev.step_members_off[c] as usize,
-                                    ev.step_members_off[c + 1] as usize,
-                                );
-                                for mi in ms..me {
-                                    let chain = ev.step_members_flat[mi] as usize;
-                                    let (s, e) = ev.step_chains[chain];
-                                    let t = self.telemetry.as_deref_mut().expect("telem checked");
-                                    t.scratch_pend_nets.clear();
-                                    t.scratch_pend_mems.clear();
-                                    let mut scratch_failure = None;
-                                    let (ex, ch) = run_step_chain_counting(
-                                        &self.step_tape,
-                                        s as usize,
-                                        e as usize,
-                                        &mut self.regs,
-                                        &self.values,
-                                        &self.memories,
-                                        &self.msgs,
-                                        &mut t.scratch_pend_nets,
-                                        &mut t.scratch_pend_mems,
-                                        &mut scratch_failure,
-                                        &t.net_masks,
-                                        &t.mem_masks,
-                                    );
-                                    ex_sum += ex;
-                                    ch_sum += ch;
-                                }
-                                ev.step_cache[c] = (ex_sum, ch_sum);
-                                ev.step_stale[c] = false;
-                            }
-                            let t = self.telemetry.as_deref_mut().expect("telem checked");
-                            t.step_exec_extra += ev.step_cache[c].0;
-                            t.step_changed_extra += ev.step_cache[c].1;
-                        }
-                    }
-                    for w in &mut ev.step_dirty {
-                        *w = 0;
-                    }
-                    self.ev = Some(ev);
                 }
+                self.ev = Some(ev);
             }
             Engine::Batched => {
                 if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.scratch_values.copy_from_slice(&self.values);
-                    t.scratch_pend_nets.clear();
-                    t.scratch_pend_mems.clear();
-                    let mut scratch_failure = None;
-                    run_tape_counting(
-                        &t.step_tape,
-                        0,
-                        t.step_tape.len(),
-                        &mut t.scratch_regs,
-                        &mut t.scratch_values,
-                        &self.memories,
-                        &self.msgs,
-                        &mut t.scratch_pend_nets,
-                        &mut t.scratch_pend_mems,
-                        &mut scratch_failure,
-                        &mut t.step_exec,
-                        &mut t.step_changed,
-                        &t.net_masks,
-                        &t.mem_masks,
-                    );
+                    let n = t.shadow_count(tape, st.values, st.memories, st.msgs);
+                    t.step += n;
                 }
                 let mut ev = self.ev.take().expect("event state built on engine switch");
                 let mut b = self
                     .batch
                     .take()
                     .expect("batch state built on engine switch");
-                for k in 1..b.lanes {
+                for k in 0..b.lanes {
                     b.pend_nets[k].clear();
                     b.pend_mems[k].clear();
                     b.failures[k] = None;
                 }
-                // Adjacent regions with the same dirty-lane mask merge into
-                // one interpreter call per lane (chains are independent:
-                // non-blocking writes land in the pending buffers).
-                let mut rs = usize::MAX;
-                let mut re = 0usize;
-                let mut rmask = 0u64;
-                let mut run_chains = 0u64;
-                macro_rules! flush_lanes {
-                    () => {
-                        if rs != usize::MAX {
-                            run_tape_lanes(
-                                &self.step_tape,
-                                rs,
-                                re,
-                                rmask,
-                                b.lanes,
-                                &mut b.regs,
-                                &b.values,
-                                &b.mems,
-                                &self.msgs,
-                                &mut net_updates,
-                                &mut mem_updates,
-                                &mut failure,
-                                &mut b.pend_nets,
-                                &mut b.pend_mems,
-                                &mut b.failures,
-                                &mut b.work,
-                            );
-                            if let Some(sc) = ev.sched.as_deref_mut() {
-                                sc.step_run_len.record(run_chains);
-                            }
-                        }
-                    };
-                }
-                for w in 0..ev.step_dirty.len() {
-                    while ev.step_dirty[w] != 0 {
-                        let c = (w << 6) | ev.step_dirty[w].trailing_zeros() as usize;
-                        ev.step_dirty[w] &= ev.step_dirty[w] - 1;
-                        let pend = ev.step_pending[c];
-                        ev.step_pending[c] = 0;
-                        ev.stat_step_runs += 1;
-                        let (ms, me) = (
-                            ev.step_members_off[c] as usize,
-                            ev.step_members_off[c + 1] as usize,
-                        );
-                        for mi in ms..me {
-                            let chain = ev.step_members_flat[mi] as usize;
-                            let (s, e) = ev.step_chains[chain];
-                            ev.stat_step_insns += (e - s) as u64;
-                            let (s, e) = (s as usize, e as usize);
-                            if rs == usize::MAX {
-                                (rs, re, rmask) = (s, e, pend);
-                                run_chains = 1;
-                            } else if s == re && pend == rmask {
-                                re = e;
-                                run_chains += 1;
-                            } else {
-                                flush_lanes!();
-                                (rs, re, rmask) = (s, e, pend);
-                                run_chains = 1;
-                            }
+                step_sweep(&mut ev, |pcs, lanes| {
+                    run_lanes::<false>(tape, pcs, lanes, &mut b, st.msgs)
+                });
+                // Lane 0 is the scalar run: its updates and failure go
+                // through the scalar commit below.
+                std::mem::swap(st.pend_nets, &mut b.pend_nets[0]);
+                std::mem::swap(st.pend_mems, &mut b.pend_mems[0]);
+                *st.failure = b.failures[0].take();
+                if st.failure.is_none() {
+                    // Report the lowest failing lane; lane 0 keeps the
+                    // scalar message verbatim, other lanes are suffixed
+                    // with their index.
+                    for k in 1..b.lanes {
+                        if let Some(msg) = b.failures[k].take() {
+                            *st.failure = Some(format!("{msg} [lane {k}]"));
+                            break;
                         }
                     }
                 }
-                flush_lanes!();
                 self.ev = Some(ev);
                 self.batch = Some(b);
-            }
-        }
-        if self.engine == Engine::Batched && failure.is_none() {
-            // Report the lowest failing lane; lane 0 keeps the scalar
-            // message verbatim, other lanes are suffixed with their index.
-            if let Some(b) = self.batch.as_deref_mut() {
-                for k in 1..b.lanes {
-                    if let Some(msg) = b.failures[k].take() {
-                        failure = Some(format!("{msg} [lane {k}]"));
-                        break;
-                    }
-                }
             }
         }
         if let Some(message) = failure {
@@ -2751,41 +2310,164 @@ fn eval_binary(op: BinOp, a: u64, b: u64, aw: u32, bw: u32) -> u64 {
     }
 }
 
-/// Execute bytecode tape pcs `[start, end)`: a linear sweep over
-/// preallocated buffers with no recursion and no allocation (assertion
-/// failure aside). Jump targets are absolute pcs and never leave the range
-/// (ranges follow statement boundaries). Returns the number of instructions
-/// executed (branch-dependent for step chains; the event scheduler caches
-/// it per chain for exact telemetry on skipped cones).
-#[allow(clippy::too_many_arguments)]
-fn run_tape(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    regs: &mut [u64],
-    values: &mut [u64],
-    memories: &[Vec<u64>],
-    msgs: &[String],
-    pend_nets: &mut Vec<(u32, u64)>,
-    pend_mems: &mut Vec<(u32, u64, u64)>,
-    failure: &mut Option<String>,
-) -> u64 {
-    let mut executed = 0u64;
-    let mut pc = start;
-    while pc < end {
-        executed += 1;
+/// The scalar engines' state, borrowed for one interpreter call: the
+/// register file, net values and memories, the non-blocking update buffers
+/// and the first assertion failure of the step.
+struct Scalar<'a> {
+    regs: &'a mut [u64],
+    values: &'a mut [u64],
+    memories: &'a [Vec<u64>],
+    msgs: &'a [String],
+    pend_nets: &'a mut Vec<(u32, u64)>,
+    pend_mems: &'a mut Vec<(u32, u64, u64)>,
+    failure: &'a mut Option<String>,
+}
+
+/// What [`exec`] reports besides executing: one hook per executed
+/// instruction, register write, net store and non-blocking emission. The
+/// defaults observe nothing, so a zero-sized observer compiles to the bare
+/// interpreter. Only `store` has an effect on the state it is handed.
+trait Observer {
+    #[inline(always)]
+    fn insn(&mut self) {}
+    /// A register is overwritten: `old` is its value before the write.
+    #[inline(always)]
+    fn reg(&mut self, _old: u64, _new: u64) {}
+    /// Continuous assign: `values[net] = v`.
+    #[inline(always)]
+    fn store(&mut self, values: &mut [u64], net: u32, v: u64) {
+        values[net as usize] = v;
+    }
+    #[inline(always)]
+    fn emit_net(&mut self, _values: &[u64], _net: u32, _v: u64) {}
+    #[inline(always)]
+    fn emit_mem(&mut self, _memories: &[Vec<u64>], _mem: u32, _addr: u64, _v: u64) {}
+}
+
+/// Observes nothing: the bytecode engine and the event engine's step.
+struct Plain;
+
+impl Observer for Plain {}
+
+/// The event engine's settle: a store compares and sets, recording the
+/// nets whose value actually changed. That dirty set drives the scheduler.
+struct Dirty<'a>(&'a mut Vec<u32>);
+
+impl Observer for Dirty<'_> {
+    #[inline(always)]
+    fn store(&mut self, values: &mut [u64], net: u32, v: u64) {
+        let n = net as usize;
+        if values[n] != v {
+            values[n] = v;
+            self.0.push(net);
+        }
+    }
+}
+
+/// Executed and changed instruction totals for the telemetry plane.
+#[derive(Clone, Copy, Debug, Default)]
+struct Counts {
+    executed: u64,
+    changed: u64,
+}
+
+impl std::ops::AddAssign for Counts {
+    fn add_assign(&mut self, o: Counts) {
+        self.executed += o.executed;
+        self.changed += o.changed;
+    }
+}
+
+/// Telemetry: counts every executed instruction, and every one whose
+/// destination changes (a register, a net, or the net or memory word a
+/// non-blocking emission will commit to), on top of `inner`'s store
+/// semantics.
+struct Count<'a, I> {
+    inner: I,
+    n: Counts,
+    masks: &'a Masks,
+}
+
+/// Per-net and per-memory width masks, for comparing an emitted value
+/// with the word it will overwrite.
+struct Masks {
+    net: Vec<u64>,
+    mem: Vec<u64>,
+}
+
+impl<'a, I> Count<'a, I> {
+    fn new(inner: I, masks: &'a Masks) -> Self {
+        Count {
+            inner,
+            n: Counts::default(),
+            masks,
+        }
+    }
+}
+
+impl<I: Observer> Observer for Count<'_, I> {
+    #[inline(always)]
+    fn insn(&mut self) {
+        self.n.executed += 1;
+    }
+    #[inline(always)]
+    fn reg(&mut self, old: u64, new: u64) {
+        self.n.changed += u64::from(old != new);
+    }
+    #[inline(always)]
+    fn store(&mut self, values: &mut [u64], net: u32, v: u64) {
+        self.n.changed += u64::from(values[net as usize] != v);
+        self.inner.store(values, net, v);
+    }
+    #[inline(always)]
+    fn emit_net(&mut self, values: &[u64], net: u32, v: u64) {
+        let n = net as usize;
+        self.n.changed += u64::from(v & self.masks.net[n] != values[n]);
+    }
+    #[inline(always)]
+    fn emit_mem(&mut self, memories: &[Vec<u64>], mem: u32, addr: u64, v: u64) {
+        let m = mem as usize;
+        if let Some(&cur) = memories[m].get(addr as usize) {
+            self.n.changed += u64::from(v & self.masks.mem[m] != cur);
+        }
+    }
+}
+
+/// The scalar interpreter: execute tape pcs `pcs` over the borrowed state,
+/// reporting to `obs`. A linear sweep over preallocated buffers with no
+/// recursion and no allocation (assertion failure aside). Jump targets are
+/// absolute pcs and never leave the range (ranges follow statement
+/// boundaries).
+fn exec<O: Observer>(tape: &[Insn], pcs: Range<usize>, st: &mut Scalar<'_>, obs: &mut O) {
+    // Locals, not `st.field`: the optimizer keeps them in registers across
+    // the stores into the register file.
+    let regs = &mut *st.regs;
+    let values = &mut *st.values;
+    let memories = st.memories;
+    let (pend_nets, pend_mems) = (&mut *st.pend_nets, &mut *st.pend_mems);
+    macro_rules! put {
+        ($dst:expr, $v:expr) => {{
+            let v = $v;
+            let r = &mut regs[$dst as usize];
+            obs.reg(*r, v);
+            *r = v;
+        }};
+    }
+    // Cut at the range end so the loop bound also bounds `tape[pc]`.
+    let tape = &tape[..pcs.end];
+    let mut pc = pcs.start;
+    while pc < tape.len() {
+        obs.insn();
         match tape[pc] {
-            Insn::LoadNet { dst, net } => regs[dst as usize] = values[net as usize],
+            Insn::LoadNet { dst, net } => put!(dst, values[net as usize]),
             Insn::MemRead { dst, mem, addr, m } => {
                 let a = regs[addr as usize] as usize;
-                regs[dst as usize] = memories[mem as usize].get(a).copied().unwrap_or(0) & m;
+                put!(dst, memories[mem as usize].get(a).copied().unwrap_or(0) & m);
             }
-            Insn::Slice { dst, src, lo, m } => {
-                regs[dst as usize] = (regs[src as usize] >> lo) & m;
-            }
-            Insn::Not { dst, src, m } => regs[dst as usize] = !regs[src as usize] & m,
-            Insn::LNot { dst, src } => regs[dst as usize] = u64::from(regs[src as usize] == 0),
-            Insn::RedOr { dst, src } => regs[dst as usize] = u64::from(regs[src as usize] != 0),
+            Insn::Slice { dst, src, lo, m } => put!(dst, (regs[src as usize] >> lo) & m),
+            Insn::Not { dst, src, m } => put!(dst, !regs[src as usize] & m),
+            Insn::LNot { dst, src } => put!(dst, u64::from(regs[src as usize] == 0)),
+            Insn::RedOr { dst, src } => put!(dst, u64::from(regs[src as usize] != 0)),
             Insn::Binary {
                 op,
                 dst,
@@ -2794,10 +2476,10 @@ fn run_tape(
                 aw,
                 bw,
                 m,
-            } => {
-                regs[dst as usize] =
-                    eval_binary(op, regs[a as usize], regs[b as usize], aw, bw) & m;
-            }
+            } => put!(
+                dst,
+                eval_binary(op, regs[a as usize], regs[b as usize], aw, bw) & m
+            ),
             Insn::Select {
                 dst,
                 cond,
@@ -2810,30 +2492,37 @@ fn run_tape(
                 } else {
                     regs[els as usize]
                 };
-                regs[dst as usize] = v & m;
+                put!(dst, v & m);
             }
-            Insn::ConcatFirst { dst, src, m } => regs[dst as usize] = regs[src as usize] & m,
+            Insn::ConcatFirst { dst, src, m } => put!(dst, regs[src as usize] & m),
             Insn::ConcatPush { dst, src, shift, m } => {
-                regs[dst as usize] = (regs[dst as usize] << shift) | (regs[src as usize] & m);
+                put!(
+                    dst,
+                    (regs[dst as usize] << shift) | (regs[src as usize] & m)
+                );
             }
-            Insn::MaskReg { dst, m } => regs[dst as usize] &= m,
+            Insn::MaskReg { dst, m } => put!(dst, regs[dst as usize] & m),
             Insn::SignExtend {
                 dst,
                 src,
                 from,
                 fm,
                 m,
-            } => {
-                regs[dst as usize] = (sign_extend(regs[src as usize] & fm, from) as u64) & m;
+            } => put!(dst, (sign_extend(regs[src as usize] & fm, from) as u64) & m),
+            Insn::StoreNet { net, src, m } => obs.store(values, net, regs[src as usize] & m),
+            Insn::EmitNet { net, src } => {
+                let v = regs[src as usize];
+                obs.emit_net(values, net, v);
+                pend_nets.push((net, v));
             }
-            Insn::StoreNet { net, src, m } => values[net as usize] = regs[src as usize] & m,
-            Insn::EmitNet { net, src } => pend_nets.push((net, regs[src as usize])),
             Insn::EmitMem { mem, addr, src } => {
-                pend_mems.push((mem, regs[addr as usize], regs[src as usize]));
+                let (a, v) = (regs[addr as usize], regs[src as usize]);
+                obs.emit_mem(memories, mem, a, v);
+                pend_mems.push((mem, a, v));
             }
             Insn::Assert { guard, cond, msg } => {
-                if failure.is_none() && regs[guard as usize] != 0 && regs[cond as usize] == 0 {
-                    *failure = Some(msgs[msg as usize].clone());
+                if st.failure.is_none() && regs[guard as usize] != 0 && regs[cond as usize] == 0 {
+                    *st.failure = Some(st.msgs[msg as usize].clone());
                 }
             }
             Insn::Jump { target } => {
@@ -2849,7 +2538,6 @@ fn run_tape(
         }
         pc += 1;
     }
-    executed
 }
 
 fn count_mem_reads(e: &CExpr) -> u64 {
@@ -3011,24 +2699,22 @@ struct EventState {
     changed_flag: Vec<bool>,
     /// Scratch: nets changed by the settle cone currently being drained.
     store_changed: Vec<u32>,
-    /// Scratch: (net, changed-lane-mask) pairs from a batched settle cone.
-    store_changed_lanes: Vec<(u32, u64)>,
     /// Scratch: per-cone busy marks for telemetry accounting.
     settle_busy: Vec<bool>,
     step_busy: Vec<bool>,
-    /// Scratch: cones executed during the current settle call.
+    /// Scratch: units executed during the current settle call.
     settle_ran: Vec<bool>,
-    /// Per-cone steady-state (exec, changed) instruction counts: what the
-    /// full-tape counting interpreter would record for a quiescent cone.
+    /// Per-unit (settle) and per-cone (step) steady-state instruction
+    /// counts: what a full-tape run would count for a quiescent one.
     /// Exact for skipped cones — with unchanged inputs a re-execution
     /// repeats the same path and register trajectory — so summing cache
     /// entries for skipped cones plus live counts for executed ones equals
     /// the bytecode engine's totals. A cache entry is stale after the cone
     /// executes (its next steady counts may differ) and is refreshed by
     /// one idempotent re-run on the live state.
-    settle_cache: Vec<(u64, u64)>,
+    settle_cache: Vec<Counts>,
     settle_stale: Vec<bool>,
-    step_cache: Vec<(u64, u64)>,
+    step_cache: Vec<Counts>,
     step_stale: Vec<bool>,
     /// Scheduler activity counters: cone executions (settle, step) since
     /// construction. Cheap enough to keep unconditionally; surfaced through
@@ -3114,19 +2800,16 @@ impl Csr {
     }
 }
 
-/// The event engine's settle worklist sweep: dispatch maximal runs of
+/// The event engines' settle worklist sweep: dispatch maximal runs of
 /// consecutive pending units as single contiguous tape ranges (settle
-/// chains are laid out back-to-back). A range executes in tape order, so
-/// every unit inside it has already seen its in-range producers' final
-/// values; wakes the drain re-raises inside the range are therefore
-/// satisfied and cleared again. When `record_slot` names a memo slot,
-/// the executed ranges and changed-net trace are recorded into it.
+/// chains are laid out back-to-back), calling `run(units, pcs, ev)` once
+/// per run. `run` executes the range and notes the nets it changed on
+/// `ev`. A range executes in tape order, so every unit inside it has
+/// already seen its in-range producers' final values; wakes the drain
+/// re-raises inside the range are therefore satisfied and cleared again.
 fn settle_sweep(
-    tape: &[Insn],
-    regs: &mut [u64],
-    values: &mut [u64],
-    memories: &[Vec<u64>],
     ev: &mut EventState,
+    mut run: impl FnMut(Range<usize>, Range<usize>, &mut EventState),
 ) {
     loop {
         let mut any = false;
@@ -3145,19 +2828,125 @@ fn settle_sweep(
             let s = ev.settle_chains[c0].0 as usize;
             let e = ev.settle_chains[c1].1 as usize;
             ev.stat_settle_insns += (e - s) as u64;
-            run_settle_range(tape, s, e, regs, values, memories, &mut ev.store_changed);
-            let mut i = 0;
-            while i < ev.store_changed.len() {
-                let net = ev.store_changed[i];
-                i += 1;
-                ev.note_net_change(net as usize, ALL_LANES);
-            }
-            ev.store_changed.clear();
+            run(c0..c1 + 1, s..e, ev);
             clear_bit_range(&mut ev.settle_pending, c0, c1);
         }
         if !any {
             break;
         }
+    }
+}
+
+/// The event engines' step dispatch: pop pending cones off the summary
+/// bitset in tape order (quiescent cones cost ~1/64 load each) and call
+/// `run(pcs, lane_mask)` on their member chains, merging chains that sit
+/// back-to-back in the tape under the same dirty-lane mask into one call.
+/// Step chains are independent (non-blocking semantics: every write lands
+/// in the pending-update buffers, not the live state), so the merge never
+/// reorders an observable read after a write.
+fn step_sweep(ev: &mut EventState, mut run: impl FnMut(Range<usize>, u64)) {
+    let mut pcs = 0..0;
+    let mut rmask = 0u64;
+    let mut run_chains = 0u64;
+    for w in 0..ev.step_dirty.len() {
+        while ev.step_dirty[w] != 0 {
+            let c = (w << 6) | ev.step_dirty[w].trailing_zeros() as usize;
+            ev.step_dirty[w] &= ev.step_dirty[w] - 1;
+            let pend = ev.step_pending[c];
+            ev.step_pending[c] = 0;
+            ev.stat_step_runs += 1;
+            let (ms, me) = (
+                ev.step_members_off[c] as usize,
+                ev.step_members_off[c + 1] as usize,
+            );
+            for mi in ms..me {
+                let chain = ev.step_members_flat[mi] as usize;
+                let (s, e) = ev.step_chains[chain];
+                let (s, e) = (s as usize, e as usize);
+                ev.stat_step_insns += (e - s) as u64;
+                if run_chains > 0 && s == pcs.end && pend == rmask {
+                    pcs.end = e;
+                    run_chains += 1;
+                    continue;
+                }
+                if run_chains > 0 {
+                    run(pcs, rmask);
+                    if let Some(sc) = ev.sched.as_deref_mut() {
+                        sc.step_run_len.record(run_chains);
+                    }
+                }
+                (pcs, rmask, run_chains) = (s..e, pend, 1);
+            }
+        }
+    }
+    if run_chains > 0 {
+        run(pcs, rmask);
+        if let Some(sc) = ev.sched.as_deref_mut() {
+            sc.step_run_len.record(run_chains);
+        }
+    }
+}
+
+/// Telemetry under the event engine, after a settle sweep: every unit the
+/// sweep skipped contributes the counts a full-tape run would record.
+/// Those steady-state counts are cached per unit and refreshed by one
+/// idempotent live re-run the first time the unit is skipped after it ran.
+fn settle_steady_counts(
+    ev: &mut EventState,
+    t: &mut Telemetry,
+    tape: &[Insn],
+    st: &mut Scalar<'_>,
+) {
+    for c in 0..ev.settle_chains.len() {
+        if std::mem::take(&mut ev.settle_ran[c]) {
+            ev.settle_stale[c] = true;
+            continue;
+        }
+        if ev.settle_stale[c] {
+            let (s, e) = ev.settle_chains[c];
+            let mut count = Count::new(Plain, &t.masks);
+            exec(tape, s as usize..e as usize, st, &mut count);
+            ev.settle_cache[c] = count.n;
+            ev.settle_stale[c] = false;
+        }
+        t.settle += ev.settle_cache[c];
+    }
+}
+
+/// The step counterpart of [`settle_steady_counts`], run before the
+/// dispatch: the cones it will skip are those not pending. The refresh
+/// re-runs on the live state with emissions going to scratch buffers;
+/// register effects are idempotent because the cone's inputs are
+/// unchanged.
+fn step_steady_counts(ev: &mut EventState, t: &mut Telemetry, tape: &[Insn], st: &mut Scalar<'_>) {
+    let mut failure = None;
+    for c in 0..ev.step_stale.len() {
+        if ev.step_pending[c] != 0 {
+            ev.step_stale[c] = true;
+            continue;
+        }
+        if ev.step_stale[c] {
+            t.shadow_nets.clear();
+            t.shadow_mems.clear();
+            let mut quiet = Scalar {
+                regs: &mut *st.regs,
+                values: &mut *st.values,
+                memories: st.memories,
+                msgs: st.msgs,
+                pend_nets: &mut t.shadow_nets,
+                pend_mems: &mut t.shadow_mems,
+                failure: &mut failure,
+            };
+            let mut count = Count::new(Plain, &t.masks);
+            let members = ev.step_members_off[c] as usize..ev.step_members_off[c + 1] as usize;
+            for &chain in &ev.step_members_flat[members] {
+                let (s, e) = ev.step_chains[chain as usize];
+                exec(tape, s as usize..e as usize, &mut quiet, &mut count);
+            }
+            ev.step_cache[c] = count.n;
+            ev.step_stale[c] = false;
+        }
+        t.step += ev.step_cache[c];
     }
 }
 
@@ -3243,13 +3032,12 @@ impl EventState {
             changed_nets: Vec::new(),
             changed_flag: vec![false; n_nets],
             store_changed: Vec::new(),
-            store_changed_lanes: Vec::new(),
             settle_busy: vec![false; settle_cones.len()],
             step_busy: vec![false; step_cones.len()],
             settle_ran: vec![false; n_assigns],
-            settle_cache: vec![(0, 0); n_assigns],
+            settle_cache: vec![Counts::default(); n_assigns],
             settle_stale: vec![true; n_assigns],
-            step_cache: vec![(0, 0); step_cones.len()],
+            step_cache: vec![Counts::default(); step_cones.len()],
             step_stale: vec![true; step_cones.len()],
             stat_settle_runs: 0,
             stat_step_runs: 0,
@@ -3362,6 +3150,15 @@ impl EventState {
         }
     }
 
+    /// Wake the readers of every net in `nets` (changed in every lane) and
+    /// empty it.
+    fn note_changed_nets(&mut self, nets: &mut Vec<u32>) {
+        for &net in nets.iter() {
+            self.note_net_change(net as usize, ALL_LANES);
+        }
+        nets.clear();
+    }
+
     /// A net was driven externally (`set`/`set_id`): additionally wake its
     /// producers, which the full-tape engines would rerun to overwrite it.
     fn note_net_poked(&mut self, net: usize, lane_mask: u64) {
@@ -3461,308 +3258,6 @@ impl EventState {
     }
 }
 
-/// Execute settle-tape pcs `[start, end)` — pure ops plus `StoreNet`, no
-/// jumps. Like [`run_tape`], but every store compares-and-sets, pushing the
-/// ids of nets whose value actually changed into `changed_out`; that
-/// dirty-set is what drives the event scheduler.
-fn run_settle_range(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    regs: &mut [u64],
-    values: &mut [u64],
-    memories: &[Vec<u64>],
-    changed_out: &mut Vec<u32>,
-) -> u64 {
-    for insn in &tape[start..end] {
-        match *insn {
-            Insn::LoadNet { dst, net } => regs[dst as usize] = values[net as usize],
-            Insn::MemRead { dst, mem, addr, m } => {
-                let a = regs[addr as usize] as usize;
-                regs[dst as usize] = memories[mem as usize].get(a).copied().unwrap_or(0) & m;
-            }
-            Insn::Slice { dst, src, lo, m } => {
-                regs[dst as usize] = (regs[src as usize] >> lo) & m;
-            }
-            Insn::Not { dst, src, m } => regs[dst as usize] = !regs[src as usize] & m,
-            Insn::LNot { dst, src } => regs[dst as usize] = u64::from(regs[src as usize] == 0),
-            Insn::RedOr { dst, src } => regs[dst as usize] = u64::from(regs[src as usize] != 0),
-            Insn::Binary {
-                op,
-                dst,
-                a,
-                b,
-                aw,
-                bw,
-                m,
-            } => {
-                regs[dst as usize] =
-                    eval_binary(op, regs[a as usize], regs[b as usize], aw, bw) & m;
-            }
-            Insn::Select {
-                dst,
-                cond,
-                then,
-                els,
-                m,
-            } => {
-                let v = if regs[cond as usize] != 0 {
-                    regs[then as usize]
-                } else {
-                    regs[els as usize]
-                };
-                regs[dst as usize] = v & m;
-            }
-            Insn::ConcatFirst { dst, src, m } => regs[dst as usize] = regs[src as usize] & m,
-            Insn::ConcatPush { dst, src, shift, m } => {
-                regs[dst as usize] = (regs[dst as usize] << shift) | (regs[src as usize] & m);
-            }
-            Insn::MaskReg { dst, m } => regs[dst as usize] &= m,
-            Insn::SignExtend {
-                dst,
-                src,
-                from,
-                fm,
-                m,
-            } => {
-                regs[dst as usize] = (sign_extend(regs[src as usize] & fm, from) as u64) & m;
-            }
-            Insn::StoreNet { net, src, m } => {
-                let v = regs[src as usize] & m;
-                let n = net as usize;
-                if values[n] != v {
-                    values[n] = v;
-                    changed_out.push(net);
-                }
-            }
-            _ => debug_assert!(false, "settle tape holds only pure ops and StoreNet"),
-        }
-    }
-    (end - start) as u64
-}
-
-/// Telemetry twin of [`run_settle_range`]: the counting interpreter is the
-/// executor (exactly as under the full-tape bytecode engine), returning
-/// aggregate `(executed, changed)` counts with the same per-destination
-/// change semantics as [`run_tape_counting`]. Also serves as the
-/// steady-count refresh for a quiescent cone: re-running with unchanged
-/// inputs is idempotent on registers and nets (no `changed_out` pushes)
-/// and measures what the bytecode engine would count this cycle.
-fn run_settle_chain_counting(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    regs: &mut [u64],
-    values: &mut [u64],
-    memories: &[Vec<u64>],
-    changed_out: &mut Vec<u32>,
-) -> (u64, u64) {
-    let mut n_changed = 0u64;
-    macro_rules! put {
-        ($dst:expr, $v:expr) => {{
-            let v = $v;
-            let d = $dst as usize;
-            if regs[d] != v {
-                n_changed += 1;
-            }
-            regs[d] = v;
-        }};
-    }
-    for insn in &tape[start..end] {
-        match *insn {
-            Insn::LoadNet { dst, net } => put!(dst, values[net as usize]),
-            Insn::MemRead { dst, mem, addr, m } => {
-                let a = regs[addr as usize] as usize;
-                put!(dst, memories[mem as usize].get(a).copied().unwrap_or(0) & m);
-            }
-            Insn::Slice { dst, src, lo, m } => put!(dst, (regs[src as usize] >> lo) & m),
-            Insn::Not { dst, src, m } => put!(dst, !regs[src as usize] & m),
-            Insn::LNot { dst, src } => put!(dst, u64::from(regs[src as usize] == 0)),
-            Insn::RedOr { dst, src } => put!(dst, u64::from(regs[src as usize] != 0)),
-            Insn::Binary {
-                op,
-                dst,
-                a,
-                b,
-                aw,
-                bw,
-                m,
-            } => put!(
-                dst,
-                eval_binary(op, regs[a as usize], regs[b as usize], aw, bw) & m
-            ),
-            Insn::Select {
-                dst,
-                cond,
-                then,
-                els,
-                m,
-            } => {
-                let v = if regs[cond as usize] != 0 {
-                    regs[then as usize]
-                } else {
-                    regs[els as usize]
-                };
-                put!(dst, v & m);
-            }
-            Insn::ConcatFirst { dst, src, m } => put!(dst, regs[src as usize] & m),
-            Insn::ConcatPush { dst, src, shift, m } => {
-                put!(
-                    dst,
-                    (regs[dst as usize] << shift) | (regs[src as usize] & m)
-                );
-            }
-            Insn::MaskReg { dst, m } => put!(dst, regs[dst as usize] & m),
-            Insn::SignExtend {
-                dst,
-                src,
-                from,
-                fm,
-                m,
-            } => put!(dst, (sign_extend(regs[src as usize] & fm, from) as u64) & m),
-            Insn::StoreNet { net, src, m } => {
-                let v = regs[src as usize] & m;
-                let n = net as usize;
-                if values[n] != v {
-                    n_changed += 1;
-                    values[n] = v;
-                    changed_out.push(net);
-                }
-            }
-            _ => debug_assert!(false, "settle tape holds only pure ops and StoreNet"),
-        }
-    }
-    ((end - start) as u64, n_changed)
-}
-
-/// Aggregate-counting twin of [`run_tape_counting`] over a pc range of the
-/// step tape: same change semantics, but totals instead of per-pc arrays.
-/// Used both as the executor for activated step cones (emissions go to the
-/// real pending buffers) and as the steady-count refresh for skipped ones
-/// (emissions to scratch buffers; register effects are idempotent because
-/// the cone's inputs are unchanged).
-#[allow(clippy::too_many_arguments)]
-fn run_step_chain_counting(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    regs: &mut [u64],
-    values: &[u64],
-    memories: &[Vec<u64>],
-    msgs: &[String],
-    pend_nets: &mut Vec<(u32, u64)>,
-    pend_mems: &mut Vec<(u32, u64, u64)>,
-    failure: &mut Option<String>,
-    net_masks: &[u64],
-    mem_masks: &[u64],
-) -> (u64, u64) {
-    let mut executed = 0u64;
-    let mut n_changed = 0u64;
-    let mut pc = start;
-    macro_rules! put {
-        ($dst:expr, $v:expr) => {{
-            let v = $v;
-            let d = $dst as usize;
-            if regs[d] != v {
-                n_changed += 1;
-            }
-            regs[d] = v;
-        }};
-    }
-    while pc < end {
-        executed += 1;
-        match tape[pc] {
-            Insn::LoadNet { dst, net } => put!(dst, values[net as usize]),
-            Insn::MemRead { dst, mem, addr, m } => {
-                let a = regs[addr as usize] as usize;
-                put!(dst, memories[mem as usize].get(a).copied().unwrap_or(0) & m);
-            }
-            Insn::Slice { dst, src, lo, m } => put!(dst, (regs[src as usize] >> lo) & m),
-            Insn::Not { dst, src, m } => put!(dst, !regs[src as usize] & m),
-            Insn::LNot { dst, src } => put!(dst, u64::from(regs[src as usize] == 0)),
-            Insn::RedOr { dst, src } => put!(dst, u64::from(regs[src as usize] != 0)),
-            Insn::Binary {
-                op,
-                dst,
-                a,
-                b,
-                aw,
-                bw,
-                m,
-            } => put!(
-                dst,
-                eval_binary(op, regs[a as usize], regs[b as usize], aw, bw) & m
-            ),
-            Insn::Select {
-                dst,
-                cond,
-                then,
-                els,
-                m,
-            } => {
-                let v = if regs[cond as usize] != 0 {
-                    regs[then as usize]
-                } else {
-                    regs[els as usize]
-                };
-                put!(dst, v & m);
-            }
-            Insn::ConcatFirst { dst, src, m } => put!(dst, regs[src as usize] & m),
-            Insn::ConcatPush { dst, src, shift, m } => {
-                put!(
-                    dst,
-                    (regs[dst as usize] << shift) | (regs[src as usize] & m)
-                );
-            }
-            Insn::MaskReg { dst, m } => put!(dst, regs[dst as usize] & m),
-            Insn::SignExtend {
-                dst,
-                src,
-                from,
-                fm,
-                m,
-            } => put!(dst, (sign_extend(regs[src as usize] & fm, from) as u64) & m),
-            Insn::StoreNet { .. } => {
-                debug_assert!(false, "step tape has no StoreNet");
-            }
-            Insn::EmitNet { net, src } => {
-                let v = regs[src as usize];
-                if (v & net_masks[net as usize]) != values[net as usize] {
-                    n_changed += 1;
-                }
-                pend_nets.push((net, v));
-            }
-            Insn::EmitMem { mem, addr, src } => {
-                let a = regs[addr as usize];
-                let v = regs[src as usize];
-                if let Some(&cur) = memories[mem as usize].get(a as usize) {
-                    if (v & mem_masks[mem as usize]) != cur {
-                        n_changed += 1;
-                    }
-                }
-                pend_mems.push((mem, a, v));
-            }
-            Insn::Assert { guard, cond, msg } => {
-                if failure.is_none() && regs[guard as usize] != 0 && regs[cond as usize] == 0 {
-                    *failure = Some(msgs[msg as usize].clone());
-                }
-            }
-            Insn::Jump { target } => {
-                pc = target as usize;
-                continue;
-            }
-            Insn::JumpIfZero { src, target } => {
-                if regs[src as usize] == 0 {
-                    pc = target as usize;
-                    continue;
-                }
-            }
-        }
-        pc += 1;
-    }
-    (executed, n_changed)
-}
-
 // ----------------------------------------------- batched stimulus lanes
 
 /// Per-lane state for [`Engine::Batched`]: N independent 2-state stimulus
@@ -3789,6 +3284,8 @@ struct BatchState {
     /// Scratch worklist of `(pc, lane-mask)` segments for the SIMT step
     /// interpreter (empty between steps).
     work: Vec<(u32, u64)>,
+    /// Scratch: `(net, changed-lane-mask)` pairs from a settle range.
+    changed: Vec<(u32, u64)>,
     /// Commit scratch: per-net changed-lane mask plus the list of nets
     /// touched this cycle, so each changed net wakes its readers with
     /// one combined mask instead of one walk per lane (zeroed between
@@ -3817,255 +3314,12 @@ impl BatchState {
             pend_mems: vec![Vec::new(); lanes],
             failures: vec![None; lanes],
             work: Vec::new(),
+            changed: Vec::new(),
             note_net_mask: vec![0; sim.values.len()],
             note_nets: Vec::new(),
             note_mem_mask: vec![0; sim.memories.len()],
             note_mems: Vec::new(),
         })
-    }
-}
-
-/// Vector twin of [`run_settle_range`]: evaluates every lane of each
-/// instruction in one contiguous lane-major sweep. Stores compare per
-/// lane, mirror lane 0 into the scalar `values`, and report
-/// `(net, changed-lane-mask)` pairs.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn run_settle_range_batched_body<const L: usize>(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    lanes: usize,
-    regs: &mut [u64],
-    values: &mut [u64],
-    scalar_values: &mut [u64],
-    mems: &[Vec<u64>],
-    changed_out: &mut Vec<(u32, u64)>,
-) {
-    let l = if L == 0 { lanes } else { L };
-    for insn in &tape[start..end] {
-        match *insn {
-            Insn::LoadNet { dst, net } => {
-                let (d, n) = (dst as usize * l, net as usize * l);
-                assert!(d + l <= regs.len() && n + l <= values.len());
-                regs[d..d + l].copy_from_slice(&values[n..n + l]);
-            }
-            Insn::MemRead { dst, mem, addr, m } => {
-                let (d, a) = (dst as usize * l, addr as usize * l);
-                let mm = &mems[mem as usize];
-                let depth = mm.len() / l;
-                assert!(d + l <= regs.len() && a + l <= regs.len());
-                for k in 0..l {
-                    let idx = regs[a + k] as usize;
-                    regs[d + k] = if idx < depth { mm[idx * l + k] & m } else { 0 };
-                }
-            }
-            Insn::Slice { dst, src, lo, m } => {
-                let (d, s) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && s + l <= regs.len());
-                for k in 0..l {
-                    regs[d + k] = (regs[s + k] >> lo) & m;
-                }
-            }
-            Insn::Not { dst, src, m } => {
-                let (d, s) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && s + l <= regs.len());
-                for k in 0..l {
-                    regs[d + k] = !regs[s + k] & m;
-                }
-            }
-            Insn::LNot { dst, src } => {
-                let (d, s) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && s + l <= regs.len());
-                for k in 0..l {
-                    regs[d + k] = u64::from(regs[s + k] == 0);
-                }
-            }
-            Insn::RedOr { dst, src } => {
-                let (d, s) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && s + l <= regs.len());
-                for k in 0..l {
-                    regs[d + k] = u64::from(regs[s + k] != 0);
-                }
-            }
-            Insn::Binary {
-                op,
-                dst,
-                a,
-                b,
-                aw,
-                bw,
-                m,
-            } => {
-                let (d, ra, rb) = (dst as usize * l, a as usize * l, b as usize * l);
-                binary_lanes_dense(op, regs, d, ra, rb, l, aw, bw, m);
-            }
-            Insn::Select {
-                dst,
-                cond,
-                then,
-                els,
-                m,
-            } => {
-                let (d, c, t, e) = (
-                    dst as usize * l,
-                    cond as usize * l,
-                    then as usize * l,
-                    els as usize * l,
-                );
-                assert!(
-                    d + l <= regs.len()
-                        && c + l <= regs.len()
-                        && t + l <= regs.len()
-                        && e + l <= regs.len()
-                );
-                for k in 0..l {
-                    let v = if regs[c + k] != 0 {
-                        regs[t + k]
-                    } else {
-                        regs[e + k]
-                    };
-                    regs[d + k] = v & m;
-                }
-            }
-            Insn::ConcatFirst { dst, src, m } => {
-                let (d, s) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && s + l <= regs.len());
-                for k in 0..l {
-                    regs[d + k] = regs[s + k] & m;
-                }
-            }
-            Insn::ConcatPush { dst, src, shift, m } => {
-                let (d, s) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && s + l <= regs.len());
-                for k in 0..l {
-                    regs[d + k] = (regs[d + k] << shift) | (regs[s + k] & m);
-                }
-            }
-            Insn::MaskReg { dst, m } => {
-                let d = dst as usize * l;
-                assert!(d + l <= regs.len());
-                for k in 0..l {
-                    regs[d + k] &= m;
-                }
-            }
-            Insn::SignExtend {
-                dst,
-                src,
-                from,
-                fm,
-                m,
-            } => {
-                let (d, s) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && s + l <= regs.len());
-                for k in 0..l {
-                    regs[d + k] = (sign_extend(regs[s + k] & fm, from) as u64) & m;
-                }
-            }
-            Insn::StoreNet { net, src, m } => {
-                let (n, s) = (net as usize * l, src as usize * l);
-                assert!(n + l <= values.len() && s + l <= regs.len());
-                let mut mask_changed = 0u64;
-                for k in 0..l {
-                    let v = regs[s + k] & m;
-                    if values[n + k] != v {
-                        values[n + k] = v;
-                        mask_changed |= 1u64 << k;
-                    }
-                }
-                scalar_values[net as usize] = values[n];
-                if mask_changed != 0 {
-                    changed_out.push((net, mask_changed));
-                }
-            }
-            _ => debug_assert!(false, "settle tape holds only pure ops and StoreNet"),
-        }
-    }
-}
-
-/// [`run_settle_range_batched_body`] compiled with AVX2 enabled: the
-/// dense per-lane loops auto-vectorize to 256-bit ops. Safety: caller
-/// checked the CPU feature at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn run_settle_range_batched_avx2<const L: usize>(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    lanes: usize,
-    regs: &mut [u64],
-    values: &mut [u64],
-    scalar_values: &mut [u64],
-    mems: &[Vec<u64>],
-    changed_out: &mut Vec<(u32, u64)>,
-) {
-    run_settle_range_batched_body::<L>(
-        tape,
-        start,
-        end,
-        lanes,
-        regs,
-        values,
-        scalar_values,
-        mems,
-        changed_out,
-    )
-}
-
-/// Runtime-dispatching front end for the batched settle interpreter.
-/// Dispatches on the CPU's vector features and specializes the common
-/// lane counts so the per-lane loops get compile-time trip counts.
-#[allow(clippy::too_many_arguments)]
-fn run_settle_range_batched(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    lanes: usize,
-    regs: &mut [u64],
-    values: &mut [u64],
-    scalar_values: &mut [u64],
-    mems: &[Vec<u64>],
-    changed_out: &mut Vec<(u32, u64)>,
-) {
-    macro_rules! go {
-        ($l:literal) => {{
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: feature checked above.
-                unsafe {
-                    return run_settle_range_batched_avx2::<$l>(
-                        tape,
-                        start,
-                        end,
-                        lanes,
-                        regs,
-                        values,
-                        scalar_values,
-                        mems,
-                        changed_out,
-                    );
-                }
-            }
-            run_settle_range_batched_body::<$l>(
-                tape,
-                start,
-                end,
-                lanes,
-                regs,
-                values,
-                scalar_values,
-                mems,
-                changed_out,
-            )
-        }};
-    }
-    match lanes {
-        64 => go!(64),
-        32 => go!(32),
-        16 => go!(16),
-        8 => go!(8),
-        _ => go!(0),
     }
 }
 
@@ -4134,43 +3388,46 @@ fn for_lanes(mask: u64, lanes: usize, full: u64, mut f: impl FnMut(usize)) {
     }
 }
 
-/// Decode-once twin of [`run_tape_lane`]: executes step-tape pcs
-/// `[start, end)` for every lane in `mask0` at once over the lane-major
-/// state. Control flow is SIMT-style — when a `JumpIfZero` condition
-/// differs across active lanes, the taken subset is parked on the `work`
-/// list and the fall-through subset continues; each lane still traverses
-/// its own path in tape order, so per-lane emission order and
-/// first-failure semantics match the one-lane-at-a-time interpreter
-/// exactly. Lane 0 emits into the scalar engine's buffers (`lane0_*`),
-/// other lanes into their per-lane buffers.
-#[allow(clippy::too_many_arguments)]
+/// The lane interpreter: executes tape pcs `pcs` for every lane in `mask0`
+/// at once over the lane-major state of `b`. Control flow is SIMT-style —
+/// when a `JumpIfZero` condition differs across active lanes, the taken
+/// subset is parked on the `work` list and the fall-through subset
+/// continues; each lane still traverses its own path in tape order, so
+/// per-lane emission order and first-failure semantics match the scalar
+/// interpreter exactly. Stores compare per lane and report
+/// `(net, changed-lane-mask)` pairs in `b.changed`.
+///
+/// `SETTLE` fixes the instruction set at compile time: a settle range
+/// holds pure ops and `StoreNet` and runs every lane; a step range holds
+/// everything else under `mask0`. Each instantiation carries only its own
+/// arms, so neither pays for the other's: carrying both cost 5–7% of
+/// batched GEMM N=16 throughput on a 2-vCPU x86-64 machine.
 #[inline(always)]
-fn run_tape_lanes_body<const L: usize>(
+fn exec_lanes<const L: usize, const SETTLE: bool>(
     tape: &[Insn],
-    start: usize,
-    end: usize,
+    pcs: Range<usize>,
     mask0: u64,
-    lanes: usize,
-    regs: &mut [u64],
-    values: &[u64],
-    mems: &[Vec<u64>],
+    b: &mut BatchState,
     msgs: &[String],
-    lane0_nets: &mut Vec<(u32, u64)>,
-    lane0_mems: &mut Vec<(u32, u64, u64)>,
-    lane0_failure: &mut Option<String>,
-    pend_nets: &mut [Vec<(u32, u64)>],
-    pend_mems: &mut [Vec<(u32, u64, u64)>],
-    failures: &mut [Option<String>],
-    work: &mut Vec<(u32, u64)>,
 ) {
-    let l = if L == 0 { lanes } else { L };
+    let l = if L == 0 { b.lanes } else { L };
     let full = if l >= 64 { u64::MAX } else { (1u64 << l) - 1 };
+    let (regs, values, mems) = (&mut b.regs[..], &mut b.values[..], &b.mems[..]);
+    let (pend_nets, pend_mems, failures) = (&mut b.pend_nets, &mut b.pend_mems, &mut b.failures);
+    let (work, changed) = (&mut b.work, &mut b.changed);
     debug_assert!(work.is_empty());
-    let mut pc = start;
-    let mut mask = mask0 & full;
+    let mut mask = if SETTLE { full } else { mask0 & full };
+    if mask == 0 {
+        return;
+    }
+    // Cut at the range end so the loop bound also bounds `tape[pc]`. The
+    // active mask never empties inside: a divergent branch parks a
+    // non-empty taken subset and keeps a non-empty fall-through subset.
+    let tape = &tape[..pcs.end];
+    let mut pc = pcs.start;
     loop {
-        if mask == 0 || pc >= end {
-            match work.pop() {
+        if pc >= tape.len() {
+            match if SETTLE { None } else { work.pop() } {
                 Some((p, m)) => {
                     pc = p as usize;
                     mask = m;
@@ -4182,8 +3439,14 @@ fn run_tape_lanes_body<const L: usize>(
         match tape[pc] {
             Insn::LoadNet { dst, net } => {
                 let (d, n) = (dst as usize * l, net as usize * l);
-                assert!(d + l <= regs.len() && n + l <= values.len());
-                for_lanes(mask, l, full, |k| regs[d + k] = values[n + k]);
+                if mask == full {
+                    // A memcpy: unlike the lane loop, it needs no overlap
+                    // check between the two state arrays.
+                    regs[d..d + l].copy_from_slice(&values[n..n + l]);
+                } else {
+                    assert!(d + l <= regs.len() && n + l <= values.len());
+                    for_lanes(mask, l, full, |k| regs[d + k] = values[n + k]);
+                }
             }
             Insn::MemRead { dst, mem, addr, m } => {
                 let (d, a) = (dst as usize * l, addr as usize * l);
@@ -4298,58 +3561,55 @@ fn run_tape_lanes_body<const L: usize>(
                     regs[d + k] = (sign_extend(regs[sr + k] & fm, from) as u64) & m;
                 });
             }
-            Insn::StoreNet { .. } => {
-                debug_assert!(false, "step tape has no StoreNet");
+            Insn::StoreNet { net, src, m } if SETTLE => {
+                let (n, sr) = (net as usize * l, src as usize * l);
+                assert!(n + l <= values.len() && sr + l <= regs.len());
+                let mut lanes_changed = 0u64;
+                for_lanes(mask, l, full, |k| {
+                    let v = regs[sr + k] & m;
+                    if values[n + k] != v {
+                        values[n + k] = v;
+                        lanes_changed |= 1u64 << k;
+                    }
+                });
+                if lanes_changed != 0 {
+                    changed.push((net, lanes_changed));
+                }
             }
-            Insn::EmitNet { net, src } => {
+            Insn::EmitNet { net, src } if !SETTLE => {
                 let sr = src as usize * l;
                 let mut m = mask;
                 while m != 0 {
                     let k = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    if k == 0 {
-                        lane0_nets.push((net, regs[sr]));
-                    } else {
-                        pend_nets[k].push((net, regs[sr + k]));
-                    }
+                    pend_nets[k].push((net, regs[sr + k]));
                 }
             }
-            Insn::EmitMem { mem, addr, src } => {
+            Insn::EmitMem { mem, addr, src } if !SETTLE => {
                 let (a, sr) = (addr as usize * l, src as usize * l);
                 let mut m = mask;
                 while m != 0 {
                     let k = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    if k == 0 {
-                        lane0_mems.push((mem, regs[a], regs[sr]));
-                    } else {
-                        pend_mems[k].push((mem, regs[a + k], regs[sr + k]));
-                    }
+                    pend_mems[k].push((mem, regs[a + k], regs[sr + k]));
                 }
             }
-            Insn::Assert { guard, cond, msg } => {
+            Insn::Assert { guard, cond, msg } if !SETTLE => {
                 let (g, c) = (guard as usize * l, cond as usize * l);
                 let mut m = mask;
                 while m != 0 {
                     let k = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    if regs[g + k] != 0 && regs[c + k] == 0 {
-                        let slot = if k == 0 {
-                            &mut *lane0_failure
-                        } else {
-                            &mut failures[k]
-                        };
-                        if slot.is_none() {
-                            *slot = Some(msgs[msg as usize].clone());
-                        }
+                    if regs[g + k] != 0 && regs[c + k] == 0 && failures[k].is_none() {
+                        failures[k] = Some(msgs[msg as usize].clone());
                     }
                 }
             }
-            Insn::Jump { target } => {
+            Insn::Jump { target } if !SETTLE => {
                 pc = target as usize;
                 continue;
             }
-            Insn::JumpIfZero { src, target } => {
+            Insn::JumpIfZero { src, target } if !SETTLE => {
                 let sr = src as usize * l;
                 assert!(sr + l <= regs.len());
                 let mut taken = 0u64;
@@ -4365,76 +3625,36 @@ fn run_tape_lanes_body<const L: usize>(
                     mask &= !taken;
                 }
             }
+            _ => debug_assert!(false, "instruction outside the tape's set"),
         }
         pc += 1;
     }
 }
 
-/// [`run_tape_lanes_body`] compiled with AVX2 enabled: the dense lane
-/// loops auto-vectorize to 256-bit ops. Safety: caller checked the CPU
-/// feature at runtime.
+/// [`exec_lanes`] compiled with AVX2 enabled: the dense lane loops
+/// auto-vectorize to 256-bit ops. Safety: caller checked the CPU feature
+/// at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn run_tape_lanes_avx2<const L: usize>(
+unsafe fn exec_lanes_avx2<const L: usize, const SETTLE: bool>(
     tape: &[Insn],
-    start: usize,
-    end: usize,
-    mask0: u64,
-    lanes: usize,
-    regs: &mut [u64],
-    values: &[u64],
-    mems: &[Vec<u64>],
+    pcs: Range<usize>,
+    mask: u64,
+    b: &mut BatchState,
     msgs: &[String],
-    lane0_nets: &mut Vec<(u32, u64)>,
-    lane0_mems: &mut Vec<(u32, u64, u64)>,
-    lane0_failure: &mut Option<String>,
-    pend_nets: &mut [Vec<(u32, u64)>],
-    pend_mems: &mut [Vec<(u32, u64, u64)>],
-    failures: &mut [Option<String>],
-    work: &mut Vec<(u32, u64)>,
 ) {
-    run_tape_lanes_body::<L>(
-        tape,
-        start,
-        end,
-        mask0,
-        lanes,
-        regs,
-        values,
-        mems,
-        msgs,
-        lane0_nets,
-        lane0_mems,
-        lane0_failure,
-        pend_nets,
-        pend_mems,
-        failures,
-        work,
-    )
+    exec_lanes::<L, SETTLE>(tape, pcs, mask, b, msgs)
 }
 
-/// Runtime-dispatching front end for the SIMT step interpreter.
-/// Dispatches on the CPU's vector features and specializes the common
-/// lane counts so the per-lane loops get compile-time trip counts.
-#[allow(clippy::too_many_arguments)]
-fn run_tape_lanes(
+/// Runtime-dispatching front end for the lane interpreter. Dispatches on
+/// the CPU's vector features and specializes the common lane counts so
+/// the per-lane loops get compile-time trip counts.
+fn run_lanes<const SETTLE: bool>(
     tape: &[Insn],
-    start: usize,
-    end: usize,
-    mask0: u64,
-    lanes: usize,
-    regs: &mut [u64],
-    values: &[u64],
-    mems: &[Vec<u64>],
+    pcs: Range<usize>,
+    mask: u64,
+    b: &mut BatchState,
     msgs: &[String],
-    lane0_nets: &mut Vec<(u32, u64)>,
-    lane0_mems: &mut Vec<(u32, u64, u64)>,
-    lane0_failure: &mut Option<String>,
-    pend_nets: &mut [Vec<(u32, u64)>],
-    pend_mems: &mut [Vec<(u32, u64, u64)>],
-    failures: &mut [Option<String>],
-    work: &mut Vec<(u32, u64)>,
 ) {
     macro_rules! go {
         ($l:literal) => {{
@@ -4442,47 +3662,13 @@ fn run_tape_lanes(
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: feature checked above.
                 unsafe {
-                    return run_tape_lanes_avx2::<$l>(
-                        tape,
-                        start,
-                        end,
-                        mask0,
-                        lanes,
-                        regs,
-                        values,
-                        mems,
-                        msgs,
-                        lane0_nets,
-                        lane0_mems,
-                        lane0_failure,
-                        pend_nets,
-                        pend_mems,
-                        failures,
-                        work,
-                    );
+                    return exec_lanes_avx2::<$l, SETTLE>(tape, pcs, mask, b, msgs);
                 }
             }
-            run_tape_lanes_body::<$l>(
-                tape,
-                start,
-                end,
-                mask0,
-                lanes,
-                regs,
-                values,
-                mems,
-                msgs,
-                lane0_nets,
-                lane0_mems,
-                lane0_failure,
-                pend_nets,
-                pend_mems,
-                failures,
-                work,
-            )
+            exec_lanes::<$l, SETTLE>(tape, pcs, mask, b, msgs)
         }};
     }
-    match lanes {
+    match b.lanes {
         64 => go!(64),
         32 => go!(32),
         16 => go!(16),
@@ -4494,9 +3680,9 @@ fn run_tape_lanes(
 // ------------------------------------------------------------- telemetry
 
 /// Opt-in runtime telemetry state. Lives behind an `Option<Box<_>>` on the
-/// simulator so the disabled path costs one pointer check per phase and the
-/// original tapes stay byte-identical: counting runs on private clones
-/// compiled on demand by [`Simulator::enable_telemetry`].
+/// simulator so the disabled path costs one pointer check per phase. The
+/// instruction counts come from the [`Count`] observer on the engine's own
+/// interpreter calls; the tapes are never copied or modified.
 struct Telemetry {
     /// Settled values at the previous accounting point (end of each step).
     prev: Vec<u64>,
@@ -4517,32 +3703,49 @@ struct Telemetry {
     step_cones: Vec<Cone>,
     /// Memories written during the current cycle (cleared each accounting).
     mems_written: Vec<bool>,
-    /// Private clones of the tapes, executed by the counting interpreter.
-    settle_tape: Vec<Insn>,
-    step_tape: Vec<Insn>,
-    /// Per-insn counters, indexed by pc in the cloned tapes.
-    settle_exec: Vec<u64>,
-    settle_changed: Vec<u64>,
-    step_exec: Vec<u64>,
-    step_changed: Vec<u64>,
-    /// Aggregate instruction counts accumulated by the event engine (live
-    /// counting on activated cones plus cached steady counts for skipped
-    /// ones); added to the per-pc sums at report time so totals stay
-    /// byte-identical to the full-tape engines.
-    settle_exec_extra: u64,
-    settle_changed_extra: u64,
-    step_exec_extra: u64,
-    step_changed_extra: u64,
-    net_masks: Vec<u64>,
-    mem_masks: Vec<u64>,
-    /// Scratch state for counting under the tree-walk engine: the counting
-    /// tape runs here (counts only) while the tree-walk drives the real
-    /// state, so both engines report identical numbers.
-    scratch_regs: Vec<u64>,
-    scratch_values: Vec<u64>,
-    scratch_pend_nets: Vec<(u32, u64)>,
-    scratch_pend_mems: Vec<(u32, u64, u64)>,
+    /// Instruction totals over the settle and step tapes: what the
+    /// full-tape bytecode engine executes, under every engine.
+    settle: Counts,
+    step: Counts,
+    masks: Masks,
+    /// Shadow scalar state for the engines that do not run the scalar
+    /// tapes (tree-walk, batched): the tapes run here for their counts
+    /// while the engine drives the real state, so every engine reports
+    /// identical numbers.
+    shadow_regs: Vec<u64>,
+    shadow_values: Vec<u64>,
+    shadow_nets: Vec<(u32, u64)>,
+    shadow_mems: Vec<(u32, u64, u64)>,
     record_trace: bool,
+}
+
+impl Telemetry {
+    /// Count one full run of `tape` on the shadow state, starting from the
+    /// live `values`.
+    fn shadow_count(
+        &mut self,
+        tape: &[Insn],
+        values: &[u64],
+        memories: &[Vec<u64>],
+        msgs: &[String],
+    ) -> Counts {
+        self.shadow_values.copy_from_slice(values);
+        self.shadow_nets.clear();
+        self.shadow_mems.clear();
+        let mut failure = None;
+        let mut st = Scalar {
+            regs: &mut self.shadow_regs,
+            values: &mut self.shadow_values,
+            memories,
+            msgs,
+            pend_nets: &mut self.shadow_nets,
+            pend_mems: &mut self.shadow_mems,
+            failure: &mut failure,
+        };
+        let mut count = Count::new(Plain, &self.masks);
+        exec(tape, 0..tape.len(), &mut st, &mut count);
+        count.n
+    }
 }
 
 /// Simulator-level share of the sched-stats plane: per-cycle dirty-set
@@ -5313,139 +4516,6 @@ fn partition_step(effects: &[StmtEffects], n_nets: usize, n_mems: usize) -> Vec<
         .collect()
 }
 
-/// The counting twin of [`run_tape`]: identical semantics, plus per-insn
-/// executed/changed counters. Kept separate so the uninstrumented hot loop
-/// pays nothing for telemetry support.
-#[allow(clippy::too_many_arguments)]
-fn run_tape_counting(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    regs: &mut [u64],
-    values: &mut [u64],
-    memories: &[Vec<u64>],
-    msgs: &[String],
-    pend_nets: &mut Vec<(u32, u64)>,
-    pend_mems: &mut Vec<(u32, u64, u64)>,
-    failure: &mut Option<String>,
-    exec: &mut [u64],
-    changed: &mut [u64],
-    net_masks: &[u64],
-    mem_masks: &[u64],
-) -> u64 {
-    let mut executed = 0u64;
-    let mut pc = start;
-    // regs[dst] = v, counting a change when the register held a different
-    // value (from the previous cycle, or an earlier conditional path).
-    macro_rules! put {
-        ($dst:expr, $v:expr) => {{
-            let v = $v;
-            let d = $dst as usize;
-            if regs[d] != v {
-                changed[pc] += 1;
-            }
-            regs[d] = v;
-        }};
-    }
-    while pc < end {
-        executed += 1;
-        exec[pc] += 1;
-        match tape[pc] {
-            Insn::LoadNet { dst, net } => put!(dst, values[net as usize]),
-            Insn::MemRead { dst, mem, addr, m } => {
-                let a = regs[addr as usize] as usize;
-                put!(dst, memories[mem as usize].get(a).copied().unwrap_or(0) & m);
-            }
-            Insn::Slice { dst, src, lo, m } => put!(dst, (regs[src as usize] >> lo) & m),
-            Insn::Not { dst, src, m } => put!(dst, !regs[src as usize] & m),
-            Insn::LNot { dst, src } => put!(dst, u64::from(regs[src as usize] == 0)),
-            Insn::RedOr { dst, src } => put!(dst, u64::from(regs[src as usize] != 0)),
-            Insn::Binary {
-                op,
-                dst,
-                a,
-                b,
-                aw,
-                bw,
-                m,
-            } => put!(
-                dst,
-                eval_binary(op, regs[a as usize], regs[b as usize], aw, bw) & m
-            ),
-            Insn::Select {
-                dst,
-                cond,
-                then,
-                els,
-                m,
-            } => {
-                let v = if regs[cond as usize] != 0 {
-                    regs[then as usize]
-                } else {
-                    regs[els as usize]
-                };
-                put!(dst, v & m);
-            }
-            Insn::ConcatFirst { dst, src, m } => put!(dst, regs[src as usize] & m),
-            Insn::ConcatPush { dst, src, shift, m } => {
-                put!(
-                    dst,
-                    (regs[dst as usize] << shift) | (regs[src as usize] & m)
-                );
-            }
-            Insn::MaskReg { dst, m } => put!(dst, regs[dst as usize] & m),
-            Insn::SignExtend {
-                dst,
-                src,
-                from,
-                fm,
-                m,
-            } => put!(dst, (sign_extend(regs[src as usize] & fm, from) as u64) & m),
-            Insn::StoreNet { net, src, m } => {
-                let v = regs[src as usize] & m;
-                if values[net as usize] != v {
-                    changed[pc] += 1;
-                }
-                values[net as usize] = v;
-            }
-            Insn::EmitNet { net, src } => {
-                let v = regs[src as usize];
-                if (v & net_masks[net as usize]) != values[net as usize] {
-                    changed[pc] += 1;
-                }
-                pend_nets.push((net, v));
-            }
-            Insn::EmitMem { mem, addr, src } => {
-                let a = regs[addr as usize];
-                let v = regs[src as usize];
-                if let Some(&cur) = memories[mem as usize].get(a as usize) {
-                    if (v & mem_masks[mem as usize]) != cur {
-                        changed[pc] += 1;
-                    }
-                }
-                pend_mems.push((mem, a, v));
-            }
-            Insn::Assert { guard, cond, msg } => {
-                if failure.is_none() && regs[guard as usize] != 0 && regs[cond as usize] == 0 {
-                    *failure = Some(msgs[msg as usize].clone());
-                }
-            }
-            Insn::Jump { target } => {
-                pc = target as usize;
-                continue;
-            }
-            Insn::JumpIfZero { src, target } => {
-                if regs[src as usize] == 0 {
-                    pc = target as usize;
-                    continue;
-                }
-            }
-        }
-        pc += 1;
-    }
-    executed
-}
-
 /// Per-cone wake rows of a [`SchedStatsReport`].
 fn cone_wakes_report(cones: &[Cone], names: Vec<String>, wakes: &[u64]) -> Vec<SchedConeWakes> {
     cones
@@ -5516,10 +4586,10 @@ impl Simulator {
     /// starts from a consistent baseline. With `record_trace`, per-cone
     /// busy/quiescent intervals are kept for [`telemetry_trace`].
     ///
-    /// Counting runs on private clones of the tapes: the original tapes and
-    /// the untelemetered execution path are untouched. When telemetry is
-    /// enabled before the first `step`, both engines report identical
-    /// counts.
+    /// Counting is an observer on the engine's own interpreter calls: the
+    /// tapes are never copied or modified, and with telemetry off the
+    /// interpreter carries no counting code. When telemetry is enabled
+    /// before the first `step`, every engine reports identical counts.
     ///
     /// [`telemetry_trace`]: Self::telemetry_trace
     pub fn enable_telemetry(&mut self, record_trace: bool) {
@@ -5527,62 +4597,36 @@ impl Simulator {
             return;
         }
         self.settle();
-        let settle_tape = self.settle_tape.clone();
-        let step_tape = self.step_tape.clone();
-        let mut scratch_regs = self.regs.clone();
-        let mut scratch_values = self.values.clone();
-        // Warm the counting register file: one uncounted run of the settle
+        let n_nets = self.values.len();
+        let mut t = Box::new(Telemetry {
+            prev: self.values.clone(),
+            toggle_cycles: vec![0; n_nets],
+            bit_toggles: vec![0; n_nets],
+            high_cycles: vec![0; n_nets],
+            high_since: vec![0; n_nets],
+            cycles: 0,
+            settle_cones: self.settle_cones(),
+            step_cones: self.step_cones(),
+            mems_written: vec![false; self.memories.len()],
+            settle: Counts::default(),
+            step: Counts::default(),
+            masks: Masks {
+                net: self.net_width.iter().map(|&w| mask(w)).collect(),
+                mem: self.mem_width.iter().map(|&w| mask(w)).collect(),
+            },
+            shadow_regs: self.regs.clone(),
+            shadow_values: vec![0; n_nets],
+            shadow_nets: Vec::new(),
+            shadow_mems: Vec::new(),
+            record_trace,
+        });
+        // Warm the shadow register file: one uncounted run of the settle
         // tape brings it to the state the bytecode engine's file holds
         // after the settle above (a no-op under `Engine::Bytecode`), so
-        // `changed` counters start from the same baseline under either
+        // `changed` counters start from the same baseline under every
         // engine.
-        {
-            let mut pn = Vec::new();
-            let mut pm = Vec::new();
-            let mut f = None;
-            run_tape(
-                &settle_tape,
-                0,
-                settle_tape.len(),
-                &mut scratch_regs,
-                &mut scratch_values,
-                &self.memories,
-                &self.msgs,
-                &mut pn,
-                &mut pm,
-                &mut f,
-            );
-        }
-        let settle_cones = self.settle_cones();
-        let step_cones = self.step_cones();
-        self.telemetry = Some(Box::new(Telemetry {
-            prev: self.values.clone(),
-            toggle_cycles: vec![0; self.values.len()],
-            bit_toggles: vec![0; self.values.len()],
-            high_cycles: vec![0; self.values.len()],
-            high_since: vec![0; self.values.len()],
-            cycles: 0,
-            settle_cones,
-            step_cones,
-            mems_written: vec![false; self.memories.len()],
-            settle_exec: vec![0; settle_tape.len()],
-            settle_changed: vec![0; settle_tape.len()],
-            step_exec: vec![0; step_tape.len()],
-            step_changed: vec![0; step_tape.len()],
-            settle_exec_extra: 0,
-            settle_changed_extra: 0,
-            step_exec_extra: 0,
-            step_changed_extra: 0,
-            net_masks: self.net_width.iter().map(|&w| mask(w)).collect(),
-            mem_masks: self.mem_width.iter().map(|&w| mask(w)).collect(),
-            settle_tape,
-            step_tape,
-            scratch_regs,
-            scratch_values,
-            scratch_pend_nets: Vec::new(),
-            scratch_pend_mems: Vec::new(),
-            record_trace,
-        }));
+        t.shadow_count(&self.settle_tape, &self.values, &self.memories, &self.msgs);
+        self.telemetry = Some(t);
         if let Some(ev) = self.ev.as_deref_mut() {
             ev.track = self.engine == Engine::Event;
             for s in &mut ev.settle_stale {
@@ -5632,31 +4676,18 @@ impl Simulator {
                 })
                 .collect()
         };
-        let insn_report =
-            |tape: &[Insn], exec: &[u64], changed: &[u64], ex: u64, ch: u64| InsnTelemetry {
-                len: tape.len() as u64,
-                executed: exec.iter().sum::<u64>() + ex,
-                changed: changed.iter().sum::<u64>() + ch,
-            };
+        let insn_report = |tape: &[Insn], n: Counts| InsnTelemetry {
+            len: tape.len() as u64,
+            executed: n.executed,
+            changed: n.changed,
+        };
         Some(TelemetryReport {
             cycles: t.cycles,
             nets,
             settle_cones: cone_report(&t.settle_cones, self.settle_cone_names(&t.settle_cones)),
             step_cones: cone_report(&t.step_cones, self.step_cone_names(&t.step_cones)),
-            settle_insns: insn_report(
-                &t.settle_tape,
-                &t.settle_exec,
-                &t.settle_changed,
-                t.settle_exec_extra,
-                t.settle_changed_extra,
-            ),
-            step_insns: insn_report(
-                &t.step_tape,
-                &t.step_exec,
-                &t.step_changed,
-                t.step_exec_extra,
-                t.step_changed_extra,
-            ),
+            settle_insns: insn_report(&self.settle_tape, t.settle),
+            step_insns: insn_report(&self.step_tape, t.step),
             units: Vec::new(),
         })
     }
@@ -6387,7 +5418,7 @@ mod tests {
             plain.step().unwrap();
             telem.step().unwrap();
         }
-        // The executable tapes are byte-identical: counting runs on clones.
+        // The executable tapes are byte-identical: counting is an observer.
         assert_eq!(plain.settle_tape, telem.settle_tape);
         assert_eq!(plain.step_tape, telem.step_tape);
         assert_eq!(plain.get("count"), telem.get("count"));
