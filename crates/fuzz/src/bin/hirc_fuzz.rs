@@ -6,10 +6,11 @@
 //!
 //! Each iteration derives a mutant from the corpus (reproducible from
 //! `(seed, iteration)` alone), runs it through parse → verify → optimize →
-//! print → codegen, and records any panic that escapes a stage. Exit code 0
-//! means the *diagnostics, never panics* contract held for every iteration;
-//! 1 means at least one crash (saved under `--save` for `hirc-reduce`);
-//! 2 means usage error.
+//! print → codegen, and records any panic that escapes a stage, or a clean,
+//! verified mutant whose printed IR does not reparse to the same text. Exit
+//! code 0 means the *diagnostics, never panics* contract held for every
+//! iteration; 1 means at least one crash (saved under `--save` for
+//! `hirc-reduce`); 2 means usage error.
 
 use hir_fuzz::{
     check_equivalence, check_sim_engines, load_corpus, mutant, run_pipeline_with_threads,
@@ -19,6 +20,11 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: hirc-fuzz [options]
+
+Every mutant runs through parse, verify, print, optimize and codegen; a
+panic in any stage fails the run, and so does a mutant that parses cleanly
+and verifies but whose printed IR does not reparse without errors and print
+back byte for byte.
 
 options:
   --iters=N      number of fuzz iterations (default 500)

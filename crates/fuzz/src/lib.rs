@@ -12,7 +12,8 @@
 //! * [`run_pipeline`] pushes a candidate through the same stages `hirc` runs
 //!   — parse (with recovery) → verify → optimize → print/round-trip →
 //!   codegen — each under `catch_unwind`, and reports the first stage whose
-//!   code panics rather than returning diagnostics.
+//!   code panics rather than returning diagnostics. A clean, verified input
+//!   must also print, reparse and print again to the same text.
 //! * [`reduce_lines`] greedily shrinks a crashing input while a caller
 //!   predicate (typically "still panics in the same stage") holds, powering
 //!   the `hirc-reduce` binary.
@@ -127,9 +128,21 @@ pub fn run_pipeline_with_threads(
         let _ = ir::print_module(&module);
         let _ = hir::pretty_module(&module);
     })?;
+    // A clean, verified module must also survive print → parse → print
+    // unchanged; a violation is reported as a panic in this stage.
+    let must_round_trip = outcome.verified && n_errors == 0;
     guard("roundtrip", || {
         let text = ir::print_module(&module);
-        let _ = ir::parse_module_recover(&text, 0);
+        let r = ir::parse_module_recover(&text, 0);
+        if must_round_trip {
+            if let Some(e) = r.errors.first() {
+                panic!("printed IR does not reparse: {e}");
+            }
+            assert!(
+                ir::print_module(&r.module) == text,
+                "print -> parse -> print is not a fixpoint"
+            );
+        }
     })?;
 
     // Passes and codegen assume verified IR (as in MLIR); run them only on

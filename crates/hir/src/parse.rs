@@ -144,7 +144,7 @@ enum Tok {
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: u32,
     col: u32,
@@ -156,7 +156,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -173,7 +173,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -194,7 +194,7 @@ impl<'a> Lexer<'a> {
                 Some(b) if b.is_ascii_whitespace() => {
                     self.bump();
                 }
-                Some(b'/') if self.src.get(self.pos + 1) == Some(&b'/') => {
+                Some(b'/') if self.src.as_bytes().get(self.pos + 1) == Some(&b'/') => {
                     while let Some(b) = self.peek() {
                         if b == b'\n' {
                             break;
@@ -202,21 +202,22 @@ impl<'a> Lexer<'a> {
                         self.bump();
                     }
                 }
-                Some(b'/') if self.src.get(self.pos + 1) == Some(&b'*') => {
+                Some(b'/') if self.src.as_bytes().get(self.pos + 1) == Some(&b'*') => {
                     self.bump();
                     self.bump();
-                    let mut text = String::new();
-                    loop {
+                    let start = self.pos;
+                    let end = loop {
                         match self.bump() {
                             Some(b'*') if self.peek() == Some(b'/') => {
                                 self.bump();
-                                break;
+                                break self.pos - 2;
                             }
-                            Some(c) => text.push(c as char),
+                            Some(_) => {}
                             None => return Err(self.err("unterminated block comment")),
                         }
-                    }
-                    self.last_comment = Some(text);
+                    };
+                    // `*/` is ASCII, so the slice ends on a char boundary.
+                    self.last_comment = Some(self.src[start..end].to_string());
                 }
                 _ => return Ok(()),
             }
@@ -1204,6 +1205,18 @@ hir.func @also_good at %t() {
         assert!(r.errors[1].message.contains("undefined value"));
         // Both good functions survived.
         assert_eq!(r.module.top_ops().len(), 4, "partial funcs stay in module");
+    }
+
+    #[test]
+    fn port_label_comments_keep_utf8() {
+        let m = parse_pretty("hir.func @f at %t(%a /*été*/ : i32) {\n  hir.return\n}\n")
+            .expect("parse");
+        assert_eq!(
+            m.op(m.top_ops()[0]).attr("arg_names"),
+            Some(&ir::Attribute::Array(vec![ir::Attribute::String(
+                "été".into()
+            )]))
+        );
     }
 
     #[test]

@@ -468,6 +468,11 @@ impl Module {
         self.ops.get_mut(op).attrs.remove(key)
     }
 
+    /// Set an op's location (the parser reads it after the op's regions).
+    pub(crate) fn set_loc(&mut self, op: OpId, loc: Location) {
+        self.ops.get_mut(op).loc = loc;
+    }
+
     /// Change the type of a value in place (used by precision optimization).
     pub fn set_value_type(&mut self, v: ValueId, ty: Type) {
         self.values.get_mut(v).ty = ty;

@@ -2,11 +2,18 @@
 //!
 //! The IR is round-trippable: `parse_module(print_module(m))` reconstructs an
 //! isomorphic module. Errors carry line/column positions.
+//!
+//! One recursive-descent pass over one token stream builds straight into the
+//! [`Module`]. An op is created as soon as its operands are read, with
+//! placeholder result types that its trailing signature overwrites, so its
+//! regions parse directly into it and every op is created after its parent,
+//! in source order. Tokens borrow from the source.
 
 use crate::attributes::{AttrMap, Attribute};
 use crate::location::Location;
-use crate::module::{Module, OpId, ValueId};
+use crate::module::{Module, OpId, RegionId, ValueId};
 use crate::types::Type;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt;
@@ -31,16 +38,16 @@ type Result<T> = std::result::Result<T, ParseError>;
 
 // --------------------------------------------------------------------- lexer
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Percent(usize),    // %12
-    Str(String),       // "hir.for"
-    Int(i128),         // 42, -3
-    Float(f64),        // 2.0
-    Ident(String),     // value, i32, unit, bb
-    BangIdent(String), // !hir.memref  (stored as "hir.memref")
-    AtIdent(String),   // @main
-    Caret,             // ^
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Percent(usize),     // %12
+    Str(&'a str),       // "hir.for", escapes still in (see `unescape`)
+    Int(i128),          // 42, -3
+    Float(f64),         // 2.0
+    Ident(&'a str),     // value, i32, unit, bb
+    BangIdent(&'a str), // !hir.memref  (stored as "hir.memref")
+    AtIdent(&'a str),   // @main
+    Caret,              // ^
     LParen,
     RParen,
     LBrace,
@@ -57,7 +64,7 @@ enum Tok {
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: u32,
     col: u32,
@@ -66,7 +73,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -82,7 +89,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek_byte(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -104,7 +111,7 @@ impl<'a> Lexer<'a> {
                     self.bump();
                 }
                 // Line comments: `//` to end of line.
-                Some(b'/') if self.src.get(self.pos + 1) == Some(&b'/') => {
+                Some(b'/') if self.src.as_bytes().get(self.pos + 1) == Some(&b'/') => {
                     while let Some(b) = self.peek_byte() {
                         if b == b'\n' {
                             break;
@@ -117,20 +124,19 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_ident(&mut self) -> String {
-        let mut s = String::new();
+    fn lex_ident(&mut self) -> &'a str {
+        let start = self.pos;
         while let Some(b) = self.peek_byte() {
             if b.is_ascii_alphanumeric() || b == b'_' || b == b'.' {
-                s.push(b as char);
                 self.bump();
             } else {
                 break;
             }
         }
-        s
+        &self.src[start..self.pos]
     }
 
-    fn next(&mut self) -> Result<(Tok, u32, u32)> {
+    fn next(&mut self) -> Result<(Tok<'a>, u32, u32)> {
         self.skip_ws();
         let (line, col) = (self.line, self.col);
         let Some(b) = self.peek_byte() else {
@@ -160,21 +166,20 @@ impl<'a> Lexer<'a> {
             }
             b'"' => {
                 self.bump();
-                let mut s = String::new();
+                let start = self.pos;
                 loop {
                     match self.bump() {
                         Some(b'"') => break,
-                        Some(b'\\') => match self.bump() {
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
-                            Some(c) => s.push(c as char),
-                            None => return Err(self.err("unterminated string")),
-                        },
-                        Some(c) => s.push(c as char),
+                        // Skip the escaped byte; at EOF the next bump fails.
+                        Some(b'\\') => {
+                            self.bump();
+                        }
+                        Some(_) => {}
                         None => return Err(self.err("unterminated string")),
                     }
                 }
-                Tok::Str(s)
+                // Both quotes are ASCII, so the slice is whole characters.
+                Tok::Str(&self.src[start..self.pos - 1])
             }
             b'(' => {
                 self.bump();
@@ -236,32 +241,30 @@ impl<'a> Lexer<'a> {
         Ok((tok, line, col))
     }
 
-    fn lex_number(&mut self, negative: bool) -> Result<Tok> {
-        let mut text = String::new();
+    fn lex_number(&mut self, negative: bool) -> Result<Tok<'a>> {
+        let start = self.pos;
         let mut is_float = false;
         while let Some(b) = self.peek_byte() {
             match b {
                 b'0'..=b'9' => {
-                    text.push(b as char);
                     self.bump();
                 }
                 b'.' if !is_float
-                    && matches!(self.src.get(self.pos + 1), Some(c) if c.is_ascii_digit()) =>
+                    && matches!(self.src.as_bytes().get(self.pos + 1), Some(c) if c.is_ascii_digit()) =>
                 {
                     is_float = true;
-                    text.push('.');
                     self.bump();
                 }
                 b'e' | b'E' if is_float => {
-                    text.push(b as char);
                     self.bump();
                     if matches!(self.peek_byte(), Some(b'-' | b'+')) {
-                        text.push(self.bump().unwrap() as char);
+                        self.bump();
                     }
                 }
                 _ => break,
             }
         }
+        let text = &self.src[start..self.pos];
         if text.is_empty() {
             return Err(self.err("expected number"));
         }
@@ -275,6 +278,29 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// The text of a string token with its `\n`, `\t` and `\<char>` escapes
+/// resolved; borrowed when it has none.
+fn unescape(raw: &str) -> Cow<'_, str> {
+    if !raw.contains('\\') {
+        return Cow::Borrowed(raw);
+    }
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => match chars.next() {
+                Some('n') => '\n',
+                Some('t') => '\t',
+                Some(e) => e,
+                // The lexer never ends a string on an unpaired backslash.
+                None => break,
+            },
+            c => c,
+        });
+    }
+    Cow::Owned(out)
+}
+
 // -------------------------------------------------------------------- parser
 
 /// Parse a module from its generic textual form.
@@ -282,18 +308,13 @@ impl<'a> Lexer<'a> {
 /// # Errors
 /// Returns a [`ParseError`] with position info on malformed input.
 pub fn parse_module(src: &str) -> Result<Module> {
-    let mut p = Parser::new(src)?;
-    let mut module = Module::new();
-    let mut values: HashMap<usize, ValueId> = HashMap::new();
-    let mut tops = Vec::new();
+    let mut p = Parser::new(src);
+    p.advance()?;
     while p.tok != Tok::Eof {
-        let op = p.parse_op(&mut module, &mut values)?;
-        tops.push(op);
+        let op = p.parse_top_op()?;
+        p.module.push_top(op);
     }
-    for t in tops {
-        module.push_top(t);
-    }
-    Ok(module)
+    Ok(p.module)
 }
 
 /// Default cap on recorded errors in recovery mode (MLIR uses a similar
@@ -325,10 +346,8 @@ pub fn parse_module_recover(src: &str, error_limit: usize) -> RecoveredParse {
         error_limit
     };
     let mut errors = Vec::new();
-    let mut p = Parser::new_lenient(src, &mut errors);
-    let mut module = Module::new();
-    let mut values: HashMap<usize, ValueId> = HashMap::new();
-    let mut tops = Vec::new();
+    let mut p = Parser::new(src);
+    p.advance_lenient(&mut errors);
     let mut hit_error_limit = false;
     while p.tok != Tok::Eof {
         if errors.len() >= limit {
@@ -336,8 +355,8 @@ pub fn parse_module_recover(src: &str, error_limit: usize) -> RecoveredParse {
             break;
         }
         let op_start_line = p.line;
-        match p.parse_op(&mut module, &mut values) {
-            Ok(op) => tops.push(op),
+        match p.parse_top_op() {
+            Ok(op) => p.module.push_top(op),
             Err(e) => {
                 errors.push(e);
                 p.synchronize(op_start_line, &mut errors);
@@ -348,11 +367,8 @@ pub fn parse_module_recover(src: &str, error_limit: usize) -> RecoveredParse {
     if errors.len() >= limit && p.tok != Tok::Eof {
         hit_error_limit = true;
     }
-    for t in tops {
-        module.push_top(t);
-    }
     RecoveredParse {
-        module,
+        module: p.module,
         errors,
         hit_error_limit,
     }
@@ -360,41 +376,32 @@ pub fn parse_module_recover(src: &str, error_limit: usize) -> RecoveredParse {
 
 struct Parser<'a> {
     lexer: Lexer<'a>,
-    tok: Tok,
+    tok: Tok<'a>,
     line: u32,
     col: u32,
+    module: Module,
+    /// Value names in scope.
+    values: HashMap<usize, ValueId>,
+    /// Every binding of `values` with the one it shadowed, so a region's
+    /// names go out of scope when it closes.
+    shadowed: Vec<(usize, Option<ValueId>)>,
+    /// `{` consumed and not yet closed since the current top-level op began.
+    open_braces: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Result<Self> {
-        let mut lexer = Lexer::new(src);
-        let (tok, line, col) = lexer.next()?;
-        Ok(Parser {
-            lexer,
-            tok,
-            line,
-            col,
-        })
-    }
-
-    /// Like [`Parser::new`] but never fails: leading lexer errors are
-    /// recorded and the offending bytes skipped.
-    fn new_lenient(src: &'a str, errors: &mut Vec<ParseError>) -> Self {
-        let mut lexer = Lexer::new(src);
-        let (tok, line, col) = loop {
-            match lexer.next() {
-                Ok(t) => break t,
-                Err(e) => {
-                    errors.push(e);
-                    lexer.bump();
-                }
-            }
-        };
+    /// A parser positioned before the first token: call
+    /// [`Parser::advance`] or [`Parser::advance_lenient`] to read it.
+    fn new(src: &'a str) -> Self {
         Parser {
-            lexer,
-            tok,
-            line,
-            col,
+            lexer: Lexer::new(src),
+            tok: Tok::Eof,
+            line: 1,
+            col: 1,
+            module: Module::new(),
+            values: HashMap::new(),
+            shadowed: Vec::new(),
+            open_braces: 0,
         }
     }
 
@@ -406,18 +413,30 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn step(&mut self, (tok, line, col): (Tok<'a>, u32, u32)) {
+        match self.tok {
+            Tok::LBrace => self.open_braces += 1,
+            Tok::RBrace => self.open_braces = self.open_braces.saturating_sub(1),
+            _ => {}
+        }
+        self.tok = tok;
+        self.line = line;
+        self.col = col;
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        let next = self.lexer.next()?;
+        self.step(next);
+        Ok(())
+    }
+
     /// Advance, recording (rather than returning) lexer errors and skipping
     /// the offending bytes. Used during error recovery, where the parser
     /// must always make progress.
     fn advance_lenient(&mut self, errors: &mut Vec<ParseError>) {
         loop {
             match self.lexer.next() {
-                Ok((tok, line, col)) => {
-                    self.line = line;
-                    self.col = col;
-                    self.tok = tok;
-                    return;
-                }
+                Ok(next) => return self.step(next),
                 Err(e) => {
                     errors.push(e);
                     self.lexer.bump();
@@ -429,14 +448,22 @@ impl<'a> Parser<'a> {
     /// Skip to a plausible start of the next top-level operation: a `%N` or
     /// quoted op name outside any delimiter nesting, on a line after
     /// `from_line` (the line the failed op started on). Closers beyond the
-    /// error's nesting are consumed on the way. If the parser is already at
-    /// such a boundary (e.g. the failure was inside an already-consumed
-    /// nested region), this is a no-op.
-    fn synchronize(&mut self, from_line: u32, errors: &mut Vec<ParseError>) {
+    /// error's nesting are consumed on the way. An error inside braces (a
+    /// region or an attribute dictionary) first skips to the brace that
+    /// closes them, and lines count from there, so recovery resumes after
+    /// the enclosing top-level op rather than inside it.
+    fn synchronize(&mut self, mut from_line: u32, errors: &mut Vec<ParseError>) {
+        let mut braces = self.open_braces;
         let mut depth: i64 = 0;
         loop {
-            match &self.tok {
+            match self.tok {
                 Tok::Eof => return,
+                Tok::LBrace if braces > 0 => braces += 1,
+                Tok::RBrace if braces > 0 => {
+                    braces -= 1;
+                    from_line = self.line;
+                }
+                _ if braces > 0 => {}
                 Tok::LParen | Tok::LBrace | Tok::LBracket => depth += 1,
                 Tok::RParen | Tok::RBrace | Tok::RBracket => depth -= 1,
                 Tok::Percent(_) | Tok::Str(_) if depth <= 0 && self.line > from_line => return,
@@ -446,176 +473,162 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn advance(&mut self) -> Result<Tok> {
-        let (tok, line, col) = self.lexer.next()?;
-        self.line = line;
-        self.col = col;
-        Ok(std::mem::replace(&mut self.tok, tok))
-    }
-
-    fn expect(&mut self, want: Tok) -> Result<()> {
+    fn expect(&mut self, want: Tok<'a>) -> Result<()> {
         if self.tok == want {
-            self.advance()?;
-            Ok(())
+            self.advance()
         } else {
             Err(self.err(format!("expected {want:?}, found {:?}", self.tok)))
         }
     }
 
-    fn eat(&mut self, want: &Tok) -> Result<bool> {
-        if &self.tok == want {
+    fn eat(&mut self, want: Tok<'a>) -> Result<bool> {
+        let found = self.tok == want;
+        if found {
             self.advance()?;
-            Ok(true)
-        } else {
-            Ok(false)
         }
+        Ok(found)
     }
 
-    /// op := (%N (, %N)* `=`)? "name" `(` uses `)` regions? attrs? `:` functype loc?
-    fn parse_op(
+    /// `item (, item)*` up to and including `close`; empty when `close`
+    /// comes first.
+    fn parse_list<T>(
         &mut self,
-        module: &mut Module,
-        values: &mut HashMap<usize, ValueId>,
-    ) -> Result<OpId> {
-        // Anchor for errors that are only detectable after the op text has
-        // been consumed (undefined operands, broken nested regions).
-        let (op_line, op_col) = (self.line, self.col);
-        // Optional results.
-        let mut result_ids = Vec::new();
-        if let Tok::Percent(n) = self.tok {
-            result_ids.push(n);
-            self.advance()?;
-            while self.eat(&Tok::Comma)? {
-                match self.tok {
-                    Tok::Percent(n) => {
-                        result_ids.push(n);
-                        self.advance()?;
-                    }
-                    _ => return Err(self.err("expected result value after ','")),
-                }
-            }
-            self.expect(Tok::Eq)?;
-        }
-
-        let name = match std::mem::replace(&mut self.tok, Tok::Eof) {
-            Tok::Str(s) => {
-                self.advance()?;
-                s
-            }
-            other => {
-                self.tok = other;
-                return Err(self.err("expected quoted op name"));
-            }
-        };
-
-        // Operand uses.
-        self.expect(Tok::LParen)?;
-        let mut operand_ids = Vec::new();
-        if self.tok != Tok::RParen {
+        close: Tok<'a>,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let mut items = Vec::new();
+        if self.tok != close {
             loop {
-                match self.tok {
-                    Tok::Percent(n) => {
-                        operand_ids.push(n);
-                        self.advance()?;
-                    }
-                    _ => return Err(self.err("expected operand value")),
-                }
-                if !self.eat(&Tok::Comma)? {
+                items.push(item(self)?);
+                if !self.eat(Tok::Comma)? {
                     break;
                 }
             }
         }
-        self.expect(Tok::RParen)?;
+        self.expect(close)?;
+        Ok(items)
+    }
 
-        // Regions are parsed into a deferred representation so that the op can
-        // be created (with its result values) before block contents reference
-        // outer values.
-        let mut parsed_regions: Vec<Vec<ParsedBlock>> = Vec::new();
-        if self.tok == Tok::LParen {
+    fn bind(&mut self, name: usize, v: ValueId) {
+        let old = self.values.insert(name, v);
+        self.shadowed.push((name, old));
+    }
+
+    /// Undo every binding made since `shadowed` had length `mark`.
+    fn unbind_to(&mut self, mark: usize) {
+        for (name, old) in self.shadowed.drain(mark..).rev() {
+            match old {
+                Some(v) => self.values.insert(name, v),
+                None => self.values.remove(&name),
+            };
+        }
+    }
+
+    /// A top-level op; if it fails, the names it bound go out of scope.
+    fn parse_top_op(&mut self) -> Result<OpId> {
+        self.open_braces = 0;
+        let mark = self.shadowed.len();
+        let op = self.parse_op();
+        if op.is_err() {
+            self.unbind_to(mark);
+        }
+        op
+    }
+
+    /// op := (%N (, %N)* `=`)? "name" `(` uses `)` regions? attrs? `:` functype loc?
+    fn parse_op(&mut self) -> Result<OpId> {
+        // Anchor for undefined operands, reported at the op they break.
+        let (op_line, op_col) = (self.line, self.col);
+        let mut result_ids = Vec::new();
+        if let Tok::Percent(n) = self.tok {
+            result_ids.push(n);
             self.advance()?;
+            while self.eat(Tok::Comma)? {
+                let Tok::Percent(n) = self.tok else {
+                    return Err(self.err("expected result value after ','"));
+                };
+                result_ids.push(n);
+                self.advance()?;
+            }
+            self.expect(Tok::Eq)?;
+        }
+        let Tok::Str(name) = self.tok else {
+            return Err(self.err("expected quoted op name"));
+        };
+        let name = unescape(name);
+        self.advance()?;
+
+        self.expect(Tok::LParen)?;
+        let operand_ids = self.parse_list(Tok::RParen, |p| match p.tok {
+            Tok::Percent(n) => p.advance().map(|()| n),
+            _ => Err(p.err("expected operand value")),
+        })?;
+        let operands = operand_ids
+            .iter()
+            .map(|n| {
+                self.values.get(n).copied().ok_or_else(|| ParseError {
+                    line: op_line,
+                    col: op_col,
+                    message: format!("use of undefined value %{n} in op '{name}'"),
+                })
+            })
+            .collect::<Result<_>>()?;
+
+        // Create the op now so its regions can be built into it; the result
+        // types are read from the signature after them.
+        let placeholders = vec![Type::none(); result_ids.len()];
+        let op = self.module.create_op(
+            name.as_ref(),
+            operands,
+            placeholders,
+            AttrMap::new(),
+            Location::unknown(),
+        );
+        let results = self.module.op(op).results().to_vec();
+        for (&n, &v) in result_ids.iter().zip(&results) {
+            self.bind(n, v);
+        }
+
+        if self.eat(Tok::LParen)? {
             loop {
-                parsed_regions.push(self.parse_region_tokens()?);
-                if !self.eat(&Tok::Comma)? {
+                self.parse_region(op)?;
+                if !self.eat(Tok::Comma)? {
                     break;
                 }
             }
             self.expect(Tok::RParen)?;
         }
 
-        // Attributes.
-        let mut attrs = AttrMap::new();
-        if self.tok == Tok::LBrace {
-            self.advance()?;
-            if self.tok != Tok::RBrace {
-                loop {
-                    let key = match std::mem::replace(&mut self.tok, Tok::Eof) {
-                        Tok::Ident(s) => {
-                            self.advance()?;
-                            s
-                        }
-                        other => {
-                            self.tok = other;
-                            return Err(self.err("expected attribute name"));
-                        }
-                    };
-                    self.expect(Tok::Eq)?;
-                    let val = self.parse_attr()?;
-                    attrs.insert(key, val);
-                    if !self.eat(&Tok::Comma)? {
-                        break;
-                    }
-                }
-            }
-            self.expect(Tok::RBrace)?;
+        if self.eat(Tok::LBrace)? {
+            self.parse_list(Tok::RBrace, |p| {
+                let Tok::Ident(key) = p.tok else {
+                    return Err(p.err("expected attribute name"));
+                };
+                p.advance()?;
+                p.expect(Tok::Eq)?;
+                let val = p.parse_attr()?;
+                p.module.set_attr(op, key, val);
+                Ok(())
+            })?;
         }
 
-        // Function type.
         self.expect(Tok::Colon)?;
-        self.expect(Tok::LParen)?;
-        let mut operand_types = Vec::new();
-        if self.tok != Tok::RParen {
-            loop {
-                operand_types.push(self.parse_type()?);
-                if !self.eat(&Tok::Comma)? {
-                    break;
-                }
-            }
-        }
-        self.expect(Tok::RParen)?;
-        self.expect(Tok::Arrow)?;
-        self.expect(Tok::LParen)?;
-        let mut result_types = Vec::new();
-        if self.tok != Tok::RParen {
-            loop {
-                result_types.push(self.parse_type()?);
-                if !self.eat(&Tok::Comma)? {
-                    break;
-                }
-            }
-        }
-        self.expect(Tok::RParen)?;
+        let (operand_types, result_types) = self.parse_signature()?;
 
-        // Optional location.
-        let mut loc = Location::unknown();
-        if self.tok == Tok::Ident("loc".into()) {
+        if self.tok == Tok::Ident("loc") {
             self.advance()?;
             self.expect(Tok::LParen)?;
-            let file = match std::mem::replace(&mut self.tok, Tok::Eof) {
-                Tok::Str(s) => {
-                    self.advance()?;
-                    s
-                }
-                other => {
-                    self.tok = other;
-                    return Err(self.err("expected file string in loc"));
-                }
+            let Tok::Str(file) = self.tok else {
+                return Err(self.err("expected file string in loc"));
             };
+            self.advance()?;
             self.expect(Tok::Colon)?;
             let line = self.parse_u32()?;
             self.expect(Tok::Colon)?;
             let col = self.parse_u32()?;
             self.expect(Tok::RParen)?;
-            loc = Location::file_line_col(file, line, col);
+            let loc = Location::file_line_col(unescape(file), line, col);
+            self.module.set_loc(op, loc);
         }
 
         if operand_ids.len() != operand_types.len() {
@@ -632,48 +645,61 @@ impl<'a> Parser<'a> {
                 result_types.len()
             )));
         }
-
-        let operands: Vec<ValueId> = operand_ids
-            .iter()
-            .map(|n| {
-                values.get(n).copied().ok_or_else(|| ParseError {
-                    line: op_line,
-                    col: op_col,
-                    message: format!("use of undefined value %{n} in op '{name}'"),
-                })
-            })
-            .collect::<Result<_>>()?;
-
-        let op = module.create_op(name.as_str(), operands, result_types, attrs, loc);
-        for (i, n) in result_ids.iter().enumerate() {
-            values.insert(*n, module.op(op).results()[i]);
+        for (v, ty) in results.into_iter().zip(result_types) {
+            self.module.set_value_type(v, ty);
         }
+        Ok(op)
+    }
 
-        // Materialize regions.
-        for blocks in parsed_regions {
-            let region = module.add_region(op);
-            for pb in blocks {
-                let block =
-                    module.add_block(region, pb.args.iter().map(|(_, t)| t.clone()).collect());
-                for (i, (n, _)) in pb.args.iter().enumerate() {
-                    values.insert(*n, module.block(block).args()[i]);
+    /// region := `{` block* `}` with block := (`^label(` args `):`)? op*,
+    /// built into a new region of `op`. Names bound inside go out of scope
+    /// at its end, whether or not it parsed.
+    fn parse_region(&mut self, op: OpId) -> Result<()> {
+        self.expect(Tok::LBrace)?;
+        let region = self.module.add_region(op);
+        let mark = self.shadowed.len();
+        let blocks = self.parse_blocks(region);
+        self.unbind_to(mark);
+        blocks
+    }
+
+    fn parse_blocks(&mut self, region: RegionId) -> Result<()> {
+        let mut block = None;
+        loop {
+            match self.tok {
+                Tok::RBrace => return self.advance(),
+                Tok::Caret => {
+                    self.advance()?;
+                    self.expect(Tok::LParen)?;
+                    let args = self.parse_list(Tok::RParen, |p| {
+                        let Tok::Percent(n) = p.tok else {
+                            return Err(p.err("expected block argument"));
+                        };
+                        p.advance()?;
+                        p.expect(Tok::Colon)?;
+                        Ok((n, p.parse_type()?))
+                    })?;
+                    self.expect(Tok::Colon)?;
+                    let (names, types): (Vec<usize>, Vec<Type>) = args.into_iter().unzip();
+                    let b = self.module.add_block(region, types);
+                    for (i, n) in names.into_iter().enumerate() {
+                        let v = self.module.block(b).args()[i];
+                        self.bind(n, v);
+                    }
+                    block = Some(b);
                 }
-                for src in pb.ops {
-                    // Captured region text has its own (meaningless)
-                    // coordinates; remap failures to the enclosing op so
-                    // recovery and humans both see a real location.
-                    let remap = |e: ParseError| ParseError {
-                        line: op_line,
-                        col: op_col,
-                        message: format!("in region of '{name}': {}", e.message),
+                Tok::Eof => return Err(self.err("unterminated region")),
+                _ => {
+                    // Ops before any `^label` form an argument-less block.
+                    let b = match block {
+                        Some(b) => b,
+                        None => *block.insert(self.module.add_block(region, Vec::new())),
                     };
-                    let mut sub = Parser::new(&src).map_err(remap)?;
-                    let inner = sub.parse_op(module, values).map_err(remap)?;
-                    module.append_op(block, inner);
+                    let op = self.parse_op()?;
+                    self.module.append_op(b, op);
                 }
             }
         }
-        Ok(op)
     }
 
     fn parse_u32(&mut self) -> Result<u32> {
@@ -686,305 +712,96 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Capture a region's blocks as re-parsable op strings. We re-lex op by op
-    /// because ops must be created in the module *after* their parent op, but
-    /// the grammar nests them inside. Each captured op is a balanced chunk of
-    /// source text.
-    fn parse_region_tokens(&mut self) -> Result<Vec<ParsedBlock>> {
-        self.expect(Tok::LBrace)?;
-        let mut blocks = Vec::new();
-        let mut current = ParsedBlock::default();
-        let mut started = false;
-        loop {
-            match &self.tok {
-                Tok::RBrace => {
-                    self.advance()?;
-                    if started || !current.ops.is_empty() || !current.args.is_empty() {
-                        blocks.push(current);
-                    }
-                    return Ok(blocks);
-                }
-                Tok::Caret => {
-                    if started {
-                        blocks.push(std::mem::take(&mut current));
-                    }
-                    started = true;
-                    self.advance()?;
-                    self.expect(Tok::LParen)?;
-                    if self.tok != Tok::RParen {
-                        loop {
-                            let n = match self.tok {
-                                Tok::Percent(n) => n,
-                                _ => return Err(self.err("expected block argument")),
-                            };
-                            self.advance()?;
-                            self.expect(Tok::Colon)?;
-                            let t = self.parse_type()?;
-                            current.args.push((n, t));
-                            if !self.eat(&Tok::Comma)? {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(Tok::RParen)?;
-                    self.expect(Tok::Colon)?;
-                }
-                Tok::Eof => return Err(self.err("unterminated region")),
-                _ => {
-                    started = true;
-                    current.ops.push(self.capture_op_text()?);
-                }
-            }
-        }
-    }
-
-    /// Capture the source text of one op (including nested regions) starting
-    /// at the current token, by scanning with balanced delimiters until the
-    /// op's trailing function type (and optional loc) ends.
-    fn capture_op_text(&mut self) -> Result<String> {
-        let mut out = String::new();
-        let mut depth = 0usize;
-        // Phase 1: everything up to the ':' that starts the function type at
-        // depth 0.
-        loop {
-            match &self.tok {
-                Tok::Colon if depth == 0 => {
-                    out.push_str(" :");
-                    self.advance()?;
-                    break;
-                }
-                Tok::Eof => return Err(self.err("unterminated operation")),
-                t => {
-                    if matches!(t, Tok::LParen | Tok::LBrace | Tok::LBracket | Tok::Lt) {
-                        depth += 1;
-                    }
-                    if matches!(t, Tok::RParen | Tok::RBrace | Tok::RBracket | Tok::Gt) {
-                        depth = depth
-                            .checked_sub(1)
-                            .ok_or_else(|| self.err("unbalanced delimiters"))?;
-                    }
-                    push_tok(&mut out, t);
-                    self.advance()?;
-                }
-            }
-        }
-        // Phase 2: function type `(...) -> (...)`.
-        for _ in 0..2 {
-            self.capture_balanced_parens(&mut out)?;
-            if self.tok == Tok::Arrow {
-                out.push_str(" ->");
-                self.advance()?;
-            }
-        }
-        // Phase 3: optional `loc(...)`.
-        if self.tok == Tok::Ident("loc".into()) {
-            out.push_str(" loc");
-            self.advance()?;
-            self.capture_balanced_parens(&mut out)?;
-        }
-        Ok(out)
-    }
-
-    fn capture_balanced_parens(&mut self, out: &mut String) -> Result<()> {
-        if self.tok != Tok::LParen {
-            return Err(self.err(format!("expected '(' in op type, found {:?}", self.tok)));
-        }
-        let mut depth = 0usize;
-        loop {
-            match &self.tok {
-                Tok::LParen => depth += 1,
-                Tok::RParen => {
-                    depth -= 1;
-                    if depth == 0 {
-                        push_tok(out, &Tok::RParen);
-                        self.advance()?;
-                        return Ok(());
-                    }
-                }
-                Tok::Eof => return Err(self.err("unbalanced parentheses")),
-                _ => {}
-            }
-            push_tok(out, &self.tok.clone());
-            self.advance()?;
-        }
+    /// `(` types `)` `->` `(` types `)`: an op signature or function type.
+    fn parse_signature(&mut self) -> Result<(Vec<Type>, Vec<Type>)> {
+        self.expect(Tok::LParen)?;
+        let inputs = self.parse_list(Tok::RParen, Self::parse_type)?;
+        self.expect(Tok::Arrow)?;
+        self.expect(Tok::LParen)?;
+        let results = self.parse_list(Tok::RParen, Self::parse_type)?;
+        Ok((inputs, results))
     }
 
     fn parse_attr(&mut self) -> Result<Attribute> {
-        match std::mem::replace(&mut self.tok, Tok::Eof) {
-            Tok::Ident(id) if id == "unit" => {
-                self.advance()?;
-                Ok(Attribute::Unit)
-            }
-            Tok::Ident(id) if id == "true" => {
-                self.advance()?;
-                Ok(Attribute::Bool(true))
-            }
-            Tok::Ident(id) if id == "false" => {
-                self.advance()?;
-                Ok(Attribute::Bool(false))
-            }
+        let attr = match self.tok {
+            Tok::Ident("unit") => Attribute::Unit,
+            Tok::Ident("true") => Attribute::Bool(true),
+            Tok::Ident("false") => Attribute::Bool(false),
             Tok::Int(v) => {
                 self.advance()?;
                 self.expect(Tok::Colon)?;
-                let t = self.parse_type()?;
-                Ok(Attribute::Int(v, t))
+                return Ok(Attribute::Int(v, self.parse_type()?));
             }
             Tok::Float(v) => {
                 self.advance()?;
                 self.expect(Tok::Colon)?;
-                let t = self.parse_type()?;
-                Ok(Attribute::Float(v, t))
+                return Ok(Attribute::Float(v, self.parse_type()?));
             }
-            Tok::Str(s) => {
-                self.advance()?;
-                Ok(Attribute::String(s))
-            }
-            Tok::AtIdent(s) => {
-                self.advance()?;
-                Ok(Attribute::SymbolRef(s))
-            }
+            Tok::Str(s) => Attribute::String(unescape(s).into_owned()),
+            Tok::AtIdent(s) => Attribute::SymbolRef(s.to_string()),
             Tok::LBracket => {
-                self.tok = Tok::LBracket;
                 self.advance()?;
-                let mut elems = Vec::new();
-                if self.tok != Tok::RBracket {
-                    loop {
-                        elems.push(self.parse_attr()?);
-                        if !self.eat(&Tok::Comma)? {
-                            break;
-                        }
-                    }
-                }
-                self.expect(Tok::RBracket)?;
-                Ok(Attribute::Array(elems))
+                return Ok(Attribute::Array(
+                    self.parse_list(Tok::RBracket, Self::parse_attr)?,
+                ));
             }
             Tok::LBrace => {
-                self.tok = Tok::LBrace;
                 self.advance()?;
                 let mut dict = BTreeMap::new();
-                if self.tok != Tok::RBrace {
-                    loop {
-                        let key = match std::mem::replace(&mut self.tok, Tok::Eof) {
-                            Tok::Ident(s) => {
-                                self.advance()?;
-                                s
-                            }
-                            other => {
-                                self.tok = other;
-                                return Err(self.err("expected dict key"));
-                            }
-                        };
-                        self.expect(Tok::Eq)?;
-                        dict.insert(key, self.parse_attr()?);
-                        if !self.eat(&Tok::Comma)? {
-                            break;
-                        }
-                    }
-                }
-                self.expect(Tok::RBrace)?;
-                Ok(Attribute::Dict(dict))
+                self.parse_list(Tok::RBrace, |p| {
+                    let Tok::Ident(key) = p.tok else {
+                        return Err(p.err("expected dict key"));
+                    };
+                    p.advance()?;
+                    p.expect(Tok::Eq)?;
+                    dict.insert(key.to_string(), p.parse_attr()?);
+                    Ok(())
+                })?;
+                return Ok(Attribute::Dict(dict));
             }
-            other => {
-                self.tok = other;
-                let t = self.parse_type()?;
-                Ok(Attribute::Type(t))
-            }
-        }
+            _ => return self.parse_type().map(Attribute::Type),
+        };
+        self.advance()?;
+        Ok(attr)
     }
 
     fn parse_type(&mut self) -> Result<Type> {
-        match std::mem::replace(&mut self.tok, Tok::Eof) {
+        match self.tok {
             Tok::Ident(id) => {
                 self.advance()?;
-                parse_scalar_type_name(&id)
-                    .ok_or_else(|| self.err(format!("unknown type '{id}'")))
-                    .and_then(|t| {
-                        if let Some(t) = t {
-                            return Ok(t);
-                        }
-                        // tuple<...>
-                        if id == "tuple" {
-                            self.expect(Tok::Lt)?;
-                            let mut elems = Vec::new();
-                            if self.tok != Tok::Gt {
-                                loop {
-                                    elems.push(self.parse_type()?);
-                                    if !self.eat(&Tok::Comma)? {
-                                        break;
-                                    }
-                                }
-                            }
-                            self.expect(Tok::Gt)?;
-                            Ok(Type::tuple(elems))
-                        } else {
-                            Err(self.err(format!("unknown type '{id}'")))
-                        }
-                    })
+                if id == "tuple" {
+                    self.expect(Tok::Lt)?;
+                    return Ok(Type::tuple(self.parse_list(Tok::Gt, Self::parse_type)?));
+                }
+                scalar_type(id).ok_or_else(|| self.err(format!("unknown type '{id}'")))
             }
             Tok::BangIdent(full) => {
                 self.advance()?;
                 let (dialect, mnemonic) = full
                     .split_once('.')
                     .ok_or_else(|| self.err(format!("malformed dialect type !{full}")))?;
-                let (dialect, mnemonic) = (dialect.to_string(), mnemonic.to_string());
-                let mut params = Vec::new();
-                if self.tok == Tok::Lt {
-                    self.advance()?;
-                    if self.tok != Tok::Gt {
-                        loop {
-                            params.push(self.parse_attr()?);
-                            if !self.eat(&Tok::Comma)? {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(Tok::Gt)?;
-                }
+                let params = if self.eat(Tok::Lt)? {
+                    self.parse_list(Tok::Gt, Self::parse_attr)?
+                } else {
+                    Vec::new()
+                };
                 Ok(Type::dialect(dialect, mnemonic, params))
             }
             Tok::LParen => {
-                self.tok = Tok::LParen;
-                self.advance()?;
-                let mut inputs = Vec::new();
-                if self.tok != Tok::RParen {
-                    loop {
-                        inputs.push(self.parse_type()?);
-                        if !self.eat(&Tok::Comma)? {
-                            break;
-                        }
-                    }
-                }
-                self.expect(Tok::RParen)?;
-                self.expect(Tok::Arrow)?;
-                self.expect(Tok::LParen)?;
-                let mut results = Vec::new();
-                if self.tok != Tok::RParen {
-                    loop {
-                        results.push(self.parse_type()?);
-                        if !self.eat(&Tok::Comma)? {
-                            break;
-                        }
-                    }
-                }
-                self.expect(Tok::RParen)?;
+                let (inputs, results) = self.parse_signature()?;
                 Ok(Type::function(inputs, results))
             }
-            other => {
-                self.tok = other;
-                Err(self.err(format!("expected type, found {:?}", self.tok)))
-            }
+            _ => Err(self.err(format!("expected type, found {:?}", self.tok))),
         }
     }
 }
 
-/// `Ok(Some(t))` for scalar names, `Ok(None)` for names needing more parsing.
-fn parse_scalar_type_name(id: &str) -> Option<Option<Type>> {
+fn scalar_type(id: &str) -> Option<Type> {
     match id {
-        "index" => return Some(Some(Type::index())),
-        "none" => return Some(Some(Type::none())),
-        "f32" => return Some(Some(Type::f32())),
-        "f64" => return Some(Some(Type::f64())),
-        "tuple" => return Some(None),
+        "index" => return Some(Type::index()),
+        "none" => return Some(Type::none()),
+        "f32" => return Some(Type::f32()),
+        "f64" => return Some(Type::f64()),
         _ => {}
     }
     for (prefix, mk) in [
@@ -995,72 +812,12 @@ fn parse_scalar_type_name(id: &str) -> Option<Option<Type>> {
         if let Some(rest) = id.strip_prefix(prefix) {
             if let Ok(width) = rest.parse::<u32>() {
                 if width > 0 {
-                    return Some(Some(mk(width)));
+                    return Some(mk(width));
                 }
             }
         }
     }
     None
-}
-
-#[derive(Default)]
-struct ParsedBlock {
-    args: Vec<(usize, Type)>,
-    ops: Vec<String>,
-}
-
-fn push_tok(out: &mut String, t: &Tok) {
-    use std::fmt::Write;
-    out.push(' ');
-    match t {
-        Tok::Percent(n) => {
-            let _ = write!(out, "%{n}");
-        }
-        Tok::Str(s) => {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
-        Tok::Int(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Tok::Float(v) => {
-            if v.fract() == 0.0 && v.is_finite() {
-                let _ = write!(out, "{v:.1}");
-            } else {
-                let _ = write!(out, "{v}");
-            }
-        }
-        Tok::Ident(s) => out.push_str(s),
-        Tok::BangIdent(s) => {
-            let _ = write!(out, "!{s}");
-        }
-        Tok::AtIdent(s) => {
-            let _ = write!(out, "@{s}");
-        }
-        Tok::Caret => out.push('^'),
-        Tok::LParen => out.push('('),
-        Tok::RParen => out.push(')'),
-        Tok::LBrace => out.push('{'),
-        Tok::RBrace => out.push('}'),
-        Tok::LBracket => out.push('['),
-        Tok::RBracket => out.push(']'),
-        Tok::Lt => out.push('<'),
-        Tok::Gt => out.push('>'),
-        Tok::Colon => out.push(':'),
-        Tok::Comma => out.push(','),
-        Tok::Eq => out.push('='),
-        Tok::Arrow => out.push_str("->"),
-        Tok::Eof => {}
-    }
 }
 
 #[cfg(test)]
@@ -1109,6 +866,39 @@ mod tests {
     fn undefined_value_is_error() {
         let err = parse_module("\"x.a\"(%7) : (i32) -> ()").unwrap_err();
         assert!(err.message.contains("undefined value %7"), "{err}");
+    }
+
+    #[test]
+    fn utf8_strings_round_trip() {
+        let src = "\"x.c\"() {note = \"café\"} : () -> ()\n";
+        let m = parse_module(src).expect("parse");
+        assert_eq!(
+            m.op(m.top_ops()[0]).attr("note"),
+            Some(&Attribute::String("café".into()))
+        );
+        let printed = print_module(&m);
+        assert!(printed.contains(r#"note = "café""#), "{printed}");
+        assert_eq!(printed, print_module(&parse_module(&printed).unwrap()));
+    }
+
+    #[test]
+    fn region_names_go_out_of_scope_at_its_end() {
+        // `%2` is defined in @f's body; @g must not see it.
+        let src = r#""hir.func"() ({
+^bb(%0: i32, %1: !hir.time):
+  %2 = "hir.add"(%0, %0) : (i32, i32) -> (i32)
+  "hir.return"(%2) : (i32) -> ()
+}) {sym_name = "f"} : () -> ()
+"hir.func"() ({
+^bb(%3: !hir.time):
+  "hir.return"(%2) : (i32) -> ()
+}) {sym_name = "g"} : () -> ()
+"#;
+        let err = parse_module(src).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "8:3: use of undefined value %2 in op 'hir.return'"
+        );
     }
 
     #[test]

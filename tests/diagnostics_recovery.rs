@@ -55,9 +55,28 @@ fn multi_error_file_reports_every_error_in_one_run() {
         assert!(e.line >= 1, "{e}");
         assert!(e.col >= 1, "{e}");
     }
+    let positions: Vec<(u32, u32)> = r.errors.iter().map(|e| (e.line, e.col)).collect();
+    assert_eq!(positions, [(4, 1), (5, 16), (7, 1)]);
     // The recovered module keeps the parseable ops and still prints.
     assert!(r.module.op_count() >= 3);
     let _ = ir::print_module(&r.module);
+}
+
+#[test]
+fn nested_errors_point_at_the_offending_token_once_per_function() {
+    // Three functions, each broken inside a region: an undefined value in a
+    // loop body, an unclosed operand list, and junk after a nested op.
+    let src = std::fs::read_to_string(corpus_dir().join("nested_errors.mlir")).unwrap();
+    let r = ir::parse_module_recover(&src, 0);
+    let got: Vec<String> = r.errors.iter().map(ToString::to_string).collect();
+    assert_eq!(
+        got,
+        [
+            "6:5: use of undefined value %77 in op 'hir.add'",
+            "16:25: expected RParen, found Colon",
+            "21:47: expected quoted op name",
+        ]
+    );
 }
 
 #[test]
