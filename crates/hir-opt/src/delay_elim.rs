@@ -8,7 +8,7 @@
 
 use hir::dialect::{attrkey, opname};
 use hir::ops::DelayOp;
-use ir::{Attribute, Module, OpId, Pass, PassContext, PassResult, ValueId};
+use ir::{Attribute, Module, OpId, Pass, PassContext, PassResult};
 use std::collections::HashMap;
 
 /// The shift-register sharing pass.
@@ -31,9 +31,11 @@ impl Pass for DelaySharePass {
 
     fn run(&mut self, module: &mut Module, _cx: &mut PassContext<'_>) -> PassResult {
         self.registers_saved = 0;
-        // Group delays by (block, input, time, offset).
-        let mut groups: HashMap<(ir::BlockId, ValueId, ValueId, i64), Vec<OpId>> = HashMap::new();
-        for op in module.collect_all_ops() {
+        // Group delays by (block, input, time, offset), each with its index
+        // in the pre-order walk: ops of one group share a block, so walk
+        // order is block order.
+        let mut groups: HashMap<_, Vec<(usize, OpId)>> = HashMap::new();
+        for (pos, op) in module.collect_all_ops().into_iter().enumerate() {
             if !module.is_live(op) {
                 continue;
             }
@@ -46,7 +48,7 @@ impl Pass for DelaySharePass {
             groups
                 .entry((block, d.input(module), d.time(module), d.offset(module)))
                 .or_default()
-                .push(op);
+                .push((pos, op));
         }
         for (_, mut ops) in groups {
             if ops.len() < 2 {
@@ -54,15 +56,16 @@ impl Pass for DelaySharePass {
             }
             // Chain in increasing-delay order; only chain pairs whose
             // textual order already satisfies dominance.
-            ops.sort_by_key(|&o| DelayOp(o).by(module));
+            ops.sort_by_key(|&(_, o)| DelayOp(o).by(module));
             for w in ops.windows(2) {
-                let (prev, cur) = (DelayOp(w[0]), DelayOp(w[1]));
+                let ((prev_pos, prev), (cur_pos, cur)) = (w[0], w[1]);
+                let (prev, cur) = (DelayOp(prev), DelayOp(cur));
                 let by_prev = prev.by(module);
                 let by_cur = cur.by(module);
                 if by_prev == by_cur || by_prev == 0 {
                     continue; // equal delays are CSE's job
                 }
-                if module.position_in_block(prev.id()) >= module.position_in_block(cur.id()) {
+                if prev_pos >= cur_pos {
                     continue;
                 }
                 // cur := delay(prev.result, by_cur - by_prev)

@@ -33,36 +33,16 @@ use ir::{DiagnosticEngine, Module, Pass, PassContext, PassResult, SymbolTable};
 /// Emits diagnostics and returns `Err(error_count)` when schedule errors are
 /// found.
 pub fn verify_schedule(m: &Module, diags: &mut DiagnosticEngine) -> Result<(), usize> {
-    let _span = obs::span("verify_schedule");
-    let before = diags.error_count();
-    let symbols = SymbolTable::build(m);
-    for &top in m.top_ops() {
-        let Some(func) = FuncOp::wrap(m, top) else {
-            continue;
-        };
-        obs::counter_add("verify", "functions", 1);
-        let info = validity::analyze_function(m, func, &symbols, diags);
-        obs::counter_add("verify", "values_analyzed", info.validity.len() as u64);
-        conflict::check_port_conflicts(m, func, &info, diags);
-    }
-    let found = diags.error_count() - before;
-    obs::counter_add("verify", "schedule_errors", found as u64);
-    if found == 0 {
-        Ok(())
-    } else {
-        Err(found)
-    }
+    verify_schedule_with_threads(m, diags, 1)
 }
 
 /// [`verify_schedule`] fanned out over a worker pool: functions are
 /// distributed across `threads` scoped threads (0 = auto via
-/// [`ir::resolve_thread_count`]), each worker verifying against its own
-/// clone of the module (schedule analysis resolves callee signatures
-/// through the symbol table, so every worker needs the whole module — and
-/// [`ir::Module`] is `Send` but deliberately not `Sync`, its layout-stamp
-/// caches are single-threaded). Per-function diagnostics are merged in
-/// module order, so output is byte-identical to the serial path at any
-/// thread count.
+/// [`ir::resolve_thread_count`]). Every worker borrows the one module and
+/// one symbol table, built once per call: schedule analysis resolves callee
+/// signatures through it. With one worker the same per-function check runs
+/// inline. Per-function diagnostics are merged in module order, so output
+/// is byte-identical at any thread count.
 ///
 /// # Errors
 /// Emits diagnostics and returns `Err(error_count)` when schedule errors
@@ -72,52 +52,50 @@ pub fn verify_schedule_with_threads(
     diags: &mut DiagnosticEngine,
     threads: usize,
 ) -> Result<(), usize> {
-    let funcs: Vec<ir::OpId> = m
-        .top_ops()
-        .iter()
-        .copied()
-        .filter(|&t| FuncOp::wrap(m, t).is_some())
-        .collect();
-    let workers = ir::resolve_thread_count(threads).min(funcs.len()).max(1);
-    if workers <= 1 {
-        return verify_schedule(m, diags);
-    }
     let _span = obs::span("verify_schedule");
     let before = diags.error_count();
+    let funcs: Vec<FuncOp> = m
+        .top_ops()
+        .iter()
+        .filter_map(|&t| FuncOp::wrap(m, t))
+        .collect();
+    let symbols = SymbolTable::build(m);
+    let verify_one = |func: FuncOp| {
+        obs::counter_add("verify", "functions", 1);
+        let mut local = DiagnosticEngine::new();
+        let info = validity::analyze_function(m, func, &symbols, &mut local);
+        obs::counter_add("verify", "values_analyzed", info.validity.len() as u64);
+        conflict::check_port_conflicts(m, func, &info, &mut local);
+        local.take()
+    };
     let n = funcs.len();
-    let slots: Vec<std::sync::Mutex<Vec<ir::Diagnostic>>> =
-        (0..n).map(|_| std::sync::Mutex::new(Vec::new())).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let funcs = &funcs;
-            let slots = &slots;
-            let next = &next;
-            let m = m.clone();
-            scope.spawn(move || {
-                let mut span = obs::span_in(format!("worker {w}"), "verify_schedule worker");
-                span.pid_tid(1, ir::WORKER_TID_BASE + w as u32);
-                let symbols = SymbolTable::build(&m);
-                loop {
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if idx >= funcs.len() {
-                        break;
+    let workers = ir::resolve_thread_count(threads).min(n).max(1);
+    let per_func: Vec<Vec<ir::Diagnostic>> = if workers <= 1 {
+        funcs.iter().map(|&func| verify_one(func)).collect()
+    } else {
+        let slots: Vec<std::sync::Mutex<Vec<ir::Diagnostic>>> =
+            (0..n).map(|_| std::sync::Mutex::new(Vec::new())).collect();
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                let (funcs, slots, next, verify_one) = (&funcs, &slots, &next, &verify_one);
+                scope.spawn(move || {
+                    let mut span = obs::span_in(format!("worker {w}"), "verify_schedule worker");
+                    span.pid_tid(1, ir::WORKER_TID_BASE + w as u32);
+                    loop {
+                        let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if idx >= n {
+                            break;
+                        }
+                        *slots[idx].lock().unwrap() = verify_one(funcs[idx]);
                     }
-                    let func = FuncOp::wrap(&m, funcs[idx]).expect("filtered to funcs");
-                    obs::counter_add("verify", "functions", 1);
-                    let mut local = DiagnosticEngine::new();
-                    let info = validity::analyze_function(&m, func, &symbols, &mut local);
-                    obs::counter_add("verify", "values_analyzed", info.validity.len() as u64);
-                    conflict::check_port_conflicts(&m, func, &info, &mut local);
-                    *slots[idx].lock().unwrap() = local.take();
-                }
-            });
-        }
-    });
-    for slot in slots {
-        for d in slot.into_inner().unwrap() {
-            diags.emit(d);
-        }
+                });
+            }
+        });
+        slots.into_iter().map(|s| s.into_inner().unwrap()).collect()
+    };
+    for d in per_func.into_iter().flatten() {
+        diags.emit(d);
     }
     let found = diags.error_count() - before;
     obs::counter_add("verify", "schedule_errors", found as u64);

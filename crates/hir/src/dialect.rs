@@ -342,6 +342,7 @@ fn verify_func(m: &Module, op: OpId, diags: &mut DiagnosticEngine) {
                 "external hir.func requires 'arg_types' and 'result_types'".into(),
             );
         }
+        verify_arg_names(m, op, crate::ops::FuncOp(op).arg_types(m).len(), diags);
         return;
     }
     if data.regions().len() != 1 {
@@ -372,6 +373,28 @@ fn verify_func(m: &Module, op: OpId, diags: &mut DiagnosticEngine) {
             diags,
             "hir.func body must end with hir.return".into(),
         ),
+    }
+    let args = m.block(entry).args().len().saturating_sub(1);
+    verify_arg_names(m, op, args, diags);
+}
+
+/// `arg_names`, when present, must name every argument: codegen indexes it
+/// by argument position.
+fn verify_arg_names(m: &Module, op: OpId, args: usize, diags: &mut DiagnosticEngine) {
+    let Some(names) = crate::ops::FuncOp(op).arg_names(m) else {
+        return;
+    };
+    if names.len() != args {
+        err(
+            m,
+            op,
+            diags,
+            format!(
+                "hir.func @{} has {} 'arg_names' but {args} arguments",
+                crate::ops::FuncOp(op).name(m),
+                names.len()
+            ),
+        );
     }
 }
 
@@ -1075,5 +1098,25 @@ mod tests {
         assert!(CmpPredicate::Lt.eval(-5, 3));
         assert!(!CmpPredicate::Gt.eval(-5, 3));
         assert!(CmpPredicate::Le.eval(3, 3));
+    }
+
+    #[test]
+    fn arg_names_must_name_every_argument() {
+        let verify = |text: &str| {
+            let m = ir::parse_module(text).unwrap();
+            let mut diags = DiagnosticEngine::new();
+            let _ = ir::verify_module(&m, &hir_registry(), &mut diags);
+            diags.render()
+        };
+        let external = |names: &str| {
+            format!(
+                "\"hir.func\"() {{arg_names = [{names}], arg_types = [i32, i32], external = unit, \
+                 result_delays = [], result_types = [], sym_name = \"ext\"}} : () -> ()\n"
+            )
+        };
+        assert!(verify(&external("\"a\", \"b\"")).is_empty());
+        assert!(
+            verify(&external("\"a\"")).contains("hir.func @ext has 1 'arg_names' but 2 arguments")
+        );
     }
 }

@@ -69,4 +69,4 @@ pub use reproducer::{format_reproducer, parse_reproducer, Reproducer, REPRODUCER
 pub use rewrite::{apply_patterns_greedily, RewritePattern, RewriteStats, RewriteStatus, Rewriter};
 pub use symbol::{SymbolTable, SYM_NAME};
 pub use types::{FloatKind, Signedness, Type, TypeKind};
-pub use verifier::{value_visible_at, verify_module};
+pub use verifier::verify_module;

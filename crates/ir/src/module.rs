@@ -14,7 +14,6 @@ use crate::arena::{Arena, Id};
 use crate::attributes::{AttrMap, Attribute};
 use crate::location::Location;
 use crate::types::Type;
-use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::sync::Arc;
 
@@ -205,19 +204,7 @@ pub struct Module {
     blocks: Arena<BlockData>,
     regions: Arena<RegionData>,
     top: Vec<OpId>,
-    /// Bumped by every mutation that changes op placement or order; stamps
-    /// [`Self::pos_cache`] entries so stale positions are never served.
-    layout_stamp: Cell<u64>,
-    /// Lazily-built op-position cache: slot-indexed `(stamp, position)`
-    /// pairs, rebuilt one block at a time on demand. Makes
-    /// [`Module::position_in_block`] (and through it the verifier's
-    /// dominance check) O(1) amortized instead of a linear scan per query.
-    pos_cache: RefCell<Vec<(u64, u32)>>,
 }
-
-/// Stamp value that never matches [`Module::layout_stamp`]: fresh cache
-/// slots start invalid.
-const NEVER_STAMP: u64 = u64::MAX;
 
 impl Module {
     pub fn new() -> Self {
@@ -271,6 +258,12 @@ impl Module {
     pub fn block_parent_op(&self, b: BlockId) -> OpId {
         let r = self.block(b).parent;
         self.region(r).parent
+    }
+
+    /// Exclusive upper bound on op slot indices ([`crate::arena::Id::index`]),
+    /// for side tables indexed by op.
+    pub(crate) fn op_slot_bound(&self) -> usize {
+        self.ops.slot_bound()
     }
 
     /// Iterate over every live op id (unordered).
@@ -367,7 +360,6 @@ impl Module {
     /// Append a detached op to the end of `block`.
     pub fn append_op(&mut self, block: BlockId, op: OpId) {
         assert!(self.op(op).parent.is_none(), "op is already inside a block");
-        self.bump_layout();
         self.ops.get_mut(op).parent = Some(block);
         self.blocks.get_mut(block).ops.push(op);
     }
@@ -375,7 +367,6 @@ impl Module {
     /// Insert a detached op into `block` at position `index`.
     pub fn insert_op(&mut self, block: BlockId, index: usize, op: OpId) {
         assert!(self.op(op).parent.is_none(), "op is already inside a block");
-        self.bump_layout();
         self.ops.get_mut(op).parent = Some(block);
         self.blocks.get_mut(block).ops.insert(index, op);
     }
@@ -393,40 +384,14 @@ impl Module {
         self.insert_op(block, index, op);
     }
 
-    /// Position of an op inside its parent block.
-    ///
-    /// O(1) amortized: answered from [`Self::pos_cache`] when the layout has
-    /// not changed since the op's block was last indexed; a miss re-indexes
-    /// just that block.
+    /// Position of an op inside its parent block: a scan of that block.
     pub fn position_in_block(&self, op: OpId) -> usize {
-        let stamp = self.layout_stamp.get();
-        if let Some(&(s, p)) = self.pos_cache.borrow().get(op.index()) {
-            if s == stamp {
-                return p as usize;
-            }
-        }
         let block = self.op(op).parent.expect("op has no parent block");
-        let mut cache = self.pos_cache.borrow_mut();
-        let bound = self.ops.slot_bound();
-        if cache.len() < bound {
-            cache.resize(bound, (NEVER_STAMP, 0));
-        }
-        for (i, &o) in self.block(block).ops.iter().enumerate() {
-            cache[o.index()] = (stamp, i as u32);
-        }
-        let (s, p) = cache[op.index()];
-        assert!(s == stamp, "op missing from its parent block list");
-        p as usize
-    }
-
-    /// Invalidate [`Self::pos_cache`] after any change to op placement.
-    #[inline]
-    fn bump_layout(&mut self) {
-        let stamp = self.layout_stamp.get();
-        // Wrapping to NEVER_STAMP would validate every stale entry at once;
-        // practically unreachable (2^64 mutations) but cheap to rule out.
-        assert!(stamp < NEVER_STAMP - 1, "layout stamp overflow");
-        self.layout_stamp.set(stamp + 1);
+        self.block(block)
+            .ops
+            .iter()
+            .position(|&o| o == op)
+            .expect("op missing from its parent block list")
     }
 
     // ------------------------------------------------------------- mutation
@@ -480,7 +445,6 @@ impl Module {
 
     /// Detach `op` from its parent block (or the top level) without erasing.
     pub fn detach_op(&mut self, op: OpId) {
-        self.bump_layout();
         match self.op(op).parent {
             Some(block) => {
                 self.blocks.get_mut(block).ops.retain(|&o| o != op);
@@ -531,7 +495,6 @@ impl Module {
                 );
             }
         }
-        self.bump_layout();
         let parents: std::collections::HashSet<Option<BlockId>> =
             doomed.iter().map(|&op| self.op(op).parent).collect();
         for parent in parents {
@@ -617,121 +580,127 @@ impl Module {
 
     // ------------------------------------------------------- extract/splice
 
-    /// Deep-clone the op tree rooted at `root` of `src` into this module,
-    /// returning the new (detached) root op id.
+    /// Move the op tree rooted at `root` out of `src` into this module,
+    /// returning the new (detached) root op id. `src` keeps only emptied
+    /// shells of the moved entities, so callers drop it afterwards.
     ///
     /// The tree must be *isolated from above*: every operand must be defined
     /// by an op or block argument inside the tree (HIR functions satisfy
-    /// this; cross-function references go through symbol attributes). This is
-    /// the primitive behind [`Module::split_top`] / [`Module::splice_top`],
-    /// which hand whole functions to pass-pipeline worker threads as owned
-    /// sub-modules with their own layout-stamp caches.
+    /// this; cross-function references go through symbol attributes).
+    ///
+    /// Ops, values, regions and blocks are allocated in pre-order, and every
+    /// use list is rebuilt in pre-order of its users. Codegen names memories
+    /// after arena indices, so this order is part of the emitted Verilog.
     ///
     /// # Panics
-    /// Panics if an operand of a cloned op is defined outside the tree.
-    pub fn clone_op_from(&mut self, src: &Module, root: OpId) -> OpId {
-        self.bump_layout();
-        let mut value_map: std::collections::HashMap<ValueId, ValueId> =
-            std::collections::HashMap::new();
-        let mut pairs: Vec<(OpId, OpId)> = Vec::new();
-        let new_root = self.clone_structure(src, root, None, &mut value_map, &mut pairs);
-        // Second pass: operands may reference results of ops cloned later in
+    /// Panics if an operand of a moved op is defined outside the tree.
+    fn move_op_from(&mut self, src: &mut Module, root: OpId) -> OpId {
+        let mut value_map = vec![None; src.values.slot_bound()];
+        let mut operands = Vec::new();
+        let new_root = self.move_structure(src, root, None, &mut value_map, &mut operands);
+        // Second pass: operands may reference results of ops moved later in
         // the same region (use-before-def across blocks), so the whole tree's
         // values must exist before any operand list is resolved.
-        for (s, d) in pairs {
-            let operands: Vec<ValueId> = src
-                .op(s)
-                .operands()
-                .iter()
-                .map(|v| {
-                    *value_map
-                        .get(v)
-                        .expect("cloned op tree is not isolated from above")
-                })
-                .collect();
-            for (i, &v) in operands.iter().enumerate() {
-                self.values.get_mut(v).uses.push(Use {
-                    op: d,
-                    operand_index: i,
-                });
+        for (op, mut list) in operands {
+            for (operand_index, v) in list.iter_mut().enumerate() {
+                *v = value_map[v.index()].expect("moved op tree is not isolated from above");
+                self.values.get_mut(*v).uses.push(Use { op, operand_index });
             }
-            self.ops.get_mut(d).operands = operands;
+            self.ops.get_mut(op).operands = list;
         }
         new_root
     }
 
-    /// First clone pass: ops, results, regions, blocks and block arguments,
-    /// recording old→new value mappings. Operands stay empty until pass two.
-    fn clone_structure(
+    /// First move pass: ops, results, regions, blocks and block arguments,
+    /// recording old→new value mappings. Each new op's source operand list
+    /// is queued, in pre-order, for pass two.
+    fn move_structure(
         &mut self,
-        src: &Module,
+        src: &mut Module,
         op: OpId,
         parent: Option<BlockId>,
-        value_map: &mut std::collections::HashMap<ValueId, ValueId>,
-        pairs: &mut Vec<(OpId, OpId)>,
+        value_map: &mut [Option<ValueId>],
+        operands: &mut Vec<(OpId, Vec<ValueId>)>,
     ) -> OpId {
-        let sd = src.op(op);
-        let name = sd.name().clone();
-        let attrs = sd.attrs().clone();
-        let loc = sd.loc().clone();
+        let sd = src.ops.get_mut(op);
+        let mut results = std::mem::take(&mut sd.results);
+        let regions = std::mem::take(&mut sd.regions);
         let id = self.ops.alloc(OpData {
-            name,
+            name: sd.name.clone(),
             operands: Vec::new(),
             results: Vec::new(),
-            attrs,
+            attrs: std::mem::take(&mut sd.attrs),
             regions: Vec::new(),
-            loc,
+            loc: std::mem::take(&mut sd.loc),
             parent,
         });
-        let results: Vec<ValueId> = src
-            .op(op)
-            .results()
-            .iter()
-            .enumerate()
-            .map(|(index, &r)| {
-                let nv = self.values.alloc(ValueData {
-                    ty: src.value(r).ty().clone(),
-                    def: ValueDef::OpResult { op: id, index },
-                    uses: Vec::new(),
-                });
-                value_map.insert(r, nv);
-                nv
-            })
-            .collect();
+        operands.push((id, std::mem::take(&mut sd.operands)));
+        self.move_values(src, &mut results, value_map, |index| ValueDef::OpResult {
+            op: id,
+            index,
+        });
         self.ops.get_mut(id).results = results;
-        pairs.push((op, id));
-        for &r in src.op(op).regions() {
+        for r in regions {
             let nr = self.add_region(id);
-            for &b in src.region(r).blocks() {
-                let arg_types: Vec<Type> = src
-                    .block(b)
-                    .args()
-                    .iter()
-                    .map(|&a| src.value(a).ty().clone())
-                    .collect();
-                let nb = self.add_block(nr, arg_types);
-                for (&old, &new) in src.block(b).args().iter().zip(self.block(nb).args()) {
-                    value_map.insert(old, new);
+            for b in std::mem::take(&mut src.regions.get_mut(r).blocks) {
+                let sb = src.blocks.get_mut(b);
+                let mut args = std::mem::take(&mut sb.args);
+                let mut ops = std::mem::take(&mut sb.ops);
+                let nb = self.blocks.alloc(BlockData {
+                    args: Vec::new(),
+                    ops: Vec::new(),
+                    parent: nr,
+                });
+                self.move_values(src, &mut args, value_map, |index| ValueDef::BlockArg {
+                    block: nb,
+                    index,
+                });
+                self.regions.get_mut(nr).blocks.push(nb);
+                for o in &mut ops {
+                    *o = self.move_structure(src, *o, Some(nb), value_map, operands);
                 }
-                for &o in src.block(b).ops() {
-                    let no = self.clone_structure(src, o, Some(nb), value_map, pairs);
-                    self.blocks.get_mut(nb).ops.push(no);
-                }
+                let nbd = self.blocks.get_mut(nb);
+                nbd.args = args;
+                nbd.ops = ops;
             }
         }
         id
     }
 
+    /// Allocate a fresh value for each of `values` in order, record the
+    /// mapping, and rewrite `values` to the new ids.
+    fn move_values(
+        &mut self,
+        src: &Module,
+        values: &mut [ValueId],
+        value_map: &mut [Option<ValueId>],
+        def: impl Fn(usize) -> ValueDef,
+    ) {
+        for (index, v) in values.iter_mut().enumerate() {
+            let nv = self.values.alloc(ValueData {
+                ty: src.value(*v).ty.clone(),
+                def: def(index),
+                uses: Vec::new(),
+            });
+            value_map[v.index()] = Some(nv);
+            *v = nv;
+        }
+    }
+
     /// Split each top-level op into its own freshly-arena'd module, in
-    /// module order. Sub-modules are `Send`, own all their storage, and carry
-    /// fresh layout-stamp caches, so a worker pool can run pass pipelines
-    /// over them concurrently with no shared state.
+    /// module order. Sub-modules own all their storage, so a worker pool can
+    /// run pass pipelines over them concurrently with no shared state.
     pub fn split_top(&self) -> Vec<Module> {
-        self.top
-            .iter()
-            .map(|&t| {
+        self.clone().split_top_owned()
+    }
+
+    /// [`Module::split_top`] that moves the ops instead of copying them.
+    pub(crate) fn split_top_owned(mut self) -> Vec<Module> {
+        std::mem::take(&mut self.top)
+            .into_iter()
+            .map(|t| {
                 let mut sub = Module::new();
-                let op = sub.clone_op_from(self, t);
+                let op = sub.move_op_from(&mut self, t);
                 sub.top.push(op);
                 sub
             })
@@ -743,10 +712,15 @@ impl Module {
     /// [`Module::split_top`] (up to arena ids; the printed form is
     /// identical because value names are assigned positionally).
     pub fn splice_top(subs: &[Module]) -> Module {
+        Self::splice_top_owned(subs.to_vec())
+    }
+
+    /// [`Module::splice_top`] that moves the ops instead of copying them.
+    pub(crate) fn splice_top_owned(subs: Vec<Module>) -> Module {
         let mut m = Module::new();
-        for sub in subs {
-            for &t in sub.top_ops() {
-                let op = m.clone_op_from(sub, t);
+        for mut sub in subs {
+            for t in std::mem::take(&mut sub.top) {
+                let op = m.move_op_from(&mut sub, t);
                 m.top.push(op);
             }
         }
@@ -1191,7 +1165,19 @@ mod tests {
 
     #[test]
     fn split_splice_roundtrips_printed_form() {
-        let m = two_func_module();
+        let mut m = two_func_module();
+        // Leave `alpha`'s constant with a use list out of pre-order
+        // (`t.use` before `t.add`), which the rebuild must put back in order.
+        let add = m
+            .collect_all_ops()
+            .into_iter()
+            .find(|&o| m.op(o).name().as_str() == "t.add")
+            .unwrap();
+        let (arg, cv) = (m.op(add).operands()[0], m.op(add).operands()[1]);
+        m.set_operand(add, 1, arg);
+        m.set_operand(add, 1, cv);
+        assert!(m.value(cv).uses()[0].op != add);
+
         let subs = m.split_top();
         assert_eq!(subs.len(), 2);
         for sub in &subs {
@@ -1203,16 +1189,42 @@ mod tests {
             crate::printer::print_module(&merged)
         );
         assert_eq!(m.op_count(), merged.op_count());
+        // Rebuilt op ids follow pre-order exactly: codegen names memories
+        // after op indices.
+        let pre = merged.collect_all_ops();
+        assert_eq!(
+            pre.iter().map(|o| o.index()).collect::<Vec<_>>(),
+            (0..merged.op_count()).collect::<Vec<_>>()
+        );
+        // Every use list names its users in pre-order.
+        for &op in &pre {
+            let data = merged.op(op);
+            let block_args = data
+                .regions()
+                .iter()
+                .flat_map(|&r| merged.region(r).blocks())
+                .flat_map(|&b| merged.block(b).args());
+            for &v in data.results().iter().chain(block_args) {
+                let users: Vec<_> = merged
+                    .value(v)
+                    .uses()
+                    .iter()
+                    .map(|u| (u.op.index(), u.operand_index))
+                    .collect();
+                assert!(users.windows(2).all(|w| w[0] < w[1]), "{users:?}");
+            }
+        }
     }
 
     #[test]
-    fn clone_op_from_rebuilds_use_def_chains() {
+    fn move_op_from_rebuilds_use_def_chains() {
         let m = two_func_module();
+        let mut src = m.clone();
         let mut dst = mk();
-        let root = dst.clone_op_from(&m, m.top_ops()[0]);
+        let root = dst.move_op_from(&mut src, m.top_ops()[0]);
         dst.push_top(root);
-        // Every operand in the clone must be a live value whose use list
-        // points back at the using op.
+        // Every operand in the moved tree must be a live value whose use
+        // list points back at the using op.
         for op in dst.collect_ops(root) {
             for (i, &v) in dst.op(op).operands().iter().enumerate() {
                 assert!(dst
@@ -1222,17 +1234,23 @@ mod tests {
                     .any(|u| u.op == op && u.operand_index == i));
             }
         }
-        // Mutating the clone leaves the source untouched.
+        let mut alone = m.clone();
+        alone.erase_op(m.top_ops()[1]);
+        assert_eq!(
+            crate::printer::print_module(&dst),
+            crate::printer::print_module(&alone)
+        );
+        // The moved tree is fully owned by its new module.
         let ops = dst.collect_ops(root);
         let last = *ops.last().unwrap();
         dst.detach_op(last);
         dst.erase_op(last);
-        assert_eq!(m.op_count(), 2 * 5);
+        assert_eq!(dst.op_count(), 4);
     }
 
     #[test]
     #[should_panic(expected = "isolated from above")]
-    fn clone_non_isolated_tree_panics() {
+    fn move_non_isolated_tree_panics() {
         let mut m = mk();
         let c = m.create_op(
             "t.const",
@@ -1253,7 +1271,7 @@ mod tests {
         m.push_top(user);
         let mut dst = mk();
         // `user` references a value defined outside its own tree.
-        dst.clone_op_from(&m, user);
+        dst.move_op_from(&mut m, user);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! through symbol attributes, never through SSA values — which is exactly
 //! the property MLIR's pass manager exploits to run per-function pipelines
 //! concurrently. [`FunctionPipeline`] does the same with nothing but the
-//! standard library: it splits a module's top-level ops into owned
+//! standard library: it moves a module's top-level ops into owned
 //! per-function sub-modules ([`Module::split_top`]), runs a pass pipeline
-//! over them on a `std::thread::scope` worker pool, and splices the results
+//! over them on a `std::thread::scope` worker pool, and moves the results
 //! back in original order ([`Module::splice_top`]).
 //!
 //! ## Determinism
@@ -22,7 +22,7 @@
 //!   function 0's pipeline, then all of function 1's, …" — the same order
 //!   the single-threaded path produces, because the single-threaded path is
 //!   the same code with one inline worker;
-//! * sub-modules print identically to the functions they were cloned from
+//! * sub-modules print identically to the functions they were moved from
 //!   (value names are assigned positionally), so the spliced module prints
 //!   identically to what serial execution would leave behind.
 //!
@@ -198,16 +198,20 @@ impl FunctionPipeline {
         self.reproducer_written = None;
         self.remarks.clear();
 
-        let subs = module.split_top();
-        let n = subs.len();
+        let n = module.top_ops().len();
         let workers = resolve_thread_count(self.threads).min(n.max(1));
         let mut outer = obs::span("function-pipeline");
         outer.arg("functions", n).arg("workers", workers);
+        let subs = {
+            let _span = obs::span("split");
+            std::mem::take(module).split_top_owned()
+        };
 
-        let mut outcomes: Vec<Option<FuncOutcome>> = Vec::with_capacity(n);
+        let pool = obs::span("workers");
+        let mut outcomes: Vec<FuncOutcome> = Vec::with_capacity(n);
         if workers <= 1 {
             for (idx, sub) in subs.into_iter().enumerate() {
-                outcomes.push(Some(self.run_one(sub, idx, 0, registry)));
+                outcomes.push(self.run_one(sub, idx, 0, registry));
             }
         } else {
             let slots: Vec<Mutex<Option<Module>>> =
@@ -232,20 +236,24 @@ impl FunctionPipeline {
             });
             outcomes.extend(
                 done.into_iter()
-                    .map(|m| Some(m.into_inner().unwrap().expect("worker completed slot"))),
+                    .map(|m| m.into_inner().unwrap().expect("worker completed slot")),
             );
         }
+        drop(pool);
 
         // Deterministic merge: everything below iterates in module order.
-        let processed: Vec<Module> = outcomes
-            .iter_mut()
-            .map(|o| std::mem::take(&mut o.as_mut().expect("outcome").sub))
-            .collect();
-        *module = Module::splice_top(&processed);
+        {
+            let _span = obs::span("splice");
+            let processed: Vec<Module> = outcomes
+                .iter_mut()
+                .map(|o| std::mem::take(&mut o.sub))
+                .collect();
+            *module = Module::splice_top_owned(processed);
+        }
 
+        let merge = obs::span("merge");
         let mut first_error: Option<(usize, PipelineError, Option<String>)> = None;
         for (idx, outcome) in outcomes.into_iter().enumerate() {
-            let outcome = outcome.expect("outcome");
             for d in outcome.diags {
                 diags.emit(d);
             }
@@ -265,6 +273,7 @@ impl FunctionPipeline {
                 error: outcome.error,
             });
         }
+        drop(merge);
         drop(outer);
 
         match first_error {
@@ -423,10 +432,12 @@ impl std::fmt::Debug for FunctionPipeline {
     }
 }
 
-/// `&DialectRegistry` is shared across the worker pool.
+/// `&DialectRegistry` is shared across the worker pool, and `&Module` across
+/// the schedule verifier's.
 const _: () = {
     const fn assert_sync<T: Sync>() {}
-    assert_sync::<DialectRegistry>()
+    assert_sync::<DialectRegistry>();
+    assert_sync::<Module>()
 };
 
 impl PassManager {

@@ -19,8 +19,23 @@ pub fn verify_module(
     diags: &mut DiagnosticEngine,
 ) -> Result<(), usize> {
     let before = diags.error_count();
+    // Every op's index in its block, numbered once for the dominance test.
+    let mut positions = vec![0u32; module.op_slot_bound()];
     for &top in module.top_ops() {
-        verify_op_tree(module, registry, top, diags);
+        module.walk(top, &mut |op| {
+            for &r in module.op(op).regions() {
+                for &b in module.region(r).blocks() {
+                    for (i, &o) in module.block(b).ops().iter().enumerate() {
+                        positions[o.index()] = i as u32;
+                    }
+                }
+            }
+        });
+    }
+    for &top in module.top_ops() {
+        module.walk(top, &mut |op| {
+            verify_single_op(module, registry, &positions, op, diags);
+        });
     }
     let found = diags.error_count() - before;
     if found == 0 {
@@ -30,20 +45,10 @@ pub fn verify_module(
     }
 }
 
-fn verify_op_tree(
-    module: &Module,
-    registry: &DialectRegistry,
-    root: OpId,
-    diags: &mut DiagnosticEngine,
-) {
-    module.walk(root, &mut |op| {
-        verify_single_op(module, registry, op, diags);
-    });
-}
-
 fn verify_single_op(
     module: &Module,
     registry: &DialectRegistry,
+    positions: &[u32],
     op: OpId,
     diags: &mut DiagnosticEngine,
 ) {
@@ -106,7 +111,7 @@ fn verify_single_op(
 
     // SSA visibility for each operand.
     for (i, &operand) in data.operands().iter().enumerate() {
-        if !value_visible_at(module, operand, op) {
+        if !value_visible_at(module, positions, operand, op) {
             diags.emit(Diagnostic::error(
                 data.loc().clone(),
                 format!("operand #{i} of '{name}' does not dominate its use"),
@@ -127,7 +132,9 @@ fn verify_single_op(
 ///   nested in regions of those later ops;
 /// * a block argument is visible to all ops in that block and anything nested
 ///   within them.
-pub fn value_visible_at(module: &Module, value: ValueId, user: OpId) -> bool {
+///
+/// `positions` holds each op's index in its block (see [`verify_module`]).
+fn value_visible_at(module: &Module, positions: &[u32], value: ValueId, user: OpId) -> bool {
     match module.value(value).def() {
         ValueDef::OpResult { op: def_op, .. } => {
             let Some(def_block) = module.op(def_op).parent() else {
@@ -139,7 +146,7 @@ pub fn value_visible_at(module: &Module, value: ValueId, user: OpId) -> bool {
             loop {
                 match module.op(cur).parent() {
                     Some(b) if b == def_block => {
-                        return module.position_in_block(def_op) < module.position_in_block(cur);
+                        return positions[def_op.index()] < positions[cur.index()];
                     }
                     Some(b) => cur = module.block_parent_op(b),
                     None => return false,

@@ -92,6 +92,31 @@ fn call_arity_mismatch_is_a_schedule_diagnostic() {
 }
 
 #[test]
+fn short_arg_names_are_a_verifier_diagnostic() {
+    // Reduced from `hirc-fuzz --iters=1400 --check-sim=8` at seeds 2 and 7:
+    // an hir.func naming fewer arguments than it has used to panic codegen.
+    let root = env!("CARGO_MANIFEST_DIR");
+    for (name, want) in [
+        (
+            "arg_names_short_call",
+            "hir.func @f1 has 2 'arg_names' but 3 arguments",
+        ),
+        (
+            "arg_names_short_transpose",
+            "hir.func @transpose has 1 'arg_names' but 2 arguments",
+        ),
+    ] {
+        let out = hirc()
+            .arg(format!("{root}/tests/corpus/regressions/{name}.mlir"))
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(err.contains(want), "{name}: {err}");
+    }
+}
+
+#[test]
 fn optimize_flag_runs_pipeline_and_output_still_compiles() {
     let dir = std::env::temp_dir().join("hirc_test_opt");
     std::fs::create_dir_all(&dir).unwrap();
@@ -270,6 +295,15 @@ fn profile_emits_valid_chrome_trace_with_one_span_per_pass() {
         .map(|e| format!("{:?}", e.get("tid").unwrap()))
         .collect();
     assert_eq!(tids.len(), 1, "pass spans share the opt track");
+    // The function pipeline's time outside the passes is attributed too.
+    let span_names: std::collections::BTreeSet<&str> = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
+        .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
+        .collect();
+    for name in ["function-pipeline", "split", "workers", "splice", "merge"] {
+        assert!(span_names.contains(name), "missing span '{name}'");
+    }
     let track_names: Vec<&str> = events
         .iter()
         .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("M"))
