@@ -319,4 +319,45 @@ mod tests {
         );
         assert_eq!(cs[0].get("name").unwrap().as_str(), Some("sched/dirty"));
     }
+
+    #[test]
+    fn counter_trace_bytes_are_pinned() {
+        let mut pinned = record("worker 0", "@f pipeline", 1_500, 250);
+        pinned.pid_tid = Some((1, 7));
+        let spans = vec![record("sim", "run", 0, 10_000), pinned];
+        let counters = vec![
+            CounterPoint {
+                track: "sched/dirty".into(),
+                ts_ns: 4_000,
+                series: vec![("cones".into(), 3), ("nets".into(), 12)],
+                pid_tid: Some((2, 9)),
+            },
+            CounterPoint {
+                track: "sched/dirty".into(),
+                ts_ns: 1_000,
+                series: vec![("cones".into(), 5)],
+                pid_tid: None,
+            },
+        ];
+        let want = concat!(
+            "{\"traceEvents\":[\n",
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"sim"}},"#,
+            "\n",
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":7,"args":{"name":"worker 0"}},"#,
+            "\n",
+            r#"{"name":"run","cat":"sim","ph":"X","ts":0.000,"dur":10.000,"pid":1,"tid":1,"args":{"k":"v\"1"}},"#,
+            "\n",
+            r#"{"name":"@f pipeline","cat":"worker 0","ph":"X","ts":1.500,"dur":0.250,"pid":1,"tid":7,"args":{"k":"v\"1"}},"#,
+            "\n",
+            r#"{"name":"sched/dirty","ph":"C","ts":1.000,"pid":1,"tid":0,"args":{"cones":5}},"#,
+            "\n",
+            r#"{"name":"sched/dirty","ph":"C","ts":4.000,"pid":2,"tid":9,"args":{"cones":3,"nets":12}}"#,
+            "\n],\"displayTimeUnit\":\"ms\"}\n"
+        );
+        assert_eq!(chrome_trace_with_counters(&spans, &counters), want);
+        assert_eq!(
+            chrome_trace(&[]),
+            "{\"traceEvents\":[\n\n],\"displayTimeUnit\":\"ms\"}\n"
+        );
+    }
 }
