@@ -326,9 +326,9 @@ fn main() {
         share[0].2,
         share[1].2,
         share[2].2,
-        sched.net_wake_walk.to_json(),
-        sched.mem_wake_walk.to_json(),
-        sched.dirty_cones.to_json(),
+        obs::json::to_string(&sched.net_wake_walk),
+        obs::json::to_string(&sched.mem_wake_walk),
+        obs::json::to_string(&sched.dirty_cones),
     );
     let doc = format!(
         "{{\n  \"gemm_n\": {n},\n  \"reps\": {reps},\n  \"tape\": {{\"assigns\":{},\"settle_tape\":{},\"always\":{},\"step_tape\":{},\"regs\":{}}},\n  \"build\": {{\"reps\":{},\"harness_new_ns\":{},\"set_engine_event_ns\":{},\"harness_new_batched_ns\":{}}},\n  \"engines\": [\n{}\n  ],\n  \"speedup_bytecode_vs_treewalk\": {:.2},\n  \"speedup_event_vs_bytecode\": {:.2},\n  \"speedup_batched_lane_cycles_vs_bytecode\": {:.2},\n  \"telemetry\": {{\"overhead_pct\":{:.1},\"overhead_pct_bytecode\":{:.1},\"toggle_coverage\":{:.6}}},\n  \"quiescence\": {{\"overall\":{:.6},\"worst_cone\":\"{}\",\"worst_fraction\":{:.6}}},\n  \"sched\": {}\n}}\n",

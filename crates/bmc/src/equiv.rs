@@ -31,6 +31,8 @@ use hir::types::MemrefInfo;
 use hir_codegen::testbench::{Harness, HarnessArg, HarnessReport};
 use hir_codegen::{bus, extern_stubs, generate_design, module_name, CodegenOptions};
 use ir::Module;
+use obs::json::{Json, Writer};
+use obs::json_object;
 use std::time::{Duration, Instant};
 use verilog::tsys::{lower, TransitionSystem};
 use verilog::Design;
@@ -171,46 +173,25 @@ pub struct SolverStats {
     pub replay_ms: u64,
 }
 
-impl SolverStats {
-    /// Strict single-line JSON object (no trailing newline); embeddable in
-    /// a larger report. `*_ms` fields are wall clock and vary run to run;
-    /// every other field is deterministic.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push_str(&format!(
-            "{{\"conflicts\":{},\"decisions\":{},\"propagations\":{},\"restarts\":{},\
-             \"clauses\":{},\"vars\":{}",
-            self.conflicts,
-            self.decisions,
-            self.propagations,
-            self.restarts,
-            self.clauses,
-            self.vars
-        ));
-        s.push_str(&format!(
-            ",\"blast_cache\":{{\"hits\":{},\"misses\":{}}}",
-            self.blast_cache_hits, self.blast_cache_misses
-        ));
-        s.push_str(&format!(",\"learnt_len\":{}", self.learnt_len.to_json()));
-        s.push_str(&format!(
-            ",\"decision_depth\":{}",
-            self.decision_depth.to_json()
-        ));
-        s.push_str(",\"frames\":[");
-        for (i, f) in self.frames.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"cycle\":{},\"clauses_added\":{},\"vars_added\":{}}}",
-                f.cycle, f.clauses_added, f.vars_added
-            ));
-        }
-        s.push_str(&format!(
-            "],\"phase_ms\":{{\"lower\":{},\"blast\":{},\"solve\":{},\"replay\":{}}}}}",
-            self.lower_ms, self.blast_ms, self.solve_ms, self.replay_ms
-        ));
-        s
+/// Strict single-line JSON object, embedded in the equivalence report.
+/// `*_ms` fields are wall clock and vary run to run; every other field is
+/// deterministic.
+impl Json for SolverStats {
+    fn write_json(&self, w: &mut Writer) {
+        json_object!(w, {
+            "conflicts": self.conflicts, "decisions": self.decisions,
+            "propagations": self.propagations, "restarts": self.restarts,
+            "clauses": self.clauses, "vars": self.vars,
+            "blast_cache": {"hits": self.blast_cache_hits, "misses": self.blast_cache_misses},
+            "learnt_len": self.learnt_len, "decision_depth": self.decision_depth,
+            "frames": [for f in &self.frames => {
+                "cycle": f.cycle, "clauses_added": f.clauses_added, "vars_added": f.vars_added,
+            }],
+            "phase_ms": {
+                "lower": self.lower_ms, "blast": self.blast_ms,
+                "solve": self.solve_ms, "replay": self.replay_ms,
+            },
+        });
     }
 }
 

@@ -5,6 +5,8 @@
 //! the tallies into a machine-readable JSON report plus a human table for
 //! `hirc --resource-report`.
 
+use obs::json::{Json, Writer};
+use obs::json_object;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -105,50 +107,23 @@ impl FuncResources {
             .sum();
         self.instances = vm.instances.len() as u64;
     }
+}
 
-    fn json_into(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"function\":\"{}\",\"module\":\"{}\",\"registers\":{},\
-             \"register_bits\":{},\"delay_lines\":{},\"delay_line_bits\":{},\
-             \"pulse_regs\":{},\"loops\":{},\"memories\":{},\"memory_bits\":{},\
-             \"instances\":{}",
-            obs::json::escape(&self.function),
-            obs::json::escape(&self.module),
-            self.registers,
-            self.register_bits,
-            self.delay_lines,
-            self.delay_line_bits,
-            self.pulse_regs,
-            self.loops,
-            self.memories,
-            self.memory_bits,
-            self.instances,
-        );
-        for (key, map) in [("arith", &self.arith), ("mem_ports", &self.mem_ports)] {
-            let _ = write!(out, ",\"{key}\":{{");
-            for (i, (k, v)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":{}", obs::json::escape(k), v);
-            }
-            out.push('}');
-        }
-        out.push_str(",\"unit_nets\":[");
-        for (i, u) in self.unit_nets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"unit\":\"{}\",\"net\":\"{}\",\"mode\":\"{}\"}}",
-                obs::json::escape(&u.unit),
-                obs::json::escape(&u.net),
-                u.mode.label()
-            );
-        }
-        out.push_str("]}");
+impl Json for FuncResources {
+    fn write_json(&self, w: &mut Writer) {
+        json_object!(w, {
+            "function": self.function, "module": self.module,
+            "registers": self.registers, "register_bits": self.register_bits,
+            "delay_lines": self.delay_lines, "delay_line_bits": self.delay_line_bits,
+            "pulse_regs": self.pulse_regs, "loops": self.loops,
+            "memories": self.memories, "memory_bits": self.memory_bits,
+            "instances": self.instances,
+            "arith": {for (k, n) in &self.arith => k: n},
+            "mem_ports": {for (k, n) in &self.mem_ports => k: n},
+            "unit_nets": [for u in &self.unit_nets => {
+                "unit": u.unit, "net": u.net, "mode": u.mode.label(),
+            }],
+        });
     }
 }
 
@@ -160,21 +135,15 @@ pub struct ResourceReport {
     pub functions: Vec<FuncResources>,
 }
 
-impl ResourceReport {
-    /// Strict JSON encoding (accepted by `obs::json::parse`), newline
-    /// terminated.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"functions\":[");
-        for (i, f) in self.functions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            f.json_into(&mut out);
-        }
-        out.push_str("]}\n");
-        out
+/// Strict JSON (newline-terminated as a report file), accepted by
+/// `obs::json::parse`.
+impl Json for ResourceReport {
+    fn write_json(&self, w: &mut Writer) {
+        json_object!(w, {"functions": self.functions});
     }
+}
 
+impl ResourceReport {
     /// Human-readable table for terminal output.
     pub fn table(&self) -> String {
         let mut out = String::new();
@@ -244,7 +213,7 @@ mod tests {
         f.registers = 7;
         f.register_bits = 35;
         let report = ResourceReport { functions: vec![f] };
-        let json = report.to_json();
+        let json = obs::json::document(&report);
         let v = obs::json::parse(&json).expect("strict parse");
         let funcs = v
             .get("functions")

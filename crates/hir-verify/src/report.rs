@@ -12,6 +12,8 @@
 
 use hir::ops::{self, CallOp, DelayOp, ForOp, FuncOp, MemReadOp, UnrollForOp};
 use ir::{Module, OpId, SymbolTable, ValueId};
+use obs::json::{Json, Writer};
+use obs::json_object;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -190,62 +192,22 @@ fn latency_of(m: &Module, op: OpId, symbols: &SymbolTable) -> i64 {
     0
 }
 
-impl ScheduleReport {
-    /// Strict-parser-compatible JSON document (one object, trailing newline).
-    pub fn to_json(&self) -> String {
-        let esc = obs::json::escape;
-        let mut out = String::from("{\"functions\":[");
-        for (fi, f) in self.functions.iter().enumerate() {
-            if fi > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"pipeline_depth\":{},\"result_delays\":[{}],\"loops\":[",
-                esc(&f.name),
-                f.pipeline_depth,
-                f.result_delays
-                    .iter()
-                    .map(i64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-            for (li, l) in f.loops.iter().enumerate() {
-                if li > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"root\":\"{}\",\"loc\":\"{}\",\"ii\":{}}}",
-                    esc(&l.root),
-                    esc(&l.loc),
-                    match l.ii {
-                        Some(ii) => ii.to_string(),
-                        None => "null".to_string(),
-                    }
-                );
-            }
-            out.push_str("],\"ops\":[");
-            for (oi, o) in f.ops.iter().enumerate() {
-                if oi > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"op\":\"{}\",\"loc\":\"{}\",\"root\":\"{}\",\"offset\":{},\"latency\":{}}}",
-                    esc(&o.op),
-                    esc(&o.loc),
-                    esc(&o.root),
-                    o.offset,
-                    o.latency
-                );
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}\n");
-        out
+/// Strict-parser-compatible JSON (newline-terminated as a report file).
+impl Json for ScheduleReport {
+    fn write_json(&self, w: &mut Writer) {
+        json_object!(w, {
+            "functions": [for f in &self.functions => {
+                "name": f.name, "pipeline_depth": f.pipeline_depth, "result_delays": f.result_delays,
+                "loops": [for l in &f.loops => {"root": l.root, "loc": l.loc, "ii": l.ii}],
+                "ops": [for o in &f.ops => {
+                    "op": o.op, "loc": o.loc, "root": o.root, "offset": o.offset, "latency": o.latency,
+                }],
+            }],
+        });
     }
+}
 
+impl ScheduleReport {
     /// ASCII Gantt view: one row per scheduled op, bars positioned at the
     /// op's offset on its root's timeline.
     pub fn gantt(&self) -> String {
@@ -438,7 +400,7 @@ mod tests {
     fn json_parses_strictly_and_gantt_renders() {
         let m = mac_module();
         let report = schedule_report(&m);
-        let json = report.to_json();
+        let json = obs::json::document(&report);
         let v = obs::json::parse(&json).expect("strict parse");
         let funcs = v
             .as_object()

@@ -528,7 +528,7 @@ mod tests {
         assert!(run.telemetry.cycles > 0);
         let sched = run.sched.expect("sched stats were requested");
         assert!(sched.cycles > 0);
-        obs::json::parse(&sched.to_json()).expect("strict sched-stats JSON");
+        obs::json::parse(&obs::json::document(&sched)).expect("strict sched-stats JSON");
         assert!(
             run.telemetry
                 .units
@@ -537,7 +537,7 @@ mod tests {
             "unit utilization should include the adder: {:?}",
             run.telemetry.units
         );
-        obs::json::parse(&run.telemetry.to_json()).expect("strict telemetry JSON");
+        obs::json::parse(&obs::json::document(&run.telemetry)).expect("strict telemetry JSON");
         let trace = run.trace.expect("trace was requested");
         obs::json::parse(&trace).expect("strict trace JSON");
     }

@@ -283,5 +283,5 @@ fn bmc_refutes_miscompiled_benchmark() {
     // Structural hashing lets a frame reuse the previous frame's gates
     // wholesale (clauses_added == 0); at least one frame must build CNF.
     assert!(st.frames.iter().any(|f| f.clauses_added > 0));
-    obs::json::parse(&st.to_json()).expect("strict solver-stats JSON");
+    obs::json::parse(&obs::json::to_string(st)).expect("strict solver-stats JSON");
 }

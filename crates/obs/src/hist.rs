@@ -10,13 +10,15 @@
 //! * **Mergeable** — [`Histogram::merge`] is commutative and associative
 //!   (sums, mins, maxes), so per-worker histograms merged in module/worker
 //!   order produce byte-identical output at any `--threads` value.
-//! * **Strict JSON** — [`Histogram::to_json`] emits a single-line object
+//! * **Strict JSON** — its [`Json`] form is a single-line object
 //!   that round-trips through [`crate::json::parse`]; only non-empty
 //!   buckets are serialized.
 //!
 //! Bucketing: index 0 holds the value `0` exactly; index `i >= 1` covers
 //! the inclusive range `[2^(i-1), 2^i - 1]`. Every `u64` maps to exactly
 //! one of the 65 buckets.
+
+use crate::json::{Json, Writer};
 
 /// Number of buckets: one for zero plus one per bit position.
 pub const NUM_BUCKETS: usize = 65;
@@ -148,40 +150,28 @@ impl Histogram {
     pub fn bucket_count(&self, i: usize) -> u64 {
         self.buckets[i]
     }
+}
 
-    /// Strict single-line JSON: `{"count":..,"sum":..,"min":..,"max":..,
-    /// "mean":..,"buckets":[{"lo":..,"hi":..,"count":..},..]}` with only
-    /// non-empty buckets listed (ascending).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str(&format!(
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"buckets\":[",
-            self.count,
-            self.sum,
-            self.min(),
-            self.max,
-            self.mean()
-        ));
-        let mut first = true;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let (lo, hi) = Self::bucket_bounds(i);
-            s.push_str(&format!("{{\"lo\":{lo},\"hi\":{hi},\"count\":{c}}}"));
-        }
-        s.push_str("]}");
-        s
+/// Strict single-line JSON: `{"count":..,"sum":..,"min":..,"max":..,
+/// "mean":..,"buckets":[{"lo":..,"hi":..,"count":..},..]}` with only
+/// non-empty buckets listed (ascending).
+impl Json for Histogram {
+    fn write_json(&self, w: &mut Writer) {
+        let buckets = (0..NUM_BUCKETS)
+            .filter(|&i| self.buckets[i] > 0)
+            .map(|i| (Self::bucket_bounds(i), self.buckets[i]));
+        crate::json_object!(w, {
+            "count": self.count, "sum": self.sum, "min": self.min(), "max": self.max,
+            "mean": self.mean(),
+            "buckets": [for ((lo, hi), n) in buckets => {"lo": lo, "hi": hi, "count": n}],
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     #[test]
     fn zero_lands_in_its_own_bucket() {
@@ -262,7 +252,7 @@ mod tests {
             rev.merge(p);
         }
         assert_eq!(fwd, rev);
-        assert_eq!(fwd.to_json(), rev.to_json());
+        assert_eq!(json::to_string(&fwd), json::to_string(&rev));
         // Merge equals recording everything into one histogram.
         let mut flat = Histogram::new();
         for &v in &[0u64, 1, 5, 1 << 20, 3, 3, 3, u64::MAX, 7, 8, 1 << 33] {
@@ -275,10 +265,10 @@ mod tests {
     fn empty_histogram_serializes_cleanly() {
         let h = Histogram::new();
         assert_eq!(
-            h.to_json(),
+            json::to_string(&h),
             "{\"count\":0,\"sum\":0,\"min\":0,\"max\":0,\"mean\":0,\"buckets\":[]}"
         );
-        crate::json::parse(&h.to_json()).expect("strict JSON");
+        json::parse(&json::to_string(&h)).expect("strict JSON");
     }
 
     #[test]
@@ -288,7 +278,7 @@ mod tests {
         h.record(1);
         h.record(6); // bucket [4,7]
         h.record(7);
-        let v = crate::json::parse(&h.to_json()).expect("strict JSON");
+        let v = json::parse(&json::to_string(&h)).expect("strict JSON");
         let obj = match v {
             crate::json::Value::Object(o) => o,
             _ => panic!("expected object"),

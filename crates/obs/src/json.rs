@@ -1,9 +1,11 @@
-//! Minimal JSON support: a value model, a strict recursive-descent parser,
-//! and a string escaper — enough to emit and validate Chrome trace-event
-//! files without external dependencies.
+//! Minimal JSON support without external dependencies: a value model, a
+//! strict recursive-descent parser, and the one [`Writer`] that every report
+//! is serialized through. A report implements [`Json`] as a list of its
+//! fields ([`json_object!`](crate::json_object)); embedded reports write
+//! into their parent's writer.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Display, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -87,6 +89,11 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 /// Escape a string for embedding in a JSON document (without quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -94,11 +101,223 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
+}
+
+/// Streams one compact JSON document into a string: the only code that
+/// writes `{ } [ ] , :` and quotes.
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    /// The open container already has a member: the next needs a comma.
+    comma: bool,
+    /// Per open container: its closing bracket and whether its members go
+    /// one per line.
+    open: Vec<(char, bool)>,
+}
+
+impl Writer {
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// Starts the next value, after the previous member's separator.
+    fn next(&mut self) -> &mut String {
+        if std::mem::replace(&mut self.comma, true) {
+            self.out.push(',');
+            if let Some((_, true)) = self.open.last() {
+                self.out.push('\n');
+            }
+        }
+        &mut self.out
+    }
+
+    fn begin(&mut self, open: char, close: char, per_line: bool) {
+        self.next().push(open);
+        if per_line {
+            self.out.push('\n');
+        }
+        self.open.push((close, per_line));
+        self.comma = false;
+    }
+
+    pub fn begin_object(&mut self) {
+        self.begin('{', '}', false);
+    }
+
+    pub fn begin_array(&mut self) {
+        self.begin('[', ']', false);
+    }
+
+    /// An array with a line break after `[`, after each comma and before
+    /// `]`: the Chrome trace layout of one event per line.
+    pub fn begin_array_per_line(&mut self) {
+        self.begin('[', ']', true);
+    }
+
+    /// Closes the innermost open object or array.
+    pub fn end(&mut self) {
+        let (close, per_line) = self.open.pop().expect("no open container");
+        if per_line {
+            self.out.push('\n');
+        }
+        self.out.push(close);
+        self.comma = true;
+    }
+
+    /// The key of the next object member; its value follows.
+    pub fn key(&mut self, key: impl AsRef<str>) {
+        self.string(key.as_ref());
+        self.out.push(':');
+        self.comma = false;
+    }
+
+    pub fn string(&mut self, s: &str) {
+        let out = self.next();
+        out.push('"');
+        escape_into(out, s);
+        out.push('"');
+    }
+
+    /// A number, or any other bare token, as its `Display` form.
+    pub fn number(&mut self, n: impl Display) {
+        let _ = write!(self.next(), "{n}");
+    }
+}
+
+/// A value that serializes itself through a [`Writer`].
+pub trait Json {
+    fn write_json(&self, w: &mut Writer);
+}
+
+/// `value` as one compact JSON document.
+pub fn to_string<T: Json + ?Sized>(value: &T) -> String {
+    let mut w = Writer::default();
+    value.write_json(&mut w);
+    w.finish()
+}
+
+/// [`to_string`] plus a trailing newline: the layout of every report file.
+pub fn document<T: Json + ?Sized>(value: &T) -> String {
+    to_string(value) + "\n"
+}
+
+macro_rules! impl_json {
+    ($($t:ty),* => |$v:ident, $w:ident| $body:expr) => {$(
+        impl Json for $t {
+            fn write_json(&self, $w: &mut Writer) {
+                let $v = self;
+                $body;
+            }
+        }
+    )*};
+}
+impl_json!(u8, u16, u32, u64, usize, i32, i64, i128 => |v, w| w.number(v));
+impl_json!(str, String => |v, w| w.string(v));
+
+/// A float written with exactly `DIGITS` decimals (`{:.DIGITS$}`).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Fixed<const DIGITS: usize>(pub f64);
+
+impl<const DIGITS: usize> Json for Fixed<DIGITS> {
+    fn write_json(&self, w: &mut Writer) {
+        w.number(format_args!("{:.*}", DIGITS, self.0));
+    }
+}
+
+impl<T: Json + ?Sized> Json for &T {
+    fn write_json(&self, w: &mut Writer) {
+        (**self).write_json(w);
+    }
+}
+
+/// `None` is `null`.
+impl<T: Json> Json for Option<T> {
+    fn write_json(&self, w: &mut Writer) {
+        match self {
+            Some(v) => v.write_json(w),
+            None => w.number("null"),
+        }
+    }
+}
+
+impl<T: Json> Json for [T] {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_array();
+        for item in self {
+            item.write_json(w);
+        }
+        w.end();
+    }
+}
+
+impl<T: Json> Json for Vec<T> {
+    fn write_json(&self, w: &mut Writer) {
+        self.as_slice().write_json(w);
+    }
+}
+
+/// Writes one JSON object, given as a list of fields, into a [`Writer`]
+/// (without one, returns it as a `String`). A key is a literal, a variable
+/// or a parenthesized expression; a value is a [`Json`] expression, a
+/// nested `{ fields }`, or a comprehension:
+///
+/// ```
+/// let text = obs::json_object!({"k": 2, "phase": {"solve": None::<u64>},
+///     "frames": [for f in [3, 4] => {"cycle": f}], "share": {for k in ["a"] => k: 1}});
+/// let want = r#"{"k":2,"phase":{"solve":null},"frames":[{"cycle":3},{"cycle":4}],"share":{"a":1}}"#;
+/// assert_eq!(text, want);
+/// ```
+#[macro_export]
+macro_rules! json_object {
+    ({ $($fields:tt)* }) => {{
+        let mut w = $crate::json::Writer::default();
+        $crate::json_object!(&mut w, { $($fields)* });
+        w.finish()
+    }};
+    ($w:expr, { $($fields:tt)* }) => {{
+        let w: &mut $crate::json::Writer = $w;
+        w.begin_object();
+        $crate::json_object!(@fields w; $($fields)*);
+        w.end();
+    }};
+    (@fields $w:ident;) => {};
+    (@fields $w:ident; $key:tt : $value:tt $(, $($rest:tt)*)?) => {
+        $w.key($key);
+        $crate::json_object!(@value $w; $value);
+        $crate::json_object!(@fields $w; $($($rest)*)?);
+    };
+    (@fields $w:ident; $key:tt : $value:expr $(, $($rest:tt)*)?) => {
+        $w.key($key);
+        $crate::json::Json::write_json(&$value, $w);
+        $crate::json_object!(@fields $w; $($($rest)*)?);
+    };
+    (@value $w:ident; [for $x:pat in $items:expr => $($item:tt)+]) => {
+        $w.begin_array();
+        for $x in $items {
+            $crate::json_object!(@value $w; $($item)+);
+        }
+        $w.end();
+    };
+    (@value $w:ident; {for $x:pat in $items:expr => $key:tt : $($value:tt)+}) => {
+        $w.begin_object();
+        for $x in $items {
+            $w.key($key);
+            $crate::json_object!(@value $w; $($value)+);
+        }
+        $w.end();
+    };
+    (@value $w:ident; { $($fields:tt)* }) => {
+        $crate::json_object!(&mut *$w, { $($fields)* })
+    };
+    (@value $w:ident; $value:expr) => {
+        $crate::json::Json::write_json(&$value, $w)
+    };
 }
 
 struct Parser<'a> {
@@ -317,5 +536,35 @@ mod tests {
         let nasty = "a\"b\\c\nd\te\u{1}f";
         let doc = format!("\"{}\"", escape(nasty));
         assert_eq!(parse(&doc).unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn writer_places_separators_quotes_and_escapes() {
+        let rows: Vec<Vec<i64>> = vec![vec![], vec![-1, 2]];
+        let text = crate::json_object!({
+            "a\"b": "x\ny", (String::from("n")): None::<u32>, "f": Fixed::<3>(1.0 / 3.0),
+            "rows": rows, "m": {for k in ["p", "q"] => k: {"k": k}},
+        });
+        assert_eq!(
+            text,
+            r#"{"a\"b":"x\ny","n":null,"f":0.333,"rows":[[],[-1,2]],"m":{"p":{"k":"p"},"q":{"k":"q"}}}"#
+        );
+        assert!(parse(&text).is_ok());
+    }
+
+    #[test]
+    fn per_line_arrays_break_after_each_comma() {
+        let mut w = Writer::default();
+        w.begin_array_per_line();
+        w.end();
+        w.begin_array_per_line();
+        for i in 0..3u8 {
+            crate::json_object!(&mut w, {"i": i, "v": vec![i, i]});
+        }
+        w.end();
+        assert_eq!(
+            w.finish(),
+            "[\n\n],[\n{\"i\":0,\"v\":[0,0]},\n{\"i\":1,\"v\":[1,1]},\n{\"i\":2,\"v\":[2,2]}\n]"
+        );
     }
 }

@@ -360,29 +360,10 @@ pub fn chrome_trace() -> String {
 /// {"counters":{"codegen.modules":3},"stats":{"ir.ops":"42"}}
 /// ```
 pub fn stats_json() -> String {
-    let mut out = String::from("{\"counters\":{");
-    for (i, c) in counters().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(&json::escape(&format!("{}.{}", c.scope, c.name)));
-        out.push_str("\":");
-        out.push_str(&c.value.to_string());
-    }
-    out.push_str("},\"stats\":{");
-    for (i, (s, k, v)) in stats().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(&json::escape(&format!("{s}.{k}")));
-        out.push_str("\":\"");
-        out.push_str(&json::escape(v));
-        out.push('"');
-    }
-    out.push_str("}}\n");
-    out
+    json_object!({
+        "counters": {for c in counters() => (format!("{}.{}", c.scope, c.name)): c.value},
+        "stats": {for (s, k, v) in stats() => (format!("{s}.{k}")): v},
+    }) + "\n"
 }
 
 #[cfg(test)]

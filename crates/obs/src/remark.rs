@@ -21,6 +21,7 @@
 //! [`take_thread`] deduplicates identical records while preserving first-seen
 //! order.
 
+use crate::json::{Json, Writer};
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -118,38 +119,25 @@ impl Remark {
         self.args.push((key.into(), RemarkValue::Str(value.into())));
         self
     }
+}
 
-    /// One JSON object (a single JSONL line, without the trailing newline),
-    /// parseable by the strict [`crate::json`] parser.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96);
-        out.push_str("{\"pass\":\"");
-        out.push_str(&crate::json::escape(&self.pass));
-        out.push_str("\",\"status\":\"");
-        out.push_str(self.kind.as_str());
-        out.push_str("\",\"loc\":\"");
-        out.push_str(&crate::json::escape(&self.loc));
-        out.push_str("\",\"message\":\"");
-        out.push_str(&crate::json::escape(&self.message));
-        out.push_str("\",\"args\":{");
-        for (i, (k, v)) in self.args.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&crate::json::escape(k));
-            out.push_str("\":");
-            match v {
-                RemarkValue::Int(n) => out.push_str(&n.to_string()),
-                RemarkValue::Str(s) => {
-                    out.push('"');
-                    out.push_str(&crate::json::escape(s));
-                    out.push('"');
-                }
-            }
+/// One JSON object (a single JSONL line, without the trailing newline),
+/// parseable by the strict [`crate::json`] parser.
+impl Json for Remark {
+    fn write_json(&self, w: &mut Writer) {
+        crate::json_object!(w, {
+            "pass": self.pass, "status": self.kind.as_str(), "loc": self.loc,
+            "message": self.message, "args": {for (k, v) in &self.args => k: v},
+        });
+    }
+}
+
+impl Json for RemarkValue {
+    fn write_json(&self, w: &mut Writer) {
+        match self {
+            RemarkValue::Int(n) => n.write_json(w),
+            RemarkValue::Str(s) => s.write_json(w),
         }
-        out.push_str("}}");
-        out
     }
 }
 
@@ -240,7 +228,7 @@ mod tests {
         let r = Remark::missed("hir-strength-reduce", "k.mlir:3:7", "stride unknown")
             .arg_int("set_bits", 5)
             .arg_str("why", "needs \"const\" operand");
-        let line = r.to_json();
+        let line = crate::json::to_string(&r);
         let v = crate::json::parse(&line).expect("strict parse");
         let obj = v.as_object().unwrap();
         assert_eq!(

@@ -7,8 +7,8 @@
 //! Counter tracks (`"ph":"C"`) can ride along via
 //! [`chrome_trace_with_counters`], rendering as stacked area charts.
 
-use crate::json::escape;
-use crate::SpanRecord;
+use crate::json::{Fixed, Writer};
+use crate::{json_object, SpanRecord};
 
 /// One sample on a Chrome counter track (`"ph":"C"`): the values of one or
 /// more named series at a point in time. Consecutive points on the same
@@ -64,7 +64,10 @@ pub fn chrome_trace_with_counters(spans: &[SpanRecord], counters: &[CounterPoint
         .collect();
     let id_of = |track: &str| ids[tracks.iter().position(|t| *t == track).unwrap()];
 
-    let mut events: Vec<String> = Vec::new();
+    let mut w = Writer::default();
+    w.begin_object();
+    w.key("traceEvents");
+    w.begin_array_per_line();
     // One thread_name record per (pid, tid): the first track claiming an id
     // names it; later tracks resolving to the same id emit no duplicate.
     let mut named: Vec<(u32, u32)> = Vec::new();
@@ -73,57 +76,41 @@ pub fn chrome_trace_with_counters(spans: &[SpanRecord], counters: &[CounterPoint
             continue;
         }
         named.push((pid, tid));
-        events.push(format!(
-            r#"{{"name":"thread_name","ph":"M","pid":{pid},"tid":{tid},"args":{{"name":"{}"}}}}"#,
-            escape(t)
-        ));
+        json_object!(&mut w, {
+            "name": "thread_name", "ph": "M", "pid": pid, "tid": tid, "args": {"name": t},
+        });
     }
 
     // Sort by start time so viewers that expect ordered input are happy.
     let mut ordered: Vec<&SpanRecord> = spans.iter().collect();
     ordered.sort_by_key(|s| (s.start_ns, std::cmp::Reverse(s.dur_ns)));
     for s in ordered {
-        let mut args = String::new();
-        for (k, v) in &s.args {
-            if !args.is_empty() {
-                args.push(',');
-            }
-            args.push_str(&format!(r#""{}":"{}""#, escape(k), escape(v)));
-        }
         let (pid, tid) = id_of(&s.track);
-        events.push(format!(
-            r#"{{"name":"{}","cat":"{}","ph":"X","ts":{:.3},"dur":{:.3},"pid":{pid},"tid":{tid},"args":{{{}}}}}"#,
-            escape(&s.name),
-            escape(&s.track),
-            s.start_ns as f64 / 1e3,
-            s.dur_ns as f64 / 1e3,
-            args
-        ));
+        json_object!(&mut w, {
+            "name": s.name, "cat": s.track, "ph": "X", "ts": micros(s.start_ns),
+            "dur": micros(s.dur_ns), "pid": pid, "tid": tid, "args": {for (k, v) in &s.args => k: v},
+        });
     }
 
     let mut ordered_counters: Vec<&CounterPoint> = counters.iter().collect();
     ordered_counters.sort_by_key(|c| c.ts_ns);
     for c in ordered_counters {
         let (pid, tid) = c.pid_tid.unwrap_or((1, 0));
-        let mut args = String::new();
-        for (k, v) in &c.series {
-            if !args.is_empty() {
-                args.push(',');
-            }
-            args.push_str(&format!(r#""{}":{v}"#, escape(k)));
-        }
-        events.push(format!(
-            r#"{{"name":"{}","ph":"C","ts":{:.3},"pid":{pid},"tid":{tid},"args":{{{}}}}}"#,
-            escape(&c.track),
-            c.ts_ns as f64 / 1e3,
-            args
-        ));
+        json_object!(&mut w, {
+            "name": c.track, "ph": "C", "ts": micros(c.ts_ns), "pid": pid, "tid": tid,
+            "args": {for (k, v) in &c.series => k: v},
+        });
     }
+    w.end();
+    w.key("displayTimeUnit");
+    w.string("ms");
+    w.end();
+    w.finish() + "\n"
+}
 
-    format!(
-        "{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\"}}\n",
-        events.join(",\n")
-    )
+/// Nanoseconds as microseconds, with nanosecond precision in the fraction.
+fn micros(ns: u64) -> Fixed<3> {
+    Fixed(ns as f64 / 1e3)
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@
 
 use crate::ast::*;
 use crate::elaborate::{flatten, ElabError};
-use obs::json::escape as json_escape;
+use obs::json::{Fixed, Json, Writer};
+use obs::json_object;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::Range;
@@ -3863,79 +3864,6 @@ impl SchedStatsReport {
         ]
     }
 
-    /// Strict single-line JSON (newline-terminated), parseable by
-    /// `obs::json` / `jsonv`. Byte-identical across runs and `--threads`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str(&format!(
-            "{{\"engine\":\"{}\",\"cycles\":{},\"settle_units\":{},\"step_cones\":{}",
-            json_escape(&self.engine),
-            self.cycles,
-            self.settle_units,
-            self.step_cone_count
-        ));
-        s.push_str(&format!(
-            ",\"interp\":{{\"settle_runs\":{},\"step_runs\":{},\"settle_insns\":{},\"step_insns\":{}}}",
-            self.settle_runs, self.step_runs, self.settle_insns, self.step_insns
-        ));
-        s.push_str(&format!(",\"dirty_cones\":{}", self.dirty_cones.to_json()));
-        s.push_str(&format!(
-            ",\"net_wake_walk\":{}",
-            self.net_wake_walk.to_json()
-        ));
-        s.push_str(&format!(
-            ",\"mem_wake_walk\":{}",
-            self.mem_wake_walk.to_json()
-        ));
-        s.push_str(&format!(
-            ",\"settle_run_len\":{}",
-            self.settle_run_len.to_json()
-        ));
-        s.push_str(&format!(
-            ",\"step_run_len\":{}",
-            self.step_run_len.to_json()
-        ));
-        s.push_str(&format!(
-            ",\"commit\":{{\"net_compares\":{},\"net_changes\":{},\"mem_compares\":{},\"mem_changes\":{},\"spurious_wake_rate\":{:.6}}}",
-            self.commit_net_compares,
-            self.commit_net_changes,
-            self.commit_mem_compares,
-            self.commit_mem_changes,
-            self.spurious_wake_rate()
-        ));
-        s.push_str(",\"cycle_share\":{");
-        for (i, (label, units, share)) in self.cycle_share().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\"{label}\":{{\"cost_units\":{units},\"share\":{share:.6}}}"
-            ));
-        }
-        s.push('}');
-        let cones = |s: &mut String, key: &str, list: &[SchedConeWakes]| {
-            s.push_str(&format!("\"{key}\":["));
-            for (i, c) in list.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"cone\":\"{}\",\"units\":{},\"wakes\":{}}}",
-                    json_escape(&c.cone),
-                    c.units,
-                    c.wakes
-                ));
-            }
-            s.push(']');
-        };
-        s.push_str(",\"wakes\":{");
-        cones(&mut s, "settle", &self.settle_cones);
-        s.push(',');
-        cones(&mut s, "step", &self.step_cones);
-        s.push_str("}}\n");
-        s
-    }
-
     /// Human-readable multi-line summary for `--sched-stats` without a
     /// file argument.
     pub fn summary(&self) -> String {
@@ -3996,6 +3924,40 @@ impl SchedStatsReport {
             out.push_str(&format!("  wakes: {:>8}  {}\n", c.wakes, c.cone));
         }
         out
+    }
+}
+
+/// Strict single-line JSON (newline-terminated as a report file),
+/// parseable by `obs::json` / `jsonv`. Byte-identical across runs and
+/// `--threads`.
+impl Json for SchedStatsReport {
+    fn write_json(&self, w: &mut Writer) {
+        json_object!(w, {
+            "engine": self.engine, "cycles": self.cycles,
+            "settle_units": self.settle_units, "step_cones": self.step_cone_count,
+            "interp": {
+                "settle_runs": self.settle_runs, "step_runs": self.step_runs,
+                "settle_insns": self.settle_insns, "step_insns": self.step_insns,
+            },
+            "dirty_cones": self.dirty_cones,
+            "net_wake_walk": self.net_wake_walk, "mem_wake_walk": self.mem_wake_walk,
+            "settle_run_len": self.settle_run_len, "step_run_len": self.step_run_len,
+            "commit": {
+                "net_compares": self.commit_net_compares, "net_changes": self.commit_net_changes,
+                "mem_compares": self.commit_mem_compares, "mem_changes": self.commit_mem_changes,
+                "spurious_wake_rate": Fixed::<6>(self.spurious_wake_rate()),
+            },
+            "cycle_share": {for (label, units, share) in self.cycle_share() => label: {
+                "cost_units": units, "share": Fixed::<6>(share),
+            }},
+            "wakes": {"settle": self.settle_cones, "step": self.step_cones},
+        });
+    }
+}
+
+impl Json for SchedConeWakes {
+    fn write_json(&self, w: &mut Writer) {
+        json_object!(w, {"cone": self.cone, "units": self.units, "wakes": self.wakes});
     }
 }
 
@@ -4151,94 +4113,6 @@ impl TelemetryReport {
             .min_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(b.0)))
     }
 
-    /// Strict JSON document (parseable by `obs::json`), newline-terminated.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"cycles\":{},\"toggle_coverage\":{:.6}",
-            self.cycles,
-            self.toggle_coverage()
-        );
-        let _ = write!(
-            s,
-            ",\"overall_quiescence\":{:.6}",
-            self.overall_quiescence()
-        );
-        for (key, cones) in [
-            ("settle_cones", &self.settle_cones),
-            ("step_cones", &self.step_cones),
-        ] {
-            let _ = write!(s, ",\"{key}\":[");
-            for (i, c) in cones.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "{{\"name\":\"{}\",\"units\":{},\"inputs\":{},\
-                     \"quiescent_cycles\":{},\"quiescent_fraction\":{:.6}}}",
-                    json_escape(&c.name),
-                    c.units,
-                    c.inputs,
-                    c.quiescent_cycles,
-                    c.quiescent_fraction(self.cycles)
-                );
-            }
-            s.push(']');
-        }
-        for (key, t) in [
-            ("settle_insns", &self.settle_insns),
-            ("step_insns", &self.step_insns),
-        ] {
-            let _ = write!(
-                s,
-                ",\"{key}\":{{\"len\":{},\"executed\":{},\"changed\":{}}}",
-                t.len, t.executed, t.changed
-            );
-        }
-        let _ = write!(s, ",\"units\":[");
-        for (i, u) in self.units.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let frac = if self.cycles == 0 {
-                0.0
-            } else {
-                u.active_cycles as f64 / self.cycles as f64
-            };
-            let _ = write!(
-                s,
-                "{{\"unit\":\"{}\",\"net\":\"{}\",\"mode\":\"{}\",\
-                 \"active_cycles\":{},\"active_fraction\":{:.6}}}",
-                json_escape(&u.unit),
-                json_escape(&u.net),
-                u.mode,
-                u.active_cycles,
-                frac
-            );
-        }
-        s.push_str("],\"nets\":[");
-        for (i, n) in self.nets.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"name\":\"{}\",\"width\":{},\"toggle_cycles\":{},\
-                 \"bit_toggles\":{},\"high_cycles\":{}}}",
-                json_escape(&n.name),
-                n.width,
-                n.toggle_cycles,
-                n.bit_toggles,
-                n.high_cycles
-            );
-        }
-        s.push_str("]}\n");
-        s
-    }
-
     /// Short human-readable summary (for `--sim-telemetry` without a file).
     pub fn summary(&self) -> String {
         use std::fmt::Write;
@@ -4288,12 +4162,59 @@ impl TelemetryReport {
     }
 }
 
-fn pct(part: u64, whole: u64) -> f64 {
+/// Strict JSON (newline-terminated as a report file), parseable by
+/// `obs::json`.
+impl Json for TelemetryReport {
+    fn write_json(&self, w: &mut Writer) {
+        json_object!(w, {
+            "cycles": self.cycles, "toggle_coverage": Fixed::<6>(self.toggle_coverage()),
+            "overall_quiescence": Fixed::<6>(self.overall_quiescence()),
+            "settle_cones": [for c in &self.settle_cones => ConeRow(c, self.cycles)],
+            "step_cones": [for c in &self.step_cones => ConeRow(c, self.cycles)],
+            "settle_insns": self.settle_insns, "step_insns": self.step_insns,
+            "units": [for u in &self.units => {
+                "unit": u.unit, "net": u.net, "mode": u.mode, "active_cycles": u.active_cycles,
+                "active_fraction": Fixed::<6>(ratio(u.active_cycles, self.cycles)),
+            }],
+            "nets": [for n in &self.nets => {
+                "name": n.name, "width": n.width, "toggle_cycles": n.toggle_cycles,
+                "bit_toggles": n.bit_toggles, "high_cycles": n.high_cycles,
+            }],
+        });
+    }
+}
+
+/// A [`TelemetryReport`] cone with its quiescent fraction of the report's cycles.
+struct ConeRow<'a>(&'a ConeTelemetry, u64);
+
+impl Json for ConeRow<'_> {
+    fn write_json(&self, w: &mut Writer) {
+        let ConeRow(c, cycles) = *self;
+        json_object!(w, {
+            "name": c.name, "units": c.units, "inputs": c.inputs,
+            "quiescent_cycles": c.quiescent_cycles,
+            "quiescent_fraction": Fixed::<6>(c.quiescent_fraction(cycles)),
+        });
+    }
+}
+
+impl Json for InsnTelemetry {
+    fn write_json(&self, w: &mut Writer) {
+        json_object!(w, {"len": self.len, "executed": self.executed, "changed": self.changed});
+    }
+}
+
+/// `part / whole`, or 0 when `whole` is 0.
+fn ratio(part: u64, whole: u64) -> f64 {
     if whole == 0 {
         0.0
     } else {
-        part as f64 / whole as f64 * 100.0
+        part as f64 / whole as f64
     }
+}
+
+fn pct(part: u64, whole: u64) -> f64 {
+    ratio(part, whole) * 100.0
 }
 
 struct UnionFind {
@@ -5453,7 +5374,7 @@ mod tests {
         assert!((0.0..=1.0).contains(&rate));
         let shares: f64 = r.cycle_share().iter().map(|s| s.2).sum();
         assert!((shares - 1.0).abs() < 1e-9);
-        obs::json::parse(&r.to_json()).expect("strict JSON");
+        obs::json::parse(&obs::json::document(&r)).expect("strict JSON");
     }
 
     #[test]
@@ -5474,7 +5395,7 @@ mod tests {
         assert_eq!(r.mem_wake_walk.count(), 0);
         assert_eq!(r.step_runs, 10 * r.step_cone_count);
         assert!(r.step_cones.iter().all(|c| c.wakes == 10));
-        obs::json::parse(&r.to_json()).expect("strict JSON");
+        obs::json::parse(&obs::json::document(&r)).expect("strict JSON");
     }
 
     #[test]
@@ -5491,7 +5412,7 @@ mod tests {
                 sim.set("raddr", (cyc + 1) % 16);
                 sim.step().unwrap();
             }
-            sim.sched_stats_report().expect("enabled").to_json()
+            obs::json::document(&sim.sched_stats_report().expect("enabled"))
         };
         for engine in [Engine::Bytecode, Engine::Event, Engine::Batched] {
             assert_eq!(run(engine), run(engine), "{engine:?}");
@@ -5578,9 +5499,9 @@ mod tests {
         let ra = a.telemetry_report().expect("enabled");
         let rb = b.telemetry_report().expect("enabled");
         assert_eq!(ra, rb);
-        assert_eq!(ra.to_json(), rb.to_json());
+        assert_eq!(obs::json::document(&ra), obs::json::document(&rb));
         assert_eq!(a.telemetry_trace(), b.telemetry_trace());
-        obs::json::parse(&ra.to_json()).expect("telemetry JSON is strict");
+        obs::json::parse(&obs::json::document(&ra)).expect("telemetry JSON is strict");
     }
 
     const ALL_ENGINES: [Engine; 4] = [
@@ -5742,7 +5663,7 @@ mod tests {
         for s in &sims[1..] {
             let r = s.telemetry_report().expect("enabled");
             assert_eq!(r, base, "telemetry of {:?} differs", s.engine());
-            assert_eq!(r.to_json(), base.to_json());
+            assert_eq!(obs::json::document(&r), obs::json::document(&base));
             assert_eq!(s.telemetry_trace(), base_trace);
         }
     }

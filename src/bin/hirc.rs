@@ -697,11 +697,7 @@ fn main() -> ExitCode {
     if opts.remarks.is_some() || opts.rpass.is_some() {
         let remarks = pipeline.take_remarks();
         if let Some(path) = &opts.remarks {
-            let mut out = String::with_capacity(remarks.len() * 96);
-            for r in &remarks {
-                out.push_str(&r.to_json());
-                out.push('\n');
-            }
+            let out: String = remarks.iter().map(obs::json::document).collect();
             if let Err(e) = std::fs::write(path, out) {
                 eprintln!("hirc: cannot write remarks '{path}': {e}");
                 return ExitCode::from(EXIT_DIAGNOSTICS);
@@ -748,7 +744,7 @@ fn main() -> ExitCode {
         let report = hir_verify::schedule_report(&module);
         match dest {
             Some(path) => {
-                if let Err(e) = std::fs::write(path, report.to_json()) {
+                if let Err(e) = std::fs::write(path, obs::json::document(&report)) {
                     eprintln!("hirc: cannot write schedule report '{path}': {e}");
                     return ExitCode::from(EXIT_DIAGNOSTICS);
                 }
@@ -835,7 +831,7 @@ fn main() -> ExitCode {
         };
         match dest {
             Some(path) => {
-                if let Err(e) = std::fs::write(path, report.to_json()) {
+                if let Err(e) = std::fs::write(path, obs::json::document(&report)) {
                     eprintln!("hirc: cannot write resource report '{path}': {e}");
                     return ExitCode::from(EXIT_DIAGNOSTICS);
                 }
@@ -1044,39 +1040,21 @@ fn render_stimulus(stimulus: &[bmc::StimulusArg]) -> String {
 /// Strict-JSON proof report for `--verify-equiv-report` (validated by the
 /// `jsonv` parser in CI).
 fn equiv_report_json(k: u32, reports: &[bmc::FuncReport]) -> String {
-    let mut proved = 0u32;
-    let mut sampled = 0u32;
-    let mut counterexamples = 0u32;
-    let mut funcs = Vec::with_capacity(reports.len());
-    for r in reports {
-        let detail = match &r.status {
-            bmc::EquivStatus::Proved => String::new(),
-            bmc::EquivStatus::Sampled { reason, .. } => reason.clone(),
-            bmc::EquivStatus::Counterexample(cex) => cex.detail.clone(),
-        };
-        match &r.status {
-            bmc::EquivStatus::Proved => proved += 1,
-            bmc::EquivStatus::Sampled { .. } => sampled += 1,
-            bmc::EquivStatus::Counterexample(_) => counterexamples += 1,
-        }
-        funcs.push(format!(
-            "{{\"func\":\"{}\",\"status\":\"{}\",\"k\":{},\"conflicts\":{},\
-             \"vars\":{},\"time_ms\":{},\"detail\":\"{}\",\"solver\":{}}}",
-            obs::json::escape(&r.func),
-            r.status.label(),
-            r.k,
-            r.conflicts,
-            r.vars,
-            r.time_ms,
-            obs::json::escape(&detail),
-            r.solver.to_json(),
-        ));
-    }
-    format!(
-        "{{\"k\":{k},\"proved\":{proved},\"sampled\":{sampled},\
-         \"counterexamples\":{counterexamples},\"functions\":[{}]}}\n",
-        funcs.join(",")
-    )
+    let count = |label| reports.iter().filter(|r| r.status.label() == label).count();
+    obs::json_object!({
+        "k": k, "proved": count("proved"), "sampled": count("sampled"),
+        "counterexamples": count("counterexample"),
+        "functions": [for r in reports => {
+            "func": r.func, "status": r.status.label(), "k": r.k, "conflicts": r.conflicts,
+            "vars": r.vars, "time_ms": r.time_ms,
+            "detail": match &r.status {
+                bmc::EquivStatus::Proved => "",
+                bmc::EquivStatus::Sampled { reason, .. } => reason,
+                bmc::EquivStatus::Counterexample(cex) => &cex.detail,
+            },
+            "solver": r.solver,
+        }],
+    }) + "\n"
 }
 
 /// Shrink a confirmed-miscompiling input with ddmin (reusing the fuzzer's
@@ -1276,7 +1254,7 @@ fn run_sim(
             .telemetry_report(func_resources)
             .ok_or("internal: telemetry enabled but no report produced")?;
         match &opts.sim_telemetry {
-            Some(Some(path)) => std::fs::write(path, t.to_json())
+            Some(Some(path)) => std::fs::write(path, obs::json::document(&t))
                 .map_err(|e| format!("cannot write telemetry '{path}': {e}"))?,
             Some(None) => eprint!("{}", t.summary()),
             None => {}
@@ -1299,7 +1277,7 @@ fn run_sim(
             s.commit_net_compares + s.commit_mem_compares,
         );
         match &opts.sched_stats {
-            Some(Some(path)) => std::fs::write(path, s.to_json())
+            Some(Some(path)) => std::fs::write(path, obs::json::document(&s))
                 .map_err(|e| format!("cannot write sched stats '{path}': {e}"))?,
             Some(None) => eprint!("{}", s.summary()),
             None => {}

@@ -475,8 +475,8 @@ fn engines_report_identical_telemetry_on_figure_fixtures() {
         assert_eq!(telem_b, telem_t, "{name}: engines must count identically");
         assert_eq!(trace_b, trace_t, "{name}: traces must be identical");
         assert_eq!(
-            telem_b.to_json(),
-            telem_t.to_json(),
+            obs::json::document(&telem_b),
+            obs::json::document(&telem_t),
             "{name}: JSON must match"
         );
     }
