@@ -840,11 +840,12 @@ fn main() -> ExitCode {
         }
     }
 
-    // Under --stats/--profile, exercise the emitted design in the simulator
-    // for a bounded number of cycles so the report covers the sim stage too.
+    // Under --stats[=PATH]/--profile, exercise the emitted design in the
+    // simulator for a bounded number of cycles so the report covers the sim
+    // stage too.
     if let Some(design) = design
         .as_ref()
-        .filter(|_| opts.stats || opts.profile.is_some())
+        .filter(|_| opts.stats || opts.stats_file.is_some() || opts.profile.is_some())
     {
         if let Some(top) = design.modules.last() {
             let cycles = opts.sim_max_cycles.unwrap_or(SMOKE_CYCLES);

@@ -215,9 +215,11 @@ fn report_flags_write_strict_json_artifacts() {
     assert!(mac0.get("registers").unwrap().as_f64().unwrap() >= 1.0);
     assert!(mac0.get("delay_lines").unwrap().as_f64().unwrap() >= 1.0);
 
-    // Stats file: strict JSON from the obs layer.
+    // Stats file: strict JSON from the obs layer, with the smoke
+    // simulation's counter as in the `--stats` table.
     let stats = obs::json::parse(&std::fs::read_to_string(&st).unwrap()).expect("stats JSON");
-    assert!(stats.as_object().is_some());
+    let counters = stats.get("counters").expect("counters object");
+    assert!(counters.get("sim.cycles").is_some(), "no sim.cycles");
 
     // Remarks: at least one line, all parseable (detail covered above).
     let remarks = std::fs::read_to_string(&r).unwrap();
