@@ -50,18 +50,21 @@ impl Pass for DelaySharePass {
                 .or_default()
                 .push((pos, op));
         }
-        for (_, mut ops) in groups {
+        for (_, ops) in groups {
             if ops.len() < 2 {
                 continue;
             }
+            // Read each delay's length once, before chaining rewrites it: a
+            // chained delay's result is still valid at its original length.
+            let mut ops: Vec<_> = ops
+                .into_iter()
+                .map(|(pos, o)| (pos, DelayOp(o), DelayOp(o).by(module)))
+                .collect();
             // Chain in increasing-delay order; only chain pairs whose
             // textual order already satisfies dominance.
-            ops.sort_by_key(|&(_, o)| DelayOp(o).by(module));
+            ops.sort_by_key(|&(_, _, by)| by);
             for w in ops.windows(2) {
-                let ((prev_pos, prev), (cur_pos, cur)) = (w[0], w[1]);
-                let (prev, cur) = (DelayOp(prev), DelayOp(cur));
-                let by_prev = prev.by(module);
-                let by_cur = cur.by(module);
+                let ((prev_pos, prev, by_prev), (cur_pos, cur, by_cur)) = (w[0], w[1]);
                 if by_prev == by_cur || by_prev == 0 {
                     continue; // equal delays are CSE's job
                 }

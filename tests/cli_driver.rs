@@ -117,6 +117,45 @@ fn short_arg_names_are_a_verifier_diagnostic() {
 }
 
 #[test]
+fn delay_share_chains_three_delays_at_their_original_lengths() {
+    // `delay(a, 2)`, `delay(a, 5)` and `delay(a, 7)` at one offset: the
+    // third used to chain off the second's rewritten length (`by 4` at
+    // offset 3), which post-opt verification rejected with exit 3.
+    let input = format!(
+        "{}/tests/corpus/regressions/delay_share_three.mlir",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let out = hirc()
+        .arg(&input)
+        .args(["--opt", "--emit=pretty"])
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for link in [
+        "%2 = hir.delay %1 by 2 at %0 offset 0 : i32",
+        "%3 = hir.delay %2 by 3 at %0 offset 2 : i32",
+        "%4 = hir.delay %3 by 2 at %0 offset 5 : i32",
+    ] {
+        assert!(text.contains(link), "missing `{link}` in:\n{text}");
+    }
+    let out = hirc()
+        .arg(&input)
+        .args(["--opt", "--verify-equiv=8", "-o"])
+        .arg(std::env::temp_dir().join("hirc_test_delay_share.v"))
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(err.contains("proved equivalent for K=8 cycles"), "{err}");
+}
+
+#[test]
 fn optimize_flag_runs_pipeline_and_output_still_compiles() {
     let dir = std::env::temp_dir().join("hirc_test_opt");
     std::fs::create_dir_all(&dir).unwrap();
