@@ -30,16 +30,7 @@ use ir::PassManager;
 /// The standard `-O2`-style pipeline used for the paper's "HIR (auto opt)"
 /// configurations.
 pub fn standard_pipeline() -> PassManager {
-    let mut pm = PassManager::new();
-    pm.add(CanonicalizePass)
-        .add(CsePass)
-        .add(RetimePass)
-        .add(DelaySharePass::new())
-        .add(PrecisionPass::new())
-        .add(PortDemotePass::new())
-        .add(CanonicalizePass)
-        .add(CsePass);
-    pm
+    pipeline_from_names(STANDARD_PASS_NAMES).expect("standard pass names are registered")
 }
 
 /// Run the standard pipeline over a module (convenience wrapper).
