@@ -217,7 +217,7 @@ macro_rules! impl_json {
         }
     )*};
 }
-impl_json!(u8, u16, u32, u64, usize, i32, i64, i128 => |v, w| w.number(v));
+impl_json!(u32, u64, usize, i32, i64, i128 => |v, w| w.number(v));
 impl_json!(str, String => |v, w| w.string(v));
 
 /// A float written with exactly `DIGITS` decimals (`{:.DIGITS$}`).
@@ -558,7 +558,7 @@ mod tests {
         w.begin_array_per_line();
         w.end();
         w.begin_array_per_line();
-        for i in 0..3u8 {
+        for i in 0..3 {
             crate::json_object!(&mut w, {"i": i, "v": vec![i, i]});
         }
         w.end();
