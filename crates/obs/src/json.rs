@@ -101,9 +101,7 @@ fn escape_into(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
@@ -127,7 +125,7 @@ impl Writer {
     }
 
     /// Starts the next value, after the previous member's separator.
-    fn next(&mut self) -> &mut String {
+    fn start_value(&mut self) -> &mut String {
         if std::mem::replace(&mut self.comma, true) {
             self.out.push(',');
             if let Some((_, true)) = self.open.last() {
@@ -138,7 +136,7 @@ impl Writer {
     }
 
     fn begin(&mut self, open: char, close: char, per_line: bool) {
-        self.next().push(open);
+        self.start_value().push(open);
         if per_line {
             self.out.push('\n');
         }
@@ -178,7 +176,7 @@ impl Writer {
     }
 
     pub fn string(&mut self, s: &str) {
-        let out = self.next();
+        let out = self.start_value();
         out.push('"');
         escape_into(out, s);
         out.push('"');
@@ -186,7 +184,7 @@ impl Writer {
 
     /// A number, or any other bare token, as its `Display` form.
     pub fn number(&mut self, n: impl Display) {
-        let _ = write!(self.next(), "{n}");
+        let _ = write!(self.start_value(), "{n}");
     }
 }
 
