@@ -297,6 +297,8 @@ fn build_env_spec(m: &Module, func: FuncOp) -> Result<EnvSpec, EquivError> {
 struct Side<'a> {
     ts: &'a TransitionSystem,
     state: Vec<BV>,
+    /// The last evaluated cycle; the next one re-blasts only its changes.
+    frame: Option<Frame>,
     /// Environment memory words per memref argument (bank-major).
     mem_words: Vec<Vec<BV>>,
     /// Carried read data per memref per bank (latency ≥ 1 buses).
@@ -311,6 +313,13 @@ impl<'a> Side<'a> {
             .copied()
             .ok_or_else(|| EquivError::Signature(format!("net '{name}' missing from design")))
     }
+
+    /// The frame of the last [`step_side`].
+    fn frame(&self) -> &Frame {
+        self.frame
+            .as_ref()
+            .expect("side stepped before observation")
+    }
 }
 
 /// Addressable word offsets of `addr_width` bits within a bank of
@@ -323,12 +332,32 @@ fn reachable(bank_words: u64, addr_width: usize) -> u64 {
     }
 }
 
-/// Read-first lookup of `store[bank*bank_size + addr]`, out-of-range = 0 —
-/// exactly `Harness::serve_reads_pre` / `apply_requests`.
-fn read_word(bl: &mut Blaster, store: &[BV], em: &EnvMem, bank: u64, addr: &BV) -> BV {
-    let mut acc = bl.bv_const(0, em.elem_width);
+/// The words `lo..hi` of `store` that bank `bank` can address with
+/// `addr_width` bits.
+fn bank_span(em: &EnvMem, bank: u64, addr_width: usize) -> (u64, u64) {
     let lo = bank * em.bank_size;
-    let hi = (lo + reachable(em.total_words.saturating_sub(lo), addr.len())).min(em.total_words);
+    let hi = (lo + reachable(em.total_words.saturating_sub(lo), addr_width)).min(em.total_words);
+    (lo, hi)
+}
+
+/// Read-first lookup of `store[bank*bank_size + addr]`, out-of-range = 0 —
+/// exactly `Harness::serve_reads_pre` / `apply_requests`. A constant
+/// address takes its word directly: every select of the mux chain folds
+/// to a constant, so the chain would return that word (or the zero word)
+/// without a gate.
+fn read_word(bl: &mut Blaster, store: &[BV], em: &EnvMem, bank: u64, addr: &BV) -> BV {
+    let (lo, hi) = bank_span(em, bank, addr.len());
+    match bl.bv_value(addr) {
+        Some(a) if a < hi.saturating_sub(lo) => store[(lo + a) as usize].clone(),
+        Some(_) => bl.bv_const(0, em.elem_width),
+        None => read_mux(bl, store, em, bank, addr),
+    }
+}
+
+/// [`read_word`] as a mux chain over every addressable word.
+fn read_mux(bl: &mut Blaster, store: &[BV], em: &EnvMem, bank: u64, addr: &BV) -> BV {
+    let (lo, hi) = bank_span(em, bank, addr.len());
+    let mut acc = bl.bv_const(0, em.elem_width);
     for j in (lo..hi).rev() {
         let off = bl.bv_const(j - lo, addr.len() as u32);
         let sel = bl.bv_eq(addr, &off);
@@ -337,21 +366,78 @@ fn read_word(bl: &mut Blaster, store: &[BV], em: &EnvMem, bank: u64, addr: &BV) 
     acc
 }
 
+/// `store[bank*bank_size + addr] = data` when `en` holds; out-of-range
+/// writes are dropped. A constant address updates only its word, and a
+/// constant-false enable none: every other word's select folds to false.
+fn write_word(
+    bl: &mut Blaster,
+    store: &mut [BV],
+    em: &EnvMem,
+    bank: u64,
+    en: Lit,
+    addr: &BV,
+    data: &BV,
+) {
+    let (lo, hi) = bank_span(em, bank, addr.len());
+    match bl.bv_value(addr) {
+        Some(_) if en == bl.fals() => {}
+        Some(a) => {
+            if a < hi.saturating_sub(lo) {
+                let j = (lo + a) as usize;
+                store[j] = bl.bv_ite(en, data, &store[j]);
+            }
+        }
+        None => write_mux(bl, store, em, bank, en, addr, data),
+    }
+}
+
+/// [`write_word`] as a mux per addressable word.
+fn write_mux(
+    bl: &mut Blaster,
+    store: &mut [BV],
+    em: &EnvMem,
+    bank: u64,
+    en: Lit,
+    addr: &BV,
+    data: &BV,
+) {
+    let (lo, hi) = bank_span(em, bank, addr.len());
+    for j in lo..hi {
+        let off = bl.bv_const(j - lo, addr.len() as u32);
+        let hit = bl.bv_eq(addr, &off);
+        let hit = bl.and(en, hit);
+        store[j as usize] = bl.bv_ite(hit, data, &store[j as usize]);
+    }
+}
+
+/// `diff ∨ (a ≠ b)` over corresponding words. Literal-equal words compare
+/// equal without a gate, so they are skipped.
+fn words_differ(bl: &mut Blaster, mut diff: Lit, a: &[BV], b: &[BV]) -> Lit {
+    for (wa, wb) in a.iter().zip(b) {
+        if wa == wb {
+            continue;
+        }
+        let ne = bl.bv_eq(wa, wb).flip();
+        diff = bl.or(diff, ne);
+    }
+    diff
+}
+
 struct CycleObs {
     /// 1-bit disagreement literal for this cycle.
     diff: Lit,
 }
 
-/// Advance one side by one cycle; returns the frame for observable
-/// extraction. `latency0_frees` collects (mem index, bank, fresh BV) pairs
-/// whose combinational-read constraints the caller asserts post-frame.
+/// Advance one side by one cycle, leaving the frame in `side.frame` for
+/// observable extraction. `latency0_frees` collects (mem index, bank, fresh
+/// BV) pairs whose combinational-read constraints are asserted post-frame.
 fn step_side(
     bl: &mut Blaster,
     side: &mut Side<'_>,
     env: &EnvSpec,
     scalars: &[BV],
     cycle: u32,
-) -> Result<Frame, EquivError> {
+) -> Result<(), EquivError> {
     // 1. Build this cycle's input vector.
     let mut inputs: Vec<BV> = Vec::with_capacity(side.ts.inputs.len());
     let mut latency0_frees: Vec<(usize, u64, BV)> = Vec::new();
@@ -375,8 +461,8 @@ fn step_side(
     }
 
     // 2. Evaluate the design's combinational cone.
-    let state = side.state.clone();
-    let frame = eval_frame(bl, side.ts, &state, &inputs);
+    let state = std::mem::take(&mut side.state);
+    let frame = eval_frame(bl, side.ts, side.frame.take(), state, inputs);
 
     // 3. Zero-latency reads: the read data the design consumed this cycle
     //    must equal the current memory word at the bus address (the harness
@@ -385,8 +471,7 @@ fn step_side(
     for (mi, b, fresh) in latency0_frees {
         let em = &env.mems[mi];
         let addr_id = side.net(&bus(&em.base, b, em.banks, "addr"))?;
-        let addr = frame.get(addr_id).clone();
-        let served = read_word(bl, &side.mem_words[mi], em, b, &addr);
+        let served = read_word(bl, &side.mem_words[mi], em, b, frame.get(addr_id));
         let served = bl.bv_fit(&served, fresh.len() as u32);
         let eq = bl.bv_eq(&fresh, &served);
         bl.assert_true(eq);
@@ -402,11 +487,10 @@ fn step_side(
             let en_id = side.net(&bus(&em.base, b, em.banks, "rd_en"))?;
             let addr_id = side.net(&bus(&em.base, b, em.banks, "addr"))?;
             let en = frame.get(en_id)[0];
-            let addr = frame.get(addr_id).clone();
-            let word = read_word(bl, &side.mem_words[mi], em, b, &addr);
-            let cur = side.rd_data[mi][b as usize].clone();
+            let word = read_word(bl, &side.mem_words[mi], em, b, frame.get(addr_id));
+            let cur = &side.rd_data[mi][b as usize];
             let word = bl.bv_fit(&word, cur.len() as u32);
-            side.rd_data[mi][b as usize] = bl.bv_ite(en, &word, &cur);
+            side.rd_data[mi][b as usize] = bl.bv_ite(en, &word, cur);
         }
     }
 
@@ -421,25 +505,16 @@ fn step_side(
             let addr_id = side.net(&bus(&em.base, b, em.banks, "waddr"))?;
             let data_id = side.net(&bus(&em.base, b, em.banks, "wr_data"))?;
             let en = frame.get(en_id)[0];
-            let addr = frame.get(addr_id).clone();
-            let data = frame.get(data_id).clone();
-            let data = bl.bv_fit(&data, em.elem_width);
-            let lo = b * em.bank_size;
-            let hi =
-                (lo + reachable(em.total_words.saturating_sub(lo), addr.len())).min(em.total_words);
-            for j in lo..hi {
-                let off = bl.bv_const(j - lo, addr.len() as u32);
-                let hit = bl.bv_eq(&addr, &off);
-                let hit = bl.and(en, hit);
-                let old = side.mem_words[mi][j as usize].clone();
-                side.mem_words[mi][j as usize] = bl.bv_ite(hit, &data, &old);
-            }
+            let data = bl.bv_fit(frame.get(data_id), em.elem_width);
+            let store = &mut side.mem_words[mi];
+            write_word(bl, store, em, b, en, frame.get(addr_id), &data);
         }
     }
 
     // 6. Register update.
     side.state = next_state(side.ts, &frame);
-    Ok(frame)
+    side.frame = Some(frame);
+    Ok(())
 }
 
 /// Per-cycle observables: result valid/value streams and memory contents.
@@ -447,33 +522,28 @@ fn observe_diff(
     bl: &mut Blaster,
     env: &EnvSpec,
     a: &Side<'_>,
-    fa: &Frame,
     b: &Side<'_>,
-    fb: &Frame,
 ) -> Result<CycleObs, EquivError> {
+    let (fa, fb) = (a.frame(), b.frame());
     let mut diff = bl.fals();
     for i in 0..env.result_count {
         let va = fa.get(a.net(&format!("result{i}_valid"))?)[0];
         let vb = fb.get(b.net(&format!("result{i}_valid"))?)[0];
-        let ra = fa.get(a.net(&format!("result{i}"))?).clone();
-        let rb = fb.get(b.net(&format!("result{i}"))?).clone();
+        let ra = fa.get(a.net(&format!("result{i}"))?);
+        let rb = fb.get(b.net(&format!("result{i}"))?);
         let valid_mismatch = bl.xor(va, vb);
         diff = bl.or(diff, valid_mismatch);
         let w = ra.len().max(rb.len()) as u32;
-        let ra = bl.bv_fit(&ra, w);
-        let rb = bl.bv_fit(&rb, w);
+        let ra = bl.bv_fit(ra, w);
+        let rb = bl.bv_fit(rb, w);
         let value_mismatch = bl.bv_eq(&ra, &rb).flip();
         let observed_mismatch = bl.and(va, value_mismatch);
         diff = bl.or(diff, observed_mismatch);
     }
     // Memory contents after this cycle's writes. Untouched words are the
     // same literals on both sides and fold away for free.
-    for (mi, _) in env.mems.iter().enumerate() {
-        for (wa, wb) in a.mem_words[mi].iter().zip(&b.mem_words[mi]) {
-            let (wa, wb) = (wa.clone(), wb.clone());
-            let ne = bl.bv_eq(&wa, &wb).flip();
-            diff = bl.or(diff, ne);
-        }
+    for (wa, wb) in a.mem_words.iter().zip(&b.mem_words) {
+        diff = words_differ(bl, diff, wa, wb);
     }
     Ok(CycleObs { diff })
 }
@@ -583,9 +653,9 @@ pub fn check_func_equivalence(
         let blast_started = Instant::now();
         let obs = {
             let _sp = obs::span("equiv_blast");
-            let fa = step_side(&mut bl, &mut side_a, &env, &scalars, cycle)?;
-            let fb = step_side(&mut bl, &mut side_b, &env, &scalars, cycle)?;
-            observe_diff(&mut bl, &env, &side_a, &fa, &side_b, &fb)?
+            step_side(&mut bl, &mut side_a, &env, &scalars, cycle)?;
+            step_side(&mut bl, &mut side_b, &env, &scalars, cycle)?;
+            observe_diff(&mut bl, &env, &side_a, &side_b)?
         };
         phases.blast += blast_started.elapsed();
         frames.push(FrameStats {
@@ -732,6 +802,7 @@ fn make_side<'a>(
     Side {
         ts,
         state: crate::unroll::initial_state(bl, ts),
+        frame: None,
         mem_words: init_words.to_vec(),
         rd_data: env
             .mems
@@ -951,5 +1022,194 @@ fn sampled_fallback(
             samples: opts.samples,
             reason,
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A loop with state, a latched (latency-1) memory read, a latency-0
+    /// read from a register memref, a symbolic scalar and a memory write.
+    const ACC: &str = "
+hir.func @acc at %t(
+    %A : !hir.memref<8*i32, r, bram>,
+    %R : !hir.memref<[2]*i32, r, reg>,
+    %B : !hir.memref<8*i32, w, bram>,
+    %x : i32) {
+  %c0 = hir.constant 0 : index
+  %c1 = hir.constant 1 : index
+  %c8 = hir.constant 8 : index
+  %r0 = hir.mem_read %R[%c0] at %t offset 0 : i32
+  %tf = hir.for %i : i32 = %c0 to %c8 step %c1 iter_time(%ti = %t offset 1) {
+    hir.yield at %ti offset 1
+    %v = hir.mem_read %A[%i] at %ti offset 0 : i32
+    %i1 = hir.delay %i by 1 at %ti offset 0 : i32
+    %s = hir.add (%v, %x) : (i32, i32) -> (i32)
+    %w = hir.add (%s, %r0) : (i32, i32) -> (i32)
+    hir.mem_write %w to %B[%i1] at %ti offset 1
+  }
+  hir.return
+}
+";
+
+    /// Per cycle: both sides' node values, the miter literal, and the CNF
+    /// size after the cycle.
+    type Unrolled = Vec<(Vec<BV>, Vec<BV>, Lit, u32, usize)>;
+
+    /// Unrolls `src`'s function against itself for `k` cycles. Without
+    /// `reuse`, every frame is evaluated with no predecessor.
+    fn unroll(src: &str, k: u32, reuse: bool) -> (Unrolled, Blaster) {
+        let m = hir::parse_pretty(src).expect("parse");
+        let func = find_func(&m, "acc").unwrap();
+        let env = build_env_spec(&m, func).unwrap();
+        assert!(env.mems.iter().any(|em| em.latency0 && em.can_read));
+        assert!(env.mems.iter().any(|em| !em.latency0 && em.can_read));
+        let ts = lower(&build_design(&m).unwrap(), &module_name("acc")).unwrap();
+        assert!(!ts.states.is_empty());
+        let mut bl = Blaster::new();
+        let scalars: Vec<BV> = env.scalars.iter().map(|s| bl.bv_fresh(s.2)).collect();
+        let init_words: Vec<Vec<BV>> = env
+            .mems
+            .iter()
+            .map(|em| {
+                (0..em.total_words)
+                    .map(|_| bl.bv_fresh(em.elem_width))
+                    .collect()
+            })
+            .collect();
+        let mut a = make_side(&bl, &ts, &env, &init_words);
+        let mut b = make_side(&bl, &ts, &env, &init_words);
+        let mut cycles = Vec::new();
+        for cycle in 0..k {
+            if !reuse {
+                a.frame = None;
+                b.frame = None;
+            }
+            step_side(&mut bl, &mut a, &env, &scalars, cycle).unwrap();
+            step_side(&mut bl, &mut b, &env, &scalars, cycle).unwrap();
+            let obs = observe_diff(&mut bl, &env, &a, &b).unwrap();
+            cycles.push((
+                a.frame().values.clone(),
+                b.frame().values.clone(),
+                obs.diff,
+                bl.solver.num_vars(),
+                bl.solver.num_clauses(),
+            ));
+        }
+        (cycles, bl)
+    }
+
+    /// Reusing the previous frame builds, node for node, the literals a
+    /// from-scratch evaluation builds, with the same CNF; it only skips
+    /// gate lookups that would have hit the cache.
+    #[test]
+    fn incremental_frames_match_frames_built_from_scratch() {
+        let (inc, inc_bl) = unroll(ACC, 12, true);
+        let (full, full_bl) = unroll(ACC, 12, false);
+        for (cycle, (i, f)) in inc.iter().zip(&full).enumerate() {
+            for (node, (x, y)) in i.0.iter().zip(&f.0).enumerate() {
+                assert_eq!(x, y, "cycle {cycle}: node {node} differs");
+            }
+            assert_eq!(i, f, "cycle {cycle} differs");
+        }
+        assert_eq!(inc_bl.cache_misses, full_bl.cache_misses);
+        assert!(inc_bl.cache_hits < full_bl.cache_hits, "no node was reused");
+        // The design is symbolic and its state moves, so the check has teeth.
+        let last = &inc.last().unwrap().0;
+        assert!(last.iter().any(|v| inc_bl.bv_value(v).is_none()));
+        assert_ne!(inc[2].0, inc[3].0, "frames must change between cycles");
+    }
+
+    /// Two blasters with the same symbolic words, enable and data.
+    fn blasters() -> [(Blaster, Vec<BV>, Lit, BV); 2] {
+        std::array::from_fn(|_| {
+            let mut bl = Blaster::new();
+            let store: Vec<BV> = (0..10).map(|_| bl.bv_fresh(4)).collect();
+            let en = bl.fresh();
+            let data = bl.bv_fresh(4);
+            (bl, store, en, data)
+        })
+    }
+
+    /// Two banks of five 4-bit words behind a 3-bit address: bank 0
+    /// reaches into bank 1's words and bank 1's offsets 5..8 fall off the
+    /// end, as in the harness's flat indexing.
+    fn banked() -> EnvMem {
+        EnvMem {
+            arg_index: 0,
+            base: "m".into(),
+            banks: 2,
+            bank_size: 5,
+            elem_width: 4,
+            latency0: false,
+            can_read: true,
+            can_write: true,
+            total_words: 10,
+        }
+    }
+
+    fn counts(bl: &Blaster) -> (u64, u64, u32, usize) {
+        (
+            bl.cache_hits,
+            bl.cache_misses,
+            bl.solver.num_vars(),
+            bl.solver.num_clauses(),
+        )
+    }
+
+    /// Constant-address reads and writes return the mux chain's literals
+    /// and make the same cache lookups, in range and out of it.
+    #[test]
+    fn constant_address_access_matches_the_mux_chain() {
+        let em = banked();
+        let [(mut bl, store, en, data), (mut mux, mstore, men, mdata)] = blasters();
+        // Two rounds, so the second round's writes hit the cache.
+        for _ in 0..2 {
+            for bank in 0..em.banks {
+                for a in 0..8 {
+                    let addr = bl.bv_const(a, 3);
+                    let got = read_word(&mut bl, &store, &em, bank, &addr);
+                    let want = read_mux(&mut mux, &mstore, &em, bank, &addr);
+                    assert_eq!(got, want, "read bank {bank} addr {a}");
+                    let zero_en = bl.fals();
+                    for e in [en, bl.tru(), zero_en] {
+                        let mut got = store.clone();
+                        let mut want = mstore.clone();
+                        write_word(&mut bl, &mut got, &em, bank, e, &addr, &data);
+                        let me = if e == en { men } else { e };
+                        write_mux(&mut mux, &mut want, &em, bank, me, &addr, &mdata);
+                        assert_eq!(got, want, "write bank {bank} addr {a} en {e:?}");
+                    }
+                    assert_eq!(counts(&bl), counts(&mux), "bank {bank} addr {a}");
+                }
+            }
+        }
+        assert!(bl.cache_hits > 0 && bl.cache_misses > 0);
+    }
+
+    /// Skipping literal-equal word pairs leaves the memory disagreement
+    /// literal and the cache lookups as comparing every pair does.
+    #[test]
+    fn observing_memories_skips_only_equal_words() {
+        let [(mut bl, store, en, data), (mut all, mstore, men, mdata)] = blasters();
+        let mut other = store.clone();
+        other[3] = data.clone();
+        other[7] = bl.bv_ite(en, &data, &store[7]);
+        let mut mother = mstore.clone();
+        mother[3] = mdata.clone();
+        mother[7] = all.bv_ite(men, &mdata, &mstore[7]);
+        for _ in 0..2 {
+            let fals = bl.fals();
+            let got = words_differ(&mut bl, fals, &store, &other);
+            let mut want = all.fals();
+            for (x, y) in mstore.iter().zip(&mother) {
+                let ne = all.bv_eq(x, y).flip();
+                want = all.or(want, ne);
+            }
+            assert_eq!(got, want);
+            assert_eq!(counts(&bl), counts(&all));
+        }
+        assert!(bl.cache_hits > 0);
     }
 }

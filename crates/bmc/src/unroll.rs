@@ -2,15 +2,22 @@
 //!
 //! One [`eval_frame`] call computes every node of the system for one cycle
 //! as bit vectors over the blaster, given the cycle's state and input
-//! vectors. The caller owns the cross-cycle plumbing (state advance,
+//! vectors and the side's previous frame. Only the cones whose leaves
+//! changed are re-blasted: gate constructors are structurally hashed, so
+//! re-evaluating a node on the same literals would return the same
+//! literals and allocate nothing, and every other node moves its previous
+//! vector over. The caller owns the cross-cycle plumbing (state advance,
 //! environment models, observables) — see [`crate::equiv`].
 
 use crate::blast::{Blaster, BV};
 use verilog::tsys::{Node, NodeId, TOp, TransitionSystem};
 
-/// All node values for one cycle, indexed by [`NodeId`].
+/// All node values for one cycle, indexed by [`NodeId`], with the state
+/// and input vectors they were computed from.
 pub struct Frame {
     pub values: Vec<BV>,
+    state: Vec<BV>,
+    inputs: Vec<BV>,
 }
 
 impl Frame {
@@ -21,9 +28,51 @@ impl Frame {
 
 /// Evaluate every node of `ts` for one cycle. `state[i]` must be a vector
 /// of the i-th state variable's width; `inputs[i]` likewise for inputs.
-pub fn eval_frame(bl: &mut Blaster, ts: &TransitionSystem, state: &[BV], inputs: &[BV]) -> Frame {
+///
+/// `prev` is the same system's previous frame. A node is recomputed only if
+/// it changed: a leaf whose state or input vector differs literal for
+/// literal from `prev`'s, or an interior node with a recomputed operand.
+/// The others take `prev`'s vector as is. Without `prev` every node counts
+/// as changed.
+pub fn eval_frame(
+    bl: &mut Blaster,
+    ts: &TransitionSystem,
+    prev: Option<Frame>,
+    state: Vec<BV>,
+    inputs: Vec<BV>,
+) -> Frame {
+    let fresh = prev.is_none();
+    let (mut old, old_state, old_inputs) = match prev {
+        Some(f) => (f.values, f.state, f.inputs),
+        None => Default::default(),
+    };
+    debug_assert!(
+        fresh || old.len() == ts.nodes.len(),
+        "frame of another system"
+    );
+    let mut changed: Vec<bool> = Vec::with_capacity(ts.nodes.len());
     let mut values: Vec<BV> = Vec::with_capacity(ts.nodes.len());
     for (i, n) in ts.nodes.iter().enumerate() {
+        let dirty = fresh
+            || match n {
+                Node::Const { .. } => false,
+                Node::Input { index, .. } => inputs[*index as usize] != old_inputs[*index as usize],
+                Node::State { index, .. } => state[*index as usize] != old_state[*index as usize],
+                Node::Not { a, .. }
+                | Node::RedOr { a }
+                | Node::Slice { a, .. }
+                | Node::Ext { a, .. } => changed[*a as usize],
+                Node::Binary { a, b, .. } => changed[*a as usize] || changed[*b as usize],
+                Node::Ite { cond, t, e, .. } => {
+                    changed[*cond as usize] || changed[*t as usize] || changed[*e as usize]
+                }
+                Node::Concat { hi, lo, .. } => changed[*hi as usize] || changed[*lo as usize],
+            };
+        changed.push(dirty);
+        if !dirty {
+            values.push(std::mem::take(&mut old[i]));
+            continue;
+        }
         let v: BV = match n {
             Node::Const { value, width } => bl.bv_const(*value, *width),
             Node::Input { index, width } => {
@@ -34,52 +83,44 @@ pub fn eval_frame(bl: &mut Blaster, ts: &TransitionSystem, state: &[BV], inputs:
                 debug_assert_eq!(state[*index as usize].len(), *width as usize);
                 state[*index as usize].clone()
             }
-            Node::Not { a, .. } => {
-                let a = values[*a as usize].clone();
-                bl.bv_not(&a)
-            }
+            Node::Not { a, .. } => bl.bv_not(&values[*a as usize]),
             Node::RedOr { a } => {
-                let a = values[*a as usize].clone();
                 let mut acc = bl.fals();
-                for &l in &a {
+                for &l in &values[*a as usize] {
                     acc = bl.or(acc, l);
                 }
                 vec![acc]
             }
             Node::Binary { op, a, b, .. } => {
-                let a = values[*a as usize].clone();
-                let b = values[*b as usize].clone();
+                let (a, b) = (&values[*a as usize], &values[*b as usize]);
                 match op {
-                    TOp::Add => bl.bv_add(&a, &b),
-                    TOp::Sub => bl.bv_sub(&a, &b),
-                    TOp::Mul => bl.bv_mul(&a, &b),
-                    TOp::And => bl.bv_and(&a, &b),
-                    TOp::Or => bl.bv_or(&a, &b),
-                    TOp::Xor => bl.bv_xor(&a, &b),
-                    TOp::Sll => bl.bv_sll(&a, &b),
-                    TOp::Srl => bl.bv_srl(&a, &b),
-                    TOp::Sra => bl.bv_sra(&a, &b),
-                    TOp::Eq => vec![bl.bv_eq(&a, &b)],
-                    TOp::Ne => vec![bl.bv_eq(&a, &b).flip()],
-                    TOp::Ult => vec![bl.bv_ult(&a, &b)],
-                    TOp::Ule => vec![bl.bv_ule(&a, &b)],
-                    TOp::Slt => vec![bl.bv_slt(&a, &b)],
-                    TOp::Sle => vec![bl.bv_sle(&a, &b)],
+                    TOp::Add => bl.bv_add(a, b),
+                    TOp::Sub => bl.bv_sub(a, b),
+                    TOp::Mul => bl.bv_mul(a, b),
+                    TOp::And => bl.bv_and(a, b),
+                    TOp::Or => bl.bv_or(a, b),
+                    TOp::Xor => bl.bv_xor(a, b),
+                    TOp::Sll => bl.bv_sll(a, b),
+                    TOp::Srl => bl.bv_srl(a, b),
+                    TOp::Sra => bl.bv_sra(a, b),
+                    TOp::Eq => vec![bl.bv_eq(a, b)],
+                    TOp::Ne => vec![bl.bv_eq(a, b).flip()],
+                    TOp::Ult => vec![bl.bv_ult(a, b)],
+                    TOp::Ule => vec![bl.bv_ule(a, b)],
+                    TOp::Slt => vec![bl.bv_slt(a, b)],
+                    TOp::Sle => vec![bl.bv_sle(a, b)],
                 }
             }
             Node::Ite { cond, t, e, .. } => {
                 let c = values[*cond as usize][0];
-                let t = values[*t as usize].clone();
-                let e = values[*e as usize].clone();
-                bl.bv_ite(c, &t, &e)
+                bl.bv_ite(c, &values[*t as usize], &values[*e as usize])
             }
             Node::Slice { a, hi, lo } => values[*a as usize][*lo as usize..=*hi as usize].to_vec(),
             Node::Ext { a, width, signed } => {
-                let a = values[*a as usize].clone();
                 if *signed {
-                    bl.bv_sext(&a, *width)
+                    bl.bv_sext(&values[*a as usize], *width)
                 } else {
-                    bl.bv_fit(&a, *width)
+                    bl.bv_fit(&values[*a as usize], *width)
                 }
             }
             Node::Concat { hi, lo, .. } => {
@@ -95,7 +136,11 @@ pub fn eval_frame(bl: &mut Blaster, ts: &TransitionSystem, state: &[BV], inputs:
             "node {i} width mismatch"
         );
     }
-    Frame { values }
+    Frame {
+        values,
+        state,
+        inputs,
+    }
 }
 
 /// The next-state vectors implied by a frame.
@@ -140,6 +185,7 @@ mod tests {
 
         let mut bl = Blaster::new();
         let mut state = initial_state(&bl, &ts);
+        let mut prev = None;
         let mut conc_state = ts.initial_state();
         for cycle in 0..8u64 {
             let stim = (cycle * 3 + 1) % 16;
@@ -159,7 +205,7 @@ mod tests {
                 .iter()
                 .map(|iv| if iv.name == "step_by" { stim } else { iv.init })
                 .collect();
-            let frame = eval_frame(&mut bl, &ts, &state, &inputs);
+            let frame = eval_frame(&mut bl, &ts, prev.take(), state, inputs);
             let conc = ts.eval_nodes(&conc_state, &conc_inputs);
             // With constant inputs everything folds to constants — compare
             // every node against the concrete evaluator.
@@ -171,6 +217,7 @@ mod tests {
                 );
             }
             state = next_state(&ts, &frame);
+            prev = Some(frame);
             conc_state = ts.next_state(&conc);
         }
     }
@@ -196,6 +243,7 @@ mod tests {
         let mut bl = Blaster::new();
         let x = bl.bv_fresh(8);
         let mut state = initial_state(&bl, &ts);
+        let mut prev = None;
         // Two cycles with the same symbolic x: acc = x + x afterwards.
         for _ in 0..2 {
             let inputs: Vec<BV> = ts
@@ -209,8 +257,9 @@ mod tests {
                     }
                 })
                 .collect();
-            let frame = eval_frame(&mut bl, &ts, &state, &inputs);
+            let frame = eval_frame(&mut bl, &ts, prev.take(), state, inputs);
             state = next_state(&ts, &frame);
+            prev = Some(frame);
         }
         let acc = &state[0].clone();
         let two_x = {

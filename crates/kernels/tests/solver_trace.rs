@@ -5,7 +5,7 @@
 //! gate-cache hashing) must leave the search itself untouched, and these
 //! tuples show it did.
 
-use kernels::{conv, gemm, stencil, transpose};
+use kernels::{conv, gemm, stencil};
 
 /// `(conflicts, decisions, propagations, restarts, vars, clauses)`.
 type Trace = (u64, u64, u64, u64, u64, u64);
@@ -113,9 +113,9 @@ fn gemm2_proof_keeps_its_exact_search() {
 #[test]
 fn phase_times_accumulate_below_one_millisecond_per_frame() {
     let r = check(
-        &transpose::hir_transpose(16, 32),
+        &stencil::hir_stencil(64, 32),
         hir_opt::STANDARD_PASS_NAMES,
-        16,
+        32,
     );
     assert!(matches!(r.status, bmc::EquivStatus::Proved));
     let s = &r.solver;

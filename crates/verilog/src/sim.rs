@@ -4681,9 +4681,11 @@ impl Simulator {
         Some(obs::trace::chrome_trace_with_counters(&spans, &counters))
     }
 
-    /// Turn on the scheduler-statistics plane. Idempotent; settles first so
-    /// counting starts from a quiescent baseline (the initial full
-    /// evaluation is not attributed to any cycle).
+    /// Turn on the scheduler-statistics plane. Idempotent; settles first
+    /// when anything is pending, so counting starts from a quiescent
+    /// baseline (the initial full evaluation is not attributed to any
+    /// cycle). An already-settled simulator is not settled again: with
+    /// telemetry on, that extra settle would be counted.
     ///
     /// The plane is a pure observer of the *engine*: with it off, every hot
     /// path pays exactly one `Option` check and the tapes are untouched;
@@ -4695,7 +4697,9 @@ impl Simulator {
         if self.sched.is_some() {
             return;
         }
-        self.settle();
+        if self.dirty {
+            self.settle();
+        }
         let n_step_cones = self.step_cones().len();
         self.sched = Some(Box::new(SchedStats {
             cycles: 0,

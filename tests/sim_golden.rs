@@ -130,6 +130,23 @@ fn telemetry_does_not_change_the_event_schedule() {
     }
 }
 
+/// Sched-stats observe the engine; turning them on must not add a settle
+/// that telemetry counts, so the telemetry is the same with and without
+/// them under every scalar engine.
+#[test]
+fn sched_stats_do_not_change_telemetry() {
+    for example in examples() {
+        for engine in ["bytecode", "treewalk", "event"] {
+            let alone = simulate(&example, engine, &["--sim-telemetry"]);
+            let both = simulate(&example, engine, &["--sim-telemetry", "--sched-stats"]);
+            assert_eq!(
+                alone[0], both[0],
+                "{example} --sim-engine={engine}: --sched-stats changed the telemetry"
+            );
+        }
+    }
+}
+
 /// Rewrites the goldens from the bytecode engine's telemetry and every
 /// engine's sched-stats.
 #[test]
