@@ -93,6 +93,10 @@ pub struct Harness {
     activity_ids: Vec<usize>,
     /// Number of batched stimulus lanes (1 for a scalar harness).
     lanes: usize,
+    /// Bus requests of the current cycle (buffers reused across cycles).
+    requests: Requests,
+    /// Scratch lane row for pokes.
+    row: Vec<u64>,
 }
 
 impl Harness {
@@ -316,6 +320,8 @@ impl Harness {
             result_ports,
             activity_ids,
             lanes,
+            requests: Requests::default(),
+            row: Vec::with_capacity(lanes),
         })
     }
 
@@ -325,8 +331,12 @@ impl Harness {
     }
 
     /// Select the simulator execution engine (bytecode by default; the
-    /// tree-walk oracle is used for differential testing).
+    /// tree-walk oracle is used for differential testing). The batched
+    /// engine runs exactly the harness's stimulus lanes.
     pub fn set_engine(&mut self, engine: verilog::Engine) {
+        if engine == verilog::Engine::Batched {
+            self.sim.set_batch_lanes(self.lanes);
+        }
         self.sim.set_engine(engine);
     }
 
@@ -378,7 +388,7 @@ impl Harness {
     fn run_lanes(&mut self, max_cycles: u64) -> Result<Vec<HarnessReport>, CodegenError> {
         const QUIESCENT_GRACE: u64 = 8;
         let lanes = self.lanes;
-        let batched = lanes > 1;
+        let all = mask(lanes as u32);
         // Belt and braces: arm the simulator's own watchdog too, so even a
         // future loop in this harness cannot spin past the caller's bound.
         self.sim.set_cycle_budget(Some(
@@ -387,14 +397,10 @@ impl Harness {
                 .saturating_add(max_cycles)
                 .saturating_add(1),
         ));
-        for &(id, ref vs, w) in &self.scalar_ports {
-            if batched {
-                for (lane, &v) in vs.iter().enumerate() {
-                    self.sim.set_lane_id(id, lane, (v as u64) & mask(w));
-                }
-            } else {
-                self.sim.set_id(id, (vs[0] as u64) & mask(w));
-            }
+        for (id, vs, w) in &self.scalar_ports {
+            self.row.clear();
+            self.row.extend(vs.iter().map(|&v| (v as u64) & mask(*w)));
+            self.sim.poke_row(*id, all, &self.row);
         }
         self.sim.set("start", 1);
 
@@ -406,45 +412,30 @@ impl Harness {
             // Serve memories combinationally-visible state for this cycle.
             self.serve_reads_pre();
             // Observe activity + capture results before the edge.
-            for lane in 0..lanes {
-                let mut active = false;
-                for &id in &self.activity_ids {
-                    let v = if batched {
-                        self.sim.get_lane_id(id, lane)
-                    } else {
-                        self.sim.get_id(id)
-                    };
-                    if v != 0 {
-                        active = true;
-                    }
+            let mut active = 0u64;
+            for &id in &self.activity_ids {
+                active |= nonzero_lanes(self.sim.lane_row(id));
+            }
+            for (i, &(port, valid, w)) in self.result_ports.iter().enumerate() {
+                let valid = nonzero_lanes(self.sim.lane_row(valid));
+                let row = self.sim.lane_row(port);
+                for lane in lanes_of(valid) {
+                    results[lane][i] = Some(sign(row[lane], w));
                 }
-                for (i, &(port, valid, w)) in self.result_ports.iter().enumerate() {
-                    let v = if batched {
-                        self.sim.get_lane_id(valid, lane)
-                    } else {
-                        self.sim.get_id(valid)
-                    };
-                    if v != 0 {
-                        let raw = if batched {
-                            self.sim.get_lane_id(port, lane)
-                        } else {
-                            self.sim.get_id(port)
-                        };
-                        results[lane][i] = Some(sign(raw, w));
-                        active = true;
-                    }
-                }
-                if active {
+                active |= valid;
+            }
+            if active != 0 {
+                for lane in lanes_of(active) {
                     last_activity[lane] = cycle;
-                    last_any = cycle;
                 }
+                last_any = cycle;
             }
             // Sample bus requests, clock, then apply them (sync RAM).
-            let requests = self.sample_requests();
+            self.sample_requests();
             self.sim
                 .step()
                 .map_err(|e| CodegenError(format!("RTL assertion failed: {e}")))?;
-            self.apply_requests(requests);
+            self.apply_requests();
             if cycle == 0 {
                 self.sim.set("start", 0);
             }
@@ -477,147 +468,116 @@ impl Harness {
     }
 
     /// For zero-latency (register-kind) argument memories, the read data must
-    /// be visible combinationally in the same cycle.
+    /// be visible combinationally in the same cycle. One poke per bank
+    /// serves every lane; banks are served in order, each seeing the design
+    /// settled after the previous one's read data.
     fn serve_reads_pre(&mut self) {
-        let batched = self.lanes > 1;
-        for i in 0..self.mems.len() {
-            if self.mems[i].read_latency != 0 || !self.mems[i].can_read {
+        let all = mask(self.lanes as u32);
+        for (i, mm) in self.mems.iter().enumerate() {
+            if mm.read_latency != 0 || !mm.can_read {
                 continue;
             }
-            let store = self.mems[i].shared_with.unwrap_or(i);
-            let bank_size = self.mems[i].bank_size;
-            for b in 0..self.mems[i].bank_nets.len() {
-                let bn = self.mems[i].bank_nets[b];
+            let store = &self.mems[mm.shared_with.unwrap_or(i)].data;
+            for (b, bn) in mm.bank_nets.iter().enumerate() {
                 let (Some(addr_id), Some(rd_data_id)) = (bn.addr, bn.rd_data) else {
                     continue;
                 };
-                for lane in 0..self.lanes {
-                    let addr = if batched {
-                        self.sim.get_lane_id(addr_id, lane)
-                    } else {
-                        self.sim.get_id(addr_id)
-                    };
-                    let idx = (b as u64 * bank_size + addr) as usize;
-                    let v = self.mems[store].data[lane].get(idx).copied().unwrap_or(0);
-                    if batched {
-                        self.sim.set_lane_id(rd_data_id, lane, v as u64);
-                    } else {
-                        self.sim.set_id(rd_data_id, v as u64);
-                    }
-                }
+                let base = b as u64 * mm.bank_size;
+                self.row.clear();
+                self.row
+                    .extend(
+                        self.sim
+                            .lane_row(addr_id)
+                            .iter()
+                            .zip(store)
+                            .map(|(&addr, data)| {
+                                data.get((base + addr) as usize).copied().unwrap_or(0) as u64
+                            }),
+                    );
+                self.sim.poke_row(rd_data_id, all, &self.row);
             }
         }
     }
 
-    /// Capture all bus requests during the current cycle.
-    fn sample_requests(&mut self) -> Vec<Request> {
-        let batched = self.lanes > 1;
-        let mut out = Vec::new();
-        for i in 0..self.mems.len() {
-            for b in 0..self.mems[i].bank_nets.len() {
-                let bn = self.mems[i].bank_nets[b];
-                for lane in 0..self.lanes {
-                    if self.mems[i].can_read && self.mems[i].read_latency > 0 {
-                        if let (Some(en_id), Some(addr_id)) = (bn.rd_en, bn.addr) {
-                            let en = if batched {
-                                self.sim.get_lane_id(en_id, lane)
-                            } else {
-                                self.sim.get_id(en_id)
-                            };
-                            if en != 0 {
-                                let addr = if batched {
-                                    self.sim.get_lane_id(addr_id, lane)
-                                } else {
-                                    self.sim.get_id(addr_id)
-                                };
-                                out.push(Request::Read {
-                                    mem: i,
-                                    bank: b as u64,
-                                    addr,
-                                    lane,
-                                });
-                            }
+    /// Capture all bus requests during the current cycle: one request per
+    /// enabled bank, carrying the mask of the lanes that enable it.
+    fn sample_requests(&mut self) {
+        let rq = &mut self.requests;
+        rq.reads.clear();
+        rq.writes.clear();
+        rq.vals.clear();
+        for (mem, mm) in self.mems.iter().enumerate() {
+            for (bank, bn) in mm.bank_nets.iter().enumerate() {
+                if mm.can_read && mm.read_latency > 0 {
+                    if let (Some(en_id), Some(addr_id)) = (bn.rd_en, bn.addr) {
+                        let lanes = nonzero_lanes(self.sim.lane_row(en_id));
+                        if lanes != 0 {
+                            let at = rq.vals.len();
+                            rq.reads.push(Request {
+                                mem,
+                                bank,
+                                lanes,
+                                at,
+                            });
+                            rq.vals.extend_from_slice(self.sim.lane_row(addr_id));
                         }
                     }
-                    if self.mems[i].can_write {
-                        if let (Some(en_id), Some(waddr_id), Some(data_id)) =
-                            (bn.wr_en, bn.waddr, bn.wr_data)
-                        {
-                            let en = if batched {
-                                self.sim.get_lane_id(en_id, lane)
-                            } else {
-                                self.sim.get_id(en_id)
-                            };
-                            if en != 0 {
-                                let (addr, data) = if batched {
-                                    (
-                                        self.sim.get_lane_id(waddr_id, lane),
-                                        self.sim.get_lane_id(data_id, lane),
-                                    )
-                                } else {
-                                    (self.sim.get_id(waddr_id), self.sim.get_id(data_id))
-                                };
-                                out.push(Request::Write {
-                                    mem: i,
-                                    bank: b as u64,
-                                    addr,
-                                    data,
-                                    lane,
-                                });
-                            }
+                }
+                if mm.can_write {
+                    if let (Some(en_id), Some(waddr_id), Some(data_id)) =
+                        (bn.wr_en, bn.waddr, bn.wr_data)
+                    {
+                        let lanes = nonzero_lanes(self.sim.lane_row(en_id));
+                        if lanes != 0 {
+                            let at = rq.vals.len();
+                            rq.writes.push(Request {
+                                mem,
+                                bank,
+                                lanes,
+                                at,
+                            });
+                            rq.vals.extend_from_slice(self.sim.lane_row(waddr_id));
+                            rq.vals.extend_from_slice(self.sim.lane_row(data_id));
                         }
                     }
                 }
             }
         }
-        out
     }
 
     /// Apply the requests after the clock edge (synchronous RAM semantics).
     /// Reads are served before writes land, so a same-cycle read at a
     /// written address returns the old value (read-first RAM).
-    fn apply_requests(&mut self, requests: Vec<Request>) {
-        let batched = self.lanes > 1;
-        let mut ordered: Vec<Request> = Vec::with_capacity(requests.len());
-        let (reads, writes): (Vec<_>, Vec<_>) = requests
-            .into_iter()
-            .partition(|r| matches!(r, Request::Read { .. }));
-        ordered.extend(reads);
-        ordered.extend(writes);
-        for r in ordered {
-            match r {
-                Request::Read {
-                    mem,
-                    bank,
-                    addr,
-                    lane,
-                } => {
-                    let idx = (bank * self.mems[mem].bank_size + addr) as usize;
-                    let store = self.mems[mem].shared_with.unwrap_or(mem);
-                    let v = self.mems[store].data[lane].get(idx).copied().unwrap_or(0);
-                    let w = self.mems[mem].elem_width;
-                    let Some(rd_data_id) = self.mems[mem].bank_nets[bank as usize].rd_data else {
-                        continue;
-                    };
-                    if batched {
-                        self.sim.set_lane_id(rd_data_id, lane, (v as u64) & mask(w));
-                    } else {
-                        self.sim.set_id(rd_data_id, (v as u64) & mask(w));
-                    }
-                }
-                Request::Write {
-                    mem,
-                    bank,
-                    addr,
-                    data,
-                    lane,
-                } => {
-                    let idx = (bank * self.mems[mem].bank_size + addr) as usize;
-                    let store = self.mems[mem].shared_with.unwrap_or(mem);
-                    let w = self.mems[mem].elem_width;
-                    if idx < self.mems[store].data[lane].len() {
-                        self.mems[store].data[lane][idx] = sign(data & mask(w), w);
-                    }
+    fn apply_requests(&mut self) {
+        let l = self.lanes;
+        let rq = &self.requests;
+        for r in &rq.reads {
+            let mm = &self.mems[r.mem];
+            let Some(rd_data_id) = mm.bank_nets[r.bank].rd_data else {
+                continue;
+            };
+            let store = &self.mems[mm.shared_with.unwrap_or(r.mem)].data;
+            let addrs = &rq.vals[r.at..r.at + l];
+            let base = r.bank as u64 * mm.bank_size;
+            self.row.resize(l, 0);
+            for lane in lanes_of(r.lanes) {
+                let v = store[lane]
+                    .get((base + addrs[lane]) as usize)
+                    .copied()
+                    .unwrap_or(0);
+                self.row[lane] = (v as u64) & mask(mm.elem_width);
+            }
+            self.sim.poke_row(rd_data_id, r.lanes, &self.row);
+        }
+        for r in &rq.writes {
+            let mm = &self.mems[r.mem];
+            let (base, w) = (r.bank as u64 * mm.bank_size, mm.elem_width);
+            let store = mm.shared_with.unwrap_or(r.mem);
+            let (addrs, data) = rq.vals[r.at..r.at + 2 * l].split_at(l);
+            for lane in lanes_of(r.lanes) {
+                let idx = (base + addrs[lane]) as usize;
+                if let Some(slot) = self.mems[store].data[lane].get_mut(idx) {
+                    *slot = sign(data[lane] & mask(w), w);
                 }
             }
         }
@@ -691,20 +651,41 @@ impl Harness {
     }
 }
 
-enum Request {
-    Read {
-        mem: usize,
-        bank: u64,
-        addr: u64,
-        lane: usize,
-    },
-    Write {
-        mem: usize,
-        bank: u64,
-        addr: u64,
-        data: u64,
-        lane: usize,
-    },
+/// Bus requests sampled before a clock edge and applied after it.
+#[derive(Default)]
+struct Requests {
+    reads: Vec<Request>,
+    writes: Vec<Request>,
+    /// Lane rows of the requests' operands: a read owns `lanes` addresses
+    /// at its `at`, a write `lanes` addresses then `lanes` data words.
+    vals: Vec<u64>,
+}
+
+/// One bank's request: the lanes that enabled it and where its operand
+/// rows start in [`Requests::vals`].
+struct Request {
+    mem: usize,
+    bank: usize,
+    lanes: u64,
+    at: usize,
+}
+
+/// The lanes of a lane row holding a non-zero value.
+fn nonzero_lanes(row: &[u64]) -> u64 {
+    row.iter()
+        .enumerate()
+        .fold(0, |m, (k, &v)| m | (u64::from(v != 0) << k))
+}
+
+/// The lanes set in `lanes`, lowest first.
+fn lanes_of(mut lanes: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (lanes != 0).then(|| {
+            let k = lanes.trailing_zeros() as usize;
+            lanes &= lanes - 1;
+            k
+        })
+    })
 }
 
 fn mask(width: u32) -> u64 {

@@ -1386,33 +1386,6 @@ impl Simulator {
         }
     }
 
-    /// Preload one lane's copy of a memory word ([`Engine::Batched`] only;
-    /// lane 0 also mirrors into the scalar memory).
-    ///
-    /// # Panics
-    /// Panics on unknown memory, out-of-range address or lane, or when the
-    /// batched engine is not active.
-    pub fn write_mem_lane(&mut self, name: &str, lane: usize, addr: u64, value: u64) {
-        let m = self.mem_index[name];
-        let v = value & mask(self.mem_width[m]);
-        let b = self
-            .batch
-            .as_deref_mut()
-            .expect("batched engine not active");
-        let l = b.lanes;
-        assert!(lane < l, "lane {lane} out of range (lanes = {l})");
-        let slot = addr as usize * l + lane;
-        if b.mems[m][slot] != v {
-            b.mems[m][slot] = v;
-            if lane == 0 {
-                self.memories[m][addr as usize] = v;
-            }
-            if let Some(ev) = self.ev.as_deref_mut() {
-                ev.note_mem_poked(m, 1u64 << lane);
-            }
-        }
-    }
-
     /// Read one lane's copy of a memory word ([`Engine::Batched`] only).
     ///
     /// # Panics
@@ -1429,82 +1402,12 @@ impl Simulator {
         b.mems[m][addr as usize * b.lanes + lane]
     }
 
-    /// Drive one lane of an input net ([`Engine::Batched`] only; lane 0
-    /// also mirrors into the scalar values). Takes effect at the next
-    /// settle.
-    ///
-    /// # Panics
-    /// Panics on an unknown net name, an out-of-range lane, or when the
-    /// batched engine is not active.
-    pub fn set_lane(&mut self, name: &str, lane: usize, value: u64) {
-        let idx = self.net_index[name];
-        self.set_lane_id(idx, lane, value);
-    }
-
-    /// [`set_lane`](Self::set_lane) by pre-resolved net id.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range lane or when the batched engine is not
-    /// active.
-    pub fn set_lane_id(&mut self, id: usize, lane: usize, value: u64) {
-        let v = value & mask(self.net_width[id]);
-        let b = self
-            .batch
-            .as_deref_mut()
-            .expect("batched engine not active");
-        let l = b.lanes;
-        assert!(lane < l, "lane {lane} out of range (lanes = {l})");
-        if b.values[id * l + lane] != v {
-            b.values[id * l + lane] = v;
-            if lane == 0 {
-                self.values[id] = v;
-            }
-            if let Some(ev) = self.ev.as_deref_mut() {
-                ev.note_net_poked(id, 1u64 << lane);
-            }
-        }
-        self.dirty = true;
-    }
-
-    /// Read one lane's settled value of a net ([`Engine::Batched`] only).
-    ///
-    /// # Panics
-    /// Panics on an unknown net name, an out-of-range lane, or when the
-    /// batched engine is not active.
-    pub fn get_lane(&mut self, name: &str, lane: usize) -> u64 {
-        let idx = self.net_index[name];
-        self.get_lane_id(idx, lane)
-    }
-
-    /// [`get_lane`](Self::get_lane) by pre-resolved net id.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range lane or when the batched engine is not
-    /// active.
-    pub fn get_lane_id(&mut self, id: usize, lane: usize) -> u64 {
-        if self.dirty {
-            self.settle();
-        }
-        let b = self.batch.as_deref().expect("batched engine not active");
-        assert!(
-            lane < b.lanes,
-            "lane {lane} out of range (lanes = {})",
-            b.lanes
-        );
-        b.values[id * b.lanes + lane]
-    }
-
     /// Read a memory word.
     ///
     /// # Panics
     /// Panics on unknown memory or out-of-range address.
     pub fn read_mem(&self, name: &str, addr: u64) -> u64 {
         self.memories[self.mem_index[name]][addr as usize]
-    }
-
-    /// Whether a memory with this (flattened) name exists.
-    pub fn has_mem(&self, name: &str) -> bool {
-        self.mem_index.contains_key(name)
     }
 
     /// Current cycle count.
@@ -1750,30 +1653,22 @@ impl Simulator {
                     .batch
                     .take()
                     .expect("batch state built on engine switch");
-                for k in 0..b.lanes {
-                    b.pend_nets[k].clear();
-                    b.pend_mems[k].clear();
-                    b.failures[k] = None;
-                }
+                b.pend_rows.clear();
+                b.pend_vals.clear();
+                b.failures.fill(None);
                 step_sweep(&mut ev, |pcs, lanes| {
                     run_lanes::<false>(tape, pcs, lanes, &mut b, st.msgs)
                 });
-                // Lane 0 is the scalar run: its updates and failure go
-                // through the scalar commit below.
-                std::mem::swap(st.pend_nets, &mut b.pend_nets[0]);
-                std::mem::swap(st.pend_mems, &mut b.pend_mems[0]);
-                *st.failure = b.failures[0].take();
-                if st.failure.is_none() {
-                    // Report the lowest failing lane; lane 0 keeps the
-                    // scalar message verbatim, other lanes are suffixed
-                    // with their index.
-                    for k in 1..b.lanes {
-                        if let Some(msg) = b.failures[k].take() {
-                            *st.failure = Some(format!("{msg} [lane {k}]"));
-                            break;
-                        }
-                    }
-                }
+                // Report the lowest failing lane: lane 0 keeps the scalar
+                // message verbatim, other lanes are suffixed with their index.
+                *st.failure = b.failures.iter_mut().enumerate().find_map(|(k, f)| {
+                    let msg = f.take()?;
+                    Some(if k == 0 {
+                        msg
+                    } else {
+                        format!("{msg} [lane {k}]")
+                    })
+                });
                 self.ev = Some(ev);
                 self.batch = Some(b);
             }
@@ -1792,114 +1687,12 @@ impl Simulator {
             });
         }
         obs::counter_add("sim", "cycles", 1);
-        obs::counter_add("sim", "net_updates", net_updates.len() as u64);
-        obs::counter_add("sim", "mem_write_events", mem_updates.len() as u64);
         obs::counter_add("sim", "mem_read_events", self.mem_read_ports);
         if self.engine == Engine::Batched {
-            let mut ev = self.ev.take().expect("event state built on engine switch");
-            let mut b = self
-                .batch
-                .take()
-                .expect("batch state built on engine switch");
-            let l = b.lanes;
-            // Accumulate a changed-lane mask per net/memory first, then
-            // wake readers once per net with the combined mask — the
-            // reader walk is the expensive part, and at 64 lanes it
-            // would otherwise run per (net, lane) pair.
-            let mut net_compares = net_updates.len() as u64;
-            let mut mem_compares = mem_updates.len() as u64;
-            let mut net_changes = 0u64;
-            let mut mem_changes = 0u64;
-            for &(net, v) in &net_updates {
-                let n = net as usize;
-                let nv = v & mask(self.net_width[n]);
-                if b.values[n * l] != nv {
-                    b.values[n * l] = nv;
-                    self.values[n] = nv;
-                    net_changes += 1;
-                    if b.note_net_mask[n] == 0 {
-                        b.note_nets.push(net);
-                    }
-                    b.note_net_mask[n] |= 1;
-                }
-            }
-            for k in 1..l {
-                net_compares += b.pend_nets[k].len() as u64;
-                for i in 0..b.pend_nets[k].len() {
-                    let (net, v) = b.pend_nets[k][i];
-                    let n = net as usize;
-                    let nv = v & mask(self.net_width[n]);
-                    if b.values[n * l + k] != nv {
-                        b.values[n * l + k] = nv;
-                        net_changes += 1;
-                        if b.note_net_mask[n] == 0 {
-                            b.note_nets.push(net);
-                        }
-                        b.note_net_mask[n] |= 1u64 << k;
-                    }
-                }
-            }
-            for &(mem, addr, v) in &mem_updates {
-                let m = mem as usize;
-                let depth = self.memories[m].len() as u64;
-                if addr < depth {
-                    let nv = v & mask(self.mem_width[m]);
-                    let slot = addr as usize * l;
-                    if b.mems[m][slot] != nv {
-                        b.mems[m][slot] = nv;
-                        self.memories[m][addr as usize] = nv;
-                        mem_changes += 1;
-                        if let Some(t) = self.telemetry.as_deref_mut() {
-                            t.mems_written[m] = true;
-                        }
-                        if b.note_mem_mask[m] == 0 {
-                            b.note_mems.push(mem);
-                        }
-                        b.note_mem_mask[m] |= 1;
-                    }
-                }
-            }
-            for k in 1..l {
-                mem_compares += b.pend_mems[k].len() as u64;
-                for i in 0..b.pend_mems[k].len() {
-                    let (mem, addr, v) = b.pend_mems[k][i];
-                    let m = mem as usize;
-                    let depth = self.memories[m].len() as u64;
-                    if addr < depth {
-                        let nv = v & mask(self.mem_width[m]);
-                        let slot = addr as usize * l + k;
-                        if b.mems[m][slot] != nv {
-                            b.mems[m][slot] = nv;
-                            mem_changes += 1;
-                            if b.note_mem_mask[m] == 0 {
-                                b.note_mems.push(mem);
-                            }
-                            b.note_mem_mask[m] |= 1u64 << k;
-                        }
-                    }
-                }
-            }
-            if let Some(sc) = self.sched.as_deref_mut() {
-                sc.commit_net_compares += net_compares;
-                sc.commit_net_changes += net_changes;
-                sc.commit_mem_compares += mem_compares;
-                sc.commit_mem_changes += mem_changes;
-            }
-            for i in 0..b.note_nets.len() {
-                let n = b.note_nets[i] as usize;
-                ev.note_net_change(n, b.note_net_mask[n]);
-                b.note_net_mask[n] = 0;
-            }
-            b.note_nets.clear();
-            for i in 0..b.note_mems.len() {
-                let m = b.note_mems[i] as usize;
-                ev.note_mem_change(m, b.note_mem_mask[m]);
-                b.note_mem_mask[m] = 0;
-            }
-            b.note_mems.clear();
-            self.ev = Some(ev);
-            self.batch = Some(b);
+            self.commit_rows();
         } else {
+            obs::counter_add("sim", "net_updates", net_updates.len() as u64);
+            obs::counter_add("sim", "mem_write_events", mem_updates.len() as u64);
             let mut net_changes = 0u64;
             let mut mem_changes = 0u64;
             for &(net, v) in &net_updates {
@@ -1953,6 +1746,113 @@ impl Simulator {
             self.emit_vcd();
         }
         Ok(())
+    }
+
+    /// The batched engine's edge commit: one pass over this step's pending
+    /// rows in emission order. A row compares and stores the lanes in its
+    /// mask. Lane 0 mirrors into `values`/`memories` and alone drives
+    /// `mems_written` and the `sim.net_updates`/`sim.mem_write_events`
+    /// counters, so those read as the scalar run's. Each changed net or
+    /// memory then wakes its readers once, with the mask of every lane that
+    /// changed it (the reader walk is the expensive part).
+    fn commit_rows(&mut self) {
+        let mut ev = self.ev.take().expect("event state built on engine switch");
+        let mut batch = self
+            .batch
+            .take()
+            .expect("batch state built on engine switch");
+        let b = &mut *batch;
+        let l = b.lanes;
+        let full = lane_mask(l);
+        let (mut net_compares, mut net_changes, mut net_rows0) = (0u64, 0u64, 0u64);
+        let (mut mem_compares, mut mem_changes, mut mem_rows0) = (0u64, 0u64, 0u64);
+        let mut at = 0;
+        for &row in &b.pend_rows {
+            let mut changed = 0u64;
+            match row {
+                PendRow::Net { net, lanes } => {
+                    let n = net as usize;
+                    let m = mask(self.net_width[n]);
+                    let vals = &b.pend_vals[at..at + l];
+                    at += l;
+                    let cur = &mut b.values[n * l..(n + 1) * l];
+                    for_lanes(lanes, l, full, |k| {
+                        let nv = vals[k] & m;
+                        if cur[k] != nv {
+                            cur[k] = nv;
+                            changed |= 1u64 << k;
+                        }
+                    });
+                    net_compares += u64::from(lanes.count_ones());
+                    net_rows0 += lanes & 1;
+                    if changed != 0 {
+                        net_changes += u64::from(changed.count_ones());
+                        self.values[n] = cur[0];
+                        if b.note_net_mask[n] == 0 {
+                            b.note_nets.push(net);
+                        }
+                        b.note_net_mask[n] |= changed;
+                    }
+                }
+                PendRow::Mem { mem, lanes } => {
+                    let mi = mem as usize;
+                    let m = mask(self.mem_width[mi]);
+                    let depth = self.memories[mi].len() as u64;
+                    let (addrs, vals) = b.pend_vals[at..at + 2 * l].split_at(l);
+                    at += 2 * l;
+                    let words = &mut b.mems[mi];
+                    for_lanes(lanes, l, full, |k| {
+                        // Out-of-range writes are dropped; assertions catch
+                        // them first.
+                        if addrs[k] < depth {
+                            let nv = vals[k] & m;
+                            let slot = addrs[k] as usize * l + k;
+                            if words[slot] != nv {
+                                words[slot] = nv;
+                                changed |= 1u64 << k;
+                            }
+                        }
+                    });
+                    mem_compares += u64::from(lanes.count_ones());
+                    mem_rows0 += lanes & 1;
+                    if changed != 0 {
+                        mem_changes += u64::from(changed.count_ones());
+                        if changed & 1 != 0 {
+                            self.memories[mi][addrs[0] as usize] = words[addrs[0] as usize * l];
+                            if let Some(t) = self.telemetry.as_deref_mut() {
+                                t.mems_written[mi] = true;
+                            }
+                        }
+                        if b.note_mem_mask[mi] == 0 {
+                            b.note_mems.push(mem);
+                        }
+                        b.note_mem_mask[mi] |= changed;
+                    }
+                }
+            }
+        }
+        obs::counter_add("sim", "net_updates", net_rows0);
+        obs::counter_add("sim", "mem_write_events", mem_rows0);
+        if let Some(sc) = self.sched.as_deref_mut() {
+            sc.commit_net_compares += net_compares;
+            sc.commit_net_changes += net_changes;
+            sc.commit_mem_compares += mem_compares;
+            sc.commit_mem_changes += mem_changes;
+        }
+        for &net in &b.note_nets {
+            let n = net as usize;
+            ev.note_net_change(n, b.note_net_mask[n]);
+            b.note_net_mask[n] = 0;
+        }
+        b.note_nets.clear();
+        for &mem in &b.note_mems {
+            let m = mem as usize;
+            ev.note_mem_change(m, b.note_mem_mask[m]);
+            b.note_mem_mask[m] = 0;
+        }
+        b.note_mems.clear();
+        self.ev = Some(ev);
+        self.batch = Some(batch);
     }
 
     /// One telemetry accounting point: called at the end of each `step`,
@@ -2640,6 +2540,15 @@ fn topo_sort(
 /// engine passes this; the batched engine masks individual lanes).
 const ALL_LANES: u64 = u64::MAX;
 
+/// The mask with one bit per lane of an `l`-lane batch.
+fn lane_mask(l: usize) -> u64 {
+    if l >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << l) - 1
+    }
+}
+
 /// Scheduling tables for [`Engine::Event`] and [`Engine::Batched`]: the
 /// static union-find cone partition turned into the scheduler. Each cone
 /// executes as a set of pc ranges (chains) of the *unchanged* settle/step
@@ -3277,9 +3186,13 @@ struct BatchState {
     regs: Vec<u64>,
     /// Lane-major memory words (`addr * lanes + lane`).
     mems: Vec<Vec<u64>>,
-    /// Per-lane non-blocking update buffers.
-    pend_nets: Vec<Vec<(u32, u64)>>,
-    pend_mems: Vec<Vec<(u32, u64, u64)>>,
+    /// This step's non-blocking updates, one row per step-tape emission in
+    /// execution order (each lane's rows therefore keep that lane's own
+    /// order). A net row owns the next `lanes` words of `pend_vals`, one
+    /// value per lane; a memory row owns the next `2 * lanes`, addresses
+    /// then values. Words of lanes outside a row's mask are ignored.
+    pend_rows: Vec<PendRow>,
+    pend_vals: Vec<u64>,
     /// First assertion failure per lane this step.
     failures: Vec<Option<String>>,
     /// Scratch worklist of `(pc, lane-mask)` segments for the SIMT step
@@ -3297,6 +3210,14 @@ struct BatchState {
     note_mems: Vec<u32>,
 }
 
+/// One step-tape emission of the batched engine: the target and the lanes
+/// that emitted it (see [`BatchState::pend_rows`]).
+#[derive(Clone, Copy)]
+enum PendRow {
+    Net { net: u32, lanes: u64 },
+    Mem { mem: u32, lanes: u64 },
+}
+
 impl BatchState {
     fn build(sim: &Simulator, lanes: usize) -> Box<BatchState> {
         let rep = |xs: &[u64]| -> Vec<u64> {
@@ -3311,8 +3232,8 @@ impl BatchState {
             values: rep(&sim.values),
             regs: rep(&sim.regs),
             mems: sim.memories.iter().map(|m| rep(m)).collect(),
-            pend_nets: vec![Vec::new(); lanes],
-            pend_mems: vec![Vec::new(); lanes],
+            pend_rows: Vec::new(),
+            pend_vals: Vec::new(),
             failures: vec![None; lanes],
             work: Vec::new(),
             changed: Vec::new(),
@@ -3412,9 +3333,9 @@ fn exec_lanes<const L: usize, const SETTLE: bool>(
     msgs: &[String],
 ) {
     let l = if L == 0 { b.lanes } else { L };
-    let full = if l >= 64 { u64::MAX } else { (1u64 << l) - 1 };
+    let full = lane_mask(l);
     let (regs, values, mems) = (&mut b.regs[..], &mut b.values[..], &b.mems[..]);
-    let (pend_nets, pend_mems, failures) = (&mut b.pend_nets, &mut b.pend_mems, &mut b.failures);
+    let (pend_rows, pend_vals, failures) = (&mut b.pend_rows, &mut b.pend_vals, &mut b.failures);
     let (work, changed) = (&mut b.work, &mut b.changed);
     debug_assert!(work.is_empty());
     let mut mask = if SETTLE { full } else { mask0 & full };
@@ -3579,21 +3500,14 @@ fn exec_lanes<const L: usize, const SETTLE: bool>(
             }
             Insn::EmitNet { net, src } if !SETTLE => {
                 let sr = src as usize * l;
-                let mut m = mask;
-                while m != 0 {
-                    let k = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    pend_nets[k].push((net, regs[sr + k]));
-                }
+                pend_rows.push(PendRow::Net { net, lanes: mask });
+                pend_vals.extend_from_slice(&regs[sr..sr + l]);
             }
             Insn::EmitMem { mem, addr, src } if !SETTLE => {
                 let (a, sr) = (addr as usize * l, src as usize * l);
-                let mut m = mask;
-                while m != 0 {
-                    let k = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    pend_mems[k].push((mem, regs[a + k], regs[sr + k]));
-                }
+                pend_rows.push(PendRow::Mem { mem, lanes: mask });
+                pend_vals.extend_from_slice(&regs[a..a + l]);
+                pend_vals.extend_from_slice(&regs[sr..sr + l]);
             }
             Insn::Assert { guard, cond, msg } if !SETTLE => {
                 let (g, c) = (guard as usize * l, cond as usize * l);
@@ -4559,11 +4473,6 @@ impl Simulator {
         }
     }
 
-    /// Whether the telemetry plane is active.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
-    }
-
     /// Snapshot the telemetry counters (`None` when telemetry is off). The
     /// `units` field is left empty; callers holding a resource report join
     /// it themselves.
@@ -4720,11 +4629,6 @@ impl Simulator {
         }
     }
 
-    /// Whether the scheduler-statistics plane is active.
-    pub fn sched_stats_enabled(&self) -> bool {
-        self.sched.is_some()
-    }
-
     /// Per-step sample for the sched-stats plane: dirty-set occupancy
     /// before dispatch consumes the bitset. Callers check `sched.is_some()`
     /// first, keeping the off path at one branch.
@@ -4843,26 +4747,61 @@ impl Simulator {
     /// Drive a net by pre-resolved id (every lane under
     /// [`Engine::Batched`]). Takes effect at the next settle.
     pub fn set_id(&mut self, id: usize, value: u64) {
-        let v = value & mask(self.net_width[id]);
+        self.poke_lanes(id, ALL_LANES, |_| value);
+    }
+
+    /// A net's settled value in every lane, by pre-resolved id (settling
+    /// first when needed): lane `k` at index `k` under [`Engine::Batched`],
+    /// a one-element slice under the scalar engines.
+    pub fn lane_row(&mut self, id: usize) -> &[u64] {
+        if self.dirty {
+            self.settle();
+        }
+        match self.batch.as_deref() {
+            Some(b) => &b.values[id * b.lanes..(id + 1) * b.lanes],
+            None => std::slice::from_ref(&self.values[id]),
+        }
+    }
+
+    /// Drive the lanes of a net set in `lanes` (bit `k` = lane `k`), lane
+    /// `k` taking `row[k]`: one poke for a whole lane row, waking the
+    /// net's readers and writers once with the mask of the lanes whose
+    /// value changed. The scalar engines have one lane and read `row[0]`
+    /// when bit 0 is set. Takes effect at the next settle.
+    ///
+    /// # Panics
+    /// Panics when `row` has no entry for a lane in `lanes`.
+    pub fn poke_row(&mut self, id: usize, lanes: u64, row: &[u64]) {
+        self.poke_lanes(id, lanes, |k| row[k]);
+    }
+
+    fn poke_lanes(&mut self, id: usize, lanes: u64, value: impl Fn(usize) -> u64) {
+        let m = mask(self.net_width[id]);
         if let Some(b) = self.batch.as_deref_mut() {
             let l = b.lanes;
+            let full = lane_mask(l);
+            let row = &mut b.values[id * l..(id + 1) * l];
             let mut changed = 0u64;
-            for k in 0..l {
-                if b.values[id * l + k] != v {
-                    b.values[id * l + k] = v;
+            for_lanes(lanes & full, l, full, |k| {
+                let v = value(k) & m;
+                if row[k] != v {
+                    row[k] = v;
                     changed |= 1u64 << k;
                 }
-            }
-            self.values[id] = v;
+            });
+            self.values[id] = row[0];
             if changed != 0 {
                 if let Some(ev) = self.ev.as_deref_mut() {
                     ev.note_net_poked(id, changed);
                 }
             }
-        } else if self.values[id] != v {
-            self.values[id] = v;
-            if let Some(ev) = self.ev.as_deref_mut() {
-                ev.note_net_poked(id, ALL_LANES);
+        } else if lanes & 1 != 0 {
+            let v = value(0) & m;
+            if self.values[id] != v {
+                self.values[id] = v;
+                if let Some(ev) = self.ev.as_deref_mut() {
+                    ev.note_net_poked(id, ALL_LANES);
+                }
             }
         }
         self.dirty = true;
@@ -5770,22 +5709,29 @@ mod tests {
         let mut scalars: Vec<Simulator> = (0..4)
             .map(|_| Simulator::new(&d, "counter").expect("build"))
             .collect();
+        let (en, count) = (
+            batched.net_id("en").unwrap(),
+            batched.net_id("count").unwrap(),
+        );
+        let mut row = [0u64; 4];
         for cyc in 0..200u64 {
-            for lane in 0..4usize {
-                // Divergent per-lane enables.
-                let en = u64::from(cyc % (lane as u64 + 2) != 0);
-                batched.set_lane("en", lane, en);
-                scalars[lane].set("en", en);
+            // Divergent per-lane enables; lane k is re-driven only every
+            // (k + 1)-th cycle, so most pokes cover a subset of the lanes.
+            let mut lanes = 0u64;
+            for (lane, s) in scalars.iter_mut().enumerate() {
+                if cyc % (lane as u64 + 1) == 0 {
+                    row[lane] = u64::from(cyc % (lane as u64 + 2) != 0);
+                    s.set("en", row[lane]);
+                    lanes |= 1 << lane;
+                }
             }
-            for lane in 0..4usize {
-                assert_eq!(
-                    batched.get_lane("count", lane),
-                    scalars[lane].get("count"),
-                    "lane {lane} cycle {cyc}"
-                );
+            batched.poke_row(en, lanes, &row);
+            let counts = batched.lane_row(count).to_vec();
+            for (lane, s) in scalars.iter_mut().enumerate() {
+                assert_eq!(counts[lane], s.get("count"), "lane {lane} cycle {cyc}");
             }
             // Lane 0 mirrors the scalar accessors exactly.
-            assert_eq!(batched.get("count"), batched.get_lane("count", 0));
+            assert_eq!(batched.get("count"), counts[0]);
             batched.step().unwrap();
             for s in &mut scalars {
                 s.step().unwrap();
@@ -5803,6 +5749,8 @@ mod tests {
         let mut scalars: Vec<Simulator> = (0..L)
             .map(|_| Simulator::new(&d, "mx").expect("build"))
             .collect();
+        let ports = [("we", 1), ("waddr", 4), ("wdata", 16), ("raddr", 4)];
+        let mut rows = [[0u64; L]; 4];
         let mut state = 0x0123456789ABCDEFu64;
         for cyc in 0..300u64 {
             for (lane, s) in scalars.iter_mut().enumerate() {
@@ -5810,20 +5758,20 @@ mod tests {
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 let mut st = state;
-                for (port, width) in [("we", 1), ("waddr", 4), ("wdata", 16), ("raddr", 4)] {
-                    let v = (st >> 24) & mask(width);
-                    batched.set_lane(port, lane, v);
-                    s.set(port, v);
+                for (row, (port, width)) in rows.iter_mut().zip(ports) {
+                    row[lane] = (st >> 24) & mask(width);
+                    s.set(port, row[lane]);
                     st = st.rotate_left(17);
                 }
             }
+            for (row, (port, _)) in rows.iter().zip(ports) {
+                let id = batched.net_id(port).unwrap();
+                batched.poke_row(id, lane_mask(L), row);
+            }
             for out in ["rdata", "sum"] {
+                let got = batched.lane_row(batched.net_id(out).unwrap()).to_vec();
                 for (lane, s) in scalars.iter_mut().enumerate() {
-                    assert_eq!(
-                        batched.get_lane(out, lane),
-                        s.get(out),
-                        "{out} lane {lane} cycle {cyc}"
-                    );
+                    assert_eq!(got[lane], s.get(out), "{out} lane {lane} cycle {cyc}");
                 }
             }
             batched.step().unwrap();
@@ -5859,9 +5807,8 @@ mod tests {
         sim.set_batch_lanes(4);
         sim.set_engine(Engine::Batched);
         sim.set("en", 1);
-        for lane in 0..4usize {
-            sim.set_lane("addr", lane, if lane >= 2 { 200 } else { 3 });
-        }
+        let addr = sim.net_id("addr").unwrap();
+        sim.poke_row(addr, 0b1111, &[3, 3, 200, 200]);
         let err = sim.step().unwrap_err();
         assert!(err.message.contains("[lane 2]"), "{err}");
         // Lane-0 failures keep the scalar message verbatim.
@@ -5880,7 +5827,7 @@ mod tests {
         let mut a = Simulator::new(&d, "mx").expect("build");
         let mut b = Simulator::new(&d, "mx").expect("build");
         let mut state = 0xDEADBEEFCAFEF00Du64;
-        let mut drive = |s: &mut Simulator, st: u64| {
+        let drive = |s: &mut Simulator, st: u64| {
             let mut st = st;
             for (port, width) in [("we", 1), ("waddr", 4), ("wdata", 16), ("raddr", 4)] {
                 s.set(port, (st >> 24) & mask(width));
