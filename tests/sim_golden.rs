@@ -46,9 +46,18 @@ fn sched_golden(example: &str, engine: &str) -> PathBuf {
 }
 
 /// `hirc examples/<example>.mlir --emit=sim --sim-engine=<engine>` with the
-/// given report flags (`--sim-telemetry`, `--sched-stats`), returning the
-/// reports in flag order.
+/// given report flags (`--sim-telemetry`, `--sched-stats`, `--stats`),
+/// returning the reports in flag order.
 fn simulate(example: &str, engine: &str, reports: &[&str]) -> Vec<String> {
+    simulate_input(
+        &repo().join("examples").join(format!("{example}.mlir")),
+        engine,
+        reports,
+    )
+}
+
+/// [`simulate`] on any input file.
+fn simulate_input(input: &Path, engine: &str, reports: &[&str]) -> Vec<String> {
     // One directory per call: the tests run concurrently.
     static CALLS: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
@@ -58,16 +67,13 @@ fn simulate(example: &str, engine: &str, reports: &[&str]) -> Vec<String> {
     ));
     std::fs::create_dir_all(&dir).unwrap();
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_hirc"));
-    cmd.arg(repo().join("examples").join(format!("{example}.mlir")))
+    cmd.arg(input)
         .arg("--emit=sim")
         .arg(format!("--sim-engine={engine}"));
     let paths: Vec<PathBuf> = reports
         .iter()
         .map(|flag| {
-            let path = dir.join(format!(
-                "{example}.{engine}.{}.json",
-                flag.trim_start_matches('-')
-            ));
+            let path = dir.join(format!("{engine}.{}.json", flag.trim_start_matches('-')));
             cmd.arg(format!("{flag}={}", path.display()));
             path
         })
@@ -75,7 +81,8 @@ fn simulate(example: &str, engine: &str, reports: &[&str]) -> Vec<String> {
     let out = cmd.output().expect("run hirc");
     assert!(
         out.status.success(),
-        "{example} --sim-engine={engine}: {}",
+        "{} --sim-engine={engine}: {}",
+        input.display(),
         String::from_utf8_lossy(&out.stderr)
     );
     let reports = paths
@@ -144,6 +151,57 @@ fn sched_stats_do_not_change_telemetry() {
                 "{example} --sim-engine={engine}: --sched-stats changed the telemetry"
             );
         }
+    }
+}
+
+/// The edge-commit counters of a `--stats=PATH` report: `sim.net_updates`
+/// and `sim.mem_write_events` (0 when absent).
+fn commit_counters(stats: &str) -> [u64; 2] {
+    let v = obs::json::parse(stats).expect("stats report is strict JSON");
+    ["sim.net_updates", "sim.mem_write_events"].map(|k| {
+        v.get("counters")
+            .and_then(|c| c.get(k))
+            .and_then(obs::json::Value::as_f64)
+            .map_or(0, |n| n as u64)
+    })
+}
+
+/// A design that reads a register-kind memref argument: the harness
+/// serves its read data combinationally once per bank each cycle. The
+/// batched engine must settle exactly as often as the scalar engines, so
+/// its telemetry and its commit counters equal theirs.
+#[test]
+fn reg_argument_reads_keep_telemetry_engine_independent() {
+    let input = repo().join("tests/corpus/regressions/reg_read_arg.hir");
+    let runs: Vec<Vec<String>> = ["bytecode", "event", "batched"]
+        .iter()
+        .map(|engine| simulate_input(&input, engine, &["--sim-telemetry", "--stats"]))
+        .collect();
+    for (engine, run) in ["event", "batched"].iter().zip(&runs[1..]) {
+        assert_eq!(
+            run[0], runs[0][0],
+            "reg_read_arg --sim-engine={engine}: telemetry differs from bytecode"
+        );
+        assert_eq!(
+            commit_counters(&run[1]),
+            commit_counters(&runs[0][1]),
+            "reg_read_arg --sim-engine={engine}: commit counters differ from bytecode"
+        );
+    }
+}
+
+/// The batched engine counts lane 0's commit rows, which are the rows the
+/// event engine (the same scheduler, one lane) commits.
+#[test]
+fn batched_commit_counters_are_lane_zeros() {
+    for example in examples() {
+        let event = simulate(&example, "event", &["--stats"]);
+        let batched = simulate(&example, "batched", &["--stats"]);
+        assert_eq!(
+            commit_counters(&batched[0]),
+            commit_counters(&event[0]),
+            "{example}: batched sim.net_updates/sim.mem_write_events differ from event"
+        );
     }
 }
 
