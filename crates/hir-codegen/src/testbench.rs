@@ -483,17 +483,12 @@ impl Harness {
                     continue;
                 };
                 let base = b as u64 * mm.bank_size;
+                let addrs = self.sim.lane_row(addr_id);
                 self.row.clear();
-                self.row
-                    .extend(
-                        self.sim
-                            .lane_row(addr_id)
-                            .iter()
-                            .zip(store)
-                            .map(|(&addr, data)| {
-                                data.get((base + addr) as usize).copied().unwrap_or(0) as u64
-                            }),
-                    );
+                for (&addr, data) in addrs.iter().zip(store) {
+                    let v = data.get((base + addr) as usize).copied().unwrap_or(0);
+                    self.row.push(v as u64);
+                }
                 self.sim.poke_row(rd_data_id, all, &self.row);
             }
         }
