@@ -333,7 +333,16 @@ impl Harness {
     /// Select the simulator execution engine (bytecode by default; the
     /// tree-walk oracle is used for differential testing). The batched
     /// engine runs exactly the harness's stimulus lanes.
+    ///
+    /// # Panics
+    /// Panics when a harness with more than one lane is given a scalar
+    /// engine.
     pub fn set_engine(&mut self, engine: verilog::Engine) {
+        assert!(
+            self.lanes == 1 || engine == verilog::Engine::Batched,
+            "a {}-lane harness runs only on the batched engine",
+            self.lanes
+        );
         if engine == verilog::Engine::Batched {
             self.sim.set_batch_lanes(self.lanes);
         }

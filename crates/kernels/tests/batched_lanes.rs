@@ -261,3 +261,14 @@ fn blackbox_lanes_taking_different_writers_match_scalar_runs() {
         assert_eq!(rep.results, vec![want], "parity lane {lane}");
     }
 }
+
+#[test]
+#[should_panic(expected = "runs only on the batched engine")]
+fn multi_lane_harness_rejects_a_scalar_engine() {
+    let mut m = histogram::hir_histogram(4, 4, 32);
+    let (design, _) = kernels::compile_hir(&mut m, true).expect("compile");
+    let f = kernels::find_func(&m, histogram::FUNC);
+    let lane = vec![HarnessArg::Mem(vec![0, 1, 2, 3]), HarnessArg::zero_mem(4)];
+    let mut h = Harness::new_batched(&design, &m, f, &[lane.clone(), lane]).expect("harness");
+    h.set_engine(verilog::Engine::Bytecode);
+}
