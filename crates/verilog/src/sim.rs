@@ -1756,12 +1756,10 @@ impl Simulator {
     /// memory then wakes its readers once, with the mask of every lane that
     /// changed it (the reader walk is the expensive part).
     fn commit_rows(&mut self) {
-        let mut ev = self.ev.take().expect("event state built on engine switch");
-        let mut batch = self
+        let b = self
             .batch
-            .take()
+            .as_deref_mut()
             .expect("batch state built on engine switch");
-        let b = &mut *batch;
         let l = b.lanes;
         let full = lane_mask(l);
         let (mut net_compares, mut net_changes, mut net_rows0) = (0u64, 0u64, 0u64);
@@ -1839,6 +1837,10 @@ impl Simulator {
             sc.commit_mem_compares += mem_compares;
             sc.commit_mem_changes += mem_changes;
         }
+        let ev = self
+            .ev
+            .as_deref_mut()
+            .expect("event state built on engine switch");
         for &net in &b.note_nets {
             let n = net as usize;
             ev.note_net_change(n, b.note_net_mask[n]);
@@ -1851,8 +1853,6 @@ impl Simulator {
             b.note_mem_mask[m] = 0;
         }
         b.note_mems.clear();
-        self.ev = Some(ev);
-        self.batch = Some(batch);
     }
 
     /// One telemetry accounting point: called at the end of each `step`,
