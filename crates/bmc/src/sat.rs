@@ -132,6 +132,9 @@ pub struct Solver {
     lits: Vec<Lit>,
     /// Indexed by `Lit.0`: clauses watching that literal.
     watches: Vec<Vec<Watch>>,
+    /// Clauses from this index on have no watches yet: [`Solver::propagate`]
+    /// attaches them before it reads a watch list.
+    attached: usize,
     assigns: Vec<Assign>,
     /// Saved phase per variable.
     phase: Vec<bool>,
@@ -183,6 +186,7 @@ impl Solver {
             clauses: Vec::new(),
             lits: Vec::new(),
             watches: Vec::new(),
+            attached: 0,
             assigns: Vec::new(),
             phase: Vec::new(),
             level: Vec::new(),
@@ -295,24 +299,16 @@ impl Solver {
                 }
             }
             _ => {
-                self.attach(start, false);
+                self.push_clause(start, false);
                 true
             }
         }
     }
 
-    /// Attach the arena's literals from `start` on as a new clause.
-    fn attach(&mut self, start: usize, learnt: bool) -> u32 {
+    /// Add the arena's literals from `start` on as a new clause. It gets
+    /// its watches from the next [`Solver::propagate`] with work to do.
+    fn push_clause(&mut self, start: usize, learnt: bool) -> u32 {
         let idx = self.clauses.len() as u32;
-        let (l0, l1) = (self.lits[start], self.lits[start + 1]);
-        self.watches[l0.flip().0 as usize].push(Watch {
-            clause: idx,
-            blocker: l1,
-        });
-        self.watches[l1.flip().0 as usize].push(Watch {
-            clause: idx,
-            blocker: l0,
-        });
         self.clauses.push(Clause {
             start: u32::try_from(start).expect("clause arena exceeds u32 literals"),
             len: (self.lits.len() - start) as u32,
@@ -320,6 +316,25 @@ impl Solver {
             activity: 0.0,
         });
         idx
+    }
+
+    /// Watch the first two literals of every clause without watches, in
+    /// clause order: the watch lists come out exactly as if each clause had
+    /// been watched when it was added.
+    fn attach_pending(&mut self) {
+        for i in self.attached..self.clauses.len() {
+            let c = self.clauses[i];
+            let (l0, l1) = (self.lits[c.start as usize], self.lits[c.start as usize + 1]);
+            self.watches[l0.flip().0 as usize].push(Watch {
+                clause: i as u32,
+                blocker: l1,
+            });
+            self.watches[l1.flip().0 as usize].push(Watch {
+                clause: i as u32,
+                blocker: l0,
+            });
+        }
+        self.attached = self.clauses.len();
     }
 
     /// The literals of clause `ci`.
@@ -343,8 +358,14 @@ impl Solver {
     }
 
     /// Unit propagation; returns the conflicting clause index if any.
+    /// Pending clauses are attached first, so a query that never propagates
+    /// never builds the watch index.
     fn propagate(&mut self) -> Option<u32> {
+        if self.prop_head < self.trail.len() {
+            self.attach_pending();
+        }
         while self.prop_head < self.trail.len() {
+            debug_assert_eq!(self.attached, self.clauses.len(), "unwatched clause");
             let l = self.trail[self.prop_head];
             self.prop_head += 1;
             self.propagations += 1;
@@ -582,9 +603,9 @@ impl Solver {
         self.prop_head = self.prop_head.min(self.trail.len());
     }
 
-    /// Drop the least active half of the learnt clauses. Rebuilds watches
-    /// from scratch and forces full re-propagation of the trail, so it must
-    /// only run at decision level 0 (we call it on restart).
+    /// Drop the least active half of the learnt clauses. Drops every watch
+    /// and forces full re-propagation of the trail, so it must only run at
+    /// decision level 0 (we call it on restart).
     fn reduce_learnts(&mut self) {
         debug_assert!(self.trail_lim.is_empty());
         let mut learnt_idx: Vec<usize> = (0..self.clauses.len())
@@ -648,19 +669,10 @@ impl Solver {
         for w in &mut self.watches {
             w.clear();
         }
-        for (i, c) in self.clauses.iter().enumerate() {
-            let (l0, l1) = (self.lits[c.start as usize], self.lits[c.start as usize + 1]);
-            self.watches[l0.flip().0 as usize].push(Watch {
-                clause: i as u32,
-                blocker: l1,
-            });
-            self.watches[l1.flip().0 as usize].push(Watch {
-                clause: i as u32,
-                blocker: l0,
-            });
-        }
-        // The rebuilt watches may sit on literals that are already false;
-        // re-propagating the whole trail restores the watch invariant.
+        self.attached = 0;
+        // The next propagation re-attaches every clause, and the new watches
+        // may sit on literals that are already false; re-propagating the
+        // whole trail restores the watch invariant.
         self.prop_head = 0;
     }
 
@@ -791,7 +803,7 @@ impl Solver {
                     } else {
                         let start = self.lits.len();
                         self.lits.extend_from_slice(&learnt);
-                        let ci = self.attach(start, true);
+                        let ci = self.push_clause(start, true);
                         if self.value(learnt[0]) == Assign::Unset {
                             self.enqueue(learnt[0], ci);
                         }
@@ -995,20 +1007,22 @@ mod tests {
         assert_eq!(s.solve(&[], Budget::UNLIMITED), SatResult::Sat);
     }
 
-    /// Pigeonhole 5→4: unsat, and hard enough to need real search.
-    fn pigeonhole_5_into_4() -> Solver {
-        let p = |i: i64, h: i64| i * 4 + h + 1;
+    /// Pigeonhole `holes + 1 → holes`: unsat, and from 5→4 on hard enough
+    /// to need real search.
+    fn pigeonhole(holes: i64) -> Solver {
+        let pigeons = holes + 1;
+        let p = |i: i64, h: i64| i * holes + h + 1;
         let mut s = Solver::new();
-        for _ in 0..20 {
+        for _ in 0..pigeons * holes {
             s.new_var();
         }
-        for i in 0..5 {
-            let c: Vec<Lit> = (0..4).map(|h| lit(p(i, h))).collect();
+        for i in 0..pigeons {
+            let c: Vec<Lit> = (0..holes).map(|h| lit(p(i, h))).collect();
             s.add_clause(&c);
         }
-        for h in 0..4 {
-            for a in 0..5 {
-                for b in (a + 1)..5 {
+        for h in 0..holes {
+            for a in 0..pigeons {
+                for b in (a + 1)..pigeons {
                     s.add_clause(&[lit(-p(a, h)), lit(-p(b, h))]);
                 }
             }
@@ -1018,7 +1032,7 @@ mod tests {
 
     #[test]
     fn conflict_budget_returns_unknown() {
-        let mut s = pigeonhole_5_into_4();
+        let mut s = pigeonhole(4);
         assert_eq!(s.solve(&[], Budget::conflicts(3)), SatResult::Unknown);
         // And with a real budget it finishes (pigeonhole 5→4 is small).
         assert_eq!(s.solve(&[], Budget::UNLIMITED), SatResult::Unsat);
@@ -1173,7 +1187,7 @@ mod tests {
     /// decision must still match the linear scan.
     #[test]
     fn activity_rescale_keeps_heap_decisions_exact() {
-        let mut s = pigeonhole_5_into_4();
+        let mut s = pigeonhole(4);
         s.var_inc = 0.99e100;
         assert_eq!(s.solve(&[], Budget::UNLIMITED), SatResult::Unsat);
         assert!(s.decisions > 0);
@@ -1194,6 +1208,93 @@ mod tests {
         assert_eq!(s.activity[1], 0.0);
         while s.decide() {}
         assert_eq!(s.decisions, 6);
+    }
+
+    /// A query whose assumption is already false at the root returns
+    /// without a propagation, so it never builds the watch index; the next
+    /// query that propagates watches every clause.
+    #[test]
+    fn root_false_assumption_attaches_no_watch() {
+        let mut s = solver_with(4, &[&[-1], &[1, 2, 3], &[-2, 3, 4], &[-3, -4, 2]]);
+        let propagations = s.propagations;
+        assert_eq!(s.solve(&[lit(1)], Budget::UNLIMITED), SatResult::Unsat);
+        assert_eq!(s.propagations, propagations);
+        assert_eq!(s.attached, 0);
+        assert!(s.watches.iter().all(Vec::is_empty));
+        assert_eq!(s.solve(&[lit(-3)], Budget::UNLIMITED), SatResult::Sat);
+        assert_eq!(s.attached, s.num_clauses());
+    }
+
+    /// Pigeonhole 7→6 needs enough conflicts to restart and drop learnt
+    /// clauses. Every surviving clause must be watched again after the
+    /// drop, or the search misses the refutation.
+    #[test]
+    fn learnt_reduction_rewatches_every_clause() {
+        let mut s = pigeonhole(6);
+        let problem = s.num_clauses();
+        assert_eq!(s.solve(&[], Budget::UNLIMITED), SatResult::Unsat);
+        // Learnt clauses of two or more literals entered the database; fewer
+        // are left, so a reduction dropped some.
+        let learnt = s.learnt_len.count() - s.learnt_len.bucket_count(1);
+        assert!(
+            s.num_clauses() - problem < learnt as usize,
+            "nothing dropped"
+        );
+    }
+
+    /// Clauses, units among them, added one at a time between queries under
+    /// assumptions. A clause added while a query's trail still stands must
+    /// be watched before the next propagation, so every verdict matches
+    /// enumeration and every model satisfies every clause and assumption.
+    #[test]
+    fn interleaved_adds_and_queries_match_brute_force() {
+        let mut rng = Rng(20_261_018);
+        let (mut sat, mut unsat) = (0, 0);
+        for _ in 0..300 {
+            let num_vars = 3 + rng.below(8);
+            let mut s = Solver::new();
+            for _ in 0..num_vars {
+                s.new_var();
+            }
+            let mut clauses: Vec<Vec<i64>> = Vec::new();
+            for _ in 0..4 * num_vars {
+                let width = match rng.below(8) {
+                    0 => 1,
+                    1 => 2,
+                    _ => 3,
+                };
+                let c: Vec<i64> = (0..width).map(|_| rng.lit(num_vars)).collect();
+                s.add_clause(&c.iter().map(|&n| lit(n)).collect::<Vec<_>>());
+                clauses.push(c);
+                if rng.below(3) != 0 {
+                    continue;
+                }
+                let assumptions: Vec<i64> = (0..rng.below(4)).map(|_| rng.lit(num_vars)).collect();
+                let assumed: Vec<Lit> = assumptions.iter().map(|&n| lit(n)).collect();
+                let got = s.solve(&assumed, Budget::UNLIMITED);
+                let want = brute_force_sat(num_vars, &clauses, &assumptions);
+                assert_eq!(
+                    got == SatResult::Sat,
+                    want,
+                    "{clauses:?} under {assumptions:?}"
+                );
+                if got == SatResult::Sat {
+                    sat += 1;
+                    for c in &clauses {
+                        assert!(c.iter().any(|&n| s.model_value(lit(n))), "clause {c:?}");
+                    }
+                    for &n in &assumptions {
+                        assert!(s.model_value(lit(n)), "assumption {n}");
+                    }
+                } else {
+                    unsat += 1;
+                }
+            }
+        }
+        assert!(
+            sat > 200 && unsat > 200,
+            "{sat} sat / {unsat} unsat queries"
+        );
     }
 
     #[test]
