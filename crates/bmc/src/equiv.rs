@@ -25,7 +25,7 @@
 
 use crate::blast::{Blaster, BV};
 use crate::sat::{Budget, Lit, SatResult};
-use crate::unroll::{eval_frame, next_state, Frame};
+use crate::unroll::{eval_frame, inputs_read, next_state, Frame};
 use hir::ops::FuncOp;
 use hir::types::MemrefInfo;
 use hir_codegen::testbench::{Harness, HarnessArg, HarnessReport};
@@ -303,6 +303,8 @@ struct Side<'a> {
     mem_words: Vec<Vec<BV>>,
     /// Carried read data per memref per bank (latency ≥ 1 buses).
     rd_data: Vec<Vec<BV>>,
+    /// Per input of `ts`: whether the design reads it (see [`inputs_read`]).
+    input_read: Vec<bool>,
 }
 
 impl<'a> Side<'a> {
@@ -441,18 +443,21 @@ fn step_side(
     // 1. Build this cycle's input vector.
     let mut inputs: Vec<BV> = Vec::with_capacity(side.ts.inputs.len());
     let mut latency0_frees: Vec<(usize, u64, BV)> = Vec::new();
-    for iv in side.ts.inputs.iter() {
+    for (i, iv) in side.ts.inputs.iter().enumerate() {
         let bvv: BV = if iv.name == "start" {
             bl.bv_const(u64::from(cycle == 0), iv.width)
         } else if let Some(pos) = env.scalars.iter().position(|(_, b, _)| *b == iv.name) {
             bl.bv_fit(&scalars[pos], iv.width)
         } else if let Some((mi, b)) = find_rd_data(env, &iv.name) {
-            if env.mems[mi].latency0 {
+            if !env.mems[mi].latency0 {
+                bl.bv_fit(&side.rd_data[mi][b as usize], iv.width)
+            } else if side.input_read[i] {
                 let fresh = bl.bv_fresh(iv.width);
                 latency0_frees.push((mi, b, fresh.clone()));
                 fresh
             } else {
-                bl.bv_fit(&side.rd_data[mi][b as usize], iv.width)
+                // Nothing reads this bank's data, so it needs no serving.
+                bl.bv_const(iv.init, iv.width)
             }
         } else {
             bl.bv_const(iv.init, iv.width)
@@ -813,6 +818,7 @@ fn make_side<'a>(
                     .collect()
             })
             .collect(),
+        input_read: inputs_read(ts),
     }
 }
 
@@ -1211,5 +1217,53 @@ hir.func @acc at %t(
             assert_eq!(counts(&bl), counts(&all));
         }
         assert!(bl.cache_hits > 0);
+    }
+
+    /// A loop over an 8-word bram; `{R}` is replaced by an extra argument.
+    const UNREAD_BANK: &str = "
+hir.func @loop at %t(
+    %A : !hir.memref<8*i32, r, bram>,{R}
+    %B : !hir.memref<8*i32, w, bram>,
+    %x : i32) {
+  %c0 = hir.constant 0 : index
+  %c1 = hir.constant 1 : index
+  %c8 = hir.constant 8 : index
+  %tf = hir.for %i : i32 = %c0 to %c8 step %c1 iter_time(%ti = %t offset 1) {
+    hir.yield at %ti offset 1
+    %v = hir.mem_read %A[%i] at %ti offset 0 : i32
+    %i1 = hir.delay %i by 1 at %ti offset 0 : i32
+    %s = hir.add (%v, %x) : (i32, i32) -> (i32)
+    hir.mem_write %s to %B[%i1] at %ti offset 1
+  }
+  hir.return
+}
+";
+
+    /// A register-kind memref argument the design never reads costs the
+    /// miter nothing: every frame adds the variables and clauses of the
+    /// same loop without the argument.
+    #[test]
+    fn unread_zero_latency_bank_adds_no_cnf() {
+        let frames = |extra: &str| {
+            let m = hir::parse_pretty(&UNREAD_BANK.replace("{R}", extra)).expect("parse");
+            let opts = EquivOptions {
+                k_cycles: 6,
+                ..EquivOptions::default()
+            };
+            let r = check_func_equivalence(&m, &m, "loop", &opts).unwrap();
+            assert!(
+                matches!(r.status, EquivStatus::Proved),
+                "{}",
+                r.status.label()
+            );
+            r.solver
+                .frames
+                .iter()
+                .map(|f| (f.vars_added, f.clauses_added))
+                .collect::<Vec<_>>()
+        };
+        let without = frames("");
+        assert_eq!(without[2..], [(157, 534); 4]);
+        assert_eq!(frames("\n    %R : !hir.memref<[2]*i32, r, reg>,"), without);
     }
 }

@@ -26,6 +26,47 @@ impl Frame {
     }
 }
 
+/// Whether anything in `ts` reads each input: a node, a next-state
+/// function, an assertion, an output port, or a net of another name.
+pub fn inputs_read(ts: &TransitionSystem) -> Vec<bool> {
+    let mut used = vec![false; ts.nodes.len()];
+    let mut mark = |id: NodeId| used[id as usize] = true;
+    for n in &ts.nodes {
+        match *n {
+            Node::Const { .. } | Node::Input { .. } | Node::State { .. } => {}
+            Node::Not { a, .. }
+            | Node::RedOr { a }
+            | Node::Slice { a, .. }
+            | Node::Ext { a, .. } => {
+                mark(a);
+            }
+            Node::Binary { a, b, .. } | Node::Concat { hi: a, lo: b, .. } => {
+                mark(a);
+                mark(b);
+            }
+            Node::Ite { cond, t, e, .. } => {
+                mark(cond);
+                mark(t);
+                mark(e);
+            }
+        }
+    }
+    for s in &ts.states {
+        mark(s.next);
+    }
+    for &(_, id) in ts.bads.iter().chain(&ts.outputs) {
+        mark(id);
+    }
+    for (name, &id) in &ts.nets {
+        if let Node::Input { index, .. } = ts.nodes[id as usize] {
+            if *name != ts.inputs[index as usize].name {
+                mark(id);
+            }
+        }
+    }
+    ts.inputs.iter().map(|iv| used[iv.node as usize]).collect()
+}
+
 /// Evaluate every node of `ts` for one cycle. `state[i]` must be a vector
 /// of the i-th state variable's width; `inputs[i]` likewise for inputs.
 ///
