@@ -931,6 +931,10 @@ pub struct Simulator {
     /// with a clean error instead of looping forever on a hung design.
     cycle_budget: Option<u64>,
     dirty: bool,
+    /// Lane 0 was driven since the last settle (implies `dirty`). A scalar
+    /// run of lane 0 settles only then, so only then does the batched
+    /// engine count a shadow settle in telemetry.
+    lane0_dirty: bool,
     vcd: Option<Vcd>,
     /// Opt-in telemetry plane (toggle counters, cone quiescence,
     /// instruction counts). `None` (the default) runs the interpreters with
@@ -1020,6 +1024,7 @@ impl Simulator {
             cycle: 0,
             cycle_budget: None,
             dirty: true,
+            lane0_dirty: true,
             vcd: None,
             telemetry: None,
             sched: None,
@@ -1134,6 +1139,7 @@ impl Simulator {
                 ev.track = self.telemetry.is_some();
                 self.ev = Some(ev);
                 self.dirty = true;
+                self.lane0_dirty = true;
             }
             Engine::Batched => {
                 let mut ev = EventState::build(self);
@@ -1141,6 +1147,7 @@ impl Simulator {
                 self.ev = Some(ev);
                 self.batch = Some(BatchState::build(self, self.batch_lanes));
                 self.dirty = true;
+                self.lane0_dirty = true;
             }
             Engine::Bytecode | Engine::TreeWalk => {
                 self.ev = None;
@@ -1182,6 +1189,7 @@ impl Simulator {
                 ev.mark_all_pending();
             }
             self.dirty = true;
+            self.lane0_dirty = true;
         }
     }
 
@@ -1341,9 +1349,7 @@ impl Simulator {
     /// # Panics
     /// Panics on an unknown net name.
     pub fn get(&mut self, name: &str) -> u64 {
-        if self.dirty {
-            self.settle();
-        }
+        self.settle_if_dirty();
         self.values[self.net_index[name]]
     }
 
@@ -1452,9 +1458,7 @@ impl Simulator {
     }
 
     fn emit_vcd(&mut self) {
-        if self.dirty {
-            self.settle();
-        }
+        self.settle_if_dirty();
         let Some(vcd) = &mut self.vcd else { return };
         use std::io::Write;
         let _ = writeln!(vcd.out, "#{}", self.cycle);
@@ -1473,6 +1477,18 @@ impl Simulator {
 
     /// Evaluate all continuous assigns (in topological order).
     pub fn settle(&mut self) {
+        self.lane0_dirty = true;
+        self.run_settle();
+    }
+
+    /// Settle when a net was driven since the last settle.
+    fn settle_if_dirty(&mut self) {
+        if self.dirty {
+            self.run_settle();
+        }
+    }
+
+    fn run_settle(&mut self) {
         // Two iterations would be needed only for stale memory reads; assigns
         // are topologically ordered so one pass suffices.
         let tape = &self.settle_tape;
@@ -1528,7 +1544,7 @@ impl Simulator {
                 self.ev = Some(ev);
             }
             Engine::Batched => {
-                if let Some(t) = self.telemetry.as_deref_mut() {
+                if let Some(t) = self.telemetry.as_deref_mut().filter(|_| self.lane0_dirty) {
                     // Counts from a shadow full-tape run mirroring lane 0,
                     // exactly as under the tree-walk oracle.
                     let n = t.shadow_count(tape, st.values, st.memories, st.msgs);
@@ -1567,6 +1583,7 @@ impl Simulator {
             }
         }
         self.dirty = false;
+        self.lane0_dirty = false;
     }
 
     /// Advance one clock edge with non-blocking semantics.
@@ -1586,9 +1603,7 @@ impl Simulator {
                 });
             }
         }
-        if self.dirty {
-            self.settle();
-        }
+        self.settle_if_dirty();
         if self.sched.is_some() {
             // Sample the dirty set before dispatch consumes it.
             self.sched_sample_step_entry();
@@ -4606,9 +4621,7 @@ impl Simulator {
         if self.sched.is_some() {
             return;
         }
-        if self.dirty {
-            self.settle();
-        }
+        self.settle_if_dirty();
         let n_step_cones = self.step_cones().len();
         self.sched = Some(Box::new(SchedStats {
             cycles: 0,
@@ -4738,9 +4751,7 @@ impl Simulator {
 
     /// Read a net by pre-resolved id (settling first when needed).
     pub fn get_id(&mut self, id: usize) -> u64 {
-        if self.dirty {
-            self.settle();
-        }
+        self.settle_if_dirty();
         self.values[id]
     }
 
@@ -4754,9 +4765,7 @@ impl Simulator {
     /// first when needed): lane `k` at index `k` under [`Engine::Batched`],
     /// a one-element slice under the scalar engines.
     pub fn lane_row(&mut self, id: usize) -> &[u64] {
-        if self.dirty {
-            self.settle();
-        }
+        self.settle_if_dirty();
         match self.batch.as_deref() {
             Some(b) => &b.values[id * b.lanes..(id + 1) * b.lanes],
             None => std::slice::from_ref(&self.values[id]),
@@ -4805,6 +4814,7 @@ impl Simulator {
             }
         }
         self.dirty = true;
+        self.lane0_dirty |= lanes & 1 != 0;
     }
 }
 

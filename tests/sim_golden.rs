@@ -190,6 +190,25 @@ fn reg_argument_reads_keep_telemetry_engine_independent() {
     }
 }
 
+/// A bram read gated by `hir.if` on an input bit happens in the odd lanes
+/// only, so the harness drives read data into lanes without lane 0. The
+/// batched engine settles those lanes but counts only the settles that
+/// lane 0's scalar run makes, so its telemetry equals the scalar engines'.
+#[test]
+fn lane_only_reads_keep_telemetry_engine_independent() {
+    let input = repo().join("tests/corpus/regressions/gated_bram_read.hir");
+    let runs: Vec<String> = ["bytecode", "event", "batched"]
+        .iter()
+        .map(|engine| simulate_input(&input, engine, &["--sim-telemetry"]).remove(0))
+        .collect();
+    for (engine, run) in ["event", "batched"].iter().zip(&runs[1..]) {
+        assert_eq!(
+            run, &runs[0],
+            "gated_bram_read --sim-engine={engine}: telemetry differs from bytecode"
+        );
+    }
+}
+
 /// The batched engine counts lane 0's commit rows, which are the rows the
 /// event engine (the same scheduler, one lane) commits.
 #[test]
