@@ -318,25 +318,6 @@ impl Solver {
         idx
     }
 
-    /// Watch the first two literals of every clause without watches, in
-    /// clause order: the watch lists come out exactly as if each clause had
-    /// been watched when it was added.
-    fn attach_pending(&mut self) {
-        for i in self.attached..self.clauses.len() {
-            let c = self.clauses[i];
-            let (l0, l1) = (self.lits[c.start as usize], self.lits[c.start as usize + 1]);
-            self.watches[l0.flip().0 as usize].push(Watch {
-                clause: i as u32,
-                blocker: l1,
-            });
-            self.watches[l1.flip().0 as usize].push(Watch {
-                clause: i as u32,
-                blocker: l0,
-            });
-        }
-        self.attached = self.clauses.len();
-    }
-
     /// The literals of clause `ci`.
     fn clause_lits(&self, ci: usize) -> &[Lit] {
         let c = self.clauses[ci];
@@ -358,11 +339,26 @@ impl Solver {
     }
 
     /// Unit propagation; returns the conflicting clause index if any.
-    /// Pending clauses are attached first, so a query that never propagates
-    /// never builds the watch index.
+    ///
+    /// First watches the first two literals of every clause added since,
+    /// in clause order: the lists come out exactly as if each clause had
+    /// been watched when it was added, and a query that never propagates
+    /// never builds them.
     fn propagate(&mut self) -> Option<u32> {
         if self.prop_head < self.trail.len() {
-            self.attach_pending();
+            for i in self.attached..self.clauses.len() {
+                let c = self.clauses[i];
+                let (l0, l1) = (self.lits[c.start as usize], self.lits[c.start as usize + 1]);
+                self.watches[l0.flip().0 as usize].push(Watch {
+                    clause: i as u32,
+                    blocker: l1,
+                });
+                self.watches[l1.flip().0 as usize].push(Watch {
+                    clause: i as u32,
+                    blocker: l0,
+                });
+            }
+            self.attached = self.clauses.len();
         }
         while self.prop_head < self.trail.len() {
             debug_assert_eq!(self.attached, self.clauses.len(), "unwatched clause");
