@@ -27,7 +27,8 @@ impl Frame {
 }
 
 /// Whether anything in `ts` reads each input: a node, a next-state
-/// function, an assertion, an output port, or a net of another name.
+/// function, an assertion or an output port. The miter observes only
+/// output ports, so an input none of these reads cannot affect a verdict.
 pub fn inputs_read(ts: &TransitionSystem) -> Vec<bool> {
     let mut used = vec![false; ts.nodes.len()];
     let mut mark = |id: NodeId| used[id as usize] = true;
@@ -56,13 +57,6 @@ pub fn inputs_read(ts: &TransitionSystem) -> Vec<bool> {
     }
     for &(_, id) in ts.bads.iter().chain(&ts.outputs) {
         mark(id);
-    }
-    for (name, &id) in &ts.nets {
-        if let Node::Input { index, .. } = ts.nodes[id as usize] {
-            if *name != ts.inputs[index as usize].name {
-                mark(id);
-            }
-        }
     }
     ts.inputs.iter().map(|iv| used[iv.node as usize]).collect()
 }
