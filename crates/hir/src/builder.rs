@@ -36,11 +36,22 @@
 //! assert_eq!(module.top_ops().len(), 1);
 //! ```
 
+use crate::decl::{self, OpDecl, Ty};
 use crate::dialect::{attrkey, opname, CmpPredicate};
 use crate::ops::{ForOp, FuncOp, IfOp, UnrollForOp};
 use crate::types::{const_type, is_const, time_type, Dim, MemKind, MemrefInfo, Port};
 use ir::{AttrMap, Attribute, BlockId, Location, Module, OpId, SymbolTable, Type, ValueId};
 use std::collections::HashMap;
+use std::mem::take;
+
+fn index_array(vals: &[i64]) -> Attribute {
+    Attribute::Array(vals.iter().map(|&v| Attribute::index(v as i128)).collect())
+}
+
+/// The attributes of a scheduled op at `offset`.
+fn at(offset: i64) -> AttrMap {
+    AttrMap::from([(attrkey::OFFSET.into(), Attribute::index(offset as i128))])
+}
 
 /// Builder for HIR modules. See module docs for an example.
 #[derive(Debug)]
@@ -120,32 +131,114 @@ impl HirBuilder {
         op
     }
 
+    /// Create `decl`'s op at the insertion point. Result and body-argument
+    /// types follow the declaration; each [`Ty::Written`] slot takes the next
+    /// of `written`, and [`Ty::Ports`] takes the rest. Every required region
+    /// gets one block, the first with the declared body arguments.
+    pub(crate) fn create(
+        &mut self,
+        decl: &OpDecl,
+        operands: Vec<ValueId>,
+        mut attrs: AttrMap,
+        written: Vec<Type>,
+    ) -> Result<OpId, String> {
+        let mut written = written.into_iter();
+        let (mut results, mut body) = (Vec::new(), Vec::new());
+        let slots = decl.results.iter().map(|&(_, ty)| ty);
+        for ty in slots.chain(decl.variadic_results.map(|(_, _, ty)| ty)) {
+            self.push_types(decl, ty, &operands, &mut written, &mut attrs, &mut results)?;
+        }
+        for &(_, ty) in decl.body {
+            self.push_types(decl, ty, &operands, &mut written, &mut attrs, &mut body)?;
+        }
+        let op = self.push_op(decl.name, operands, results, attrs);
+        let regions = match decl.regions {
+            ir::Arity::Exact(n) | ir::Arity::AtLeast(n) => n,
+            ir::Arity::Any => 0,
+        };
+        for i in 0..regions {
+            let region = self.module.add_region(op);
+            self.module
+                .add_block(region, if i == 0 { take(&mut body) } else { Vec::new() });
+        }
+        Ok(op)
+    }
+
+    /// Push the types of one result or body-argument slot of `decl` to `out`.
+    fn push_types(
+        &self,
+        decl: &OpDecl,
+        ty: Ty,
+        operands: &[ValueId],
+        written: &mut impl Iterator<Item = Type>,
+        attrs: &mut AttrMap,
+        out: &mut Vec<Type>,
+    ) -> Result<(), String> {
+        let m = &self.module;
+        match ty {
+            Ty::Time => out.push(time_type()),
+            Ty::Const => out.push(const_type()),
+            Ty::Written => out.extend(written.next()),
+            Ty::OfFirstOperand => out.push(m.value_type(operands[0])),
+            Ty::MemElem => {
+                let ty = m.value_type(operands[0]);
+                let info = MemrefInfo::from_type(&ty).ok_or_else(|| {
+                    format!("{} memory operand must be a memref, got {ty}", decl.name)
+                })?;
+                out.push(info.elem);
+            }
+            Ty::Ports => {
+                let infos: Option<Vec<_>> = written.map(|t| MemrefInfo::from_type(&t)).collect();
+                let infos = infos
+                    .filter(|i| !i.is_empty())
+                    .ok_or("alloc types must be memrefs")?;
+                let first = &infos[0];
+                attrs.insert(
+                    attrkey::KIND.into(),
+                    Attribute::string(first.kind.mnemonic()),
+                );
+                out.extend(infos.iter().map(|i| first.with_port(i.port).to_type()));
+            }
+            Ty::Callee => {
+                let callee = attrs[attrkey::CALLEE].as_symbol().expect("callee symbol");
+                let callee_op = SymbolTable::build(m)
+                    .lookup(callee)
+                    .unwrap_or_else(|| panic!("call to undefined function '@{callee}'"));
+                let f = FuncOp::wrap(m, callee_op).expect("callee is not a hir.func");
+                out.extend(f.result_types(m));
+            }
+        }
+        Ok(())
+    }
+
+    /// [`HirBuilder::create`] for well-typed API calls.
+    fn build(
+        &mut self,
+        decl: &OpDecl,
+        operands: Vec<ValueId>,
+        attrs: AttrMap,
+        written: Vec<Type>,
+    ) -> OpId {
+        self.create(decl, operands, attrs, written)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The first result of a freshly built op.
+    fn result(&self, op: OpId) -> ValueId {
+        self.module.op(op).results()[0]
+    }
+
     // ------------------------------------------------------------- functions
 
     /// Begin a function; subsequent ops go into its body until the next
     /// `func`/`extern_func` call. Returns the function handle.
     pub fn func(&mut self, name: &str, args: &[(&str, Type)], result_delays: &[i64]) -> FuncOp {
-        let mut attrs = AttrMap::new();
-        attrs.insert(ir::SYM_NAME.into(), Attribute::string(name));
-        attrs.insert(
-            attrkey::ARG_NAMES.into(),
-            Attribute::Array(args.iter().map(|(n, _)| Attribute::string(*n)).collect()),
-        );
+        let names = args.iter().map(|(n, _)| Attribute::string(*n)).collect();
+        let mut attrs = AttrMap::from([(attrkey::ARG_NAMES.into(), Attribute::Array(names))]);
         if !result_delays.is_empty() {
-            attrs.insert(
-                attrkey::RESULT_DELAYS.into(),
-                Attribute::Array(
-                    result_delays
-                        .iter()
-                        .map(|&d| Attribute::index(d as i128))
-                        .collect(),
-                ),
-            );
+            attrs.insert(attrkey::RESULT_DELAYS.into(), index_array(result_delays));
         }
-        let f = self
-            .module
-            .create_op(opname::FUNC, vec![], vec![], attrs, self.loc.clone());
-        self.module.push_top(f);
+        let f = self.top_func(name, attrs);
         let region = self.module.add_region(f);
         let mut arg_types: Vec<Type> = args.iter().map(|(_, t)| t.clone()).collect();
         arg_types.push(time_type());
@@ -171,46 +264,31 @@ impl HirBuilder {
             result_delays.len(),
             "one delay per result"
         );
-        let mut attrs = AttrMap::new();
+        let types =
+            |ts: &[Type]| Attribute::Array(ts.iter().cloned().map(Attribute::Type).collect());
+        let attrs = AttrMap::from([
+            (attrkey::EXTERNAL.into(), Attribute::Unit),
+            (attrkey::ARG_TYPES.into(), types(arg_types)),
+            (attrkey::RESULT_TYPES.into(), types(result_types)),
+            (attrkey::RESULT_DELAYS.into(), index_array(result_delays)),
+        ]);
+        FuncOp(self.top_func(name, attrs))
+    }
+
+    /// A new top-level `hir.func` named `name`.
+    fn top_func(&mut self, name: &str, mut attrs: AttrMap) -> OpId {
         attrs.insert(ir::SYM_NAME.into(), Attribute::string(name));
-        attrs.insert(attrkey::EXTERNAL.into(), Attribute::Unit);
-        attrs.insert(
-            attrkey::ARG_TYPES.into(),
-            Attribute::Array(
-                arg_types
-                    .iter()
-                    .map(|t| Attribute::Type(t.clone()))
-                    .collect(),
-            ),
-        );
-        attrs.insert(
-            attrkey::RESULT_TYPES.into(),
-            Attribute::Array(
-                result_types
-                    .iter()
-                    .map(|t| Attribute::Type(t.clone()))
-                    .collect(),
-            ),
-        );
-        attrs.insert(
-            attrkey::RESULT_DELAYS.into(),
-            Attribute::Array(
-                result_delays
-                    .iter()
-                    .map(|&d| Attribute::index(d as i128))
-                    .collect(),
-            ),
-        );
+        let loc = self.loc.clone();
         let f = self
             .module
-            .create_op(opname::FUNC, vec![], vec![], attrs, self.loc.clone());
+            .create_op(opname::FUNC, vec![], vec![], attrs, loc);
         self.module.push_top(f);
-        FuncOp(f)
+        f
     }
 
     /// Terminate the current function body.
     pub fn return_(&mut self, values: &[ValueId]) {
-        self.push_op(opname::RETURN, values.to_vec(), vec![], AttrMap::new());
+        self.build(&decl::RETURN, values.to_vec(), AttrMap::new(), vec![]);
     }
 
     // ------------------------------------------------------------- constants
@@ -240,10 +318,9 @@ impl HirBuilder {
 
     /// A typed integer constant (e.g. an `i32` literal for the datapath).
     pub fn typed_const(&mut self, v: i64, ty: Type) -> ValueId {
-        let mut attrs = AttrMap::new();
-        attrs.insert(attrkey::VALUE.into(), Attribute::Int(v as i128, ty.clone()));
-        let op = self.push_op(opname::CONSTANT, vec![], vec![ty], attrs);
-        self.module.op(op).results()[0]
+        let attrs = AttrMap::from([(attrkey::VALUE.into(), Attribute::Int(v as i128, ty.clone()))]);
+        let op = self.build(&decl::CONSTANT, vec![], attrs, vec![ty]);
+        self.result(op)
     }
 
     // --------------------------------------------------------------- compute
@@ -271,92 +348,94 @@ impl HirBuilder {
         }
     }
 
-    fn binary(&mut self, name: &str, a: ValueId, b: ValueId) -> ValueId {
+    /// A combinational op with one result of type `ty`.
+    fn compute(
+        &mut self,
+        decl: &OpDecl,
+        operands: Vec<ValueId>,
+        attrs: AttrMap,
+        ty: Type,
+    ) -> ValueId {
+        let op = self.build(decl, operands, attrs, vec![ty]);
+        self.result(op)
+    }
+
+    fn binary(&mut self, decl: &OpDecl, a: ValueId, b: ValueId) -> ValueId {
         let ty = self.binary_result_type(a, b);
-        let op = self.push_op(name, vec![a, b], vec![ty], AttrMap::new());
-        self.module.op(op).results()[0]
+        self.compute(decl, vec![a, b], AttrMap::new(), ty)
     }
 
     pub fn add(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary(opname::ADD, a, b)
+        self.binary(&decl::ADD, a, b)
     }
     pub fn sub(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary(opname::SUB, a, b)
+        self.binary(&decl::SUB, a, b)
     }
     pub fn mult(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary(opname::MULT, a, b)
+        self.binary(&decl::MULT, a, b)
     }
     pub fn and(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary(opname::AND, a, b)
+        self.binary(&decl::AND, a, b)
     }
     pub fn or(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary(opname::OR, a, b)
+        self.binary(&decl::OR, a, b)
     }
     pub fn xor(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary(opname::XOR, a, b)
+        self.binary(&decl::XOR, a, b)
     }
     pub fn shl(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary(opname::SHL, a, b)
+        self.binary(&decl::SHL, a, b)
     }
     pub fn shr(&mut self, a: ValueId, b: ValueId) -> ValueId {
-        self.binary(opname::SHR, a, b)
+        self.binary(&decl::SHR, a, b)
     }
 
     pub fn not(&mut self, a: ValueId) -> ValueId {
         let ty = self.module.value_type(a);
-        let op = self.push_op(opname::NOT, vec![a], vec![ty], AttrMap::new());
-        self.module.op(op).results()[0]
+        self.compute(&decl::NOT, vec![a], AttrMap::new(), ty)
     }
 
     pub fn cmp(&mut self, pred: CmpPredicate, a: ValueId, b: ValueId) -> ValueId {
-        let mut attrs = AttrMap::new();
-        attrs.insert(
+        let attrs = AttrMap::from([(
             attrkey::PREDICATE.into(),
             Attribute::string(pred.mnemonic()),
-        );
-        let op = self.push_op(opname::CMP, vec![a, b], vec![Type::i1()], attrs);
-        self.module.op(op).results()[0]
+        )]);
+        self.compute(&decl::CMP, vec![a, b], attrs, Type::i1())
     }
 
     pub fn select(&mut self, cond: ValueId, a: ValueId, b: ValueId) -> ValueId {
         let ty = self.module.value_type(a);
-        let op = self.push_op(opname::SELECT, vec![cond, a, b], vec![ty], AttrMap::new());
-        self.module.op(op).results()[0]
+        self.compute(&decl::SELECT, vec![cond, a, b], AttrMap::new(), ty)
     }
 
     pub fn trunc(&mut self, v: ValueId, ty: Type) -> ValueId {
-        let op = self.push_op(opname::TRUNC, vec![v], vec![ty], AttrMap::new());
-        self.module.op(op).results()[0]
+        self.compute(&decl::TRUNC, vec![v], AttrMap::new(), ty)
     }
 
     pub fn zext(&mut self, v: ValueId, ty: Type) -> ValueId {
-        let op = self.push_op(opname::ZEXT, vec![v], vec![ty], AttrMap::new());
-        self.module.op(op).results()[0]
+        self.compute(&decl::ZEXT, vec![v], AttrMap::new(), ty)
     }
 
     pub fn sext(&mut self, v: ValueId, ty: Type) -> ValueId {
-        let op = self.push_op(opname::SEXT, vec![v], vec![ty], AttrMap::new());
-        self.module.op(op).results()[0]
+        self.compute(&decl::SEXT, vec![v], AttrMap::new(), ty)
     }
 
     pub fn slice(&mut self, v: ValueId, hi: u32, lo: u32) -> ValueId {
-        let mut attrs = AttrMap::new();
-        attrs.insert(attrkey::HI.into(), Attribute::index(hi as i128));
-        attrs.insert(attrkey::LO.into(), Attribute::index(lo as i128));
-        let op = self.push_op(opname::SLICE, vec![v], vec![Type::int(hi - lo + 1)], attrs);
-        self.module.op(op).results()[0]
+        let attrs = AttrMap::from([
+            (attrkey::HI.into(), Attribute::index(hi as i128)),
+            (attrkey::LO.into(), Attribute::index(lo as i128)),
+        ]);
+        self.compute(&decl::SLICE, vec![v], attrs, Type::int(hi - lo + 1))
     }
 
     // -------------------------------------------------------------- schedule
 
     /// `hir.delay %v by <by> at %t offset <offset>`.
     pub fn delay(&mut self, v: ValueId, by: i64, t: ValueId, offset: i64) -> ValueId {
-        let ty = self.module.value_type(v);
-        let mut attrs = AttrMap::new();
+        let mut attrs = at(offset);
         attrs.insert(attrkey::BY.into(), Attribute::index(by as i128));
-        attrs.insert(attrkey::OFFSET.into(), Attribute::index(offset as i128));
-        let op = self.push_op(opname::DELAY, vec![v, t], vec![ty], attrs);
-        self.module.op(op).results()[0]
+        let op = self.build(&decl::DELAY, vec![v, t], attrs, vec![]);
+        self.result(op)
     }
 
     // ---------------------------------------------------------------- memory
@@ -369,13 +448,11 @@ impl HirBuilder {
         kind: MemKind,
         ports: &[Port],
     ) -> Vec<ValueId> {
-        let mut attrs = AttrMap::new();
-        attrs.insert(attrkey::KIND.into(), Attribute::string(kind.mnemonic()));
         let types: Vec<Type> = ports
             .iter()
             .map(|&p| MemrefInfo::new(dims.to_vec(), elem.clone(), p, kind).to_type())
             .collect();
-        let op = self.push_op(opname::ALLOC, vec![], types, attrs);
+        let op = self.build(&decl::ALLOC, vec![], AttrMap::new(), types);
         self.module.op(op).results().to_vec()
     }
 
@@ -394,14 +471,9 @@ impl HirBuilder {
         t: ValueId,
         offset: i64,
     ) -> ValueId {
-        let info = MemrefInfo::from_type(&self.module.value_type(mem)).expect("memref operand");
-        let mut operands = vec![mem];
-        operands.extend_from_slice(indices);
-        operands.push(t);
-        let mut attrs = AttrMap::new();
-        attrs.insert(attrkey::OFFSET.into(), Attribute::index(offset as i128));
-        let op = self.push_op(opname::MEM_READ, operands, vec![info.elem], attrs);
-        self.module.op(op).results()[0]
+        let operands = [&[mem], indices, &[t]].concat();
+        let op = self.build(&decl::MEM_READ, operands, at(offset), vec![]);
+        self.result(op)
     }
 
     /// `hir.mem_write %v to %mem[indices] at %t offset <offset>`.
@@ -413,12 +485,8 @@ impl HirBuilder {
         t: ValueId,
         offset: i64,
     ) {
-        let mut operands = vec![v, mem];
-        operands.extend_from_slice(indices);
-        operands.push(t);
-        let mut attrs = AttrMap::new();
-        attrs.insert(attrkey::OFFSET.into(), Attribute::index(offset as i128));
-        self.push_op(opname::MEM_WRITE, operands, vec![], attrs);
+        let operands = [&[v, mem], indices, &[t]].concat();
+        self.build(&decl::MEM_WRITE, operands, at(offset), vec![]);
     }
 
     // --------------------------------------------------------------- control
@@ -433,12 +501,7 @@ impl HirBuilder {
         offset: i64,
         iv_type: Type,
     ) -> ForOp {
-        let mut attrs = AttrMap::new();
-        attrs.insert(attrkey::OFFSET.into(), Attribute::index(offset as i128));
-        let op = self.push_op(opname::FOR, vec![lb, ub, step, t], vec![time_type()], attrs);
-        let region = self.module.add_region(op);
-        self.module.add_block(region, vec![iv_type, time_type()]);
-        ForOp(op)
+        ForOp(self.build(&decl::FOR, vec![lb, ub, step, t], at(offset), vec![iv_type]))
     }
 
     /// Build the body of a `hir.for`: the closure receives `(builder,
@@ -463,16 +526,11 @@ impl HirBuilder {
         t: ValueId,
         offset: i64,
     ) -> UnrollForOp {
-        let mut attrs = AttrMap::new();
-        attrs.insert(attrkey::LB.into(), Attribute::index(lb as i128));
-        attrs.insert(attrkey::UB.into(), Attribute::index(ub as i128));
-        attrs.insert(attrkey::STEP.into(), Attribute::index(step as i128));
-        attrs.insert(attrkey::OFFSET.into(), Attribute::index(offset as i128));
-        let op = self.push_op(opname::UNROLL_FOR, vec![t], vec![time_type()], attrs);
-        let region = self.module.add_region(op);
-        self.module
-            .add_block(region, vec![const_type(), time_type()]);
-        UnrollForOp(op)
+        let mut attrs = at(offset);
+        for (key, v) in [(attrkey::LB, lb), (attrkey::UB, ub), (attrkey::STEP, step)] {
+            attrs.insert(key.into(), Attribute::index(v as i128));
+        }
+        UnrollForOp(self.build(&decl::UNROLL_FOR, vec![t], attrs, vec![]))
     }
 
     /// Build the body of a `hir.unroll_for`.
@@ -487,9 +545,7 @@ impl HirBuilder {
 
     /// `hir.yield at %t offset <offset>`: schedule the next iteration.
     pub fn yield_at(&mut self, t: ValueId, offset: i64) {
-        let mut attrs = AttrMap::new();
-        attrs.insert(attrkey::OFFSET.into(), Attribute::index(offset as i128));
-        self.push_op(opname::YIELD, vec![t], vec![], attrs);
+        self.build(&decl::YIELD, vec![t], at(offset), vec![]);
     }
 
     /// `hir.call @callee(args) at %t offset <offset>`. Result types are
@@ -501,34 +557,21 @@ impl HirBuilder {
         t: ValueId,
         offset: i64,
     ) -> Vec<ValueId> {
-        let table = SymbolTable::build(&self.module);
-        let callee_op = table
-            .lookup(callee)
-            .unwrap_or_else(|| panic!("call to undefined function '@{callee}'"));
-        let f = FuncOp::wrap(&self.module, callee_op).expect("callee is not a hir.func");
-        let result_types = f.result_types(&self.module);
-        let mut operands = args.to_vec();
-        operands.push(t);
-        let mut attrs = AttrMap::new();
+        let operands = [args, &[t]].concat();
+        let mut attrs = at(offset);
         attrs.insert(attrkey::CALLEE.into(), Attribute::symbol(callee));
-        attrs.insert(attrkey::OFFSET.into(), Attribute::index(offset as i128));
-        let op = self.push_op(opname::CALL, operands, result_types, attrs);
+        let op = self.build(&decl::CALL, operands, attrs, vec![]);
         self.module.op(op).results().to_vec()
     }
 
     /// Create a `hir.if`; populate branches with [`HirBuilder::in_then`] /
     /// [`HirBuilder::in_else`].
     pub fn if_op(&mut self, cond: ValueId, t: ValueId, offset: i64, with_else: bool) -> IfOp {
-        let mut attrs = AttrMap::new();
-        attrs.insert(attrkey::OFFSET.into(), Attribute::index(offset as i128));
-        let op = self.push_op(opname::IF, vec![cond, t], vec![], attrs);
-        let then_region = self.module.add_region(op);
-        self.module.add_block(then_region, vec![]);
+        let ifop = IfOp(self.build(&decl::IF, vec![cond, t], at(offset), vec![]));
         if with_else {
-            let else_region = self.module.add_region(op);
-            self.module.add_block(else_region, vec![]);
+            self.add_else_block(ifop);
         }
-        IfOp(op)
+        ifop
     }
 
     /// Build the then-branch of an `hir.if`.
@@ -561,7 +604,12 @@ impl HirBuilder {
             ifop.else_block(&self.module).is_none(),
             "hir.if already has an else region"
         );
-        let region = self.module.add_region(ifop.id());
+        self.add_region_block(ifop.id())
+    }
+
+    /// Add a region holding one argument-less block to `op`.
+    pub(crate) fn add_region_block(&mut self, op: OpId) -> BlockId {
+        let region = self.module.add_region(op);
         self.module.add_block(region, vec![])
     }
 

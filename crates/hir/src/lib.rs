@@ -26,6 +26,7 @@
 //! in `hir-codegen`.
 
 pub mod builder;
+pub mod decl;
 pub mod dialect;
 pub mod interp;
 pub mod ops;

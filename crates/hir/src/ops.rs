@@ -3,27 +3,74 @@
 //! Wrappers are thin `Copy` handles validated at construction via
 //! [`wrap`](FuncOp::wrap)-style constructors; accessors assume verified IR
 //! and panic on malformed structure (the verifier reports those first).
+//! Operand accessors take their positions from the op's declaration in
+//! [`crate::decl`].
 
+use crate::decl::{self, group, operand, OpDecl};
 use crate::dialect::{attrkey, opname, CmpPredicate};
 use crate::types::{self, MemrefInfo};
 use ir::{Attribute, BlockId, Module, OpId, RegionId, Type, ValueId};
 
 macro_rules! wrapper {
-    ($(#[$doc:meta])* $name:ident, $opname:expr) => {
+    ($(#[$doc:meta])* $name:ident, $decl:expr $(, $scheduled:ident)?) => {
         $(#[$doc])*
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
         pub struct $name(pub OpId);
 
         impl $name {
+            const DECL: &'static OpDecl = &$decl;
+
             /// Wrap `op` if it is the right kind of operation.
             pub fn wrap(m: &Module, op: OpId) -> Option<Self> {
-                (m.op(op).name().as_str() == $opname).then_some(Self(op))
+                (m.op(op).name().as_str() == Self::DECL.name).then_some(Self(op))
             }
 
             /// The underlying op id.
             pub fn id(self) -> OpId {
                 self.0
             }
+
+            $(wrapper!(@$scheduled);)?
+        }
+    };
+    (@scheduled) => {
+        /// The time variable the op is scheduled against.
+        pub fn time(self, m: &Module) -> ValueId {
+            decl::time(m, self.0)
+        }
+
+        /// The static offset from [`Self::time`].
+        pub fn offset(self, m: &Module) -> i64 {
+            time_offset(m, self.0)
+        }
+    };
+    (@result) => {
+        pub fn result(self, m: &Module) -> ValueId {
+            m.op(self.0).results()[0]
+        }
+    };
+    (@body) => {
+        pub fn body(self, m: &Module) -> BlockId {
+            m.region(m.op(self.0).regions()[0]).blocks()[0]
+        }
+        /// The loop induction variable.
+        pub fn induction_var(self, m: &Module) -> ValueId {
+            m.block(self.body(m)).args()[0]
+        }
+        /// The per-iteration time variable `%ti`.
+        pub fn iter_time(self, m: &Module) -> ValueId {
+            m.block(self.body(m)).args()[1]
+        }
+        /// The loop completion time `%tf`.
+        pub fn result_time(self, m: &Module) -> ValueId {
+            m.op(self.0).results()[0]
+        }
+        /// The body's `hir.yield` (which may appear anywhere in the body —
+        /// paper §4.2: textual order carries no meaning).
+        pub fn yield_op(self, m: &Module) -> YieldOp {
+            let ops = m.block(self.body(m)).ops();
+            let y = ops.iter().copied().find(|&o| m.op(o).name().as_str() == opname::YIELD);
+            YieldOp(y.expect("verified loop has a yield"))
         }
     };
 }
@@ -31,10 +78,7 @@ macro_rules! wrapper {
 /// The static cycle offset of a scheduled op (its `offset` attribute),
 /// defaulting to 0 when absent.
 pub fn time_offset(m: &Module, op: OpId) -> i64 {
-    m.op(op)
-        .attr(attrkey::OFFSET)
-        .and_then(|a| a.as_int())
-        .unwrap_or(0) as i64
+    int_attr(m, op, attrkey::OFFSET).unwrap_or(0)
 }
 
 /// The time operand of a scheduled op (always the last operand), if the op
@@ -44,23 +88,38 @@ pub fn time_operand(m: &Module, op: OpId) -> Option<ValueId> {
     types::is_time(&m.value_type(last)).then_some(last)
 }
 
+fn int_attr(m: &Module, op: OpId, key: &str) -> Option<i64> {
+    m.op(op)
+        .attr(key)
+        .and_then(|a| a.as_int())
+        .map(|v| v as i64)
+}
+
+/// The elements of array attribute `key`, as `f` reads them.
+fn array<T>(
+    m: &Module,
+    op: OpId,
+    key: &str,
+    f: impl Fn(&Attribute) -> Option<T>,
+) -> Option<Vec<T>> {
+    let a = m.op(op).attr(key).and_then(|a| a.as_array())?;
+    Some(a.iter().filter_map(f).collect())
+}
+
 // ------------------------------------------------------------------ hir.func
 
 wrapper!(
     /// `hir.func`: a hardware function. The entry block's arguments are the
     /// function's data/memref arguments followed by the start-time variable.
     FuncOp,
-    opname::FUNC
+    decl::FUNC
 );
 
 impl FuncOp {
     /// The function's symbol name.
     pub fn name(self, m: &Module) -> String {
-        m.op(self.0)
-            .attr(ir::SYM_NAME)
-            .and_then(|a| a.as_str())
-            .expect("verified func")
-            .to_string()
+        let name = m.op(self.0).attr(ir::SYM_NAME).and_then(|a| a.as_str());
+        name.expect("verified func").to_string()
     }
 
     /// Whether this is an external (blackbox Verilog) declaration.
@@ -92,11 +151,7 @@ impl FuncOp {
     /// Argument types (works for external functions too).
     pub fn arg_types(self, m: &Module) -> Vec<Type> {
         if self.is_external(m) {
-            m.op(self.0)
-                .attr(attrkey::ARG_TYPES)
-                .and_then(|a| a.as_array())
-                .map(|a| a.iter().filter_map(|x| x.as_type().cloned()).collect())
-                .unwrap_or_default()
+            array(m, self.0, attrkey::ARG_TYPES, |a| a.as_type().cloned()).unwrap_or_default()
         } else {
             self.args(m).into_iter().map(|v| m.value_type(v)).collect()
         }
@@ -105,21 +160,13 @@ impl FuncOp {
     /// Result types.
     pub fn result_types(self, m: &Module) -> Vec<Type> {
         if self.is_external(m) {
-            m.op(self.0)
-                .attr(attrkey::RESULT_TYPES)
-                .and_then(|a| a.as_array())
-                .map(|a| a.iter().filter_map(|x| x.as_type().cloned()).collect())
-                .unwrap_or_default()
+            array(m, self.0, attrkey::RESULT_TYPES, |a| a.as_type().cloned()).unwrap_or_default()
         } else {
-            self.return_op(m)
-                .map(|r| {
-                    m.op(r)
-                        .operands()
-                        .iter()
-                        .map(|&v| m.value_type(v))
-                        .collect()
-                })
-                .unwrap_or_default()
+            let ret = self
+                .return_op(m)
+                .map(|r| m.op(r).operands())
+                .unwrap_or_default();
+            ret.iter().map(|&v| m.value_type(v)).collect()
         }
     }
 
@@ -130,42 +177,25 @@ impl FuncOp {
 
     /// Delay (cycles after `%t`) at which each result is valid.
     pub fn result_delays(self, m: &Module) -> Vec<i64> {
-        m.op(self.0)
-            .attr(attrkey::RESULT_DELAYS)
-            .and_then(|a| a.as_array())
-            .map(|a| {
-                a.iter()
-                    .filter_map(|x| x.as_int())
-                    .map(|v| v as i64)
-                    .collect()
-            })
-            .unwrap_or_default()
+        array(m, self.0, attrkey::RESULT_DELAYS, |a| {
+            a.as_int().map(|v| v as i64)
+        })
+        .unwrap_or_default()
     }
 
     /// Delay at which each argument must be provided (defaults to all-0).
     pub fn arg_delays(self, m: &Module) -> Vec<i64> {
-        m.op(self.0)
-            .attr(attrkey::ARG_DELAYS)
-            .and_then(|a| a.as_array())
-            .map(|a| {
-                a.iter()
-                    .filter_map(|x| x.as_int())
-                    .map(|v| v as i64)
-                    .collect()
-            })
-            .unwrap_or_else(|| vec![0; self.arg_types(m).len()])
+        array(m, self.0, attrkey::ARG_DELAYS, |a| {
+            a.as_int().map(|v| v as i64)
+        })
+        .unwrap_or_else(|| vec![0; self.arg_types(m).len()])
     }
 
     /// Optional human-readable argument names (used for Verilog ports).
     pub fn arg_names(self, m: &Module) -> Option<Vec<String>> {
-        m.op(self.0)
-            .attr(attrkey::ARG_NAMES)
-            .and_then(|a| a.as_array())
-            .map(|a| {
-                a.iter()
-                    .filter_map(|x| x.as_str().map(str::to_owned))
-                    .collect()
-            })
+        array(m, self.0, attrkey::ARG_NAMES, |a| {
+            a.as_str().map(str::to_owned)
+        })
     }
 }
 
@@ -174,54 +204,20 @@ impl FuncOp {
 wrapper!(
     /// `hir.for`: sequential or pipelined loop (paper §4.1).
     ForOp,
-    opname::FOR
+    decl::FOR,
+    scheduled
 );
 
 impl ForOp {
+    wrapper!(@body);
     pub fn lower_bound(self, m: &Module) -> ValueId {
-        m.op(self.0).operands()[0]
+        operand(m, self.0, const { decl::FOR.slot("lb") })
     }
     pub fn upper_bound(self, m: &Module) -> ValueId {
-        m.op(self.0).operands()[1]
+        operand(m, self.0, const { decl::FOR.slot("ub") })
     }
     pub fn step(self, m: &Module) -> ValueId {
-        m.op(self.0).operands()[2]
-    }
-    /// Parent time variable the first iteration is scheduled against.
-    pub fn time(self, m: &Module) -> ValueId {
-        m.op(self.0).operands()[3]
-    }
-    /// Offset of the first iteration from [`ForOp::time`].
-    pub fn offset(self, m: &Module) -> i64 {
-        time_offset(m, self.0)
-    }
-    pub fn body(self, m: &Module) -> BlockId {
-        m.region(m.op(self.0).regions()[0]).blocks()[0]
-    }
-    /// The loop induction variable.
-    pub fn induction_var(self, m: &Module) -> ValueId {
-        m.block(self.body(m)).args()[0]
-    }
-    /// The per-iteration time variable `%ti`.
-    pub fn iter_time(self, m: &Module) -> ValueId {
-        m.block(self.body(m)).args()[1]
-    }
-    /// The loop completion time `%tf`.
-    pub fn result_time(self, m: &Module) -> ValueId {
-        m.op(self.0).results()[0]
-    }
-    /// The body's `hir.yield` (which may appear anywhere in the body —
-    /// paper §4.2: textual order carries no meaning).
-    pub fn yield_op(self, m: &Module) -> YieldOp {
-        let body = self.body(m);
-        let y = m
-            .block(body)
-            .ops()
-            .iter()
-            .copied()
-            .find(|&o| m.op(o).name().as_str() == opname::YIELD)
-            .expect("verified loop has a yield");
-        YieldOp(y)
+        operand(m, self.0, const { decl::FOR.slot("step") })
     }
     /// Initiation interval when the yield is scheduled directly on the
     /// iteration time with a static offset; `None` for data-dependent II
@@ -235,147 +231,84 @@ impl ForOp {
 wrapper!(
     /// `hir.unroll_for`: fully unrolled loop with static bounds (paper §7.3).
     UnrollForOp,
-    opname::UNROLL_FOR
+    decl::UNROLL_FOR,
+    scheduled
 );
 
 impl UnrollForOp {
+    wrapper!(@body);
     pub fn lb(self, m: &Module) -> i64 {
-        m.op(self.0)
-            .attr(attrkey::LB)
-            .and_then(|a| a.as_int())
-            .expect("verified") as i64
+        int_attr(m, self.0, attrkey::LB).expect("verified")
     }
     pub fn ub(self, m: &Module) -> i64 {
-        m.op(self.0)
-            .attr(attrkey::UB)
-            .and_then(|a| a.as_int())
-            .expect("verified") as i64
+        int_attr(m, self.0, attrkey::UB).expect("verified")
     }
     pub fn step(self, m: &Module) -> i64 {
-        m.op(self.0)
-            .attr(attrkey::STEP)
-            .and_then(|a| a.as_int())
-            .expect("verified") as i64
-    }
-    pub fn time(self, m: &Module) -> ValueId {
-        m.op(self.0).operands()[0]
-    }
-    pub fn offset(self, m: &Module) -> i64 {
-        time_offset(m, self.0)
-    }
-    pub fn body(self, m: &Module) -> BlockId {
-        m.region(m.op(self.0).regions()[0]).blocks()[0]
-    }
-    pub fn induction_var(self, m: &Module) -> ValueId {
-        m.block(self.body(m)).args()[0]
-    }
-    pub fn iter_time(self, m: &Module) -> ValueId {
-        m.block(self.body(m)).args()[1]
-    }
-    pub fn result_time(self, m: &Module) -> ValueId {
-        m.op(self.0).results()[0]
-    }
-    pub fn yield_op(self, m: &Module) -> YieldOp {
-        let body = self.body(m);
-        let y = m
-            .block(body)
-            .ops()
-            .iter()
-            .copied()
-            .find(|&o| m.op(o).name().as_str() == opname::YIELD)
-            .expect("verified loop has a yield");
-        YieldOp(y)
+        int_attr(m, self.0, attrkey::STEP).expect("verified")
     }
     /// The unrolled iteration values.
     pub fn iterations(self, m: &Module) -> Vec<i64> {
         let (lb, ub, step) = (self.lb(m), self.ub(m), self.step(m));
-        let mut v = Vec::new();
-        let mut i = lb;
-        while i < ub {
-            v.push(i);
-            i += step;
-        }
-        v
+        (lb..ub).step_by(step as usize).collect()
     }
 }
 
 wrapper!(
     /// `hir.yield`: schedules the next loop iteration (paper §4.2).
     YieldOp,
-    opname::YIELD
+    decl::YIELD,
+    scheduled
 );
-
-impl YieldOp {
-    pub fn time(self, m: &Module) -> ValueId {
-        m.op(self.0).operands()[0]
-    }
-    pub fn offset(self, m: &Module) -> i64 {
-        time_offset(m, self.0)
-    }
-}
 
 wrapper!(
     /// `hir.return`: function terminator.
     ReturnOp,
-    opname::RETURN
+    decl::RETURN
 );
 
 impl ReturnOp {
     pub fn values(self, m: &Module) -> Vec<ValueId> {
-        m.op(self.0).operands().to_vec()
+        group(m, self.0, Self::DECL).to_vec()
     }
 }
 
 wrapper!(
     /// `hir.call`: invoke another HIR function or external module (paper §5.4).
     CallOp,
-    opname::CALL
+    decl::CALL,
+    scheduled
 );
 
 impl CallOp {
     pub fn callee(self, m: &Module) -> String {
-        m.op(self.0)
+        let callee = m
+            .op(self.0)
             .attr(attrkey::CALLEE)
-            .and_then(|a| a.as_symbol())
-            .expect("verified")
-            .to_string()
+            .and_then(|a| a.as_symbol());
+        callee.expect("verified").to_string()
     }
     pub fn args(self, m: &Module) -> Vec<ValueId> {
-        let ops = m.op(self.0).operands();
-        ops[..ops.len() - 1].to_vec()
-    }
-    pub fn time(self, m: &Module) -> ValueId {
-        *m.op(self.0).operands().last().expect("verified")
-    }
-    pub fn offset(self, m: &Module) -> i64 {
-        time_offset(m, self.0)
+        group(m, self.0, Self::DECL).to_vec()
     }
 }
 
 wrapper!(
     /// `hir.if`: conditional region execution.
     IfOp,
-    opname::IF
+    decl::IF,
+    scheduled
 );
 
 impl IfOp {
     pub fn condition(self, m: &Module) -> ValueId {
-        m.op(self.0).operands()[0]
-    }
-    pub fn time(self, m: &Module) -> ValueId {
-        m.op(self.0).operands()[1]
-    }
-    pub fn offset(self, m: &Module) -> i64 {
-        time_offset(m, self.0)
+        operand(m, self.0, const { decl::IF.slot("cond") })
     }
     pub fn then_block(self, m: &Module) -> BlockId {
         m.region(m.op(self.0).regions()[0]).blocks()[0]
     }
     pub fn else_block(self, m: &Module) -> Option<BlockId> {
-        m.op(self.0)
-            .regions()
-            .get(1)
-            .map(|&r| m.region(r).blocks()[0])
+        let r = m.op(self.0).regions().get(1)?;
+        Some(m.region(*r).blocks()[0])
     }
 }
 
@@ -384,10 +317,11 @@ impl IfOp {
 wrapper!(
     /// `hir.constant`: compile-time constant.
     ConstantOp,
-    opname::CONSTANT
+    decl::CONSTANT
 );
 
 impl ConstantOp {
+    wrapper!(@result);
     pub fn value_attr(self, m: &Module) -> Attribute {
         m.op(self.0).attr(attrkey::VALUE).expect("verified").clone()
     }
@@ -395,42 +329,29 @@ impl ConstantOp {
     pub fn int_value(self, m: &Module) -> i64 {
         self.value_attr(m).as_int().expect("integer constant") as i64
     }
-    pub fn result(self, m: &Module) -> ValueId {
-        m.op(self.0).results()[0]
-    }
 }
 
 wrapper!(
     /// `hir.delay`: shift-register delay (paper Table 3).
     DelayOp,
-    opname::DELAY
+    decl::DELAY,
+    scheduled
 );
 
 impl DelayOp {
+    wrapper!(@result);
     pub fn input(self, m: &Module) -> ValueId {
-        m.op(self.0).operands()[0]
-    }
-    pub fn time(self, m: &Module) -> ValueId {
-        m.op(self.0).operands()[1]
+        operand(m, self.0, const { decl::DELAY.slot("input") })
     }
     pub fn by(self, m: &Module) -> i64 {
-        m.op(self.0)
-            .attr(attrkey::BY)
-            .and_then(|a| a.as_int())
-            .expect("verified") as i64
-    }
-    pub fn offset(self, m: &Module) -> i64 {
-        time_offset(m, self.0)
-    }
-    pub fn result(self, m: &Module) -> ValueId {
-        m.op(self.0).results()[0]
+        int_attr(m, self.0, attrkey::BY).expect("verified")
     }
 }
 
 wrapper!(
     /// `hir.alloc`: allocate an on-chip tensor; each result is one port.
     AllocOp,
-    opname::ALLOC
+    decl::ALLOC
 );
 
 impl AllocOp {
@@ -445,25 +366,17 @@ impl AllocOp {
 wrapper!(
     /// `hir.mem_read`: scheduled read through a memref port.
     MemReadOp,
-    opname::MEM_READ
+    decl::MEM_READ,
+    scheduled
 );
 
 impl MemReadOp {
+    wrapper!(@result);
     pub fn memref(self, m: &Module) -> ValueId {
-        m.op(self.0).operands()[0]
+        operand(m, self.0, const { decl::MEM_READ.slot("memref") })
     }
     pub fn indices(self, m: &Module) -> Vec<ValueId> {
-        let ops = m.op(self.0).operands();
-        ops[1..ops.len() - 1].to_vec()
-    }
-    pub fn time(self, m: &Module) -> ValueId {
-        *m.op(self.0).operands().last().expect("verified")
-    }
-    pub fn offset(self, m: &Module) -> i64 {
-        time_offset(m, self.0)
-    }
-    pub fn result(self, m: &Module) -> ValueId {
-        m.op(self.0).results()[0]
+        group(m, self.0, Self::DECL).to_vec()
     }
     pub fn info(self, m: &Module) -> MemrefInfo {
         MemrefInfo::from_type(&m.value_type(self.memref(m))).expect("verified mem_read")
@@ -477,25 +390,19 @@ impl MemReadOp {
 wrapper!(
     /// `hir.mem_write`: scheduled write through a memref port (takes 1 cycle).
     MemWriteOp,
-    opname::MEM_WRITE
+    decl::MEM_WRITE,
+    scheduled
 );
 
 impl MemWriteOp {
     pub fn value(self, m: &Module) -> ValueId {
-        m.op(self.0).operands()[0]
+        operand(m, self.0, const { decl::MEM_WRITE.slot("value") })
     }
     pub fn memref(self, m: &Module) -> ValueId {
-        m.op(self.0).operands()[1]
+        operand(m, self.0, const { decl::MEM_WRITE.slot("memref") })
     }
     pub fn indices(self, m: &Module) -> Vec<ValueId> {
-        let ops = m.op(self.0).operands();
-        ops[2..ops.len() - 1].to_vec()
-    }
-    pub fn time(self, m: &Module) -> ValueId {
-        *m.op(self.0).operands().last().expect("verified")
-    }
-    pub fn offset(self, m: &Module) -> i64 {
-        time_offset(m, self.0)
+        group(m, self.0, Self::DECL).to_vec()
     }
     pub fn info(self, m: &Module) -> MemrefInfo {
         MemrefInfo::from_type(&m.value_type(self.memref(m))).expect("verified mem_write")

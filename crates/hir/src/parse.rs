@@ -18,11 +18,14 @@
 //! offsets-as-attributes convention, see DESIGN.md) parse directly.
 
 use crate::builder::HirBuilder;
-use crate::dialect::{attrkey, opname, CmpPredicate};
-use crate::types::{const_type, time_type, Dim, MemKind, MemrefInfo, Port};
-use ir::{AttrMap, Attribute, Module, Type, ValueId};
+use crate::decl::{self, OpDecl, Piece, Ty};
+use crate::dialect::{attrkey, CmpPredicate};
+use crate::types::{const_type, is_const, time_type, Dim, MemKind, MemrefInfo, Port};
+use ir::{traits, AttrMap, Attribute, BlockId, Module, OpId, Type, ValueId};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::mem::take;
 
 /// A parse error with 1-based line/column.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -225,16 +228,16 @@ impl<'a> Lexer<'a> {
     }
 
     fn ident(&mut self) -> String {
-        let mut s = String::new();
+        let start = self.pos;
         while let Some(b) = self.peek() {
             if b.is_ascii_alphanumeric() || b == b'_' || b == b'.' {
-                s.push(b as char);
                 self.bump();
             } else {
                 break;
             }
         }
-        s
+        // The identifier is ASCII, so the slice ends on a char boundary.
+        self.src[start..self.pos].to_string()
     }
 
     fn next(&mut self) -> Result<(Tok, u32, u32)> {
@@ -244,6 +247,10 @@ impl<'a> Lexer<'a> {
         let Some(b) = self.peek() else {
             return Ok((Tok::Eof, line, col));
         };
+        if let Some(tok) = punct(b) {
+            self.bump();
+            return Ok((tok, line, col));
+        }
         let tok = match b {
             b'%' => {
                 self.bump();
@@ -256,54 +263,6 @@ impl<'a> Lexer<'a> {
             b'!' => {
                 self.bump();
                 Tok::Bang(self.ident())
-            }
-            b'(' => {
-                self.bump();
-                Tok::LParen
-            }
-            b')' => {
-                self.bump();
-                Tok::RParen
-            }
-            b'{' => {
-                self.bump();
-                Tok::LBrace
-            }
-            b'}' => {
-                self.bump();
-                Tok::RBrace
-            }
-            b'[' => {
-                self.bump();
-                Tok::LBracket
-            }
-            b']' => {
-                self.bump();
-                Tok::RBracket
-            }
-            b'<' => {
-                self.bump();
-                Tok::Lt
-            }
-            b'>' => {
-                self.bump();
-                Tok::Gt
-            }
-            b':' => {
-                self.bump();
-                Tok::Colon
-            }
-            b',' => {
-                self.bump();
-                Tok::Comma
-            }
-            b'=' => {
-                self.bump();
-                Tok::Eq
-            }
-            b'*' => {
-                self.bump();
-                Tok::Star
             }
             b'-' => {
                 self.bump();
@@ -572,38 +531,22 @@ impl<'a> Parser<'a> {
         self.keyword("at")?;
         let time_name = self.value_name()?;
         self.expect(&Tok::LParen)?;
-        let mut args: Vec<(String, String, Type)> = Vec::new(); // (%name, label, type)
-        if self.tok != Tok::RParen {
-            loop {
-                let vname = self.value_name()?;
-                // A `/*label*/` comment right after the value names the
-                // port; default to the SSA name.
-                let label = self
-                    .lexer
-                    .last_comment
-                    .take()
-                    .unwrap_or_else(|| vname.clone());
-                self.expect(&Tok::Colon)?;
-                let ty = self.parse_type()?;
-                args.push((vname, label, ty));
-                if !self.eat(&Tok::Comma)? {
-                    break;
-                }
-            }
-        }
+        // (%name, label, type)
+        let args: Vec<(String, String, Type)> = self.list(Some(Tok::RParen), |p| {
+            let vname = p.value_name()?;
+            // A `/*label*/` comment right after the value names the port;
+            // default to the SSA name.
+            let label = p.lexer.last_comment.take().unwrap_or_else(|| vname.clone());
+            p.expect(&Tok::Colon)?;
+            Ok((vname, label, p.parse_type()?))
+        })?;
         self.expect(&Tok::RParen)?;
         // Optional result signature `-> (ty delay d, ...)`.
         let mut result_delays: Vec<i64> = Vec::new();
         if self.eat(&Tok::Arrow)? {
             self.expect(&Tok::LParen)?;
-            loop {
-                let _ty = self.parse_type()?;
-                self.keyword("delay")?;
-                result_delays.push(self.int()?);
-                if !self.eat(&Tok::Comma)? {
-                    break;
-                }
-            }
+            let results = self.list(None, Self::result_with_delay)?;
+            result_delays = results.into_iter().map(|(_, d)| d).collect();
             self.expect(&Tok::RParen)?;
         }
 
@@ -629,48 +572,44 @@ impl<'a> Parser<'a> {
     fn parse_extern(&mut self, hb: &mut HirBuilder) -> Result<()> {
         let name = self.symbol_name()?;
         self.expect(&Tok::LParen)?;
-        let mut arg_types = Vec::new();
-        if self.tok != Tok::RParen {
-            loop {
-                arg_types.push(self.parse_type()?);
-                if !self.eat(&Tok::Comma)? {
-                    break;
-                }
-            }
-        }
+        let arg_types = self.list(Some(Tok::RParen), Self::parse_type)?;
         self.expect(&Tok::RParen)?;
         self.expect(&Tok::Arrow)?;
         self.expect(&Tok::LParen)?;
-        let mut result_types = Vec::new();
-        let mut delays = Vec::new();
-        if self.tok != Tok::RParen {
-            loop {
-                result_types.push(self.parse_type()?);
-                self.keyword("delay")?;
-                delays.push(self.int()?);
-                if !self.eat(&Tok::Comma)? {
-                    break;
-                }
-            }
-        }
+        let results = self.list(Some(Tok::RParen), Self::result_with_delay)?;
+        let (result_types, delays): (Vec<Type>, Vec<i64>) = results.into_iter().unzip();
         self.expect(&Tok::RParen)?;
         hb.extern_func(&name, &arg_types, &result_types, &delays);
         Ok(())
     }
 
-    // ------------------------------------------------------------------ ops
-
-    /// ` at %t offset k` (offset optional, default 0).
-    fn parse_schedule(&mut self) -> Result<(ValueId, i64)> {
-        self.keyword("at")?;
-        let t = self.use_value()?;
-        let mut offset = 0;
-        if self.is_keyword("offset") {
-            self.advance()?;
-            offset = self.parse_offset_amount()?;
-        }
-        Ok((t, offset))
+    /// `type delay d` in a function's result signature.
+    fn result_with_delay(&mut self) -> Result<(Type, i64)> {
+        let ty = self.parse_type()?;
+        self.keyword("delay")?;
+        Ok((ty, self.int()?))
     }
+
+    /// `item, item, ...`, empty if the next token is `close` (which is left
+    /// in place); with no `close` there is at least one item.
+    fn list<T>(
+        &mut self,
+        close: Option<Tok>,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let mut items = Vec::new();
+        if close.is_some_and(|c| self.tok == c) {
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            if !self.eat(&Tok::Comma)? {
+                return Ok(items);
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------ ops
 
     /// Offsets are integers here, but the paper writes `%1` (a constant
     /// SSA value); accept both, resolving constants through the builder.
@@ -707,37 +646,34 @@ impl<'a> Parser<'a> {
             }
             self.expect(&Tok::Eq)?;
         }
-        let opword = match &self.tok {
-            Tok::Ident(s) => s.clone(),
-            other => return Err(self.err(format!("expected operation, found {other:?}"))),
+        let opword = match std::mem::replace(&mut self.tok, Tok::Eof) {
+            Tok::Ident(s) => s,
+            other => {
+                self.tok = other;
+                return Err(self.err(format!("expected operation, found {:?}", self.tok)));
+            }
         };
         self.advance()?;
-        match opword.as_str() {
-            "hir.constant" => self.op_constant(hb, &results),
-            "hir.for" => self.op_for(hb, &results),
-            "hir.unroll_for" => self.op_unroll_for(hb, &results),
-            "hir.yield" => {
-                let (t, off) = self.parse_schedule()?;
-                hb.yield_at(t, off);
-                Ok(())
-            }
-            "hir.return" => self.op_return(hb),
-            "hir.mem_read" => self.op_mem_read(hb, &results),
-            "hir.mem_write" => self.op_mem_write(hb),
-            "hir.delay" => self.op_delay(hb, &results),
-            "hir.alloc" => self.op_alloc(hb, &results),
-            "hir.call" => self.op_call(hb, &results),
-            "hir.if" => self.op_if(hb),
-            other if other.starts_with("hir.") => self.op_compute(hb, other, &results),
-            other => Err(self.err(format!("unknown operation '{other}'"))),
+        let decl = decl::lookup(&opword);
+        match decl.and_then(|d| Some((d, d.syntax?))) {
+            Some((d, syntax)) => self.parse_syntax(hb, d, syntax, results),
+            None if opword.starts_with("hir.") => self.parse_generic(hb, &opword, decl, results),
+            None => Err(self.err(format!("unknown operation '{opword}'"))),
         }
     }
 
-    fn bind(&mut self, name: &str, v: ValueId) -> Result<()> {
-        if self.values.insert(name.to_string(), v).is_some() {
-            return Err(self.err(format!("redefinition of %{name}")));
+    fn bind(&mut self, name: String, v: ValueId) -> Result<()> {
+        match self.values.entry(name) {
+            Entry::Vacant(e) => {
+                e.insert(v);
+                Ok(())
+            }
+            Entry::Occupied(e) => Err(PrettyParseError {
+                line: self.line,
+                col: self.col,
+                message: format!("redefinition of %{}", e.key()),
+            }),
         }
-        Ok(())
     }
 
     fn one_result<'r>(&self, results: &'r [String], what: &str) -> Result<&'r String> {
@@ -747,278 +683,212 @@ impl<'a> Parser<'a> {
         Ok(&results[0])
     }
 
-    fn op_constant(&mut self, hb: &mut HirBuilder, results: &[String]) -> Result<()> {
-        let name = self.one_result(results, "hir.constant")?.clone();
-        let v = self.int()?;
-        self.expect(&Tok::Colon)?;
-        let ty = self.parse_type()?;
-        let val = if crate::types::is_const(&ty) || ty.is_index() {
-            hb.const_val(v)
-        } else {
-            hb.typed_const(v, ty)
-        };
-        self.bind(&name, val)
+    /// Expect one syntax token: a keyword or a punctuation mark.
+    fn expect_token(&mut self, tok: &str) -> Result<()> {
+        match syntax_punct(tok) {
+            Some(t) => self.expect(&t),
+            None => self.keyword(tok),
+        }
     }
 
-    fn op_for(&mut self, hb: &mut HirBuilder, results: &[String]) -> Result<()> {
-        let tf_name = self.one_result(results, "hir.for")?.clone();
-        let iv_name = self.value_name()?;
-        self.expect(&Tok::Colon)?;
-        let iv_ty = self.parse_type()?;
-        self.expect(&Tok::Eq)?;
-        let lb = self.use_value()?;
-        self.keyword("to")?;
-        let ub = self.use_value()?;
-        self.keyword("step")?;
-        let step = self.use_value()?;
-        self.keyword("iter_time")?;
-        self.expect(&Tok::LParen)?;
-        let ti_name = self.value_name()?;
-        self.expect(&Tok::Eq)?;
-        let t = self.use_value()?;
-        let mut offset = 0;
-        if self.is_keyword("offset") {
-            self.advance()?;
-            offset = self.parse_offset_amount()?;
+    /// Comma-separated values. A group followed by a closing bracket may be
+    /// empty; otherwise it runs while values follow.
+    fn parse_values(&mut self, close: Option<Tok>, vals: &mut Vec<ValueId>) -> Result<()> {
+        if close.as_ref().is_some_and(|c| self.tok == *c) {
+            return Ok(());
         }
-        self.expect(&Tok::RParen)?;
-
-        let lp = hb.for_loop(lb, ub, step, t, offset, iv_ty);
-        self.bind(&iv_name, lp.induction_var(hb.module()))?;
-        self.bind(&ti_name, lp.iter_time(hb.module()))?;
-        self.bind(&tf_name, lp.result_time(hb.module()))?;
-
-        self.expect(&Tok::LBrace)?;
-        let body = lp.body(hb.module());
-        hb.push_block(body);
-        while self.tok != Tok::RBrace {
-            self.parse_op(hb)?;
-        }
-        hb.pop_block();
-        self.expect(&Tok::RBrace)?;
-        Ok(())
-    }
-
-    fn op_unroll_for(&mut self, hb: &mut HirBuilder, results: &[String]) -> Result<()> {
-        let tf_name = self.one_result(results, "hir.unroll_for")?.clone();
-        let iv_name = self.value_name()?;
-        self.expect(&Tok::Eq)?;
-        let lb = self.int()?;
-        self.keyword("to")?;
-        let ub = self.int()?;
-        self.keyword("step")?;
-        let step = self.int()?;
-        self.keyword("iter_time")?;
-        self.expect(&Tok::LParen)?;
-        let ti_name = self.value_name()?;
-        self.expect(&Tok::Eq)?;
-        let t = self.use_value()?;
-        let mut offset = 0;
-        if self.is_keyword("offset") {
-            self.advance()?;
-            offset = self.parse_offset_amount()?;
-        }
-        self.expect(&Tok::RParen)?;
-
-        let lp = hb.unroll_for(lb, ub, step, t, offset);
-        self.bind(&iv_name, lp.induction_var(hb.module()))?;
-        self.bind(&ti_name, lp.iter_time(hb.module()))?;
-        self.bind(&tf_name, lp.result_time(hb.module()))?;
-
-        self.expect(&Tok::LBrace)?;
-        let body = lp.body(hb.module());
-        hb.push_block(body);
-        while self.tok != Tok::RBrace {
-            self.parse_op(hb)?;
-        }
-        hb.pop_block();
-        self.expect(&Tok::RBrace)?;
-        Ok(())
-    }
-
-    fn op_return(&mut self, hb: &mut HirBuilder) -> Result<()> {
-        let mut vals = Vec::new();
-        while let Tok::Value(_) = self.tok {
+        while close.is_some() || matches!(self.tok, Tok::Value(_)) {
             vals.push(self.use_value()?);
             if !self.eat(&Tok::Comma)? {
                 break;
             }
         }
-        hb.return_(&vals);
         Ok(())
     }
 
-    fn op_mem_read(&mut self, hb: &mut HirBuilder, results: &[String]) -> Result<()> {
-        let name = self.one_result(results, "hir.mem_read")?.clone();
-        let mem = self.use_value()?;
-        let idx = self.parse_indices()?;
-        let (t, off) = self.parse_schedule()?;
-        // Optional trailing `: type` (informational; checked).
-        if self.eat(&Tok::Colon)? {
-            let _ = self.parse_type()?;
-        }
-        let v = hb.mem_read(mem, &idx, t, off);
-        self.bind(&name, v)
-    }
-
-    fn op_mem_write(&mut self, hb: &mut HirBuilder) -> Result<()> {
-        let v = self.use_value()?;
-        self.keyword("to")?;
-        let mem = self.use_value()?;
-        let idx = self.parse_indices()?;
-        let (t, off) = self.parse_schedule()?;
-        hb.mem_write(v, mem, &idx, t, off);
-        Ok(())
-    }
-
-    fn parse_indices(&mut self) -> Result<Vec<ValueId>> {
-        self.expect(&Tok::LBracket)?;
-        let mut idx = Vec::new();
-        if self.tok != Tok::RBracket {
-            loop {
-                idx.push(self.use_value()?);
-                if !self.eat(&Tok::Comma)? {
-                    break;
-                }
-            }
-        }
-        self.expect(&Tok::RBracket)?;
-        Ok(idx)
-    }
-
-    fn op_delay(&mut self, hb: &mut HirBuilder, results: &[String]) -> Result<()> {
-        let name = self.one_result(results, "hir.delay")?.clone();
-        let input = self.use_value()?;
-        self.keyword("by")?;
-        let by = self.parse_offset_amount()?;
-        let (t, off) = self.parse_schedule()?;
-        if self.eat(&Tok::Colon)? {
-            let _ = self.parse_type()?;
-        }
-        let v = hb.delay(input, by, t, off);
-        self.bind(&name, v)
-    }
-
-    fn op_alloc(&mut self, hb: &mut HirBuilder, results: &[String]) -> Result<()> {
-        self.expect(&Tok::LParen)?;
-        self.expect(&Tok::RParen)?;
-        self.expect(&Tok::Colon)?;
-        // `(type, type)` — one memref per port; or a single bare type.
-        let mut types = Vec::new();
-        if self.eat(&Tok::LParen)? {
-            loop {
-                types.push(self.parse_type()?);
-                if !self.eat(&Tok::Comma)? {
-                    break;
-                }
-            }
-            self.expect(&Tok::RParen)?;
-        } else {
-            types.push(self.parse_type()?);
-        }
-        if types.len() != results.len() {
-            return Err(self.err(format!(
-                "hir.alloc binds {} results but lists {} port types",
-                results.len(),
-                types.len()
-            )));
-        }
-        let infos: Vec<MemrefInfo> = types
-            .iter()
-            .map(|t| {
-                MemrefInfo::from_type(t).ok_or_else(|| self.err("alloc types must be memrefs"))
-            })
-            .collect::<Result<_>>()?;
-        let base = &infos[0];
-        let ports: Vec<Port> = infos.iter().map(|i| i.port).collect();
-        let vals = hb.alloc(&base.dims, base.elem.clone(), base.kind, &ports);
-        for (name, v) in results.iter().zip(vals) {
-            self.bind(name, v)?;
-        }
-        Ok(())
-    }
-
-    fn op_call(&mut self, hb: &mut HirBuilder, results: &[String]) -> Result<()> {
-        let callee = self.symbol_name()?;
-        self.expect(&Tok::LParen)?;
-        let mut args = Vec::new();
-        if self.tok != Tok::RParen {
-            loop {
-                args.push(self.use_value()?);
-                if !self.eat(&Tok::Comma)? {
-                    break;
-                }
-            }
-        }
-        self.expect(&Tok::RParen)?;
-        let (t, off) = self.parse_schedule()?;
-        let vals = hb.call(&callee, &args, t, off);
-        if vals.len() != results.len() {
-            return Err(self.err(format!(
-                "@{callee} returns {} values but {} results are bound",
-                vals.len(),
-                results.len()
-            )));
-        }
-        for (name, v) in results.iter().zip(vals) {
-            self.bind(name, v)?;
-        }
-        Ok(())
-    }
-
-    fn op_if(&mut self, hb: &mut HirBuilder) -> Result<()> {
-        let cond = self.use_value()?;
-        let (t, off) = self.parse_schedule()?;
+    /// `{ ops }` into `block`.
+    fn parse_body(&mut self, hb: &mut HirBuilder, block: BlockId) -> Result<()> {
         self.expect(&Tok::LBrace)?;
-        // Parse the then block; decide about else after the brace.
-        let ifop = hb.if_op(cond, t, off, false);
-        let then_block = ifop.then_block(hb.module());
-        hb.push_block(then_block);
+        hb.push_block(block);
         while self.tok != Tok::RBrace {
             self.parse_op(hb)?;
         }
         hb.pop_block();
-        self.expect(&Tok::RBrace)?;
-        if self.is_keyword("else") {
-            self.advance()?;
-            self.expect(&Tok::LBrace)?;
-            let else_block = hb.add_else_block(ifop);
-            hb.push_block(else_block);
-            while self.tok != Tok::RBrace {
-                self.parse_op(hb)?;
+        self.expect(&Tok::RBrace)
+    }
+
+    /// The pieces of `d`'s pretty syntax after its name. The op is built at
+    /// its first region (whose body refers to its arguments and results) or
+    /// after the last piece.
+    fn parse_syntax(
+        &mut self,
+        hb: &mut HirBuilder,
+        d: &OpDecl,
+        syntax: &[Piece],
+        results: Vec<String>,
+    ) -> Result<()> {
+        if d.single_result() {
+            self.one_result(&results, d.name)?;
+        }
+        let mut parts = Parts {
+            results,
+            ..Parts::default()
+        };
+        let mut op = None;
+        for (i, piece) in syntax.iter().enumerate() {
+            match *piece {
+                Piece::Sp(tok) | Piece::Tight(tok) => self.expect_token(tok)?,
+                Piece::Operand(_) => parts.operands.push(self.use_value()?),
+                Piece::Operands(_) => {
+                    let close = match syntax.get(i + 1) {
+                        Some(Piece::Tight(tok)) => syntax_punct(tok),
+                        _ => None,
+                    };
+                    self.parse_values(close, &mut parts.operands)?;
+                }
+                Piece::Offset => {
+                    let mut offset = 0;
+                    if self.is_keyword("offset") {
+                        self.advance()?;
+                        offset = self.parse_offset_amount()?;
+                    }
+                    parts.int(attrkey::OFFSET, offset);
+                }
+                Piece::Int(key) => {
+                    let v = self.int()?;
+                    parts.int(key, v);
+                }
+                Piece::Amount(key) => {
+                    let v = self.parse_offset_amount()?;
+                    parts.int(key, v);
+                }
+                Piece::Symbol(key) => {
+                    let callee = self.symbol_name()?;
+                    parts.attrs.insert(key.into(), Attribute::symbol(callee));
+                }
+                Piece::Literal(key) => {
+                    let v = self.int()?;
+                    self.expect(&Tok::Colon)?;
+                    parts.written.push(self.parse_type()?);
+                    parts.literal = Some((key, v));
+                }
+                Piece::Arg(_) => parts.args.push(self.value_name()?),
+                Piece::ArgType => parts.written.push(self.parse_type()?),
+                Piece::ResultType => {
+                    // Informational: the result type follows from the operands.
+                    if self.eat(&Tok::Colon)? {
+                        let _ = self.parse_type()?;
+                    }
+                }
+                Piece::ResultTypes => {
+                    if self.eat(&Tok::LParen)? {
+                        parts.written = self.list(None, Self::parse_type)?;
+                        self.expect(&Tok::RParen)?;
+                    } else {
+                        parts.written.push(self.parse_type()?);
+                    }
+                }
+                Piece::Region => {
+                    let op = match op {
+                        Some(op) => op,
+                        None => *op.insert(self.build(hb, d, &mut parts)?),
+                    };
+                    let region = hb.module().op(op).regions()[0];
+                    let block = hb.module().region(region).blocks()[0];
+                    self.parse_body(hb, block)?;
+                }
+                Piece::OptRegion(kw) => {
+                    if let (Some(op), true) = (op, self.is_keyword(kw)) {
+                        self.advance()?;
+                        let block = hb.add_region_block(op);
+                        self.parse_body(hb, block)?;
+                    }
+                }
             }
-            hb.pop_block();
-            self.expect(&Tok::RBrace)?;
+        }
+        if op.is_none() {
+            self.build(hb, d, &mut parts)?;
         }
         Ok(())
     }
 
-    /// Generic compute: `%r = hir.add (%a, %b) : (i32, i32) -> (i32)` with
-    /// optional `{pred}` or `{hi:lo}` trailers.
-    fn op_compute(&mut self, hb: &mut HirBuilder, opword: &str, results: &[String]) -> Result<()> {
-        let name = self.one_result(results, opword)?.clone();
-        self.expect(&Tok::LParen)?;
-        let mut operands = Vec::new();
-        if self.tok != Tok::RParen {
-            loop {
-                operands.push(self.use_value()?);
-                if !self.eat(&Tok::Comma)? {
-                    break;
-                }
+    /// Build `d`'s op from its parsed parts, then bind the body arguments
+    /// and the results to their names.
+    fn build(&mut self, hb: &mut HirBuilder, d: &OpDecl, parts: &mut Parts) -> Result<OpId> {
+        let results = take(&mut parts.results);
+        if let Some((_, _, Ty::Ports)) = d.variadic_results {
+            if parts.written.len() != results.len() {
+                return Err(self.err(format!(
+                    "{} binds {} results but lists {} port types",
+                    d.name,
+                    results.len(),
+                    parts.written.len()
+                )));
             }
         }
+        // Index and `!hir.const` constants are pooled by the builder.
+        let pooled = d.traits & traits::CONSTANT_LIKE != 0
+            && parts
+                .written
+                .first()
+                .is_some_and(|t| is_const(t) || t.is_index());
+        let op = if let (true, Some((_, v))) = (pooled, parts.literal) {
+            let c = hb.const_val(v);
+            hb.module().defining_op(c).expect("constant op")
+        } else {
+            if let (Some((key, v)), Some(ty)) = (parts.literal, parts.written.first()) {
+                let value = Attribute::Int(v as i128, ty.clone());
+                parts.attrs.insert(key.into(), value);
+            }
+            let (operands, attrs) = (take(&mut parts.operands), take(&mut parts.attrs));
+            hb.create(d, operands, attrs, take(&mut parts.written))
+                .map_err(|e| self.err(e))?
+        };
+        let m = hb.module();
+        let args = match m.op(op).regions().first() {
+            Some(&r) => m.block(m.region(r).blocks()[0]).args(),
+            None => &[],
+        };
+        let vals = m.op(op).results();
+        if let Some((_, _, Ty::Callee)) = d.variadic_results {
+            if vals.len() != results.len() {
+                let callee = m.op(op).attr(attrkey::CALLEE).expect("parsed callee");
+                return Err(self.err(format!(
+                    "{callee} returns {} values but {} results are bound",
+                    vals.len(),
+                    results.len()
+                )));
+            }
+        }
+        for (name, &v) in take(&mut parts.args).into_iter().zip(args) {
+            self.bind(name, v)?;
+        }
+        // Ops without results ignore any names bound to them.
+        for (name, &v) in results.into_iter().zip(vals) {
+            self.bind(name, v)?;
+        }
+        Ok(op)
+    }
+
+    /// The generic form of ops without a pretty syntax:
+    /// `%r = hir.add (%a, %b) : (i32, i32) -> (i32)`, with a `{pred}` or
+    /// `{hi:lo}` trailer for the ops that require those attributes.
+    fn parse_generic(
+        &mut self,
+        hb: &mut HirBuilder,
+        opword: &str,
+        d: Option<&OpDecl>,
+        mut results: Vec<String>,
+    ) -> Result<()> {
+        self.one_result(&results, opword)?;
+        let name = results.pop().expect("one result");
+        self.expect(&Tok::LParen)?;
+        let mut operands = Vec::new();
+        self.parse_values(Some(Tok::RParen), &mut operands)?;
         self.expect(&Tok::RParen)?;
         self.expect(&Tok::Colon)?;
         self.expect(&Tok::LParen)?;
-        let mut in_tys = Vec::new();
-        if self.tok != Tok::RParen {
-            loop {
-                in_tys.push(self.parse_type()?);
-                if !self.eat(&Tok::Comma)? {
-                    break;
-                }
-            }
-        }
+        self.list(Some(Tok::RParen), Self::parse_type)?;
         self.expect(&Tok::RParen)?;
         self.expect(&Tok::Arrow)?;
         self.expect(&Tok::LParen)?;
@@ -1026,22 +896,24 @@ impl<'a> Parser<'a> {
         self.expect(&Tok::RParen)?;
 
         // Optional `{eq}` / `{7:4}` trailer.
-        let mut predicate: Option<CmpPredicate> = None;
-        let mut slice_bounds: Option<(i64, i64)> = None;
+        let mut attrs = AttrMap::new();
         if self.eat(&Tok::LBrace)? {
             match std::mem::replace(&mut self.tok, Tok::Eof) {
                 Tok::Ident(p) => {
                     self.advance()?;
-                    predicate = Some(
-                        CmpPredicate::from_mnemonic(&p)
-                            .ok_or_else(|| self.err(format!("unknown predicate '{p}'")))?,
+                    let pred = CmpPredicate::from_mnemonic(&p)
+                        .ok_or_else(|| self.err(format!("unknown predicate '{p}'")))?;
+                    attrs.insert(
+                        attrkey::PREDICATE.into(),
+                        Attribute::string(pred.mnemonic()),
                     );
                 }
                 Tok::Int(hi) => {
                     self.advance()?;
                     self.expect(&Tok::Colon)?;
                     let lo = self.int()?;
-                    slice_bounds = Some((hi, lo));
+                    attrs.insert(attrkey::HI.into(), Attribute::index(hi as i128));
+                    attrs.insert(attrkey::LO.into(), Attribute::index(lo as i128));
                 }
                 other => {
                     self.tok = other;
@@ -1050,23 +922,63 @@ impl<'a> Parser<'a> {
             }
             self.expect(&Tok::RBrace)?;
         }
-
-        let mut attrs = AttrMap::new();
-        if let Some(p) = predicate {
-            attrs.insert(attrkey::PREDICATE.into(), Attribute::string(p.mnemonic()));
+        let requires = |key: &str| d.is_some_and(|d| d.requires(key)) && !attrs.contains_key(key);
+        if requires(attrkey::PREDICATE) {
+            return Err(self.err(format!("{opword} requires a {{predicate}}")));
         }
-        if let Some((hi, lo)) = slice_bounds {
-            attrs.insert(attrkey::HI.into(), Attribute::index(hi as i128));
-            attrs.insert(attrkey::LO.into(), Attribute::index(lo as i128));
-        }
-        if opword == opname::CMP && predicate.is_none() {
-            return Err(self.err("hir.cmp requires a {predicate}"));
-        }
-        if opword == opname::SLICE && slice_bounds.is_none() {
-            return Err(self.err("hir.slice requires {hi:lo} bounds"));
+        if requires(attrkey::HI) {
+            return Err(self.err(format!("{opword} requires {{hi:lo}} bounds")));
         }
         let v = hb.raw_op(opword, operands, vec![out_ty], attrs);
-        self.bind(&name, v)
+        self.bind(name, v)
+    }
+}
+
+/// What [`Parser::parse_syntax`] collects for the builder.
+#[derive(Default)]
+struct Parts {
+    operands: Vec<ValueId>,
+    attrs: AttrMap,
+    /// Types written in the source, in order.
+    written: Vec<Type>,
+    /// Names of the first region's entry-block arguments.
+    args: Vec<String>,
+    /// Names bound to the results.
+    results: Vec<String>,
+    /// A typed constant's attribute and value (its type is written).
+    literal: Option<(&'static str, i64)>,
+}
+
+impl Parts {
+    fn int(&mut self, key: &str, v: i64) {
+        self.attrs.insert(key.into(), Attribute::index(v as i128));
+    }
+}
+
+/// The token of a one-character punctuation mark.
+fn punct(c: u8) -> Option<Tok> {
+    Some(match c {
+        b'(' => Tok::LParen,
+        b')' => Tok::RParen,
+        b'{' => Tok::LBrace,
+        b'}' => Tok::RBrace,
+        b'[' => Tok::LBracket,
+        b']' => Tok::RBracket,
+        b'<' => Tok::Lt,
+        b'>' => Tok::Gt,
+        b':' => Tok::Colon,
+        b',' => Tok::Comma,
+        b'=' => Tok::Eq,
+        b'*' => Tok::Star,
+        _ => return None,
+    })
+}
+
+/// The token of an op syntax's punctuation mark (`None` for keywords).
+fn syntax_punct(tok: &str) -> Option<Tok> {
+    match tok.as_bytes() {
+        &[c] => punct(c),
+        _ => None,
     }
 }
 

@@ -5,10 +5,11 @@
 //! for diagnostic snippets. The canonical, round-trippable form remains
 //! [`ir::print_module`].
 
+use crate::decl::{self, OpDecl, Piece};
 use crate::dialect::{attrkey, opname};
 use crate::ops;
 use crate::types::{self, MemrefInfo};
-use ir::{Module, OpId, ValueId};
+use ir::{BlockId, Module, OpId, ValueId};
 use std::collections::HashMap;
 use std::fmt::Write;
 
@@ -45,7 +46,6 @@ pub fn pretty_op(m: &Module, op: OpId) -> String {
 
 struct Pretty<'m> {
     m: &'m Module,
-    registry: ir::DialectRegistry,
     names: HashMap<ValueId, String>,
     next: usize,
     out: String,
@@ -55,67 +55,26 @@ impl<'m> Pretty<'m> {
     fn new(m: &'m Module) -> Self {
         Pretty {
             m,
-            registry: crate::dialect::hir_registry(),
             names: HashMap::new(),
             next: 0,
             out: String::new(),
         }
     }
 
-    /// Whether `op` is well-formed enough for its specialized pretty form.
-    ///
-    /// The per-op arms below index operands, results, regions, block
-    /// arguments and attributes at fixed positions — guarantees that hold
-    /// only for spec-conforming ops. Partially recovered modules from the
-    /// error-tolerant parsers can violate them, so anything non-conforming
-    /// is printed in the generic form instead.
-    fn spec_conforms(&self, op: OpId) -> bool {
+    /// The declaration of `op` if `op` conforms to it; `Err` if it does not
+    /// (print it in the generic form), `Ok(None)` for ops HIR does not
+    /// declare (also generic). The pretty syntax indexes operands, results,
+    /// regions, block arguments and attributes as declared, which
+    /// partially recovered modules from the error-tolerant parsers can
+    /// violate.
+    fn conforming(&self, op: OpId) -> Result<Option<&'static OpDecl>, ()> {
         let m = self.m;
-        let data = m.op(op);
-        let name = data.name().as_str();
-        let Some(spec) = self.registry.spec(name) else {
-            return true; // unknown ops already use the generic form
-        };
-        if !spec.operand_arity().check(data.operands().len())
-            || !spec.result_arity().check(data.results().len())
-            || !spec.region_arity().check(data.regions().len())
-            || !data
-                .regions()
-                .iter()
-                .all(|&r| !m.region(r).blocks().is_empty())
-        {
-            return false;
-        }
-        let first_block_args = |min: usize| {
-            data.regions().first().is_some_and(|&r| {
-                m.region(r)
-                    .blocks()
-                    .first()
-                    .is_some_and(|&b| m.block(b).args().len() >= min)
-            })
-        };
-        match name {
-            opname::FUNC => {
-                let named = data.attr(ir::SYM_NAME).and_then(|a| a.as_str()).is_some();
-                // Externals have no body; everyone else needs the entry
-                // block with at least the start-time argument.
-                named && (ops::FuncOp(op).is_external(m) || first_block_args(1))
+        match decl::lookup(m.op(op).name().as_str()) {
+            None => Ok(None),
+            Some(d) if d.conforms(m, op) && (d.name != opname::FUNC || func_conforms(m, op)) => {
+                Ok(Some(d))
             }
-            // Induction variable + iteration time.
-            opname::FOR => first_block_args(2),
-            opname::UNROLL_FOR => {
-                first_block_args(2)
-                    && [attrkey::LB, attrkey::UB, attrkey::STEP]
-                        .iter()
-                        .all(|k| data.attr(k).and_then(|a| a.as_int()).is_some())
-            }
-            opname::CALL => data
-                .attr(attrkey::CALLEE)
-                .and_then(|a| a.as_symbol())
-                .is_some(),
-            opname::CONSTANT => data.attr(attrkey::VALUE).is_some(),
-            opname::DELAY => data.attr(attrkey::BY).and_then(|a| a.as_int()).is_some(),
-            _ => true,
+            Some(_) => Err(()),
         }
     }
 
@@ -142,28 +101,17 @@ impl<'m> Pretty<'m> {
         }
         // Constants get their literal value as name, like the paper (%16);
         // a typed constant with the same value gets a disambiguated name so
-        // the printed text stays parseable.
-        let n = if let Some(def) = self.m.defining_op(v) {
-            // Read the attribute leniently: this runs inside diagnostic
-            // rendering, where the constant may be the malformed op (e.g. a
-            // missing 'value' attribute) being reported.
-            if ops::ConstantOp::wrap(self.m, def).is_some() {
-                if let Some(i) = self.m.op(def).attr(attrkey::VALUE).and_then(|a| a.as_int()) {
-                    let base = format!("%c{i}");
-                    if self.names.values().any(|existing| existing == &base) {
-                        self.fresh()
-                    } else {
-                        base
-                    }
-                } else {
-                    self.fresh()
-                }
-            } else {
-                self.fresh()
-            }
-        } else {
-            self.fresh()
-        };
+        // the printed text stays parseable. Read the attribute leniently:
+        // this runs inside diagnostic rendering, where the constant may be
+        // the malformed op (e.g. a missing 'value' attribute) being reported.
+        let m = self.m;
+        let literal = m
+            .defining_op(v)
+            .filter(|&def| ops::ConstantOp::wrap(m, def).is_some())
+            .and_then(|def| m.op(def).attr(attrkey::VALUE)?.as_int())
+            .map(|i| format!("%c{i}"))
+            .filter(|base| !self.names.values().any(|n| n == base));
+        let n = literal.unwrap_or_else(|| self.fresh());
         self.names.insert(v, n.clone());
         n
     }
@@ -180,252 +128,203 @@ impl<'m> Pretty<'m> {
         }
     }
 
+    fn print_block(&mut self, block: BlockId, depth: usize) {
+        for &o in self.m.block(block).ops().to_vec().iter() {
+            self.print_tree(o, depth);
+        }
+    }
+
     fn print_tree(&mut self, op: OpId, depth: usize) {
         let m = self.m;
-        let name = m.op(op).name().as_str().to_string();
         self.indent(depth);
-        if !self.spec_conforms(op) {
-            let line = self.generic_op_line(op);
-            self.out.push_str(&line);
-            self.out.push('\n');
-            for &r in m.op(op).regions().to_vec().iter() {
-                for &b in m.region(r).blocks().to_vec().iter() {
-                    for &o in m.block(b).ops().to_vec().iter() {
-                        self.print_tree(o, depth + 1);
-                    }
-                }
+        let conforming = self.conforming(op);
+        if let Ok(Some(d)) = conforming {
+            if d.name == opname::FUNC {
+                return self.print_func(op, depth);
             }
-            return;
+            if let Some(syntax) = d.syntax {
+                return self.print_syntax(op, d, syntax, depth);
+            }
         }
-        match name.as_str() {
-            opname::FUNC => {
-                let f = ops::FuncOp(op);
-                if f.is_external(m) {
-                    let args = f
-                        .arg_types(m)
-                        .iter()
-                        .map(type_str)
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    let results = f
-                        .result_types(m)
-                        .iter()
-                        .zip(f.result_delays(m).iter().chain(std::iter::repeat(&0)))
-                        .map(|(t, d)| format!("{} delay {d}", type_str(t)))
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    let line = format!("hir.func extern @{}({args}) -> ({results})\n", f.name(m));
-                    self.out.push_str(&line);
-                    return;
+        let line = self.generic_op_line(op);
+        self.out.push_str(&line);
+        self.out.push('\n');
+        // A non-conforming op's regions print nested, without braces.
+        if conforming.is_err() {
+            for &r in m.op(op).regions() {
+                for &b in m.region(r).blocks() {
+                    self.print_block(b, depth + 1);
                 }
-                let t = self.name(f.time_var(m));
-                let mut header = format!("hir.func @{} at {t}(", f.name(m));
-                let arg_names = f.arg_names(m);
-                for (i, a) in f.args(m).iter().enumerate() {
-                    if i > 0 {
-                        header.push_str(", ");
-                    }
-                    let n = self.name(*a);
-                    let ty = m.value_type(*a);
-                    let label = arg_names
-                        .as_ref()
-                        .and_then(|ns| ns.get(i).cloned())
-                        .unwrap_or_else(|| n.clone());
-                    let _ = write!(header, "{n} /*{label}*/ : {}", type_str(&ty));
-                }
-                header.push(')');
-                // Result signature: types with their declared delays.
-                let rtypes = f.result_types(m);
-                if !rtypes.is_empty() {
-                    let delays = f.result_delays(m);
-                    let results = rtypes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| {
-                            format!(
-                                "{} delay {}",
-                                type_str(t),
-                                delays.get(i).copied().unwrap_or(0)
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    let _ = write!(header, " -> ({results})");
-                }
-                header.push_str(" {\n");
-                self.out.push_str(&header);
-                let body = f.body(m);
-                for &o in m.block(body).ops().to_vec().iter() {
-                    self.print_tree(o, depth + 1);
-                }
-                self.indent(depth);
-                self.out.push_str("}\n");
-            }
-            opname::FOR => {
-                let lp = ops::ForOp(op);
-                let iv = self.name(lp.induction_var(m));
-                let ti = self.name(lp.iter_time(m));
-                let tf = self.name(lp.result_time(m));
-                let lb = self.name(lp.lower_bound(m));
-                let ub = self.name(lp.upper_bound(m));
-                let step = self.name(lp.step(m));
-                let t = self.name(lp.time(m));
-                let iv_ty = m.value_type(lp.induction_var(m));
-                let line = format!(
-                    "{tf} = hir.for {iv} : {iv_ty} = {lb} to {ub} step {step} iter_time({ti} = {t} offset {}) {{\n",
-                    lp.offset(m)
-                );
-                self.out.push_str(&line);
-                for &o in m.block(lp.body(m)).ops().to_vec().iter() {
-                    self.print_tree(o, depth + 1);
-                }
-                self.indent(depth);
-                self.out.push_str("}\n");
-            }
-            opname::UNROLL_FOR => {
-                let lp = ops::UnrollForOp(op);
-                let iv = self.name(lp.induction_var(m));
-                let ti = self.name(lp.iter_time(m));
-                let tf = self.name(lp.result_time(m));
-                let t = self.name(lp.time(m));
-                let line = format!(
-                    "{tf} = hir.unroll_for {iv} = {} to {} step {} iter_time({ti} = {t} offset {}) {{\n",
-                    lp.lb(m),
-                    lp.ub(m),
-                    lp.step(m),
-                    lp.offset(m)
-                );
-                self.out.push_str(&line);
-                for &o in m.block(lp.body(m)).ops().to_vec().iter() {
-                    self.print_tree(o, depth + 1);
-                }
-                self.indent(depth);
-                self.out.push_str("}\n");
-            }
-            opname::IF => {
-                let i = ops::IfOp(op);
-                let c = self.name(i.condition(m));
-                let t = self.name(i.time(m));
-                let line = format!("hir.if {c} at {t} offset {} {{\n", i.offset(m));
-                self.out.push_str(&line);
-                for &o in m.block(i.then_block(m)).ops().to_vec().iter() {
-                    self.print_tree(o, depth + 1);
-                }
-                if let Some(e) = i.else_block(m) {
-                    self.indent(depth);
-                    self.out.push_str("} else {\n");
-                    for &o in m.block(e).ops().to_vec().iter() {
-                        self.print_tree(o, depth + 1);
-                    }
-                }
-                self.indent(depth);
-                self.out.push_str("}\n");
-            }
-            _ => {
-                let line = self.print_op_line(op);
-                self.out.push_str(&line);
-                self.out.push('\n');
             }
         }
     }
 
-    /// One-line pretty form of a non-region op.
-    fn print_op_line(&mut self, op: OpId) -> String {
+    /// `d`'s pretty syntax and region bodies.
+    fn print_syntax(&mut self, op: OpId, d: &OpDecl, syntax: &[Piece], depth: usize) {
         let m = self.m;
-        if !self.spec_conforms(op) {
-            return self.generic_op_line(op);
-        }
-        let data = m.op(op);
-        let name = data.name().as_str().to_string();
-        match name.as_str() {
-            opname::CONSTANT => {
-                let c = ops::ConstantOp(op);
-                let res = self.name(c.result(m));
-                format!("{res} = hir.constant {}", c.value_attr(m))
-            }
-            opname::YIELD => {
-                let y = ops::YieldOp(op);
-                let t = self.name(y.time(m));
-                format!("hir.yield at {t} offset {}", y.offset(m))
-            }
-            opname::RETURN => {
-                let vals: Vec<String> = data.operands().iter().map(|&v| self.name(v)).collect();
-                if vals.is_empty() {
-                    "hir.return".to_string()
-                } else {
-                    format!("hir.return {}", vals.join(", "))
+        let line = self.syntax_line(op, d, syntax);
+        self.out.push_str(&line);
+        let mut regions = m.op(op).regions().iter();
+        let mut open = false;
+        for piece in syntax {
+            let keyword = match piece {
+                Piece::Region => None,
+                Piece::OptRegion(kw) => Some(*kw),
+                _ => continue,
+            };
+            let Some(&r) = regions.next() else { break };
+            match keyword {
+                None => self.out.push_str(" {\n"),
+                Some(kw) => {
+                    self.indent(depth);
+                    let _ = writeln!(self.out, "}} {kw} {{");
                 }
             }
-            opname::DELAY => {
-                let d = ops::DelayOp(op);
-                let res = self.name(d.result(m));
-                let input = self.name(d.input(m));
-                let t = self.name(d.time(m));
-                format!(
-                    "{res} = hir.delay {input} by {} at {t} offset {} : {}",
-                    d.by(m),
-                    d.offset(m),
-                    m.value_type(d.result(m))
-                )
+            self.print_block(m.region(r).blocks()[0], depth + 1);
+            open = true;
+        }
+        if open {
+            self.indent(depth);
+            self.out.push('}');
+        }
+        self.out.push('\n');
+    }
+
+    /// `hir.func`'s signature: port labels, result delays, `extern`.
+    fn print_func(&mut self, op: OpId, depth: usize) {
+        let m = self.m;
+        let f = ops::FuncOp(op);
+        // Result signature: types with their declared delays.
+        let delays = f.result_delays(m);
+        let results: Vec<String> = (f.result_types(m).iter().enumerate())
+            .map(|(i, t)| format!("{} delay {}", type_str(t), delays.get(i).unwrap_or(&0)))
+            .collect();
+        let results = results.join(", ");
+        if f.is_external(m) {
+            let args: Vec<String> = f.arg_types(m).iter().map(type_str).collect();
+            let (name, args) = (f.name(m), args.join(", "));
+            let _ = writeln!(self.out, "hir.func extern @{name}({args}) -> ({results})");
+            return;
+        }
+        let t = self.name(f.time_var(m));
+        let mut header = format!("hir.func @{} at {t}(", f.name(m));
+        let arg_names = f.arg_names(m);
+        for (i, a) in f.args(m).iter().enumerate() {
+            if i > 0 {
+                header.push_str(", ");
             }
-            opname::MEM_READ => {
-                let r = ops::MemReadOp(op);
-                let res = self.name(r.result(m));
-                let mem = self.name(r.memref(m));
-                let idx: Vec<String> = r.indices(m).iter().map(|&v| self.name(v)).collect();
-                let t = self.name(r.time(m));
-                format!(
-                    "{res} = hir.mem_read {mem}[{}] at {t} offset {} : {}",
-                    idx.join(", "),
-                    r.offset(m),
-                    m.value_type(r.result(m))
-                )
-            }
-            opname::MEM_WRITE => {
-                let w = ops::MemWriteOp(op);
-                let v = self.name(w.value(m));
-                let mem = self.name(w.memref(m));
-                let idx: Vec<String> = w.indices(m).iter().map(|&x| self.name(x)).collect();
-                let t = self.name(w.time(m));
-                format!(
-                    "hir.mem_write {v} to {mem}[{}] at {t} offset {}",
-                    idx.join(", "),
-                    w.offset(m)
-                )
-            }
-            opname::ALLOC => {
-                let a = ops::AllocOp(op);
-                let ports: Vec<String> = a.ports(m).iter().map(|&p| self.name(p)).collect();
-                let types: Vec<String> = a
-                    .ports(m)
-                    .iter()
-                    .map(|&p| type_str(&m.value_type(p)))
-                    .collect();
-                format!(
-                    "{} = hir.alloc() : ({})",
-                    ports.join(", "),
-                    types.join(", ")
-                )
-            }
-            opname::CALL => {
-                let c = ops::CallOp(op);
-                let results: Vec<String> = data.results().iter().map(|&v| self.name(v)).collect();
-                let args: Vec<String> = c.args(m).iter().map(|&v| self.name(v)).collect();
-                let t = self.name(c.time(m));
-                let prefix = if results.is_empty() {
-                    String::new()
-                } else {
-                    format!("{} = ", results.join(", "))
-                };
-                format!(
-                    "{prefix}hir.call @{}({}) at {t} offset {}",
-                    c.callee(m),
-                    args.join(", "),
-                    c.offset(m)
-                )
-            }
+            let n = self.name(*a);
+            let label = arg_names.as_ref().and_then(|ns| ns.get(i)).unwrap_or(&n);
+            let _ = write!(header, "{n} /*{label}*/ : {}", type_str(&m.value_type(*a)));
+        }
+        header.push(')');
+        if !results.is_empty() {
+            let _ = write!(header, " -> ({results})");
+        }
+        header.push_str(" {\n");
+        self.out.push_str(&header);
+        self.print_block(f.body(m), depth + 1);
+        self.indent(depth);
+        self.out.push_str("}\n");
+    }
+
+    /// One-line pretty form of an op, without region bodies: ops with
+    /// regions (and ops without a declared syntax) print generically.
+    fn print_op_line(&mut self, op: OpId) -> String {
+        match self.conforming(op) {
+            Ok(Some(d)) if d.regions == ir::Arity::Exact(0) => match d.syntax {
+                Some(syntax) => self.syntax_line(op, d, syntax),
+                None => self.generic_op_line(op),
+            },
             _ => self.generic_op_line(op),
         }
+    }
+
+    /// `results = name` and the pieces of `syntax` up to the first region.
+    /// Body arguments are named before results, results before operands
+    /// (the order [`Pretty::assign_names`] uses).
+    fn syntax_line(&mut self, op: OpId, d: &OpDecl, syntax: &[Piece]) -> String {
+        let m = self.m;
+        let data = m.op(op);
+        let args: &[ValueId] = match data.regions().first() {
+            Some(&r) if !d.body.is_empty() => {
+                &m.block(m.region(r).blocks()[0]).args()[..d.body.len()]
+            }
+            _ => &[],
+        };
+        for &a in args {
+            self.name(a);
+        }
+        let results: Vec<String> = data.results().iter().map(|&v| self.name(v)).collect();
+        let mut line = String::new();
+        if !results.is_empty() {
+            let _ = write!(line, "{} = ", results.join(", "));
+        }
+        line.push_str(d.name);
+        let operands = data.operands();
+        let (mut next_operand, mut next_arg) = (0, 0);
+        for piece in syntax {
+            // Values follow a space, except right after an opening bracket.
+            let sep = if line.ends_with(['(', '[']) { "" } else { " " };
+            match *piece {
+                Piece::Sp(tok) => {
+                    line.push(' ');
+                    line.push_str(tok);
+                }
+                Piece::Tight(tok) => line.push_str(tok),
+                Piece::Operand(_) => {
+                    let v = self.name(operands[next_operand]);
+                    next_operand += 1;
+                    let _ = write!(line, "{sep}{v}");
+                }
+                Piece::Operands(_) => {
+                    let group = decl::group(m, op, d);
+                    next_operand += group.len();
+                    if !group.is_empty() {
+                        let names: Vec<String> = group.iter().map(|&v| self.name(v)).collect();
+                        let _ = write!(line, "{sep}{}", names.join(", "));
+                    }
+                }
+                Piece::Offset => {
+                    let _ = write!(line, " offset {}", ops::time_offset(m, op));
+                }
+                Piece::Int(key) | Piece::Amount(key) => {
+                    let v = data.attr(key).and_then(|a| a.as_int()).expect("declared");
+                    let _ = write!(line, " {v}");
+                }
+                Piece::Symbol(key) => {
+                    let s = data
+                        .attr(key)
+                        .and_then(|a| a.as_symbol())
+                        .expect("declared");
+                    let _ = write!(line, " @{s}");
+                }
+                Piece::Literal(key) => {
+                    let _ = write!(line, " {}", data.attr(key).expect("declared"));
+                }
+                Piece::Arg(_) => {
+                    let v = self.name(args[next_arg]);
+                    next_arg += 1;
+                    let _ = write!(line, "{sep}{v}");
+                }
+                Piece::ArgType => {
+                    let _ = write!(line, " {}", m.value_type(args[next_arg - 1]));
+                }
+                Piece::ResultType => {
+                    let _ = write!(line, " : {}", m.value_type(data.results()[0]));
+                }
+                Piece::ResultTypes => {
+                    let types: Vec<String> = data
+                        .results()
+                        .iter()
+                        .map(|&v| type_str(&m.value_type(v)))
+                        .collect();
+                    let _ = write!(line, " ({})", types.join(", "));
+                }
+                Piece::Region | Piece::OptRegion(_) => break,
+            }
+        }
+        line
     }
 
     /// Generic one-line form, safe for any op regardless of shape:
@@ -469,6 +368,18 @@ impl<'m> Pretty<'m> {
         }
         line
     }
+}
+
+/// Whether a `hir.func` has what its signature prints: a body with at least
+/// the start-time argument, unless it is external.
+fn func_conforms(m: &Module, op: OpId) -> bool {
+    ops::FuncOp(op).is_external(m)
+        || m.op(op).regions().first().is_some_and(|&r| {
+            m.region(r)
+                .blocks()
+                .first()
+                .is_some_and(|&b| !m.block(b).args().is_empty())
+        })
 }
 
 fn type_str(ty: &ir::Type) -> String {
