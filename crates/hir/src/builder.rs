@@ -200,12 +200,13 @@ impl HirBuilder {
                 out.extend(infos.iter().map(|i| first.with_port(i.port).to_type()));
             }
             Ty::Callee => {
+                // A callee defined later (by the pretty parser) takes the
+                // written types until the module is read.
                 let callee = attrs[attrkey::CALLEE].as_symbol().expect("callee symbol");
-                let callee_op = SymbolTable::build(m)
-                    .lookup(callee)
-                    .unwrap_or_else(|| panic!("call to undefined function '@{callee}'"));
-                let f = FuncOp::wrap(m, callee_op).expect("callee is not a hir.func");
-                out.extend(f.result_types(m));
+                match SymbolTable::build(m).lookup(callee) {
+                    Some(f) => out.extend(FuncOp(f).result_types(m)),
+                    None => out.extend(written),
+                }
             }
         }
         Ok(())
@@ -550,6 +551,9 @@ impl HirBuilder {
 
     /// `hir.call @callee(args) at %t offset <offset>`. Result types are
     /// resolved from the callee's signature (which must already be defined).
+    ///
+    /// # Panics
+    /// Panics if no function `callee` is defined.
     pub fn call(
         &mut self,
         callee: &str,
@@ -557,6 +561,9 @@ impl HirBuilder {
         t: ValueId,
         offset: i64,
     ) -> Vec<ValueId> {
+        if SymbolTable::build(&self.module).lookup(callee).is_none() {
+            panic!("call to undefined function '@{callee}'");
+        }
         let operands = [args, &[t]].concat();
         let mut attrs = at(offset);
         attrs.insert(attrkey::CALLEE.into(), Attribute::symbol(callee));

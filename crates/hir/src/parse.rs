@@ -20,8 +20,9 @@
 use crate::builder::HirBuilder;
 use crate::decl::{self, OpDecl, Piece, Ty};
 use crate::dialect::{attrkey, CmpPredicate};
+use crate::ops::{CallOp, FuncOp};
 use crate::types::{const_type, is_const, time_type, Dim, MemKind, MemrefInfo, Port};
-use ir::{traits, AttrMap, Attribute, BlockId, Module, OpId, Type, ValueId};
+use ir::{traits, AttrMap, Attribute, BlockId, Module, OpId, SymbolTable, Type, ValueId};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
@@ -54,7 +55,11 @@ pub fn parse_pretty(source: &str) -> Result<Module> {
     while p.tok != Tok::Eof {
         p.parse_func(&mut hb)?;
     }
-    Ok(hb.finish())
+    let mut module = hb.finish();
+    match p.resolve_forward_calls(&mut module).into_iter().next() {
+        Some(e) => Err(e),
+        None => Ok(module),
+    }
 }
 
 /// Default cap on recorded errors in recovery mode.
@@ -110,8 +115,15 @@ pub fn parse_pretty_recover(source: &str, error_limit: usize) -> RecoveredPretty
             }
         }
     }
+    let mut module = hb.finish();
+    errors.extend(p.resolve_forward_calls(&mut module));
+    errors.sort_by_key(|e| (e.line, e.col));
+    if errors.len() > limit {
+        errors.truncate(limit);
+        hit_error_limit = true;
+    }
     RecoveredPretty {
-        module: hb.finish(),
+        module,
         errors,
         hit_error_limit,
     }
@@ -300,6 +312,8 @@ struct Parser<'a> {
     col: u32,
     /// `%name` -> SSA value, per function.
     values: HashMap<String, ValueId>,
+    /// Calls to functions not defined yet, with their positions.
+    forward: Vec<(OpId, u32, u32)>,
 }
 
 impl<'a> Parser<'a> {
@@ -312,6 +326,7 @@ impl<'a> Parser<'a> {
             line,
             col,
             values: HashMap::new(),
+            forward: Vec::new(),
         })
     }
 
@@ -732,6 +747,7 @@ impl<'a> Parser<'a> {
         }
         let mut parts = Parts {
             results,
+            at: (self.line, self.col),
             ..Parts::default()
         };
         let mut op = None;
@@ -832,6 +848,14 @@ impl<'a> Parser<'a> {
                 .written
                 .first()
                 .is_some_and(|t| is_const(t) || t.is_index());
+        // A call to a function defined later takes placeholder result types
+        // until the module is read.
+        let callee = parts.attrs.get(attrkey::CALLEE).and_then(|a| a.as_symbol());
+        let forward = matches!(d.variadic_results, Some((_, _, Ty::Callee)))
+            && callee.is_some_and(|c| SymbolTable::build(hb.module()).lookup(c).is_none());
+        if forward {
+            parts.written = vec![Type::none(); results.len()];
+        }
         let op = if let (true, Some((_, v))) = (pooled, parts.literal) {
             let c = hb.const_val(v);
             hb.module().defining_op(c).expect("constant op")
@@ -850,7 +874,9 @@ impl<'a> Parser<'a> {
             None => &[],
         };
         let vals = m.op(op).results();
-        if let Some((_, _, Ty::Callee)) = d.variadic_results {
+        if forward {
+            self.forward.push((op, parts.at.0, parts.at.1));
+        } else if let Some((_, _, Ty::Callee)) = d.variadic_results {
             if vals.len() != results.len() {
                 let callee = m.op(op).attr(attrkey::CALLEE).expect("parsed callee");
                 return Err(self.err(format!(
@@ -868,6 +894,76 @@ impl<'a> Parser<'a> {
             self.bind(name, v)?;
         }
         Ok(op)
+    }
+
+    /// Once the module is read, type the results of calls to functions
+    /// defined after them as the callee's results, and retype what follows
+    /// from those types (other calls, and results typed by their first
+    /// operand) until nothing changes. Returns the calls whose callee is
+    /// missing or returns a different number of values.
+    fn resolve_forward_calls(&self, m: &mut Module) -> Vec<PrettyParseError> {
+        if self.forward.is_empty() {
+            return Vec::new();
+        }
+        let table = SymbolTable::build(m);
+        let callee_types = |m: &Module, op: OpId| {
+            let f = table.lookup(&CallOp(op).callee(m))?;
+            let types = FuncOp(f).result_types(m);
+            (types.len() == m.op(op).results().len()).then_some(types)
+        };
+        let mut errors = Vec::new();
+        for &(op, line, col) in &self.forward {
+            let callee = CallOp(op).callee(m);
+            let message = match table.lookup(&callee) {
+                None => format!("call to undefined function '@{callee}'"),
+                Some(f) => {
+                    let (n, bound) = (FuncOp(f).result_types(m).len(), m.op(op).results().len());
+                    if n == bound {
+                        continue;
+                    }
+                    format!("@{callee} returns {n} values but {bound} results are bound")
+                }
+            };
+            errors.push(PrettyParseError { line, col, message });
+        }
+        let ops = m.collect_all_ops();
+        for _ in 0..=table.len() {
+            let mut changed = false;
+            for &op in &ops {
+                let types = match decl::lookup(m.op(op).name().as_str()) {
+                    Some(d)
+                        if d.variadic_results
+                            .is_some_and(|(_, _, ty)| ty == Ty::Callee) =>
+                    {
+                        callee_types(m, op)
+                    }
+                    Some(d)
+                        if d.results
+                            .first()
+                            .is_some_and(|&(_, ty)| ty == Ty::OfFirstOperand) =>
+                    {
+                        Some(vec![m.value_type(m.op(op).operands()[0])])
+                    }
+                    _ => None,
+                };
+                for (r, ty) in m
+                    .op(op)
+                    .results()
+                    .to_vec()
+                    .into_iter()
+                    .zip(types.unwrap_or_default())
+                {
+                    if m.value_type(r) != ty {
+                        m.set_value_type(r, ty);
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        errors
     }
 
     /// The generic form of ops without a pretty syntax:
@@ -945,6 +1041,8 @@ struct Parts {
     args: Vec<String>,
     /// Names bound to the results.
     results: Vec<String>,
+    /// Position of the first piece.
+    at: (u32, u32),
     /// A typed constant's attribute and value (its type is written).
     literal: Option<(&'static str, i64)>,
 }
@@ -1139,6 +1237,50 @@ hir.func @also_good at %t() {
         assert_eq!(
             pretty_module(&r.module),
             pretty_module(&parse_pretty(src).unwrap())
+        );
+    }
+
+    #[test]
+    fn undefined_callee_is_a_positioned_error() {
+        let src = "hir.func @f at %t(%a : i32) {\n  %r = hir.call @nope(%a) at %t offset 0\n  hir.return\n}\n";
+        let err = parse_pretty(src).unwrap_err();
+        assert_eq!(
+            (err.line, err.col, err.message.as_str()),
+            (2, 17, "call to undefined function '@nope'")
+        );
+        let r = parse_pretty_recover(src, 0);
+        assert_eq!(r.errors, vec![err]);
+    }
+
+    #[test]
+    fn forward_calls_take_the_callees_result_types() {
+        // The callee follows its caller, and a delay carries the call's
+        // result: both are typed once the module is read.
+        let src = r#"
+hir.func @caller at %t(%a : i32) -> (i8 delay 2) {
+  %m = hir.call @narrow(%a) at %t offset 0
+  %d = hir.delay %m by 1 at %t offset 1 : i8
+  hir.return %d
+}
+hir.func @narrow at %t(%x : i32) -> (i8 delay 1) {
+  %y = hir.trunc (%x) : (i32) -> (i8)
+  %z = hir.delay %y by 1 at %t offset 0 : i8
+  hir.return %z
+}
+"#;
+        let m = parse_pretty(src).unwrap_or_else(|e| panic!("{e}"));
+        let mut diags = ir::DiagnosticEngine::new();
+        ir::verify_module(&m, &crate::hir_registry(), &mut diags)
+            .unwrap_or_else(|_| panic!("{}", diags.render()));
+        let caller = crate::ops::FuncOp(m.top_ops()[0]);
+        assert_eq!(caller.result_types(&m), vec![Type::int(8)]);
+        let text = pretty_module(&m);
+        assert_eq!(text, pretty_module(&parse_pretty(&text).unwrap()));
+
+        let err = parse_pretty(&src.replace("%m = hir.call", "%m, %n = hir.call")).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (3, "@narrow returns 1 values but 2 results are bound")
         );
     }
 

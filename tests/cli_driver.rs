@@ -92,6 +92,41 @@ fn call_arity_mismatch_is_a_schedule_diagnostic() {
 }
 
 #[test]
+fn pretty_calls_to_undefined_or_later_functions() {
+    // An unknown callee is a positioned parse error (exit 1), not a panic.
+    let out = hirc()
+        .arg("tests/corpus/malformed/undefined_callee.hir")
+        .arg("--verify-only")
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("undefined_callee.hir:4:17: error: call to undefined function '@nope'"),
+        "{err}"
+    );
+
+    // A caller may precede its callee, and its pretty print reads back.
+    let out = hirc()
+        .arg("tests/corpus/regressions/forward_call.hir")
+        .arg("--emit=pretty")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let dir = std::env::temp_dir().join("hirc_test_forward_call");
+    std::fs::create_dir_all(&dir).unwrap();
+    let printed = dir.join("forward_call.hir");
+    std::fs::write(&printed, &out.stdout).unwrap();
+    let again = hirc().arg(&printed).arg("--emit=pretty").output().unwrap();
+    assert!(again.status.success());
+    assert_eq!(again.stdout, out.stdout, "pretty fixpoint");
+}
+
+#[test]
 fn short_arg_names_are_a_verifier_diagnostic() {
     // Reduced from `hirc-fuzz --iters=1400 --check-sim=8` at seeds 2 and 7:
     // an hir.func naming fewer arguments than it has used to panic codegen.
