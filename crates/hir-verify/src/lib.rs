@@ -573,6 +573,46 @@ mod more_tests {
         assert!(text.contains("hir.call"), "snippet names the call: {text}");
     }
 
+    /// A caller of the external `mult(i32, i32) -> (i32)` whose call binds
+    /// `results` typed `types`.
+    fn call_binding(results: &str, types: &str) -> ir::Module {
+        let text = format!(
+            r#""hir.func"() {{arg_types = [i32, i32], external = unit, result_delays = [2 : index], result_types = [i32], sym_name = "mult"}} : () -> ()
+"hir.func"() ({{
+^bb(%0: i32, %1: i32, %2: !hir.time):
+  {results} = "hir.call"(%0, %1, %2) {{callee = @mult, offset = 0 : index}} : (i32, i32, !hir.time) -> ({types})
+  "hir.return"(%4) : (i32) -> ()
+}}) {{arg_names = ["a", "b"], result_delays = [2 : index], sym_name = "f"}} : () -> ()
+"#
+        );
+        ir::parse_module(&text).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    #[test]
+    fn call_result_count_must_match_the_callee() {
+        let mut diags = DiagnosticEngine::new();
+        assert!(verify_schedule(&call_binding("%4", "i32"), &mut diags).is_ok());
+        let m = call_binding("%4, %5", "i32, i32");
+        assert!(verify_schedule(&m, &mut diags).is_err());
+        let text = diags.render();
+        assert!(
+            text.contains("call to @mult binds 2 result(s) but the callee returns 1"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn call_result_types_must_match_the_callee() {
+        let m = call_binding("%4", "i8");
+        let mut diags = DiagnosticEngine::new();
+        assert!(verify_schedule(&m, &mut diags).is_err());
+        let text = diags.render();
+        assert!(
+            text.contains("result 0 of the call to @mult is i8 but the callee returns i32"),
+            "{text}"
+        );
+    }
+
     #[test]
     fn dynamic_ii_loops_get_conservative_windows() {
         // Outer loop yields on the inner %tf (dynamic II): an outer value

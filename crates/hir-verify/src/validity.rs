@@ -408,6 +408,34 @@ impl Analyzer<'_> {
             );
             return;
         }
+        // Codegen instantiates the callee's ports from its signature, so the
+        // call's results must match it in number and type.
+        let results = m.op(op).results();
+        let returned = callee.result_types(m);
+        if results.len() != returned.len() {
+            self.error(
+                op,
+                format!(
+                    "Schedule error: call to @{} binds {} result(s) but the callee returns {}!",
+                    call.callee(m),
+                    results.len(),
+                    returned.len()
+                ),
+            );
+            return;
+        }
+        for (i, (&r, want)) in results.iter().zip(&returned).enumerate() {
+            let got = m.value_type(r);
+            if got != *want {
+                self.error(
+                    op,
+                    format!(
+                        "Schedule error: result {i} of the call to @{} is {got} but the callee returns {want}!",
+                        call.callee(m)
+                    ),
+                );
+            }
+        }
         let arg_delays = callee.arg_delays(m);
         for (i, arg) in args.into_iter().enumerate() {
             if matches!(self.validity(arg), Validity::Memref) {

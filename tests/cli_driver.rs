@@ -127,6 +127,38 @@ fn pretty_calls_to_undefined_or_later_functions() {
 }
 
 #[test]
+fn call_results_must_match_the_callee_signature() {
+    // examples/multi_kernel.mlir with @mac0's call to @mult binding two
+    // results (codegen would wire a `.result1` port that `mult` lacks) or
+    // an i8 result: both are schedule diagnostics, exit 1.
+    let src = std::fs::read_to_string("examples/multi_kernel.mlir").unwrap();
+    let call = r#"%4 = "hir.call"(%0, %1, %3) {callee = @mult, offset = 0 : index} : (i32, i32, !hir.time) -> (i32)"#;
+    assert!(src.contains(call));
+    let dir = std::env::temp_dir().join("hirc_test_call_results");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, bad, want) in [
+        (
+            "two.mlir",
+            call.replace("%4 =", "%4, %9 =")
+                .replace("-> (i32)", "-> (i32, i32)"),
+            "call to @mult binds 2 result(s) but the callee returns 1",
+        ),
+        (
+            "i8.mlir",
+            call.replace("-> (i32)", "-> (i8)"),
+            "result 0 of the call to @mult is i8 but the callee returns i32",
+        ),
+    ] {
+        let input = dir.join(name);
+        std::fs::write(&input, src.replacen(call, &bad, 1)).unwrap();
+        let out = hirc().arg(&input).arg("--opt").output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(err.contains(want), "{name}: {err}");
+    }
+}
+
+#[test]
 fn short_arg_names_are_a_verifier_diagnostic() {
     // Reduced from `hirc-fuzz --iters=1400 --check-sim=8` at seeds 2 and 7:
     // an hir.func naming fewer arguments than it has used to panic codegen.
