@@ -55,7 +55,8 @@ fn verify_single_op(
     let data = module.op(op);
     let name = data.name().clone();
 
-    if let Some(spec) = registry.spec(name.as_str()) {
+    let spec = registry.spec(name.as_str());
+    if let Some(spec) = spec {
         if !spec.operand_arity().check(data.operands().len()) {
             diags.emit(Diagnostic::error(
                 data.loc().clone(),
@@ -120,7 +121,7 @@ fn verify_single_op(
     }
 
     // Semantic per-op verifier.
-    if let Some(v) = registry.spec(name.as_str()).and_then(|s| s.verifier()) {
+    if let Some(v) = spec.and_then(|s| s.verifier()) {
         v(module, op, diags);
     }
 }
