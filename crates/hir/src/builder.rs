@@ -40,7 +40,7 @@ use crate::decl::{self, OpDecl, Ty};
 use crate::dialect::{attrkey, opname, CmpPredicate};
 use crate::ops::{ForOp, FuncOp, IfOp, UnrollForOp};
 use crate::types::{const_type, is_const, time_type, Dim, MemKind, MemrefInfo, Port};
-use ir::{AttrMap, Attribute, BlockId, Location, Module, OpId, SymbolTable, Type, ValueId};
+use ir::{AttrMap, Attribute, BlockId, Location, Module, OpId, Type, ValueId};
 use std::collections::HashMap;
 use std::mem::take;
 
@@ -199,15 +199,8 @@ impl HirBuilder {
                 );
                 out.extend(infos.iter().map(|i| first.with_port(i.port).to_type()));
             }
-            Ty::Callee => {
-                // A callee defined later (by the pretty parser) takes the
-                // written types until the module is read.
-                let callee = attrs[attrkey::CALLEE].as_symbol().expect("callee symbol");
-                match SymbolTable::build(m).lookup(callee) {
-                    Some(f) => out.extend(FuncOp(f).result_types(m)),
-                    None => out.extend(written),
-                }
-            }
+            // The caller resolves the callee's result types.
+            Ty::Callee => out.extend(written.by_ref()),
         }
         Ok(())
     }
@@ -561,13 +554,13 @@ impl HirBuilder {
         t: ValueId,
         offset: i64,
     ) -> Vec<ValueId> {
-        if SymbolTable::build(&self.module).lookup(callee).is_none() {
-            panic!("call to undefined function '@{callee}'");
-        }
+        let f = FuncOp::find(&self.module, callee)
+            .unwrap_or_else(|| panic!("call to undefined function '@{callee}'"));
+        let types = f.result_types(&self.module);
         let operands = [args, &[t]].concat();
         let mut attrs = at(offset);
         attrs.insert(attrkey::CALLEE.into(), Attribute::symbol(callee));
-        let op = self.build(&decl::CALL, operands, attrs, vec![]);
+        let op = self.build(&decl::CALL, operands, attrs, types);
         self.module.op(op).results().to_vec()
     }
 

@@ -75,7 +75,8 @@ pub enum Ty {
     /// One memref port per written type, each taking the first port's
     /// shape, element type and kind; that kind is the `kind` attribute.
     Ports,
-    /// The callee's result types.
+    /// The callee's result types, which the builder's caller looks up and
+    /// passes as the written types.
     Callee,
 }
 

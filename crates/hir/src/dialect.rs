@@ -4,6 +4,7 @@
 use crate::decl::{self, operand};
 use crate::ops::{DelayOp, ForOp, FuncOp, IfOp, MemReadOp, MemWriteOp};
 use crate::types::{self, MemKind, MemrefInfo};
+use ir::types::{Signedness, TypeKind};
 use ir::{
     Attribute, Diagnostic, DiagnosticEngine, Dialect, DialectRegistry, Module, OpId, ValueId,
 };
@@ -141,6 +142,21 @@ fn is_int_like(ty: &ir::Type) -> bool {
     ty.is_integer() || types::is_const(ty)
 }
 
+/// The type of `v`, borrowed: the checks only inspect it.
+fn ty(m: &Module, v: ValueId) -> &ir::Type {
+    m.value(v).ty()
+}
+
+fn is_i1(t: &ir::Type) -> bool {
+    matches!(
+        t.kind(),
+        TypeKind::Integer {
+            width: 1,
+            signedness: Signedness::Signless
+        }
+    )
+}
+
 /// The verifier of every HIR op. It checks the declared attributes; when the
 /// operand, result and region counts match the declaration (the structural
 /// verifier reports them otherwise), it checks a scheduled op's time operand
@@ -156,7 +172,7 @@ pub(crate) fn verify_declared(m: &Module, op: OpId, diags: &mut DiagnosticEngine
         .map(|(key, kind)| format!("{} requires {} '{key}' attribute", d.name, kind.phrase()))
         .collect();
     if d.counts_match(data) {
-        let t = d.scheduled.then(|| m.value_type(decl::time(m, op)));
+        let t = d.scheduled.then(|| ty(m, decl::time(m, op)));
         if let Some(t) = t.filter(|t| !types::is_time(t)) {
             errs.push(format!(
                 "{} time operand must be !hir.time, got {t}",
@@ -199,7 +215,7 @@ pub(crate) fn verify_func(m: &Module, op: OpId, errs: &mut Vec<String>) {
             return;
         };
         match m.block(entry).args().last() {
-            Some(&last) if types::is_time(&m.value_type(last)) => {}
+            Some(&last) if types::is_time(ty(m, last)) => {}
             _ => errs.push("hir.func entry block's last argument must be !hir.time".into()),
         }
         match m.block(entry).ops().last() {
@@ -225,14 +241,14 @@ pub(crate) fn verify_for(m: &Module, op: OpId, errs: &mut Vec<String>) {
         ("upper bound", lp.upper_bound(m)),
         ("step", lp.step(m)),
     ] {
-        let t = m.value_type(v);
-        if !is_int_like(&t) {
+        let t = ty(m, v);
+        if !is_int_like(t) {
             errs.push(format!(
                 "hir.for {label} must be integer or !hir.const, got {t}"
             ));
         }
     }
-    if !types::is_time(&m.value_type(lp.result_time(m))) {
+    if !types::is_time(ty(m, lp.result_time(m))) {
         errs.push("hir.for result must be !hir.time (loop completion time)".into());
     }
     verify_loop_body(m, op, errs, false);
@@ -257,9 +273,9 @@ fn verify_loop_body(m: &Module, op: OpId, errs: &mut Vec<String>, unroll: bool) 
         ));
         return;
     };
-    let iv_ty = m.value_type(iv);
+    let iv_ty = ty(m, iv);
     let (iv_ok, want) = if unroll {
-        (types::is_const(&iv_ty), "!hir.const")
+        (types::is_const(iv_ty), "!hir.const")
     } else {
         (iv_ty.is_integer(), "an integer type")
     };
@@ -268,7 +284,7 @@ fn verify_loop_body(m: &Module, op: OpId, errs: &mut Vec<String>, unroll: bool) 
             "{name} induction variable must be {want}, got {iv_ty}"
         ));
     }
-    if !types::is_time(&m.value_type(ti)) {
+    if !types::is_time(ty(m, ti)) {
         errs.push(format!("{name} iteration time must be !hir.time"));
     }
     let ops = m.block(entry).ops();
@@ -284,7 +300,7 @@ fn verify_loop_body(m: &Module, op: OpId, errs: &mut Vec<String>, unroll: bool) 
 }
 
 pub(crate) fn verify_if(m: &Module, op: OpId, errs: &mut Vec<String>) {
-    if m.value_type(IfOp(op).condition(m)) != ir::Type::i1() {
+    if !is_i1(ty(m, IfOp(op).condition(m))) {
         errs.push("hir.if condition must be i1".into());
     }
     if m.op(op).regions().len() > 2 {
@@ -297,9 +313,9 @@ pub(crate) fn verify_constant(m: &Module, op: OpId, errs: &mut Vec<String>) {
     let Some(value) = data.attr(attrkey::VALUE) else {
         return; // reported with the declared attributes
     };
-    let ty = m.value_type(data.results()[0]);
+    let ty = ty(m, data.results()[0]);
     let ok = match value {
-        Attribute::Int(..) => is_int_like(&ty),
+        Attribute::Int(..) => is_int_like(ty),
         Attribute::Float(..) => ty.is_float(),
         _ => false,
     };
@@ -315,7 +331,7 @@ pub(crate) fn verify_delay(m: &Module, op: OpId, errs: &mut Vec<String>) {
     if matches!(m.op(op).attr(attrkey::BY).and_then(|a| a.as_int()), Some(by) if by < 0) {
         errs.push("hir.delay 'by' must be non-negative".into());
     }
-    let (in_ty, out_ty) = (m.value_type(d.input(m)), m.value_type(d.result(m)));
+    let (in_ty, out_ty) = (ty(m, d.input(m)), ty(m, d.result(m)));
     if in_ty != out_ty {
         errs.push(format!(
             "hir.delay result type {out_ty} must match input {in_ty}"
@@ -334,8 +350,8 @@ pub(crate) fn verify_alloc(m: &Module, op: OpId, errs: &mut Vec<String>) {
     };
     let mut infos = Vec::new();
     for &r in data.results() {
-        let ty = m.value_type(r);
-        match MemrefInfo::from_type(&ty) {
+        let ty = ty(m, r);
+        match MemrefInfo::from_type(ty) {
             Some(info) => infos.push(info),
             None => {
                 errs.push(format!("hir.alloc results must be memrefs, got {ty}"));
@@ -375,8 +391,8 @@ fn verify_mem_access(
     write: bool,
 ) -> Option<MemrefInfo> {
     let name = m.op(op).name();
-    let mem_ty = m.value_type(mem);
-    let Some(info) = MemrefInfo::from_type(&mem_ty) else {
+    let mem_ty = ty(m, mem);
+    let Some(info) = MemrefInfo::from_type(mem_ty) else {
         errs.push(format!(
             "{name} memory operand must be a memref, got {mem_ty}"
         ));
@@ -398,14 +414,14 @@ fn verify_mem_access(
         return Some(info);
     }
     for (d, &idx) in info.dims.iter().zip(indices) {
-        let ty = m.value_type(idx);
+        let ty = ty(m, idx);
         if d.is_distributed() {
-            if !types::is_const(&ty) {
+            if !types::is_const(ty) {
                 errs.push(format!(
                     "distributed dimensions must be indexed by !hir.const, got {ty}"
                 ));
             }
-        } else if !is_int_like(&ty) {
+        } else if !is_int_like(ty) {
             errs.push(format!(
                 "{name} index must be integer or !hir.const, got {ty}"
             ));
@@ -417,8 +433,8 @@ fn verify_mem_access(
 pub(crate) fn verify_mem_read(m: &Module, op: OpId, errs: &mut Vec<String>) {
     let r = MemReadOp(op);
     if let Some(info) = verify_mem_access(m, op, errs, (r.memref(m), &r.indices(m)), false) {
-        let res_ty = m.value_type(r.result(m));
-        if res_ty != info.elem {
+        let res_ty = ty(m, r.result(m));
+        if *res_ty != info.elem {
             let elem = info.elem;
             errs.push(format!(
                 "hir.mem_read result type {res_ty} must match element type {elem}"
@@ -430,8 +446,8 @@ pub(crate) fn verify_mem_read(m: &Module, op: OpId, errs: &mut Vec<String>) {
 pub(crate) fn verify_mem_write(m: &Module, op: OpId, errs: &mut Vec<String>) {
     let w = MemWriteOp(op);
     if let Some(info) = verify_mem_access(m, op, errs, (w.memref(m), &w.indices(m)), true) {
-        let val_ty = m.value_type(w.value(m));
-        if val_ty != info.elem && !types::is_const(&val_ty) {
+        let val_ty = ty(m, w.value(m));
+        if *val_ty != info.elem && !types::is_const(val_ty) {
             let elem = info.elem;
             errs.push(format!(
                 "hir.mem_write value type {val_ty} must match element type {elem}"
@@ -442,9 +458,9 @@ pub(crate) fn verify_mem_write(m: &Module, op: OpId, errs: &mut Vec<String>) {
 
 pub(crate) fn verify_binary(m: &Module, op: OpId, errs: &mut Vec<String>) {
     let data = m.op(op);
-    let lhs = m.value_type(operand(m, op, const { decl::ADD.slot("lhs") }));
-    let rhs = m.value_type(operand(m, op, const { decl::ADD.slot("rhs") }));
-    let res = m.value_type(data.results()[0]);
+    let lhs = ty(m, operand(m, op, const { decl::ADD.slot("lhs") }));
+    let rhs = ty(m, operand(m, op, const { decl::ADD.slot("rhs") }));
+    let res = ty(m, data.results()[0]);
     let name = data.name();
     if res.is_float() {
         if !lhs.is_float() || !rhs.is_float() {
@@ -459,23 +475,23 @@ pub(crate) fn verify_binary(m: &Module, op: OpId, errs: &mut Vec<String>) {
             ));
         }
     }
-    if !is_int_like(&res) {
+    if !is_int_like(res) {
         errs.push(format!("{name} result must be integer, got {res}"));
     }
 }
 
 pub(crate) fn verify_cmp(m: &Module, op: OpId, errs: &mut Vec<String>) {
-    if m.value_type(m.op(op).results()[0]) != ir::Type::i1() {
+    if !is_i1(ty(m, m.op(op).results()[0])) {
         errs.push("hir.cmp result must be i1".into());
     }
 }
 
 pub(crate) fn verify_select(m: &Module, op: OpId, errs: &mut Vec<String>) {
-    if m.value_type(operand(m, op, const { decl::SELECT.slot("cond") })) != ir::Type::i1() {
+    if !is_i1(ty(m, operand(m, op, const { decl::SELECT.slot("cond") }))) {
         errs.push("hir.select condition must be i1".into());
     }
-    let a = m.value_type(operand(m, op, const { decl::SELECT.slot("then") }));
-    let b = m.value_type(operand(m, op, const { decl::SELECT.slot("else") }));
+    let a = ty(m, operand(m, op, const { decl::SELECT.slot("then") }));
+    let b = ty(m, operand(m, op, const { decl::SELECT.slot("else") }));
     if a != b {
         errs.push(format!(
             "hir.select branches must have equal types, got {a} vs {b}"
@@ -486,10 +502,10 @@ pub(crate) fn verify_select(m: &Module, op: OpId, errs: &mut Vec<String>) {
 pub(crate) fn verify_cast(m: &Module, op: OpId, errs: &mut Vec<String>) {
     let data = m.op(op);
     let name = data.name();
-    let in_ty = m.value_type(operand(m, op, const { decl::TRUNC.slot("input") }));
-    let out_ty = m.value_type(data.results()[0]);
+    let in_ty = ty(m, operand(m, op, const { decl::TRUNC.slot("input") }));
+    let out_ty = ty(m, data.results()[0]);
     let (Some(in_w), Some(out_w)) = (in_ty.int_width(), out_ty.int_width()) else {
-        if !(is_int_like(&in_ty) && out_ty.is_integer()) {
+        if !(is_int_like(in_ty) && out_ty.is_integer()) {
             errs.push(format!("{name} requires integer input and output"));
         }
         return;
@@ -515,11 +531,11 @@ pub(crate) fn verify_slice(m: &Module, op: OpId, errs: &mut Vec<String>) {
         errs.push(format!("hir.slice invalid range [{hi}:{lo}]"));
         return;
     }
-    if m.value_type(data.results()[0]).int_width() != Some((hi - lo + 1) as u32) {
+    if ty(m, data.results()[0]).int_width() != Some((hi - lo + 1) as u32) {
         errs.push(format!("hir.slice result width must be {}", hi - lo + 1));
     }
     let input = operand(m, op, const { decl::SLICE.slot("input") });
-    if let Some(in_w) = m.value_type(input).int_width() {
+    if let Some(in_w) = ty(m, input).int_width() {
         if hi as u32 >= in_w {
             errs.push(format!("hir.slice bit {hi} out of range for width {in_w}"));
         }

@@ -116,6 +116,12 @@ wrapper!(
 );
 
 impl FuncOp {
+    /// The top-level function named `name`, if any.
+    pub fn find(m: &Module, name: &str) -> Option<FuncOp> {
+        let named = |&&f: &&OpId| m.op(f).attr(ir::SYM_NAME).and_then(|a| a.as_str()) == Some(name);
+        m.top_ops().iter().find(named).map(|&f| FuncOp(f))
+    }
+
     /// The function's symbol name.
     pub fn name(self, m: &Module) -> String {
         let name = m.op(self.0).attr(ir::SYM_NAME).and_then(|a| a.as_str());

@@ -131,16 +131,17 @@ pub fn parse_pretty_recover(source: &str, error_limit: usize) -> RecoveredPretty
 
 // --------------------------------------------------------------------- lexer
 
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
+/// A token; names borrow from the source.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Tok<'a> {
     /// `%name`
-    Value(String),
+    Value(&'a str),
     /// `@name`
-    Symbol(String),
+    Symbol(&'a str),
     /// Bare identifier or keyword (`hir.for`, `at`, `offset`, `i32`...).
-    Ident(String),
+    Ident(&'a str),
     /// `!hir.memref` etc.
-    Bang(String),
+    Bang(&'a str),
     Int(i64),
     LParen,
     RParen,
@@ -165,7 +166,7 @@ struct Lexer<'a> {
     col: u32,
     /// Text of the last block comment skipped before the current token
     /// (argument labels are printed as `/*name*/`).
-    last_comment: Option<String>,
+    last_comment: Option<&'a str>,
 }
 
 impl<'a> Lexer<'a> {
@@ -232,14 +233,14 @@ impl<'a> Lexer<'a> {
                         }
                     };
                     // `*/` is ASCII, so the slice ends on a char boundary.
-                    self.last_comment = Some(self.src[start..end].to_string());
+                    self.last_comment = Some(&self.src[start..end]);
                 }
                 _ => return Ok(()),
             }
         }
     }
 
-    fn ident(&mut self) -> String {
+    fn ident(&mut self) -> &'a str {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b.is_ascii_alphanumeric() || b == b'_' || b == b'.' {
@@ -249,10 +250,10 @@ impl<'a> Lexer<'a> {
             }
         }
         // The identifier is ASCII, so the slice ends on a char boundary.
-        self.src[start..self.pos].to_string()
+        &self.src[start..self.pos]
     }
 
-    fn next(&mut self) -> Result<(Tok, u32, u32)> {
+    fn next(&mut self) -> Result<(Tok<'a>, u32, u32)> {
         self.last_comment = None;
         self.skip_trivia()?;
         let (line, col) = (self.line, self.col);
@@ -307,11 +308,11 @@ impl<'a> Lexer<'a> {
 
 struct Parser<'a> {
     lexer: Lexer<'a>,
-    tok: Tok,
+    tok: Tok<'a>,
     line: u32,
     col: u32,
     /// `%name` -> SSA value, per function.
-    values: HashMap<String, ValueId>,
+    values: HashMap<&'a str, ValueId>,
     /// Calls to functions not defined yet, with their positions.
     forward: Vec<(OpId, u32, u32)>,
 }
@@ -338,7 +339,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn advance(&mut self) -> Result<Tok> {
+    fn advance(&mut self) -> Result<Tok<'a>> {
         let (tok, line, col) = self.lexer.next()?;
         self.line = line;
         self.col = col;
@@ -359,15 +360,15 @@ impl<'a> Parser<'a> {
                     continue;
                 }
             }
-            match &self.tok {
+            match self.tok {
                 Tok::Eof => return false,
-                Tok::Ident(s) if s == "hir.func" => return true,
+                Tok::Ident("hir.func") => return true,
                 _ => {}
             }
         }
     }
 
-    fn expect(&mut self, want: &Tok) -> Result<()> {
+    fn expect(&mut self, want: &Tok<'_>) -> Result<()> {
         if &self.tok == want {
             self.advance()?;
             Ok(())
@@ -376,7 +377,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat(&mut self, want: &Tok) -> Result<bool> {
+    fn eat(&mut self, want: &Tok<'_>) -> Result<bool> {
         if &self.tok == want {
             self.advance()?;
             Ok(true)
@@ -386,7 +387,7 @@ impl<'a> Parser<'a> {
     }
 
     fn keyword(&mut self, kw: &str) -> Result<()> {
-        match &self.tok {
+        match self.tok {
             Tok::Ident(s) if s == kw => {
                 self.advance()?;
                 Ok(())
@@ -396,32 +397,26 @@ impl<'a> Parser<'a> {
     }
 
     fn is_keyword(&self, kw: &str) -> bool {
-        matches!(&self.tok, Tok::Ident(s) if s == kw)
+        matches!(self.tok, Tok::Ident(s) if s == kw)
     }
 
-    fn value_name(&mut self) -> Result<String> {
-        match std::mem::replace(&mut self.tok, Tok::Eof) {
+    fn value_name(&mut self) -> Result<&'a str> {
+        match self.tok {
             Tok::Value(n) => {
                 self.advance()?;
                 Ok(n)
             }
-            other => {
-                self.tok = other;
-                Err(self.err(format!("expected %value, found {:?}", self.tok)))
-            }
+            other => Err(self.err(format!("expected %value, found {other:?}"))),
         }
     }
 
-    fn symbol_name(&mut self) -> Result<String> {
-        match std::mem::replace(&mut self.tok, Tok::Eof) {
+    fn symbol_name(&mut self) -> Result<&'a str> {
+        match self.tok {
             Tok::Symbol(n) => {
                 self.advance()?;
                 Ok(n)
             }
-            other => {
-                self.tok = other;
-                Err(self.err(format!("expected @symbol, found {:?}", self.tok)))
-            }
+            other => Err(self.err(format!("expected @symbol, found {other:?}"))),
         }
     }
 
@@ -444,30 +439,27 @@ impl<'a> Parser<'a> {
 
     fn use_value(&mut self) -> Result<ValueId> {
         let n = self.value_name()?;
-        self.lookup(&n)
+        self.lookup(n)
     }
 
     // ---------------------------------------------------------------- types
 
     fn parse_type(&mut self) -> Result<Type> {
-        match std::mem::replace(&mut self.tok, Tok::Eof) {
+        match self.tok {
             Tok::Ident(id) => {
                 self.advance()?;
-                scalar_type(&id).ok_or_else(|| self.err(format!("unknown type '{id}'")))
+                scalar_type(id).ok_or_else(|| self.err(format!("unknown type '{id}'")))
             }
             Tok::Bang(full) => {
                 self.advance()?;
-                match full.as_str() {
+                match full {
                     "hir.time" => Ok(time_type()),
                     "hir.const" => Ok(const_type()),
                     "hir.memref" => self.parse_memref_params(),
                     other => Err(self.err(format!("unknown dialect type !{other}"))),
                 }
             }
-            other => {
-                self.tok = other;
-                Err(self.err(format!("expected type, found {:?}", self.tok)))
-            }
+            other => Err(self.err(format!("expected type, found {other:?}"))),
         }
     }
 
@@ -477,7 +469,7 @@ impl<'a> Parser<'a> {
         let mut dims = Vec::new();
         let elem;
         loop {
-            match std::mem::replace(&mut self.tok, Tok::Eof) {
+            match self.tok {
                 Tok::Int(n) => {
                     self.advance()?;
                     self.expect(&Tok::Star)?;
@@ -487,7 +479,6 @@ impl<'a> Parser<'a> {
                     dims.push(Dim::Packed(n as u64));
                 }
                 Tok::LBracket => {
-                    self.tok = Tok::LBracket;
                     self.advance()?;
                     let n = self.int()?;
                     self.expect(&Tok::RBracket)?;
@@ -499,28 +490,26 @@ impl<'a> Parser<'a> {
                 }
                 Tok::Ident(id) => {
                     self.advance()?;
-                    elem = scalar_type(&id)
+                    elem = scalar_type(id)
                         .ok_or_else(|| self.err(format!("unknown element type '{id}'")))?;
                     break;
                 }
                 other => {
-                    self.tok = other;
                     return Err(self.err(format!(
-                        "expected memref dimension (e.g. `16*`) or element type, found {:?}",
-                        self.tok
+                        "expected memref dimension (e.g. `16*`) or element type, found {other:?}"
                     )));
                 }
             }
         }
         self.expect(&Tok::Comma)?;
-        let port = match &self.tok {
+        let port = match self.tok {
             Tok::Ident(s) => Port::from_mnemonic(s)
                 .ok_or_else(|| self.err(format!("unknown port kind '{s}'")))?,
             other => return Err(self.err(format!("expected port kind, found {other:?}"))),
         };
         self.advance()?;
         self.expect(&Tok::Comma)?;
-        let kind = match &self.tok {
+        let kind = match self.tok {
             Tok::Ident(s) => MemKind::from_mnemonic(s)
                 .ok_or_else(|| self.err(format!("unknown memory kind '{s}'")))?,
             other => return Err(self.err(format!("expected memory kind, found {other:?}"))),
@@ -547,11 +536,11 @@ impl<'a> Parser<'a> {
         let time_name = self.value_name()?;
         self.expect(&Tok::LParen)?;
         // (%name, label, type)
-        let args: Vec<(String, String, Type)> = self.list(Some(Tok::RParen), |p| {
+        let args: Vec<(&str, &str, Type)> = self.list(Some(Tok::RParen), |p| {
             let vname = p.value_name()?;
             // A `/*label*/` comment right after the value names the port;
             // default to the SSA name.
-            let label = p.lexer.last_comment.take().unwrap_or_else(|| vname.clone());
+            let label = p.lexer.last_comment.take().unwrap_or(vname);
             p.expect(&Tok::Colon)?;
             Ok((vname, label, p.parse_type()?))
         })?;
@@ -565,14 +554,11 @@ impl<'a> Parser<'a> {
             self.expect(&Tok::RParen)?;
         }
 
-        let named: Vec<(&str, Type)> = args
-            .iter()
-            .map(|(_, label, t)| (label.as_str(), t.clone()))
-            .collect();
-        let f = hb.func(&name, &named, &result_delays);
+        let named: Vec<(&str, Type)> = args.iter().map(|(_, l, t)| (*l, t.clone())).collect();
+        let f = hb.func(name, &named, &result_delays);
         let formal = f.args(hb.module());
         for ((vname, _, _), v) in args.iter().zip(formal) {
-            self.values.insert(vname.clone(), v);
+            self.values.insert(vname, v);
         }
         self.values.insert(time_name, f.time_var(hb.module()));
 
@@ -594,7 +580,7 @@ impl<'a> Parser<'a> {
         let results = self.list(Some(Tok::RParen), Self::result_with_delay)?;
         let (result_types, delays): (Vec<Type>, Vec<i64>) = results.into_iter().unzip();
         self.expect(&Tok::RParen)?;
-        hb.extern_func(&name, &arg_types, &result_types, &delays);
+        hb.extern_func(name, &arg_types, &result_types, &delays);
         Ok(())
     }
 
@@ -653,7 +639,7 @@ impl<'a> Parser<'a> {
 
     fn parse_op(&mut self, hb: &mut HirBuilder) -> Result<()> {
         // Optional results.
-        let mut results: Vec<String> = Vec::new();
+        let mut results: Vec<&'a str> = Vec::new();
         if let Tok::Value(_) = self.tok {
             results.push(self.value_name()?);
             while self.eat(&Tok::Comma)? {
@@ -661,23 +647,20 @@ impl<'a> Parser<'a> {
             }
             self.expect(&Tok::Eq)?;
         }
-        let opword = match std::mem::replace(&mut self.tok, Tok::Eof) {
+        let opword = match self.tok {
             Tok::Ident(s) => s,
-            other => {
-                self.tok = other;
-                return Err(self.err(format!("expected operation, found {:?}", self.tok)));
-            }
+            other => return Err(self.err(format!("expected operation, found {other:?}"))),
         };
         self.advance()?;
-        let decl = decl::lookup(&opword);
+        let decl = decl::lookup(opword);
         match decl.and_then(|d| Some((d, d.syntax?))) {
             Some((d, syntax)) => self.parse_syntax(hb, d, syntax, results),
-            None if opword.starts_with("hir.") => self.parse_generic(hb, &opword, decl, results),
+            None if opword.starts_with("hir.") => self.parse_generic(hb, opword, decl, results),
             None => Err(self.err(format!("unknown operation '{opword}'"))),
         }
     }
 
-    fn bind(&mut self, name: String, v: ValueId) -> Result<()> {
+    fn bind(&mut self, name: &'a str, v: ValueId) -> Result<()> {
         match self.values.entry(name) {
             Entry::Vacant(e) => {
                 e.insert(v);
@@ -691,11 +674,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn one_result<'r>(&self, results: &'r [String], what: &str) -> Result<&'r String> {
+    fn one_result(&self, results: &[&'a str], what: &str) -> Result<&'a str> {
         if results.len() != 1 {
             return Err(self.err(format!("{what} defines exactly one result")));
         }
-        Ok(&results[0])
+        Ok(results[0])
     }
 
     /// Expect one syntax token: a keyword or a punctuation mark.
@@ -740,7 +723,7 @@ impl<'a> Parser<'a> {
         hb: &mut HirBuilder,
         d: &OpDecl,
         syntax: &[Piece],
-        results: Vec<String>,
+        results: Vec<&'a str>,
     ) -> Result<()> {
         if d.single_result() {
             self.one_result(&results, d.name)?;
@@ -830,7 +813,7 @@ impl<'a> Parser<'a> {
 
     /// Build `d`'s op from its parsed parts, then bind the body arguments
     /// and the results to their names.
-    fn build(&mut self, hb: &mut HirBuilder, d: &OpDecl, parts: &mut Parts) -> Result<OpId> {
+    fn build(&mut self, hb: &mut HirBuilder, d: &OpDecl, parts: &mut Parts<'a>) -> Result<OpId> {
         let results = take(&mut parts.results);
         if let Some((_, _, Ty::Ports)) = d.variadic_results {
             if parts.written.len() != results.len() {
@@ -848,13 +831,20 @@ impl<'a> Parser<'a> {
                 .written
                 .first()
                 .is_some_and(|t| is_const(t) || t.is_index());
-        // A call to a function defined later takes placeholder result types
-        // until the module is read.
-        let callee = parts.attrs.get(attrkey::CALLEE).and_then(|a| a.as_symbol());
-        let forward = matches!(d.variadic_results, Some((_, _, Ty::Callee)))
-            && callee.is_some_and(|c| SymbolTable::build(hb.module()).lookup(c).is_none());
-        if forward {
-            parts.written = vec![Type::none(); results.len()];
+        // A call takes its callee's result types; a call to a function
+        // defined later takes placeholders until the module is read.
+        let mut forward = false;
+        if let Some((_, _, Ty::Callee)) = d.variadic_results {
+            let callee = parts.attrs[attrkey::CALLEE]
+                .as_symbol()
+                .expect("parsed callee");
+            parts.written = match FuncOp::find(hb.module(), callee) {
+                Some(f) => f.result_types(hb.module()),
+                None => {
+                    forward = true;
+                    vec![Type::none(); results.len()]
+                }
+            };
         }
         let op = if let (true, Some((_, v))) = (pooled, parts.literal) {
             let c = hb.const_val(v);
@@ -974,7 +964,7 @@ impl<'a> Parser<'a> {
         hb: &mut HirBuilder,
         opword: &str,
         d: Option<&OpDecl>,
-        mut results: Vec<String>,
+        mut results: Vec<&'a str>,
     ) -> Result<()> {
         self.one_result(&results, opword)?;
         let name = results.pop().expect("one result");
@@ -994,10 +984,10 @@ impl<'a> Parser<'a> {
         // Optional `{eq}` / `{7:4}` trailer.
         let mut attrs = AttrMap::new();
         if self.eat(&Tok::LBrace)? {
-            match std::mem::replace(&mut self.tok, Tok::Eof) {
+            match self.tok {
                 Tok::Ident(p) => {
                     self.advance()?;
-                    let pred = CmpPredicate::from_mnemonic(&p)
+                    let pred = CmpPredicate::from_mnemonic(p)
                         .ok_or_else(|| self.err(format!("unknown predicate '{p}'")))?;
                     attrs.insert(
                         attrkey::PREDICATE.into(),
@@ -1011,10 +1001,7 @@ impl<'a> Parser<'a> {
                     attrs.insert(attrkey::HI.into(), Attribute::index(hi as i128));
                     attrs.insert(attrkey::LO.into(), Attribute::index(lo as i128));
                 }
-                other => {
-                    self.tok = other;
-                    return Err(self.err("expected predicate or slice bounds"));
-                }
+                _ => return Err(self.err("expected predicate or slice bounds")),
             }
             self.expect(&Tok::RBrace)?;
         }
@@ -1032,29 +1019,29 @@ impl<'a> Parser<'a> {
 
 /// What [`Parser::parse_syntax`] collects for the builder.
 #[derive(Default)]
-struct Parts {
+struct Parts<'a> {
     operands: Vec<ValueId>,
     attrs: AttrMap,
     /// Types written in the source, in order.
     written: Vec<Type>,
     /// Names of the first region's entry-block arguments.
-    args: Vec<String>,
+    args: Vec<&'a str>,
     /// Names bound to the results.
-    results: Vec<String>,
+    results: Vec<&'a str>,
     /// Position of the first piece.
     at: (u32, u32),
     /// A typed constant's attribute and value (its type is written).
     literal: Option<(&'static str, i64)>,
 }
 
-impl Parts {
+impl Parts<'_> {
     fn int(&mut self, key: &str, v: i64) {
         self.attrs.insert(key.into(), Attribute::index(v as i128));
     }
 }
 
 /// The token of a one-character punctuation mark.
-fn punct(c: u8) -> Option<Tok> {
+fn punct(c: u8) -> Option<Tok<'static>> {
     Some(match c {
         b'(' => Tok::LParen,
         b')' => Tok::RParen,
@@ -1073,7 +1060,7 @@ fn punct(c: u8) -> Option<Tok> {
 }
 
 /// The token of an op syntax's punctuation mark (`None` for keywords).
-fn syntax_punct(tok: &str) -> Option<Tok> {
+fn syntax_punct(tok: &str) -> Option<Tok<'static>> {
     match tok.as_bytes() {
         &[c] => punct(c),
         _ => None,
