@@ -634,6 +634,33 @@ mod tests {
     }
 
     #[test]
+    fn own_checks_wait_for_the_declared_operand_count() {
+        // An operand-less yield and a one-operand delay get their arity and
+        // attribute diagnostics; the checks that read their operands do not
+        // run (they indexed past the end before).
+        let m = ir::parse_module(
+            r#""hir.func"() ({
+^bb(%0: i32, %1: !hir.time):
+  "hir.yield"() {offset = 0 : index} : () -> ()
+  %2 = "hir.delay"(%0) {by = 1 : index} : (i32) -> (i32)
+  "hir.return"() : () -> ()
+}) {arg_names = ["a"], sym_name = "f"} : () -> ()
+"#,
+        )
+        .unwrap();
+        let mut diags = DiagnosticEngine::new();
+        assert!(ir::verify_module(&m, &hir_registry(), &mut diags).is_err());
+        let text = diags.render();
+        for want in [
+            "'hir.yield' expects exactly 1 operands but has 0",
+            "'hir.delay' expects exactly 2 operands but has 1",
+            "hir.delay requires an integer 'offset' attribute",
+        ] {
+            assert!(text.contains(want), "{want}: {text}");
+        }
+    }
+
+    #[test]
     fn arg_names_must_name_every_argument() {
         let verify = |text: &str| {
             let m = ir::parse_module(text).unwrap();

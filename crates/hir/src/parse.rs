@@ -561,13 +561,7 @@ impl<'a> Parser<'a> {
             self.values.insert(vname, v);
         }
         self.values.insert(time_name, f.time_var(hb.module()));
-
-        self.expect(&Tok::LBrace)?;
-        while self.tok != Tok::RBrace {
-            self.parse_op(hb)?;
-        }
-        self.expect(&Tok::RBrace)?;
-        Ok(())
+        self.parse_body(hb, f.body(hb.module()))
     }
 
     fn parse_extern(&mut self, hb: &mut HirBuilder) -> Result<()> {
@@ -916,33 +910,21 @@ impl<'a> Parser<'a> {
             };
             errors.push(PrettyParseError { line, col, message });
         }
+        // Retype until nothing changes: a callee's results may come from
+        // another forward call, and a delay takes its input's type.
         let ops = m.collect_all_ops();
         for _ in 0..=table.len() {
             let mut changed = false;
             for &op in &ops {
-                let types = match decl::lookup(m.op(op).name().as_str()) {
-                    Some(d)
-                        if d.variadic_results
-                            .is_some_and(|(_, _, ty)| ty == Ty::Callee) =>
-                    {
-                        callee_types(m, op)
-                    }
-                    Some(d)
-                        if d.results
-                            .first()
-                            .is_some_and(|&(_, ty)| ty == Ty::OfFirstOperand) =>
-                    {
-                        Some(vec![m.value_type(m.op(op).operands()[0])])
-                    }
+                let d = decl::lookup(m.op(op).name().as_str());
+                let variadic = d.and_then(|d| d.variadic_results.map(|(_, _, ty)| ty));
+                let types = match variadic.or(d.and_then(|d| Some(d.results.first()?.1))) {
+                    Some(Ty::Callee) => callee_types(m, op),
+                    Some(Ty::OfFirstOperand) => Some(vec![m.value_type(m.op(op).operands()[0])]),
                     _ => None,
                 };
-                for (r, ty) in m
-                    .op(op)
-                    .results()
-                    .to_vec()
-                    .into_iter()
-                    .zip(types.unwrap_or_default())
-                {
+                let results = m.op(op).results().to_vec();
+                for (r, ty) in results.into_iter().zip(types.unwrap_or_default()) {
                     if m.value_type(r) != ty {
                         m.set_value_type(r, ty);
                         changed = true;
@@ -964,10 +946,9 @@ impl<'a> Parser<'a> {
         hb: &mut HirBuilder,
         opword: &str,
         d: Option<&OpDecl>,
-        mut results: Vec<&'a str>,
+        results: Vec<&'a str>,
     ) -> Result<()> {
-        self.one_result(&results, opword)?;
-        let name = results.pop().expect("one result");
+        let name = self.one_result(&results, opword)?;
         self.expect(&Tok::LParen)?;
         let mut operands = Vec::new();
         self.parse_values(Some(Tok::RParen), &mut operands)?;
@@ -1237,6 +1218,17 @@ hir.func @also_good at %t() {
         );
         let r = parse_pretty_recover(src, 0);
         assert_eq!(r.errors, vec![err]);
+    }
+
+    #[test]
+    fn mem_read_of_a_non_memref_is_a_positioned_error() {
+        let src = "hir.func @f at %t(%a : i32) {\n  %v = hir.mem_read %a[] at %t offset 0 : i32\n  hir.return\n}\n";
+        let err = parse_pretty(src).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert_eq!(
+            err.message,
+            "hir.mem_read memory operand must be a memref, got i32"
+        );
     }
 
     #[test]
