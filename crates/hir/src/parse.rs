@@ -910,8 +910,6 @@ impl<'a> Parser<'a> {
             };
             errors.push(PrettyParseError { line, col, message });
         }
-        // Retype until nothing changes: a callee's results may come from
-        // another forward call, and a delay takes its input's type.
         let ops = m.collect_all_ops();
         for _ in 0..=table.len() {
             let mut changed = false;
