@@ -15,7 +15,7 @@
 //! let mut hb = HirBuilder::new();
 //! let a = MemrefInfo::packed(&[16, 16], Type::int(32), Port::Read, MemKind::BlockRam);
 //! let c = a.with_port(Port::Write);
-//! let f = hb.func("transpose", &[("Ai", a.to_type()), ("Co", c.to_type())], &[]);
+//! let f = hb.func("transpose", &[("Ai", a.to_type()), ("Co", c.to_type())], []);
 //! let t = f.time_var(hb.module());
 //! let args = f.args(hb.module());
 //! let (c0, c16, c1) = (hb.const_val(0), hb.const_val(16), hb.const_val(1));
@@ -50,7 +50,9 @@ fn index_array(vals: &[i64]) -> Attribute {
 
 /// The attributes of a scheduled op at `offset`.
 fn at(offset: i64) -> AttrMap {
-    AttrMap::from([(attrkey::OFFSET.into(), Attribute::index(offset as i128))])
+    let mut attrs = AttrMap::new();
+    attrs.insert(attrkey::OFFSET.into(), Attribute::index(offset as i128));
+    attrs
 }
 
 /// Builder for HIR modules. See module docs for an example.
@@ -140,7 +142,7 @@ impl HirBuilder {
         decl: &OpDecl,
         operands: Vec<ValueId>,
         mut attrs: AttrMap,
-        written: Vec<Type>,
+        written: impl IntoIterator<Item = Type>,
     ) -> Result<OpId, String> {
         let mut written = written.into_iter();
         let (mut results, mut body) = (Vec::new(), Vec::new());
@@ -211,7 +213,7 @@ impl HirBuilder {
         decl: &OpDecl,
         operands: Vec<ValueId>,
         attrs: AttrMap,
-        written: Vec<Type>,
+        written: impl IntoIterator<Item = Type>,
     ) -> OpId {
         self.create(decl, operands, attrs, written)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -282,7 +284,7 @@ impl HirBuilder {
 
     /// Terminate the current function body.
     pub fn return_(&mut self, values: &[ValueId]) {
-        self.build(&decl::RETURN, values.to_vec(), AttrMap::new(), vec![]);
+        self.build(&decl::RETURN, values.to_vec(), AttrMap::new(), []);
     }
 
     // ------------------------------------------------------------- constants
@@ -313,7 +315,7 @@ impl HirBuilder {
     /// A typed integer constant (e.g. an `i32` literal for the datapath).
     pub fn typed_const(&mut self, v: i64, ty: Type) -> ValueId {
         let attrs = AttrMap::from([(attrkey::VALUE.into(), Attribute::Int(v as i128, ty.clone()))]);
-        let op = self.build(&decl::CONSTANT, vec![], attrs, vec![ty]);
+        let op = self.build(&decl::CONSTANT, vec![], attrs, [ty]);
         self.result(op)
     }
 
@@ -350,7 +352,7 @@ impl HirBuilder {
         attrs: AttrMap,
         ty: Type,
     ) -> ValueId {
-        let op = self.build(decl, operands, attrs, vec![ty]);
+        let op = self.build(decl, operands, attrs, [ty]);
         self.result(op)
     }
 
@@ -428,7 +430,7 @@ impl HirBuilder {
     pub fn delay(&mut self, v: ValueId, by: i64, t: ValueId, offset: i64) -> ValueId {
         let mut attrs = at(offset);
         attrs.insert(attrkey::BY.into(), Attribute::index(by as i128));
-        let op = self.build(&decl::DELAY, vec![v, t], attrs, vec![]);
+        let op = self.build(&decl::DELAY, vec![v, t], attrs, []);
         self.result(op)
     }
 
@@ -466,7 +468,7 @@ impl HirBuilder {
         offset: i64,
     ) -> ValueId {
         let operands = [&[mem], indices, &[t]].concat();
-        let op = self.build(&decl::MEM_READ, operands, at(offset), vec![]);
+        let op = self.build(&decl::MEM_READ, operands, at(offset), []);
         self.result(op)
     }
 
@@ -480,7 +482,7 @@ impl HirBuilder {
         offset: i64,
     ) {
         let operands = [&[v, mem], indices, &[t]].concat();
-        self.build(&decl::MEM_WRITE, operands, at(offset), vec![]);
+        self.build(&decl::MEM_WRITE, operands, at(offset), []);
     }
 
     // --------------------------------------------------------------- control
@@ -495,7 +497,7 @@ impl HirBuilder {
         offset: i64,
         iv_type: Type,
     ) -> ForOp {
-        ForOp(self.build(&decl::FOR, vec![lb, ub, step, t], at(offset), vec![iv_type]))
+        ForOp(self.build(&decl::FOR, vec![lb, ub, step, t], at(offset), [iv_type]))
     }
 
     /// Build the body of a `hir.for`: the closure receives `(builder,
@@ -524,7 +526,7 @@ impl HirBuilder {
         for (key, v) in [(attrkey::LB, lb), (attrkey::UB, ub), (attrkey::STEP, step)] {
             attrs.insert(key.into(), Attribute::index(v as i128));
         }
-        UnrollForOp(self.build(&decl::UNROLL_FOR, vec![t], attrs, vec![]))
+        UnrollForOp(self.build(&decl::UNROLL_FOR, vec![t], attrs, []))
     }
 
     /// Build the body of a `hir.unroll_for`.
@@ -539,7 +541,7 @@ impl HirBuilder {
 
     /// `hir.yield at %t offset <offset>`: schedule the next iteration.
     pub fn yield_at(&mut self, t: ValueId, offset: i64) {
-        self.build(&decl::YIELD, vec![t], at(offset), vec![]);
+        self.build(&decl::YIELD, vec![t], at(offset), []);
     }
 
     /// `hir.call @callee(args) at %t offset <offset>`. Result types are
@@ -567,7 +569,7 @@ impl HirBuilder {
     /// Create a `hir.if`; populate branches with [`HirBuilder::in_then`] /
     /// [`HirBuilder::in_else`].
     pub fn if_op(&mut self, cond: ValueId, t: ValueId, offset: i64, with_else: bool) -> IfOp {
-        let ifop = IfOp(self.build(&decl::IF, vec![cond, t], at(offset), vec![]));
+        let ifop = IfOp(self.build(&decl::IF, vec![cond, t], at(offset), []));
         if with_else {
             self.add_else_block(ifop);
         }
@@ -662,12 +664,12 @@ mod tests {
     #[test]
     fn constants_are_cached_per_function() {
         let mut hb = HirBuilder::new();
-        hb.func("a", &[], &[]);
+        hb.func("a", &[], []);
         let c1 = hb.const_val(5);
         let c2 = hb.const_val(5);
         assert_eq!(c1, c2);
         hb.return_(&[]);
-        hb.func("b", &[], &[]);
+        hb.func("b", &[], []);
         let c3 = hb.const_val(5);
         assert_ne!(c1, c3, "cache must reset per function");
         hb.return_(&[]);
@@ -720,7 +722,7 @@ mod tests {
             &[Type::int(32)],
             &[2],
         );
-        let f = hb.func("mac", &[("a", Type::int(32)), ("b", Type::int(32))], &[]);
+        let f = hb.func("mac", &[("a", Type::int(32)), ("b", Type::int(32))], []);
         let t = f.time_var(hb.module());
         let args = f.args(hb.module());
         let results = hb.call("mult2stage", &[args[0], args[1]], t, 0);
@@ -733,7 +735,7 @@ mod tests {
     #[should_panic(expected = "undefined function")]
     fn call_to_unknown_function_panics() {
         let mut hb = HirBuilder::new();
-        let f = hb.func("f", &[], &[]);
+        let f = hb.func("f", &[], []);
         let t = f.time_var(hb.module());
         hb.call("nope", &[], t, 0);
     }
@@ -741,7 +743,7 @@ mod tests {
     #[test]
     fn unroll_for_iterations() {
         let mut hb = HirBuilder::new();
-        let f = hb.func("u", &[], &[]);
+        let f = hb.func("u", &[], []);
         let t = f.time_var(hb.module());
         let lp = hb.unroll_for(0, 8, 2, t, 0);
         hb.in_unroll(lp, |hb, _iv, ti| hb.yield_at(ti, 0));
