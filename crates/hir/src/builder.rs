@@ -15,7 +15,7 @@
 //! let mut hb = HirBuilder::new();
 //! let a = MemrefInfo::packed(&[16, 16], Type::int(32), Port::Read, MemKind::BlockRam);
 //! let c = a.with_port(Port::Write);
-//! let f = hb.func("transpose", &[("Ai", a.to_type()), ("Co", c.to_type())], []);
+//! let f = hb.func("transpose", &[("Ai", a.to_type()), ("Co", c.to_type())], &[]);
 //! let t = f.time_var(hb.module());
 //! let args = f.args(hb.module());
 //! let (c0, c16, c1) = (hb.const_val(0), hb.const_val(16), hb.const_val(1));
@@ -664,12 +664,12 @@ mod tests {
     #[test]
     fn constants_are_cached_per_function() {
         let mut hb = HirBuilder::new();
-        hb.func("a", &[], []);
+        hb.func("a", &[], &[]);
         let c1 = hb.const_val(5);
         let c2 = hb.const_val(5);
         assert_eq!(c1, c2);
         hb.return_(&[]);
-        hb.func("b", &[], []);
+        hb.func("b", &[], &[]);
         let c3 = hb.const_val(5);
         assert_ne!(c1, c3, "cache must reset per function");
         hb.return_(&[]);
@@ -722,7 +722,7 @@ mod tests {
             &[Type::int(32)],
             &[2],
         );
-        let f = hb.func("mac", &[("a", Type::int(32)), ("b", Type::int(32))], []);
+        let f = hb.func("mac", &[("a", Type::int(32)), ("b", Type::int(32))], &[]);
         let t = f.time_var(hb.module());
         let args = f.args(hb.module());
         let results = hb.call("mult2stage", &[args[0], args[1]], t, 0);
@@ -735,7 +735,7 @@ mod tests {
     #[should_panic(expected = "undefined function")]
     fn call_to_unknown_function_panics() {
         let mut hb = HirBuilder::new();
-        let f = hb.func("f", &[], []);
+        let f = hb.func("f", &[], &[]);
         let t = f.time_var(hb.module());
         hb.call("nope", &[], t, 0);
     }
@@ -743,7 +743,7 @@ mod tests {
     #[test]
     fn unroll_for_iterations() {
         let mut hb = HirBuilder::new();
-        let f = hb.func("u", &[], []);
+        let f = hb.func("u", &[], &[]);
         let t = f.time_var(hb.module());
         let lp = hb.unroll_for(0, 8, 2, t, 0);
         hb.in_unroll(lp, |hb, _iv, ti| hb.yield_at(ti, 0));
