@@ -3,9 +3,9 @@
 //! (quiescent cones skipped), and the batched engine (N independent
 //! stimulus lanes evaluated bit-parallel). Same design, same stimulus
 //! (lane 0), every engine runs to completion and must produce the reference
-//! GEMM result. It also times what every simulation pays before its first
-//! cycle: `Harness::new`, `set_engine(Event)` and `Harness::new_batched`
-//! (best of ten builds per repetition). The measurements are written to
+//! GEMM result. It also times what every simulation pays outside its
+//! cycles: `Harness::new`, `set_engine(Event)`, `Harness::new_batched` and
+//! dropping an event-engine harness (best of ten builds per repetition). The measurements are written to
 //! `BENCH_sim_profile.json` so CI can archive engine-throughput baselines
 //! next to the pass profile.
 //!
@@ -203,7 +203,7 @@ fn main() {
         (na, st, nal, sp, nr)
     };
     // Build cost: best-of-N wall time of each step a simulation request
-    // pays before its first cycle.
+    // pays before its first cycle, and of its teardown.
     let build_reps = 10 * reps;
     let build_new_ns = best_ns(build_reps, || {
         timed(|| Harness::new(&design, &m, func, &args).expect("harness")).0
@@ -215,11 +215,17 @@ fn main() {
     let build_batched_ns = best_ns(build_reps, || {
         timed(|| Harness::new_batched(&design, &m, func, &lane_args).expect("batched harness")).0
     });
+    let build_drop_ns = best_ns(build_reps, || {
+        let mut h = Harness::new(&design, &m, func, &args).expect("harness");
+        h.set_engine(verilog::Engine::Event);
+        timed(|| drop(h)).0
+    });
     println!(
-        "build (best of {build_reps}): Harness::new {:.3} ms, set_engine(Event) {:.3} ms, Harness::new_batched({lanes}) {:.3} ms",
+        "build (best of {build_reps}): Harness::new {:.3} ms, set_engine(Event) {:.3} ms, Harness::new_batched({lanes}) {:.3} ms, drop {:.3} ms",
         build_new_ns as f64 / 1e6,
         build_event_ns as f64 / 1e6,
-        build_batched_ns as f64 / 1e6
+        build_batched_ns as f64 / 1e6,
+        build_drop_ns as f64 / 1e6
     );
     println!("GEMM N={n} testbench, best of {reps}, {lanes} batched lanes");
     let (bc, _, _) = measure(verilog::Engine::Bytecode, "bytecode", false, false);
@@ -331,7 +337,7 @@ fn main() {
         obs::json::to_string(&sched.dirty_cones),
     );
     let doc = format!(
-        "{{\n  \"gemm_n\": {n},\n  \"reps\": {reps},\n  \"tape\": {{\"assigns\":{},\"settle_tape\":{},\"always\":{},\"step_tape\":{},\"regs\":{}}},\n  \"build\": {{\"reps\":{},\"harness_new_ns\":{},\"set_engine_event_ns\":{},\"harness_new_batched_ns\":{}}},\n  \"engines\": [\n{}\n  ],\n  \"speedup_bytecode_vs_treewalk\": {:.2},\n  \"speedup_event_vs_bytecode\": {:.2},\n  \"speedup_batched_lane_cycles_vs_bytecode\": {:.2},\n  \"telemetry\": {{\"overhead_pct\":{:.1},\"overhead_pct_bytecode\":{:.1},\"toggle_coverage\":{:.6}}},\n  \"quiescence\": {{\"overall\":{:.6},\"worst_cone\":\"{}\",\"worst_fraction\":{:.6}}},\n  \"sched\": {}\n}}\n",
+        "{{\n  \"gemm_n\": {n},\n  \"reps\": {reps},\n  \"tape\": {{\"assigns\":{},\"settle_tape\":{},\"always\":{},\"step_tape\":{},\"regs\":{}}},\n  \"build\": {{\"reps\":{},\"harness_new_ns\":{},\"set_engine_event_ns\":{},\"harness_new_batched_ns\":{},\"harness_drop_ns\":{}}},\n  \"engines\": [\n{}\n  ],\n  \"speedup_bytecode_vs_treewalk\": {:.2},\n  \"speedup_event_vs_bytecode\": {:.2},\n  \"speedup_batched_lane_cycles_vs_bytecode\": {:.2},\n  \"telemetry\": {{\"overhead_pct\":{:.1},\"overhead_pct_bytecode\":{:.1},\"toggle_coverage\":{:.6}}},\n  \"quiescence\": {{\"overall\":{:.6},\"worst_cone\":\"{}\",\"worst_fraction\":{:.6}}},\n  \"sched\": {}\n}}\n",
         tape.0,
         tape.1,
         tape.2,
@@ -341,6 +347,7 @@ fn main() {
         build_new_ns,
         build_event_ns,
         build_batched_ns,
+        build_drop_ns,
         engines.join(",\n"),
         speedup,
         speedup_event,

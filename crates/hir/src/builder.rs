@@ -190,16 +190,16 @@ impl HirBuilder {
                 out.push(info.elem);
             }
             Ty::Ports => {
-                let infos: Option<Vec<_>> = written.map(|t| MemrefInfo::from_type(&t)).collect();
+                let ports: Vec<Type> = written.collect();
+                let infos: Option<Vec<_>> = ports.iter().map(MemrefInfo::from_type).collect();
                 let infos = infos
                     .filter(|i| !i.is_empty())
                     .ok_or("alloc types must be memrefs")?;
-                let first = &infos[0];
                 attrs.insert(
                     attrkey::KIND.into(),
-                    Attribute::string(first.kind.mnemonic()),
+                    Attribute::string(infos[0].kind.mnemonic()),
                 );
-                out.extend(infos.iter().map(|i| first.with_port(i.port).to_type()));
+                out.extend(ports);
             }
             // The caller resolves the callee's result types.
             Ty::Callee => out.extend(written.by_ref()),

@@ -72,8 +72,9 @@ pub enum Ty {
     OfFirstOperand,
     /// The element type of the first operand, a memref.
     MemElem,
-    /// One memref port per written type, each taking the first port's
-    /// shape, element type and kind; that kind is the `kind` attribute.
+    /// One memref port per written type, as written; the first port's kind
+    /// is the `kind` attribute, and `verify_alloc` checks that the ports
+    /// agree.
     Ports,
     /// The callee's result types, which the builder's caller looks up and
     /// passes as the written types.

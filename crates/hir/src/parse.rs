@@ -56,7 +56,9 @@ pub fn parse_pretty(source: &str) -> Result<Module> {
         p.parse_func(&mut hb)?;
     }
     let mut module = hb.finish();
-    match p.resolve_forward_calls(&mut module).into_iter().next() {
+    let mut errors = p.resolve_forward_calls(&mut module);
+    errors.extend(p.check_written_types(&module));
+    match errors.into_iter().next() {
         Some(e) => Err(e),
         None => Ok(module),
     }
@@ -108,7 +110,9 @@ pub fn parse_pretty_recover(source: &str, error_limit: usize) -> RecoveredPretty
             hit_error_limit = true;
             break;
         }
+        let checks = p.written.len();
         if let Err(e) = p.parse_func(&mut hb) {
+            p.written.truncate(checks);
             errors.push(e);
             if !p.synchronize_to_func() {
                 break;
@@ -117,6 +121,7 @@ pub fn parse_pretty_recover(source: &str, error_limit: usize) -> RecoveredPretty
     }
     let mut module = hb.finish();
     errors.extend(p.resolve_forward_calls(&mut module));
+    errors.extend(p.check_written_types(&module));
     errors.sort_by_key(|e| (e.line, e.col));
     if errors.len() > limit {
         errors.truncate(limit);
@@ -315,6 +320,27 @@ struct Parser<'a> {
     values: HashMap<&'a str, ValueId>,
     /// Calls to functions not defined yet, with their positions.
     forward: Vec<(OpId, u32, u32)>,
+    /// Written types the module must agree with once calls are resolved.
+    written: Vec<WrittenTypes>,
+}
+
+/// Types written in the source that the builder derives anyway: a
+/// function's result signature and the `: type` of an op whose result type
+/// follows from its operands. Checked after forward calls are resolved,
+/// since a call's results are typed only then.
+struct WrittenTypes {
+    of: Typed,
+    types: Vec<Type>,
+    line: u32,
+    col: u32,
+}
+
+#[derive(Clone, Copy)]
+enum Typed {
+    /// The function's results, from its `hir.return`.
+    Func(FuncOp),
+    /// The op's results.
+    Op(OpId),
 }
 
 impl<'a> Parser<'a> {
@@ -328,6 +354,7 @@ impl<'a> Parser<'a> {
             col,
             values: HashMap::new(),
             forward: Vec::new(),
+            written: Vec::new(),
         })
     }
 
@@ -546,16 +573,26 @@ impl<'a> Parser<'a> {
         })?;
         self.expect(&Tok::RParen)?;
         // Optional result signature `-> (ty delay d, ...)`.
-        let mut result_delays: Vec<i64> = Vec::new();
+        let mut signature = None;
         if self.eat(&Tok::Arrow)? {
             self.expect(&Tok::LParen)?;
+            let at = (self.line, self.col);
             let results = self.list(None, Self::result_with_delay)?;
-            result_delays = results.into_iter().map(|(_, d)| d).collect();
+            signature = Some((results, at));
             self.expect(&Tok::RParen)?;
         }
 
         let named: Vec<(&str, Type)> = args.iter().map(|(_, l, t)| (*l, t.clone())).collect();
+        let result_delays: Vec<i64> = signature.iter().flat_map(|(r, _)| r).map(|r| r.1).collect();
         let f = hb.func(name, &named, &result_delays);
+        if let Some((results, (line, col))) = signature {
+            self.written.push(WrittenTypes {
+                of: Typed::Func(f),
+                types: results.into_iter().map(|(ty, _)| ty).collect(),
+                line,
+                col,
+            });
+        }
         let formal = f.args(hb.module());
         for ((vname, _, _), v) in args.iter().zip(formal) {
             self.values.insert(vname, v);
@@ -634,6 +671,7 @@ impl<'a> Parser<'a> {
     fn parse_op(&mut self, hb: &mut HirBuilder) -> Result<()> {
         // Optional results.
         let mut results: Vec<&'a str> = Vec::new();
+        let (line, col) = (self.line, self.col);
         if let Tok::Value(_) = self.tok {
             results.push(self.value_name()?);
             while self.eat(&Tok::Comma)? {
@@ -647,6 +685,12 @@ impl<'a> Parser<'a> {
         };
         self.advance()?;
         let decl = decl::lookup(opword);
+        if let (Some(d), Some(name)) = (decl, results.first()) {
+            if d.results.is_empty() && d.variadic_results.is_none() {
+                let message = format!("{opword} has no results to bind to %{name}");
+                return Err(PrettyParseError { line, col, message });
+            }
+        }
         match decl.and_then(|d| Some((d, d.syntax?))) {
             Some((d, syntax)) => self.parse_syntax(hb, d, syntax, results),
             None if opword.starts_with("hir.") => self.parse_generic(hb, opword, decl, results),
@@ -768,9 +812,11 @@ impl<'a> Parser<'a> {
                 Piece::Arg(_) => parts.args.push(self.value_name()?),
                 Piece::ArgType => parts.written.push(self.parse_type()?),
                 Piece::ResultType => {
-                    // Informational: the result type follows from the operands.
+                    // The result type follows from the operands; a written
+                    // one must agree with it.
                     if self.eat(&Tok::Colon)? {
-                        let _ = self.parse_type()?;
+                        let at = (self.line, self.col);
+                        parts.result_type = Some((self.parse_type()?, at));
                     }
                 }
                 Piece::ResultTypes => {
@@ -873,9 +919,16 @@ impl<'a> Parser<'a> {
         for (name, &v) in take(&mut parts.args).into_iter().zip(args) {
             self.bind(name, v)?;
         }
-        // Ops without results ignore any names bound to them.
         for (name, &v) in results.into_iter().zip(vals) {
             self.bind(name, v)?;
+        }
+        if let Some((ty, (line, col))) = parts.result_type.take() {
+            self.written.push(WrittenTypes {
+                of: Typed::Op(op),
+                types: vec![ty],
+                line,
+                col,
+            });
         }
         Ok(op)
     }
@@ -932,6 +985,51 @@ impl<'a> Parser<'a> {
             if !changed {
                 break;
             }
+        }
+        errors
+    }
+
+    /// Every written type that disagrees with the type the module derived.
+    /// Types still unresolved (calls to undefined functions, reported by
+    /// [`Self::resolve_forward_calls`]) are not compared.
+    fn check_written_types(&self, m: &Module) -> Vec<PrettyParseError> {
+        let list = |types: &[Type]| {
+            let types: Vec<String> = types.iter().map(Type::to_string).collect();
+            format!("({})", types.join(", "))
+        };
+        let mut errors = Vec::new();
+        for w in &self.written {
+            let actual: Vec<Type> = match w.of {
+                Typed::Func(f) => f.result_types(m),
+                Typed::Op(op) => m
+                    .op(op)
+                    .results()
+                    .iter()
+                    .map(|&r| m.value_type(r))
+                    .collect(),
+            };
+            if actual == w.types || actual.contains(&Type::none()) {
+                continue;
+            }
+            let message = match w.of {
+                Typed::Func(f) => format!(
+                    "@{} declares results {} but returns {}",
+                    f.name(m),
+                    list(&w.types),
+                    list(&actual)
+                ),
+                Typed::Op(op) => format!(
+                    "{} result is {}, not the written {}",
+                    m.op(op).name(),
+                    actual[0],
+                    w.types[0]
+                ),
+            };
+            errors.push(PrettyParseError {
+                line: w.line,
+                col: w.col,
+                message,
+            });
         }
         errors
     }
@@ -1011,6 +1109,8 @@ struct Parts<'a> {
     at: (u32, u32),
     /// A typed constant's attribute and value (its type is written).
     literal: Option<(&'static str, i64)>,
+    /// The written `: type` of a [`Piece::ResultType`], with its position.
+    result_type: Option<(Type, (u32, u32))>,
 }
 
 impl Parts<'_> {
@@ -1181,6 +1281,42 @@ hir.func @also_good at %t() {
         assert!(r.errors[1].message.contains("undefined value"));
         // Both good functions survived.
         assert_eq!(r.module.top_ops().len(), 4, "partial funcs stay in module");
+    }
+
+    #[test]
+    fn written_types_that_disagree_are_positioned_errors() {
+        let cases = [
+            (
+                "hir.func @f at %t(%x : i32) -> (i8 delay 0) {\n  hir.return %x\n}",
+                (1, 33),
+                "@f declares results (i8) but returns (i32)",
+            ),
+            (
+                "hir.func @f at %t(%A : !hir.memref<4*i32, r, reg>) {\n  \
+                 %c0 = hir.constant 0 : index\n  \
+                 %v = hir.mem_read %A[%c0] at %t offset 0 : i8\n  hir.return\n}",
+                (3, 46),
+                "hir.mem_read result is i32, not the written i8",
+            ),
+            (
+                "hir.func @f at %t(%x : i32) {\n  \
+                 %d = hir.delay %x by 1 at %t offset 0 : i8\n  hir.return\n}",
+                (2, 43),
+                "hir.delay result is i32, not the written i8",
+            ),
+            (
+                "hir.func @f at %t() {\n  %x = hir.yield at %t offset 1\n}",
+                (2, 3),
+                "hir.yield has no results to bind to %x",
+            ),
+        ];
+        for (src, at, message) in cases {
+            let err = parse_pretty(src).unwrap_err();
+            assert_eq!((err.line, err.col), at, "{err}");
+            assert_eq!(err.message, message);
+            let r = parse_pretty_recover(src, 0);
+            assert_eq!(r.errors, vec![err]);
+        }
     }
 
     #[test]

@@ -62,93 +62,403 @@ impl From<ElabError> for BuildError {
     }
 }
 
+/// Index of a node in [`Program::exprs`].
+type ExprId = u32;
+/// Index of a node in [`Program::stmts`].
+type StmtId = u32;
+
+/// A run of `len` child ids starting at `start` in [`Program::lists`].
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
 // Compiled expression: net/memory references resolved to indices, result
-// widths precomputed.
-#[derive(Clone, Debug)]
+// widths precomputed, children named by arena index.
+#[derive(Clone, Copy, Debug)]
 enum CExpr {
     Const {
         value: u64,
         width: u32,
     },
     Net {
-        index: usize,
+        index: u32,
         width: u32,
     },
     MemRead {
-        mem: usize,
-        addr: Box<CExpr>,
+        mem: u32,
+        addr: ExprId,
         width: u32,
     },
     Slice {
-        base: Box<CExpr>,
+        base: ExprId,
         hi: u32,
         lo: u32,
     },
     Unary {
         op: UnOp,
-        arg: Box<CExpr>,
+        arg: ExprId,
         width: u32,
     },
     Binary {
         op: BinOp,
-        lhs: Box<CExpr>,
-        rhs: Box<CExpr>,
+        lhs: ExprId,
+        rhs: ExprId,
         width: u32,
     },
     Ternary {
-        cond: Box<CExpr>,
-        then: Box<CExpr>,
-        els: Box<CExpr>,
+        cond: ExprId,
+        then: ExprId,
+        els: ExprId,
         width: u32,
     },
     Concat {
-        parts: Vec<CExpr>,
+        parts: Span,
         width: u32,
     },
     SignExtend {
-        arg: Box<CExpr>,
+        arg: ExprId,
         from: u32,
         to: u32,
     },
 }
 
-impl CExpr {
-    fn width(&self) -> u32 {
-        match self {
+#[derive(Clone, Copy, Debug)]
+enum CStmt {
+    AssignNet {
+        net: u32,
+        rhs: ExprId,
+    },
+    AssignMem {
+        mem: u32,
+        addr: ExprId,
+        rhs: ExprId,
+    },
+    If {
+        cond: ExprId,
+        then: Span,
+        els: Span,
+    },
+    Assert {
+        guard: ExprId,
+        cond: ExprId,
+        /// Index into [`Program::msgs`].
+        msg: u32,
+    },
+}
+
+/// The compiled program: what the tree-walk oracle evaluates and what the
+/// tapes are lowered from. Every expression and statement node lives in
+/// one arena and names its children by `u32` index, so building and
+/// dropping a program costs a handful of allocations, not one per node.
+/// The arena is sized from the AST before compiling and never regrows.
+#[derive(Debug, Default)]
+struct Program {
+    exprs: Vec<CExpr>,
+    stmts: Vec<CStmt>,
+    /// Concat parts (expression ids) and `if` arms (statement ids).
+    lists: Vec<u32>,
+    /// Assertion messages, indexed by `CStmt::Assert` and `Insn::Assert`.
+    msgs: Vec<String>,
+    /// Continuous assigns in topological order: (net, rhs).
+    assigns: Vec<(u32, ExprId)>,
+    /// Row `i`: the nets `assigns[i]` reads, sorted and deduplicated.
+    reads: Csr,
+    /// Row `i`: the memories `assigns[i]` reads, sorted and deduplicated.
+    mem_reads: Csr,
+    /// Memory read nodes over all assigns, with repeats.
+    mem_read_ports: u64,
+    /// Always-block statements in source order.
+    always: Vec<StmtId>,
+}
+
+impl Program {
+    /// An empty program with room for compiling `flat` without regrowing.
+    fn sized_for(flat: &VModule) -> Program {
+        fn expr(e: &Expr, n: &mut [usize; 3]) {
+            n[0] += 1;
+            match e {
+                Expr::Const { .. } | Expr::Ref(_) => {}
+                Expr::MemRead { addr: a, .. }
+                | Expr::Slice { base: a, .. }
+                | Expr::Unary { arg: a, .. }
+                | Expr::SignExtend { arg: a, .. } => expr(a, n),
+                Expr::Binary { lhs, rhs, .. } => {
+                    expr(lhs, n);
+                    expr(rhs, n);
+                }
+                Expr::Ternary { cond, then, els } => {
+                    expr(cond, n);
+                    expr(then, n);
+                    expr(els, n);
+                }
+                Expr::Concat(parts) => {
+                    n[2] += parts.len();
+                    parts.iter().for_each(|p| expr(p, n));
+                }
+            }
+        }
+        fn stmt(s: &Stmt, n: &mut [usize; 3]) {
+            n[1] += 1;
+            match s {
+                Stmt::NonBlocking { lhs, rhs } => {
+                    if let LValue::MemElem { addr, .. } = lhs {
+                        expr(addr, n);
+                    }
+                    expr(rhs, n);
+                }
+                Stmt::If { cond, then, els } => {
+                    expr(cond, n);
+                    n[2] += then.len() + els.len();
+                    then.iter().chain(els).for_each(|t| stmt(t, n));
+                }
+                Stmt::Assert { guard, cond, .. } => {
+                    expr(guard, n);
+                    expr(cond, n);
+                }
+            }
+        }
+        let mut n = [0usize; 3];
+        flat.assigns.iter().for_each(|a| expr(&a.rhs, &mut n));
+        let always = flat.always.iter().flat_map(|b| &b.stmts);
+        always.clone().for_each(|s| stmt(s, &mut n));
+        Program {
+            exprs: Vec::with_capacity(n[0]),
+            stmts: Vec::with_capacity(n[1]),
+            lists: Vec::with_capacity(n[2]),
+            assigns: Vec::with_capacity(flat.assigns.len()),
+            always: Vec::with_capacity(always.count()),
+            ..Program::default()
+        }
+    }
+
+    fn expr_node(&self, e: ExprId) -> CExpr {
+        self.exprs[e as usize]
+    }
+
+    fn list(&self, s: Span) -> &[u32] {
+        &self.lists[s.start as usize..(s.start + s.len) as usize]
+    }
+
+    fn width(&self, e: ExprId) -> u32 {
+        match self.expr_node(e) {
             CExpr::Const { width, .. }
             | CExpr::Net { width, .. }
             | CExpr::MemRead { width, .. }
             | CExpr::Unary { width, .. }
             | CExpr::Binary { width, .. }
             | CExpr::Ternary { width, .. }
-            | CExpr::Concat { width, .. } => *width,
+            | CExpr::Concat { width, .. } => width,
             CExpr::Slice { hi, lo, .. } => hi - lo + 1,
-            CExpr::SignExtend { to, .. } => *to,
+            CExpr::SignExtend { to, .. } => to,
         }
     }
-}
 
-#[derive(Clone, Debug)]
-enum CStmt {
-    AssignNet {
-        net: usize,
-        rhs: CExpr,
-    },
-    AssignMem {
-        mem: usize,
-        addr: CExpr,
-        rhs: CExpr,
-    },
-    If {
-        cond: CExpr,
-        then: Vec<CStmt>,
-        els: Vec<CStmt>,
-    },
-    Assert {
-        guard: CExpr,
-        cond: CExpr,
-        message: String,
-    },
+    /// Reserve `len` list entries and fill them with `child(k)`: children
+    /// compile after the reservation, so nested lists never interleave.
+    fn push_list<T>(
+        &mut self,
+        items: &[T],
+        mut child: impl FnMut(&mut Program, &T) -> Result<u32, BuildError>,
+    ) -> Result<Span, BuildError> {
+        let start = self.lists.len();
+        self.lists.resize(start + items.len(), 0);
+        for (k, item) in items.iter().enumerate() {
+            self.lists[start + k] = child(self, item)?;
+        }
+        Ok(Span {
+            start: start as u32,
+            len: items.len() as u32,
+        })
+    }
+
+    fn expr(&mut self, sim: &Simulator, e: &Expr) -> Result<ExprId, BuildError> {
+        let node = match e {
+            Expr::Const { value, width } => CExpr::Const {
+                value: *value,
+                width: *width,
+            },
+            Expr::Ref(n) => {
+                let index = sim.net(n)?;
+                CExpr::Net {
+                    index: index as u32,
+                    width: sim.net_width[index],
+                }
+            }
+            Expr::MemRead { mem, addr } => {
+                let m = sim.mem(mem)?;
+                CExpr::MemRead {
+                    mem: m as u32,
+                    addr: self.expr(sim, addr)?,
+                    width: sim.mem_width[m],
+                }
+            }
+            Expr::Slice { base, hi, lo } => CExpr::Slice {
+                base: self.expr(sim, base)?,
+                hi: *hi,
+                lo: *lo,
+            },
+            Expr::Unary { op, arg } => {
+                let arg = self.expr(sim, arg)?;
+                let width = match op {
+                    UnOp::Not => self.width(arg),
+                    UnOp::LNot | UnOp::RedOr => 1,
+                };
+                CExpr::Unary {
+                    op: *op,
+                    arg,
+                    width,
+                }
+            }
+            Expr::Binary { op, lhs, rhs } => {
+                let lhs = self.expr(sim, lhs)?;
+                let rhs = self.expr(sim, rhs)?;
+                let (lw, rw) = (self.width(lhs), self.width(rhs));
+                let width = if op.is_comparison() {
+                    1
+                } else if *op == BinOp::Mul {
+                    (lw + rw).min(64)
+                } else {
+                    lw.max(rw)
+                };
+                CExpr::Binary {
+                    op: *op,
+                    lhs,
+                    rhs,
+                    width,
+                }
+            }
+            Expr::Ternary { cond, then, els } => {
+                let then = self.expr(sim, then)?;
+                let els = self.expr(sim, els)?;
+                let width = self.width(then).max(self.width(els));
+                CExpr::Ternary {
+                    cond: self.expr(sim, cond)?,
+                    then,
+                    els,
+                    width,
+                }
+            }
+            Expr::Concat(parts) => {
+                let parts = self.push_list(parts, |p, e| p.expr(sim, e))?;
+                let width = self.list(parts).iter().map(|&p| self.width(p)).sum::<u32>();
+                CExpr::Concat {
+                    parts,
+                    width: width.min(64),
+                }
+            }
+            Expr::SignExtend { arg, from, to } => CExpr::SignExtend {
+                arg: self.expr(sim, arg)?,
+                from: *from,
+                to: *to,
+            },
+        };
+        self.exprs.push(node);
+        Ok(self.exprs.len() as ExprId - 1)
+    }
+
+    fn stmt(&mut self, sim: &Simulator, s: &Stmt) -> Result<StmtId, BuildError> {
+        let node = match s {
+            Stmt::NonBlocking { lhs, rhs } => match lhs {
+                LValue::Net(n) => CStmt::AssignNet {
+                    net: sim.net(n)? as u32,
+                    rhs: self.expr(sim, rhs)?,
+                },
+                LValue::MemElem { mem, addr } => CStmt::AssignMem {
+                    mem: sim.mem(mem)? as u32,
+                    addr: self.expr(sim, addr)?,
+                    rhs: self.expr(sim, rhs)?,
+                },
+            },
+            Stmt::If { cond, then, els } => CStmt::If {
+                cond: self.expr(sim, cond)?,
+                then: self.push_list(then, |p, t| p.stmt(sim, t))?,
+                els: self.push_list(els, |p, t| p.stmt(sim, t))?,
+            },
+            Stmt::Assert {
+                guard,
+                cond,
+                message,
+            } => {
+                let guard = self.expr(sim, guard)?;
+                let cond = self.expr(sim, cond)?;
+                self.msgs.push(message.clone());
+                CStmt::Assert {
+                    guard,
+                    cond,
+                    msg: self.msgs.len() as u32 - 1,
+                }
+            }
+        };
+        self.stmts.push(node);
+        Ok(self.stmts.len() as StmtId - 1)
+    }
+
+    /// Visit every node of the expression rooted at `e`.
+    fn walk(&self, e: ExprId, f: &mut impl FnMut(CExpr)) {
+        let node = self.expr_node(e);
+        f(node);
+        match node {
+            CExpr::Const { .. } | CExpr::Net { .. } => {}
+            CExpr::MemRead { addr: a, .. }
+            | CExpr::Slice { base: a, .. }
+            | CExpr::Unary { arg: a, .. }
+            | CExpr::SignExtend { arg: a, .. } => self.walk(a, f),
+            CExpr::Binary { lhs, rhs, .. } => {
+                self.walk(lhs, f);
+                self.walk(rhs, f);
+            }
+            CExpr::Ternary {
+                cond, then, els, ..
+            } => {
+                self.walk(cond, f);
+                self.walk(then, f);
+                self.walk(els, f);
+            }
+            CExpr::Concat { parts, .. } => {
+                for &p in self.list(parts) {
+                    self.walk(p, f);
+                }
+            }
+        }
+    }
+
+    /// Push the nets and memories `e` reads (with repeats).
+    fn expr_reads(&self, e: ExprId, nets: &mut Vec<u32>, mems: &mut Vec<u32>) {
+        self.walk(e, &mut |node| match node {
+            CExpr::Net { index, .. } => nets.push(index),
+            CExpr::MemRead { mem, .. } => mems.push(mem),
+            _ => {}
+        });
+    }
+
+    /// Push what statement `s` reads and writes (with repeats) onto
+    /// `[net reads, net writes, memory reads, memory writes]`.
+    fn stmt_effects(&self, s: StmtId, fx: &mut [Vec<u32>; 4]) {
+        let [reads, writes, mreads, mwrites] = fx;
+        match self.stmts[s as usize] {
+            CStmt::AssignNet { net, rhs } => {
+                writes.push(net);
+                self.expr_reads(rhs, reads, mreads);
+            }
+            CStmt::AssignMem { mem, addr, rhs } => {
+                mwrites.push(mem);
+                self.expr_reads(addr, reads, mreads);
+                self.expr_reads(rhs, reads, mreads);
+            }
+            CStmt::If { cond, then, els } => {
+                self.expr_reads(cond, reads, mreads);
+                for &t in self.list(then).iter().chain(self.list(els)) {
+                    self.stmt_effects(t, fx);
+                }
+            }
+            CStmt::Assert { guard, cond, .. } => {
+                self.expr_reads(guard, reads, mreads);
+                self.expr_reads(cond, reads, mreads);
+            }
+        }
+    }
 }
 
 /// Which execution engine drives `settle`/`step`.
@@ -358,6 +668,52 @@ impl std::hash::Hasher for FxHasher {
 
 type FxHashMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
 
+/// Name -> position in a name list: an open-addressed table (linear
+/// probing, at most half full) of positions into the list, which alone
+/// stores the names. A later duplicate name shadows an earlier one.
+struct NameIndex {
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: slots are picked by the hash's top bits.
+    shift: u32,
+}
+
+impl NameIndex {
+    fn new(names: &[String]) -> NameIndex {
+        let len = (names.len() * 2).next_power_of_two().max(2);
+        let mut index = NameIndex {
+            slots: vec![u32::MAX; len],
+            shift: 64 - len.trailing_zeros(),
+        };
+        for (i, name) in names.iter().enumerate() {
+            let slot = index.slot(names, name);
+            index.slots[slot] = i as u32;
+        }
+        index
+    }
+
+    /// The slot holding `name`, or the empty slot where it would go.
+    fn slot(&self, names: &[String], name: &str) -> usize {
+        use std::hash::Hasher as _;
+        let mut h = FxHasher::default();
+        h.write(name.as_bytes());
+        let mut slot = (h.finish() >> self.shift) as usize;
+        loop {
+            match self.slots[slot] {
+                u32::MAX => return slot,
+                i if names[i as usize] == name => return slot,
+                _ => slot = (slot + 1) & (self.slots.len() - 1),
+            }
+        }
+    }
+
+    fn get(&self, names: &[String], name: &str) -> Option<usize> {
+        match self.slots[self.slot(names, name)] {
+            u32::MAX => None,
+            i => Some(i as usize),
+        }
+    }
+}
+
 /// Lowers compiled expression trees into [`Insn`] tapes. One builder is
 /// shared by the settle and step tapes so they share the register file and
 /// constant pool.
@@ -368,7 +724,6 @@ struct TapeBuilder {
     /// Masked constant value -> preloaded register.
     consts: FxHashMap<u64, u32>,
     const_init: Vec<(u32, u64)>,
-    msgs: Vec<String>,
 }
 
 impl TapeBuilder {
@@ -390,47 +745,44 @@ impl TapeBuilder {
     }
 
     /// Lower `e`, returning the register holding its (masked) value.
-    fn expr(&mut self, e: &CExpr) -> u32 {
-        match e {
-            CExpr::Const { value, width } => self.konst(value & mask(*width)),
+    fn expr(&mut self, p: &Program, e: ExprId) -> u32 {
+        match p.expr_node(e) {
+            CExpr::Const { value, width } => self.konst(value & mask(width)),
             CExpr::Net { index, .. } => {
                 let dst = self.reg();
-                self.insns.push(Insn::LoadNet {
-                    dst,
-                    net: *index as u32,
-                });
+                self.insns.push(Insn::LoadNet { dst, net: index });
                 dst
             }
             CExpr::MemRead { mem, addr, width } => {
-                let addr = self.expr(addr);
+                let addr = self.expr(p, addr);
                 let dst = self.reg();
                 self.insns.push(Insn::MemRead {
                     dst,
-                    mem: *mem as u32,
+                    mem,
                     addr,
-                    m: mask(*width),
+                    m: mask(width),
                 });
                 dst
             }
             CExpr::Slice { base, hi, lo } => {
-                let src = self.expr(base);
+                let src = self.expr(p, base);
                 let dst = self.reg();
                 self.insns.push(Insn::Slice {
                     dst,
                     src,
-                    lo: *lo,
+                    lo,
                     m: mask(hi - lo + 1),
                 });
                 dst
             }
             CExpr::Unary { op, arg, width } => {
-                let src = self.expr(arg);
+                let src = self.expr(p, arg);
                 let dst = self.reg();
                 self.insns.push(match op {
                     UnOp::Not => Insn::Not {
                         dst,
                         src,
-                        m: mask(*width),
+                        m: mask(width),
                     },
                     UnOp::LNot => Insn::LNot { dst, src },
                     UnOp::RedOr => Insn::RedOr { dst, src },
@@ -443,18 +795,18 @@ impl TapeBuilder {
                 rhs,
                 width,
             } => {
-                let (aw, bw) = (lhs.width(), rhs.width());
-                let a = self.expr(lhs);
-                let b = self.expr(rhs);
+                let (aw, bw) = (p.width(lhs), p.width(rhs));
+                let a = self.expr(p, lhs);
+                let b = self.expr(p, rhs);
                 let dst = self.reg();
                 self.insns.push(Insn::Binary {
-                    op: *op,
+                    op,
                     dst,
                     a,
                     b,
                     aw,
                     bw,
-                    m: mask(*width),
+                    m: mask(width),
                 });
                 dst
             }
@@ -464,27 +816,27 @@ impl TapeBuilder {
                 els,
                 width,
             } => {
-                let cond = self.expr(cond);
-                let then = self.expr(then);
-                let els = self.expr(els);
+                let cond = self.expr(p, cond);
+                let then = self.expr(p, then);
+                let els = self.expr(p, els);
                 let dst = self.reg();
                 self.insns.push(Insn::Select {
                     dst,
                     cond,
                     then,
                     els,
-                    m: mask(*width),
+                    m: mask(width),
                 });
                 dst
             }
             CExpr::Concat { parts, width } => {
                 let dst = self.reg();
-                if parts.is_empty() {
+                if parts.len == 0 {
                     return self.konst(0);
                 }
-                for (i, p) in parts.iter().enumerate() {
-                    let w = p.width().min(63);
-                    let src = self.expr(p);
+                for (i, &part) in p.list(parts).iter().enumerate() {
+                    let w = p.width(part).min(63);
+                    let src = self.expr(p, part);
                     if i == 0 {
                         self.insns.push(Insn::ConcatFirst {
                             dst,
@@ -502,54 +854,47 @@ impl TapeBuilder {
                 }
                 self.insns.push(Insn::MaskReg {
                     dst,
-                    m: mask(*width),
+                    m: mask(width),
                 });
                 dst
             }
             CExpr::SignExtend { arg, from, to } => {
-                let src = self.expr(arg);
+                let src = self.expr(p, arg);
                 let dst = self.reg();
                 self.insns.push(Insn::SignExtend {
                     dst,
                     src,
-                    from: *from,
-                    fm: mask(*from),
-                    m: mask(*to),
+                    from,
+                    fm: mask(from),
+                    m: mask(to),
                 });
                 dst
             }
         }
     }
 
-    fn stmt(&mut self, s: &CStmt) {
-        match s {
+    fn stmt(&mut self, p: &Program, s: StmtId) {
+        match p.stmts[s as usize] {
             CStmt::AssignNet { net, rhs } => {
-                let src = self.expr(rhs);
-                self.insns.push(Insn::EmitNet {
-                    net: *net as u32,
-                    src,
-                });
+                let src = self.expr(p, rhs);
+                self.insns.push(Insn::EmitNet { net, src });
             }
             CStmt::AssignMem { mem, addr, rhs } => {
-                let addr = self.expr(addr);
-                let src = self.expr(rhs);
-                self.insns.push(Insn::EmitMem {
-                    mem: *mem as u32,
-                    addr,
-                    src,
-                });
+                let addr = self.expr(p, addr);
+                let src = self.expr(p, rhs);
+                self.insns.push(Insn::EmitMem { mem, addr, src });
             }
             CStmt::If { cond, then, els } => {
-                let cond = self.expr(cond);
+                let cond = self.expr(p, cond);
                 let to_else = self.insns.len();
                 self.insns.push(Insn::JumpIfZero {
                     src: cond,
                     target: 0, // patched below
                 });
-                for t in then {
-                    self.stmt(t);
+                for &t in p.list(then) {
+                    self.stmt(p, t);
                 }
-                if els.is_empty() {
+                if els.len == 0 {
                     let end = self.insns.len() as u32;
                     self.patch_jump(to_else, end);
                 } else {
@@ -557,22 +902,16 @@ impl TapeBuilder {
                     self.insns.push(Insn::Jump { target: 0 });
                     let else_start = self.insns.len() as u32;
                     self.patch_jump(to_else, else_start);
-                    for t in els {
-                        self.stmt(t);
+                    for &t in p.list(els) {
+                        self.stmt(p, t);
                     }
                     let end = self.insns.len() as u32;
                     self.patch_jump(to_end, end);
                 }
             }
-            CStmt::Assert {
-                guard,
-                cond,
-                message,
-            } => {
-                let guard = self.expr(guard);
-                let cond = self.expr(cond);
-                let msg = self.msgs.len() as u32;
-                self.msgs.push(message.clone());
+            CStmt::Assert { guard, cond, msg } => {
+                let guard = self.expr(p, guard);
+                let cond = self.expr(p, cond);
                 self.insns.push(Insn::Assert { guard, cond, msg });
             }
         }
@@ -853,7 +1192,7 @@ impl Simulator {
             settle_tape: &self.settle_tape,
             step_tape: &self.step_tape,
             regs: &self.regs,
-            msgs: &self.msgs,
+            msgs: &self.prog.msgs,
         }
     }
 }
@@ -862,9 +1201,9 @@ impl Simulator {
     /// (assigns, settle-tape insns, always stmts, step-tape insns, regs).
     pub fn tape_stats(&self) -> (usize, usize, usize, usize, usize) {
         (
-            self.assigns.len(),
+            self.prog.assigns.len(),
             self.settle_tape.len(),
-            self.always.len(),
+            self.prog.always.len(),
             self.step_tape.len(),
             self.regs.len(),
         )
@@ -900,32 +1239,26 @@ struct Vcd {
 /// The simulator. See module docs.
 pub struct Simulator {
     net_names: Vec<String>,
-    net_index: FxHashMap<String, usize>,
+    net_index: NameIndex,
     net_width: Vec<u32>,
     values: Vec<u64>,
     mem_names: Vec<String>,
-    mem_index: FxHashMap<String, usize>,
+    mem_index: NameIndex,
     mem_width: Vec<u32>,
     memories: Vec<Vec<u64>>,
-    /// Continuous assigns in topological order: (net, expr).
-    assigns: Vec<(usize, CExpr)>,
-    always: Vec<CStmt>,
-    /// Bytecode lowering of `assigns` (StoreNet per assign, in topo order).
+    prog: Program,
+    /// Bytecode lowering of `prog.assigns` (StoreNet per assign, in topo
+    /// order).
     settle_tape: Vec<Insn>,
-    /// Bytecode lowering of `always` (EmitNet/EmitMem/Assert + jumps).
+    /// Bytecode lowering of `prog.always` (EmitNet/EmitMem/Assert + jumps).
     step_tape: Vec<Insn>,
     /// Register file shared by both tapes; constants preloaded at build.
     /// Dense: every register is named by some tape instruction.
     regs: Vec<u64>,
-    /// Assertion messages referenced by `Insn::Assert`.
-    msgs: Vec<String>,
     /// Reusable non-blocking update buffers (allocation-free stepping).
     pending_nets: Vec<(u32, u64)>,
     pending_mems: Vec<(u32, u64, u64)>,
     engine: Engine,
-    /// Memory read ports appearing in the assign network: each is sampled
-    /// once per settled cycle (reported as `sim.mem_read_events`).
-    mem_read_ports: u64,
     cycle: u64,
     /// Watchdog: total cycles the simulation may run before `step` refuses
     /// with a clean error instead of looping forever on a hung design.
@@ -961,8 +1294,8 @@ pub struct Simulator {
     batch_lanes: usize,
 }
 
-/// Lists the compiled program: net and memory tables, the compiled assigns
-/// and statements, both tapes with their chain starts, the register file
+/// Lists the compiled program: net and memory tables, the expression and
+/// statement arena with the assign order, reads and messages, both tapes with their chain starts, the register file
 /// and the assertion messages. Two simulators built from equivalent
 /// modules print identically until they run.
 impl fmt::Debug for Simulator {
@@ -975,14 +1308,12 @@ impl fmt::Debug for Simulator {
             .field("mem_names", &self.mem_names)
             .field("mem_width", &self.mem_width)
             .field("mem_depths", &mem_depths)
-            .field("assigns", &self.assigns)
-            .field("always", &self.always)
+            .field("program", &self.prog)
             .field("settle_tape", &self.settle_tape)
             .field("settle_chain_starts", &self.settle_chain_starts)
             .field("step_tape", &self.step_tape)
             .field("step_chain_starts", &self.step_chain_starts)
             .field("regs", &self.regs)
-            .field("msgs", &self.msgs)
             .finish_non_exhaustive()
     }
 }
@@ -1002,25 +1333,24 @@ impl Simulator {
 
     /// Build from an already-flat module (no instances).
     pub fn from_flat(flat: &VModule) -> Result<Self, BuildError> {
+        let n_nets = flat.ports.len() + flat.nets.len();
+        let n_mems = flat.memories.len();
         let mut sim = Simulator {
-            net_names: Vec::new(),
-            net_index: FxHashMap::default(),
-            net_width: Vec::new(),
-            values: Vec::new(),
-            mem_names: Vec::new(),
-            mem_index: FxHashMap::default(),
-            mem_width: Vec::new(),
-            memories: Vec::new(),
-            assigns: Vec::new(),
-            always: Vec::new(),
+            net_names: Vec::with_capacity(n_nets),
+            net_index: NameIndex::new(&[]),
+            net_width: Vec::with_capacity(n_nets),
+            values: Vec::with_capacity(n_nets),
+            mem_names: Vec::with_capacity(n_mems),
+            mem_index: NameIndex::new(&[]),
+            mem_width: Vec::with_capacity(n_mems),
+            memories: Vec::with_capacity(n_mems),
+            prog: Program::default(),
             settle_tape: Vec::new(),
             step_tape: Vec::new(),
             regs: Vec::new(),
-            msgs: Vec::new(),
             pending_nets: Vec::new(),
             pending_mems: Vec::new(),
             engine: Engine::default(),
-            mem_read_ports: 0,
             cycle: 0,
             cycle_budget: None,
             dirty: true,
@@ -1041,42 +1371,57 @@ impl Simulator {
             sim.add_net(&n.name, n.width, n.init.unwrap_or(0));
         }
         for m in &flat.memories {
-            sim.mem_index.insert(m.name.clone(), sim.memories.len());
             sim.mem_names.push(m.name.clone());
             sim.mem_width.push(m.width);
             sim.memories.push(vec![0; m.depth as usize]);
         }
+        sim.net_index = NameIndex::new(&sim.net_names);
+        sim.mem_index = NameIndex::new(&sim.mem_names);
 
-        // Compile assigns and order them topologically.
-        let mut compiled: Vec<(usize, CExpr, Vec<usize>)> = Vec::new();
+        // Compile assigns, collect what each reads, and order them
+        // topologically.
+        let mut prog = Program::sized_for(flat);
+        let n_assigns = flat.assigns.len();
+        let mut targets = Vec::with_capacity(n_assigns);
+        let mut roots = Vec::with_capacity(n_assigns);
+        let (mut reads, mut mem_reads) = (Csr::with_rows(n_assigns), Csr::with_rows(n_assigns));
+        let (mut nets, mut mems) = (Vec::new(), Vec::new());
         for a in &flat.assigns {
-            let net = sim.net(&a.lhs)?;
-            let rhs = sim.compile(&a.rhs)?;
-            let mut deps = Vec::new();
-            collect_deps(&rhs, &mut deps);
-            compiled.push((net, rhs, deps));
+            targets.push(sim.net(&a.lhs)? as u32);
+            let root = prog.expr(&sim, &a.rhs)?;
+            roots.push(root);
+            prog.expr_reads(root, &mut nets, &mut mems);
+            prog.mem_read_ports += mems.len() as u64;
+            reads.push_set(&mut nets);
+            mem_reads.push_set(&mut mems);
         }
-        sim.assigns = topo_sort(&sim.net_names, compiled)?;
-        sim.mem_read_ports = sim.assigns.iter().map(|(_, e)| count_mem_reads(e)).sum();
+        let order = topo_sort(&sim.net_names, &targets, &reads)?;
+        prog.assigns.extend(
+            order
+                .iter()
+                .map(|&i| (targets[i as usize], roots[i as usize])),
+        );
+        prog.reads = reads.permuted(&order);
+        prog.mem_reads = mem_reads.permuted(&order);
 
         for blk in &flat.always {
             for s in &blk.stmts {
-                let c = sim.compile_stmt(s)?;
-                sim.always.push(c);
+                let c = prog.stmt(&sim, s)?;
+                prog.always.push(c);
             }
         }
 
         // Lower both phases to bytecode. The tapes share one register file
         // and constant pool.
         let mut tb = TapeBuilder::default();
-        let mut settle_starts: Vec<u32> = Vec::with_capacity(sim.assigns.len());
-        for (net, expr) in &sim.assigns {
+        let mut settle_starts: Vec<u32> = Vec::with_capacity(prog.assigns.len());
+        for &(net, expr) in &prog.assigns {
             settle_starts.push(tb.insns.len() as u32);
-            let src = tb.expr(expr);
+            let src = tb.expr(&prog, expr);
             tb.insns.push(Insn::StoreNet {
-                net: *net as u32,
+                net,
                 src,
-                m: mask(sim.net_width[*net]),
+                m: mask(sim.net_width[net as usize]),
             });
         }
         let settle = tb.take_tape();
@@ -1086,10 +1431,10 @@ impl Simulator {
             .iter()
             .map(|&s| settle_map[s as usize])
             .collect();
-        let mut step_starts: Vec<u32> = Vec::with_capacity(sim.always.len());
-        for s in &sim.always {
+        let mut step_starts: Vec<u32> = Vec::with_capacity(prog.always.len());
+        for &s in &prog.always {
             step_starts.push(tb.insns.len() as u32);
-            tb.stmt(s);
+            tb.stmt(&prog, s);
         }
         let step = tb.take_tape();
         let (step_tape, step_map) = cse_tape(step, &tb.const_init, tb.next_reg);
@@ -1117,7 +1462,7 @@ impl Simulator {
                 sim.regs[nr as usize] = v;
             }
         }
-        sim.msgs = tb.msgs;
+        sim.prog = prog;
         Ok(sim)
     }
 
@@ -1194,8 +1539,6 @@ impl Simulator {
     }
 
     fn add_net(&mut self, name: &str, width: u32, init: u64) {
-        let idx = self.values.len();
-        self.net_index.insert(name.to_string(), idx);
         self.net_names.push(name.to_string());
         self.net_width.push(width.max(1));
         self.values.push(init & mask(width.max(1)));
@@ -1203,133 +1546,14 @@ impl Simulator {
 
     fn net(&self, name: &str) -> Result<usize, BuildError> {
         self.net_index
-            .get(name)
-            .copied()
+            .get(&self.net_names, name)
             .ok_or_else(|| BuildError::UnknownNet(name.to_string()))
     }
 
-    fn compile(&self, e: &Expr) -> Result<CExpr, BuildError> {
-        Ok(match e {
-            Expr::Const { value, width } => CExpr::Const {
-                value: *value,
-                width: *width,
-            },
-            Expr::Ref(n) => {
-                let index = self.net(n)?;
-                CExpr::Net {
-                    index,
-                    width: self.net_width[index],
-                }
-            }
-            Expr::MemRead { mem, addr } => {
-                let m = *self
-                    .mem_index
-                    .get(mem)
-                    .ok_or_else(|| BuildError::UnknownNet(mem.clone()))?;
-                CExpr::MemRead {
-                    mem: m,
-                    addr: Box::new(self.compile(addr)?),
-                    width: self.mem_width[m],
-                }
-            }
-            Expr::Slice { base, hi, lo } => CExpr::Slice {
-                base: Box::new(self.compile(base)?),
-                hi: *hi,
-                lo: *lo,
-            },
-            Expr::Unary { op, arg } => {
-                let arg = self.compile(arg)?;
-                let width = match op {
-                    UnOp::Not => arg.width(),
-                    UnOp::LNot | UnOp::RedOr => 1,
-                };
-                CExpr::Unary {
-                    op: *op,
-                    arg: Box::new(arg),
-                    width,
-                }
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let lhs = self.compile(lhs)?;
-                let rhs = self.compile(rhs)?;
-                let width = if op.is_comparison() {
-                    1
-                } else if *op == BinOp::Mul {
-                    (lhs.width() + rhs.width()).min(64)
-                } else {
-                    lhs.width().max(rhs.width())
-                };
-                CExpr::Binary {
-                    op: *op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                    width,
-                }
-            }
-            Expr::Ternary { cond, then, els } => {
-                let then = self.compile(then)?;
-                let els = self.compile(els)?;
-                let width = then.width().max(els.width());
-                CExpr::Ternary {
-                    cond: Box::new(self.compile(cond)?),
-                    then: Box::new(then),
-                    els: Box::new(els),
-                    width,
-                }
-            }
-            Expr::Concat(parts) => {
-                let parts: Vec<CExpr> = parts
-                    .iter()
-                    .map(|p| self.compile(p))
-                    .collect::<Result<_, _>>()?;
-                let width = parts.iter().map(CExpr::width).sum::<u32>().min(64);
-                CExpr::Concat { parts, width }
-            }
-            Expr::SignExtend { arg, from, to } => CExpr::SignExtend {
-                arg: Box::new(self.compile(arg)?),
-                from: *from,
-                to: *to,
-            },
-        })
-    }
-
-    fn compile_stmt(&self, s: &Stmt) -> Result<CStmt, BuildError> {
-        Ok(match s {
-            Stmt::NonBlocking { lhs, rhs } => match lhs {
-                LValue::Net(n) => CStmt::AssignNet {
-                    net: self.net(n)?,
-                    rhs: self.compile(rhs)?,
-                },
-                LValue::MemElem { mem, addr } => CStmt::AssignMem {
-                    mem: *self
-                        .mem_index
-                        .get(mem)
-                        .ok_or_else(|| BuildError::UnknownNet(mem.clone()))?,
-                    addr: self.compile(addr)?,
-                    rhs: self.compile(rhs)?,
-                },
-            },
-            Stmt::If { cond, then, els } => CStmt::If {
-                cond: self.compile(cond)?,
-                then: then
-                    .iter()
-                    .map(|t| self.compile_stmt(t))
-                    .collect::<Result<_, _>>()?,
-                els: els
-                    .iter()
-                    .map(|t| self.compile_stmt(t))
-                    .collect::<Result<_, _>>()?,
-            },
-            Stmt::Assert {
-                guard,
-                cond,
-                message,
-            } => CStmt::Assert {
-                guard: self.compile(guard)?,
-                cond: self.compile(cond)?,
-                message: message.clone(),
-            },
-        })
+    fn mem(&self, name: &str) -> Result<usize, BuildError> {
+        self.mem_index
+            .get(&self.mem_names, name)
+            .ok_or_else(|| BuildError::UnknownNet(name.to_string()))
     }
 
     // ------------------------------------------------------------------ API
@@ -1340,7 +1564,7 @@ impl Simulator {
     /// # Panics
     /// Panics on an unknown net name.
     pub fn set(&mut self, name: &str, value: u64) {
-        let idx = self.net_index[name];
+        let idx = self.net_id(name).expect("unknown net");
         self.set_id(idx, value);
     }
 
@@ -1349,15 +1573,15 @@ impl Simulator {
     /// # Panics
     /// Panics on an unknown net name.
     pub fn get(&mut self, name: &str) -> u64 {
-        self.settle_if_dirty();
-        self.values[self.net_index[name]]
+        let idx = self.net_id(name).expect("unknown net");
+        self.get_id(idx)
     }
 
     /// Read a net as a sign-extended integer.
     pub fn get_signed(&mut self, name: &str) -> i64 {
-        let idx = self.net_index[name];
+        let idx = self.net_id(name).expect("unknown net");
         let w = self.net_width[idx];
-        let v = self.get(name);
+        let v = self.get_id(idx);
         sign_extend(v, w) as i64
     }
 
@@ -1366,7 +1590,7 @@ impl Simulator {
     /// # Panics
     /// Panics on unknown memory or out-of-range address.
     pub fn write_mem(&mut self, name: &str, addr: u64, value: u64) {
-        let m = self.mem_index[name];
+        let m = self.mem(name).expect("unknown memory");
         let v = value & mask(self.mem_width[m]);
         if let Some(b) = self.batch.as_deref_mut() {
             let l = b.lanes;
@@ -1392,28 +1616,12 @@ impl Simulator {
         }
     }
 
-    /// Read one lane's copy of a memory word ([`Engine::Batched`] only).
-    ///
-    /// # Panics
-    /// Panics on unknown memory, out-of-range address or lane, or when the
-    /// batched engine is not active.
-    pub fn read_mem_lane(&self, name: &str, lane: usize, addr: u64) -> u64 {
-        let m = self.mem_index[name];
-        let b = self.batch.as_deref().expect("batched engine not active");
-        assert!(
-            lane < b.lanes,
-            "lane {lane} out of range (lanes = {})",
-            b.lanes
-        );
-        b.mems[m][addr as usize * b.lanes + lane]
-    }
-
     /// Read a memory word.
     ///
     /// # Panics
     /// Panics on unknown memory or out-of-range address.
     pub fn read_mem(&self, name: &str, addr: u64) -> u64 {
-        self.memories[self.mem_index[name]][addr as usize]
+        self.memories[self.mem(name).expect("unknown memory")][addr as usize]
     }
 
     /// Current cycle count.
@@ -1497,7 +1705,7 @@ impl Simulator {
             regs: &mut self.regs,
             values: &mut self.values,
             memories: &self.memories,
-            msgs: &self.msgs,
+            msgs: &self.prog.msgs,
             pend_nets: &mut self.pending_nets,
             pend_mems: &mut self.pending_mems,
             failure: &mut failure,
@@ -1516,9 +1724,9 @@ impl Simulator {
                     let n = t.shadow_count(tape, st.values, st.memories, st.msgs);
                     t.settle += n;
                 }
-                for (net, expr) in &self.assigns {
-                    let v = eval(expr, st.values, st.memories);
-                    st.values[*net] = v & mask(self.net_width[*net]);
+                for &(net, expr) in &self.prog.assigns {
+                    let v = eval(&self.prog, expr, st.values, st.memories);
+                    st.values[net as usize] = v & mask(self.net_width[net as usize]);
                 }
             }
             Engine::Event => {
@@ -1620,7 +1828,7 @@ impl Simulator {
             regs: &mut self.regs,
             values: &mut self.values,
             memories: &self.memories,
-            msgs: &self.msgs,
+            msgs: &self.prog.msgs,
             pend_nets: &mut net_updates,
             pend_mems: &mut mem_updates,
             failure: &mut failure,
@@ -1639,7 +1847,7 @@ impl Simulator {
                     let n = t.shadow_count(tape, st.values, st.memories, st.msgs);
                     t.step += n;
                 }
-                for s in &self.always {
+                for &s in &self.prog.always {
                     self.exec(s, &mut net_updates, &mut mem_updates, &mut failure);
                 }
             }
@@ -1702,7 +1910,7 @@ impl Simulator {
             });
         }
         obs::counter_add("sim", "cycles", 1);
-        obs::counter_add("sim", "mem_read_events", self.mem_read_ports);
+        obs::counter_add("sim", "mem_read_events", self.prog.mem_read_ports);
         if self.engine == Engine::Batched {
             self.commit_rows();
         } else {
@@ -2054,40 +2262,25 @@ impl Simulator {
 
     fn exec(
         &self,
-        stmt: &CStmt,
+        stmt: StmtId,
         net_updates: &mut Vec<(u32, u64)>,
         mem_updates: &mut Vec<(u32, u64, u64)>,
         failure: &mut Option<String>,
     ) {
-        match stmt {
-            CStmt::AssignNet { net, rhs } => {
-                net_updates.push((*net as u32, eval(rhs, &self.values, &self.memories)));
-            }
-            CStmt::AssignMem { mem, addr, rhs } => {
-                let a = eval(addr, &self.values, &self.memories);
-                let v = eval(rhs, &self.values, &self.memories);
-                mem_updates.push((*mem as u32, a, v));
-            }
+        let p = &self.prog;
+        let eval = |e: ExprId| eval(p, e, &self.values, &self.memories);
+        match p.stmts[stmt as usize] {
+            CStmt::AssignNet { net, rhs } => net_updates.push((net, eval(rhs))),
+            CStmt::AssignMem { mem, addr, rhs } => mem_updates.push((mem, eval(addr), eval(rhs))),
             CStmt::If { cond, then, els } => {
-                let branch = if eval(cond, &self.values, &self.memories) != 0 {
-                    then
-                } else {
-                    els
-                };
-                for s in branch {
+                let branch = if eval(cond) != 0 { then } else { els };
+                for &s in p.list(branch) {
                     self.exec(s, net_updates, mem_updates, failure);
                 }
             }
-            CStmt::Assert {
-                guard,
-                cond,
-                message,
-            } => {
-                if failure.is_none()
-                    && eval(guard, &self.values, &self.memories) != 0
-                    && eval(cond, &self.values, &self.memories) == 0
-                {
-                    *failure = Some(message.clone());
+            CStmt::Assert { guard, cond, msg } => {
+                if failure.is_none() && eval(guard) != 0 && eval(cond) == 0 {
+                    *failure = Some(p.msgs[msg as usize].clone());
                 }
             }
         }
@@ -2127,26 +2320,26 @@ fn sign_extend(v: u64, width: u32) -> i128 {
     }
 }
 
-fn eval(e: &CExpr, values: &[u64], memories: &[Vec<u64>]) -> u64 {
-    match e {
-        CExpr::Const { value, width } => value & mask(*width),
-        CExpr::Net { index, .. } => values[*index],
+fn eval(p: &Program, e: ExprId, values: &[u64], memories: &[Vec<u64>]) -> u64 {
+    match p.expr_node(e) {
+        CExpr::Const { value, width } => value & mask(width),
+        CExpr::Net { index, .. } => values[index as usize],
         CExpr::MemRead { mem, addr, width } => {
-            let a = eval(addr, values, memories) as usize;
-            memories[*mem].get(a).copied().unwrap_or(0) & mask(*width)
+            let a = eval(p, addr, values, memories) as usize;
+            memories[mem as usize].get(a).copied().unwrap_or(0) & mask(width)
         }
         CExpr::Slice { base, hi, lo } => {
-            let v = eval(base, values, memories);
+            let v = eval(p, base, values, memories);
             (v >> lo) & mask(hi - lo + 1)
         }
         CExpr::Unary { op, arg, width } => {
-            let a = eval(arg, values, memories);
+            let a = eval(p, arg, values, memories);
             let r = match op {
                 UnOp::Not => !a,
                 UnOp::LNot => u64::from(a == 0),
                 UnOp::RedOr => u64::from(a != 0),
             };
-            r & mask(*width)
+            r & mask(width)
         }
         CExpr::Binary {
             op,
@@ -2154,9 +2347,9 @@ fn eval(e: &CExpr, values: &[u64], memories: &[Vec<u64>]) -> u64 {
             rhs,
             width,
         } => {
-            let a = eval(lhs, values, memories);
-            let b = eval(rhs, values, memories);
-            eval_binary(*op, a, b, lhs.width(), rhs.width()) & mask(*width)
+            let a = eval(p, lhs, values, memories);
+            let b = eval(p, rhs, values, memories);
+            eval_binary(op, a, b, p.width(lhs), p.width(rhs)) & mask(width)
         }
         CExpr::Ternary {
             cond,
@@ -2164,24 +2357,24 @@ fn eval(e: &CExpr, values: &[u64], memories: &[Vec<u64>]) -> u64 {
             els,
             width,
         } => {
-            let r = if eval(cond, values, memories) != 0 {
-                eval(then, values, memories)
+            let r = if eval(p, cond, values, memories) != 0 {
+                eval(p, then, values, memories)
             } else {
-                eval(els, values, memories)
+                eval(p, els, values, memories)
             };
-            r & mask(*width)
+            r & mask(width)
         }
         CExpr::Concat { parts, width } => {
             let mut acc: u64 = 0;
-            for p in parts {
-                let w = p.width().min(63);
-                acc = (acc << w) | (eval(p, values, memories) & mask(w));
+            for &part in p.list(parts) {
+                let w = p.width(part).min(63);
+                acc = (acc << w) | (eval(p, part, values, memories) & mask(w));
             }
-            acc & mask(*width)
+            acc & mask(width)
         }
         CExpr::SignExtend { arg, from, to } => {
-            let v = eval(arg, values, memories);
-            (sign_extend(v & mask(*from), *from) as u64) & mask(*to)
+            let v = eval(p, arg, values, memories);
+            (sign_extend(v & mask(from), from) as u64) & mask(to)
         }
     }
 }
@@ -2456,77 +2649,34 @@ fn exec<O: Observer>(tape: &[Insn], pcs: Range<usize>, st: &mut Scalar<'_>, obs:
     }
 }
 
-fn count_mem_reads(e: &CExpr) -> u64 {
-    match e {
-        CExpr::Const { .. } | CExpr::Net { .. } => 0,
-        CExpr::MemRead { addr, .. } => 1 + count_mem_reads(addr),
-        CExpr::Slice { base, .. } => count_mem_reads(base),
-        CExpr::Unary { arg, .. } => count_mem_reads(arg),
-        CExpr::Binary { lhs, rhs, .. } => count_mem_reads(lhs) + count_mem_reads(rhs),
-        CExpr::Ternary {
-            cond, then, els, ..
-        } => count_mem_reads(cond) + count_mem_reads(then) + count_mem_reads(els),
-        CExpr::Concat { parts, .. } => parts.iter().map(count_mem_reads).sum(),
-        CExpr::SignExtend { arg, .. } => count_mem_reads(arg),
+/// Order assigns so every net is computed after the nets it reads, given
+/// each assign's target and its row of `reads`. Nets that are not assign
+/// targets (ports, regs) are sources. Returns assign indices in order.
+fn topo_sort(net_names: &[String], targets: &[u32], reads: &Csr) -> Result<Vec<u32>, BuildError> {
+    let mut producer = vec![u32::MAX; net_names.len()]; // net -> assign idx
+    for (i, &net) in targets.iter().enumerate() {
+        producer[net as usize] = i as u32;
     }
-}
-
-fn collect_deps(e: &CExpr, out: &mut Vec<usize>) {
-    match e {
-        CExpr::Const { .. } => {}
-        CExpr::Net { index, .. } => out.push(*index),
-        CExpr::MemRead { addr, .. } => collect_deps(addr, out),
-        CExpr::Slice { base, .. } => collect_deps(base, out),
-        CExpr::Unary { arg, .. } => collect_deps(arg, out),
-        CExpr::Binary { lhs, rhs, .. } => {
-            collect_deps(lhs, out);
-            collect_deps(rhs, out);
-        }
-        CExpr::Ternary {
-            cond, then, els, ..
-        } => {
-            collect_deps(cond, out);
-            collect_deps(then, out);
-            collect_deps(els, out);
-        }
-        CExpr::Concat { parts, .. } => {
-            for p in parts {
-                collect_deps(p, out);
-            }
-        }
-        CExpr::SignExtend { arg, .. } => collect_deps(arg, out),
+    let n = targets.len();
+    // Row `i`: the assigns producing what assign `i` reads (one net each,
+    // so no repeats); its transpose lists every assign's dependents.
+    let mut deps = Csr::with_rows(n);
+    for i in 0..n {
+        let row = reads.row(i).iter().map(|&d| producer[d as usize]);
+        deps.flat.extend(row.filter(|&p| p != u32::MAX));
+        deps.off.push(deps.flat.len() as u32);
     }
-}
-
-/// Order assigns so every net is computed after the nets it reads. Nets that
-/// are not assign targets (ports, regs) are sources.
-fn topo_sort(
-    net_names: &[String],
-    compiled: Vec<(usize, CExpr, Vec<usize>)>,
-) -> Result<Vec<(usize, CExpr)>, BuildError> {
-    let mut producer = vec![usize::MAX; net_names.len()]; // net -> assign idx
-    for (i, (net, _, _)) in compiled.iter().enumerate() {
-        producer[*net] = i;
-    }
-    let n = compiled.len();
-    let mut indegree = vec![0usize; n];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, (_, _, deps)) in compiled.iter().enumerate() {
-        for &d in deps {
-            let p = producer[d];
-            if p != usize::MAX {
-                dependents[p].push(i);
-                indegree[i] += 1;
-            }
-        }
-    }
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+    let dependents = deps.transpose(n);
+    let mut indegree: Vec<u32> = (0..n).map(|i| deps.row(i).len() as u32).collect();
+    let mut queue: Vec<u32> = (0..n as u32)
+        .filter(|&i| indegree[i as usize] == 0)
+        .collect();
     let mut order = Vec::with_capacity(n);
     while let Some(i) = queue.pop() {
         order.push(i);
-        for &j in &dependents[i] {
-            indegree[j] -= 1;
-            if indegree[j] == 0 {
+        for &j in dependents.row(i as usize) {
+            indegree[j as usize] -= 1;
+            if indegree[j as usize] == 0 {
                 queue.push(j);
             }
         }
@@ -2534,19 +2684,11 @@ fn topo_sort(
     if order.len() != n {
         let cyclic: Vec<String> = (0..n)
             .filter(|&i| indegree[i] > 0)
-            .map(|i| net_names[compiled[i].0].clone())
+            .map(|i| net_names[targets[i] as usize].clone())
             .collect();
         return Err(BuildError::CombinationalLoop(cyclic));
     }
-    let mut result = Vec::with_capacity(n);
-    let mut items: Vec<Option<(usize, CExpr)>> = compiled
-        .into_iter()
-        .map(|(net, e, _)| Some((net, e)))
-        .collect();
-    for i in order {
-        result.push(items[i].take().expect("each assign emitted once"));
-    }
-    Ok(result)
+    Ok(order)
 }
 
 // ------------------------------------------------- event-driven scheduler
@@ -2702,24 +2844,83 @@ fn full_bitset(n: usize) -> Vec<u64> {
     words
 }
 
-/// `net/mem -> unit` adjacency lists in CSR layout: row `i` is
-/// `flat[off[i]..off[i+1]]`. One contiguous allocation instead of a
-/// `Vec<Vec<_>>` — the wake walks in `note_net_change` run once per changed
-/// net per cycle, so the two dependent loads of the nested layout were a
-/// measurable share of the event engine's settle time.
+/// Adjacency lists in CSR layout (`net/mem -> unit`, `assign -> nets`,
+/// ...): row `i` is `flat[off[i]..off[i+1]]`. One contiguous allocation
+/// instead of a `Vec<Vec<_>>` — the wake walks in `note_net_change` run
+/// once per changed net per cycle, so the two dependent loads of the nested
+/// layout were a measurable share of the event engine's settle time.
+#[derive(Debug)]
 struct Csr {
     off: Vec<u32>,
     flat: Vec<u32>,
 }
 
+impl Default for Csr {
+    fn default() -> Csr {
+        Csr::with_rows(0)
+    }
+}
+
 impl Csr {
-    fn from_lists(lists: &[Vec<u32>]) -> Csr {
-        let mut off = Vec::with_capacity(lists.len() + 1);
-        let mut flat = Vec::new();
+    /// No rows yet, with room for `rows` offsets.
+    fn with_rows(rows: usize) -> Csr {
+        let mut off = Vec::with_capacity(rows + 1);
         off.push(0);
-        for l in lists {
-            flat.extend_from_slice(l);
-            off.push(flat.len() as u32);
+        Csr {
+            off,
+            flat: Vec::new(),
+        }
+    }
+
+    fn from_rows<'a>(rows: impl ExactSizeIterator<Item = &'a [u32]>) -> Csr {
+        let mut csr = Csr::with_rows(rows.len());
+        for row in rows {
+            csr.flat.extend_from_slice(row);
+            csr.off.push(csr.flat.len() as u32);
+        }
+        csr
+    }
+
+    fn rows(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    fn row(&self, i: usize) -> &[u32] {
+        &self.flat[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+
+    /// Append `ids`, sorted and deduplicated, as the next row; leaves `ids`
+    /// empty for reuse.
+    fn push_set(&mut self, ids: &mut Vec<u32>) {
+        ids.sort_unstable();
+        ids.dedup();
+        self.flat.extend_from_slice(ids);
+        self.off.push(self.flat.len() as u32);
+        ids.clear();
+    }
+
+    /// The rows in the order `order` names them.
+    fn permuted(&self, order: &[u32]) -> Csr {
+        Csr::from_rows(order.iter().map(|&i| self.row(i as usize)))
+    }
+
+    /// The transpose over `n` columns, filled by counting: row `j` lists,
+    /// ascending, every row of `self` that holds `j`.
+    fn transpose(&self, n: usize) -> Csr {
+        let mut off = vec![0u32; n + 1];
+        for &j in &self.flat {
+            off[j as usize + 1] += 1;
+        }
+        for j in 0..n {
+            off[j + 1] += off[j];
+        }
+        let mut next = off.clone();
+        let mut flat = vec![0u32; self.flat.len()];
+        for i in 0..self.rows() {
+            for &j in self.row(i) {
+                flat[next[j as usize] as usize] = i as u32;
+                next[j as usize] += 1;
+            }
         }
         Csr { off, flat }
     }
@@ -2933,23 +3134,51 @@ impl EventState {
         // typically spans nearly every assign through the shared FSM). The
         // coarse cones remain the telemetry reporting unit;
         // `settle_unit_cone` maps scheduler units onto them.
-        let n_assigns = sim.assigns.len();
-        let settle_cones = partition_settle(&sim.assigns, n_nets);
-        let step_effects = sim.step_effects();
-        let step_cones = partition_step(&step_effects, n_nets, n_mems);
-        let mut ev = EventState {
+        let prog = &sim.prog;
+        let n_assigns = prog.assigns.len();
+        let settle_cones = partition_settle(prog, n_nets);
+        let step_fx = sim.step_effects();
+        let step_cones = partition_step(&step_fx, n_nets, n_mems);
+        let mut settle_unit_cone = vec![0; n_assigns];
+        for (c, cone) in settle_cones.iter().enumerate() {
+            for &a in &cone.members {
+                settle_unit_cone[a as usize] = c as u32;
+            }
+        }
+        let mut settle_writer = vec![u32::MAX; n_nets];
+        for (i, &(net, _)) in prog.assigns.iter().enumerate() {
+            settle_writer[net as usize] = i as u32;
+        }
+        // What each step cone's statements write, as sets.
+        let (mut step_writes, mut step_mem_writes) = (
+            Csr::with_rows(step_cones.len()),
+            Csr::with_rows(step_cones.len()),
+        );
+        let (mut nets, mut mems) = (Vec::new(), Vec::new());
+        for cone in &step_cones {
+            for &i in &cone.members {
+                nets.extend_from_slice(step_fx.writes.row(i as usize));
+                mems.extend_from_slice(step_fx.mwrites.row(i as usize));
+            }
+            step_writes.push_set(&mut nets);
+            step_mem_writes.push_set(&mut mems);
+        }
+        let members = Csr::from_rows(step_cones.iter().map(|c| &c.members[..]));
+        let inputs = Csr::from_rows(step_cones.iter().map(|c| &c.inputs[..]));
+        let mem_inputs = Csr::from_rows(step_cones.iter().map(|c| &c.mem_inputs[..]));
+        Box::new(EventState {
             settle_chains: chain_bounds(&sim.settle_chain_starts, sim.settle_tape.len()),
             step_chains: chain_bounds(&sim.step_chain_starts, sim.step_tape.len()),
-            step_members_off: Vec::new(),
-            step_members_flat: Vec::new(),
-            settle_readers: Csr::from_lists(&[]),
-            settle_writer: vec![u32::MAX; n_nets],
-            settle_mem_readers: Csr::from_lists(&[]),
-            step_readers: Csr::from_lists(&[]),
-            step_writers: Csr::from_lists(&[]),
-            step_mem_readers: Csr::from_lists(&[]),
-            step_mem_writers: Csr::from_lists(&[]),
-            settle_unit_cone: vec![0; n_assigns],
+            step_members_off: members.off,
+            step_members_flat: members.flat,
+            settle_readers: prog.reads.transpose(n_nets),
+            settle_writer,
+            settle_mem_readers: prog.mem_reads.transpose(n_mems),
+            step_readers: inputs.transpose(n_nets),
+            step_writers: step_writes.transpose(n_nets),
+            step_mem_readers: mem_inputs.transpose(n_mems),
+            step_mem_writers: step_mem_writes.transpose(n_mems),
+            settle_unit_cone,
             settle_pending: full_bitset(n_assigns),
             step_pending: vec![ALL_LANES; step_cones.len()],
             step_dirty: full_bitset(step_cones.len()),
@@ -2972,64 +3201,7 @@ impl EventState {
                 .sched
                 .as_ref()
                 .map(|_| EvSchedStats::new(n_assigns, step_cones.len())),
-        };
-        let mut settle_readers = vec![Vec::new(); n_nets];
-        let mut settle_mem_readers = vec![Vec::new(); n_mems];
-        let mut step_readers = vec![Vec::new(); n_nets];
-        let mut step_writers: Vec<Vec<u32>> = vec![Vec::new(); n_nets];
-        let mut step_mem_readers = vec![Vec::new(); n_mems];
-        let mut step_mem_writers: Vec<Vec<u32>> = vec![Vec::new(); n_mems];
-        for (i, (net, e)) in sim.assigns.iter().enumerate() {
-            let mut deps = Vec::new();
-            collect_deps(e, &mut deps);
-            for d in id_set(deps) {
-                settle_readers[d as usize].push(i as u32);
-            }
-            let mut mems = Vec::new();
-            collect_mem_reads(e, &mut mems);
-            for m in id_set(mems) {
-                settle_mem_readers[m as usize].push(i as u32);
-            }
-            ev.settle_writer[*net] = i as u32;
-        }
-        for (c, cone) in settle_cones.iter().enumerate() {
-            for &a in &cone.members {
-                ev.settle_unit_cone[a as usize] = c as u32;
-            }
-        }
-        for (c, cone) in step_cones.iter().enumerate() {
-            for &net in &cone.inputs {
-                step_readers[net as usize].push(c as u32);
-            }
-            for &m in &cone.mem_inputs {
-                step_mem_readers[m as usize].push(c as u32);
-            }
-            for &i in &cone.members {
-                let fx = &step_effects[i as usize];
-                for &w in &fx.writes {
-                    if step_writers[w as usize].last() != Some(&(c as u32)) {
-                        step_writers[w as usize].push(c as u32);
-                    }
-                }
-                for &m in &fx.mwrites {
-                    if step_mem_writers[m as usize].last() != Some(&(c as u32)) {
-                        step_mem_writers[m as usize].push(c as u32);
-                    }
-                }
-            }
-        }
-        ev.step_members_off.push(0);
-        for cone in &step_cones {
-            ev.step_members_flat.extend_from_slice(&cone.members);
-            ev.step_members_off.push(ev.step_members_flat.len() as u32);
-        }
-        ev.settle_readers = Csr::from_lists(&settle_readers);
-        ev.settle_mem_readers = Csr::from_lists(&settle_mem_readers);
-        ev.step_readers = Csr::from_lists(&step_readers);
-        ev.step_writers = Csr::from_lists(&step_writers);
-        ev.step_mem_readers = Csr::from_lists(&step_mem_readers);
-        ev.step_mem_writers = Csr::from_lists(&step_mem_writers);
-        Box::new(ev)
+        })
     }
 
     /// A net's settled value changed (settle store, edge update): wake
@@ -3912,9 +4084,9 @@ struct Cone {
 }
 
 impl Cone {
-    fn new(members: Vec<usize>, inputs: Vec<u32>, mem_inputs: Vec<u32>) -> Cone {
+    fn new(members: &[u32], inputs: Vec<u32>, mem_inputs: Vec<u32>) -> Cone {
         Cone {
-            members: members.into_iter().map(|i| i as u32).collect(),
+            members: members.to_vec(),
             inputs,
             mem_inputs,
             quiescent_cycles: 0,
@@ -4173,58 +4345,35 @@ impl UnionFind {
         }
     }
 
-    /// Groups of member indices, ordered by each group's first member.
-    fn groups(&mut self, n: usize) -> Vec<Vec<usize>> {
-        let mut group_of_root = vec![usize::MAX; n];
-        let mut out: Vec<Vec<usize>> = Vec::new();
+    /// Groups of member indices, one ascending row per group, ordered by
+    /// each group's first member.
+    fn groups(&mut self, n: usize) -> Csr {
+        let mut group_of_root = vec![u32::MAX; n];
+        let mut groups = 0;
+        // Row `i` holds the group of member `i`.
+        let mut group_of = Csr {
+            off: (0..=n as u32).collect(),
+            flat: Vec::with_capacity(n),
+        };
         for i in 0..n {
             let r = self.find(i);
-            if group_of_root[r] == usize::MAX {
-                group_of_root[r] = out.len();
-                out.push(Vec::new());
+            if group_of_root[r] == u32::MAX {
+                group_of_root[r] = groups;
+                groups += 1;
             }
-            out[group_of_root[r]].push(i);
+            group_of.flat.push(group_of_root[r]);
         }
-        out
+        group_of.transpose(groups as usize)
     }
 }
 
-/// Push every memory `e` reads (with repeats).
-fn collect_mem_reads(e: &CExpr, out: &mut Vec<usize>) {
-    match e {
-        CExpr::Const { .. } | CExpr::Net { .. } => {}
-        CExpr::MemRead { mem, addr, .. } => {
-            out.push(*mem);
-            collect_mem_reads(addr, out);
-        }
-        CExpr::Slice { base, .. } => collect_mem_reads(base, out),
-        CExpr::Unary { arg, .. } => collect_mem_reads(arg, out),
-        CExpr::Binary { lhs, rhs, .. } => {
-            collect_mem_reads(lhs, out);
-            collect_mem_reads(rhs, out);
-        }
-        CExpr::Ternary {
-            cond, then, els, ..
-        } => {
-            collect_mem_reads(cond, out);
-            collect_mem_reads(then, out);
-            collect_mem_reads(els, out);
-        }
-        CExpr::Concat { parts, .. } => {
-            for p in parts {
-                collect_mem_reads(p, out);
-            }
-        }
-        CExpr::SignExtend { arg, .. } => collect_mem_reads(arg, out),
-    }
-}
-
-/// `ids` sorted and deduplicated, as `u32`.
-fn id_set(ids: impl IntoIterator<Item = usize>) -> Vec<u32> {
-    let mut v: Vec<u32> = ids.into_iter().map(|i| i as u32).collect();
-    v.sort_unstable();
-    v.dedup();
-    v
+/// `ids` sorted and deduplicated; leaves `ids` empty for reuse.
+fn take_set(ids: &mut Vec<u32>) -> Vec<u32> {
+    ids.sort_unstable();
+    ids.dedup();
+    let set = ids.to_vec();
+    ids.clear();
+    set
 }
 
 /// Partition the topo-ordered assigns into connected fanin cones: two
@@ -4232,101 +4381,49 @@ fn id_set(ids: impl IntoIterator<Item = usize>) -> Vec<u32> {
 /// are the nets it reads but does not produce, plus every memory it reads;
 /// if none of those changed over a cycle, re-running the cone would
 /// reproduce its previous outputs.
-fn partition_settle(assigns: &[(usize, CExpr)], n_nets: usize) -> Vec<Cone> {
-    let n = assigns.len();
+fn partition_settle(prog: &Program, n_nets: usize) -> Vec<Cone> {
+    let n = prog.assigns.len();
     let mut uf = UnionFind::new(n);
-    let mut producer = vec![usize::MAX; n_nets];
-    for (i, (net, _)) in assigns.iter().enumerate() {
-        producer[*net] = i;
+    let mut producer = vec![u32::MAX; n_nets];
+    for (i, &(net, _)) in prog.assigns.iter().enumerate() {
+        producer[net as usize] = i as u32;
     }
-    let mut deps_per: Vec<Vec<usize>> = Vec::with_capacity(n);
-    for (i, (_, e)) in assigns.iter().enumerate() {
-        let mut deps = Vec::new();
-        collect_deps(e, &mut deps);
-        for &d in &deps {
-            if producer[d] != usize::MAX {
-                uf.union(i, producer[d]);
+    for i in 0..n {
+        for &d in prog.reads.row(i) {
+            if producer[d as usize] != u32::MAX {
+                uf.union(i, producer[d as usize] as usize);
             }
         }
-        deps_per.push(deps);
     }
+    let groups = uf.groups(n);
     let mut written = vec![false; n_nets];
-    let mut cones = Vec::new();
-    for members in uf.groups(n) {
-        for &i in &members {
-            written[assigns[i].0] = true;
-        }
-        let mut inputs = Vec::new();
-        let mut mem_inputs = Vec::new();
-        for &i in &members {
-            inputs.extend(deps_per[i].iter().copied().filter(|&d| !written[d]));
-            collect_mem_reads(&assigns[i].1, &mut mem_inputs);
-        }
-        for &i in &members {
-            written[assigns[i].0] = false;
-        }
-        cones.push(Cone::new(members, id_set(inputs), id_set(mem_inputs)));
-    }
-    cones
-}
-
-/// The nets and memories one always-statement reads and writes, each
-/// sorted and deduplicated.
-#[derive(Default)]
-struct StmtEffects {
-    reads: Vec<u32>,
-    writes: Vec<u32>,
-    mreads: Vec<u32>,
-    mwrites: Vec<u32>,
-}
-
-impl StmtEffects {
-    fn of(s: &CStmt) -> StmtEffects {
-        let mut fx: [Vec<usize>; 4] = Default::default();
-        let [reads, writes, mreads, mwrites] = &mut fx;
-        stmt_effects(s, reads, writes, mreads, mwrites);
-        let [reads, writes, mreads, mwrites] = fx.map(id_set);
-        StmtEffects {
-            reads,
-            writes,
-            mreads,
-            mwrites,
-        }
-    }
-}
-
-fn stmt_effects(
-    s: &CStmt,
-    reads: &mut Vec<usize>,
-    writes: &mut Vec<usize>,
-    mreads: &mut Vec<usize>,
-    mwrites: &mut Vec<usize>,
-) {
-    let expr = |e: &CExpr, reads: &mut Vec<usize>, mreads: &mut Vec<usize>| {
-        collect_deps(e, reads);
-        collect_mem_reads(e, mreads);
-    };
-    match s {
-        CStmt::AssignNet { net, rhs } => {
-            writes.push(*net);
-            expr(rhs, reads, mreads);
-        }
-        CStmt::AssignMem { mem, addr, rhs } => {
-            mwrites.push(*mem);
-            expr(addr, reads, mreads);
-            expr(rhs, reads, mreads);
-        }
-        CStmt::If { cond, then, els } => {
-            expr(cond, reads, mreads);
-            for t in then.iter().chain(els.iter()) {
-                stmt_effects(t, reads, writes, mreads, mwrites);
+    let (mut inputs, mut mem_inputs) = (Vec::new(), Vec::new());
+    (0..groups.rows())
+        .map(|g| {
+            let members = groups.row(g);
+            for &i in members {
+                written[prog.assigns[i as usize].0 as usize] = true;
             }
-        }
-        CStmt::Assert { guard, cond, .. } => {
-            expr(guard, reads, mreads);
-            expr(cond, reads, mreads);
-        }
-    }
+            for &i in members {
+                let reads = prog.reads.row(i as usize).iter().copied();
+                inputs.extend(reads.filter(|&d| !written[d as usize]));
+                mem_inputs.extend_from_slice(prog.mem_reads.row(i as usize));
+            }
+            for &i in members {
+                written[prog.assigns[i as usize].0 as usize] = false;
+            }
+            Cone::new(members, take_set(&mut inputs), take_set(&mut mem_inputs))
+        })
+        .collect()
+}
+
+/// The nets and memories each always-statement reads and writes: row `i`
+/// of every table belongs to statement `i`, sorted and deduplicated.
+struct StepEffects {
+    reads: Csr,
+    writes: Csr,
+    mreads: Csr,
+    mwrites: Csr,
 }
 
 /// Partition the always-statements into cones: two statements share a cone
@@ -4334,15 +4431,15 @@ fn stmt_effects(
 /// next-state is a function of the union of their reads). A step cone's
 /// inputs are everything it reads; registers it updates from their own old
 /// value count as inputs too, keeping self-incrementing state "busy".
-fn partition_step(effects: &[StmtEffects], n_nets: usize, n_mems: usize) -> Vec<Cone> {
-    let n = effects.len();
+fn partition_step(fx: &StepEffects, n_nets: usize, n_mems: usize) -> Vec<Cone> {
+    let n = fx.reads.rows();
     let mut uf = UnionFind::new(n);
     let mut net_writer = vec![usize::MAX; n_nets];
     let mut mem_writer = vec![usize::MAX; n_mems];
-    for (i, fx) in effects.iter().enumerate() {
+    for i in 0..n {
         for (writer, targets) in [
-            (&mut net_writer, &fx.writes),
-            (&mut mem_writer, &fx.mwrites),
+            (&mut net_writer, fx.writes.row(i)),
+            (&mut mem_writer, fx.mwrites.row(i)),
         ] {
             for &w in targets {
                 match writer[w as usize] {
@@ -4352,16 +4449,16 @@ fn partition_step(effects: &[StmtEffects], n_nets: usize, n_mems: usize) -> Vec<
             }
         }
     }
-    uf.groups(n)
-        .into_iter()
-        .map(|members| {
-            let mut inputs = Vec::new();
-            let mut mem_inputs = Vec::new();
-            for &i in &members {
-                inputs.extend(effects[i].reads.iter().map(|&r| r as usize));
-                mem_inputs.extend(effects[i].mreads.iter().map(|&m| m as usize));
+    let groups = uf.groups(n);
+    let (mut inputs, mut mem_inputs) = (Vec::new(), Vec::new());
+    (0..groups.rows())
+        .map(|g| {
+            let members = groups.row(g);
+            for &i in members {
+                inputs.extend_from_slice(fx.reads.row(i as usize));
+                mem_inputs.extend_from_slice(fx.mreads.row(i as usize));
             }
-            Cone::new(members, id_set(inputs), id_set(mem_inputs))
+            Cone::new(members, take_set(&mut inputs), take_set(&mut mem_inputs))
         })
         .collect()
 }
@@ -4381,12 +4478,28 @@ fn cone_wakes_report(cones: &[Cone], names: Vec<String>, wakes: &[u64]) -> Vec<S
 }
 
 impl Simulator {
-    fn step_effects(&self) -> Vec<StmtEffects> {
-        self.always.iter().map(StmtEffects::of).collect()
+    fn step_effects(&self) -> StepEffects {
+        let n = self.prog.always.len();
+        let mut fx = StepEffects {
+            reads: Csr::with_rows(n),
+            writes: Csr::with_rows(n),
+            mreads: Csr::with_rows(n),
+            mwrites: Csr::with_rows(n),
+        };
+        let mut ids: [Vec<u32>; 4] = Default::default();
+        for &s in &self.prog.always {
+            self.prog.stmt_effects(s, &mut ids);
+            let [reads, writes, mreads, mwrites] = &mut ids;
+            fx.reads.push_set(reads);
+            fx.writes.push_set(writes);
+            fx.mreads.push_set(mreads);
+            fx.mwrites.push_set(mwrites);
+        }
+        fx
     }
 
     fn settle_cones(&self) -> Vec<Cone> {
-        partition_settle(&self.assigns, self.values.len())
+        partition_settle(&self.prog, self.values.len())
     }
 
     fn step_cones(&self) -> Vec<Cone> {
@@ -4397,7 +4510,7 @@ impl Simulator {
     fn settle_cone_names(&self, cones: &[Cone]) -> Vec<String> {
         cones
             .iter()
-            .map(|c| self.net_names[self.assigns[c.members[0] as usize].0].clone())
+            .map(|c| self.net_names[self.prog.assigns[c.members[0] as usize].0 as usize].clone())
             .collect()
     }
 
@@ -4406,22 +4519,29 @@ impl Simulator {
     /// net; a repeated name gets `#<first member>` appended.
     fn step_cone_names(&self, cones: &[Cone]) -> Vec<String> {
         let net = |i: u32| self.net_names[i as usize].clone();
+        let fx = self.step_effects();
         let mut used: HashSet<String> = HashSet::new();
         cones
             .iter()
             .map(|c| {
-                let first = StmtEffects::of(&self.always[c.members[0] as usize]);
-                let mut name = first
+                let first = c.members[0] as usize;
+                let mut name = fx
                     .writes
+                    .row(first)
                     .first()
                     .map(|&w| net(w))
                     .or_else(|| {
-                        first
-                            .mwrites
+                        fx.mwrites
+                            .row(first)
                             .first()
                             .map(|&m| self.mem_names[m as usize].clone())
                     })
-                    .or_else(|| first.reads.first().map(|&r| format!("assert@{}", net(r))))
+                    .or_else(|| {
+                        fx.reads
+                            .row(first)
+                            .first()
+                            .map(|&r| format!("assert@{}", net(r)))
+                    })
                     .unwrap_or_else(|| "cone".to_string());
                 if !used.insert(name.clone()) {
                     name = format!("{name}#{}", c.members[0]);
@@ -4475,7 +4595,12 @@ impl Simulator {
         // after the settle above (a no-op under `Engine::Bytecode`), so
         // `changed` counters start from the same baseline under every
         // engine.
-        t.shadow_count(&self.settle_tape, &self.values, &self.memories, &self.msgs);
+        t.shadow_count(
+            &self.settle_tape,
+            &self.values,
+            &self.memories,
+            &self.prog.msgs,
+        );
         self.telemetry = Some(t);
         if let Some(ev) = self.ev.as_deref_mut() {
             ev.track = self.engine == Engine::Event;
@@ -4679,7 +4804,7 @@ impl Simulator {
         let step_cones = self.step_cones();
         let settle_names = self.settle_cone_names(&settle_cones);
         let step_names = self.step_cone_names(&step_cones);
-        let n_settle_units = self.assigns.len() as u64;
+        let n_settle_units = self.prog.assigns.len() as u64;
         let n_step_cones = step_cones.len() as u64;
         let mut rep = SchedStatsReport {
             engine: engine.to_string(),
@@ -4746,7 +4871,7 @@ impl Simulator {
     /// Resolve a net name to its index, for allocation-free hot-loop access
     /// via [`get_id`](Self::get_id) / [`set_id`](Self::set_id).
     pub fn net_id(&self, name: &str) -> Option<usize> {
-        self.net_index.get(name).copied()
+        self.net_index.get(&self.net_names, name)
     }
 
     /// Read a net by pre-resolved id (settling first when needed).
@@ -5334,6 +5459,7 @@ mod tests {
     fn sched_stats_full_tape_reports_trivially_full_dirty_set() {
         let d = counter();
         let mut sim = Simulator::new(&d, "counter").expect("build");
+        sim.set_engine(Engine::Bytecode);
         sim.enable_sched_stats();
         sim.set("en", 1);
         sim.run(10).unwrap();
@@ -5789,10 +5915,15 @@ mod tests {
                 s.step().unwrap();
             }
         }
+        // One lane's copy of a memory word, read from the lane-major store.
+        let read_mem_lane = |sim: &Simulator, lane: usize, addr: u64| {
+            let b = sim.batch.as_deref().expect("batched engine active");
+            b.mems[sim.mem("ram").expect("ram")][addr as usize * b.lanes + lane]
+        };
         for addr in 0..16u64 {
             for (lane, s) in scalars.iter().enumerate() {
                 assert_eq!(
-                    batched.read_mem_lane("ram", lane, addr),
+                    read_mem_lane(&batched, lane, addr),
                     s.read_mem("ram", addr),
                     "ram[{addr}] lane {lane}"
                 );

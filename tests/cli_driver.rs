@@ -127,6 +127,24 @@ fn pretty_calls_to_undefined_or_later_functions() {
 }
 
 #[test]
+fn alloc_ports_keep_their_written_types() {
+    // Each port is typed as written, so the verifier sees the second
+    // port's kind, shape and element type (exit 1).
+    let out = hirc()
+        .arg("tests/corpus/regressions/alloc_mixed_ports.hir")
+        .arg("--emit=pretty")
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("hir.alloc kind 'reg' does not match port kind 'bram'")
+            && err.contains("hir.alloc ports must agree on shape and element type"),
+        "{err}"
+    );
+}
+
+#[test]
 fn call_results_must_match_the_callee_signature() {
     // examples/multi_kernel.mlir with @mac0's call to @mult binding two
     // results (codegen would wire a `.result1` port that `mult` lacks) or
