@@ -4,6 +4,8 @@
 //! form, topologically orders the continuous assigns (rejecting
 //! combinational loops), and then alternates *settle* (combinational
 //! evaluation) and *step* (one `posedge clk`, non-blocking semantics).
+//! Settling is lazy: an edge or a poke that changes a value marks the
+//! simulator dirty, and the next read of a net (or the next edge) settles.
 //! Immediate assertions — the automatic UB guards the HIR code generator
 //! inserts (paper §4.5) — abort the simulation with a message.
 
@@ -1263,11 +1265,16 @@ pub struct Simulator {
     /// Watchdog: total cycles the simulation may run before `step` refuses
     /// with a clean error instead of looping forever on a hung design.
     cycle_budget: Option<u64>,
+    /// A net or memory changed since the last settle: an edge committed,
+    /// or a poke changed some lane's value.
     dirty: bool,
-    /// Lane 0 was driven since the last settle (implies `dirty`). A scalar
+    /// Lane 0 changed since the last settle (implies `dirty`). A scalar
     /// run of lane 0 settles only then, so only then does the batched
     /// engine count a shadow settle in telemetry.
     lane0_dirty: bool,
+    /// The cycle whose settled state VCD and telemetry last sampled; a
+    /// step retried after a failure does not sample it twice.
+    sampled: Option<u64>,
     vcd: Option<Vcd>,
     /// Opt-in telemetry plane (toggle counters, cone quiescence,
     /// instruction counts). `None` (the default) runs the interpreters with
@@ -1355,6 +1362,7 @@ impl Simulator {
             cycle_budget: None,
             dirty: true,
             lane0_dirty: true,
+            sampled: None,
             vcd: None,
             telemetry: None,
             sched: None,
@@ -1592,10 +1600,10 @@ impl Simulator {
     pub fn write_mem(&mut self, name: &str, addr: u64, value: u64) {
         let m = self.mem(name).expect("unknown memory");
         let v = value & mask(self.mem_width[m]);
+        let mut changed = 0u64;
         if let Some(b) = self.batch.as_deref_mut() {
             let l = b.lanes;
             let slot = addr as usize * l;
-            let mut changed = 0u64;
             for k in 0..l {
                 if b.mems[m][slot + k] != v {
                     b.mems[m][slot + k] = v;
@@ -1603,17 +1611,11 @@ impl Simulator {
                 }
             }
             self.memories[m][addr as usize] = v;
-            if changed != 0 {
-                if let Some(ev) = self.ev.as_deref_mut() {
-                    ev.note_mem_poked(m, changed);
-                }
-            }
         } else if self.memories[m][addr as usize] != v {
             self.memories[m][addr as usize] = v;
-            if let Some(ev) = self.ev.as_deref_mut() {
-                ev.note_mem_poked(m, ALL_LANES);
-            }
+            changed = ALL_LANES;
         }
+        self.note_poked(changed, |ev| ev.note_mem_poked(m, changed));
     }
 
     /// Read a memory word.
@@ -1638,8 +1640,9 @@ impl Simulator {
     }
 
     /// Start dumping a VCD waveform of every net to `out` (e.g. a file).
-    /// One VCD timestep per clock cycle; values are sampled after each
-    /// settle.
+    /// One VCD timestep per clock cycle: timestep `#n` holds the settled
+    /// state that edge `n` samples, pokes made before that edge included.
+    /// The state after the last edge is not dumped.
     ///
     /// # Errors
     /// Propagates write errors from emitting the header.
@@ -1661,12 +1664,10 @@ impl Simulator {
         writeln!(out, "$enddefinitions $end")?;
         let last = vec![None; self.values.len()];
         self.vcd = Some(Vcd { out, traced, last });
-        self.emit_vcd();
         Ok(())
     }
 
     fn emit_vcd(&mut self) {
-        self.settle_if_dirty();
         let Some(vcd) = &mut self.vcd else { return };
         use std::io::Write;
         let _ = writeln!(vcd.out, "#{}", self.cycle);
@@ -1812,6 +1813,17 @@ impl Simulator {
             }
         }
         self.settle_if_dirty();
+        // The observers sample the settled state this edge sees, once per
+        // cycle: at the settle the caller's reads already triggered.
+        if self.sampled != Some(self.cycle) {
+            self.sampled = Some(self.cycle);
+            if self.telemetry.is_some() {
+                self.telemetry_account();
+            }
+            if self.vcd.is_some() {
+                self.emit_vcd();
+            }
+        }
         if self.sched.is_some() {
             // Sample the dirty set before dispatch consumes it.
             self.sched_sample_step_entry();
@@ -1961,13 +1973,9 @@ impl Simulator {
         self.pending_nets = net_updates;
         self.pending_mems = mem_updates;
         self.cycle += 1;
-        self.settle();
-        if self.telemetry.is_some() {
-            self.telemetry_account();
-        }
-        if self.vcd.is_some() {
-            self.emit_vcd();
-        }
+        // The next read or edge settles.
+        self.dirty = true;
+        self.lane0_dirty = true;
         Ok(())
     }
 
@@ -2078,8 +2086,8 @@ impl Simulator {
         b.note_mems.clear();
     }
 
-    /// One telemetry accounting point: called at the end of each `step`,
-    /// after the post-edge settle, comparing the newly settled values
+    /// One telemetry accounting point: called once per cycle at the entry
+    /// of `step`, on the settled state the edge samples, comparing it
     /// against the previous accounting point's snapshot.
     fn telemetry_account(&mut self) {
         if self.engine == Engine::Event && self.ev.is_some() {
@@ -3786,7 +3794,8 @@ fn run_lanes<const SETTLE: bool>(
 /// instruction counts come from the [`Count`] observer on the engine's own
 /// interpreter calls; the tapes are never copied or modified.
 struct Telemetry {
-    /// Settled values at the previous accounting point (end of each step).
+    /// Settled values at the previous accounting point (entry of each
+    /// step).
     prev: Vec<u64>,
     /// Per-net: cycles in which the net's value changed.
     toggle_cycles: Vec<u64>,
@@ -4552,9 +4561,12 @@ impl Simulator {
             .collect()
     }
 
-    /// Turn on the telemetry plane. Idempotent; settles first so counting
-    /// starts from a consistent baseline. With `record_trace`, per-cone
-    /// busy/quiescent intervals are kept for [`telemetry_trace`].
+    /// Turn on the telemetry plane. Idempotent; settles first when
+    /// anything is pending, so counting starts from a consistent baseline.
+    /// Each `step` then takes one sample, of the settled state its edge
+    /// sees; the state after the last edge is not sampled. With
+    /// `record_trace`, per-cone busy/quiescent intervals are kept for
+    /// [`telemetry_trace`].
     ///
     /// Counting is an observer on the engine's own interpreter calls: the
     /// tapes are never copied or modified, and with telemetry off the
@@ -4566,7 +4578,7 @@ impl Simulator {
         if self.telemetry.is_some() {
             return;
         }
-        self.settle();
+        self.settle_if_dirty();
         let n_nets = self.values.len();
         let mut t = Box::new(Telemetry {
             prev: self.values.clone(),
@@ -4592,7 +4604,7 @@ impl Simulator {
         });
         // Warm the shadow register file: one uncounted run of the settle
         // tape brings it to the state the bytecode engine's file holds
-        // after the settle above (a no-op under `Engine::Bytecode`), so
+        // after its last settle (a no-op under `Engine::Bytecode`), so
         // `changed` counters start from the same baseline under every
         // engine.
         t.shadow_count(
@@ -4911,11 +4923,11 @@ impl Simulator {
 
     fn poke_lanes(&mut self, id: usize, lanes: u64, value: impl Fn(usize) -> u64) {
         let m = mask(self.net_width[id]);
+        let mut changed = 0u64;
         if let Some(b) = self.batch.as_deref_mut() {
             let l = b.lanes;
             let full = lane_mask(l);
             let row = &mut b.values[id * l..(id + 1) * l];
-            let mut changed = 0u64;
             for_lanes(lanes & full, l, full, |k| {
                 let v = value(k) & m;
                 if row[k] != v {
@@ -4924,22 +4936,25 @@ impl Simulator {
                 }
             });
             self.values[id] = row[0];
-            if changed != 0 {
-                if let Some(ev) = self.ev.as_deref_mut() {
-                    ev.note_net_poked(id, changed);
-                }
-            }
-        } else if lanes & 1 != 0 {
-            let v = value(0) & m;
-            if self.values[id] != v {
-                self.values[id] = v;
-                if let Some(ev) = self.ev.as_deref_mut() {
-                    ev.note_net_poked(id, ALL_LANES);
-                }
-            }
+        } else if lanes & 1 != 0 && self.values[id] != value(0) & m {
+            self.values[id] = value(0) & m;
+            changed = ALL_LANES;
+        }
+        self.note_poked(changed, |ev| ev.note_net_poked(id, changed));
+    }
+
+    /// A poke changed the lanes in `changed`: wake the event scheduler and
+    /// mark the next read to settle. A poke that changed nothing marks
+    /// nothing, so re-driving the same value costs no settle.
+    fn note_poked(&mut self, changed: u64, wake: impl FnOnce(&mut EventState)) {
+        if changed == 0 {
+            return;
+        }
+        if let Some(ev) = self.ev.as_deref_mut() {
+            wake(ev);
         }
         self.dirty = true;
-        self.lane0_dirty |= lanes & 1 != 0;
+        self.lane0_dirty |= changed & 1 != 0;
     }
 }
 
@@ -5232,8 +5247,35 @@ mod tests {
         let text = String::from_utf8(shared.borrow().clone()).unwrap();
         assert!(text.contains("$var wire 8"), "{text}");
         assert!(text.contains("$enddefinitions"), "{text}");
-        assert!(text.contains("#3"), "timestep markers: {text}");
-        assert!(text.contains("b11 "), "count=3 change: {text}");
+        // Timestep #n is the state edge n samples: #0 already shows the
+        // poked en, and the state after the third edge is not dumped.
+        assert!(text.contains("#0\n0!\n1\""), "en poked before edge 0: {text}");
+        assert!(text.contains("#2\nb10 "), "count=2 at the third edge: {text}");
+        assert!(!text.contains("#3"), "no timestep after the last edge: {text}");
+    }
+
+    #[test]
+    fn poking_an_unchanged_value_runs_no_settle() {
+        let d = counter();
+        for engine in [Engine::Bytecode, Engine::TreeWalk, Engine::Event, Engine::Batched] {
+            let mut sim = Simulator::new(&d, "counter").expect("build");
+            sim.set_engine(engine);
+            sim.enable_sched_stats();
+            sim.set("en", 1);
+            for cyc in 0..5u64 {
+                assert_eq!(sim.get("count"), cyc, "engine {engine:?}");
+                // Re-driving the value en already holds marks nothing.
+                sim.set("en", 1);
+                assert!(!sim.dirty, "engine {engine:?} cycle {cyc}");
+                assert_eq!(sim.get("count"), cyc, "engine {engine:?}");
+                sim.step().unwrap();
+            }
+            if matches!(engine, Engine::Bytecode | Engine::TreeWalk) {
+                // One full settle per cycle: the first read after each edge.
+                let r = sim.sched_stats_report().expect("enabled");
+                assert_eq!(r.settle_run_len.count(), r.cycles, "engine {engine:?}");
+            }
+        }
     }
 
     #[test]
@@ -5525,31 +5567,37 @@ mod tests {
         let r = sim.telemetry_report().expect("enabled");
         assert_eq!(r.cycles, 10);
         let net = |name: &str| r.nets.iter().find(|n| n.name == name).unwrap();
-        // value increments every cycle, so value and count toggle each cycle.
-        assert_eq!(net("value").toggle_cycles, 10);
-        assert_eq!(net("count").toggle_cycles, 10);
+        // Each cycle samples the state its edge sees: value 0..=9. value
+        // increments from the first edge on, so value and count toggle in
+        // every cycle but the first.
+        assert_eq!(net("value").toggle_cycles, 9);
+        assert_eq!(net("count").toggle_cycles, 9);
         // en was driven high before enabling and never changed.
         assert_eq!(net("en").toggle_cycles, 0);
         assert_eq!(net("en").high_cycles, 10);
         assert_eq!(net("clk").toggle_cycles, 0);
         // Coverage excludes clk: en never toggled -> 2 of 3 nets.
         assert!((r.toggle_coverage() - 2.0 / 3.0).abs() < 1e-9);
-        // Everything depends on the always-changing value: never quiescent.
+        // Everything depends on the always-changing value: quiescent only
+        // in the first cycle, before any edge.
         assert!(r
             .settle_cones
             .iter()
             .chain(r.step_cones.iter())
-            .all(|c| c.quiescent_cycles == 0));
+            .all(|c| c.quiescent_cycles == 1));
         // Disabling en freezes the design: every later cycle is quiescent.
         sim.set("en", 0);
-        sim.step().unwrap(); // en toggles this cycle
+        sim.step().unwrap(); // en toggles this cycle, value one last time
         sim.run(9).unwrap();
         let r2 = sim.telemetry_report().expect("enabled");
         assert_eq!(r2.cycles, 20);
-        // Settle cones read only `value`, frozen from the en-toggle cycle on;
-        // step cones also read `en`, which changed on that one cycle.
-        assert!(r2.settle_cones.iter().all(|c| c.quiescent_cycles == 10));
-        assert!(r2.step_cones.iter().all(|c| c.quiescent_cycles == 9));
+        // Every cone reads `value`, frozen after the en-toggle cycle: the
+        // first cycle and the last nine are quiescent.
+        assert!(r2
+            .settle_cones
+            .iter()
+            .chain(r2.step_cones.iter())
+            .all(|c| c.quiescent_cycles == 10));
     }
 
     #[test]
@@ -6011,15 +6059,18 @@ mod tests {
         let net = |r: &TelemetryReport, name: &str| {
             r.nets.iter().find(|n| n.name == name).cloned().unwrap()
         };
-        assert_eq!(net(&r, "value").toggle_cycles, 10);
+        assert_eq!(net(&r, "value").toggle_cycles, 9);
         assert_eq!(net(&r, "en").high_cycles, 10);
         sim.set("en", 0);
         sim.step().unwrap();
         sim.run(9).unwrap();
         let r2 = sim.telemetry_report().expect("enabled");
         assert_eq!(r2.cycles, 20);
-        assert!(r2.settle_cones.iter().all(|c| c.quiescent_cycles == 10));
-        assert!(r2.step_cones.iter().all(|c| c.quiescent_cycles == 9));
+        assert!(r2
+            .settle_cones
+            .iter()
+            .chain(r2.step_cones.iter())
+            .all(|c| c.quiescent_cycles == 10));
     }
 
     #[test]

@@ -1005,6 +1005,71 @@ fn sim_batch_flag_validation() {
     assert!(!text.contains("lane 3:"), "{text}");
 }
 
+/// The first VCD timestep at which each named net holds a non-zero value.
+fn first_nonzero_timesteps(vcd: &str, names: &[&str]) -> Vec<Option<u64>> {
+    let mut code_of = std::collections::HashMap::new();
+    let mut first = vec![None; names.len()];
+    let mut now = 0u64;
+    for line in vcd.lines() {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let (code, value) = match words.as_slice() {
+            ["$var", "wire", _, code, name, "$end"] => {
+                if let Some(i) = names.iter().position(|n| n == name) {
+                    code_of.insert(code.to_string(), i);
+                }
+                continue;
+            }
+            [t] if t.starts_with('#') => {
+                now = t[1..].parse().expect("timestep");
+                continue;
+            }
+            [bits, code] => (*code, bits.trim_start_matches('b')),
+            [bit] if !bit.starts_with('$') => (&bit[1..], &bit[..1]),
+            _ => continue,
+        };
+        if let Some(&i) = code_of.get(code) {
+            if first[i].is_none() && value.contains('1') {
+                first[i] = Some(now);
+            }
+        }
+    }
+    first
+}
+
+/// VCD timestep `#n` is the state edge `n` samples, read data the harness
+/// served after the previous edge included: transpose's latency-1 bram
+/// read requested at `#n` shows its data at `#n+1`, together with the
+/// write it feeds.
+#[test]
+fn vcd_shows_bram_read_data_in_the_cycle_after_the_request() {
+    let dir = std::env::temp_dir().join(format!("hirc_test_vcd_read_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let vcd = dir.join("transpose.vcd");
+    let out = hirc()
+        .arg(example("transpose.mlir"))
+        .arg("--emit=sim")
+        .arg(format!("--sim-vcd={}", vcd.display()))
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&vcd).expect("vcd written");
+    let _ = std::fs::remove_dir_all(&dir);
+    let names = ["Ai_rd_en", "Ai_rd_data", "Co_wr_en", "Co_wr_data"];
+    let first = first_nonzero_timesteps(&text, &names);
+    let [Some(rd_en), Some(rd_data), Some(wr_en), Some(wr_data)] = first[..] else {
+        panic!("{names:?} never non-zero: {first:?}");
+    };
+    // Every word of the stimulus memory is non-zero, so the first read's
+    // data is too.
+    assert_eq!(rd_data, rd_en + 1, "Ai_rd_data timestep");
+    assert_eq!(wr_data, rd_data, "Co_wr_data follows Ai_rd_data combinationally");
+    assert_eq!(wr_en, rd_data, "the write is issued in the cycle its data arrives");
+}
+
 #[test]
 fn sim_engines_agree_on_vcd_and_telemetry_through_the_cli() {
     let dir = std::env::temp_dir().join("hirc_test_engine_matrix");

@@ -382,10 +382,11 @@ fn mac_example_emits_golden_telemetry() {
             .and_then(|v| v.as_f64())
             .unwrap_or_else(|| panic!("{key}.{field}"))
     };
-    // Golden instruction counters: 23 settle insns × 11 cycles (+ 3 warm-up
-    // evaluations at t=0), 15 step insns × 11 cycles.
+    // Golden instruction counters: 23 settle insns × 11 cycles (one settle
+    // per cycle, at the first read after each edge), 15 step insns × 11
+    // cycles.
     assert_eq!(insns("settle_insns", "len"), 23.0, "{text}");
-    assert_eq!(insns("settle_insns", "executed"), 299.0, "{text}");
+    assert_eq!(insns("settle_insns", "executed"), 253.0, "{text}");
     assert_eq!(insns("settle_insns", "changed"), 29.0, "{text}");
     assert_eq!(insns("step_insns", "len"), 15.0, "{text}");
     assert_eq!(insns("step_insns", "executed"), 165.0, "{text}");

@@ -154,6 +154,29 @@ fn sched_stats_do_not_change_telemetry() {
     }
 }
 
+/// The full-tape engines settle only when a settled value is read after
+/// something changed: the harness's first read of each cycle. The read
+/// data it pokes after an edge is settled by that same read, so every
+/// cycle costs exactly one full settle.
+#[test]
+fn full_tape_engines_settle_once_per_harness_cycle() {
+    for example in examples() {
+        for engine in ["bytecode", "treewalk"] {
+            let sched = simulate(&example, engine, &["--sched-stats"]);
+            let v = obs::json::parse(&sched[0]).expect("sched-stats are strict JSON");
+            let field = |v: &obs::json::Value, k: &str| {
+                v.get(k).and_then(obs::json::Value::as_f64).unwrap_or(-1.0)
+            };
+            let settles = field(v.get("settle_run_len").expect("settle_run_len"), "count");
+            assert_eq!(
+                settles,
+                field(&v, "cycles"),
+                "{example} --sim-engine={engine}: full settles differ from cycles"
+            );
+        }
+    }
+}
+
 /// The edge-commit counters of a `--stats=PATH` report: `sim.net_updates`
 /// and `sim.mem_write_events` (0 when absent).
 fn commit_counters(stats: &str) -> [u64; 2] {
