@@ -1684,13 +1684,8 @@ impl Simulator {
         }
     }
 
-    /// Evaluate all continuous assigns (in topological order).
-    pub fn settle(&mut self) {
-        self.lane0_dirty = true;
-        self.run_settle();
-    }
-
-    /// Settle when a net was driven since the last settle.
+    /// Evaluate the continuous assigns (in topological order) when a net
+    /// or memory changed since the last settle.
     fn settle_if_dirty(&mut self) {
         if self.dirty {
             self.run_settle();
@@ -5249,15 +5244,29 @@ mod tests {
         assert!(text.contains("$enddefinitions"), "{text}");
         // Timestep #n is the state edge n samples: #0 already shows the
         // poked en, and the state after the third edge is not dumped.
-        assert!(text.contains("#0\n0!\n1\""), "en poked before edge 0: {text}");
-        assert!(text.contains("#2\nb10 "), "count=2 at the third edge: {text}");
-        assert!(!text.contains("#3"), "no timestep after the last edge: {text}");
+        assert!(
+            text.contains("#0\n0!\n1\""),
+            "en poked before edge 0: {text}"
+        );
+        assert!(
+            text.contains("#2\nb10 "),
+            "count=2 at the third edge: {text}"
+        );
+        assert!(
+            !text.contains("#3"),
+            "no timestep after the last edge: {text}"
+        );
     }
 
     #[test]
     fn poking_an_unchanged_value_runs_no_settle() {
         let d = counter();
-        for engine in [Engine::Bytecode, Engine::TreeWalk, Engine::Event, Engine::Batched] {
+        for engine in [
+            Engine::Bytecode,
+            Engine::TreeWalk,
+            Engine::Event,
+            Engine::Batched,
+        ] {
             let mut sim = Simulator::new(&d, "counter").expect("build");
             sim.set_engine(engine);
             sim.enable_sched_stats();

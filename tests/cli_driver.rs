@@ -1066,8 +1066,14 @@ fn vcd_shows_bram_read_data_in_the_cycle_after_the_request() {
     // Every word of the stimulus memory is non-zero, so the first read's
     // data is too.
     assert_eq!(rd_data, rd_en + 1, "Ai_rd_data timestep");
-    assert_eq!(wr_data, rd_data, "Co_wr_data follows Ai_rd_data combinationally");
-    assert_eq!(wr_en, rd_data, "the write is issued in the cycle its data arrives");
+    assert_eq!(
+        wr_data, rd_data,
+        "Co_wr_data follows Ai_rd_data combinationally"
+    );
+    assert_eq!(
+        wr_en, rd_data,
+        "the write is issued in the cycle its data arrives"
+    );
 }
 
 #[test]
