@@ -35,6 +35,7 @@ use hir::ops::{
     self, AllocOp, CallOp, ConstantOp, DelayOp, ForOp, FuncOp, IfOp, MemReadOp, MemWriteOp,
     UnrollForOp,
 };
+use hir::semantics;
 use hir::types::{Dim, MemKind, MemrefInfo};
 use hir::CmpPredicate;
 use ir::{Module, OpId, SymbolTable, ValueId};
@@ -601,6 +602,16 @@ impl<'m> FuncCodegen<'m> {
         }
     }
 
+    /// Index operands: a constant index is its type's unsigned bits, as the
+    /// interpreter reads it.
+    fn indices(&self, indices: &[ValueId], env: &HashMap<ValueId, CgVal>) -> Result<Vec<CgVal>> {
+        let index = |v: ValueId| match self.value(v, env)? {
+            CgVal::Const(c) => Ok(CgVal::Const(semantics::unsigned(c, &self.m.value_type(v)))),
+            wire => Ok(wire),
+        };
+        indices.iter().map(|&v| index(v)).collect()
+    }
+
     /// Width of an HIR value in the datapath (consts get context width).
     fn width_of(&self, v: ValueId) -> u32 {
         self.m.value_type(v).bit_width().unwrap_or(32)
@@ -644,6 +655,7 @@ impl<'m> FuncCodegen<'m> {
                 let v = attr
                     .as_int()
                     .ok_or_else(|| self.err("float constants are not synthesizable yet"))?;
+                let v = semantics::wrap_to(v, &m.value_type(c.result(m)));
                 env.insert(c.result(m), CgVal::Const(v));
                 Ok(())
             }
@@ -694,15 +706,16 @@ impl<'m> FuncCodegen<'m> {
         let res_ty = m.value_type(result);
 
         // Pure constant arithmetic folds at generation time.
-        if vals.iter().all(|v| matches!(v, CgVal::Const(_))) {
-            let ints: Vec<i128> = vals
-                .iter()
-                .map(|v| match v {
-                    CgVal::Const(c) => *c,
-                    CgVal::Wire(..) => unreachable!(),
-                })
-                .collect();
-            let folded = fold_compute(kind, &ints, m, op)?;
+        let consts: Option<Vec<i128>> = vals
+            .iter()
+            .map(|v| match v {
+                CgVal::Const(c) => Some(*c),
+                CgVal::Wire(..) => None,
+            })
+            .collect();
+        if let Some(ints) = consts {
+            let folded = semantics::eval(m, op, kind, &ints)
+                .ok_or_else(|| self.err(format!("{} overflows: {ints:?}", m.op(op).name())))?;
             env.insert(result, CgVal::Const(folded));
             return Ok(());
         }
@@ -716,10 +729,11 @@ impl<'m> FuncCodegen<'m> {
             .bit_width()
             .ok_or_else(|| self.err(format!("compute result of type {res_ty} has no width")))?;
         use hir::ops::ComputeKind as K;
+        // A `!hir.const` constant takes the result's width.
         let in_width = |i: usize| -> u32 {
             match &vals[i] {
                 CgVal::Wire(_, w) => *w,
-                CgVal::Const(_) => width,
+                CgVal::Const(_) => m.value_type(operands[i]).int_width().unwrap_or(width),
             }
         };
         let expr = match kind {
@@ -944,11 +958,7 @@ impl<'m> FuncCodegen<'m> {
         let t = self.timeref(r.time(m), times)?;
         let pulse = self.pulse(&t, r.offset(m));
         let enable = self.gated(pulse, gate, &t.root, t.extra + r.offset(m));
-        let indices: Vec<CgVal> = r
-            .indices(m)
-            .iter()
-            .map(|&v| self.value(v, env))
-            .collect::<Result<_>>()?;
+        let indices = self.indices(&r.indices(m), env)?;
         let loc = self.loc_comment(r.id());
         let port_id = r.memref(m);
         let info = self
@@ -1010,11 +1020,7 @@ impl<'m> FuncCodegen<'m> {
         let t = self.timeref(w.time(m), times)?;
         let pulse = self.pulse(&t, w.offset(m));
         let enable = self.gated(pulse, gate, &t.root, t.extra + w.offset(m));
-        let indices: Vec<CgVal> = w
-            .indices(m)
-            .iter()
-            .map(|&v| self.value(v, env))
-            .collect::<Result<_>>()?;
+        let indices = self.indices(&w.indices(m), env)?;
         let loc = self.loc_comment(w.id());
         let port_id = w.memref(m);
         let info = self
@@ -1668,43 +1674,6 @@ fn mux_chain(items: impl DoubleEndedIterator<Item = (Expr, Expr)>, width: u32) -
         acc = Expr::mux(en, val, acc);
     }
     acc
-}
-
-fn fold_compute(kind: hir::ops::ComputeKind, ints: &[i128], m: &Module, op: OpId) -> Result<i128> {
-    use hir::ops::ComputeKind as K;
-    Ok(match kind {
-        K::Add => ints[0] + ints[1],
-        K::Sub => ints[0] - ints[1],
-        K::Mult => ints[0] * ints[1],
-        K::And => ints[0] & ints[1],
-        K::Or => ints[0] | ints[1],
-        K::Xor => ints[0] ^ ints[1],
-        K::Not => !ints[0],
-        K::Shl => ints[0] << ints[1].clamp(0, 127),
-        K::Shr => ints[0] >> ints[1].clamp(0, 127),
-        K::Cmp(p) => i128::from(p.eval(ints[0], ints[1])),
-        K::Select => {
-            if ints[0] != 0 {
-                ints[1]
-            } else {
-                ints[2]
-            }
-        }
-        K::Trunc | K::Sext | K::Zext => ints[0],
-        K::Slice => {
-            let hi = m
-                .op(op)
-                .attr(hir::attrkey::HI)
-                .and_then(|a| a.as_int())
-                .unwrap_or(0);
-            let lo = m
-                .op(op)
-                .attr(hir::attrkey::LO)
-                .and_then(|a| a.as_int())
-                .unwrap_or(0);
-            (ints[0] >> lo) & ((1i128 << (hi - lo + 1)) - 1)
-        }
-    })
 }
 
 #[cfg(test)]

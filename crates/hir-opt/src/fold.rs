@@ -22,21 +22,14 @@ impl RewritePattern for FoldConstants {
         let Some(kind) = ops::compute_kind(m, op) else {
             return RewriteStatus::NoMatch;
         };
-        let operands = m.op(op).operands().to_vec();
-        let mut ints = Vec::with_capacity(operands.len());
-        for &v in &operands {
-            let Some(def) = m.defining_op(v) else {
-                return RewriteStatus::NoMatch;
-            };
-            let Some(c) = ConstantOp::wrap(m, def) else {
-                return RewriteStatus::NoMatch;
-            };
-            let Some(i) = c.value_attr(m).as_int() else {
-                return RewriteStatus::NoMatch;
-            };
-            ints.push(i);
-        }
-        let folded = match eval(kind, &ints, m, op) {
+        let operands = m.op(op).operands().iter();
+        let Some(ints) = operands
+            .map(|&v| const_of(m, v))
+            .collect::<Option<Vec<_>>>()
+        else {
+            return RewriteStatus::NoMatch;
+        };
+        let folded = match hir::semantics::eval(m, op, kind, &ints) {
             Some(v) => v,
             None => {
                 if obs::remarks_enabled() {
@@ -76,33 +69,11 @@ impl RewritePattern for FoldConstants {
     }
 }
 
-fn eval(kind: ops::ComputeKind, ints: &[i128], m: &Module, op: OpId) -> Option<i128> {
-    use ops::ComputeKind as K;
-    Some(match kind {
-        K::Add => ints[0].checked_add(ints[1])?,
-        K::Sub => ints[0].checked_sub(ints[1])?,
-        K::Mult => ints[0].checked_mul(ints[1])?,
-        K::And => ints[0] & ints[1],
-        K::Or => ints[0] | ints[1],
-        K::Xor => ints[0] ^ ints[1],
-        K::Not => !ints[0],
-        K::Shl => ints[0].checked_shl(u32::try_from(ints[1]).ok()?)?,
-        K::Shr => ints[0] >> i32::try_from(ints[1]).ok()?.clamp(0, 127),
-        K::Cmp(p) => i128::from(p.eval(ints[0], ints[1])),
-        K::Select => {
-            if ints[0] != 0 {
-                ints[1]
-            } else {
-                ints[2]
-            }
-        }
-        K::Trunc | K::Sext | K::Zext => ints[0],
-        K::Slice => {
-            let hi = m.op(op).attr(attrkey::HI)?.as_int()?;
-            let lo = m.op(op).attr(attrkey::LO)?.as_int()?;
-            (ints[0] >> lo) & ((1i128 << (hi - lo + 1)) - 1)
-        }
-    })
+/// The integer a `hir.constant` defines, as written.
+fn const_of(m: &Module, v: ValueId) -> Option<i128> {
+    ConstantOp::wrap(m, m.defining_op(v)?)?
+        .value_attr(m)
+        .as_int()
 }
 
 /// Algebraic identities: `x + 0`, `x * 1`, `x * 0`, `x & x`, `x | x`, ...
@@ -117,9 +88,6 @@ impl RewritePattern for AlgebraicSimplify {
         let m = rw.module();
         let name = m.op(op).name().as_str();
         let operands = m.op(op).operands().to_vec();
-        let const_of = |m: &Module, v: ValueId| -> Option<i128> {
-            ConstantOp::wrap(m, m.defining_op(v)?).and_then(|c| c.value_attr(m).as_int())
-        };
         let result = match m.op(op).results().first() {
             Some(&r) => r,
             None => return RewriteStatus::NoMatch,
@@ -447,6 +415,52 @@ mod tests {
         pm.add(CsePass);
         pm.run(m, &registry, &mut diags)
             .unwrap_or_else(|e| panic!("cse failed: {e}\n{}", diags.render()));
+    }
+
+    /// The value of each returned constant, `None` for a value left unfolded.
+    fn returned_constants(m: &Module) -> Vec<Option<i128>> {
+        let f = hir::ops::FuncOp::wrap(m, m.top_ops()[0]).unwrap();
+        let ret = m.op(f.return_op(m).unwrap()).operands().to_vec();
+        ret.iter()
+            .map(|&v| {
+                ConstantOp::wrap(m, m.defining_op(v)?)?
+                    .value_attr(m)
+                    .as_int()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn folds_wrap_at_the_result_width() {
+        let mut hb = HirBuilder::new();
+        hb.func("k", &[], &[0, 0, 0]);
+        let hundred = hb.typed_const(100, Type::int(8));
+        let sum = hb.add(hundred, hundred); // 200 is the i8 pattern of -56
+        let eight = hb.typed_const(8, Type::int(8));
+        let shifted = hb.shl(hundred, eight); // every bit shifted out
+        let big = hb.const_val(i64::MAX);
+        let square = hb.mult(big, big); // fits in i128
+        let cube = hb.mult(square, big); // !hir.const: overflows i128
+        hb.return_(&[sum, shifted, cube]);
+        let mut m = hb.finish();
+
+        let registry = hir::hir_registry();
+        let patterns: Vec<Box<dyn RewritePattern>> = vec![Box::new(FoldConstants)];
+        crate::tests::with_remarks(|| ir::apply_patterns_greedily(&mut m, &registry, &patterns));
+        let remarks = obs::remark::take_thread();
+
+        assert_eq!(returned_constants(&m), vec![Some(-56), Some(0), None]);
+        assert!(
+            remarks.iter().any(|r| r.kind == obs::RemarkKind::Applied
+                && r.message == "folded hir.add to constant -56"
+                && r.args == [("value".into(), obs::RemarkValue::Int(-56))]),
+            "no applied remark carrying -56 in {remarks:?}"
+        );
+        assert!(
+            remarks.iter().any(|r| r.kind == obs::RemarkKind::Missed
+                && r.message == "hir.mult not folded: evaluation overflows"),
+            "no overflow remark in {remarks:?}"
+        );
     }
 
     fn count_ops(m: &Module, name: &str) -> usize {

@@ -221,13 +221,24 @@ pub fn function_pipeline_from_names<S: AsRef<str>>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hir::interp::{ArgValue, Interpreter};
     use hir::ops::{DelayOp, ForOp};
     use hir::types::{MemKind, MemrefInfo, Port};
     use hir::HirBuilder;
     use ir::{DiagnosticEngine, Module, Type};
+
+    /// Run `f` with remark recording on. The switch is process-wide, so the
+    /// tests that flip it take turns.
+    pub(crate) fn with_remarks<R>(f: impl FnOnce() -> R) -> R {
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+        let was = obs::set_remarks_enabled(true);
+        let r = f();
+        obs::set_remarks_enabled(was);
+        r
+    }
 
     fn run_pipeline(m: &mut Module) {
         optimize(m).expect("pipeline");
@@ -319,11 +330,8 @@ mod tests {
 
         let registry = hir::hir_registry();
         let mut diags = DiagnosticEngine::new();
-        let was = obs::set_remarks_enabled(true);
         let mut pm = standard_pipeline();
-        let run = pm.run(&mut m, &registry, &mut diags);
-        obs::set_remarks_enabled(was);
-        run.unwrap();
+        with_remarks(|| pm.run(&mut m, &registry, &mut diags)).unwrap();
         let remarks = pm.take_remarks();
 
         let has = |pass: &str, kind: obs::RemarkKind| {

@@ -17,6 +17,7 @@ use crate::ops::{
     self, AllocOp, CallOp, ComputeKind, ConstantOp, DelayOp, ForOp, FuncOp, IfOp, MemReadOp,
     MemWriteOp, UnrollForOp, YieldOp,
 };
+use crate::semantics::{self, wrap_to};
 use crate::types::MemrefInfo;
 use ir::{Module, OpId, SymbolTable, ValueId};
 use std::cmp::Reverse;
@@ -27,7 +28,11 @@ use std::rc::Rc;
 /// A runtime value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Val {
-    /// Integer (sign-extended to i128 from its type's width).
+    /// Integer in the value model of [`crate::semantics`]: an `iN` value is
+    /// its N-bit pattern sign-wrapped into `i128` (constants, scalar
+    /// arguments, memory words and external results are wrapped where they
+    /// are read), a `!hir.const` value is unbounded, and a loop induction
+    /// variable holds the unwrapped loop counter.
     Int(i128),
     /// Float.
     Float(f64),
@@ -389,7 +394,7 @@ impl<'m, 'i> Engine<'m, 'i> {
                 }
                 (None, ArgValue::Int(v)) => {
                     arg_tensors.push(None);
-                    self.bind(frame, *formal, Slot::Val(Val::Int(*v)));
+                    self.bind(frame, *formal, Slot::Val(Val::Int(wrap_to(*v, &ty))));
                 }
                 _ => {
                     return Err(self.err(format!(
@@ -722,16 +727,8 @@ impl<'m, 'i> Engine<'m, 'i> {
     ) -> SimResult<Vec<u64>> {
         let mut out = Vec::with_capacity(indices.len());
         for (dim, &idx) in info.dims.iter().zip(indices) {
-            let mut v = self.eval(frame, idx)?.as_int();
-            // Addresses are unsigned: reinterpret the value's bit pattern
-            // under its type width (hardware address buses carry raw bits).
-            if v < 0 {
-                if let Some(w) = self.m().value_type(idx).int_width() {
-                    if w < 128 {
-                        v &= (1i128 << w) - 1;
-                    }
-                }
-            }
+            // Addresses are unsigned: address buses carry raw bits.
+            let v = semantics::unsigned(self.eval(frame, idx)?.as_int(), &self.m().value_type(idx));
             if v < 0 || v as u64 >= dim.size() {
                 return Err(self.err(format!(
                     "undefined behaviour: index {v} out of bounds for dimension of size {}",
@@ -771,6 +768,7 @@ impl<'m, 'i> Engine<'m, 'i> {
                 "undefined behaviour: read of uninitialized memory at index {index:?}"
             ))
         })?;
+        let value = wrap_to(value, &info.elem);
         self.bind(frame, rd.result(m), Slot::Val(Val::Int(value)));
         Ok(())
     }
@@ -785,7 +783,7 @@ impl<'m, 'i> Engine<'m, 'i> {
         let addr = info.linear_index(&index);
         self.check_port(port, bank, addr)?;
         let flat = info.flat_index(&index);
-        let value = self.eval(frame, wr.value(m))?.as_int();
+        let value = wrap_to(self.eval(frame, wr.value(m))?.as_int(), &info.elem);
         self.pending_writes.push(PendingWrite {
             tensor,
             flat,
@@ -826,6 +824,10 @@ impl<'m, 'i> Engine<'m, 'i> {
                 )));
             }
             for (res_val, v) in call_results.into_iter().zip(results) {
+                let v = match v {
+                    Val::Int(i) => Val::Int(wrap_to(i, &m.value_type(res_val))),
+                    other => other,
+                };
                 self.bind(frame, res_val, Slot::Val(v));
             }
             return Ok(());
@@ -925,7 +927,7 @@ impl<'m, 'i> Engine<'m, 'i> {
         if let Some(c) = ConstantOp::wrap(m, def) {
             let attr = c.value_attr(m);
             let v = match attr {
-                ir::Attribute::Int(v, _) => Val::Int(v),
+                ir::Attribute::Int(v, _) => Val::Int(wrap_to(v, &m.value_type(value))),
                 ir::Attribute::Float(v, _) => Val::Float(v),
                 other => return Err(self.err(format!("bad constant payload {other}"))),
             };
@@ -948,110 +950,40 @@ impl<'m, 'i> Engine<'m, 'i> {
         for o in &operands {
             vals.push(self.eval(frame, *o)?);
         }
-        let result_ty = m.value_type(value);
-        let v =
-            eval_compute(kind, &vals, &result_ty, m, def).map_err(|message| self.err(message))?;
+        let v = if m.value_type(value).is_float() || vals.iter().any(|v| matches!(v, Val::Float(_)))
+        {
+            eval_float(kind, &vals).map_err(|message| self.err(message))?
+        } else {
+            let ints: Vec<i128> = vals.iter().map(Val::as_int).collect();
+            let v = semantics::eval(m, def, kind, &ints)
+                .ok_or_else(|| self.err(format!("{} overflows: {ints:?}", m.op(def).name())))?;
+            Val::Int(v)
+        };
         self.bind(frame, value, Slot::Val(v.clone()));
         Ok(v)
     }
 }
 
-/// Sign-extend `v` interpreted as a `width`-bit two's-complement value.
-fn wrap_to_width(v: i128, width: u32) -> i128 {
-    if width >= 128 {
-        return v;
-    }
-    let mask = (1i128 << width) - 1;
-    let truncated = v & mask;
-    let sign = 1i128 << (width - 1);
-    if truncated & sign != 0 {
-        truncated - (1i128 << width)
-    } else {
-        truncated
-    }
-}
-
-fn eval_compute(
-    kind: ComputeKind,
-    vals: &[Val],
-    result_ty: &ir::Type,
-    m: &Module,
-    op: OpId,
-) -> Result<Val, String> {
-    use crate::dialect::attrkey;
-    // Float path.
-    if result_ty.is_float() || vals.iter().any(|v| matches!(v, Val::Float(_))) {
-        let f = |v: &Val| match v {
-            Val::Float(x) => *x,
-            Val::Int(x) => *x as f64,
-            Val::Time(_) => f64::NAN,
-        };
-        return Ok(match kind {
-            ComputeKind::Add => Val::Float(f(&vals[0]) + f(&vals[1])),
-            ComputeKind::Sub => Val::Float(f(&vals[0]) - f(&vals[1])),
-            ComputeKind::Mult => Val::Float(f(&vals[0]) * f(&vals[1])),
-            ComputeKind::Select => {
-                if vals[0].as_int() != 0 {
-                    vals[1].clone()
-                } else {
-                    vals[2].clone()
-                }
-            }
-            other => return Err(format!("unsupported float op {other:?}")),
-        });
-    }
-    let a = vals[0].as_int();
-    let raw = match kind {
-        ComputeKind::Add => a + vals[1].as_int(),
-        ComputeKind::Sub => a - vals[1].as_int(),
-        ComputeKind::Mult => a * vals[1].as_int(),
-        ComputeKind::And => a & vals[1].as_int(),
-        ComputeKind::Or => a | vals[1].as_int(),
-        ComputeKind::Xor => a ^ vals[1].as_int(),
-        ComputeKind::Not => !a,
-        ComputeKind::Shl => a << vals[1].as_int().clamp(0, 127),
-        ComputeKind::Shr => a >> vals[1].as_int().clamp(0, 127),
-        ComputeKind::Cmp(pred) => i128::from(pred.eval(a, vals[1].as_int())),
-        ComputeKind::Select => {
-            if a != 0 {
-                vals[1].as_int()
-            } else {
-                vals[2].as_int()
-            }
-        }
-        ComputeKind::Trunc | ComputeKind::Sext => a,
-        ComputeKind::Zext => {
-            // Zero-extension reinterprets the source bits as unsigned.
-            let in_w = m
-                .value_type(m.op(op).operands()[0])
-                .int_width()
-                .ok_or("zext of non-integer")?;
-            if in_w >= 128 {
-                a
-            } else {
-                a & ((1i128 << in_w) - 1)
-            }
-        }
-        ComputeKind::Slice => {
-            let hi = m
-                .op(op)
-                .attr(attrkey::HI)
-                .and_then(|x| x.as_int())
-                .ok_or("missing hi")?;
-            let lo = m
-                .op(op)
-                .attr(attrkey::LO)
-                .and_then(|x| x.as_int())
-                .ok_or("missing lo")?;
-            // Bit slices are raw (zero-extended) bits, never sign-extended.
-            return Ok(Val::Int(
-                ((a as u128 >> lo) as i128) & ((1i128 << (hi - lo + 1)) - 1),
-            ));
-        }
+/// A float compute op (integer operands convert); integer compute ops are
+/// [`semantics::eval`]'s.
+fn eval_float(kind: ComputeKind, vals: &[Val]) -> Result<Val, String> {
+    let f = |v: &Val| match v {
+        Val::Float(x) => *x,
+        Val::Int(x) => *x as f64,
+        Val::Time(_) => f64::NAN,
     };
-    Ok(match result_ty.int_width() {
-        Some(w) => Val::Int(wrap_to_width(raw, w)),
-        None => Val::Int(raw), // !hir.const arithmetic is unbounded
+    Ok(match kind {
+        ComputeKind::Add => Val::Float(f(&vals[0]) + f(&vals[1])),
+        ComputeKind::Sub => Val::Float(f(&vals[0]) - f(&vals[1])),
+        ComputeKind::Mult => Val::Float(f(&vals[0]) * f(&vals[1])),
+        ComputeKind::Select => {
+            if vals[0].as_int() != 0 {
+                vals[1].clone()
+            } else {
+                vals[2].clone()
+            }
+        }
+        other => return Err(format!("unsupported float op {other:?}")),
     })
 }
 
@@ -1062,13 +994,41 @@ mod tests {
     use crate::types::{MemKind, MemrefInfo, Port};
     use ir::Type;
 
+    /// An `i8` argument passed as 200 is the pattern of -56, so `sext` gives
+    /// -56 as the RTL does; bits 7..4 of -16 read as the `i4` -1, as the
+    /// harness reports them.
     #[test]
-    fn wrap_widths() {
-        assert_eq!(wrap_to_width(255, 8), -1);
-        assert_eq!(wrap_to_width(127, 8), 127);
-        assert_eq!(wrap_to_width(128, 8), -128);
-        assert_eq!(wrap_to_width(256, 8), 0);
-        assert_eq!(wrap_to_width(5, 32), 5);
+    fn arguments_and_slices_follow_the_value_model() {
+        let mut hb = HirBuilder::new();
+        let f = hb.func("f", &[("x", Type::int(8))], &[0, 0]);
+        let x = f.args(hb.module())[0];
+        let wide = hb.sext(x, Type::int(16));
+        let high = hb.slice(x, 7, 4);
+        hb.return_(&[wide, high]);
+        let m = hb.finish();
+        let run = |v| {
+            let report = Interpreter::new(&m).run("f", &[ArgValue::Int(v)]);
+            report.expect("simulation").results
+        };
+        assert_eq!(run(200), vec![-56, -4]);
+        assert_eq!(run(-16), vec![-16, -1]);
+    }
+
+    #[test]
+    fn tensor_words_are_read_at_their_element_width() {
+        let mut hb = HirBuilder::new();
+        let a = MemrefInfo::packed(&[1], Type::int(8), Port::Read, MemKind::BlockRam);
+        let f = hb.func("f", &[("A", a.to_type())], &[1]);
+        let t = f.time_var(hb.module());
+        let args = f.args(hb.module());
+        let c0 = hb.const_val(0);
+        let v = hb.mem_read(args[0], &[c0], t, 0);
+        hb.return_(&[v]);
+        let m = hb.finish();
+        let report = Interpreter::new(&m)
+            .run("f", &[ArgValue::tensor_from(&[200])])
+            .expect("simulation");
+        assert_eq!(report.results, vec![-56]);
     }
 
     /// Array add (paper Figure 1a, with a *correct* schedule): C[i] = A[i]+B[i].

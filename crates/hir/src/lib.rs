@@ -17,6 +17,8 @@
 //! * typed op wrappers ([`ops`]) and an ergonomic construction API
 //!   ([`HirBuilder`]),
 //! * a paper-style pretty printer ([`pretty`]),
+//! * the integer meaning of every compute op ([`semantics`]), shared by the
+//!   interpreter, the constant folder and the code generator,
 //! * and a **cycle-accurate interpreter** ([`interp`]) that executes designs
 //!   with pipelined loop overlap and detects the undefined behaviours of
 //!   paper §4.5 at runtime.
@@ -32,6 +34,7 @@ pub mod interp;
 pub mod ops;
 pub mod parse;
 pub mod pretty;
+pub mod semantics;
 pub mod types;
 
 pub use builder::HirBuilder;

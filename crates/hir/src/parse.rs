@@ -1215,8 +1215,9 @@ hir.func @transpose at %t(
         let t = f.time_var(hb.module());
         let x = f.args(hb.module())[0];
         let d = hb.delay(x, 2, t, 0);
-        let s = hb.add(d, d);
-        let _ = s;
+        // A negative constant's name must parse back too.
+        let minus_one = hb.typed_const(-1, Type::int(32));
+        let s = hb.add(d, minus_one);
         hb.return_(&[s]);
         let m = hb.finish();
         let text = pretty_module(&m);

@@ -99,17 +99,21 @@ impl<'m> Pretty<'m> {
         if let Some(n) = self.names.get(&v) {
             return n.clone();
         }
-        // Constants get their literal value as name, like the paper (%16);
-        // a typed constant with the same value gets a disambiguated name so
-        // the printed text stays parseable. Read the attribute leniently:
-        // this runs inside diagnostic rendering, where the constant may be
-        // the malformed op (e.g. a missing 'value' attribute) being reported.
+        // Constants get their literal value as name, like the paper (%16,
+        // and %cm1 for -1: a name cannot hold '-'); a typed constant with
+        // the same value gets a disambiguated name so the printed text
+        // stays parseable. Read the attribute leniently: this runs inside
+        // diagnostic rendering, where the constant may be the malformed op
+        // (e.g. a missing 'value' attribute) being reported.
         let m = self.m;
         let literal = m
             .defining_op(v)
             .filter(|&def| ops::ConstantOp::wrap(m, def).is_some())
             .and_then(|def| m.op(def).attr(attrkey::VALUE)?.as_int())
-            .map(|i| format!("%c{i}"))
+            .map(|i| match i {
+                0.. => format!("%c{i}"),
+                _ => format!("%cm{}", i.unsigned_abs()),
+            })
             .filter(|base| !self.names.values().any(|n| n == base));
         let n = literal.unwrap_or_else(|| self.fresh());
         self.names.insert(v, n.clone());
