@@ -650,13 +650,10 @@ impl<'m> FuncCodegen<'m> {
         let m = self.m;
         match m.op(op).name().as_str() {
             opname::CONSTANT => {
-                let c = ConstantOp(op);
-                let attr = c.value_attr(m);
-                let v = attr
-                    .as_int()
+                let result = ConstantOp(op).result(m);
+                let v = semantics::const_value(m, result)
                     .ok_or_else(|| self.err("float constants are not synthesizable yet"))?;
-                let v = semantics::wrap_to(v, &m.value_type(c.result(m)));
-                env.insert(c.result(m), CgVal::Const(v));
+                env.insert(result, CgVal::Const(v));
                 Ok(())
             }
             opname::ALLOC => {
@@ -714,8 +711,9 @@ impl<'m> FuncCodegen<'m> {
             })
             .collect();
         if let Some(ints) = consts {
-            let folded = semantics::eval(m, op, kind, &ints)
-                .ok_or_else(|| self.err(format!("{} overflows: {ints:?}", m.op(op).name())))?;
+            let folded = semantics::eval(m, op, kind, &ints).ok_or_else(|| {
+                self.err(format!("cannot evaluate {} on {ints:?}", m.op(op).name()))
+            })?;
             env.insert(result, CgVal::Const(folded));
             return Ok(());
         }

@@ -2,7 +2,8 @@
 //! code elimination (paper §6.2).
 
 use hir::dialect::{attrkey, opname};
-use hir::ops::{self, ConstantOp};
+use hir::ops;
+use hir::semantics::const_value;
 use ir::{
     traits, AttrMap, Attribute, Module, OpId, Pass, PassContext, PassResult, RewritePattern,
     RewriteStatus, Rewriter, ValueId,
@@ -24,7 +25,7 @@ impl RewritePattern for FoldConstants {
         };
         let operands = m.op(op).operands().iter();
         let Some(ints) = operands
-            .map(|&v| const_of(m, v))
+            .map(|&v| const_value(m, v))
             .collect::<Option<Vec<_>>>()
         else {
             return RewriteStatus::NoMatch;
@@ -69,13 +70,6 @@ impl RewritePattern for FoldConstants {
     }
 }
 
-/// The integer a `hir.constant` defines, as written.
-fn const_of(m: &Module, v: ValueId) -> Option<i128> {
-    ConstantOp::wrap(m, m.defining_op(v)?)?
-        .value_attr(m)
-        .as_int()
-}
-
 /// Algebraic identities: `x + 0`, `x * 1`, `x * 0`, `x & x`, `x | x`, ...
 pub struct AlgebraicSimplify;
 
@@ -96,20 +90,20 @@ impl RewritePattern for AlgebraicSimplify {
         let same_type = |m: &Module, v: ValueId| m.value_type(v) == m.value_type(result);
         let replacement: Option<ValueId> = match name {
             opname::ADD => {
-                if const_of(m, operands[1]) == Some(0) && same_type(m, operands[0]) {
+                if const_value(m, operands[1]) == Some(0) && same_type(m, operands[0]) {
                     Some(operands[0])
-                } else if const_of(m, operands[0]) == Some(0) && same_type(m, operands[1]) {
+                } else if const_value(m, operands[0]) == Some(0) && same_type(m, operands[1]) {
                     Some(operands[1])
                 } else {
                     None
                 }
             }
-            opname::SUB => (const_of(m, operands[1]) == Some(0) && same_type(m, operands[0]))
+            opname::SUB => (const_value(m, operands[1]) == Some(0) && same_type(m, operands[0]))
                 .then_some(operands[0]),
             opname::MULT => {
-                if const_of(m, operands[1]) == Some(1) && same_type(m, operands[0]) {
+                if const_value(m, operands[1]) == Some(1) && same_type(m, operands[0]) {
                     Some(operands[0])
-                } else if const_of(m, operands[0]) == Some(1) && same_type(m, operands[1]) {
+                } else if const_value(m, operands[0]) == Some(1) && same_type(m, operands[1]) {
                     Some(operands[1])
                 } else {
                     None
@@ -118,7 +112,7 @@ impl RewritePattern for AlgebraicSimplify {
             opname::AND | opname::OR => {
                 (operands[0] == operands[1] && same_type(m, operands[0])).then_some(operands[0])
             }
-            opname::SHL | opname::SHR => (const_of(m, operands[1]) == Some(0)
+            opname::SHL | opname::SHR => (const_value(m, operands[1]) == Some(0)
                 && same_type(m, operands[0]))
             .then_some(operands[0]),
             _ => None,
@@ -415,52 +409,6 @@ mod tests {
         pm.add(CsePass);
         pm.run(m, &registry, &mut diags)
             .unwrap_or_else(|e| panic!("cse failed: {e}\n{}", diags.render()));
-    }
-
-    /// The value of each returned constant, `None` for a value left unfolded.
-    fn returned_constants(m: &Module) -> Vec<Option<i128>> {
-        let f = hir::ops::FuncOp::wrap(m, m.top_ops()[0]).unwrap();
-        let ret = m.op(f.return_op(m).unwrap()).operands().to_vec();
-        ret.iter()
-            .map(|&v| {
-                ConstantOp::wrap(m, m.defining_op(v)?)?
-                    .value_attr(m)
-                    .as_int()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn folds_wrap_at_the_result_width() {
-        let mut hb = HirBuilder::new();
-        hb.func("k", &[], &[0, 0, 0]);
-        let hundred = hb.typed_const(100, Type::int(8));
-        let sum = hb.add(hundred, hundred); // 200 is the i8 pattern of -56
-        let eight = hb.typed_const(8, Type::int(8));
-        let shifted = hb.shl(hundred, eight); // every bit shifted out
-        let big = hb.const_val(i64::MAX);
-        let square = hb.mult(big, big); // fits in i128
-        let cube = hb.mult(square, big); // !hir.const: overflows i128
-        hb.return_(&[sum, shifted, cube]);
-        let mut m = hb.finish();
-
-        let registry = hir::hir_registry();
-        let patterns: Vec<Box<dyn RewritePattern>> = vec![Box::new(FoldConstants)];
-        crate::tests::with_remarks(|| ir::apply_patterns_greedily(&mut m, &registry, &patterns));
-        let remarks = obs::remark::take_thread();
-
-        assert_eq!(returned_constants(&m), vec![Some(-56), Some(0), None]);
-        assert!(
-            remarks.iter().any(|r| r.kind == obs::RemarkKind::Applied
-                && r.message == "folded hir.add to constant -56"
-                && r.args == [("value".into(), obs::RemarkValue::Int(-56))]),
-            "no applied remark carrying -56 in {remarks:?}"
-        );
-        assert!(
-            remarks.iter().any(|r| r.kind == obs::RemarkKind::Missed
-                && r.message == "hir.mult not folded: evaluation overflows"),
-            "no overflow remark in {remarks:?}"
-        );
     }
 
     fn count_ops(m: &Module, name: &str) -> usize {

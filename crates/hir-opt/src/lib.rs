@@ -221,24 +221,13 @@ pub fn function_pipeline_from_names<S: AsRef<str>>(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use hir::interp::{ArgValue, Interpreter};
     use hir::ops::{DelayOp, ForOp};
     use hir::types::{MemKind, MemrefInfo, Port};
     use hir::HirBuilder;
     use ir::{DiagnosticEngine, Module, Type};
-
-    /// Run `f` with remark recording on. The switch is process-wide, so the
-    /// tests that flip it take turns.
-    pub(crate) fn with_remarks<R>(f: impl FnOnce() -> R) -> R {
-        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-        let was = obs::set_remarks_enabled(true);
-        let r = f();
-        obs::set_remarks_enabled(was);
-        r
-    }
 
     fn run_pipeline(m: &mut Module) {
         optimize(m).expect("pipeline");
@@ -306,7 +295,9 @@ pub(crate) mod tests {
 
     /// With recording on, the standard pipeline reports applied remarks from
     /// folding, strength reduction and CSE, and a missed remark explaining
-    /// the value×value multiply it left alone.
+    /// the value×value multiply it left alone. Constant folding wraps at the
+    /// result width and reports the wrapped value, and a `!hir.const`
+    /// product past `i128` stays unfolded with a missed remark.
     #[test]
     fn passes_emit_applied_and_missed_remarks() {
         let mut hb = HirBuilder::new();
@@ -328,11 +319,52 @@ pub(crate) mod tests {
         hb.return_(&[t4]);
         let mut m = hb.finish();
 
+        let mut hb = HirBuilder::new();
+        hb.func("w", &[], &[0, 0, 0]);
+        let hundred = hb.typed_const(100, Type::int(8));
+        let sum = hb.add(hundred, hundred); // 200 is the i8 pattern of -56
+        let eight = hb.typed_const(8, Type::int(8));
+        let shifted = hb.shl(hundred, eight); // every bit shifted out
+        let big = hb.const_val(i64::MAX);
+        let square = hb.mult(big, big); // fits in i128
+        let cube = hb.mult(square, big); // !hir.const: overflows i128
+        hb.return_(&[sum, shifted, cube]);
+        let mut wrapping = hb.finish();
+
         let registry = hir::hir_registry();
         let mut diags = DiagnosticEngine::new();
         let mut pm = standard_pipeline();
-        with_remarks(|| pm.run(&mut m, &registry, &mut diags)).unwrap();
+        let fold: Vec<Box<dyn ir::RewritePattern>> = vec![Box::new(fold::FoldConstants)];
+        let was = obs::set_remarks_enabled(true);
+        let run = pm.run(&mut m, &registry, &mut diags);
+        ir::apply_patterns_greedily(&mut wrapping, &registry, &fold);
+        obs::set_remarks_enabled(was);
+        run.unwrap();
         let remarks = pm.take_remarks();
+        let fold_remarks = obs::remark::take_thread();
+
+        let f = hir::ops::FuncOp::wrap(&wrapping, wrapping.top_ops()[0]).unwrap();
+        let returned = wrapping.op(f.return_op(&wrapping).unwrap()).operands();
+        let folded: Vec<Option<i128>> = returned
+            .iter()
+            .map(|&v| hir::semantics::const_value(&wrapping, v))
+            .collect();
+        assert_eq!(folded, vec![Some(-56), Some(0), None]);
+        assert!(
+            fold_remarks
+                .iter()
+                .any(|r| r.kind == obs::RemarkKind::Applied
+                    && r.message == "folded hir.add to constant -56"
+                    && r.args == [("value".into(), obs::RemarkValue::Int(-56))]),
+            "no applied remark carrying -56 in {fold_remarks:?}"
+        );
+        assert!(
+            fold_remarks
+                .iter()
+                .any(|r| r.kind == obs::RemarkKind::Missed
+                    && r.message == "hir.mult not folded: evaluation overflows"),
+            "no overflow remark in {fold_remarks:?}"
+        );
 
         let has = |pass: &str, kind: obs::RemarkKind| {
             remarks.iter().any(|r| r.pass == pass && r.kind == kind)

@@ -9,7 +9,8 @@
 //! `hir.delay`, which is where the flip-flop savings come from.
 
 use hir::dialect::opname;
-use hir::ops::{ConstantOp, DelayOp, ForOp};
+use hir::ops::{DelayOp, ForOp};
+use hir::semantics::const_value;
 use ir::{Module, Pass, PassContext, PassResult, Type, ValueId};
 
 /// Signed bit width needed to represent every value in `[lo, hi]`.
@@ -51,13 +52,10 @@ impl Pass for PrecisionPass {
                 continue;
             }
             let lp = ForOp(op);
-            let const_of = |m: &Module, v: ValueId| -> Option<i128> {
-                ConstantOp::wrap(m, m.defining_op(v)?).and_then(|c| c.value_attr(m).as_int())
-            };
             let (Some(lb), Some(ub), Some(step)) = (
-                const_of(module, lp.lower_bound(module)),
-                const_of(module, lp.upper_bound(module)),
-                const_of(module, lp.step(module)),
+                const_value(module, lp.lower_bound(module)),
+                const_value(module, lp.upper_bound(module)),
+                const_value(module, lp.step(module)),
             ) else {
                 continue;
             };

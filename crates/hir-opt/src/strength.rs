@@ -3,8 +3,8 @@
 //! never consume a DSP block).
 
 use hir::dialect::{attrkey, opname};
-use hir::ops::ConstantOp;
-use ir::{AttrMap, Attribute, Module, OpId, RewritePattern, RewriteStatus, Rewriter, ValueId};
+use hir::semantics::const_value;
+use ir::{AttrMap, Attribute, Module, OpId, RewritePattern, RewriteStatus, Rewriter};
 
 /// `x * 2^k` → `x << k`; `x * (2^k + 2^j)` → `(x << k) + (x << j)`.
 /// Only fires for constants with at most two set bits — beyond that a real
@@ -22,9 +22,6 @@ impl RewritePattern for StrengthReduce {
             return RewriteStatus::NoMatch;
         }
         let operands = m.op(op).operands().to_vec();
-        let const_of = |m: &Module, v: ValueId| -> Option<i128> {
-            ConstantOp::wrap(m, m.defining_op(v)?).and_then(|c| c.value_attr(m).as_int())
-        };
         let missed = |m: &Module, message: String| {
             if obs::remarks_enabled() {
                 obs::emit_remark(obs::Remark::missed(
@@ -35,7 +32,7 @@ impl RewritePattern for StrengthReduce {
             }
         };
         // Normalize: (value, constant).
-        let (value, constant) = match (const_of(m, operands[0]), const_of(m, operands[1])) {
+        let (value, constant) = match (const_value(m, operands[0]), const_value(m, operands[1])) {
             (None, Some(c)) => (operands[0], c),
             (Some(c), None) => (operands[1], c),
             // Two constants fold elsewhere.

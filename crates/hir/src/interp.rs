@@ -925,11 +925,10 @@ impl<'m, 'i> Engine<'m, 'i> {
             self.err("block argument has no binding (value used outside its scope?)")
         })?;
         if let Some(c) = ConstantOp::wrap(m, def) {
-            let attr = c.value_attr(m);
-            let v = match attr {
-                ir::Attribute::Int(v, _) => Val::Int(wrap_to(v, &m.value_type(value))),
-                ir::Attribute::Float(v, _) => Val::Float(v),
-                other => return Err(self.err(format!("bad constant payload {other}"))),
+            let v = match (semantics::const_value(m, value), c.value_attr(m)) {
+                (Some(v), _) => Val::Int(v),
+                (None, ir::Attribute::Float(v, _)) => Val::Float(v),
+                (None, other) => return Err(self.err(format!("bad constant payload {other}"))),
             };
             self.bind(frame, value, Slot::Val(v.clone()));
             return Ok(v);
@@ -955,8 +954,9 @@ impl<'m, 'i> Engine<'m, 'i> {
             eval_float(kind, &vals).map_err(|message| self.err(message))?
         } else {
             let ints: Vec<i128> = vals.iter().map(Val::as_int).collect();
-            let v = semantics::eval(m, def, kind, &ints)
-                .ok_or_else(|| self.err(format!("{} overflows: {ints:?}", m.op(def).name())))?;
+            let v = semantics::eval(m, def, kind, &ints).ok_or_else(|| {
+                self.err(format!("cannot evaluate {} on {ints:?}", m.op(def).name()))
+            })?;
             Val::Int(v)
         };
         self.bind(frame, value, Slot::Val(v.clone()));

@@ -12,8 +12,8 @@
 //! reads its input as unsigned bits ([`unsigned`]).
 
 use crate::dialect::attrkey;
-use crate::ops::ComputeKind;
-use ir::{Module, OpId, Type};
+use crate::ops::{ComputeKind, ConstantOp};
+use ir::{Module, OpId, Type, ValueId};
 
 /// `v`'s low `width` bits read as a two's-complement number.
 pub fn wrap(v: i128, width: u32) -> i128 {
@@ -28,6 +28,14 @@ pub fn wrap(v: i128, width: u32) -> i128 {
 /// (`!hir.const`, `index`) are returned as they are.
 pub fn wrap_to(v: i128, ty: &Type) -> i128 {
     ty.int_width().map_or(v, |w| wrap(v, w))
+}
+
+/// The integer `v` holds when a `hir.constant` defines it: the written
+/// attribute wrapped at `v`'s type. `None` for any other value and for a
+/// float constant.
+pub fn const_value(m: &Module, v: ValueId) -> Option<i128> {
+    let c = ConstantOp::wrap(m, m.defining_op(v)?)?;
+    Some(wrap_to(c.value_attr(m).as_int()?, &m.value_type(v)))
 }
 
 /// `v`'s bits at the width of `ty` read as unsigned, as a memory index or

@@ -9,8 +9,8 @@
 //! their operand and result widths.
 //!
 //! The regression files `tests/corpus/regressions/{zext_const,
-//! shl_neg_amount,const_wrap}.hir` hold three programs on which the
-//! interpreter, the RTL and the folders once disagreed. Each must give one
+//! shl_neg_amount,const_wrap,mult_narrow_const}.hir` hold four programs on
+//! which the interpreter, the RTL and the optimizer once disagreed. Each must give one
 //! result under the interpreter and under `hirc --emit=sim`, with and
 //! without `--opt`.
 
@@ -294,6 +294,7 @@ fn regressions_agree_under_interpreter_and_rtl_with_and_without_opt() {
         ("zext_const", 255),
         ("shl_neg_amount", 0),
         ("const_wrap", -53),
+        ("mult_narrow_const", -9),
     ] {
         let path = dir.join(format!("{name}.hir"));
         let file = path.to_str().unwrap();
