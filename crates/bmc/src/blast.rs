@@ -1,21 +1,29 @@
-//! Tseitin bit-blasting: word-level values as vectors of SAT literals.
+//! Tseitin bit-blasting: word-level values as vectors of gate literals.
 //!
-//! A [`Blaster`] owns the [`Solver`] plus gate caches. Every gate
-//! constructor folds constants and structurally identical operands before
-//! allocating a variable, and the caches are global across everything built
-//! on one blaster — when the optimized and unoptimized sides of a miter
-//! compute the same function of the same inputs, they collapse to the *same
-//! literal* and their disagreement literal folds to false without the
-//! solver ever seeing a clause. This lightweight structural sweeping is
-//! what keeps K-cycle miters of mostly-similar designs tractable.
+//! A [`Blaster`] builds a structurally hashed gate table and owns the
+//! [`Solver`] that the table is encoded into. Every gate constructor folds
+//! constants and structurally identical operands before it adds a node,
+//! and the caches are global across everything built on one blaster — when
+//! the optimized and unoptimized sides of a miter compute the same function
+//! of the same inputs, they collapse to the *same literal* and their
+//! disagreement literal folds to false. This lightweight structural
+//! sweeping is what keeps K-cycle miters of mostly-similar designs
+//! tractable.
+//!
+//! Building a gate writes no CNF. [`Blaster::solve`] and
+//! [`Blaster::assert_true`] first encode the cone of influence of the
+//! literals they are given: each node of the cone not yet encoded gets one
+//! solver variable and its full Tseitin definition. A gate outside every
+//! queried cone appears in no clause, so it cannot constrain a query, and
+//! a query that folds to a constant encodes nothing.
 //!
 //! Bit vectors ([`BV`]) are LSB-first.
 
-use crate::sat::{Lit, Solver};
+use crate::sat::{Budget, Lit, SatResult, Solver};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A word value: literals, least significant bit first.
+/// A word value: gate literals, least significant bit first.
 pub type BV = Vec<Lit>;
 
 /// FxHash (the rustc hasher): one rotate-xor-multiply per literal. The gate
@@ -45,16 +53,45 @@ impl Hasher for FxHasher {
 
 type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// Bit-blasting context. `solver` is public so callers can run queries and
-/// read models directly.
+/// One node of the gate table; a gate literal is a node index shifted left
+/// once, low bit = negated. Node 0 is the constant true.
+#[derive(Clone, Copy)]
+enum Gate {
+    Input,
+    And([Lit; 2]),
+    Xor([Lit; 2]),
+    /// `[c, t, e]`: `c ? t : e`.
+    Ite([Lit; 3]),
+}
+
+impl Gate {
+    fn operands(&self) -> &[Lit] {
+        match self {
+            Gate::Input => &[],
+            Gate::And(ops) | Gate::Xor(ops) => ops,
+            Gate::Ite(ops) => ops,
+        }
+    }
+}
+
+/// [`Blaster::var`] of a node that has no solver variable yet.
+const UNENCODED: u32 = u32::MAX;
+
+/// Bit-blasting context: the gate table, its caches, and the solver that
+/// holds the encoded part of the table.
 pub struct Blaster {
-    pub solver: Solver,
+    solver: Solver,
+    gates: Vec<Gate>,
+    /// Solver variable per node, or [`UNENCODED`].
+    var: Vec<u32>,
     tru: Lit,
     and_cache: FxHashMap<(Lit, Lit), Lit>,
     xor_cache: FxHashMap<(Lit, Lit), Lit>,
     ite_cache: FxHashMap<(Lit, Lit, Lit), Lit>,
+    /// Work list of [`Blaster::encode`], kept to reuse its allocation.
+    stack: Vec<(u32, bool)>,
     /// Structural-hash statistics: gate lookups served from a cache vs
-    /// gates that allocated a fresh variable and clauses.
+    /// gates that added a node.
     pub cache_hits: u64,
     pub cache_misses: u64,
 }
@@ -67,18 +104,33 @@ impl Default for Blaster {
 
 impl Blaster {
     pub fn new() -> Blaster {
-        let mut solver = Solver::new();
-        let t = Lit::pos(solver.new_var());
-        solver.add_clause(&[t]);
-        Blaster {
-            solver,
-            tru: t,
+        let mut bl = Blaster {
+            solver: Solver::new(),
+            gates: Vec::new(),
+            var: Vec::new(),
+            tru: Lit::pos(0),
             and_cache: FxHashMap::default(),
             xor_cache: FxHashMap::default(),
             ite_cache: FxHashMap::default(),
+            stack: Vec::new(),
             cache_hits: 0,
             cache_misses: 0,
-        }
+        };
+        let t = bl.node(Gate::Input);
+        bl.assert_true(t);
+        bl
+    }
+
+    /// The solver, for its statistics. Queries go through
+    /// [`Blaster::solve`] and [`Blaster::assert_true`], which encode what
+    /// they reach first.
+    pub fn solver(&self) -> &Solver {
+        &self.solver
+    }
+
+    /// Nodes built so far, the constant included.
+    pub fn num_gates(&self) -> usize {
+        self.gates.len()
     }
 
     /// The constant-true literal.
@@ -107,9 +159,16 @@ impl Blaster {
         l == self.tru.flip()
     }
 
+    fn node(&mut self, g: Gate) -> Lit {
+        let n = u32::try_from(self.gates.len()).expect("gate table exceeds u32 nodes");
+        self.gates.push(g);
+        self.var.push(UNENCODED);
+        Lit::pos(n)
+    }
+
     /// Fresh unconstrained literal.
     pub fn fresh(&mut self) -> Lit {
-        Lit::pos(self.solver.new_var())
+        self.node(Gate::Input)
     }
 
     /// `a ∧ b` (cached, folded).
@@ -129,10 +188,7 @@ impl Blaster {
             return x;
         }
         self.cache_misses += 1;
-        let x = self.fresh();
-        self.solver.add_clause(&[a.flip(), b.flip(), x]);
-        self.solver.add_clause(&[a, x.flip()]);
-        self.solver.add_clause(&[b, x.flip()]);
+        let x = self.node(Gate::And([a, b]));
         self.and_cache.insert(key, x);
         x
     }
@@ -180,11 +236,7 @@ impl Blaster {
             x
         } else {
             self.cache_misses += 1;
-            let x = self.fresh();
-            self.solver.add_clause(&[a.flip(), b.flip(), x.flip()]);
-            self.solver.add_clause(&[a, b, x.flip()]);
-            self.solver.add_clause(&[a.flip(), b, x]);
-            self.solver.add_clause(&[a, b.flip(), x]);
+            let x = self.node(Gate::Xor([a, b]));
             self.xor_cache.insert(key, x);
             x
         };
@@ -226,11 +278,7 @@ impl Blaster {
             return x;
         }
         self.cache_misses += 1;
-        let x = self.fresh();
-        self.solver.add_clause(&[c.flip(), t.flip(), x]);
-        self.solver.add_clause(&[c.flip(), t, x.flip()]);
-        self.solver.add_clause(&[c, e.flip(), x]);
-        self.solver.add_clause(&[c, e, x.flip()]);
+        let x = self.node(Gate::Ite([c, t, e]));
         self.ite_cache.insert((c, t, e), x);
         x
     }
@@ -240,9 +288,82 @@ impl Blaster {
         self.xor(a, b).flip()
     }
 
-    /// Force a literal true at the root level.
+    // ----------------------------------------------------------- encoding
+
+    /// The solver literal of an encoded gate literal.
+    fn sat_lit(&self, l: Lit) -> Lit {
+        let v = self.var[l.var() as usize];
+        debug_assert_ne!(v, UNENCODED, "gate literal outside the encoded cones");
+        Lit(v << 1 | l.0 & 1)
+    }
+
+    /// Encode the cone of influence of every root: an iterative post-order
+    /// walk, operands in order, that gives each node not yet encoded one
+    /// solver variable and writes its Tseitin clauses. An encoded gate
+    /// always has its full definition, so the solver can never tell an
+    /// encoded cone from the eager encoding of the whole table.
+    pub(crate) fn encode(&mut self, roots: &[Lit]) {
+        let mut stack = std::mem::take(&mut self.stack);
+        for &root in roots {
+            stack.push((root.var(), false));
+            while let Some((n, expanded)) = stack.pop() {
+                if self.var[n as usize] != UNENCODED {
+                    continue;
+                }
+                let g = self.gates[n as usize];
+                if !expanded {
+                    stack.push((n, true));
+                    for &o in g.operands().iter().rev() {
+                        if self.var[o.var() as usize] == UNENCODED {
+                            stack.push((o.var(), false));
+                        }
+                    }
+                    continue;
+                }
+                let x = Lit::pos(self.solver.new_var());
+                self.var[n as usize] = x.var();
+                match g {
+                    Gate::Input => {}
+                    Gate::And([a, b]) => {
+                        let (a, b) = (self.sat_lit(a), self.sat_lit(b));
+                        self.solver.add_clause(&[a.flip(), b.flip(), x]);
+                        self.solver.add_clause(&[a, x.flip()]);
+                        self.solver.add_clause(&[b, x.flip()]);
+                    }
+                    Gate::Xor([a, b]) => {
+                        let (a, b) = (self.sat_lit(a), self.sat_lit(b));
+                        self.solver.add_clause(&[a.flip(), b.flip(), x.flip()]);
+                        self.solver.add_clause(&[a, b, x.flip()]);
+                        self.solver.add_clause(&[a.flip(), b, x]);
+                        self.solver.add_clause(&[a, b.flip(), x]);
+                    }
+                    Gate::Ite([c, t, e]) => {
+                        let (c, t, e) = (self.sat_lit(c), self.sat_lit(t), self.sat_lit(e));
+                        self.solver.add_clause(&[c.flip(), t.flip(), x]);
+                        self.solver.add_clause(&[c.flip(), t, x.flip()]);
+                        self.solver.add_clause(&[c, e.flip(), x]);
+                        self.solver.add_clause(&[c, e, x.flip()]);
+                    }
+                }
+            }
+        }
+        self.stack = stack;
+    }
+
+    /// Force a literal true at the root level, after encoding its cone.
     pub fn assert_true(&mut self, l: Lit) {
+        self.encode(&[l]);
+        let l = self.sat_lit(l);
         self.solver.add_clause(&[l]);
+    }
+
+    /// Solve under assumptions, after encoding their cones. The model (for
+    /// Sat) is readable through [`Blaster::model_bv`] until the next call
+    /// that encodes or asserts.
+    pub fn solve(&mut self, assumptions: &[Lit], budget: Budget) -> SatResult {
+        self.encode(assumptions);
+        let assumptions: Vec<Lit> = assumptions.iter().map(|&l| self.sat_lit(l)).collect();
+        self.solver.solve(&assumptions, budget)
     }
 
     // -------------------------------------------------------------- words
@@ -465,22 +586,69 @@ impl Blaster {
         self.bv_ite(overshoot, &all_fill, &cur)
     }
 
-    /// Read the value of a vector from the solver's current model.
+    /// Read the value of a vector from the solver's current model. An
+    /// encoded node reads the solver's value; any other gate is evaluated
+    /// from its operands, and an input outside every encoded cone reads
+    /// false. Gates outside the encoded cones appear in no clause, so this
+    /// extends the model to the whole table.
     pub fn model_bv(&self, a: &BV) -> u64 {
+        let mut values: FxHashMap<u32, bool> = FxHashMap::default();
         let mut v = 0u64;
         for (i, &l) in a.iter().enumerate() {
-            if self.solver.model_value(l) {
+            if self.model_node(l.var(), &mut values) != l.is_neg() {
                 v |= 1 << i;
             }
         }
         v
+    }
+
+    /// The model value of node `root`, evaluating unencoded gates
+    /// iteratively and recording them in `values`.
+    fn model_node(&self, root: u32, values: &mut FxHashMap<u32, bool>) -> bool {
+        let known = |n: u32, values: &FxHashMap<u32, bool>| match self.var[n as usize] {
+            UNENCODED => values.get(&n).copied(),
+            v => Some(self.solver.model_value(Lit::pos(v))),
+        };
+        let mut stack = vec![root];
+        while let Some(&n) = stack.last() {
+            if known(n, values).is_some() {
+                stack.pop();
+                continue;
+            }
+            let g = self.gates[n as usize];
+            let pending = stack.len();
+            stack.extend(
+                g.operands()
+                    .iter()
+                    .map(|o| o.var())
+                    .filter(|&o| known(o, values).is_none()),
+            );
+            if stack.len() > pending {
+                continue;
+            }
+            let val = |l: Lit| known(l.var(), values).expect("operand evaluated") != l.is_neg();
+            let x = match g {
+                Gate::Input => false,
+                Gate::And([a, b]) => val(a) && val(b),
+                Gate::Xor([a, b]) => val(a) != val(b),
+                Gate::Ite([c, t, e]) => {
+                    if val(c) {
+                        val(t)
+                    } else {
+                        val(e)
+                    }
+                }
+            };
+            values.insert(n, x);
+            stack.pop();
+        }
+        known(root, values).expect("root evaluated")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sat::{Budget, SatResult};
 
     /// Exhaustively check a binary blasted op against a reference over all
     /// small operand values.
@@ -498,8 +666,6 @@ mod tests {
         } else {
             (1 << width) - 1
         };
-        // out != reference(a, b) must be UNSAT: encode by asking the solver
-        // for any assignment where they differ.
         for av in 0..=m.min(15) {
             for bv in 0..=m.min(15) {
                 let mut assum = Vec::new();
@@ -509,10 +675,18 @@ mod tests {
                 for (i, &l) in b.iter().enumerate() {
                     assum.push(if bv >> i & 1 != 0 { l } else { l.flip() });
                 }
-                assert_eq!(bl.solver.solve(&assum, Budget::UNLIMITED), SatResult::Sat);
+                let want = reference(av, bv) & m;
+                // The gates evaluated from the operands' model: on the
+                // first pair nothing of `out` is encoded yet.
+                assert_eq!(bl.solve(&assum, Budget::UNLIMITED), SatResult::Sat);
+                assert_eq!(bl.model_bv(&out), want, "a={av} b={bv} w={width}");
+                // The encoded clauses: out != reference(a, b) is UNSAT.
+                let want = bl.bv_const(want, out.len() as u32);
+                let differs = bl.bv_eq(&out, &want).flip();
+                assum.push(differs);
                 assert_eq!(
-                    bl.model_bv(&out),
-                    reference(av, bv) & m,
+                    bl.solve(&assum, Budget::UNLIMITED),
+                    SatResult::Unsat,
                     "a={av} b={bv} w={width}"
                 );
             }
@@ -580,5 +754,132 @@ mod tests {
         assert_eq!(s1, s2, "identical structure must share literals");
         let d = bl.bv_eq(&s1, &s2);
         assert_eq!(d, bl.tru(), "equality of shared terms folds to true");
+    }
+
+    /// xorshift64* stream for the random circuits.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+        }
+    }
+
+    /// Nodes reachable from `roots` through the gate table, the constant
+    /// excluded: a recursive walk over a set, independent of the encoder.
+    fn cone(bl: &Blaster, roots: &[Lit], seen: &mut std::collections::BTreeSet<u32>) {
+        for &r in roots {
+            if r.var() != 0 && seen.insert(r.var()) {
+                cone(bl, bl.gates[r.var() as usize].operands(), seen);
+            }
+        }
+    }
+
+    /// Random hashed circuits over at most 10 inputs, queried under random
+    /// assumptions after random assertions. The verdict of every query
+    /// matches enumeration over the truth tables the test computes itself,
+    /// every SAT model makes the queried literals true when the gates are
+    /// evaluated from the model's inputs, every literal's model value is its
+    /// truth-table value at those inputs, and the solver holds exactly one
+    /// variable per node of the queried cones plus the constant.
+    #[test]
+    fn lazy_encoding_agrees_with_enumeration() {
+        let mut sat_models = 0;
+        let mut partial_cones = 0;
+        for seed in 1..=300u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+            let mut bl = Blaster::new();
+            let n_in = 1 + rng.below(10);
+            let rows = 1usize << n_in;
+            // Every literal the circuit built, with its truth table.
+            let mut pool: Vec<(Lit, Vec<bool>)> = vec![(bl.tru(), vec![true; rows])];
+            let inputs: Vec<Lit> = (0..n_in).map(|_| bl.fresh()).collect();
+            for (i, &x) in inputs.iter().enumerate() {
+                pool.push((x, (0..rows).map(|r| r >> i & 1 != 0).collect()));
+            }
+            for _ in 0..4 + rng.below(60) {
+                let pick = |rng: &mut Rng| {
+                    let (l, t) = &pool[rng.below(pool.len())];
+                    if rng.below(2) == 0 {
+                        (*l, t.clone())
+                    } else {
+                        (l.flip(), t.iter().map(|v| !v).collect())
+                    }
+                };
+                let (a, ta) = pick(&mut rng);
+                let (b, tb) = pick(&mut rng);
+                let (c, tc) = pick(&mut rng);
+                let zip = |f: &dyn Fn(usize) -> bool| (0..rows).map(f).collect::<Vec<bool>>();
+                let built = match rng.below(4) {
+                    0 => (bl.and(a, b), zip(&|r| ta[r] && tb[r])),
+                    1 => (bl.or(a, b), zip(&|r| ta[r] || tb[r])),
+                    2 => (bl.xor(a, b), zip(&|r| ta[r] != tb[r])),
+                    _ => (bl.ite(a, b, c), zip(&|r| if ta[r] { tb[r] } else { tc[r] })),
+                };
+                pool.push(built);
+            }
+            let mut roots: Vec<Lit> = Vec::new();
+            let mut holds = vec![true; rows];
+            for _ in 0..6 {
+                let lit = |rng: &mut Rng| {
+                    let (l, t) = &pool[rng.below(pool.len())];
+                    (l.flip(), t.iter().map(|v| !v).collect::<Vec<bool>>())
+                };
+                if rng.below(4) == 0 {
+                    let (l, t) = lit(&mut rng);
+                    bl.assert_true(l);
+                    roots.push(l);
+                    holds.iter_mut().zip(&t).for_each(|(h, v)| *h &= v);
+                }
+                let assumed: Vec<(Lit, Vec<bool>)> =
+                    (0..1 + rng.below(3)).map(|_| lit(&mut rng)).collect();
+                let assumptions: Vec<Lit> = assumed.iter().map(|(l, _)| *l).collect();
+                let want = (0..rows).any(|r| holds[r] && assumed.iter().all(|(_, t)| t[r]));
+                let got = bl.solve(&assumptions, Budget::UNLIMITED);
+                assert_eq!(
+                    got,
+                    if want {
+                        SatResult::Sat
+                    } else {
+                        SatResult::Unsat
+                    },
+                    "seed {seed}: verdict differs from enumeration"
+                );
+                roots.extend(&assumptions);
+                let mut seen = std::collections::BTreeSet::new();
+                cone(&bl, &roots, &mut seen);
+                assert_eq!(
+                    bl.solver().num_vars() as usize,
+                    seen.len() + 1,
+                    "seed {seed}: encoded more or less than the queried cones"
+                );
+                partial_cones += usize::from(seen.len() + 1 < bl.num_gates());
+                if got != SatResult::Sat {
+                    continue;
+                }
+                sat_models += 1;
+                let row = bl.model_bv(&inputs) as usize;
+                assert!(holds[row], "seed {seed}: model violates an assertion");
+                for (l, t) in &assumed {
+                    assert!(t[row], "seed {seed}: model falsifies assumption {l:?}");
+                }
+                for (l, t) in &pool {
+                    assert_eq!(
+                        bl.model_bv(&vec![*l]),
+                        u64::from(t[row]),
+                        "seed {seed}: {l:?}"
+                    );
+                }
+            }
+        }
+        // The checks had teeth: models were read, and queries left gates
+        // unencoded.
+        assert!(
+            sat_models > 300 && partial_cones > 300,
+            "{sat_models} {partial_cones}"
+        );
     }
 }

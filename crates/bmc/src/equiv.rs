@@ -126,7 +126,7 @@ pub struct FuncReport {
     pub status: EquivStatus,
     /// SAT conflicts spent on this function.
     pub conflicts: u64,
-    /// SAT variables allocated for the miter.
+    /// SAT variables the miter's queries encoded.
     pub vars: u32,
     /// Wall-clock time spent, in milliseconds.
     pub time_ms: u64,
@@ -134,14 +134,17 @@ pub struct FuncReport {
     pub solver: SolverStats,
 }
 
-/// CNF size snapshot after unrolling (and solving) one cycle of the miter.
+/// What one cycle of the miter built and what its query encoded.
 #[derive(Clone, Copy, Debug)]
 pub struct FrameStats {
     /// Unroll cycle this frame corresponds to.
     pub cycle: u32,
-    /// Problem + learnt clauses added while blasting this frame.
+    /// Gate-table nodes the blaster built for this cycle.
+    pub gates_added: u64,
+    /// Clauses encoded for this cycle's query and its assertions, counted
+    /// before the search, so learnt clauses stay out.
     pub clauses_added: u64,
-    /// SAT variables allocated while blasting this frame.
+    /// SAT variables encoded for this cycle's query and its assertions.
     pub vars_added: u64,
 }
 
@@ -160,11 +163,14 @@ pub struct SolverStats {
     /// Structural-hash gate cache hits/misses in the blaster.
     pub blast_cache_hits: u64,
     pub blast_cache_misses: u64,
-    /// Final clause-database size (problem + surviving learnts).
+    /// Gate-table nodes the blaster built, the constant included.
+    pub gates: u64,
+    /// Final clause-database size: the encoded cones plus surviving
+    /// learnts.
     pub clauses: u64,
-    /// Final variable count.
+    /// Final variable count: nodes of the encoded cones.
     pub vars: u64,
-    /// Per-unroll-frame CNF growth.
+    /// Per-unroll-frame growth of the gate table and the CNF.
     pub frames: Vec<FrameStats>,
     /// Wall-clock per phase, in milliseconds.
     pub lower_ms: u64,
@@ -181,11 +187,12 @@ impl Json for SolverStats {
         json_object!(w, {
             "conflicts": self.conflicts, "decisions": self.decisions,
             "propagations": self.propagations, "restarts": self.restarts,
-            "clauses": self.clauses, "vars": self.vars,
+            "gates": self.gates, "clauses": self.clauses, "vars": self.vars,
             "blast_cache": {"hits": self.blast_cache_hits, "misses": self.blast_cache_misses},
             "learnt_len": self.learnt_len, "decision_depth": self.decision_depth,
             "frames": [for f in &self.frames => {
-                "cycle": f.cycle, "clauses_added": f.clauses_added, "vars_added": f.vars_added,
+                "cycle": f.cycle, "gates_added": f.gates_added,
+                "clauses_added": f.clauses_added, "vars_added": f.vars_added,
             }],
             "phase_ms": {
                 "lower": self.lower_ms, "blast": self.blast_ms,
@@ -597,7 +604,7 @@ pub fn check_func_equivalence(
     };
 
     let mut bl = Blaster::new();
-    let start_conflicts = bl.solver.conflicts;
+    let start_conflicts = bl.solver().conflicts;
     let deadline = opts
         .time_budget_ms
         .map(|ms| started + std::time::Duration::from_millis(ms));
@@ -621,38 +628,48 @@ pub fn check_func_equivalence(
     let mut side_a = make_side(&bl, &ts_a, &env, &init_words);
     let mut side_b = make_side(&bl, &ts_b, &env, &init_words);
 
-    let report =
-        |status: EquivStatus, bl: &Blaster, phases: &Phases, frames: &[FrameStats]| FuncReport {
+    let report = |status: EquivStatus, bl: &Blaster, phases: &Phases, frames: &[FrameStats]| {
+        let solver = bl.solver();
+        FuncReport {
             func: func_name.to_string(),
             k: opts.k_cycles,
             status,
-            conflicts: bl.solver.conflicts - start_conflicts,
-            vars: bl.solver.num_vars(),
+            conflicts: solver.conflicts - start_conflicts,
+            vars: solver.num_vars(),
             time_ms: started.elapsed().as_millis() as u64,
             solver: SolverStats {
-                conflicts: bl.solver.conflicts - start_conflicts,
-                decisions: bl.solver.decisions,
-                propagations: bl.solver.propagations,
-                restarts: bl.solver.restarts,
-                learnt_len: bl.solver.learnt_len.clone(),
-                decision_depth: bl.solver.decision_depth.clone(),
+                conflicts: solver.conflicts - start_conflicts,
+                decisions: solver.decisions,
+                propagations: solver.propagations,
+                restarts: solver.restarts,
+                learnt_len: solver.learnt_len.clone(),
+                decision_depth: solver.decision_depth.clone(),
                 blast_cache_hits: bl.cache_hits,
                 blast_cache_misses: bl.cache_misses,
-                clauses: bl.solver.num_clauses() as u64,
-                vars: u64::from(bl.solver.num_vars()),
+                gates: bl.num_gates() as u64,
+                clauses: solver.num_clauses() as u64,
+                vars: u64::from(solver.num_vars()),
                 frames: frames.to_vec(),
                 lower_ms: phases.lower.as_millis() as u64,
                 blast_ms: phases.blast.as_millis() as u64,
                 solve_ms: phases.solve.as_millis() as u64,
                 replay_ms: phases.replay.as_millis() as u64,
             },
-        };
+        }
+    };
 
     let mut frames: Vec<FrameStats> = Vec::new();
-    // CNF-size baseline per frame, re-snapshotted after each solve so the
-    // deltas attribute blasted clauses (not learnts) to each unroll cycle.
-    let mut last_clauses = bl.solver.num_clauses() as u64;
-    let mut last_vars = u64::from(bl.solver.num_vars());
+    // Size baseline per frame, re-snapshotted after each solve so the
+    // deltas attribute encoded clauses (not learnts) to each unroll cycle.
+    let sizes = |bl: &Blaster| {
+        let solver = bl.solver();
+        (
+            bl.num_gates() as u64,
+            solver.num_clauses() as u64,
+            u64::from(solver.num_vars()),
+        )
+    };
+    let mut last = sizes(&bl);
 
     for cycle in 0..opts.k_cycles {
         let blast_started = Instant::now();
@@ -660,16 +677,20 @@ pub fn check_func_equivalence(
             let _sp = obs::span("equiv_blast");
             step_side(&mut bl, &mut side_a, &env, &scalars, cycle)?;
             step_side(&mut bl, &mut side_b, &env, &scalars, cycle)?;
-            observe_diff(&mut bl, &env, &side_a, &side_b)?
+            let obs = observe_diff(&mut bl, &env, &side_a, &side_b)?;
+            bl.encode(&[obs.diff]);
+            obs
         };
         phases.blast += blast_started.elapsed();
+        let (gates, clauses, vars) = sizes(&bl);
         frames.push(FrameStats {
             cycle,
-            clauses_added: bl.solver.num_clauses() as u64 - last_clauses,
-            vars_added: u64::from(bl.solver.num_vars()) - last_vars,
+            gates_added: gates - last.0,
+            clauses_added: clauses - last.1,
+            vars_added: vars - last.2,
         });
 
-        let spent = bl.solver.conflicts - start_conflicts;
+        let spent = bl.solver().conflicts - start_conflicts;
         let budget = Budget {
             max_conflicts: opts.conflict_budget.saturating_sub(spent).max(1),
             deadline,
@@ -677,16 +698,15 @@ pub fn check_func_equivalence(
         let solve_started = Instant::now();
         let res = {
             let _sp = obs::span("equiv_solve");
-            bl.solver.solve(&[obs.diff], budget)
+            bl.solve(&[obs.diff], budget)
         };
         phases.solve += solve_started.elapsed();
         match res {
             SatResult::Unsat => {
                 // Proven no divergence at this cycle; pin it for the rest
                 // of the unrolling.
-                bl.solver.add_clause(&[obs.diff.flip()]);
-                last_clauses = bl.solver.num_clauses() as u64;
-                last_vars = u64::from(bl.solver.num_vars());
+                bl.assert_true(obs.diff.flip());
+                last = sizes(&bl);
             }
             SatResult::Sat => {
                 let stimulus = extract_stimulus(&bl, &env, &scalars, &init_words);
@@ -716,7 +736,7 @@ pub fn check_func_equivalence(
                 let reason = format!(
                     "proof budget exhausted at cycle {cycle}/{} ({} conflicts)",
                     opts.k_cycles,
-                    bl.solver.conflicts - start_conflicts,
+                    bl.solver().conflicts - start_conflicts,
                 );
                 let replay_started = Instant::now();
                 let st = {
@@ -1059,9 +1079,9 @@ hir.func @acc at %t(
 }
 ";
 
-    /// Per cycle: both sides' node values, the miter literal, and the CNF
-    /// size after the cycle.
-    type Unrolled = Vec<(Vec<BV>, Vec<BV>, Lit, u32, usize)>;
+    /// Per cycle: both sides' node values, the miter literal, and the gate
+    /// count after the cycle.
+    type Unrolled = Vec<(Vec<BV>, Vec<BV>, Lit, usize)>;
 
     /// Unrolls `src`'s function against itself for `k` cycles. Without
     /// `reuse`, every frame is evaluated with no predecessor.
@@ -1099,16 +1119,15 @@ hir.func @acc at %t(
                 a.frame().values.clone(),
                 b.frame().values.clone(),
                 obs.diff,
-                bl.solver.num_vars(),
-                bl.solver.num_clauses(),
+                bl.num_gates(),
             ));
         }
         (cycles, bl)
     }
 
     /// Reusing the previous frame builds, node for node, the literals a
-    /// from-scratch evaluation builds, with the same CNF; it only skips
-    /// gate lookups that would have hit the cache.
+    /// from-scratch evaluation builds, with the same gate table; it only
+    /// skips gate lookups that would have hit the cache.
     #[test]
     fn incremental_frames_match_frames_built_from_scratch() {
         let (inc, inc_bl) = unroll(ACC, 12, true);
@@ -1155,13 +1174,8 @@ hir.func @acc at %t(
         }
     }
 
-    fn counts(bl: &Blaster) -> (u64, u64, u32, usize) {
-        (
-            bl.cache_hits,
-            bl.cache_misses,
-            bl.solver.num_vars(),
-            bl.solver.num_clauses(),
-        )
+    fn counts(bl: &Blaster) -> (u64, u64, usize) {
+        (bl.cache_hits, bl.cache_misses, bl.num_gates())
     }
 
     /// Constant-address reads and writes return the mux chain's literals
@@ -1240,30 +1254,35 @@ hir.func @loop at %t(
 ";
 
     /// A register-kind memref argument the design never reads costs the
-    /// miter nothing: every frame adds the variables and clauses of the
-    /// same loop without the argument.
+    /// miter nothing. Against the loop with its one `hir.add` turned into
+    /// `hir.sub` (what `test-miscompile` does), every frame builds and
+    /// encodes what the same refutation without the argument does, and the
+    /// counterexample comes at the same cycle.
     #[test]
     fn unread_zero_latency_bank_adds_no_cnf() {
         let frames = |extra: &str| {
-            let m = hir::parse_pretty(&UNREAD_BANK.replace("{R}", extra)).expect("parse");
+            let src = UNREAD_BANK.replace("{R}", extra);
+            let m = hir::parse_pretty(&src).expect("parse");
+            let bad = hir::parse_pretty(&src.replace("hir.add", "hir.sub")).expect("parse");
             let opts = EquivOptions {
-                k_cycles: 6,
+                k_cycles: 8,
                 ..EquivOptions::default()
             };
-            let r = check_func_equivalence(&m, &m, "loop", &opts).unwrap();
-            assert!(
-                matches!(r.status, EquivStatus::Proved),
-                "{}",
-                r.status.label()
-            );
-            r.solver
+            let r = check_func_equivalence(&m, &bad, "loop", &opts).unwrap();
+            let EquivStatus::Counterexample(cex) = r.status else {
+                panic!("{}", r.status.label());
+            };
+            let sizes: Vec<_> = r
+                .solver
                 .frames
                 .iter()
-                .map(|f| (f.vars_added, f.clauses_added))
-                .collect::<Vec<_>>()
+                .map(|f| (f.gates_added, f.vars_added, f.clauses_added))
+                .collect();
+            (cex.cycle, sizes)
         };
         let without = frames("");
-        assert_eq!(without[2..], [(157, 534); 4]);
+        assert_eq!(without.0, 2);
+        assert_eq!(without.1, [(62, 0, 0), (0, 0, 0), (344, 402, 1139)]);
         assert_eq!(frames("\n    %R : !hir.memref<[2]*i32, r, reg>,"), without);
     }
 }

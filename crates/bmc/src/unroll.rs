@@ -303,7 +303,7 @@ mod tests {
         };
         let differs = bl.bv_eq(acc, &two_x).flip();
         assert_eq!(
-            bl.solver.solve(&[differs], Budget::UNLIMITED),
+            bl.solve(&[differs], Budget::UNLIMITED),
             SatResult::Unsat,
             "acc after two cycles must equal x + x for every x"
         );

@@ -477,29 +477,28 @@ impl Harness {
     }
 
     /// For zero-latency (register-kind) argument memories, the read data must
-    /// be visible combinationally in the same cycle. One poke per bank
-    /// serves every lane; banks are served in order, each seeing the design
-    /// settled after the previous one's read data.
+    /// be visible combinationally in the same cycle. Every bank's address is
+    /// read from one settled state before any read data is poked: addresses
+    /// are register outputs, so no read data can move them, and the cycle
+    /// costs one settle however many banks it serves. One poke per bank
+    /// serves every lane.
     fn serve_reads_pre(&mut self) {
+        self.row.clear();
+        for (mem, bank, addr_id, _) in latency0_banks(&self.mems) {
+            let mm = &self.mems[mem];
+            let store = &self.mems[mm.shared_with.unwrap_or(mem)].data;
+            let base = bank as u64 * mm.bank_size;
+            let addrs = self.sim.lane_row(addr_id);
+            for (&addr, data) in addrs.iter().zip(store) {
+                let v = data.get((base + addr) as usize).copied().unwrap_or(0);
+                self.row.push(v as u64);
+            }
+        }
         let all = mask(self.lanes as u32);
-        for (i, mm) in self.mems.iter().enumerate() {
-            if mm.read_latency != 0 || !mm.can_read {
-                continue;
-            }
-            let store = &self.mems[mm.shared_with.unwrap_or(i)].data;
-            for (b, bn) in mm.bank_nets.iter().enumerate() {
-                let (Some(addr_id), Some(rd_data_id)) = (bn.addr, bn.rd_data) else {
-                    continue;
-                };
-                let base = b as u64 * mm.bank_size;
-                let addrs = self.sim.lane_row(addr_id);
-                self.row.clear();
-                for (&addr, data) in addrs.iter().zip(store) {
-                    let v = data.get((base + addr) as usize).copied().unwrap_or(0);
-                    self.row.push(v as u64);
-                }
-                self.sim.poke_row(rd_data_id, all, &self.row);
-            }
+        let mut rows = self.row.chunks(self.lanes);
+        for (.., rd_data_id) in latency0_banks(&self.mems) {
+            let row = rows.next().expect("one row per served bank");
+            self.sim.poke_row(rd_data_id, all, row);
         }
     }
 
@@ -672,6 +671,20 @@ struct Request {
     bank: usize,
     lanes: u64,
     at: usize,
+}
+
+/// `(mem, bank, addr net, rd_data net)` of every bank whose reads the
+/// harness serves combinationally (zero-latency read ports), in order.
+fn latency0_banks(mems: &[MemModel]) -> impl Iterator<Item = (usize, usize, usize, usize)> + '_ {
+    mems.iter()
+        .enumerate()
+        .filter(|(_, mm)| mm.read_latency == 0 && mm.can_read)
+        .flat_map(|(mem, mm)| {
+            mm.bank_nets
+                .iter()
+                .enumerate()
+                .filter_map(move |(bank, bn)| Some((mem, bank, bn.addr?, bn.rd_data?)))
+        })
 }
 
 /// The lanes of a lane row holding a non-zero value.

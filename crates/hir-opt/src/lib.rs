@@ -680,9 +680,10 @@ mod tests {
             "pipeline must prove equivalent, got {:?}",
             reports[0].status
         );
-        // Every proof carries nonzero solver statistics.
+        // Every proof carries nonzero solver statistics. A miter that folds
+        // encodes nothing beyond the constant, but its gates were built.
         let st = &reports[0].solver;
-        assert!(st.propagations > 0 && st.clauses > 0 && st.vars > 0);
+        assert!(st.propagations > 0 && st.gates > 0 && st.vars > 0);
         assert_eq!(st.frames.len(), opts.k_cycles as usize);
         assert!(st.blast_cache_misses > 0);
 

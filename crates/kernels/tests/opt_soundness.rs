@@ -280,8 +280,9 @@ fn bmc_refutes_miscompiled_benchmark() {
     assert!(st.blast_cache_misses > 0, "blasting allocated gates");
     assert!(st.clauses > 0 && st.vars > 0);
     assert!(!st.frames.is_empty(), "at least one frame was unrolled");
-    // Structural hashing lets a frame reuse the previous frame's gates
-    // wholesale (clauses_added == 0); at least one frame must build CNF.
+    // A frame may reuse the previous frame's gates wholesale, or ask a
+    // query that folds (clauses_added == 0); at least one frame's query
+    // must encode CNF.
     assert!(st.frames.iter().any(|f| f.clauses_added > 0));
     obs::json::parse(&obs::json::to_string(st)).expect("strict solver-stats JSON");
 }

@@ -1,14 +1,15 @@
 //! Pins the SAT search of the equivalence checks the `equiv_mix` benchmark
 //! runs. Each check must report exactly the recorded conflict, decision,
-//! propagation, restart, variable and clause counts: a change to the
+//! propagation, restart, variable, clause and gate counts: a change to the
 //! solver's data structures (decision heap, conflict scratch, clause arena,
 //! gate-cache hashing) must leave the search itself untouched, and these
-//! tuples show it did.
+//! tuples show it did. Variables and clauses count the CNF the queries
+//! encoded; gates count the nodes the blaster built, encoded or not.
 
 use kernels::{conv, gemm, stencil};
 
-/// `(conflicts, decisions, propagations, restarts, vars, clauses)`.
-type Trace = (u64, u64, u64, u64, u64, u64);
+/// `(conflicts, decisions, propagations, restarts, vars, clauses, gates)`.
+type Trace = (u64, u64, u64, u64, u64, u64, u64);
 
 /// `unopt` run through the named function passes on one thread, as
 /// `hirc --opt` and the benchmark build the optimized side.
@@ -48,6 +49,7 @@ fn trace(r: &bmc::FuncReport) -> Trace {
         s.restarts,
         s.vars,
         s.clauses,
+        s.gates,
     )
 }
 
@@ -58,31 +60,31 @@ fn equiv_mix_refutations_keep_their_exact_search() {
             "stencil16",
             stencil::hir_stencil(16, 32),
             16,
-            (0, 1023, 1708, 0, 1708, 2329),
+            (0, 94, 613, 0, 613, 1768, 1708),
         ),
         (
             "stencil64",
             stencil::hir_stencil(64, 32),
             16,
-            (0, 4095, 4780, 0, 4780, 2329),
+            (0, 94, 613, 0, 613, 1768, 4780),
         ),
         (
             "gemm2",
             gemm::hir_gemm(2, 32),
             16,
-            (2, 384, 53020, 0, 50310, 166548),
+            (2, 128, 6293, 0, 6207, 20345, 50310),
         ),
         (
             "conv4",
             conv::hir_conv(4, 4, 32),
             32,
-            (2386, 11980, 209675, 6, 6639, 19883),
+            (253, 618, 6467, 0, 2441, 7729, 6639),
         ),
         (
             "conv8",
             conv::hir_conv(8, 8, 32),
             32,
-            (2386, 16717, 237459, 6, 12791, 30359),
+            (253, 618, 6467, 0, 2441, 7729, 12791),
         ),
     ];
     for (name, unopt, k, want) in cases {
@@ -104,7 +106,7 @@ fn gemm2_proof_keeps_its_exact_search() {
         "gemm2: expected a proof, got {}",
         r.status.label()
     );
-    assert_eq!(trace(&r), (0, 0, 1, 0, 48745, 161200));
+    assert_eq!(trace(&r), (0, 0, 1, 0, 1, 0, 48745));
 }
 
 /// Phase timers add up sub-millisecond frames before rounding, so a proof

@@ -827,13 +827,14 @@ fn verify_equiv_budget_exhaustion_degrades_loudly() {
     let dir = std::env::temp_dir().join("hirc_test_equiv_budget");
     std::fs::create_dir_all(&dir).unwrap();
     let report = dir.join("equiv.json");
-    // A 1 ms wall-clock budget cannot complete a K=16 proof of the
-    // transpose design; the driver must say so out loud, fall back to the
+    // A 1 ms wall-clock budget cannot complete a K=1024 proof of the
+    // transpose design (about 14 ms unbounded, where K=16 ends within the
+    // millisecond); the driver must say so out loud, fall back to the
     // sampled differential, and still exit 0 (no divergence observed).
     let out = hirc()
         .arg(example("transpose.mlir"))
         .arg("--opt")
-        .arg("--verify-equiv")
+        .arg("--verify-equiv=1024")
         .arg("--equiv-time-ms=1")
         .arg(format!("--verify-equiv-report={}", report.display()))
         .arg("-o")

@@ -1,8 +1,9 @@
 //! Byte-level pins of the simulator's observability outputs.
 //!
-//! Every `examples/*.mlir` input has a checked-in telemetry JSON under
-//! `tests/golden/sim/`, which every engine must reproduce byte for byte,
-//! and one sched-stats JSON per (example, engine). All engines share the
+//! Every `examples/*.mlir` input, and the register-argument regression
+//! `tests/corpus/regressions/reg_read_arg.hir`, has a checked-in telemetry
+//! JSON under `tests/golden/sim/`, which every engine must reproduce byte
+//! for byte, and one sched-stats JSON per (input, engine). All engines share the
 //! interpreter cores, so a counting change would move every engine at
 //! once; the cross-engine agreement tests cannot see that, these pins can.
 //!
@@ -35,6 +36,24 @@ fn examples() -> Vec<String> {
     stems.sort();
     assert!(!stems.is_empty(), "no examples/*.mlir found");
     stems
+}
+
+/// The register-argument read regression: the only pinned input whose
+/// harness serves read data combinationally.
+const REG_READ_ARG: &str = "tests/corpus/regressions/reg_read_arg.hir";
+
+/// `(stem, path)` of every input with goldens: the examples, then
+/// [`REG_READ_ARG`].
+fn pinned_inputs() -> Vec<(String, PathBuf)> {
+    let mut inputs: Vec<(String, PathBuf)> = examples()
+        .into_iter()
+        .map(|e| {
+            let path = repo().join("examples").join(format!("{e}.mlir"));
+            (e, path)
+        })
+        .collect();
+    inputs.push(("reg_read_arg".into(), repo().join(REG_READ_ARG)));
+    inputs
 }
 
 fn telemetry_golden(example: &str) -> PathBuf {
@@ -104,15 +123,15 @@ fn read_golden(path: &Path) -> String {
 
 #[test]
 fn every_engine_reproduces_the_golden_telemetry_and_sched_stats() {
-    for example in examples() {
+    for (example, input) in pinned_inputs() {
         let telemetry = read_golden(&telemetry_golden(&example));
         for engine in ENGINES {
-            let got = simulate(&example, engine, &["--sim-telemetry"]);
+            let got = simulate_input(&input, engine, &["--sim-telemetry"]);
             assert_eq!(
                 got[0], telemetry,
                 "{example} --sim-engine={engine}: telemetry differs from its golden"
             );
-            let got = simulate(&example, engine, &["--sched-stats"]);
+            let got = simulate_input(&input, engine, &["--sched-stats"]);
             assert_eq!(
                 got[0],
                 read_golden(&sched_golden(&example, engine)),
@@ -195,7 +214,7 @@ fn commit_counters(stats: &str) -> [u64; 2] {
 /// its telemetry and its commit counters equal theirs.
 #[test]
 fn reg_argument_reads_keep_telemetry_engine_independent() {
-    let input = repo().join("tests/corpus/regressions/reg_read_arg.hir");
+    let input = repo().join(REG_READ_ARG);
     let runs: Vec<Vec<String>> = ["bytecode", "event", "batched"]
         .iter()
         .map(|engine| simulate_input(&input, engine, &["--sim-telemetry", "--stats"]))
@@ -209,6 +228,28 @@ fn reg_argument_reads_keep_telemetry_engine_independent() {
             commit_counters(&run[1]),
             commit_counters(&runs[0][1]),
             "reg_read_arg --sim-engine={engine}: commit counters differ from bytecode"
+        );
+    }
+}
+
+/// The harness reads every register-kind bank's address from one settled
+/// state before it pokes any read data, so serving the four banks of
+/// `reg_read_arg` costs the full-tape engines one settle per cycle. Cycle 0
+/// settles once more: its pokes change the read data from the reset 0, and
+/// the harness's next read settles what depends on it.
+#[test]
+fn reg_argument_reads_settle_once_for_all_banks() {
+    for engine in ["bytecode", "treewalk"] {
+        let sched = simulate_input(&repo().join(REG_READ_ARG), engine, &["--sched-stats"]);
+        let v = obs::json::parse(&sched[0]).expect("sched-stats are strict JSON");
+        let field = |v: &obs::json::Value, k: &str| {
+            v.get(k).and_then(obs::json::Value::as_f64).unwrap_or(-1.0)
+        };
+        let settles = field(v.get("settle_run_len").expect("settle_run_len"), "count");
+        assert_eq!(
+            (settles, field(&v, "cycles")),
+            (10.0, 9.0),
+            "reg_read_arg --sim-engine={engine}: full settles and cycles"
         );
     }
 }
@@ -253,11 +294,11 @@ fn batched_commit_counters_are_lane_zeros() {
 #[ignore = "regenerates tests/golden/sim; run only after an intentional output change"]
 fn bless_sim_goldens() {
     std::fs::create_dir_all(golden_dir()).unwrap();
-    for example in examples() {
-        let telemetry = simulate(&example, "bytecode", &["--sim-telemetry"]);
+    for (example, input) in pinned_inputs() {
+        let telemetry = simulate_input(&input, "bytecode", &["--sim-telemetry"]);
         std::fs::write(telemetry_golden(&example), &telemetry[0]).unwrap();
         for engine in ENGINES {
-            let sched = simulate(&example, engine, &["--sched-stats"]);
+            let sched = simulate_input(&input, engine, &["--sched-stats"]);
             std::fs::write(sched_golden(&example, engine), &sched[0]).unwrap();
         }
     }
