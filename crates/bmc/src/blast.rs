@@ -586,63 +586,23 @@ impl Blaster {
         self.bv_ite(overshoot, &all_fill, &cur)
     }
 
-    /// Read the value of a vector from the solver's current model. An
-    /// encoded node reads the solver's value; any other gate is evaluated
-    /// from its operands, and an input outside every encoded cone reads
-    /// false. Gates outside the encoded cones appear in no clause, so this
-    /// extends the model to the whole table.
+    /// Read the value of a vector of inputs ([`Blaster::fresh`] literals)
+    /// from the solver's current model. An input outside every encoded cone
+    /// appears in no clause, so any value extends the model; it reads false.
     pub fn model_bv(&self, a: &BV) -> u64 {
-        let mut values: FxHashMap<u32, bool> = FxHashMap::default();
         let mut v = 0u64;
         for (i, &l) in a.iter().enumerate() {
-            if self.model_node(l.var(), &mut values) != l.is_neg() {
+            let n = l.var() as usize;
+            debug_assert!(
+                matches!(self.gates[n], Gate::Input),
+                "model_bv reads inputs only"
+            );
+            let x = self.var[n];
+            if (x != UNENCODED && self.solver.model_value(Lit::pos(x))) != l.is_neg() {
                 v |= 1 << i;
             }
         }
         v
-    }
-
-    /// The model value of node `root`, evaluating unencoded gates
-    /// iteratively and recording them in `values`.
-    fn model_node(&self, root: u32, values: &mut FxHashMap<u32, bool>) -> bool {
-        let known = |n: u32, values: &FxHashMap<u32, bool>| match self.var[n as usize] {
-            UNENCODED => values.get(&n).copied(),
-            v => Some(self.solver.model_value(Lit::pos(v))),
-        };
-        let mut stack = vec![root];
-        while let Some(&n) = stack.last() {
-            if known(n, values).is_some() {
-                stack.pop();
-                continue;
-            }
-            let g = self.gates[n as usize];
-            let pending = stack.len();
-            stack.extend(
-                g.operands()
-                    .iter()
-                    .map(|o| o.var())
-                    .filter(|&o| known(o, values).is_none()),
-            );
-            if stack.len() > pending {
-                continue;
-            }
-            let val = |l: Lit| known(l.var(), values).expect("operand evaluated") != l.is_neg();
-            let x = match g {
-                Gate::Input => false,
-                Gate::And([a, b]) => val(a) && val(b),
-                Gate::Xor([a, b]) => val(a) != val(b),
-                Gate::Ite([c, t, e]) => {
-                    if val(c) {
-                        val(t)
-                    } else {
-                        val(e)
-                    }
-                }
-            };
-            values.insert(n, x);
-            stack.pop();
-        }
-        known(root, values).expect("root evaluated")
     }
 }
 
@@ -675,15 +635,18 @@ mod tests {
                 for (i, &l) in b.iter().enumerate() {
                     assum.push(if bv >> i & 1 != 0 { l } else { l.flip() });
                 }
-                let want = reference(av, bv) & m;
-                // The gates evaluated from the operands' model: on the
-                // first pair nothing of `out` is encoded yet.
+                // out == reference(a, b) is SAT and out != reference(a, b)
+                // is UNSAT; the first query encodes `out`'s cone.
+                let want = bl.bv_const(reference(av, bv) & m, out.len() as u32);
+                let same = bl.bv_eq(&out, &want);
+                assum.push(same);
                 assert_eq!(bl.solve(&assum, Budget::UNLIMITED), SatResult::Sat);
-                assert_eq!(bl.model_bv(&out), want, "a={av} b={bv} w={width}");
-                // The encoded clauses: out != reference(a, b) is UNSAT.
-                let want = bl.bv_const(want, out.len() as u32);
-                let differs = bl.bv_eq(&out, &want).flip();
-                assum.push(differs);
+                assert_eq!(
+                    (bl.model_bv(&a), bl.model_bv(&b)),
+                    (av, bv),
+                    "a={av} b={bv} w={width}"
+                );
+                *assum.last_mut().unwrap() = same.flip();
                 assert_eq!(
                     bl.solve(&assum, Budget::UNLIMITED),
                     SatResult::Unsat,
@@ -778,13 +741,21 @@ mod tests {
         }
     }
 
+    /// The solver's model value of an encoded literal, `None` outside the
+    /// encoded cones.
+    fn encoded_value(bl: &Blaster, l: Lit) -> Option<bool> {
+        let x = bl.var[l.var() as usize];
+        (x != UNENCODED).then(|| bl.solver.model_value(Lit::pos(x)) != l.is_neg())
+    }
+
     /// Random hashed circuits over at most 10 inputs, queried under random
     /// assumptions after random assertions. The verdict of every query
     /// matches enumeration over the truth tables the test computes itself,
     /// every SAT model makes the queried literals true when the gates are
-    /// evaluated from the model's inputs, every literal's model value is its
-    /// truth-table value at those inputs, and the solver holds exactly one
-    /// variable per node of the queried cones plus the constant.
+    /// evaluated (by those truth tables) at the model's inputs, every
+    /// encoded literal's model value is its truth-table value there, and the
+    /// solver holds exactly one variable per node of the queried cones plus
+    /// the constant.
     #[test]
     fn lazy_encoding_agrees_with_enumeration() {
         let mut sat_models = 0;
@@ -867,11 +838,9 @@ mod tests {
                     assert!(t[row], "seed {seed}: model falsifies assumption {l:?}");
                 }
                 for (l, t) in &pool {
-                    assert_eq!(
-                        bl.model_bv(&vec![*l]),
-                        u64::from(t[row]),
-                        "seed {seed}: {l:?}"
-                    );
+                    if let Some(v) = encoded_value(&bl, *l) {
+                        assert_eq!(v, t[row], "seed {seed}: {l:?}");
+                    }
                 }
             }
         }

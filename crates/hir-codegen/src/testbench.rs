@@ -97,6 +97,8 @@ pub struct Harness {
     requests: Requests,
     /// Scratch lane row for pokes.
     row: Vec<u64>,
+    /// Scratch: the lane rows of every zero-latency bank's address.
+    addrs: Vec<u64>,
 }
 
 impl Harness {
@@ -322,6 +324,7 @@ impl Harness {
             lanes,
             requests: Requests::default(),
             row: Vec::with_capacity(lanes),
+            addrs: Vec::new(),
         })
     }
 
@@ -477,28 +480,51 @@ impl Harness {
     }
 
     /// For zero-latency (register-kind) argument memories, the read data must
-    /// be visible combinationally in the same cycle. Every bank's address is
-    /// read from one settled state before any read data is poked: addresses
-    /// are register outputs, so no read data can move them, and the cycle
-    /// costs one settle however many banks it serves. One poke per bank
-    /// serves every lane.
+    /// be visible combinationally in the same cycle, and one bank's read data
+    /// may compute another's address (`%A[%b]`, `%b` read from `%B` in the
+    /// same cycle). Every bank's address is read from one settled state and
+    /// all read data poked; then the addresses are read again, and the banks
+    /// served again until no address moves. The caller reads nets right
+    /// after this, so the re-read's settle is one it pays anyway: a cycle
+    /// whose addresses are register outputs costs one settle however many
+    /// banks it serves. One poke per bank serves every lane.
     fn serve_reads_pre(&mut self) {
-        self.row.clear();
-        for (mem, bank, addr_id, _) in latency0_banks(&self.mems) {
-            let mm = &self.mems[mem];
-            let store = &self.mems[mm.shared_with.unwrap_or(mem)].data;
-            let base = bank as u64 * mm.bank_size;
-            let addrs = self.sim.lane_row(addr_id);
-            for (&addr, data) in addrs.iter().zip(store) {
-                let v = data.get((base + addr) as usize).copied().unwrap_or(0);
-                self.row.push(v as u64);
-            }
+        self.addrs.clear();
+        push_latency0_addrs(&mut self.sim, &self.mems, &mut self.addrs);
+        let served = self.addrs.len();
+        if served == 0 {
+            return;
         }
-        let all = mask(self.lanes as u32);
-        let mut rows = self.row.chunks(self.lanes);
-        for (.., rd_data_id) in latency0_banks(&self.mems) {
-            let row = rows.next().expect("one row per served bank");
-            self.sim.poke_row(rd_data_id, all, row);
+        // A chain of `n` banks, each addressed by the previous one's data,
+        // reaches its fixed point in `n` rounds; the bound only guards
+        // against a combinational loop, which SSA cannot express.
+        let banks = served / self.lanes;
+        for _ in 0..=banks {
+            self.row.clear();
+            let mut addrs = self.addrs.chunks(self.lanes);
+            for (mem, bank, ..) in latency0_banks(&self.mems) {
+                let mm = &self.mems[mem];
+                let store = &self.mems[mm.shared_with.unwrap_or(mem)].data;
+                let base = bank as u64 * mm.bank_size;
+                let row = addrs.next().expect("one address row per served bank");
+                for (&addr, data) in row.iter().zip(store) {
+                    let v = data.get((base + addr) as usize).copied().unwrap_or(0);
+                    self.row.push(v as u64);
+                }
+            }
+            let all = mask(self.lanes as u32);
+            let mut rows = self.row.chunks(self.lanes);
+            for (.., rd_data_id) in latency0_banks(&self.mems) {
+                let row = rows.next().expect("one row per served bank");
+                self.sim.poke_row(rd_data_id, all, row);
+            }
+            push_latency0_addrs(&mut self.sim, &self.mems, &mut self.addrs);
+            let (before, after) = self.addrs.split_at(served);
+            let settled = before == after;
+            self.addrs.drain(..served);
+            if settled {
+                return;
+            }
         }
     }
 
@@ -685,6 +711,14 @@ fn latency0_banks(mems: &[MemModel]) -> impl Iterator<Item = (usize, usize, usiz
                 .enumerate()
                 .filter_map(move |(bank, bn)| Some((mem, bank, bn.addr?, bn.rd_data?)))
         })
+}
+
+/// Append the address lane row of every bank of [`latency0_banks`], in
+/// order, settling the design first if it is dirty.
+fn push_latency0_addrs(sim: &mut Simulator, mems: &[MemModel], out: &mut Vec<u64>) {
+    for (.., addr_id, _) in latency0_banks(mems) {
+        out.extend_from_slice(sim.lane_row(addr_id));
+    }
 }
 
 /// The lanes of a lane row holding a non-zero value.

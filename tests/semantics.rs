@@ -9,10 +9,10 @@
 //! their operand and result widths.
 //!
 //! The regression files `tests/corpus/regressions/{zext_const,
-//! shl_neg_amount,const_wrap,mult_narrow_const}.hir` hold four programs on
-//! which the interpreter, the RTL and the optimizer once disagreed. Each must give one
-//! result under the interpreter and under `hirc --emit=sim`, with and
-//! without `--opt`.
+//! shl_neg_amount,const_wrap,mult_narrow_const,reg_read_indirect}.hir` hold
+//! five programs on which the interpreter, the RTL and the optimizer once
+//! disagreed. Each must give one result under the interpreter and under
+//! `hirc --emit=sim`, with and without `--opt`.
 
 use bmc::blast::Blaster;
 use bmc::unroll::{eval_frame, initial_state};
@@ -20,6 +20,7 @@ use hir::dialect::{attrkey, opname};
 use hir::interp::{ArgValue, Interpreter};
 use hir::ops::{self, FuncOp};
 use hir::semantics::{self, wrap};
+use hir::types::MemrefInfo;
 use hir::{CmpPredicate, HirBuilder};
 use hir_codegen::testbench::{Harness, HarnessArg};
 use ir::{AttrMap, Attribute, Module, Type};
@@ -263,7 +264,8 @@ fn hirc(args: &[&str]) -> String {
 }
 
 /// `result0` of the last function under the interpreter, with hirc's
-/// `--emit=sim` stimulus (scalar argument `i` is `3 * (i + 1)`).
+/// `--emit=sim` stimulus (scalar argument `i` is `3 * (i + 1)`, memory word
+/// `k` is `k % 17 + 1`).
 fn interp_result(m: &Module) -> i128 {
     let func = m
         .top_ops()
@@ -271,8 +273,18 @@ fn interp_result(m: &Module) -> i128 {
         .filter_map(|&t| FuncOp::wrap(m, t))
         .next_back()
         .unwrap();
-    let args: Vec<ArgValue> = (0..func.args(m).len())
-        .map(|i| ArgValue::Int(3 * (i as i128 + 1)))
+    let args: Vec<ArgValue> = func
+        .args(m)
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| match MemrefInfo::from_type(&m.value_type(v)) {
+            Some(info) => ArgValue::tensor_from(
+                &(0..info.num_elements() as i128)
+                    .map(|k| k % 17 + 1)
+                    .collect::<Vec<_>>(),
+            ),
+            None => ArgValue::Int(3 * (i as i128 + 1)),
+        })
         .collect();
     let report = Interpreter::new(m).run(&func.name(m), &args).unwrap();
     report.results[0]
@@ -295,6 +307,7 @@ fn regressions_agree_under_interpreter_and_rtl_with_and_without_opt() {
         ("shl_neg_amount", 0),
         ("const_wrap", -53),
         ("mult_narrow_const", -9),
+        ("reg_read_indirect", 3),
     ] {
         let path = dir.join(format!("{name}.hir"));
         let file = path.to_str().unwrap();
@@ -324,6 +337,15 @@ fn regressions_agree_under_interpreter_and_rtl_with_and_without_opt() {
                 assert!(verilog.contains("assign result0 = 16'd255;"), "{verilog}");
             }
             "const_wrap" => assert!(optimized.contains("hir.constant -53 : i8"), "{optimized}"),
+            "reg_read_indirect" => {
+                // Batched lane k adds k to every memory word: %B[1] = 2 + k
+                // and %A[2 + k] = 3 + 2k.
+                let summary = hirc(&[file, "--emit=sim", "--sim-engine=batched"]);
+                for k in 1..8 {
+                    let line = format!("lane {k} result0 = {}", 3 + 2 * k);
+                    assert!(summary.lines().any(|l| l == line), "{line}: {summary}");
+                }
+            }
             _ => {}
         }
     }

@@ -39,7 +39,10 @@ fn examples() -> Vec<String> {
 }
 
 /// The register-argument read regression: the only pinned input whose
-/// harness serves read data combinationally.
+/// harness serves read data combinationally. Its bytecode and treewalk
+/// sched-stats pin one full settle per cycle (plus one in cycle 0, whose
+/// pokes change the read data from the reset 0) however many banks it
+/// serves.
 const REG_READ_ARG: &str = "tests/corpus/regressions/reg_read_arg.hir";
 
 /// `(stem, path)` of every input with goldens: the examples, then
@@ -208,49 +211,30 @@ fn commit_counters(stats: &str) -> [u64; 2] {
     })
 }
 
-/// A design that reads a register-kind memref argument: the harness
-/// serves its read data combinationally once per bank each cycle. The
-/// batched engine must settle exactly as often as the scalar engines, so
-/// its telemetry and its commit counters equal theirs.
+/// Designs that read register-kind memref arguments: the harness serves
+/// their read data combinationally each cycle, in `reg_read_indirect` at an
+/// address computed from another bank's read data, which takes it a second
+/// round. The batched engine must settle exactly as often as the scalar
+/// engines, so its telemetry and its commit counters equal theirs.
 #[test]
 fn reg_argument_reads_keep_telemetry_engine_independent() {
-    let input = repo().join(REG_READ_ARG);
-    let runs: Vec<Vec<String>> = ["bytecode", "event", "batched"]
-        .iter()
-        .map(|engine| simulate_input(&input, engine, &["--sim-telemetry", "--stats"]))
-        .collect();
-    for (engine, run) in ["event", "batched"].iter().zip(&runs[1..]) {
-        assert_eq!(
-            run[0], runs[0][0],
-            "reg_read_arg --sim-engine={engine}: telemetry differs from bytecode"
-        );
-        assert_eq!(
-            commit_counters(&run[1]),
-            commit_counters(&runs[0][1]),
-            "reg_read_arg --sim-engine={engine}: commit counters differ from bytecode"
-        );
-    }
-}
-
-/// The harness reads every register-kind bank's address from one settled
-/// state before it pokes any read data, so serving the four banks of
-/// `reg_read_arg` costs the full-tape engines one settle per cycle. Cycle 0
-/// settles once more: its pokes change the read data from the reset 0, and
-/// the harness's next read settles what depends on it.
-#[test]
-fn reg_argument_reads_settle_once_for_all_banks() {
-    for engine in ["bytecode", "treewalk"] {
-        let sched = simulate_input(&repo().join(REG_READ_ARG), engine, &["--sched-stats"]);
-        let v = obs::json::parse(&sched[0]).expect("sched-stats are strict JSON");
-        let field = |v: &obs::json::Value, k: &str| {
-            v.get(k).and_then(obs::json::Value::as_f64).unwrap_or(-1.0)
-        };
-        let settles = field(v.get("settle_run_len").expect("settle_run_len"), "count");
-        assert_eq!(
-            (settles, field(&v, "cycles")),
-            (10.0, 9.0),
-            "reg_read_arg --sim-engine={engine}: full settles and cycles"
-        );
+    for name in ["reg_read_arg", "reg_read_indirect"] {
+        let input = repo().join(format!("tests/corpus/regressions/{name}.hir"));
+        let runs: Vec<Vec<String>> = ["bytecode", "event", "batched"]
+            .iter()
+            .map(|engine| simulate_input(&input, engine, &["--sim-telemetry", "--stats"]))
+            .collect();
+        for (engine, run) in ["event", "batched"].iter().zip(&runs[1..]) {
+            assert_eq!(
+                run[0], runs[0][0],
+                "{name} --sim-engine={engine}: telemetry differs from bytecode"
+            );
+            assert_eq!(
+                commit_counters(&run[1]),
+                commit_counters(&runs[0][1]),
+                "{name} --sim-engine={engine}: commit counters differ from bytecode"
+            );
+        }
     }
 }
 
