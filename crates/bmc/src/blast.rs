@@ -26,32 +26,42 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// A word value: gate literals, least significant bit first.
 pub type BV = Vec<Lit>;
 
-/// FxHash (the rustc hasher): one rotate-xor-multiply per literal. The gate
-/// caches key on literals the blaster itself allocated, where SipHash's
-/// collision-flood resistance buys nothing. Nothing iterates the caches, so
-/// the hasher cannot change gate numbering.
+/// FxHash (the rustc hasher): one rotate-xor-multiply per word. The gate
+/// caches key on literals the blaster itself allocated, and the term table
+/// on terms it built, where SipHash's collision-flood resistance buys
+/// nothing. Nothing iterates either table, so the hasher cannot change gate
+/// or term numbering.
 #[derive(Default)]
-struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 
 impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
-        // `Lit` keys hash through `write_u32`; this only completes the trait.
+        // Keys hash through the integer writers; this only completes the
+        // trait.
         for &b in bytes {
-            self.write_u32(u32::from(b));
+            self.write_u64(u64::from(b));
         }
     }
+    fn write_u8(&mut self, i: u8) {
+        self.write_u64(u64::from(i));
+    }
     fn write_u32(&mut self, i: u32) {
-        self.hash =
-            (self.hash.rotate_left(5) ^ u64::from(i)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        self.write_u64(u64::from(i));
+    }
+    fn write_u64(&mut self, i: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ i).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
     }
     fn finish(&self) -> u64 {
         self.hash
     }
 }
 
-type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// One node of the gate table; a gate literal is a node index shifted left
 /// once, low bit = negated. Node 0 is the constant true.
@@ -301,8 +311,10 @@ impl Blaster {
     /// walk, operands in order, that gives each node not yet encoded one
     /// solver variable and writes its Tseitin clauses. An encoded gate
     /// always has its full definition, so the solver can never tell an
-    /// encoded cone from the eager encoding of the whole table.
-    pub(crate) fn encode(&mut self, roots: &[Lit]) {
+    /// encoded cone from the eager encoding of the whole table. Queries and
+    /// assertions encode what they reach themselves; encoding a root
+    /// directly only lets [`Blaster::model_bv`] read it after a solve.
+    pub fn encode(&mut self, roots: &[Lit]) {
         let mut stack = std::mem::take(&mut self.stack);
         for &root in roots {
             stack.push((root.var(), false));
@@ -586,18 +598,19 @@ impl Blaster {
         self.bv_ite(overshoot, &all_fill, &cur)
     }
 
-    /// Read the value of a vector of inputs ([`Blaster::fresh`] literals)
-    /// from the solver's current model. An input outside every encoded cone
-    /// appears in no clause, so any value extends the model; it reads false.
-    pub fn model_bv(&self, a: &BV) -> u64 {
+    /// Read the value of a vector from the solver's current model. Every
+    /// literal must be encoded or an input ([`Blaster::fresh`]): an input
+    /// outside every encoded cone appears in no clause, so any value
+    /// extends the model; it reads false.
+    pub fn model_bv(&self, a: &[Lit]) -> u64 {
         let mut v = 0u64;
         for (i, &l) in a.iter().enumerate() {
             let n = l.var() as usize;
-            debug_assert!(
-                matches!(self.gates[n], Gate::Input),
-                "model_bv reads inputs only"
-            );
             let x = self.var[n];
+            debug_assert!(
+                x != UNENCODED || matches!(self.gates[n], Gate::Input),
+                "model_bv of a gate outside the encoded cones"
+            );
             if (x != UNENCODED && self.solver.model_value(Lit::pos(x))) != l.is_neg() {
                 v |= 1 << i;
             }

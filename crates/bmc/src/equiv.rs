@@ -2,14 +2,17 @@
 //!
 //! For one function, both modules are lowered through the regular codegen
 //! path to Verilog, then to word-level transition systems
-//! ([`verilog::tsys`]), and unrolled K cycles inside one shared [`Blaster`]
-//! under a symbolic copy of the simulation harness's environment
+//! ([`verilog::tsys`]), and unrolled K cycles over one shared word-level
+//! [`Terms`] arena under a symbolic copy of the simulation harness's environment
 //! ([`hir_codegen::testbench::Harness`]): `start` pulses at cycle 0, scalar
 //! arguments are free symbolic words held stable, and every memref argument
 //! bus talks to a symbolic read-first memory — the same word, same cycle,
 //! on both sides. The *miter* asks, cycle by cycle, for any input valuation
 //! where the two sides' observables diverge: `result{i}_valid` streams,
-//! result words at valid pulses, or external memory contents.
+//! result words at valid pulses, or external memory contents. A cycle
+//! whose disagreement term folds to the constant 0 is proved on the spot;
+//! any other cycle blasts that term's cone onto one shared [`Blaster`] and
+//! asks its SAT solver.
 //!
 //! Robustness invariants (see DESIGN.md):
 //!
@@ -23,9 +26,10 @@
 //!   differential simulation and says so in the status, the remark, and the
 //!   machine-readable report.
 
-use crate::blast::{Blaster, BV};
-use crate::sat::{Budget, Lit, SatResult};
-use crate::unroll::{eval_frame, inputs_read, next_state, Frame};
+use crate::blast::Blaster;
+use crate::sat::{Budget, SatResult};
+use crate::term::{TermId, Terms};
+use crate::unroll::{eval_frame, initial_state, inputs_read, next_state, Frame};
 use hir::ops::FuncOp;
 use hir::types::MemrefInfo;
 use hir_codegen::testbench::{Harness, HarnessArg, HarnessReport};
@@ -34,7 +38,7 @@ use ir::Module;
 use obs::json::{Json, Writer};
 use obs::json_object;
 use std::time::{Duration, Instant};
-use verilog::tsys::{lower, TransitionSystem};
+use verilog::tsys::{lower, NodeId, TOp, TransitionSystem};
 use verilog::Design;
 
 /// Options for one equivalence check.
@@ -139,7 +143,10 @@ pub struct FuncReport {
 pub struct FrameStats {
     /// Unroll cycle this frame corresponds to.
     pub cycle: u32,
-    /// Gate-table nodes the blaster built for this cycle.
+    /// Word-level terms this cycle built.
+    pub terms_added: u64,
+    /// Gate-table nodes the blaster built for this cycle's query and its
+    /// assertions: 0 when the query folded at word level.
     pub gates_added: u64,
     /// Clauses encoded for this cycle's query and its assertions, counted
     /// before the search, so learnt clauses stay out.
@@ -163,6 +170,8 @@ pub struct SolverStats {
     /// Structural-hash gate cache hits/misses in the blaster.
     pub blast_cache_hits: u64,
     pub blast_cache_misses: u64,
+    /// Word-level terms built, leaves and constants included.
+    pub terms: u64,
     /// Gate-table nodes the blaster built, the constant included.
     pub gates: u64,
     /// Final clause-database size: the encoded cones plus surviving
@@ -170,7 +179,8 @@ pub struct SolverStats {
     pub clauses: u64,
     /// Final variable count: nodes of the encoded cones.
     pub vars: u64,
-    /// Per-unroll-frame growth of the gate table and the CNF.
+    /// Per-unroll-frame growth of the term arena, the gate table and the
+    /// CNF.
     pub frames: Vec<FrameStats>,
     /// Wall-clock per phase, in milliseconds.
     pub lower_ms: u64,
@@ -187,11 +197,12 @@ impl Json for SolverStats {
         json_object!(w, {
             "conflicts": self.conflicts, "decisions": self.decisions,
             "propagations": self.propagations, "restarts": self.restarts,
-            "gates": self.gates, "clauses": self.clauses, "vars": self.vars,
+            "terms": self.terms, "gates": self.gates, "clauses": self.clauses,
+            "vars": self.vars,
             "blast_cache": {"hits": self.blast_cache_hits, "misses": self.blast_cache_misses},
             "learnt_len": self.learnt_len, "decision_depth": self.decision_depth,
             "frames": [for f in &self.frames => {
-                "cycle": f.cycle, "gates_added": f.gates_added,
+                "cycle": f.cycle, "terms_added": f.terms_added, "gates_added": f.gates_added,
                 "clauses_added": f.clauses_added, "vars_added": f.vars_added,
             }],
             "phase_ms": {
@@ -299,30 +310,64 @@ fn build_env_spec(m: &Module, func: FuncOp) -> Result<EnvSpec, EquivError> {
 
 // ------------------------------------------------------------- the miter
 
+/// What drives one input of a side's transition system, resolved once.
+#[derive(Clone, Copy)]
+enum Drive {
+    /// The same term on every cycle: a scalar argument, or the reset value
+    /// of an input the environment does not drive.
+    Fixed(TermId),
+    /// `start`: `first` at cycle 0, `rest` after.
+    Start { first: TermId, rest: TermId },
+    /// Latched read data (latency ≥ 1) of memref `mem`'s bank `bank`.
+    Latched { mem: usize, bank: usize },
+    /// Zero-latency read data the design reads: a fresh leaf per cycle,
+    /// tied to the word at the bank's address net `addr` by a queued
+    /// equality.
+    Served {
+        mem: usize,
+        bank: usize,
+        addr: NodeId,
+    },
+}
+
+/// A latched read bus: enable and address nets.
+struct ReadBus {
+    mem: usize,
+    bank: usize,
+    en: NodeId,
+    addr: NodeId,
+}
+
+/// A write bus: enable, address and data nets.
+struct WriteBus {
+    mem: usize,
+    bank: usize,
+    en: NodeId,
+    addr: NodeId,
+    data: NodeId,
+}
+
 /// One side of the miter: a design's transition system plus its symbolic
-/// state (registers, environment memories, in-flight read data).
+/// state (registers, environment memories, in-flight read data), and the
+/// nets and input drives the environment uses, looked up once.
 struct Side<'a> {
     ts: &'a TransitionSystem,
-    state: Vec<BV>,
-    /// The last evaluated cycle; the next one re-blasts only its changes.
+    state: Vec<TermId>,
+    /// The last evaluated cycle; the next one re-evaluates only its changes.
     frame: Option<Frame>,
     /// Environment memory words per memref argument (bank-major).
-    mem_words: Vec<Vec<BV>>,
+    mem_words: Vec<Vec<TermId>>,
     /// Carried read data per memref per bank (latency ≥ 1 buses).
-    rd_data: Vec<Vec<BV>>,
-    /// Per input of `ts`: whether the design reads it (see [`inputs_read`]).
-    input_read: Vec<bool>,
+    rd_data: Vec<Vec<TermId>>,
+    /// Per input of `ts`.
+    drives: Vec<Drive>,
+    reads: Vec<ReadBus>,
+    writes: Vec<WriteBus>,
+    /// `(result{i}_valid, result{i})` per result.
+    results: Vec<(NodeId, NodeId)>,
 }
 
 impl<'a> Side<'a> {
-    fn net(&self, name: &str) -> Result<verilog::tsys::NodeId, EquivError> {
-        self.ts
-            .nets
-            .get(name)
-            .copied()
-            .ok_or_else(|| EquivError::Signature(format!("net '{name}' missing from design")))
-    }
-
     /// The frame of the last [`step_side`].
     fn frame(&self) -> &Frame {
         self.frame
@@ -331,9 +376,16 @@ impl<'a> Side<'a> {
     }
 }
 
+fn net(ts: &TransitionSystem, name: &str) -> Result<NodeId, EquivError> {
+    ts.nets
+        .get(name)
+        .copied()
+        .ok_or_else(|| EquivError::Signature(format!("net '{name}' missing from design")))
+}
+
 /// Addressable word offsets of `addr_width` bits within a bank of
 /// `bank_words` words.
-fn reachable(bank_words: u64, addr_width: usize) -> u64 {
+fn reachable(bank_words: u64, addr_width: u32) -> u64 {
     if addr_width >= 63 {
         bank_words
     } else {
@@ -343,8 +395,8 @@ fn reachable(bank_words: u64, addr_width: usize) -> u64 {
 
 /// The words `lo..hi` of `store` that bank `bank` can address with
 /// `addr_width` bits.
-fn bank_span(em: &EnvMem, bank: u64, addr_width: usize) -> (u64, u64) {
-    let lo = bank * em.bank_size;
+fn bank_span(em: &EnvMem, bank: usize, addr_width: u32) -> (u64, u64) {
+    let lo = bank as u64 * em.bank_size;
     let hi = (lo + reachable(em.total_words.saturating_sub(lo), addr_width)).min(em.total_words);
     (lo, hi)
 }
@@ -352,25 +404,31 @@ fn bank_span(em: &EnvMem, bank: u64, addr_width: usize) -> (u64, u64) {
 /// Read-first lookup of `store[bank*bank_size + addr]`, out-of-range = 0 —
 /// exactly `Harness::serve_reads_pre` / `apply_requests`. A constant
 /// address takes its word directly: every select of the mux chain folds
-/// to a constant, so the chain would return that word (or the zero word)
-/// without a gate.
-fn read_word(bl: &mut Blaster, store: &[BV], em: &EnvMem, bank: u64, addr: &BV) -> BV {
-    let (lo, hi) = bank_span(em, bank, addr.len());
-    match bl.bv_value(addr) {
-        Some(a) if a < hi.saturating_sub(lo) => store[(lo + a) as usize].clone(),
-        Some(_) => bl.bv_const(0, em.elem_width),
-        None => read_mux(bl, store, em, bank, addr),
+/// to a constant, so the chain would return that word (or the zero word).
+fn read_word(
+    terms: &mut Terms,
+    store: &[TermId],
+    em: &EnvMem,
+    bank: usize,
+    addr: TermId,
+) -> TermId {
+    let (lo, hi) = bank_span(em, bank, terms.width(addr));
+    match terms.value(addr) {
+        Some(a) if a < hi.saturating_sub(lo) => store[(lo + a) as usize],
+        Some(_) => terms.konst(0, em.elem_width),
+        None => read_mux(terms, store, em, bank, addr),
     }
 }
 
 /// [`read_word`] as a mux chain over every addressable word.
-fn read_mux(bl: &mut Blaster, store: &[BV], em: &EnvMem, bank: u64, addr: &BV) -> BV {
-    let (lo, hi) = bank_span(em, bank, addr.len());
-    let mut acc = bl.bv_const(0, em.elem_width);
+fn read_mux(terms: &mut Terms, store: &[TermId], em: &EnvMem, bank: usize, addr: TermId) -> TermId {
+    let aw = terms.width(addr);
+    let (lo, hi) = bank_span(em, bank, aw);
+    let mut acc = terms.konst(0, em.elem_width);
     for j in (lo..hi).rev() {
-        let off = bl.bv_const(j - lo, addr.len() as u32);
-        let sel = bl.bv_eq(addr, &off);
-        acc = bl.bv_ite(sel, &store[j as usize], &acc);
+        let off = terms.konst(j - lo, aw);
+        let sel = terms.binary(TOp::Eq, addr, off);
+        acc = terms.ite(sel, store[j as usize], acc);
     }
     acc
 }
@@ -379,185 +437,157 @@ fn read_mux(bl: &mut Blaster, store: &[BV], em: &EnvMem, bank: u64, addr: &BV) -
 /// writes are dropped. A constant address updates only its word, and a
 /// constant-false enable none: every other word's select folds to false.
 fn write_word(
-    bl: &mut Blaster,
-    store: &mut [BV],
+    terms: &mut Terms,
+    store: &mut [TermId],
     em: &EnvMem,
-    bank: u64,
-    en: Lit,
-    addr: &BV,
-    data: &BV,
+    bank: usize,
+    en: TermId,
+    addr: TermId,
+    data: TermId,
 ) {
-    let (lo, hi) = bank_span(em, bank, addr.len());
-    match bl.bv_value(addr) {
-        Some(_) if en == bl.fals() => {}
+    let (lo, hi) = bank_span(em, bank, terms.width(addr));
+    match terms.value(addr) {
+        Some(_) if terms.value(en) == Some(0) => {}
         Some(a) => {
             if a < hi.saturating_sub(lo) {
                 let j = (lo + a) as usize;
-                store[j] = bl.bv_ite(en, data, &store[j]);
+                store[j] = terms.ite(en, data, store[j]);
             }
         }
-        None => write_mux(bl, store, em, bank, en, addr, data),
+        None => write_mux(terms, store, em, bank, en, addr, data),
     }
 }
 
 /// [`write_word`] as a mux per addressable word.
 fn write_mux(
-    bl: &mut Blaster,
-    store: &mut [BV],
+    terms: &mut Terms,
+    store: &mut [TermId],
     em: &EnvMem,
-    bank: u64,
-    en: Lit,
-    addr: &BV,
-    data: &BV,
+    bank: usize,
+    en: TermId,
+    addr: TermId,
+    data: TermId,
 ) {
-    let (lo, hi) = bank_span(em, bank, addr.len());
+    let aw = terms.width(addr);
+    let (lo, hi) = bank_span(em, bank, aw);
     for j in lo..hi {
-        let off = bl.bv_const(j - lo, addr.len() as u32);
-        let hit = bl.bv_eq(addr, &off);
-        let hit = bl.and(en, hit);
-        store[j as usize] = bl.bv_ite(hit, data, &store[j as usize]);
+        let off = terms.konst(j - lo, aw);
+        let hit = terms.binary(TOp::Eq, addr, off);
+        let hit = terms.binary(TOp::And, en, hit);
+        store[j as usize] = terms.ite(hit, data, store[j as usize]);
     }
 }
 
-/// `diff ∨ (a ≠ b)` over corresponding words. Literal-equal words compare
-/// equal without a gate, so they are skipped.
-fn words_differ(bl: &mut Blaster, mut diff: Lit, a: &[BV], b: &[BV]) -> Lit {
-    for (wa, wb) in a.iter().zip(b) {
+/// `diff ∨ (a ≠ b)` over corresponding words. Equal terms compare equal
+/// without a new term, so they are skipped.
+fn words_differ(terms: &mut Terms, mut diff: TermId, a: &[TermId], b: &[TermId]) -> TermId {
+    for (&wa, &wb) in a.iter().zip(b) {
         if wa == wb {
             continue;
         }
-        let ne = bl.bv_eq(wa, wb).flip();
-        diff = bl.or(diff, ne);
+        let ne = terms.binary(TOp::Ne, wa, wb);
+        diff = terms.binary(TOp::Or, diff, ne);
     }
     diff
 }
 
-struct CycleObs {
-    /// 1-bit disagreement literal for this cycle.
-    diff: Lit,
-}
-
 /// Advance one side by one cycle, leaving the frame in `side.frame` for
-/// observable extraction. `latency0_frees` collects (mem index, bank, fresh
-/// BV) pairs whose combinational-read constraints are asserted post-frame.
+/// observable extraction. The equalities that serve this cycle's
+/// zero-latency reads go to `served`, to be asserted before the next query.
 fn step_side(
-    bl: &mut Blaster,
+    terms: &mut Terms,
     side: &mut Side<'_>,
     env: &EnvSpec,
-    scalars: &[BV],
     cycle: u32,
-) -> Result<(), EquivError> {
-    // 1. Build this cycle's input vector.
-    let mut inputs: Vec<BV> = Vec::with_capacity(side.ts.inputs.len());
-    let mut latency0_frees: Vec<(usize, u64, BV)> = Vec::new();
-    for (i, iv) in side.ts.inputs.iter().enumerate() {
-        let bvv: BV = if iv.name == "start" {
-            bl.bv_const(u64::from(cycle == 0), iv.width)
-        } else if let Some(pos) = env.scalars.iter().position(|(_, b, _)| *b == iv.name) {
-            bl.bv_fit(&scalars[pos], iv.width)
-        } else if let Some((mi, b)) = find_rd_data(env, &iv.name) {
-            if !env.mems[mi].latency0 {
-                bl.bv_fit(&side.rd_data[mi][b as usize], iv.width)
-            } else if side.input_read[i] {
-                let fresh = bl.bv_fresh(iv.width);
-                latency0_frees.push((mi, b, fresh.clone()));
-                fresh
-            } else {
-                // Nothing reads this bank's data, so it needs no serving.
-                bl.bv_const(iv.init, iv.width)
+    served: &mut Vec<TermId>,
+) {
+    // 1. This cycle's inputs.
+    let mut inputs: Vec<TermId> = Vec::with_capacity(side.drives.len());
+    let mut leaves: Vec<(TermId, usize, usize, NodeId)> = Vec::new();
+    for (iv, drive) in side.ts.inputs.iter().zip(&side.drives) {
+        inputs.push(match *drive {
+            Drive::Fixed(t) => t,
+            Drive::Start { first, rest } => {
+                if cycle == 0 {
+                    first
+                } else {
+                    rest
+                }
             }
-        } else {
-            bl.bv_const(iv.init, iv.width)
-        };
-        inputs.push(bvv);
+            Drive::Latched { mem, bank } => terms.fit(side.rd_data[mem][bank], iv.width),
+            Drive::Served { mem, bank, addr } => {
+                let leaf = terms.leaf(iv.width);
+                leaves.push((leaf, mem, bank, addr));
+                leaf
+            }
+        });
     }
 
     // 2. Evaluate the design's combinational cone.
     let state = std::mem::take(&mut side.state);
-    let frame = eval_frame(bl, side.ts, side.frame.take(), state, inputs);
+    let frame = eval_frame(terms, side.ts, side.frame.take(), state, inputs);
 
     // 3. Zero-latency reads: the read data the design consumed this cycle
     //    must equal the current memory word at the bus address (the harness
     //    serves these before the edge; addresses come from registers, so
     //    the fixpoint is unique).
-    for (mi, b, fresh) in latency0_frees {
-        let em = &env.mems[mi];
-        let addr_id = side.net(&bus(&em.base, b, em.banks, "addr"))?;
-        let served = read_word(bl, &side.mem_words[mi], em, b, frame.get(addr_id));
-        let served = bl.bv_fit(&served, fresh.len() as u32);
-        let eq = bl.bv_eq(&fresh, &served);
-        bl.assert_true(eq);
+    for (leaf, mem, bank, addr) in leaves {
+        let store = &side.mem_words[mem];
+        let word = read_word(terms, store, &env.mems[mem], bank, frame.get(addr));
+        let word = terms.fit(word, terms.width(leaf));
+        served.push(terms.binary(TOp::Eq, leaf, word));
     }
 
     // 4. Latched reads (latency ≥ 1): data arrives next cycle, held when
     //    the enable is low — the harness's post-edge `apply_requests`.
-    for (mi, em) in env.mems.iter().enumerate() {
-        if !em.can_read || em.latency0 {
-            continue;
-        }
-        for b in 0..em.banks {
-            let en_id = side.net(&bus(&em.base, b, em.banks, "rd_en"))?;
-            let addr_id = side.net(&bus(&em.base, b, em.banks, "addr"))?;
-            let en = frame.get(en_id)[0];
-            let word = read_word(bl, &side.mem_words[mi], em, b, frame.get(addr_id));
-            let cur = &side.rd_data[mi][b as usize];
-            let word = bl.bv_fit(&word, cur.len() as u32);
-            side.rd_data[mi][b as usize] = bl.bv_ite(en, &word, cur);
-        }
+    for r in &side.reads {
+        let en = terms.slice(frame.get(r.en), 0, 0);
+        let store = &side.mem_words[r.mem];
+        let word = read_word(terms, store, &env.mems[r.mem], r.bank, frame.get(r.addr));
+        let cur = side.rd_data[r.mem][r.bank];
+        let word = terms.fit(word, terms.width(cur));
+        side.rd_data[r.mem][r.bank] = terms.ite(en, word, cur);
     }
 
     // 5. Writes land after the edge, reads-first (they saw the old words
     //    above), in (mem, bank) order — later writes win.
-    for (mi, em) in env.mems.iter().enumerate() {
-        if !em.can_write {
-            continue;
-        }
-        for b in 0..em.banks {
-            let en_id = side.net(&bus(&em.base, b, em.banks, "wr_en"))?;
-            let addr_id = side.net(&bus(&em.base, b, em.banks, "waddr"))?;
-            let data_id = side.net(&bus(&em.base, b, em.banks, "wr_data"))?;
-            let en = frame.get(en_id)[0];
-            let data = bl.bv_fit(frame.get(data_id), em.elem_width);
-            let store = &mut side.mem_words[mi];
-            write_word(bl, store, em, b, en, frame.get(addr_id), &data);
-        }
+    for w in &side.writes {
+        let em = &env.mems[w.mem];
+        let en = terms.slice(frame.get(w.en), 0, 0);
+        let data = terms.fit(frame.get(w.data), em.elem_width);
+        let store = &mut side.mem_words[w.mem];
+        write_word(terms, store, em, w.bank, en, frame.get(w.addr), data);
     }
 
     // 6. Register update.
     side.state = next_state(side.ts, &frame);
     side.frame = Some(frame);
-    Ok(())
 }
 
-/// Per-cycle observables: result valid/value streams and memory contents.
-fn observe_diff(
-    bl: &mut Blaster,
-    env: &EnvSpec,
-    a: &Side<'_>,
-    b: &Side<'_>,
-) -> Result<CycleObs, EquivError> {
+/// Per-cycle observables: result valid/value streams and memory contents,
+/// as one 1-bit disagreement term.
+fn observe_diff(terms: &mut Terms, a: &Side<'_>, b: &Side<'_>) -> TermId {
     let (fa, fb) = (a.frame(), b.frame());
-    let mut diff = bl.fals();
-    for i in 0..env.result_count {
-        let va = fa.get(a.net(&format!("result{i}_valid"))?)[0];
-        let vb = fb.get(b.net(&format!("result{i}_valid"))?)[0];
-        let ra = fa.get(a.net(&format!("result{i}"))?);
-        let rb = fb.get(b.net(&format!("result{i}"))?);
-        let valid_mismatch = bl.xor(va, vb);
-        diff = bl.or(diff, valid_mismatch);
-        let w = ra.len().max(rb.len()) as u32;
-        let ra = bl.bv_fit(ra, w);
-        let rb = bl.bv_fit(rb, w);
-        let value_mismatch = bl.bv_eq(&ra, &rb).flip();
-        let observed_mismatch = bl.and(va, value_mismatch);
-        diff = bl.or(diff, observed_mismatch);
+    let mut diff = terms.konst(0, 1);
+    for (&(valid_a, ra), &(valid_b, rb)) in a.results.iter().zip(&b.results) {
+        let va = terms.slice(fa.get(valid_a), 0, 0);
+        let vb = terms.slice(fb.get(valid_b), 0, 0);
+        let (ra, rb) = (fa.get(ra), fb.get(rb));
+        let valid_mismatch = terms.binary(TOp::Xor, va, vb);
+        diff = terms.binary(TOp::Or, diff, valid_mismatch);
+        let w = terms.width(ra).max(terms.width(rb));
+        let ra = terms.fit(ra, w);
+        let rb = terms.fit(rb, w);
+        let value_mismatch = terms.binary(TOp::Ne, ra, rb);
+        let observed_mismatch = terms.binary(TOp::And, va, value_mismatch);
+        diff = terms.binary(TOp::Or, diff, observed_mismatch);
     }
     // Memory contents after this cycle's writes. Untouched words are the
-    // same literals on both sides and fold away for free.
+    // same terms on both sides and fold away for free.
     for (wa, wb) in a.mem_words.iter().zip(&b.mem_words) {
-        diff = words_differ(bl, diff, wa, wb);
+        diff = words_differ(terms, diff, wa, wb);
     }
-    Ok(CycleObs { diff })
+    diff
 }
 
 // ----------------------------------------------------------- entry point
@@ -603,6 +633,7 @@ pub fn check_func_equivalence(
         ..Phases::default()
     };
 
+    let mut terms = Terms::new();
     let mut bl = Blaster::new();
     let start_conflicts = bl.solver().conflicts;
     let deadline = opts
@@ -610,25 +641,25 @@ pub fn check_func_equivalence(
         .map(|ms| started + std::time::Duration::from_millis(ms));
 
     // Shared symbolic stimulus: scalars and initial memory words.
-    let scalars: Vec<BV> = env
-        .scalars
-        .iter()
-        .map(|&(_, _, w)| bl.bv_fresh(w))
-        .collect();
-    let init_words: Vec<Vec<BV>> = env
+    let scalars: Vec<TermId> = env.scalars.iter().map(|&(_, _, w)| terms.leaf(w)).collect();
+    let init_words: Vec<Vec<TermId>> = env
         .mems
         .iter()
         .map(|em| {
             (0..em.total_words)
-                .map(|_| bl.bv_fresh(em.elem_width))
+                .map(|_| terms.leaf(em.elem_width))
                 .collect()
         })
         .collect();
 
-    let mut side_a = make_side(&bl, &ts_a, &env, &init_words);
-    let mut side_b = make_side(&bl, &ts_b, &env, &init_words);
+    let mut side_a = make_side(&mut terms, &ts_a, &env, &scalars, &init_words)?;
+    let mut side_b = make_side(&mut terms, &ts_b, &env, &scalars, &init_words)?;
 
-    let report = |status: EquivStatus, bl: &Blaster, phases: &Phases, frames: &[FrameStats]| {
+    let report = |status: EquivStatus,
+                  terms: &Terms,
+                  bl: &Blaster,
+                  phases: &Phases,
+                  frames: &[FrameStats]| {
         let solver = bl.solver();
         FuncReport {
             func: func_name.to_string(),
@@ -646,6 +677,7 @@ pub fn check_func_equivalence(
                 decision_depth: solver.decision_depth.clone(),
                 blast_cache_hits: bl.cache_hits,
                 blast_cache_misses: bl.cache_misses,
+                terms: terms.len() as u64,
                 gates: bl.num_gates() as u64,
                 clauses: solver.num_clauses() as u64,
                 vars: u64::from(solver.num_vars()),
@@ -657,38 +689,76 @@ pub fn check_func_equivalence(
             },
         }
     };
+    // The loud degradation when a budget runs out at `cycle`.
+    let exhausted = |cycle: u32, bl: &Blaster, phases: &mut Phases| {
+        let reason = format!(
+            "proof budget exhausted at cycle {cycle}/{} ({} conflicts)",
+            opts.k_cycles,
+            bl.solver().conflicts - start_conflicts,
+        );
+        let replay_started = Instant::now();
+        let st = {
+            let _sp = obs::span("equiv_replay");
+            sampled_fallback(unopt, opt, func_name, opts, reason)
+        };
+        phases.replay += replay_started.elapsed();
+        st
+    };
 
     let mut frames: Vec<FrameStats> = Vec::new();
-    // Size baseline per frame, re-snapshotted after each solve so the
-    // deltas attribute encoded clauses (not learnts) to each unroll cycle.
-    let sizes = |bl: &Blaster| {
+    // Size baseline per frame, re-snapshotted after each frame and each
+    // solve so the deltas attribute encoded clauses (not learnts) to each
+    // unroll cycle.
+    let sizes = |terms: &Terms, bl: &Blaster| {
         let solver = bl.solver();
         (
+            terms.len() as u64,
             bl.num_gates() as u64,
             solver.num_clauses() as u64,
             u64::from(solver.num_vars()),
         )
     };
-    let mut last = sizes(&bl);
+    let mut last = sizes(&terms, &bl);
+    // Zero-latency read-serving equalities not yet asserted.
+    let mut served: Vec<TermId> = Vec::new();
 
     for cycle in 0..opts.k_cycles {
+        // A cycle that folds never reaches the solver's own deadline check.
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            let st = exhausted(cycle, &bl, &mut phases)?;
+            return Ok(report(st, &terms, &bl, &phases, &frames));
+        }
         let blast_started = Instant::now();
-        let obs = {
+        let query = {
             let _sp = obs::span("equiv_blast");
-            step_side(&mut bl, &mut side_a, &env, &scalars, cycle)?;
-            step_side(&mut bl, &mut side_b, &env, &scalars, cycle)?;
-            let obs = observe_diff(&mut bl, &env, &side_a, &side_b)?;
-            bl.encode(&[obs.diff]);
-            obs
+            step_side(&mut terms, &mut side_a, &env, cycle, &mut served);
+            step_side(&mut terms, &mut side_b, &env, cycle, &mut served);
+            let diff = observe_diff(&mut terms, &side_a, &side_b);
+            // A diff that folds to 0 is false for every input: this cycle
+            // is proved without a gate.
+            (terms.value(diff) != Some(0)).then(|| {
+                for eq in served.drain(..) {
+                    let l = terms.blast(&mut bl, eq)[0];
+                    bl.assert_true(l);
+                }
+                let d = terms.blast(&mut bl, diff)[0];
+                bl.encode(&[d]);
+                d
+            })
         };
         phases.blast += blast_started.elapsed();
-        let (gates, clauses, vars) = sizes(&bl);
+        let now = sizes(&terms, &bl);
         frames.push(FrameStats {
             cycle,
-            gates_added: gates - last.0,
-            clauses_added: clauses - last.1,
-            vars_added: vars - last.2,
+            terms_added: now.0 - last.0,
+            gates_added: now.1 - last.1,
+            clauses_added: now.2 - last.2,
+            vars_added: now.3 - last.3,
         });
+        last = now;
+        let Some(diff) = query else {
+            continue;
+        };
 
         let spent = bl.solver().conflicts - start_conflicts;
         let budget = Budget {
@@ -698,18 +768,18 @@ pub fn check_func_equivalence(
         let solve_started = Instant::now();
         let res = {
             let _sp = obs::span("equiv_solve");
-            bl.solve(&[obs.diff], budget)
+            bl.solve(&[diff], budget)
         };
         phases.solve += solve_started.elapsed();
         match res {
             SatResult::Unsat => {
                 // Proven no divergence at this cycle; pin it for the rest
                 // of the unrolling.
-                bl.assert_true(obs.diff.flip());
-                last = sizes(&bl);
+                bl.assert_true(diff.flip());
+                last = sizes(&terms, &bl);
             }
             SatResult::Sat => {
-                let stimulus = extract_stimulus(&bl, &env, &scalars, &init_words);
+                let stimulus = extract_stimulus(&terms, &bl, &env, &scalars, &init_words);
                 let replay_started = Instant::now();
                 let _rsp = obs::span("equiv_replay");
                 let status = match replay(unopt, opt, func_name, &stimulus, opts)? {
@@ -730,25 +800,15 @@ pub fn check_func_equivalence(
                 };
                 drop(_rsp);
                 phases.replay += replay_started.elapsed();
-                return Ok(report(status, &bl, &phases, &frames));
+                return Ok(report(status, &terms, &bl, &phases, &frames));
             }
             SatResult::Unknown => {
-                let reason = format!(
-                    "proof budget exhausted at cycle {cycle}/{} ({} conflicts)",
-                    opts.k_cycles,
-                    bl.solver().conflicts - start_conflicts,
-                );
-                let replay_started = Instant::now();
-                let st = {
-                    let _sp = obs::span("equiv_replay");
-                    sampled_fallback(unopt, opt, func_name, opts, reason)?
-                };
-                phases.replay += replay_started.elapsed();
-                return Ok(report(st, &bl, &phases, &frames));
+                let st = exhausted(cycle, &bl, &mut phases)?;
+                return Ok(report(st, &terms, &bl, &phases, &frames));
             }
         }
     }
-    Ok(report(EquivStatus::Proved, &bl, &phases, &frames))
+    Ok(report(EquivStatus::Proved, &terms, &bl, &phases, &frames))
 }
 
 /// Wall-clock accumulators per proof phase. Blast and solve run once per
@@ -818,38 +878,105 @@ fn build_design(m: &Module) -> Result<Design, EquivError> {
     Ok(design)
 }
 
+/// One side of the miter over the shared stimulus, with every net and
+/// input drive the environment uses resolved once.
 fn make_side<'a>(
-    bl: &Blaster,
+    terms: &mut Terms,
     ts: &'a TransitionSystem,
     env: &EnvSpec,
-    init_words: &[Vec<BV>],
-) -> Side<'a> {
-    Side {
+    scalars: &[TermId],
+    init_words: &[Vec<TermId>],
+) -> Result<Side<'a>, EquivError> {
+    let input_read = inputs_read(ts);
+    let mut drives = Vec::with_capacity(ts.inputs.len());
+    for (i, iv) in ts.inputs.iter().enumerate() {
+        let drive = if iv.name == "start" {
+            Drive::Start {
+                first: terms.konst(1, iv.width),
+                rest: terms.konst(0, iv.width),
+            }
+        } else if let Some(pos) = env.scalars.iter().position(|(_, b, _)| *b == iv.name) {
+            Drive::Fixed(terms.fit(scalars[pos], iv.width))
+        } else if let Some((mem, bank)) = find_rd_data(env, &iv.name) {
+            let em = &env.mems[mem];
+            if !em.latency0 {
+                Drive::Latched { mem, bank }
+            } else if input_read[i] {
+                let addr = net(ts, &bus(&em.base, bank as u64, em.banks, "addr"))?;
+                Drive::Served { mem, bank, addr }
+            } else {
+                // Nothing reads this bank's data, so it needs no serving.
+                Drive::Fixed(terms.konst(iv.init, iv.width))
+            }
+        } else {
+            Drive::Fixed(terms.konst(iv.init, iv.width))
+        };
+        drives.push(drive);
+    }
+    let mut reads = Vec::new();
+    let mut writes = Vec::new();
+    for (mem, em) in env.mems.iter().enumerate() {
+        for bank in 0..em.banks {
+            let name = |signal: &str| net(ts, &bus(&em.base, bank, em.banks, signal));
+            let bank = bank as usize;
+            if em.can_read && !em.latency0 {
+                let en = name("rd_en")?;
+                let addr = name("addr")?;
+                reads.push(ReadBus {
+                    mem,
+                    bank,
+                    en,
+                    addr,
+                });
+            }
+            if em.can_write {
+                let en = name("wr_en")?;
+                let addr = name("waddr")?;
+                let data = name("wr_data")?;
+                writes.push(WriteBus {
+                    mem,
+                    bank,
+                    en,
+                    addr,
+                    data,
+                });
+            }
+        }
+    }
+    let results = (0..env.result_count)
+        .map(|i| {
+            Ok((
+                net(ts, &format!("result{i}_valid"))?,
+                net(ts, &format!("result{i}"))?,
+            ))
+        })
+        .collect::<Result<_, EquivError>>()?;
+    Ok(Side {
         ts,
-        state: crate::unroll::initial_state(bl, ts),
+        state: initial_state(terms, ts),
         frame: None,
         mem_words: init_words.to_vec(),
         rd_data: env
             .mems
             .iter()
-            .map(|em| {
-                (0..em.banks)
-                    .map(|_| bl.bv_const(0, em.elem_width))
-                    .collect()
-            })
+            .map(|em| vec![terms.konst(0, em.elem_width); em.banks as usize])
             .collect(),
-        input_read: inputs_read(ts),
-    }
+        drives,
+        reads,
+        writes,
+        results,
+    })
 }
 
-fn find_rd_data(env: &EnvSpec, input_name: &str) -> Option<(usize, u64)> {
+/// The (memref, bank) whose read-data bus is the input `input_name`.
+fn find_rd_data(env: &EnvSpec, input_name: &str) -> Option<(usize, usize)> {
     for (mi, em) in env.mems.iter().enumerate() {
         if !em.can_read {
             continue;
         }
         for b in 0..em.banks {
             if bus(&em.base, b, em.banks, "rd_data") == input_name {
-                return Some((mi, b));
+                return Some((mi, b as usize));
             }
         }
     }
@@ -870,22 +997,23 @@ fn sign(v: u64, width: u32) -> i128 {
 /// Read the satisfying model back as concrete harness arguments, in
 /// function-argument order.
 fn extract_stimulus(
+    terms: &Terms,
     bl: &Blaster,
     env: &EnvSpec,
-    scalars: &[BV],
-    init_words: &[Vec<BV>],
+    scalars: &[TermId],
+    init_words: &[Vec<TermId>],
 ) -> Vec<StimulusArg> {
     let mut by_index: Vec<(usize, StimulusArg)> = Vec::new();
     for (pos, &(arg_index, _, width)) in env.scalars.iter().enumerate() {
         by_index.push((
             arg_index,
-            StimulusArg::Int(sign(bl.model_bv(&scalars[pos]), width)),
+            StimulusArg::Int(sign(terms.model(bl, scalars[pos]), width)),
         ));
     }
     for (mi, em) in env.mems.iter().enumerate() {
         let words = init_words[mi]
             .iter()
-            .map(|w| sign(bl.model_bv(w), em.elem_width))
+            .map(|&w| sign(terms.model(bl, w), em.elem_width))
             .collect();
         by_index.push((em.arg_index, StimulusArg::Mem(words)));
     }
@@ -1079,13 +1207,13 @@ hir.func @acc at %t(
 }
 ";
 
-    /// Per cycle: both sides' node values, the miter literal, and the gate
-    /// count after the cycle.
-    type Unrolled = Vec<(Vec<BV>, Vec<BV>, Lit, usize)>;
+    /// Per cycle: both sides' node values, the miter term, and the arena
+    /// size after the cycle.
+    type Unrolled = Vec<(Vec<TermId>, Vec<TermId>, TermId, usize)>;
 
     /// Unrolls `src`'s function against itself for `k` cycles. Without
     /// `reuse`, every frame is evaluated with no predecessor.
-    fn unroll(src: &str, k: u32, reuse: bool) -> (Unrolled, Blaster) {
+    fn unroll(src: &str, k: u32, reuse: bool) -> (Unrolled, Terms) {
         let m = hir::parse_pretty(src).expect("parse");
         let func = find_func(&m, "acc").unwrap();
         let env = build_env_spec(&m, func).unwrap();
@@ -1093,68 +1221,70 @@ hir.func @acc at %t(
         assert!(env.mems.iter().any(|em| !em.latency0 && em.can_read));
         let ts = lower(&build_design(&m).unwrap(), &module_name("acc")).unwrap();
         assert!(!ts.states.is_empty());
-        let mut bl = Blaster::new();
-        let scalars: Vec<BV> = env.scalars.iter().map(|s| bl.bv_fresh(s.2)).collect();
-        let init_words: Vec<Vec<BV>> = env
+        let mut terms = Terms::new();
+        let scalars: Vec<TermId> = env.scalars.iter().map(|s| terms.leaf(s.2)).collect();
+        let init_words: Vec<Vec<TermId>> = env
             .mems
             .iter()
             .map(|em| {
                 (0..em.total_words)
-                    .map(|_| bl.bv_fresh(em.elem_width))
+                    .map(|_| terms.leaf(em.elem_width))
                     .collect()
             })
             .collect();
-        let mut a = make_side(&bl, &ts, &env, &init_words);
-        let mut b = make_side(&bl, &ts, &env, &init_words);
+        let mut a = make_side(&mut terms, &ts, &env, &scalars, &init_words).unwrap();
+        let mut b = make_side(&mut terms, &ts, &env, &scalars, &init_words).unwrap();
+        let mut served = Vec::new();
         let mut cycles = Vec::new();
         for cycle in 0..k {
             if !reuse {
                 a.frame = None;
                 b.frame = None;
             }
-            step_side(&mut bl, &mut a, &env, &scalars, cycle).unwrap();
-            step_side(&mut bl, &mut b, &env, &scalars, cycle).unwrap();
-            let obs = observe_diff(&mut bl, &env, &a, &b).unwrap();
+            step_side(&mut terms, &mut a, &env, cycle, &mut served);
+            step_side(&mut terms, &mut b, &env, cycle, &mut served);
+            let diff = observe_diff(&mut terms, &a, &b);
             cycles.push((
                 a.frame().values.clone(),
                 b.frame().values.clone(),
-                obs.diff,
-                bl.num_gates(),
+                diff,
+                terms.len(),
             ));
         }
-        (cycles, bl)
+        assert!(!served.is_empty(), "the latency-0 bank was served");
+        (cycles, terms)
     }
 
-    /// Reusing the previous frame builds, node for node, the literals a
-    /// from-scratch evaluation builds, with the same gate table; it only
-    /// skips gate lookups that would have hit the cache.
+    /// Reusing the previous frame builds, node for node, the terms a
+    /// from-scratch evaluation builds, in the same arena order; it only
+    /// skips constructions that would have found an existing term.
     #[test]
     fn incremental_frames_match_frames_built_from_scratch() {
-        let (inc, inc_bl) = unroll(ACC, 12, true);
-        let (full, full_bl) = unroll(ACC, 12, false);
+        let (inc, inc_terms) = unroll(ACC, 12, true);
+        let (full, full_terms) = unroll(ACC, 12, false);
         for (cycle, (i, f)) in inc.iter().zip(&full).enumerate() {
             for (node, (x, y)) in i.0.iter().zip(&f.0).enumerate() {
                 assert_eq!(x, y, "cycle {cycle}: node {node} differs");
             }
             assert_eq!(i, f, "cycle {cycle} differs");
         }
-        assert_eq!(inc_bl.cache_misses, full_bl.cache_misses);
-        assert!(inc_bl.cache_hits < full_bl.cache_hits, "no node was reused");
+        assert_eq!(inc_terms.len(), full_terms.len());
+        for t in 0..inc_terms.len() as TermId {
+            assert_eq!(inc_terms.get(t), full_terms.get(t), "term {t}");
+        }
         // The design is symbolic and its state moves, so the check has teeth.
         let last = &inc.last().unwrap().0;
-        assert!(last.iter().any(|v| inc_bl.bv_value(v).is_none()));
+        assert!(last.iter().any(|&v| inc_terms.value(v).is_none()));
         assert_ne!(inc[2].0, inc[3].0, "frames must change between cycles");
     }
 
-    /// Two blasters with the same symbolic words, enable and data.
-    fn blasters() -> [(Blaster, Vec<BV>, Lit, BV); 2] {
-        std::array::from_fn(|_| {
-            let mut bl = Blaster::new();
-            let store: Vec<BV> = (0..10).map(|_| bl.bv_fresh(4)).collect();
-            let en = bl.fresh();
-            let data = bl.bv_fresh(4);
-            (bl, store, en, data)
-        })
+    /// Ten symbolic 4-bit words, an enable and a data word.
+    fn store() -> (Terms, Vec<TermId>, TermId, TermId) {
+        let mut terms = Terms::new();
+        let store: Vec<TermId> = (0..10).map(|_| terms.leaf(4)).collect();
+        let en = terms.leaf(1);
+        let data = terms.leaf(4);
+        (terms, store, en, data)
     }
 
     /// Two banks of five 4-bit words behind a 3-bit address: bank 0
@@ -1174,63 +1304,66 @@ hir.func @acc at %t(
         }
     }
 
-    fn counts(bl: &Blaster) -> (u64, u64, usize) {
-        (bl.cache_hits, bl.cache_misses, bl.num_gates())
-    }
-
-    /// Constant-address reads and writes return the mux chain's literals
-    /// and make the same cache lookups, in range and out of it.
+    /// Constant-address reads and writes return the terms the mux chain
+    /// folds to, in range and out of it, and build none of the chain's
+    /// offset constants.
     #[test]
     fn constant_address_access_matches_the_mux_chain() {
         let em = banked();
-        let [(mut bl, store, en, data), (mut mux, mstore, men, mdata)] = blasters();
-        // Two rounds, so the second round's writes hit the cache.
-        for _ in 0..2 {
-            for bank in 0..em.banks {
-                for a in 0..8 {
-                    let addr = bl.bv_const(a, 3);
-                    let got = read_word(&mut bl, &store, &em, bank, &addr);
-                    let want = read_mux(&mut mux, &mstore, &em, bank, &addr);
-                    assert_eq!(got, want, "read bank {bank} addr {a}");
-                    let zero_en = bl.fals();
-                    for e in [en, bl.tru(), zero_en] {
-                        let mut got = store.clone();
-                        let mut want = mstore.clone();
-                        write_word(&mut bl, &mut got, &em, bank, e, &addr, &data);
-                        let me = if e == en { men } else { e };
-                        write_mux(&mut mux, &mut want, &em, bank, me, &addr, &mdata);
-                        assert_eq!(got, want, "write bank {bank} addr {a} en {e:?}");
-                    }
-                    assert_eq!(counts(&bl), counts(&mux), "bank {bank} addr {a}");
+        let (mut terms, store, en, data) = store();
+        let (one, zero) = (terms.konst(1, 1), terms.konst(0, 1));
+        let mut changed = 0;
+        for bank in 0..em.banks as usize {
+            for a in 0..8 {
+                let addr = terms.konst(a, 3);
+                let before = terms.len();
+                let got = read_word(&mut terms, &store, &em, bank, addr);
+                let mut written = Vec::new();
+                for e in [en, one, zero] {
+                    let mut got = store.clone();
+                    write_word(&mut terms, &mut got, &em, bank, e, addr, data);
+                    written.push(got);
+                }
+                // At most the zero word and one `ite` per enable are new.
+                assert!(terms.len() - before <= 2, "bank {bank} addr {a}");
+                let want = read_mux(&mut terms, &store, &em, bank, addr);
+                assert_eq!(got, want, "read bank {bank} addr {a}");
+                for (e, got) in [en, one, zero].into_iter().zip(written) {
+                    let mut want = store.clone();
+                    write_mux(&mut terms, &mut want, &em, bank, e, addr, data);
+                    assert_eq!(got, want, "write bank {bank} addr {a} en {e}");
+                    changed += usize::from(got != store);
                 }
             }
         }
-        assert!(bl.cache_hits > 0 && bl.cache_misses > 0);
+        // In-range writes with a live enable moved a word (bank 0 reaches
+        // 8 words, bank 1 5): the check has teeth.
+        assert_eq!(changed, 2 * (8 + 5));
     }
 
-    /// Skipping literal-equal word pairs leaves the memory disagreement
-    /// literal and the cache lookups as comparing every pair does.
+    /// Skipping equal word pairs leaves the memory disagreement term as
+    /// comparing every pair does.
     #[test]
     fn observing_memories_skips_only_equal_words() {
-        let [(mut bl, store, en, data), (mut all, mstore, men, mdata)] = blasters();
+        let (mut terms, store, en, data) = store();
         let mut other = store.clone();
-        other[3] = data.clone();
-        other[7] = bl.bv_ite(en, &data, &store[7]);
-        let mut mother = mstore.clone();
-        mother[3] = mdata.clone();
-        mother[7] = all.bv_ite(men, &mdata, &mstore[7]);
-        for _ in 0..2 {
-            let fals = bl.fals();
-            let got = words_differ(&mut bl, fals, &store, &other);
-            let mut want = all.fals();
-            for (x, y) in mstore.iter().zip(&mother) {
-                let ne = all.bv_eq(x, y).flip();
-                want = all.or(want, ne);
-            }
-            assert_eq!(got, want);
-            assert_eq!(counts(&bl), counts(&all));
+        other[3] = data;
+        other[7] = terms.ite(en, data, store[7]);
+        let fals = terms.konst(0, 1);
+        let got = words_differ(&mut terms, fals, &store, &other);
+        let before = terms.len();
+        let mut want = fals;
+        for (&x, &y) in store.iter().zip(&other) {
+            let ne = terms.binary(TOp::Ne, x, y);
+            want = terms.binary(TOp::Or, want, ne);
         }
-        assert!(bl.cache_hits > 0);
+        assert_eq!(got, want);
+        assert_eq!(
+            terms.len(),
+            before,
+            "comparing every pair built nothing new"
+        );
+        assert_eq!(terms.value(got), None);
     }
 
     /// A loop over an 8-word bram; `{R}` is replaced by an extra argument.
@@ -1276,13 +1409,13 @@ hir.func @loop at %t(
                 .solver
                 .frames
                 .iter()
-                .map(|f| (f.gates_added, f.vars_added, f.clauses_added))
+                .map(|f| (f.terms_added, f.gates_added, f.vars_added, f.clauses_added))
                 .collect();
             (cex.cycle, sizes)
         };
         let without = frames("");
         assert_eq!(without.0, 2);
-        assert_eq!(without.1, [(62, 0, 0), (0, 0, 0), (344, 402, 1139)]);
+        assert_eq!(without.1, [(7, 0, 0, 0), (0, 0, 0, 0), (4, 408, 402, 1139)]);
         assert_eq!(frames("\n    %R : !hir.memref<[2]*i32, r, reg>,"), without);
     }
 }

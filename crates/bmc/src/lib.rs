@@ -1,23 +1,27 @@
 //! Formal equivalence backend: translation validation for the HIR
 //! optimization pipeline.
 //!
-//! The crate stacks four layers:
+//! The crate stacks five layers:
 //!
 //! 1. [`verilog::tsys`] (lives in the `verilog` crate) lowers a simulator
 //!    bytecode tape into a word-level transition system with BTOR2 export.
 //! 2. [`sat`] — a small in-house CDCL SAT solver (two watched literals,
 //!    VSIDS-style activities, Luby restarts, assumptions, budgets).
 //! 3. [`blast`] — Tseitin bit-blasting of bit-vector operations onto the
-//!    solver, with global structural hashing so identical subterms across
-//!    the two miter sides collapse to identical literals.
-//! 4. [`equiv`] — the miter: both designs unrolled K cycles under one
-//!    shared symbolic environment, divergence queried per cycle,
-//!    SAT models replay-confirmed, budget exhaustion loudly degraded to a
-//!    sampled differential.
+//!    solver, with global structural hashing, encoding only the cones that
+//!    queries reach.
+//! 4. [`term`] — hash-consed word-level terms with constant folding and a
+//!    fixed rewrite set, so identical subterms across the two miter sides
+//!    collapse to one term; only a queried term's cone is blasted.
+//! 5. [`equiv`] — the miter: both designs unrolled K cycles ([`unroll`])
+//!    under one shared symbolic environment, divergence queried per cycle
+//!    unless it folds, SAT models replay-confirmed, budget exhaustion
+//!    loudly degraded to a sampled differential.
 
 pub mod blast;
 pub mod equiv;
 pub mod sat;
+pub mod term;
 pub mod unroll;
 
 pub use equiv::{

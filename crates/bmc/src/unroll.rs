@@ -1,28 +1,28 @@
 //! Symbolic evaluation of a [`TransitionSystem`] for bounded unrolling.
 //!
 //! One [`eval_frame`] call computes every node of the system for one cycle
-//! as bit vectors over the blaster, given the cycle's state and input
-//! vectors and the side's previous frame. Only the cones whose leaves
-//! changed are re-blasted: gate constructors are structurally hashed, so
-//! re-evaluating a node on the same literals would return the same
-//! literals and allocate nothing, and every other node moves its previous
-//! vector over. The caller owns the cross-cycle plumbing (state advance,
-//! environment models, observables) — see [`crate::equiv`].
+//! as a word-level term, given the cycle's state and input terms and the
+//! side's previous frame. Only the cones whose leaves changed are
+//! evaluated again: term constructors are hash-consed, so evaluating a node
+//! again on the same operand terms would return the same term and build
+//! nothing, and every other node moves its previous term over. The caller
+//! owns the cross-cycle plumbing (state advance, environment models,
+//! observables) — see [`crate::equiv`].
 
-use crate::blast::{Blaster, BV};
-use verilog::tsys::{Node, NodeId, TOp, TransitionSystem};
+use crate::term::{TermId, Terms};
+use verilog::tsys::{Node, NodeId, TransitionSystem};
 
 /// All node values for one cycle, indexed by [`NodeId`], with the state
-/// and input vectors they were computed from.
+/// and input terms they were computed from.
 pub struct Frame {
-    pub values: Vec<BV>,
-    state: Vec<BV>,
-    inputs: Vec<BV>,
+    pub values: Vec<TermId>,
+    state: Vec<TermId>,
+    inputs: Vec<TermId>,
 }
 
 impl Frame {
-    pub fn get(&self, id: NodeId) -> &BV {
-        &self.values[id as usize]
+    pub fn get(&self, id: NodeId) -> TermId {
+        self.values[id as usize]
     }
 }
 
@@ -61,23 +61,22 @@ pub fn inputs_read(ts: &TransitionSystem) -> Vec<bool> {
     ts.inputs.iter().map(|iv| used[iv.node as usize]).collect()
 }
 
-/// Evaluate every node of `ts` for one cycle. `state[i]` must be a vector
+/// Evaluate every node of `ts` for one cycle. `state[i]` must be a term
 /// of the i-th state variable's width; `inputs[i]` likewise for inputs.
 ///
 /// `prev` is the same system's previous frame. A node is recomputed only if
-/// it changed: a leaf whose state or input vector differs literal for
-/// literal from `prev`'s, or an interior node with a recomputed operand.
-/// The others take `prev`'s vector as is. Without `prev` every node counts
-/// as changed.
+/// it changed: a leaf whose state or input term differs from `prev`'s, or
+/// an interior node with a recomputed operand. The others take `prev`'s
+/// term as is. Without `prev` every node counts as changed.
 pub fn eval_frame(
-    bl: &mut Blaster,
+    terms: &mut Terms,
     ts: &TransitionSystem,
     prev: Option<Frame>,
-    state: Vec<BV>,
-    inputs: Vec<BV>,
+    state: Vec<TermId>,
+    inputs: Vec<TermId>,
 ) -> Frame {
     let fresh = prev.is_none();
-    let (mut old, old_state, old_inputs) = match prev {
+    let (old, old_state, old_inputs) = match prev {
         Some(f) => (f.values, f.state, f.inputs),
         None => Default::default(),
     };
@@ -86,7 +85,7 @@ pub fn eval_frame(
         "frame of another system"
     );
     let mut changed: Vec<bool> = Vec::with_capacity(ts.nodes.len());
-    let mut values: Vec<BV> = Vec::with_capacity(ts.nodes.len());
+    let mut values: Vec<TermId> = Vec::with_capacity(ts.nodes.len());
     for (i, n) in ts.nodes.iter().enumerate() {
         let dirty = fresh
             || match n {
@@ -105,71 +104,28 @@ pub fn eval_frame(
             };
         changed.push(dirty);
         if !dirty {
-            values.push(std::mem::take(&mut old[i]));
+            values.push(old[i]);
             continue;
         }
-        let v: BV = match n {
-            Node::Const { value, width } => bl.bv_const(*value, *width),
-            Node::Input { index, width } => {
-                debug_assert_eq!(inputs[*index as usize].len(), *width as usize);
-                inputs[*index as usize].clone()
-            }
-            Node::State { index, width } => {
-                debug_assert_eq!(state[*index as usize].len(), *width as usize);
-                state[*index as usize].clone()
-            }
-            Node::Not { a, .. } => bl.bv_not(&values[*a as usize]),
-            Node::RedOr { a } => {
-                let mut acc = bl.fals();
-                for &l in &values[*a as usize] {
-                    acc = bl.or(acc, l);
-                }
-                vec![acc]
-            }
-            Node::Binary { op, a, b, .. } => {
-                let (a, b) = (&values[*a as usize], &values[*b as usize]);
-                match op {
-                    TOp::Add => bl.bv_add(a, b),
-                    TOp::Sub => bl.bv_sub(a, b),
-                    TOp::Mul => bl.bv_mul(a, b),
-                    TOp::And => bl.bv_and(a, b),
-                    TOp::Or => bl.bv_or(a, b),
-                    TOp::Xor => bl.bv_xor(a, b),
-                    TOp::Sll => bl.bv_sll(a, b),
-                    TOp::Srl => bl.bv_srl(a, b),
-                    TOp::Sra => bl.bv_sra(a, b),
-                    TOp::Eq => vec![bl.bv_eq(a, b)],
-                    TOp::Ne => vec![bl.bv_eq(a, b).flip()],
-                    TOp::Ult => vec![bl.bv_ult(a, b)],
-                    TOp::Ule => vec![bl.bv_ule(a, b)],
-                    TOp::Slt => vec![bl.bv_slt(a, b)],
-                    TOp::Sle => vec![bl.bv_sle(a, b)],
-                }
-            }
-            Node::Ite { cond, t, e, .. } => {
-                let c = values[*cond as usize][0];
-                bl.bv_ite(c, &values[*t as usize], &values[*e as usize])
-            }
-            Node::Slice { a, hi, lo } => values[*a as usize][*lo as usize..=*hi as usize].to_vec(),
-            Node::Ext { a, width, signed } => {
-                if *signed {
-                    bl.bv_sext(&values[*a as usize], *width)
-                } else {
-                    bl.bv_fit(&values[*a as usize], *width)
-                }
-            }
-            Node::Concat { hi, lo, .. } => {
-                let mut v = values[*lo as usize].clone();
-                v.extend_from_slice(&values[*hi as usize]);
-                v
-            }
+        let v = |id: &NodeId| values[*id as usize];
+        let t = match n {
+            Node::Const { value, width } => terms.konst(*value, *width),
+            Node::Input { index, .. } => inputs[*index as usize],
+            Node::State { index, .. } => state[*index as usize],
+            Node::Not { a, .. } => terms.not(v(a)),
+            Node::RedOr { a } => terms.red_or(v(a)),
+            Node::Binary { op, a, b, .. } => terms.binary(*op, v(a), v(b)),
+            Node::Ite { cond, t, e, .. } => terms.ite(v(cond), v(t), v(e)),
+            Node::Slice { a, hi, lo } => terms.slice(v(a), *hi, *lo),
+            Node::Ext { a, width, signed } => terms.ext(v(a), *width, *signed),
+            Node::Concat { hi, lo, .. } => terms.concat(v(hi), v(lo)),
         };
-        values.push(v);
         debug_assert_eq!(
-            values[i].len(),
-            ts.width(i as NodeId) as usize,
+            terms.width(t),
+            ts.width(i as NodeId),
             "node {i} width mismatch"
         );
+        values.push(t);
     }
     Frame {
         values,
@@ -178,27 +134,26 @@ pub fn eval_frame(
     }
 }
 
-/// The next-state vectors implied by a frame.
-pub fn next_state(ts: &TransitionSystem, frame: &Frame) -> Vec<BV> {
-    ts.states
-        .iter()
-        .map(|s| frame.get(s.next).clone())
-        .collect()
+/// The next-state terms implied by a frame.
+pub fn next_state(ts: &TransitionSystem, frame: &Frame) -> Vec<TermId> {
+    ts.states.iter().map(|s| frame.get(s.next)).collect()
 }
 
-/// Constant initial state vectors.
-pub fn initial_state(bl: &Blaster, ts: &TransitionSystem) -> Vec<BV> {
+/// Constant initial state terms.
+pub fn initial_state(terms: &mut Terms, ts: &TransitionSystem) -> Vec<TermId> {
     ts.states
         .iter()
-        .map(|s| bl.bv_const(s.init, s.width))
+        .map(|s| terms.konst(s.init, s.width))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blast::Blaster;
     use crate::sat::{Budget, SatResult};
     use verilog::ast::{BinOp, Design, Dir, Expr, LValue, Stmt, VModule};
+    use verilog::tsys::TOp;
 
     /// Unrolled frames must agree with the transition system's own
     /// concrete evaluator on a counter design, cycle by cycle.
@@ -218,21 +173,18 @@ mod tests {
         d.add(m);
         let ts = verilog::tsys::lower(&d, "ctr").expect("lower");
 
-        let mut bl = Blaster::new();
-        let mut state = initial_state(&bl, &ts);
+        let mut terms = Terms::new();
+        let mut state = initial_state(&mut terms, &ts);
         let mut prev = None;
         let mut conc_state = ts.initial_state();
         for cycle in 0..8u64 {
             let stim = (cycle * 3 + 1) % 16;
-            let inputs: Vec<BV> = ts
+            let inputs: Vec<TermId> = ts
                 .inputs
                 .iter()
                 .map(|iv| {
-                    if iv.name == "step_by" {
-                        bl.bv_const(stim, iv.width)
-                    } else {
-                        bl.bv_const(iv.init, iv.width)
-                    }
+                    let v = if iv.name == "step_by" { stim } else { iv.init };
+                    terms.konst(v, iv.width)
                 })
                 .collect();
             let conc_inputs: Vec<u64> = ts
@@ -240,13 +192,13 @@ mod tests {
                 .iter()
                 .map(|iv| if iv.name == "step_by" { stim } else { iv.init })
                 .collect();
-            let frame = eval_frame(&mut bl, &ts, prev.take(), state, inputs);
+            let frame = eval_frame(&mut terms, &ts, prev.take(), state, inputs);
             let conc = ts.eval_nodes(&conc_state, &conc_inputs);
             // With constant inputs everything folds to constants — compare
             // every node against the concrete evaluator.
-            for (i, v) in frame.values.iter().enumerate() {
+            for (i, &v) in frame.values.iter().enumerate() {
                 assert_eq!(
-                    bl.bv_value(v),
+                    terms.value(v),
                     Some(conc[i]),
                     "cycle {cycle} node {i} did not fold"
                 );
@@ -275,33 +227,35 @@ mod tests {
         d.add(m);
         let ts = verilog::tsys::lower(&d, "ctr2").expect("lower");
 
-        let mut bl = Blaster::new();
-        let x = bl.bv_fresh(8);
-        let mut state = initial_state(&bl, &ts);
+        let mut terms = Terms::new();
+        let x = terms.leaf(8);
+        let mut state = initial_state(&mut terms, &ts);
         let mut prev = None;
         // Two cycles with the same symbolic x: acc = x + x afterwards.
         for _ in 0..2 {
-            let inputs: Vec<BV> = ts
+            let inputs: Vec<TermId> = ts
                 .inputs
                 .iter()
                 .map(|iv| {
                     if iv.name == "x" {
-                        x.clone()
+                        x
                     } else {
-                        bl.bv_const(iv.init, iv.width)
+                        terms.konst(iv.init, iv.width)
                     }
                 })
                 .collect();
-            let frame = eval_frame(&mut bl, &ts, prev.take(), state, inputs);
+            let frame = eval_frame(&mut terms, &ts, prev.take(), state, inputs);
             state = next_state(&ts, &frame);
             prev = Some(frame);
         }
-        let acc = &state[0].clone();
-        let two_x = {
-            let xx = x.clone();
-            bl.bv_add(&xx, &x)
-        };
-        let differs = bl.bv_eq(acc, &two_x).flip();
+        // `2 * x` becomes `x << 1`, a different term from `x + x`, so the
+        // solver has to prove the two equal.
+        let two = terms.konst(2, 8);
+        let two_x = terms.binary(TOp::Mul, x, two);
+        let differs = terms.binary(TOp::Ne, state[0], two_x);
+        assert_eq!(terms.value(differs), None);
+        let mut bl = Blaster::new();
+        let differs = terms.blast(&mut bl, differs)[0];
         assert_eq!(
             bl.solve(&[differs], Budget::UNLIMITED),
             SatResult::Unsat,

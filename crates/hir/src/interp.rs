@@ -1076,8 +1076,8 @@ mod tests {
             )
             .expect("simulation");
         let c = &report.tensors[&2];
-        for i in 0..128 {
-            assert_eq!(c[i], Some(1000), "C[{i}]");
+        for (i, &v) in c.iter().enumerate().take(128) {
+            assert_eq!(v, Some(1000), "C[{i}]");
         }
         // II=1 pipelined: ~128 iterations + small constant.
         assert!(

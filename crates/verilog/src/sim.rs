@@ -2303,7 +2303,8 @@ fn vcd_code(mut i: usize) -> String {
     s
 }
 
-pub(crate) fn mask(width: u32) -> u64 {
+/// The low `width` bits set (all 64 from width 64 on).
+pub fn mask(width: u32) -> u64 {
     if width >= 64 {
         u64::MAX
     } else {
@@ -5538,7 +5539,7 @@ mod tests {
             for cyc in 0..32u64 {
                 sim.set("we", cyc % 2);
                 sim.set("waddr", cyc % 16);
-                sim.set("wdata", cyc * 3 & 0xffff);
+                sim.set("wdata", (cyc * 3) & 0xffff);
                 sim.set("raddr", (cyc + 1) % 16);
                 sim.step().unwrap();
             }

@@ -58,7 +58,8 @@ pub enum TOp {
 }
 
 impl TOp {
-    fn is_comparison(self) -> bool {
+    /// Whether the operator compares its operands into a 1-bit result.
+    pub fn is_comparison(self) -> bool {
         matches!(
             self,
             TOp::Eq | TOp::Ne | TOp::Ult | TOp::Ule | TOp::Slt | TOp::Sle
@@ -230,19 +231,12 @@ impl TransitionSystem {
                         vals[*e as usize]
                     }
                 }
-                Node::Slice { a, hi, lo } => (vals[*a as usize] >> lo) & sim::mask(hi - lo + 1),
+                Node::Slice { a, hi, lo } => fold_slice(vals[*a as usize], *hi, *lo),
                 Node::Ext { a, width, signed } => {
-                    let aw = self.width(*a);
-                    let v = vals[*a as usize];
-                    if *signed && aw < 64 && v & (1 << (aw - 1)) != 0 {
-                        (v | !sim::mask(aw)) & sim::mask(*width)
-                    } else {
-                        v
-                    }
+                    fold_ext(vals[*a as usize], self.width(*a), *width, *signed)
                 }
                 Node::Concat { hi, lo, .. } => {
-                    let lw = self.width(*lo);
-                    (vals[*hi as usize] << lw) | vals[*lo as usize]
+                    fold_concat(vals[*hi as usize], vals[*lo as usize], self.width(*lo))
                 }
             };
         }
@@ -263,8 +257,9 @@ impl TransitionSystem {
 
 /// Evaluate a binary word operator; `aw` is the operand width (used by
 /// comparisons, where the result is 1 bit of width `w`), `w` the result
-/// width. Shared by constant folding and [`TransitionSystem::eval_nodes`].
-fn fold_binary(op: TOp, a: u64, b: u64, aw: u32, w: u32) -> u64 {
+/// width. Shared by constant folding, [`TransitionSystem::eval_nodes`] and
+/// the `bmc` crate's word-level terms.
+pub fn fold_binary(op: TOp, a: u64, b: u64, aw: u32, w: u32) -> u64 {
     let m = sim::mask(w);
     let se = |v: u64| -> i128 {
         if aw < 64 && v & (1 << (aw - 1)) != 0 {
@@ -314,6 +309,25 @@ fn fold_binary(op: TOp, a: u64, b: u64, aw: u32, w: u32) -> u64 {
         TOp::Slt => u64::from(se(a) < se(b)),
         TOp::Sle => u64::from(se(a) <= se(b)),
     }
+}
+
+/// Bits `[hi:lo]` of `v`.
+pub fn fold_slice(v: u64, hi: u32, lo: u32) -> u64 {
+    (v >> lo) & sim::mask(hi - lo + 1)
+}
+
+/// Zero or sign extension of the `aw`-bit value `v` to `width` bits.
+pub fn fold_ext(v: u64, aw: u32, width: u32, signed: bool) -> u64 {
+    if signed && aw < 64 && v & (1 << (aw - 1)) != 0 {
+        (v | !sim::mask(aw)) & sim::mask(width)
+    } else {
+        v
+    }
+}
+
+/// `{hi, lo}`, where `lo` is `lw` bits wide.
+pub fn fold_concat(hi: u64, lo: u64, lw: u32) -> u64 {
+    (hi << lw) | lo
 }
 
 // --------------------------------------------------------------- builder
@@ -452,7 +466,7 @@ impl Builder {
             return a;
         }
         if let Some(v) = self.const_value(a) {
-            return self.konst(v >> lo, hi - lo + 1);
+            return self.konst(fold_slice(v, hi, lo), hi - lo + 1);
         }
         self.push(Node::Slice { a, hi, lo })
     }
@@ -464,12 +478,7 @@ impl Builder {
             return a;
         }
         if let Some(v) = self.const_value(a) {
-            let filled = if signed && v & (1 << (aw - 1)) != 0 {
-                v | !sim::mask(aw)
-            } else {
-                v
-            };
-            return self.konst(filled, width);
+            return self.konst(fold_ext(v, aw, width, signed), width);
         }
         self.push(Node::Ext { a, width, signed })
     }

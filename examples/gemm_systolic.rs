@@ -32,8 +32,8 @@ fn main() {
         .expect("simulate");
 
     let expect = gemm::reference(n, &a, &b);
-    for i in 0..nn {
-        assert_eq!(r.tensors[&2][i], Some(expect[i]), "C[{i}]");
+    for (i, &want) in expect.iter().enumerate().take(nn) {
+        assert_eq!(r.tensors[&2][i], Some(want), "C[{i}]");
     }
 
     println!("{n}x{n} GEMM:");

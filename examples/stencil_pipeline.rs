@@ -34,8 +34,8 @@ fn main() {
     );
 
     let expect1 = stencil::reference(n, &input);
-    for i in 0..n as usize {
-        assert_eq!(r1.tensors[&1][i], Some(expect1[i]));
+    for (i, &want) in expect1.iter().enumerate().take(n as usize) {
+        assert_eq!(r1.tensors[&1][i], Some(want));
     }
 
     // ---- Two overlapped stages (Listing 3). ------------------------------
@@ -58,8 +58,8 @@ fn main() {
     );
 
     let expect2 = stencil::reference(n, &expect1);
-    for i in 0..n as usize {
-        assert_eq!(r2.tensors[&1][i], Some(expect2[i]), "element {i}");
+    for (i, &want) in expect2.iter().enumerate().take(n as usize) {
+        assert_eq!(r2.tensors[&1][i], Some(want), "element {i}");
     }
 
     assert!(

@@ -684,8 +684,8 @@ fn stencil_and_unrolled_designs_compile_and_run() {
         )
         .expect("simulate");
     let expect = kernels::stencil::reference(64, &input);
-    for i in 0..64 {
-        assert_eq!(r.tensors[&1][i], Some(expect[i]), "B[{i}]");
+    for (i, &want) in expect.iter().enumerate().take(64) {
+        assert_eq!(r.tensors[&1][i], Some(want), "B[{i}]");
     }
 
     // Listing 4: all four lanes write in the same cycle.
@@ -827,14 +827,16 @@ fn verify_equiv_budget_exhaustion_degrades_loudly() {
     let dir = std::env::temp_dir().join("hirc_test_equiv_budget");
     std::fs::create_dir_all(&dir).unwrap();
     let report = dir.join("equiv.json");
-    // A 1 ms wall-clock budget cannot complete a K=1024 proof of the
-    // transpose design (about 14 ms unbounded, where K=16 ends within the
-    // millisecond); the driver must say so out loud, fall back to the
-    // sampled differential, and still exit 0 (no divergence observed).
+    // A 1 ms wall-clock budget cannot complete a K=16384 proof of the
+    // transpose design (about 17 ms unbounded, where K=16 ends within the
+    // millisecond). Every cycle folds at word level and never reaches the
+    // solver, so this also checks the per-cycle deadline. The driver must
+    // say so out loud, fall back to the sampled differential, and still
+    // exit 0 (no divergence observed).
     let out = hirc()
         .arg(example("transpose.mlir"))
         .arg("--opt")
-        .arg("--verify-equiv=1024")
+        .arg("--verify-equiv=16384")
         .arg("--equiv-time-ms=1")
         .arg(format!("--verify-equiv-report={}", report.display()))
         .arg("-o")

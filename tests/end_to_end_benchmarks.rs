@@ -157,8 +157,8 @@ fn fifo_full_stack() {
         ],
         50_000,
     );
-    for i in 0..n as usize {
-        if let Some(v) = expect[i] {
+    for (i, &want) in expect.iter().enumerate().take(n as usize) {
+        if let Some(v) = want {
             assert_eq!(rtl.mems[&2][i], v, "dout[{i}]");
         }
     }

@@ -3,8 +3,10 @@
 //! For every `ComputeKind` and every `cmp` predicate, at widths 1 to 6 and
 //! over all operand values, the shared evaluator (`hir::semantics::eval`),
 //! the generated RTL under the batched simulator (64 stimulus lanes per
-//! harness run) and `bmc`'s bit-blaster on the same generated design (its
-//! inputs fixed to constants) must give the same result. Casts and slices
+//! harness run) and `bmc`'s bit-blaster on the same generated design must
+//! give the same result. The blaster's circuit is built once per design over
+//! free inputs, and the SAT solver reads each result from its model with the
+//! inputs pinned to the stimulus. Casts and slices
 //! go from every width to every other, and a few two-operand designs mix
 //! their operand and result widths.
 //!
@@ -15,7 +17,9 @@
 //! `hirc --emit=sim`, with and without `--opt`.
 
 use bmc::blast::Blaster;
+use bmc::term::{TermId, Terms};
 use bmc::unroll::{eval_frame, initial_state};
+use bmc::{Budget, SatResult};
 use hir::dialect::{attrkey, opname};
 use hir::interp::{ArgValue, Interpreter};
 use hir::ops::{self, FuncOp};
@@ -210,23 +214,42 @@ fn check(arg_widths: &[u32], specs: &[Spec]) -> usize {
             ts.outputs.iter().find(|(name, _)| *name == port).unwrap().1
         })
         .collect();
+    // The design's circuit over free inputs; `start` is held at 1.
+    let mut terms = Terms::new();
+    let inputs: Vec<TermId> = ts
+        .inputs
+        .iter()
+        .map(|iv| match iv.name.strip_prefix('x') {
+            Some(_) => terms.leaf(iv.width),
+            None => terms.konst(1, iv.width),
+        })
+        .collect();
+    let state = initial_state(&mut terms, &ts);
+    let frame = eval_frame(&mut terms, &ts, None, state, inputs.clone());
     let mut bl = Blaster::new();
+    let mut roots = Vec::new();
+    for &node in &results {
+        roots.extend_from_slice(terms.blast(&mut bl, frame.get(node)));
+    }
+    bl.encode(&roots);
     for (s, want) in all.iter().zip(&expected) {
-        let inputs = ts
-            .inputs
-            .iter()
-            .map(|iv| {
-                let v = match iv.name.strip_prefix('x') {
-                    Some(i) => s[i.parse::<usize>().unwrap()],
-                    None => 1, // start
-                };
-                bl.bv_const(v as u64, iv.width)
-            })
-            .collect();
-        let state = initial_state(&bl, &ts);
-        let frame = eval_frame(&mut bl, &ts, None, state, inputs);
+        let mut pins = Vec::new();
+        for (iv, &leaf) in ts.inputs.iter().zip(&inputs) {
+            if let Some(i) = iv.name.strip_prefix('x') {
+                let v = s[i.parse::<usize>().unwrap()] as u64;
+                let bits = terms.blast(&mut bl, leaf);
+                pins.extend(bits.iter().enumerate().map(|(b, &l)| {
+                    if v >> b & 1 != 0 {
+                        l
+                    } else {
+                        l.flip()
+                    }
+                }));
+            }
+        }
+        assert_eq!(bl.solve(&pins, Budget::UNLIMITED), SatResult::Sat);
         for (i, (&node, want)) in results.iter().zip(want).enumerate() {
-            let bits = bl.bv_value(frame.get(node)).expect("constant inputs");
+            let bits = terms.model(&bl, frame.get(node));
             let got = wrap(i128::from(bits), specs[i].width);
             assert_eq!(got, *want, "bit-blaster vs evaluator: {}", describe(i, s));
         }
