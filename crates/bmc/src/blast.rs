@@ -27,10 +27,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub type BV = Vec<Lit>;
 
 /// FxHash (the rustc hasher): one rotate-xor-multiply per word. The gate
-/// caches key on literals the blaster itself allocated, and the term table
-/// on terms it built, where SipHash's collision-flood resistance buys
-/// nothing. Nothing iterates either table, so the hasher cannot change gate
-/// or term numbering.
+/// caches key on literals the blaster itself allocated, where SipHash's
+/// collision-flood resistance buys nothing. Nothing iterates them, so the
+/// hasher cannot change gate numbering.
 #[derive(Default)]
 pub(crate) struct FxHasher {
     hash: u64,
@@ -390,19 +389,6 @@ impl Blaster {
     /// Fresh unconstrained bit vector.
     pub fn bv_fresh(&mut self, width: u32) -> BV {
         (0..width).map(|_| self.fresh()).collect()
-    }
-
-    /// The constant value of a vector, if fully constant.
-    pub fn bv_value(&self, a: &BV) -> Option<u64> {
-        let mut v = 0u64;
-        for (i, &l) in a.iter().enumerate() {
-            if self.is_true(l) {
-                v |= 1 << i;
-            } else if !self.is_false(l) {
-                return None;
-            }
-        }
-        Some(v)
     }
 
     pub fn bv_not(&mut self, a: &BV) -> BV {

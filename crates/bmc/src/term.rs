@@ -1,20 +1,21 @@
 //! Word-level terms: the miter's values before any gate exists.
 //!
-//! A [`Terms`] arena holds hash-consed terms that mirror
-//! [`verilog::tsys::Node`]: constants, free leaves, complement, OR
-//! reduction, binary [`TOp`]s, if-then-else, slices, extensions and
-//! concatenations. A term's operands always have smaller ids. Every
-//! constructor folds constant operands with the lowering's own semantics
-//! ([`fold_binary`], [`fold_slice`], [`fold_ext`], [`fold_concat`]) and
-//! applies one fixed rewrite set before it looks the term up, so two
-//! sides that compute the same function of the same leaves in slightly
-//! different ways still meet at one term id:
+//! A [`Terms`] arena holds hash-consed word-level terms, stored as
+//! [`Node`]s in a [`Builder`] (the lowering's own node builder): constants,
+//! free leaves, complement, OR reduction, binary [`TOp`]s, if-then-else,
+//! slices, extensions and concatenations. A term's operands always have
+//! smaller ids. The builder folds constant operands with the lowering's
+//! semantics ([`verilog::tsys::fold_binary`] and its siblings for slices,
+//! extensions and concatenations), drops `ite` on a constant condition or
+//! equal arms, `not (not x)` and whole-width slices and extensions, and
+//! looks every other term up before it adds one. In front of it, [`Terms`]
+//! applies one fixed rewrite set, so two sides that compute the same
+//! function of the same leaves in slightly different ways still meet at
+//! one term id:
 //!
-//! * `ite` with a constant condition or equal arms;
 //! * `and`/`or`/`xor`/`add`/`sub`/`mul` with a constant 0, 1 or all-ones
 //!   operand where the result is an operand, its complement or a
 //!   constant; shifts by 0, and logical shifts by at least the width;
-//!   `not (not x) = x`;
 //! * operators on identical operands: `x & x`, `x | x`, `x ^ x`,
 //!   `x - x` and every comparison;
 //! * commutative operands in canonical order: a constant last, otherwise
@@ -27,96 +28,20 @@
 //!   bits of their operands, and `shl` keeps its full amount) and through
 //!   an extension; slices of slices merge.
 //!
+//! The lowering does not apply these rewrites, so its systems and their
+//! BTOR2 text stay as they are.
+//!
 //! Nothing here writes a gate. [`Terms::blast`] turns the cone of one term
 //! into gates on a [`Blaster`], iteratively, once per term: a leaf gets
 //! fresh literals on its first blast, so every term over it shares them.
 
-use crate::blast::{Blaster, FxHashMap, BV};
+use crate::blast::{Blaster, BV};
 use crate::sat::Lit;
 use verilog::sim::mask;
-use verilog::tsys::{fold_binary, fold_concat, fold_ext, fold_slice, TOp};
+use verilog::tsys::{Builder, Node, TOp};
 
 /// Index of a term in its [`Terms`] arena.
 pub type TermId = u32;
-
-/// One word-level term. Values are unsigned bit vectors of 1 to 64 bits.
-/// Operands of a binary term share its width, except that comparisons
-/// give 1 bit and a shift amount may have any width.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Term {
-    Const {
-        value: u64,
-        width: u32,
-    },
-    /// A free word. Leaves are never shared: each call to [`Terms::leaf`]
-    /// makes a new one.
-    Leaf {
-        width: u32,
-    },
-    Not {
-        a: TermId,
-        width: u32,
-    },
-    RedOr {
-        a: TermId,
-    },
-    Binary {
-        op: TOp,
-        a: TermId,
-        b: TermId,
-        width: u32,
-    },
-    Ite {
-        cond: TermId,
-        t: TermId,
-        e: TermId,
-        width: u32,
-    },
-    Slice {
-        a: TermId,
-        hi: u32,
-        lo: u32,
-    },
-    Ext {
-        a: TermId,
-        width: u32,
-        signed: bool,
-    },
-    Concat {
-        hi: TermId,
-        lo: TermId,
-        width: u32,
-    },
-}
-
-impl Term {
-    fn width(&self) -> u32 {
-        match *self {
-            Term::Const { width, .. }
-            | Term::Leaf { width }
-            | Term::Not { width, .. }
-            | Term::Binary { width, .. }
-            | Term::Ite { width, .. }
-            | Term::Ext { width, .. }
-            | Term::Concat { width, .. } => width,
-            Term::RedOr { .. } => 1,
-            Term::Slice { hi, lo, .. } => hi - lo + 1,
-        }
-    }
-
-    /// Operands, in the order [`Terms::blast`] blasts them.
-    fn operands(&self) -> ([TermId; 3], usize) {
-        match *self {
-            Term::Const { .. } | Term::Leaf { .. } => ([0; 3], 0),
-            Term::Not { a, .. }
-            | Term::RedOr { a }
-            | Term::Slice { a, .. }
-            | Term::Ext { a, .. } => ([a, 0, 0], 1),
-            Term::Binary { a, b, .. } | Term::Concat { hi: a, lo: b, .. } => ([a, b, 0], 2),
-            Term::Ite { cond, t, e, .. } => ([cond, t, e], 3),
-        }
-    }
-}
 
 fn commutative(op: TOp) -> bool {
     matches!(
@@ -125,16 +50,15 @@ fn commutative(op: TOp) -> bool {
     )
 }
 
-fn is_shift(op: TOp) -> bool {
-    matches!(op, TOp::Sll | TOp::Srl | TOp::Sra)
-}
-
-/// The hash-consed term arena, with the literal vector of every term
-/// blasted so far.
+/// The hash-consed term arena: a [`Builder`] (which folds constants and
+/// hash-conses) behind the rewrites above, with the literal vector of
+/// every term blasted so far. Terms are [`Node`]s; a leaf is an
+/// [`Node::Input`] whose index no other leaf has, and no term is a
+/// [`Node::State`].
 #[derive(Default)]
 pub struct Terms {
-    terms: Vec<Term>,
-    cons: FxHashMap<Term, TermId>,
+    b: Builder,
+    leaves: u32,
     /// Literals per term, LSB first; empty until the term is blasted.
     bits: Vec<BV>,
     /// Work list of [`Terms::blast`], kept to reuse its allocation.
@@ -148,87 +72,57 @@ impl Terms {
 
     /// Terms built so far, leaves and constants included.
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.b.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.b.is_empty()
     }
 
-    pub fn get(&self, t: TermId) -> Term {
-        self.terms[t as usize]
+    /// Constructions answered by a term already built.
+    pub fn hits(&self) -> u64 {
+        self.b.hits()
+    }
+
+    pub fn get(&self, t: TermId) -> Node {
+        self.b.node(t)
     }
 
     pub fn width(&self, t: TermId) -> u32 {
-        self.terms[t as usize].width()
+        self.b.width(t)
     }
 
     /// The value of a constant term.
     pub fn value(&self, t: TermId) -> Option<u64> {
-        match self.terms[t as usize] {
-            Term::Const { value, .. } => Some(value),
-            _ => None,
-        }
-    }
-
-    fn add(&mut self, t: Term) -> TermId {
-        let id = TermId::try_from(self.terms.len()).expect("term arena exceeds u32 terms");
-        self.terms.push(t);
-        self.bits.push(BV::new());
-        id
-    }
-
-    fn push(&mut self, t: Term) -> TermId {
-        if let Some(&id) = self.cons.get(&t) {
-            return id;
-        }
-        let id = self.add(t);
-        self.cons.insert(t, id);
-        id
+        self.b.const_value(t)
     }
 
     pub fn konst(&mut self, value: u64, width: u32) -> TermId {
-        debug_assert!((1..=64).contains(&width));
-        self.push(Term::Const {
-            value: value & mask(width),
-            width,
-        })
+        self.b.konst(value, width)
     }
 
     /// A new free word of `width` bits.
     pub fn leaf(&mut self, width: u32) -> TermId {
         debug_assert!((1..=64).contains(&width));
-        self.add(Term::Leaf { width })
+        let index = self.leaves;
+        self.leaves += 1;
+        self.b.push(Node::Input { index, width })
     }
 
     pub fn not(&mut self, a: TermId) -> TermId {
-        let width = self.width(a);
-        if let Some(v) = self.value(a) {
-            return self.konst(!v, width);
-        }
-        if let Term::Not { a: inner, .. } = self.get(a) {
-            return inner;
-        }
-        self.push(Term::Not { a, width })
+        self.b.not(a)
     }
 
     /// `a != 0` as 1 bit.
     pub fn red_or(&mut self, a: TermId) -> TermId {
-        if self.width(a) == 1 {
-            return a;
-        }
-        if let Some(v) = self.value(a) {
-            return self.konst(u64::from(v != 0), 1);
-        }
-        self.push(Term::RedOr { a })
+        self.b.redor(a)
     }
 
     pub fn binary(&mut self, op: TOp, a: TermId, b: TermId) -> TermId {
         let aw = self.width(a);
-        debug_assert!(is_shift(op) || aw == self.width(b), "{op:?} operand widths");
         let w = if op.is_comparison() { 1 } else { aw };
         let (a, b) = match (self.value(a), self.value(b)) {
-            (Some(av), Some(bv)) => return self.konst(fold_binary(op, av, bv, aw, w), w),
+            (Some(_), Some(_)) => return self.b.binary(op, a, b),
             (Some(_), None) if commutative(op) => (b, a),
             (None, None) if commutative(op) && b < a => (b, a),
             _ => (a, b),
@@ -261,43 +155,30 @@ impl Terms {
                 TOp::Sll | TOp::Srl if c >= u64::from(aw) => return self.konst(0, aw),
                 TOp::Sll | TOp::Srl | TOp::Sra if self.width(b) != 64 => {
                     let b = self.konst(c, 64);
-                    return self.push(Term::Binary { op, a, b, width: w });
+                    return self.b.binary(op, a, b);
                 }
                 _ => {}
             }
         }
-        self.push(Term::Binary { op, a, b, width: w })
+        self.b.binary(op, a, b)
     }
 
     /// `cond ? t : e`; `cond` is 1 bit.
     pub fn ite(&mut self, cond: TermId, t: TermId, e: TermId) -> TermId {
-        debug_assert_eq!(self.width(cond), 1);
-        let width = self.width(t);
-        debug_assert_eq!(width, self.width(e));
-        if let Some(c) = self.value(cond) {
-            return if c != 0 { t } else { e };
-        }
-        if t == e {
-            return t;
-        }
-        self.push(Term::Ite { cond, t, e, width })
+        self.b.ite(cond, t, e)
     }
 
     /// Bits `[hi:lo]` of `a`.
     pub fn slice(&mut self, a: TermId, hi: u32, lo: u32) -> TermId {
-        let w = self.width(a);
-        debug_assert!(lo <= hi && hi < w);
-        if lo == 0 && hi == w - 1 {
-            return a;
-        }
-        if let Some(v) = self.value(a) {
-            return self.konst(fold_slice(v, hi, lo), hi - lo + 1);
+        let whole = lo == 0 && hi + 1 == self.width(a);
+        if whole || self.value(a).is_some() {
+            return self.b.slice(a, hi, lo);
         }
         match self.get(a) {
-            Term::Slice {
+            Node::Slice {
                 a: inner, lo: l, ..
-            } => return self.slice(inner, l + hi, l + lo),
-            Term::Binary {
+            } => self.slice(inner, l + hi, l + lo),
+            Node::Binary {
                 op: op @ (TOp::Add | TOp::Sub | TOp::Mul | TOp::And | TOp::Or | TOp::Xor),
                 a: x,
                 b: y,
@@ -305,53 +186,40 @@ impl Terms {
             } if lo == 0 => {
                 let x = self.slice(x, hi, 0);
                 let y = self.slice(y, hi, 0);
-                return self.binary(op, x, y);
+                self.binary(op, x, y)
             }
-            Term::Binary {
+            Node::Binary {
                 op: TOp::Sll,
                 a: x,
                 b: amount,
                 ..
             } if lo == 0 => {
                 let x = self.slice(x, hi, 0);
-                return self.binary(TOp::Sll, x, amount);
+                self.binary(TOp::Sll, x, amount)
             }
-            Term::Ext { a: x, signed, .. } if lo == 0 => {
-                return if hi < self.width(x) {
+            Node::Ext { a: x, signed, .. } if lo == 0 => {
+                if hi < self.width(x) {
                     self.slice(x, hi, 0)
                 } else {
                     self.ext(x, hi + 1, signed)
-                };
+                }
             }
-            _ => {}
+            _ => self.b.slice(a, hi, lo),
         }
-        self.push(Term::Slice { a, hi, lo })
     }
 
     /// Zero or sign extension of `a` to `width >= width(a)` bits.
     pub fn ext(&mut self, a: TermId, width: u32, signed: bool) -> TermId {
-        let aw = self.width(a);
-        debug_assert!(width >= aw);
-        if width == aw {
-            return a;
-        }
-        if let Some(v) = self.value(a) {
-            return self.konst(fold_ext(v, aw, width, signed), width);
-        }
-        self.push(Term::Ext { a, width, signed })
+        self.b.ext(a, width, signed)
     }
 
     /// `{hi, lo}`.
     pub fn concat(&mut self, hi: TermId, lo: TermId) -> TermId {
-        let lw = self.width(lo);
-        let width = self.width(hi) + lw;
-        if let (Some(h), Some(l)) = (self.value(hi), self.value(lo)) {
-            return self.konst(fold_concat(h, l, lw), width);
-        }
-        self.push(Term::Concat { hi, lo, width })
+        self.b.concat(hi, lo)
     }
 
-    /// Truncate or zero-extend to exactly `w` bits.
+    /// Truncate or zero-extend to exactly `w` bits, through the rewriting
+    /// [`Terms::slice`].
     pub fn fit(&mut self, a: TermId, w: u32) -> TermId {
         if self.width(a) > w {
             self.slice(a, w - 1, 0)
@@ -367,13 +235,14 @@ impl Terms {
     /// builds each term's gates once. Gates are built, not encoded; the
     /// blaster encodes what a query or an assertion reaches.
     pub fn blast(&mut self, bl: &mut Blaster, root: TermId) -> &[Lit] {
+        self.bits.resize(self.len(), BV::new());
         let mut stack = std::mem::take(&mut self.stack);
         stack.push((root, false));
         while let Some((t, expanded)) = stack.pop() {
             if !self.bits[t as usize].is_empty() {
                 continue;
             }
-            let term = self.terms[t as usize];
+            let term = self.get(t);
             if !expanded {
                 stack.push((t, true));
                 let (ops, n) = term.operands();
@@ -397,9 +266,9 @@ impl Terms {
     /// in no clause and reads 0, like [`Blaster::model_bv`]'s unencoded
     /// inputs.
     pub fn model(&self, bl: &Blaster, t: TermId) -> u64 {
-        let bits = &self.bits[t as usize];
+        let bits = self.bits.get(t as usize).map_or(&[][..], |b| &b[..]);
         debug_assert!(
-            !bits.is_empty() || matches!(self.get(t), Term::Leaf { .. }),
+            !bits.is_empty() || matches!(self.get(t), Node::Input { .. }),
             "model of an unblasted term"
         );
         bl.model_bv(bits)
@@ -407,20 +276,21 @@ impl Terms {
 }
 
 /// The gates of one term whose operands are blasted.
-fn gates(bl: &mut Blaster, bits: &[BV], term: Term) -> BV {
+fn gates(bl: &mut Blaster, bits: &[BV], term: Node) -> BV {
     let v = |t: TermId| &bits[t as usize];
     match term {
-        Term::Const { value, width } => bl.bv_const(value, width),
-        Term::Leaf { width } => bl.bv_fresh(width),
-        Term::Not { a, .. } => bl.bv_not(v(a)),
-        Term::RedOr { a } => {
+        Node::Const { value, width } => bl.bv_const(value, width),
+        Node::Input { width, .. } => bl.bv_fresh(width),
+        Node::State { .. } => unreachable!("terms have no state"),
+        Node::Not { a, .. } => bl.bv_not(v(a)),
+        Node::RedOr { a } => {
             let mut acc = bl.fals();
             for &l in v(a) {
                 acc = bl.or(acc, l);
             }
             vec![acc]
         }
-        Term::Binary { op, a, b, .. } => {
+        Node::Binary { op, a, b, .. } => {
             let (a, b) = (v(a), v(b));
             match op {
                 TOp::Add => bl.bv_add(a, b),
@@ -440,16 +310,16 @@ fn gates(bl: &mut Blaster, bits: &[BV], term: Term) -> BV {
                 TOp::Sle => vec![bl.bv_sle(a, b)],
             }
         }
-        Term::Ite { cond, t, e, .. } => bl.bv_ite(v(cond)[0], v(t), v(e)),
-        Term::Slice { a, hi, lo } => v(a)[lo as usize..=hi as usize].to_vec(),
-        Term::Ext { a, width, signed } => {
+        Node::Ite { cond, t, e, .. } => bl.bv_ite(v(cond)[0], v(t), v(e)),
+        Node::Slice { a, hi, lo } => v(a)[lo as usize..=hi as usize].to_vec(),
+        Node::Ext { a, width, signed } => {
             if signed {
                 bl.bv_sext(v(a), width)
             } else {
                 bl.bv_fit(v(a), width)
             }
         }
-        Term::Concat { hi, lo, .. } => {
+        Node::Concat { hi, lo, .. } => {
             let mut out = v(lo).clone();
             out.extend_from_slice(v(hi));
             out
@@ -530,33 +400,34 @@ mod tests {
             }
             let mut sub = |terms: &mut Terms, x| go(terms, x, leaves, memo);
             let r = match terms.get(t) {
-                Term::Const { .. } => t,
-                Term::Leaf { width } => terms.konst(leaves[&t], width),
-                Term::Not { a, .. } => {
+                Node::Const { .. } => t,
+                Node::State { .. } => unreachable!("terms have no state"),
+                Node::Input { width, .. } => terms.konst(leaves[&t], width),
+                Node::Not { a, .. } => {
                     let a = sub(terms, a);
                     terms.not(a)
                 }
-                Term::RedOr { a } => {
+                Node::RedOr { a } => {
                     let a = sub(terms, a);
                     terms.red_or(a)
                 }
-                Term::Binary { op, a, b, .. } => {
+                Node::Binary { op, a, b, .. } => {
                     let (a, b) = (sub(terms, a), sub(terms, b));
                     terms.binary(op, a, b)
                 }
-                Term::Ite { cond, t, e, .. } => {
+                Node::Ite { cond, t, e, .. } => {
                     let (c, t, e) = (sub(terms, cond), sub(terms, t), sub(terms, e));
                     terms.ite(c, t, e)
                 }
-                Term::Slice { a, hi, lo } => {
+                Node::Slice { a, hi, lo } => {
                     let a = sub(terms, a);
                     terms.slice(a, hi, lo)
                 }
-                Term::Ext { a, width, signed } => {
+                Node::Ext { a, width, signed } => {
                     let a = sub(terms, a);
                     terms.ext(a, width, signed)
                 }
-                Term::Concat { hi, lo, .. } => {
+                Node::Concat { hi, lo, .. } => {
                     let (hi, lo) = (sub(terms, hi), sub(terms, lo));
                     terms.concat(hi, lo)
                 }
@@ -640,7 +511,7 @@ mod tests {
                 shapes.push(vec![konst(value), bin(op, k, x0, w)]);
                 for hi in 0..low_slices(op) {
                     let lo_op = Node::Slice { a: 4, hi, lo: 0 };
-                    shapes.push(vec![konst(value), bin(op, x0, k, w), lo_op.clone()]);
+                    shapes.push(vec![konst(value), bin(op, x0, k, w), lo_op]);
                     shapes.push(vec![konst(value), bin(op, k, x0, w), lo_op]);
                 }
             }
@@ -723,14 +594,9 @@ mod tests {
                 let root = ts.nodes.len() - 1;
                 let used: Vec<bool> = (0..3)
                     .map(|i| {
-                        ts.nodes[3..].iter().any(|n| match *n {
-                            Node::Not { a, .. }
-                            | Node::RedOr { a }
-                            | Node::Slice { a, .. }
-                            | Node::Ext { a, .. } => a == i,
-                            Node::Binary { a, b, .. } => a == i || b == i,
-                            Node::Ite { cond, t, e, .. } => cond == i || t == i || e == i,
-                            _ => false,
+                        ts.nodes[3..].iter().any(|n| {
+                            let (ops, k) = n.operands();
+                            ops[..k].contains(&i)
                         })
                     })
                     .collect();
@@ -738,7 +604,7 @@ mod tests {
                 let values = eval_frame(&mut terms, &ts, None, vec![], leaves.clone()).values;
                 let t = values[root];
                 let same_kind = std::mem::discriminant(&ts.nodes[root])
-                    == std::mem::discriminant(&node_of(terms.get(t)));
+                    == std::mem::discriminant(&terms.get(t));
                 rewritten += usize::from(!same_kind);
                 let range = |i: usize, n: u64| if used[i] { 0..n } else { 0..1 };
                 for a in range(0, 1 << w) {
@@ -767,21 +633,6 @@ mod tests {
         );
     }
 
-    /// The node kind a term mirrors, for counting rewrites.
-    fn node_of(t: Term) -> Node {
-        match t {
-            Term::Const { value, width } => Node::Const { value, width },
-            Term::Leaf { width } => Node::Input { index: 0, width },
-            Term::Not { a, width } => Node::Not { a, width },
-            Term::RedOr { a } => Node::RedOr { a },
-            Term::Binary { op, a, b, width } => Node::Binary { op, a, b, width },
-            Term::Ite { cond, t, e, width } => Node::Ite { cond, t, e, width },
-            Term::Slice { a, hi, lo } => Node::Slice { a, hi, lo },
-            Term::Ext { a, width, signed } => Node::Ext { a, width, signed },
-            Term::Concat { hi, lo, width } => Node::Concat { hi, lo, width },
-        }
-    }
-
     /// The rewrites meet where the passes leave different shapes of one
     /// function: strength reduction's `x << 1` against the unoptimized
     /// `(2 * zext64(x))[31:0]` (stencil64), precision-opt's `x` against
@@ -802,7 +653,7 @@ mod tests {
         let b = terms.konst(1, 64);
         assert_eq!(
             terms.get(shifted),
-            Term::Binary {
+            Node::Binary {
                 op: TOp::Sll,
                 a: x,
                 b,
@@ -926,7 +777,8 @@ mod tests {
             bl.encode(&roots);
             for &t in &values {
                 if let Some(v) = terms.value(t) {
-                    assert_eq!(bl.bv_value(&terms.bits[t as usize]), Some(v), "seed {seed}");
+                    let want = bl.bv_const(v, terms.width(t));
+                    assert_eq!(terms.bits[t as usize], want, "seed {seed}");
                 }
             }
             for _ in 0..4 {

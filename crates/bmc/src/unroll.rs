@@ -31,32 +31,17 @@ impl Frame {
 /// output ports, so an input none of these reads cannot affect a verdict.
 pub fn inputs_read(ts: &TransitionSystem) -> Vec<bool> {
     let mut used = vec![false; ts.nodes.len()];
-    let mut mark = |id: NodeId| used[id as usize] = true;
     for n in &ts.nodes {
-        match *n {
-            Node::Const { .. } | Node::Input { .. } | Node::State { .. } => {}
-            Node::Not { a, .. }
-            | Node::RedOr { a }
-            | Node::Slice { a, .. }
-            | Node::Ext { a, .. } => {
-                mark(a);
-            }
-            Node::Binary { a, b, .. } | Node::Concat { hi: a, lo: b, .. } => {
-                mark(a);
-                mark(b);
-            }
-            Node::Ite { cond, t, e, .. } => {
-                mark(cond);
-                mark(t);
-                mark(e);
-            }
+        let (ops, k) = n.operands();
+        for &o in &ops[..k] {
+            used[o as usize] = true;
         }
     }
     for s in &ts.states {
-        mark(s.next);
+        used[s.next as usize] = true;
     }
     for &(_, id) in ts.bads.iter().chain(&ts.outputs) {
-        mark(id);
+        used[id as usize] = true;
     }
     ts.inputs.iter().map(|iv| used[iv.node as usize]).collect()
 }
@@ -92,15 +77,10 @@ pub fn eval_frame(
                 Node::Const { .. } => false,
                 Node::Input { index, .. } => inputs[*index as usize] != old_inputs[*index as usize],
                 Node::State { index, .. } => state[*index as usize] != old_state[*index as usize],
-                Node::Not { a, .. }
-                | Node::RedOr { a }
-                | Node::Slice { a, .. }
-                | Node::Ext { a, .. } => changed[*a as usize],
-                Node::Binary { a, b, .. } => changed[*a as usize] || changed[*b as usize],
-                Node::Ite { cond, t, e, .. } => {
-                    changed[*cond as usize] || changed[*t as usize] || changed[*e as usize]
+                _ => {
+                    let (ops, k) = n.operands();
+                    ops[..k].iter().any(|&o| changed[o as usize])
                 }
-                Node::Concat { hi, lo, .. } => changed[*hi as usize] || changed[*lo as usize],
             };
         changed.push(dirty);
         if !dirty {

@@ -624,10 +624,12 @@ impl Insn {
 
 /// FxHash (the rustc hasher): one rotate-xor-multiply per word. The build
 /// tables key on tape instructions and on the net and memory names of the
-/// design being compiled, where SipHash's collision-flood resistance buys
-/// nothing and its per-key cost dominated the simulator build.
+/// design being compiled, and [`crate::tsys::Builder`] on the nodes it
+/// built, where SipHash's collision-flood resistance buys nothing and its
+/// per-key cost dominated the simulator build. Nothing iterates these
+/// tables, so the hasher cannot change what they number.
 #[derive(Default)]
-struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 
@@ -668,7 +670,7 @@ impl std::hash::Hasher for FxHasher {
     }
 }
 
-type FxHashMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
 
 /// Name -> position in a name list: an open-addressed table (linear
 /// probing, at most half full) of positions into the list, which alone

@@ -90,7 +90,7 @@ impl TOp {
 
 /// One node of the word-level DAG. Values are unsigned bit-vectors of an
 /// explicit width between 1 and 64.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Node {
     Const {
         value: u64,
@@ -148,6 +148,37 @@ pub enum Node {
     },
 }
 
+impl Node {
+    /// The width of the node's value in bits.
+    pub fn width(&self) -> u32 {
+        match *self {
+            Node::Const { width, .. }
+            | Node::Input { width, .. }
+            | Node::State { width, .. }
+            | Node::Not { width, .. }
+            | Node::Binary { width, .. }
+            | Node::Ite { width, .. }
+            | Node::Ext { width, .. }
+            | Node::Concat { width, .. } => width,
+            Node::RedOr { .. } => 1,
+            Node::Slice { hi, lo, .. } => hi - lo + 1,
+        }
+    }
+
+    /// The node's operands, in field order, and how many there are.
+    pub fn operands(&self) -> ([NodeId; 3], usize) {
+        match *self {
+            Node::Const { .. } | Node::Input { .. } | Node::State { .. } => ([0; 3], 0),
+            Node::Not { a, .. }
+            | Node::RedOr { a }
+            | Node::Slice { a, .. }
+            | Node::Ext { a, .. } => ([a, 0, 0], 1),
+            Node::Binary { a, b, .. } | Node::Concat { hi: a, lo: b, .. } => ([a, b, 0], 2),
+            Node::Ite { cond, t, e, .. } => ([cond, t, e], 3),
+        }
+    }
+}
+
 /// A free input (a top-level input port of the flattened design).
 #[derive(Clone, Debug)]
 pub struct InputVar {
@@ -192,18 +223,7 @@ pub struct TransitionSystem {
 impl TransitionSystem {
     /// The width of a node's value in bits.
     pub fn width(&self, id: NodeId) -> u32 {
-        match &self.nodes[id as usize] {
-            Node::Const { width, .. }
-            | Node::Input { width, .. }
-            | Node::State { width, .. }
-            | Node::Not { width, .. }
-            | Node::Binary { width, .. }
-            | Node::Ite { width, .. }
-            | Node::Ext { width, .. }
-            | Node::Concat { width, .. } => *width,
-            Node::RedOr { .. } => 1,
-            Node::Slice { hi, lo, .. } => hi - lo + 1,
-        }
+        self.nodes[id as usize].width()
     }
 
     /// Evaluate every node for one cycle. `state` holds the current value of
@@ -332,47 +352,68 @@ pub fn fold_concat(hi: u64, lo: u64, lw: u32) -> u64 {
 
 // --------------------------------------------------------------- builder
 
-/// Hash-consing node builder with constant folding.
+/// Hash-consing node builder with constant folding: the lowering builds
+/// its system through one, and the `bmc` crate builds its word-level
+/// terms on one (adding its own rewrites in front). Every constructor
+/// folds constant operands with [`fold_binary`], [`fold_slice`],
+/// [`fold_ext`] and [`fold_concat`], and an operand's id is always smaller
+/// than its user's.
 #[derive(Default)]
-struct Builder {
+pub struct Builder {
     nodes: Vec<Node>,
-    cons: HashMap<Node, NodeId>,
+    cons: sim::FxHashMap<Node, NodeId>,
+    /// Constructions answered by an existing node.
+    hits: u64,
 }
 
 impl Builder {
-    fn push(&mut self, n: Node) -> NodeId {
+    pub fn new() -> Builder {
+        Builder::default()
+    }
+
+    /// The node for `n`: an existing equal one, or `n` appended.
+    pub fn push(&mut self, n: Node) -> NodeId {
         if let Some(&id) = self.cons.get(&n) {
+            self.hits += 1;
             return id;
         }
-        let id = self.nodes.len() as NodeId;
-        self.nodes.push(n.clone());
+        let id = NodeId::try_from(self.nodes.len()).expect("more than u32::MAX nodes");
+        self.nodes.push(n);
         self.cons.insert(n, id);
         id
     }
 
-    fn width(&self, id: NodeId) -> u32 {
-        match &self.nodes[id as usize] {
-            Node::Const { width, .. }
-            | Node::Input { width, .. }
-            | Node::State { width, .. }
-            | Node::Not { width, .. }
-            | Node::Binary { width, .. }
-            | Node::Ite { width, .. }
-            | Node::Ext { width, .. }
-            | Node::Concat { width, .. } => *width,
-            Node::RedOr { .. } => 1,
-            Node::Slice { hi, lo, .. } => hi - lo + 1,
-        }
+    /// Nodes built so far.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
     }
 
-    fn const_value(&self, id: NodeId) -> Option<u64> {
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// How many [`Builder::push`] calls found an equal node already built.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    pub fn node(&self, id: NodeId) -> Node {
+        self.nodes[id as usize]
+    }
+
+    pub fn width(&self, id: NodeId) -> u32 {
+        self.nodes[id as usize].width()
+    }
+
+    /// The value of a constant node.
+    pub fn const_value(&self, id: NodeId) -> Option<u64> {
         match self.nodes[id as usize] {
             Node::Const { value, .. } => Some(value),
             _ => None,
         }
     }
 
-    fn konst(&mut self, value: u64, width: u32) -> NodeId {
+    pub fn konst(&mut self, value: u64, width: u32) -> NodeId {
         debug_assert!((1..=64).contains(&width));
         self.push(Node::Const {
             value: value & sim::mask(width),
@@ -380,7 +421,7 @@ impl Builder {
         })
     }
 
-    fn not(&mut self, a: NodeId) -> NodeId {
+    pub fn not(&mut self, a: NodeId) -> NodeId {
         let w = self.width(a);
         if let Some(v) = self.const_value(a) {
             return self.konst(!v, w);
@@ -392,7 +433,7 @@ impl Builder {
         self.push(Node::Not { a, width: w })
     }
 
-    fn redor(&mut self, a: NodeId) -> NodeId {
+    pub fn redor(&mut self, a: NodeId) -> NodeId {
         if self.width(a) == 1 {
             return a;
         }
@@ -402,9 +443,12 @@ impl Builder {
         self.push(Node::RedOr { a })
     }
 
-    fn binary(&mut self, op: TOp, a: NodeId, b: NodeId) -> NodeId {
+    pub fn binary(&mut self, op: TOp, a: NodeId, b: NodeId) -> NodeId {
         let aw = self.width(a);
-        debug_assert_eq!(aw, self.width(b), "binary operand widths must match");
+        debug_assert!(
+            matches!(op, TOp::Sll | TOp::Srl | TOp::Sra) || aw == self.width(b),
+            "binary operand widths must match"
+        );
         let w = if op.is_comparison() { 1 } else { aw };
         if let (Some(av), Some(bv)) = (self.const_value(a), self.const_value(b)) {
             return self.konst(fold_binary(op, av, bv, aw, w), w);
@@ -441,7 +485,7 @@ impl Builder {
         self.push(Node::Binary { op, a, b, width: w })
     }
 
-    fn ite(&mut self, cond: NodeId, t: NodeId, e: NodeId) -> NodeId {
+    pub fn ite(&mut self, cond: NodeId, t: NodeId, e: NodeId) -> NodeId {
         debug_assert_eq!(self.width(cond), 1);
         let w = self.width(t);
         debug_assert_eq!(w, self.width(e));
@@ -459,7 +503,7 @@ impl Builder {
         })
     }
 
-    fn slice(&mut self, a: NodeId, hi: u32, lo: u32) -> NodeId {
+    pub fn slice(&mut self, a: NodeId, hi: u32, lo: u32) -> NodeId {
         let w = self.width(a);
         debug_assert!(lo <= hi && hi < w);
         if lo == 0 && hi == w - 1 {
@@ -471,7 +515,7 @@ impl Builder {
         self.push(Node::Slice { a, hi, lo })
     }
 
-    fn ext(&mut self, a: NodeId, width: u32, signed: bool) -> NodeId {
+    pub fn ext(&mut self, a: NodeId, width: u32, signed: bool) -> NodeId {
         let aw = self.width(a);
         debug_assert!(width >= aw);
         if width == aw {
@@ -481,6 +525,16 @@ impl Builder {
             return self.konst(fold_ext(v, aw, width, signed), width);
         }
         self.push(Node::Ext { a, width, signed })
+    }
+
+    /// `{hi, lo}`.
+    pub fn concat(&mut self, hi: NodeId, lo: NodeId) -> NodeId {
+        let lw = self.width(lo);
+        let width = self.width(hi) + lw;
+        if let (Some(h), Some(l)) = (self.const_value(hi), self.const_value(lo)) {
+            return self.konst(fold_concat(h, l, lw), width);
+        }
+        self.push(Node::Concat { hi, lo, width })
     }
 
     /// Truncate or zero-extend to exactly `w` bits.
