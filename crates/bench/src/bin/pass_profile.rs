@@ -52,7 +52,12 @@ fn profile_pipeline(build: &dyn Fn() -> ir::Module, reps: usize, codegen: bool) 
         let start = Instant::now();
         ir::verify_module(&m, &registry, &mut diags).expect("verify");
         hir_verify::verify_schedule(&m, &mut diags).expect("schedule");
-        let mut pm = hir_opt::standard_pipeline();
+        // One pass manager over the whole module, so each pass keeps its
+        // own serial row (the per-function pipeline is timed below).
+        let mut pm = ir::PassManager::new();
+        for name in hir_opt::STANDARD_PASS_NAMES {
+            pm.add_boxed(hir_opt::pass_by_name(name).expect("standard passes are registered"));
+        }
         pm.run(&mut m, &registry, &mut diags).expect("pipeline");
         total_ns += start.elapsed().as_nanos();
         // Passes can repeat in the pipeline; repeated instances fold together.

@@ -20,47 +20,10 @@
 //! Bit vectors ([`BV`]) are LSB-first.
 
 use crate::sat::{Budget, Lit, SatResult, Solver};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use verilog::FxHashMap;
 
 /// A word value: gate literals, least significant bit first.
 pub type BV = Vec<Lit>;
-
-/// FxHash (the rustc hasher): one rotate-xor-multiply per word. The gate
-/// caches key on literals the blaster itself allocated, where SipHash's
-/// collision-flood resistance buys nothing. Nothing iterates them, so the
-/// hasher cannot change gate numbering.
-#[derive(Default)]
-pub(crate) struct FxHasher {
-    hash: u64,
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // Keys hash through the integer writers; this only completes the
-        // trait.
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-    fn write_u8(&mut self, i: u8) {
-        self.write_u64(u64::from(i));
-    }
-    fn write_u32(&mut self, i: u32) {
-        self.write_u64(u64::from(i));
-    }
-    fn write_u64(&mut self, i: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ i).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-    fn write_usize(&mut self, i: usize) {
-        self.write_u64(i as u64);
-    }
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// One node of the gate table; a gate literal is a node index shifted left
 /// once, low bit = negated. Node 0 is the constant true.

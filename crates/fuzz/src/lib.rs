@@ -99,19 +99,9 @@ pub fn run_pipeline_with_threads(
     let mut outcome = PipelineOutcome::default();
 
     // Same front-end dispatch as hirc: pretty form vs generic form.
-    let pretty_input = source
-        .lines()
-        .map(str::trim)
-        .find(|l| !l.is_empty() && !l.starts_with("//"))
-        .is_some_and(|l| l.starts_with("hir.func"));
     let (mut module, n_errors) = guard("parse", || {
-        if pretty_input {
-            let r = hir::parse_pretty_recover(source, 0);
-            (r.module, r.errors.len())
-        } else {
-            let r = ir::parse_module_recover(source, 0);
-            (r.module, r.errors.len())
-        }
+        let r = hir::parse_recover(source, 0);
+        (r.module, r.errors.len())
     })?;
     outcome.parse_errors = n_errors;
 
@@ -196,22 +186,11 @@ pub enum EquivOracle {
 /// its own right, not an input rejection.
 pub fn check_equivalence(source: &str, k: u32, threads: usize) -> Result<EquivOracle, PanicReport> {
     guard("equiv", || {
-        // Same front-end dispatch as `run_pipeline`.
-        let pretty_input = source
-            .lines()
-            .map(str::trim)
-            .find(|l| !l.is_empty() && !l.starts_with("//"))
-            .is_some_and(|l| l.starts_with("hir.func"));
-        let (base, n_errors) = if pretty_input {
-            let r = hir::parse_pretty_recover(source, 0);
-            (r.module, r.errors.len())
-        } else {
-            let r = ir::parse_module_recover(source, 0);
-            (r.module, r.errors.len())
-        };
-        if n_errors != 0 {
+        let parsed = hir::parse_recover(source, 0);
+        if !parsed.errors.is_empty() {
             return EquivOracle::Skipped("parse errors".to_string());
         }
+        let base = parsed.module;
         let registry = hir::hir_registry();
         let mut diags = ir::DiagnosticEngine::new();
         if ir::verify_module(&base, &registry, &mut diags).is_err()
@@ -325,22 +304,11 @@ pub fn check_sim_engines(source: &str, seed: u64, lanes: usize) -> Result<SimOra
     use hir_codegen::testbench::{Harness, HarnessReport, DEFAULT_SIM_MAX_CYCLES};
     use rand::SeedableRng;
     guard("sim-diff", || {
-        // Same front-end dispatch as `run_pipeline`.
-        let pretty_input = source
-            .lines()
-            .map(str::trim)
-            .find(|l| !l.is_empty() && !l.starts_with("//"))
-            .is_some_and(|l| l.starts_with("hir.func"));
-        let (module, n_errors) = if pretty_input {
-            let r = hir::parse_pretty_recover(source, 0);
-            (r.module, r.errors.len())
-        } else {
-            let r = ir::parse_module_recover(source, 0);
-            (r.module, r.errors.len())
-        };
-        if n_errors != 0 {
+        let parsed = hir::parse_recover(source, 0);
+        if !parsed.errors.is_empty() {
             return SimOracle::Skipped("parse errors".to_string());
         }
+        let module = parsed.module;
         let registry = hir::hir_registry();
         let mut diags = ir::DiagnosticEngine::new();
         if ir::verify_module(&module, &registry, &mut diags).is_err()

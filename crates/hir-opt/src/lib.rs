@@ -9,7 +9,8 @@
 //! * [`port_demote`]: dual-port → single-port RAM demotion when the explicit
 //!   schedule proves reads and writes never collide (§2).
 //!
-//! [`standard_pipeline`] assembles them in the order the HIR compiler runs.
+//! [`STANDARD_PASS_NAMES`] lists them in the order the HIR compiler runs,
+//! and [`standard_function_pipeline`] runs that list per function.
 
 pub mod delay_elim;
 pub mod fold;
@@ -25,22 +26,15 @@ pub use precision::{signed_width_for, PrecisionPass};
 pub use retime::{RetimeAcrossOps, RetimePass};
 pub use strength::StrengthReduce;
 
-use ir::PassManager;
-
-/// The standard `-O2`-style pipeline used for the paper's "HIR (auto opt)"
-/// configurations.
-pub fn standard_pipeline() -> PassManager {
-    pipeline_from_names(STANDARD_PASS_NAMES).expect("standard pass names are registered")
-}
-
-/// Run the standard pipeline over a module (convenience wrapper).
+/// Run the standard pipeline over a module on the calling thread
+/// (convenience wrapper around [`standard_function_pipeline`]).
 ///
 /// # Errors
 /// Returns the rendered [`ir::PipelineError`] of the first failed pass.
 pub fn optimize(module: &mut ir::Module) -> Result<(), String> {
     let registry = hir::hir_registry();
     let mut diags = ir::DiagnosticEngine::new();
-    standard_pipeline()
+    standard_function_pipeline(1)
         .run(module, &registry, &mut diags)
         .map_err(|e| e.to_string())
 }
@@ -139,52 +133,21 @@ pub fn verify_equivalence(
 ) -> Result<Vec<bmc::FuncReport>, bmc::EquivError> {
     let mut optimized = m.clone();
     optimize(&mut optimized).map_err(bmc::EquivError::Codegen)?;
-    verify_equivalence_with(m, &optimized, opts)
+    bmc::check_module_equivalence(m, &optimized, opts)
 }
 
-/// Translation validation between two explicit module states (e.g. the
-/// driver's pre-pipeline snapshot vs its post-pipeline result, so the exact
-/// artifact being emitted is the one proved).
-///
-/// # Errors
-/// See [`verify_equivalence`].
-pub fn verify_equivalence_with(
-    unopt: &ir::Module,
-    opt: &ir::Module,
-    opts: &bmc::EquivOptions,
-) -> Result<Vec<bmc::FuncReport>, bmc::EquivError> {
-    bmc::check_module_equivalence(unopt, opt, opts)
-}
-
-/// Build a pipeline from pass names (comma-split `--pipeline=` values or a
-/// reproducer's embedded pipeline).
-///
-/// # Errors
-/// Returns a message naming the first unknown pass.
-pub fn pipeline_from_names<S: AsRef<str>>(names: &[S]) -> Result<PassManager, String> {
-    let mut pm = PassManager::new();
-    for name in names {
-        let name = name.as_ref();
-        let pass = pass_by_name(name).ok_or_else(|| {
-            format!(
-                "unknown pass '{name}' (known passes: {})",
-                registered_pass_names().join(", ")
-            )
-        })?;
-        pm.add_boxed(pass);
-    }
-    Ok(pm)
-}
-
-/// The standard pipeline as a parallel [`ir::FunctionPipeline`]: the same
-/// passes as [`standard_pipeline`], replicated per function and run on
-/// `threads` workers (0 = auto; see [`ir::resolve_thread_count`]).
+/// The standard `-O2`-style pipeline used for the paper's "HIR (auto opt)"
+/// configurations, as a parallel [`ir::FunctionPipeline`]: the passes of
+/// [`STANDARD_PASS_NAMES`], replicated per function and run on `threads`
+/// workers (0 = auto; see [`ir::resolve_thread_count`]).
 pub fn standard_function_pipeline(threads: usize) -> ir::FunctionPipeline {
     function_pipeline_from_names(STANDARD_PASS_NAMES, threads)
         .expect("standard pass names are registered")
 }
 
-/// Pass names of [`standard_pipeline`], in order.
+/// Pass names of the standard pipeline, in order: the one list every
+/// standard-pipeline run (`hirc --opt`, [`optimize`], the benches) is built
+/// from.
 pub const STANDARD_PASS_NAMES: &[&str] = &[
     "hir-canonicalize",
     "hir-cse",
@@ -196,7 +159,8 @@ pub const STANDARD_PASS_NAMES: &[&str] = &[
     "hir-cse",
 ];
 
-/// Build a parallel [`ir::FunctionPipeline`] from pass names: each worker
+/// Build a parallel [`ir::FunctionPipeline`] from pass names (comma-split
+/// `--pipeline=` values or a reproducer's embedded pipeline): each worker
 /// constructs its own pass instances through [`pass_by_name`].
 ///
 /// # Errors
@@ -248,8 +212,8 @@ mod tests {
 
     #[test]
     fn registry_covers_every_standard_pipeline_pass() {
-        for name in standard_pipeline().pass_names() {
-            assert!(pass_by_name(&name).is_some(), "unregistered pass {name}");
+        for name in STANDARD_PASS_NAMES {
+            assert!(pass_by_name(name).is_some(), "unregistered pass {name}");
         }
         for name in registered_pass_names() {
             let pass = pass_by_name(name).unwrap_or_else(|| panic!("missing {name}"));
@@ -259,10 +223,10 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_from_names_builds_and_rejects() {
-        let pm = pipeline_from_names(&["hir-cse", "hir-canonicalize"]).unwrap();
-        assert_eq!(pm.pass_names(), vec!["hir-cse", "hir-canonicalize"]);
-        let err = pipeline_from_names(&["hir-cse", "bogus"]).unwrap_err();
+    fn function_pipeline_from_names_builds_and_rejects() {
+        let fp = function_pipeline_from_names(&["hir-cse", "hir-canonicalize"], 1).unwrap();
+        assert_eq!(fp.pass_names(), vec!["hir-cse", "hir-canonicalize"]);
+        let err = function_pipeline_from_names(&["hir-cse", "bogus"], 1).unwrap_err();
         assert!(err.contains("unknown pass 'bogus'"), "{err}");
         assert!(
             err.contains("hir-canonicalize"),
@@ -333,14 +297,14 @@ mod tests {
 
         let registry = hir::hir_registry();
         let mut diags = DiagnosticEngine::new();
-        let mut pm = standard_pipeline();
+        let mut fp = standard_function_pipeline(1);
         let fold: Vec<Box<dyn ir::RewritePattern>> = vec![Box::new(fold::FoldConstants)];
         let was = obs::set_remarks_enabled(true);
-        let run = pm.run(&mut m, &registry, &mut diags);
+        let run = fp.run(&mut m, &registry, &mut diags);
         ir::apply_patterns_greedily(&mut wrapping, &registry, &fold);
         obs::set_remarks_enabled(was);
         run.unwrap();
-        let remarks = pm.take_remarks();
+        let remarks = fp.take_remarks();
         let fold_remarks = obs::remark::take_thread();
 
         let f = hir::ops::FuncOp::wrap(&wrapping, wrapping.top_ops()[0]).unwrap();
@@ -393,7 +357,6 @@ mod tests {
 
     #[test]
     fn standard_pass_names_match_standard_pipeline() {
-        assert_eq!(standard_pipeline().pass_names(), STANDARD_PASS_NAMES);
         assert_eq!(
             standard_function_pipeline(1).pass_names(),
             STANDARD_PASS_NAMES
@@ -406,9 +369,10 @@ mod tests {
         assert!(err.contains("no-such-pass"), "{err}");
     }
 
-    /// The parallel function pipeline must be an optimization-level no-op
-    /// relative to the serial pipeline: identical printed IR, identical op
-    /// counts, at every thread count.
+    /// Splitting a module into functions must not change what the passes
+    /// do: at every thread count the function pipeline leaves the printed
+    /// IR and op count that one pass manager running the same passes over
+    /// the whole module leaves.
     #[test]
     fn function_pipeline_matches_serial_pipeline() {
         let build = || {
@@ -430,9 +394,11 @@ mod tests {
 
         let mut serial = build();
         let mut diags = DiagnosticEngine::new();
-        standard_pipeline()
-            .run(&mut serial, &registry, &mut diags)
-            .unwrap();
+        let mut pm = ir::PassManager::new();
+        for name in STANDARD_PASS_NAMES {
+            pm.add_boxed(pass_by_name(name).unwrap());
+        }
+        pm.run(&mut serial, &registry, &mut diags).unwrap();
         let serial_text = ir::print_module(&serial);
 
         for threads in [1, 2, 8] {
@@ -695,9 +661,9 @@ mod tests {
         let mut bad = m.clone();
         let registry = hir::hir_registry();
         let mut diags = DiagnosticEngine::new();
-        let mut pm = pipeline_from_names(&["test-miscompile"]).unwrap();
-        pm.run(&mut bad, &registry, &mut diags).unwrap();
-        let reports = verify_equivalence_with(&m, &bad, &opts).expect("check runs");
+        let mut fp = function_pipeline_from_names(&["test-miscompile"], 1).unwrap();
+        fp.run(&mut bad, &registry, &mut diags).unwrap();
+        let reports = bmc::check_module_equivalence(&m, &bad, &opts).expect("check runs");
         match &reports[0].status {
             bmc::EquivStatus::Counterexample(cex) => {
                 assert_eq!(cex.stimulus.len(), 2, "one stimulus per argument");

@@ -156,7 +156,9 @@ mod tests {
         let args = f.args(hb.module());
         let (c0, c128, c1) = (hb.const_val(0), hb.const_val(128), hb.const_val(1));
         hb.set_loc(Location::file_line_col("test/HIR/err_add.mlir", 8, 3));
-        let lp = hb.for_loop(c0, c128, c1, t, 1, Type::int(8));
+        // The paper's listing counts `%i : i8` to 128; the loop's exit value
+        // 128 needs a ninth bit in the generated counter.
+        let lp = hb.for_loop(c0, c128, c1, t, 1, Type::int(9));
         hb.in_loop(lp, |hb, i, ti| {
             hb.set_loc(Location::file_line_col("test/HIR/err_add.mlir", 10, 5));
             let va = hb.mem_read(args[0], &[i], ti, 0);
@@ -238,7 +240,9 @@ mod tests {
         let t = f.time_var(hb.module());
         let args = f.args(hb.module());
         let (c0, c128, c1) = (hb.const_val(0), hb.const_val(128), hb.const_val(1));
-        let lp = hb.for_loop(c0, c128, c1, t, 1, Type::int(8));
+        // The paper's listing counts `%i : i8` to 128; the loop's exit value
+        // 128 needs a ninth bit in the generated counter.
+        let lp = hb.for_loop(c0, c128, c1, t, 1, Type::int(9));
         hb.in_loop(lp, |hb, i, ti| {
             let v = hb.mem_read(args[0], &[i], ti, 0);
             hb.mem_write(v, args[1], &[i], ti, 1); // i used at ti+1
@@ -252,6 +256,54 @@ mod tests {
             "{}",
             diags.render()
         );
+    }
+
+    #[test]
+    fn loop_counters_must_fit_the_induction_variable() {
+        let verify = |iv: &str, lb: i64, ub: i64, step: i64| {
+            let m = hir::parse_pretty(&format!(
+                "hir.func @f at %t() {{
+  %lb = hir.constant {lb} : index
+  %ub = hir.constant {ub} : index
+  %s = hir.constant {step} : index
+  %tf = hir.for %i : {iv} = %lb to %ub step %s iter_time(%ti = %t offset 1) {{
+    hir.yield at %ti offset 1
+  }}
+  hir.return
+}}"
+            ))
+            .unwrap();
+            let mut diags = DiagnosticEngine::new();
+            let _ = verify_schedule(&m, &mut diags);
+            diags.render()
+        };
+        // The widest accepted loops, a zero-trip one and one whose bounds
+        // the interpreter rejects at run time are all accepted.
+        for (iv, lb, ub, step) in [
+            ("i8", 0, 127, 1),
+            ("i8", -128, 127, 1),
+            ("i8", 0, 126, 2),
+            ("i8", 0, 0, 1),
+            ("i8", 100, 0, 1),
+            ("i32", 0, 200, 1),
+            ("i1", -1, 0, 1),
+        ] {
+            assert_eq!(
+                verify(iv, lb, ub, step),
+                "",
+                "{iv}: {lb} to {ub} step {step}"
+            );
+        }
+        for (iv, lb, ub, step, want) in [
+            ("i8", 0, 200, 1, "counter 0 to 200 step 1 reaches 200"),
+            // 126 + 2 = 128 is -128 at i8, so the loop would never exit.
+            ("i8", 0, 127, 2, "counter 0 to 127 step 2 reaches 128"),
+            ("i8", -129, 0, 1, "lower bound -129 is outside"),
+            ("i1", -1, 0, 2, "step 2 reaches 1 before"),
+        ] {
+            let text = verify(iv, lb, ub, step);
+            assert!(text.contains(want), "{want}: {text}");
+        }
     }
 
     /// Paper Figure 2a: a MAC built from an external pipelined multiplier.

@@ -499,6 +499,7 @@ impl Analyzer<'_> {
             },
         );
         self.analyze_block(lp.body(m), body_scope);
+        self.check_counter_range(lp);
 
         // The yield must target a root in scope.
         let y = lp.yield_op(m);
@@ -515,6 +516,45 @@ impl Analyzer<'_> {
         self.info.validity.insert(tf, Validity::TimeRoot);
         self.info.root_scope.insert(tf, scope);
         self.info.root_window.insert(tf, 1);
+    }
+
+    /// The generated controller counts at the induction variable's width and
+    /// compares `iv + step` with `ub` signed there, while the interpreter
+    /// counts unbounded. On constant bounds the two agree only when every
+    /// counter value, the first one past the loop included, lies in the
+    /// variable's signed range.
+    fn check_counter_range(&mut self, lp: ForOp) {
+        let m = self.m;
+        let iv_ty = m.value_type(lp.induction_var(m));
+        let Some(w) = iv_ty.int_width().filter(|w| (1..128).contains(w)) else {
+            return;
+        };
+        let value = |v| hir::semantics::const_value(m, v);
+        let (Some(lb), Some(ub), Some(step)) = (
+            value(lp.lower_bound(m)),
+            value(lp.upper_bound(m)),
+            value(lp.step(m)),
+        ) else {
+            return;
+        };
+        if step <= 0 || lb >= ub {
+            return;
+        }
+        let (min, max) = (-(1i128 << (w - 1)), (1i128 << (w - 1)) - 1);
+        let range =
+            format!("outside the range of induction variable type {iv_ty} ({min} to {max})");
+        // The first counter value at or past `ub`, where the loop exits
+        // (saturating: an unbounded `!hir.const` bound may not fit `i128`).
+        let trips = (ub.saturating_sub(lb) - 1) / step + 1;
+        let past = lb.saturating_add(trips.saturating_mul(step));
+        let message = if !(min..=max).contains(&lb) {
+            format!("hir.for lower bound {lb} is {range}!")
+        } else if !(min..=max).contains(&past) {
+            format!("hir.for counter {lb} to {ub} step {step} reaches {past} before the loop exits, {range}!")
+        } else {
+            return;
+        };
+        self.error(lp.id(), message);
     }
 
     fn analyze_unroll_for(&mut self, op: OpId, scope: usize) {

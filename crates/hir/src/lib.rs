@@ -40,6 +40,8 @@ pub mod types;
 pub use builder::HirBuilder;
 pub use dialect::{attrkey, hir_dialect, hir_registry, opname, CmpPredicate};
 pub use interp::{ArgValue, ExternalModel, InterpOptions, Interpreter, SimError, SimReport, Val};
-pub use parse::{parse_pretty, parse_pretty_recover, PrettyParseError, RecoveredPretty};
+pub use parse::{
+    parse_pretty, parse_pretty_recover, parse_recover, PrettyParseError, RecoveredPretty,
+};
 pub use pretty::{pretty_func, pretty_module, pretty_op};
 pub use types::{Dim, MemKind, MemrefInfo, Port};

@@ -64,6 +64,35 @@ pub fn parse_pretty(source: &str) -> Result<Module> {
     }
 }
 
+/// Parse either surface syntax with error recovery: the one front-end
+/// dispatch of every tool. Input whose first line that is neither blank nor
+/// a `//` comment starts with `hir.func` goes to [`parse_pretty_recover`];
+/// anything else to the generic [`ir::parse_module_recover`].
+pub fn parse_recover(source: &str, error_limit: usize) -> ir::RecoveredParse {
+    let pretty = source
+        .lines()
+        .map(str::trim)
+        .find(|l| !l.is_empty() && !l.starts_with("//"))
+        .is_some_and(|l| l.starts_with("hir.func"));
+    if !pretty {
+        return ir::parse_module_recover(source, error_limit);
+    }
+    let r = parse_pretty_recover(source, error_limit);
+    ir::RecoveredParse {
+        module: r.module,
+        errors: r
+            .errors
+            .into_iter()
+            .map(|e| ir::ParseError {
+                line: e.line,
+                col: e.col,
+                message: e.message,
+            })
+            .collect(),
+        hit_error_limit: r.hit_error_limit,
+    }
+}
+
 /// Default cap on recorded errors in recovery mode.
 pub const DEFAULT_ERROR_LIMIT: usize = 20;
 

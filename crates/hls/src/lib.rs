@@ -441,7 +441,9 @@ mod tests {
         let k = vadd_kernel(16);
         let c_default = compile(&k, &SchedOptions::default()).expect("compile");
         let mut k_manual = vadd_kernel(16);
-        k_manual.loop_var_width = 5; // the paper's "manual opt"
+        // The paper's "manual opt": the narrowest counter that still holds
+        // the exit value 16 as a signed number.
+        k_manual.loop_var_width = 6;
         let c_manual = compile(&k_manual, &SchedOptions::default()).expect("compile");
 
         let model = synth::CostModel::default();

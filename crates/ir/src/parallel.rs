@@ -21,7 +21,9 @@
 //!   [`DiagnosticEngine`], so the merged diagnostic order is "all of
 //!   function 0's pipeline, then all of function 1's, …" — the same order
 //!   the single-threaded path produces, because the single-threaded path is
-//!   the same code with one inline worker;
+//!   the same code with one inline worker. Remarks and the IR dumps of
+//!   [`FunctionPipeline::print_ir_before`] / [`FunctionPipeline::print_ir_after`]
+//!   are kept per function the same way and written out in module order;
 //! * sub-modules print identically to the functions they were moved from
 //!   (value names are assigned positionally), so the spliced module prints
 //!   identically to what serial execution would leave behind.
@@ -31,16 +33,23 @@
 //! Each function's pipeline runs in an inner [`PassManager`], so a
 //! panicking pass is contained per function: sibling workers finish their
 //! functions normally, every function's diagnostics are still merged, and
-//! the error reported (plus the optional crash reproducer, which names the
-//! function) is the one from the *first failing function in module order* —
-//! again independent of thread interleaving.
+//! the error reported is the one from the *first failing function in module
+//! order* — again independent of thread interleaving. So is the optional
+//! crash reproducer ([`FunctionPipeline::crash_reproducer`]): that
+//! function's IR from before its pipeline ran, plus the full pipeline, under
+//! an error line that names the function. It is the only reproducer format;
+//! `hirc` runs every pipeline through here.
 
 use crate::diagnostics::{Diagnostic, DiagnosticEngine};
 use crate::dialect::DialectRegistry;
 use crate::module::Module;
-use crate::pass::{Pass, PassManager, PassResult, PassTiming, PipelineError};
+use crate::pass::{
+    IrPrintInstrumentation, Pass, PassManager, PassResult, PassTiming, PipelineError,
+};
 use crate::symbol::SYM_NAME;
+use std::cell::RefCell;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -85,6 +94,8 @@ struct FuncOutcome {
     /// Pre-pipeline IR of the function, captured only when a crash
     /// reproducer was requested.
     snapshot: Option<String>,
+    /// The function's `--print-ir-*` dumps, in pass order.
+    ir_dumps: String,
     worker: usize,
 }
 
@@ -125,6 +136,13 @@ pub struct FunctionPipeline {
     /// pipeline) here when a function's pipeline hits an internal error.
     /// Only the first failing function in module order writes one.
     pub crash_reproducer: Option<PathBuf>,
+    /// Dump each function's IR before / after every pass (`hirc
+    /// --print-ir-before-all` / `--print-ir-after-all`) through an
+    /// [`IrPrintInstrumentation`] whose banners name the function. `run`
+    /// writes the dumps to stderr in module order, function by function, so
+    /// the output is byte-identical at any thread count.
+    pub print_ir_before: bool,
+    pub print_ir_after: bool,
     timings: Vec<PassTiming>,
     reports: Vec<FunctionReport>,
     reproducer_written: Option<PathBuf>,
@@ -253,11 +271,13 @@ impl FunctionPipeline {
 
         let merge = obs::span("merge");
         let mut first_error: Option<(usize, PipelineError, Option<String>)> = None;
+        let mut ir_dumps = String::new();
         for (idx, outcome) in outcomes.into_iter().enumerate() {
             for d in outcome.diags {
                 diags.emit(d);
             }
             self.remarks.extend(outcome.remarks);
+            ir_dumps.push_str(&outcome.ir_dumps);
             self.fold_timings(&outcome.timings);
             if outcome.error.is_some() && first_error.is_none() {
                 first_error = Some((
@@ -275,6 +295,9 @@ impl FunctionPipeline {
         }
         drop(merge);
         drop(outer);
+        if !ir_dumps.is_empty() {
+            eprint!("{ir_dumps}");
+        }
 
         match first_error {
             None => Ok(()),
@@ -314,6 +337,16 @@ impl FunctionPipeline {
             pm.add_boxed(factory());
         }
         pm.verify_each = self.verify_each;
+        let ir_dumps = Rc::new(RefCell::new(String::new()));
+        if self.print_ir_before || self.print_ir_after {
+            let sink = Rc::clone(&ir_dumps);
+            pm.add_instrumentation(
+                IrPrintInstrumentation::new(self.print_ir_before, self.print_ir_after, move |t| {
+                    sink.borrow_mut().push_str(t)
+                })
+                .for_function(&func),
+            );
+        }
         let mut local = DiagnosticEngine::new();
         let error = pm.run(&mut sub, registry, &mut local).err();
         FuncOutcome {
@@ -324,6 +357,7 @@ impl FunctionPipeline {
             timings: pm.timings().to_vec(),
             error,
             snapshot,
+            ir_dumps: ir_dumps.take(),
             worker,
         }
     }
@@ -353,7 +387,7 @@ impl FunctionPipeline {
     /// Write a crash reproducer for the first failing function: its
     /// pre-pipeline IR plus the *full* pipeline, so re-running the file
     /// re-triggers the failure. Only internal errors (panic / verify-each)
-    /// produce reproducers, mirroring [`PassManager`].
+    /// produce reproducers.
     fn write_reproducer(
         &mut self,
         idx: usize,

@@ -14,7 +14,6 @@ use crate::location::Location;
 use crate::module::Module;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Outcome of one pass run.
@@ -121,6 +120,8 @@ pub trait PassInstrumentation {
 pub struct IrPrintInstrumentation {
     before: bool,
     after: bool,
+    /// Function named in every banner (see [`Self::for_function`]).
+    func: Option<String>,
     sink: Box<dyn FnMut(&str)>,
 }
 
@@ -129,6 +130,7 @@ impl IrPrintInstrumentation {
         IrPrintInstrumentation {
             before,
             after,
+            func: None,
             sink: Box::new(sink),
         }
     }
@@ -137,27 +139,38 @@ impl IrPrintInstrumentation {
     pub fn to_stderr(before: bool, after: bool) -> Self {
         Self::new(before, after, |text| eprint!("{text}"))
     }
+
+    /// Name `@func` in every banner: a per-function pipeline
+    /// ([`crate::FunctionPipeline`]) dumps only the function it runs on, as
+    /// MLIR's nested pass managers do.
+    pub fn for_function(mut self, func: &str) -> Self {
+        self.func = Some(func.to_string());
+        self
+    }
+
+    fn dump(&mut self, what: String, module: &Module) {
+        let on = self
+            .func
+            .as_ref()
+            .map_or(String::new(), |f| format!(" on @{f}"));
+        let text = crate::printer::print_module(module);
+        (self.sink)(&format!("// ----- IR dump {what}{on} -----\n{text}"));
+    }
 }
 
 impl PassInstrumentation for IrPrintInstrumentation {
     fn run_before_pass(&mut self, pass: &dyn Pass, module: &Module) {
         if self.before {
-            let text = crate::printer::print_module(module);
-            (self.sink)(&format!(
-                "// ----- IR dump before {} -----\n{text}",
-                pass.name()
-            ));
+            self.dump(format!("before {}", pass.name()), module);
         }
     }
 
     fn run_after_pass(&mut self, pass: &dyn Pass, module: &Module, result: PassResult) {
         if self.after {
-            let text = crate::printer::print_module(module);
-            (self.sink)(&format!(
-                "// ----- IR dump after {} ({}) -----\n{text}",
-                pass.name(),
-                result.label()
-            ));
+            self.dump(
+                format!("after {} ({})", pass.name(), result.label()),
+                module,
+            );
         }
     }
 }
@@ -220,13 +233,6 @@ pub struct PassManager {
     /// [`PipelineError::VerifyFailed`]) on the first pass that breaks the
     /// module — MLIR's `-verify-each`. Localizes miscompiles to one pass.
     pub verify_each: bool,
-    /// When set, write an MLIR-style crash reproducer (pre-pass IR snapshot
-    /// plus the remaining pipeline) to this path whenever a pass panics or
-    /// fails `verify_each`. Snapshots are only taken when this is set, so
-    /// the happy path pays nothing.
-    pub crash_reproducer: Option<PathBuf>,
-    /// Where the last `run` actually wrote a reproducer, if it did.
-    reproducer_written: Option<PathBuf>,
     /// Optimization remarks drained from the thread-local buffer after each
     /// pass of the last `run`, in emission order (pass-major).
     remarks: Vec<obs::Remark>,
@@ -240,8 +246,6 @@ impl PassManager {
             timings: Vec::new(),
             abort_on_failure: true,
             verify_each: false,
-            crash_reproducer: None,
-            reproducer_written: None,
             remarks: Vec::new(),
         }
     }
@@ -263,11 +267,6 @@ impl PassManager {
         self.passes.iter().map(|p| p.name().to_string()).collect()
     }
 
-    /// Path of the reproducer written by the last `run`, if any.
-    pub fn reproducer_path(&self) -> Option<&Path> {
-        self.reproducer_written.as_deref()
-    }
-
     /// Register an instrumentation observing every subsequent `run`.
     pub fn add_instrumentation(&mut self, ins: impl PassInstrumentation + 'static) -> &mut Self {
         self.instrumentations.push(Box::new(ins));
@@ -278,9 +277,9 @@ impl PassManager {
     ///
     /// Each pass body executes under `catch_unwind`: a panicking pass does
     /// not take the process down but is converted into a structured
-    /// diagnostic naming the pass, a [`PipelineError::PassPanicked`], and —
-    /// when [`PassManager::crash_reproducer`] is set — a reproducer file
-    /// containing the pre-pass IR and the remaining pipeline.
+    /// diagnostic naming the pass and a [`PipelineError::PassPanicked`].
+    /// (Crash reproducers are written by [`crate::FunctionPipeline`], which
+    /// runs one of these per function.)
     ///
     /// # Errors
     /// Returns the [`PipelineError`] describing the first failed pass.
@@ -291,20 +290,12 @@ impl PassManager {
         diags: &mut DiagnosticEngine,
     ) -> Result<(), PipelineError> {
         self.timings.clear();
-        self.reproducer_written = None;
         self.remarks.clear();
         // Discard any stale remarks a previous (aborted) run left in this
         // thread's buffer so they cannot leak into this run's output.
         let _ = obs::take_thread_remarks();
         let n_passes = self.passes.len();
         for idx in 0..n_passes {
-            // Snapshot the IR before the pass only when a reproducer was
-            // requested: printing every module is too expensive to do
-            // unconditionally.
-            let snapshot = self
-                .crash_reproducer
-                .is_some()
-                .then(|| crate::printer::print_module(module));
             let pass = &mut self.passes[idx];
             let name = pass.name().to_string();
             let ops_before = module.op_count();
@@ -381,12 +372,10 @@ impl PassManager {
                 diagnostics,
             });
             if let Some(message) = panic_msg {
-                let err = PipelineError::PassPanicked {
+                return Err(PipelineError::PassPanicked {
                     pass: name,
                     message,
-                };
-                self.write_reproducer(idx, snapshot, &err.to_string(), diags);
-                return Err(err);
+                });
             }
             if result == PassResult::Failed && self.abort_on_failure {
                 return Err(PipelineError::PassFailed { pass: name });
@@ -398,38 +387,10 @@ impl PassManager {
                     Location::unknown(),
                     err.to_string(),
                 ));
-                self.write_reproducer(idx, snapshot, &err.to_string(), diags);
                 return Err(err);
             }
         }
         Ok(())
-    }
-
-    /// Write a crash reproducer for the pass at `idx` (when configured):
-    /// the pre-pass snapshot plus the remaining pipeline, so re-running the
-    /// file re-triggers the failure.
-    fn write_reproducer(
-        &mut self,
-        idx: usize,
-        snapshot: Option<String>,
-        error: &str,
-        diags: &mut DiagnosticEngine,
-    ) {
-        let (Some(path), Some(ir_text)) = (self.crash_reproducer.clone(), snapshot) else {
-            return;
-        };
-        let pipeline: Vec<String> = self.passes[idx..]
-            .iter()
-            .map(|p| p.name().to_string())
-            .collect();
-        let text = crate::reproducer::format_reproducer(error, &pipeline, &ir_text);
-        match std::fs::write(&path, text) {
-            Ok(()) => self.reproducer_written = Some(path),
-            Err(e) => diags.emit(crate::diagnostics::Diagnostic::warning(
-                Location::unknown(),
-                format!("could not write crash reproducer '{}': {e}", path.display()),
-            )),
-        }
     }
 
     /// Per-pass timings of the last `run`.
@@ -675,48 +636,6 @@ mod tests {
             assert_eq!(pm.timings().len(), 1);
             assert_eq!(pm.timings()[0].result, PassResult::Failed);
         });
-    }
-
-    #[test]
-    fn panic_writes_roundtrippable_reproducer() {
-        with_quiet_panics(|| {
-            let dir = std::env::temp_dir().join("hir-pass-tests");
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("panic-repro.mlir");
-            let _ = std::fs::remove_file(&path);
-
-            let mut pm = PassManager::new();
-            pm.crash_reproducer = Some(path.clone());
-            pm.add(Adder).add(Panicker).add(Adder);
-            let mut m = Module::new();
-            let reg = DialectRegistry::new();
-            let mut diags = DiagnosticEngine::new();
-            let err = pm.run(&mut m, &reg, &mut diags).unwrap_err();
-            assert_eq!(err.pass_name(), "panicker");
-            assert_eq!(pm.reproducer_path(), Some(path.as_path()));
-
-            let text = std::fs::read_to_string(&path).unwrap();
-            let repro = crate::reproducer::parse_reproducer(&text).expect("has header");
-            // Remaining pipeline starts at the crashing pass.
-            assert_eq!(repro.pipeline, vec!["panicker", "adder"]);
-            assert!(repro.error.contains("panicker"));
-            // The snapshot is the *pre-pass* IR: Adder ran once before the
-            // panic, so exactly one op — and the file re-parses as a module.
-            let m2 = crate::parser::parse_module(&repro.ir).expect("reproducer IR parses");
-            assert_eq!(m2.top_ops().len(), 1);
-            let _ = std::fs::remove_file(&path);
-        });
-    }
-
-    #[test]
-    fn no_reproducer_without_flag_and_none_on_success() {
-        let mut pm = PassManager::new();
-        pm.add(Adder);
-        let mut m = Module::new();
-        let reg = DialectRegistry::new();
-        let mut diags = DiagnosticEngine::new();
-        pm.run(&mut m, &reg, &mut diags).unwrap();
-        assert_eq!(pm.reproducer_path(), None);
     }
 
     /// Emits an op unknown to the loaded `t` dialect, which the structural

@@ -1,17 +1,17 @@
 //! MLIR-style crash reproducers.
 //!
 //! When a pass panics (or, under `--verify-each`, leaves the module in a
-//! state the verifier rejects), the pass manager snapshots the IR *before*
-//! the failing pass and writes it to a reproducer file together with the
-//! remaining pipeline. The file is an ordinary `.mlir` input — the header is
-//! line comments the parser skips — so `hirc reproducer.mlir` re-parses it,
-//! detects the embedded pipeline, and re-triggers the failure with no other
-//! flags.
+//! state the verifier rejects), [`crate::FunctionPipeline`] writes the
+//! failing function's IR from *before* its pipeline ran to a reproducer
+//! file, together with the full pipeline. The file is an ordinary `.mlir`
+//! input — the header is line comments the parser skips — so
+//! `hirc reproducer.mlir` re-parses it, detects the embedded pipeline, and
+//! re-triggers the failure with no other flags.
 //!
 //! ```text
 //! // HIR crash reproducer
-//! // error: pass 'hir-cse' panicked: index out of bounds
-//! // pipeline: hir-cse,hir-retime
+//! // error: function '@gemm': pass 'hir-cse' panicked: index out of bounds
+//! // pipeline: hir-canonicalize,hir-cse,hir-retime
 //! "hir.func"() ({ ... }) : () -> ()
 //! ```
 
@@ -25,14 +25,14 @@ pub const REPRODUCER_HEADER: &str = "// HIR crash reproducer";
 pub struct Reproducer {
     /// The failure description recorded when the reproducer was written.
     pub error: String,
-    /// Pass names of the remaining pipeline, starting with the failing pass.
+    /// Pass names of the pipeline to re-run on the embedded IR.
     pub pipeline: Vec<String>,
     /// The full file text (header included): feed it straight to
     /// [`crate::parse_module`], which skips the comment header.
     pub ir: String,
 }
 
-/// Render a reproducer file: header comments followed by the pre-pass IR.
+/// Render a reproducer file: header comments followed by the IR.
 pub fn format_reproducer(error: &str, pipeline: &[String], ir_text: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{REPRODUCER_HEADER}");

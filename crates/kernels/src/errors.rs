@@ -23,7 +23,9 @@ pub fn figure1_array_add(fixed: bool) -> Module {
     let args = f.args(hb.module());
     let (c0, c128, c1) = (hb.const_val(0), hb.const_val(128), hb.const_val(1));
     hb.set_loc(Location::file_line_col("test/HIR/err_add.mlir", 8, 3));
-    let lp = hb.for_loop(c0, c128, c1, t, 1, Type::int(8));
+    // The paper's listing counts `%i : i8` to 128; the loop's exit value 128
+    // needs a ninth bit in the generated counter.
+    let lp = hb.for_loop(c0, c128, c1, t, 1, Type::int(9));
     hb.in_loop(lp, |hb, i, ti| {
         hb.set_loc(Location::file_line_col("test/HIR/err_add.mlir", 10, 5));
         let va = hb.mem_read(args[0], &[i], ti, 0);

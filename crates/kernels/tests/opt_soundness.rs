@@ -239,7 +239,7 @@ fn bmc_proves_every_standard_pipeline_prefix() {
         let base = kernels::gemm::hir_gemm(2, 8);
         let mut opt = base.clone();
         let mut diags = ir::DiagnosticEngine::new();
-        hir_opt::pipeline_from_names(subset)
+        hir_opt::function_pipeline_from_names(subset, 1)
             .unwrap()
             .run(&mut opt, &registry, &mut diags)
             .unwrap_or_else(|e| panic!("prefix {subset:?} failed: {e}"));
@@ -261,7 +261,7 @@ fn bmc_refutes_miscompiled_benchmark() {
     let base = kernels::gemm::hir_gemm(2, 8);
     let mut bad = base.clone();
     let mut diags = ir::DiagnosticEngine::new();
-    hir_opt::pipeline_from_names(&["test-miscompile"])
+    hir_opt::function_pipeline_from_names(&["test-miscompile"], 1)
         .unwrap()
         .run(&mut bad, &registry, &mut diags)
         .unwrap();

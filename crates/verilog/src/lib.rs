@@ -41,7 +41,7 @@ pub use ast::{
 pub use elaborate::{flatten, ElabError};
 pub use printer::{print_design, print_expr, print_module};
 pub use sim::{
-    BuildError, ConeTelemetry, Engine, InsnTelemetry, NetTelemetry, SchedConeWakes,
-    SchedStatsReport, Simulator, TelemetryReport, UnitActivity, VSimError,
+    BuildError, ConeTelemetry, Engine, FxHashMap, FxHasher, InsnTelemetry, NetTelemetry,
+    SchedConeWakes, SchedStatsReport, Simulator, TelemetryReport, UnitActivity, VSimError,
 };
 pub use tsys::{to_btor2, InputVar, Node, NodeId, StateVar, TOp, TransitionSystem};

@@ -624,12 +624,13 @@ impl Insn {
 
 /// FxHash (the rustc hasher): one rotate-xor-multiply per word. The build
 /// tables key on tape instructions and on the net and memory names of the
-/// design being compiled, and [`crate::tsys::Builder`] on the nodes it
-/// built, where SipHash's collision-flood resistance buys nothing and its
-/// per-key cost dominated the simulator build. Nothing iterates these
-/// tables, so the hasher cannot change what they number.
+/// design being compiled, [`crate::tsys::Builder`] on the nodes it built,
+/// and `bmc`'s bit-blaster on the gate literals it allocated, where
+/// SipHash's collision-flood resistance buys nothing and its per-key cost
+/// dominated the simulator build. Nothing iterates these tables, so the
+/// hasher cannot change what they number.
 #[derive(Default)]
-pub(crate) struct FxHasher {
+pub struct FxHasher {
     hash: u64,
 }
 
@@ -670,7 +671,8 @@ impl std::hash::Hasher for FxHasher {
     }
 }
 
-pub(crate) type FxHashMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
+/// A `HashMap` keyed through [`FxHasher`].
+pub type FxHashMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
 
 /// Name -> position in a name list: an open-addressed table (linear
 /// probing, at most half full) of positions into the list, which alone

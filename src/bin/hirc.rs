@@ -36,8 +36,9 @@ options:
   --verify-only            stop after verification
   --verify-each            re-verify the module after every pass
   --crash-reproducer=PATH  on pass panic or verifier failure, write an
-                           MLIR-style reproducer (pre-pass IR + remaining
-                           pipeline) to PATH
+                           MLIR-style reproducer to PATH: the failing
+                           function's IR from before the pipeline, plus the
+                           full pipeline
   --error-limit=N          stop reporting parse errors after N (default 20)
   --emit=KIND              output kind: verilog (default), pretty, ir,
                            sim (generate the design, run it in the RTL
@@ -118,8 +119,10 @@ options:
   --stats                  counter/statistic table from every stage (stderr)
   --stats=PATH             machine-readable JSON counters/statistics to PATH
   --profile=PATH           write a Chrome trace-event JSON profile to PATH
-  --print-ir-before-all    dump IR to stderr before each pass
-  --print-ir-after-all     dump IR to stderr after each pass
+  --print-ir-before-all    dump each function's IR to stderr before each pass
+  --print-ir-after-all     dump each function's IR to stderr after each pass
+                           (dumps are grouped by function, in module order,
+                           and byte-identical at every --threads)
   --help, -h               show this help
 
 Inputs beginning with `// HIR crash reproducer` are detected automatically:
@@ -538,50 +541,28 @@ fn main() -> ExitCode {
     });
 
     let start = std::time::Instant::now();
-    // Two surface syntaxes: the paper-style pretty form (starts with
-    // `hir.func`) and the generic MLIR-like form (quoted op names).
-    let pretty_input = source
-        .lines()
-        .map(str::trim)
-        .find(|l| !l.is_empty() && !l.starts_with("//"))
-        .is_some_and(|l| l.starts_with("hir.func"));
-    // Recovering parse: collect every syntax error in one run instead of
-    // stopping at the first.
-    let (module, parse_errors, hit_limit) = {
+    // Recovering parse of either surface syntax (paper-style pretty or
+    // generic): collect every syntax error in one run instead of stopping at
+    // the first.
+    let parsed = {
         let mut s = obs::span_in("parse", "parse input");
         s.arg("file", &opts.input);
-        if pretty_input {
-            let r = hir::parse_pretty_recover(&source, opts.error_limit);
-            let errs: Vec<(u32, u32, String)> = r
-                .errors
-                .into_iter()
-                .map(|e| (e.line, e.col, e.message))
-                .collect();
-            (r.module, errs, r.hit_error_limit)
-        } else {
-            let r = ir::parse_module_recover(&source, opts.error_limit);
-            let errs: Vec<(u32, u32, String)> = r
-                .errors
-                .into_iter()
-                .map(|e| (e.line, e.col, e.message))
-                .collect();
-            (r.module, errs, r.hit_error_limit)
-        }
+        hir::parse_recover(&source, opts.error_limit)
     };
-    if !parse_errors.is_empty() {
-        for (line, col, message) in &parse_errors {
-            eprintln!("{}:{line}:{col}: error: {message}", opts.input);
+    if !parsed.errors.is_empty() {
+        for e in &parsed.errors {
+            eprintln!("{}:{}:{}: error: {}", opts.input, e.line, e.col, e.message);
         }
-        if hit_limit {
+        if parsed.hit_error_limit {
             eprintln!(
                 "hirc: stopped after {} errors (raise with --error-limit=N)",
-                parse_errors.len()
+                parsed.errors.len()
             );
         }
-        eprintln!("hirc: {} parse error(s)", parse_errors.len());
+        eprintln!("hirc: {} parse error(s)", parsed.errors.len());
         return ExitCode::from(EXIT_DIAGNOSTICS);
     }
-    let mut module = module;
+    let mut module = parsed.module;
     obs::counter_add("parse", "ops_parsed", module.op_count() as u64);
     let t_parse = start.elapsed();
 
@@ -600,46 +581,21 @@ fn main() -> ExitCode {
     let t_verify = t0.elapsed();
 
     // Pipeline selection: an explicit --pipeline wins, then a reproducer's
-    // recorded pipeline, then the standard pipeline under --opt. The passes
-    // run through the per-function parallel pipeline unless --print-ir-*-all
-    // asks for the serial pass manager's instrumentation hooks.
+    // recorded pipeline, then the standard pipeline under --opt.
     let explicit = opts.pipeline.clone().or(reproducer_pipeline);
     let run_passes = opts.optimize || explicit.is_some();
-    let serial = opts.print_ir_before_all || opts.print_ir_after_all;
     let t0 = std::time::Instant::now();
-    let mut pipeline = if serial {
-        let mut pm = match &explicit {
-            Some(names) => match hir_opt::pipeline_from_names(names) {
-                Ok(pm) => pm,
-                Err(e) => {
-                    eprintln!("hirc: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            None => hir_opt::standard_pipeline(),
-        };
-        pm.verify_each = opts.verify_each;
-        pm.crash_reproducer = opts.crash_reproducer.clone().map(Into::into);
-        pm.add_instrumentation(ir::IrPrintInstrumentation::to_stderr(
-            opts.print_ir_before_all,
-            opts.print_ir_after_all,
-        ));
-        Pipeline::Serial(pm)
-    } else {
-        let mut fp = match &explicit {
-            Some(names) => match hir_opt::function_pipeline_from_names(names, opts.threads) {
-                Ok(fp) => fp,
-                Err(e) => {
-                    eprintln!("hirc: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            None => hir_opt::standard_function_pipeline(opts.threads),
-        };
-        fp.verify_each = opts.verify_each;
-        fp.crash_reproducer = opts.crash_reproducer.clone().map(Into::into);
-        Pipeline::PerFunction(fp)
+    let mut pipeline = match build_pipeline(explicit.as_deref(), opts.threads) {
+        Ok(fp) => fp,
+        Err(e) => {
+            eprintln!("hirc: {e}");
+            return ExitCode::from(EXIT_USAGE);
+        }
     };
+    pipeline.verify_each = opts.verify_each;
+    pipeline.crash_reproducer = opts.crash_reproducer.clone().map(Into::into);
+    pipeline.print_ir_before = opts.print_ir_before_all;
+    pipeline.print_ir_after = opts.print_ir_after_all;
     // Snapshot for translation validation: the proof must compare the exact
     // pre-pipeline module against the exact artifact being emitted.
     let pre_opt = opts.verify_equiv.map(|_| module.clone());
@@ -879,53 +835,15 @@ fn main() -> ExitCode {
     finish(&opts, t_parse, t_verify, t_opt, t_emit, &pipeline)
 }
 
-/// The driver's pass-running strategy: the serial [`ir::PassManager`] when
-/// `--print-ir-*-all` instrumentation is requested, otherwise the parallel
-/// per-function [`ir::FunctionPipeline`].
-enum Pipeline {
-    Serial(ir::PassManager),
-    PerFunction(ir::FunctionPipeline),
-}
-
-impl Pipeline {
-    fn run(
-        &mut self,
-        module: &mut ir::Module,
-        registry: &ir::DialectRegistry,
-        diags: &mut ir::DiagnosticEngine,
-    ) -> Result<(), ir::PipelineError> {
-        match self {
-            Pipeline::Serial(pm) => pm.run(module, registry, diags),
-            Pipeline::PerFunction(fp) => fp.run(module, registry, diags),
-        }
-    }
-
-    fn reproducer_path(&self) -> Option<&std::path::Path> {
-        match self {
-            Pipeline::Serial(pm) => pm.reproducer_path(),
-            Pipeline::PerFunction(fp) => fp.reproducer_path(),
-        }
-    }
-
-    fn timings_empty(&self) -> bool {
-        match self {
-            Pipeline::Serial(pm) => pm.timings().is_empty(),
-            Pipeline::PerFunction(fp) => fp.timings().is_empty(),
-        }
-    }
-
-    fn timing_report(&self) -> String {
-        match self {
-            Pipeline::Serial(pm) => pm.timing_report(),
-            Pipeline::PerFunction(fp) => fp.timing_report(),
-        }
-    }
-
-    fn take_remarks(&mut self) -> Vec<obs::Remark> {
-        match self {
-            Pipeline::Serial(pm) => pm.take_remarks(),
-            Pipeline::PerFunction(fp) => fp.take_remarks(),
-        }
+/// Every pass pipeline `hirc` runs: the named passes, or the standard
+/// pipeline when `names` is `None`, per function on `threads` workers.
+fn build_pipeline(
+    names: Option<&[String]>,
+    threads: usize,
+) -> Result<ir::FunctionPipeline, String> {
+    match names {
+        Some(names) => hir_opt::function_pipeline_from_names(names, threads),
+        None => Ok(hir_opt::standard_function_pipeline(threads)),
     }
 }
 
@@ -965,7 +883,7 @@ fn run_verify_equiv(
     };
     let reports = {
         let _s = obs::span_in("equiv", "verify equivalence");
-        hir_opt::verify_equivalence_with(pre, optimized, &eopts).map_err(|e| e.to_string())?
+        bmc::check_module_equivalence(pre, optimized, &eopts).map_err(|e| e.to_string())?
     };
 
     let mut all_equivalent = true;
@@ -1093,30 +1011,19 @@ fn harvest_regression(
 }
 
 /// Reduction oracle: does the pipeline still miscompile this candidate?
-/// Any failure along the way (parse, verify, pass, check) means "no".
+/// Any failure along the way (parse, verify, pass, check) means "no". It runs
+/// the same pipeline as the compile on one thread, which gives the same
+/// output as any `--threads`.
 fn candidate_miscompiles(
     source: &str,
     explicit_pipeline: Option<&[String]>,
     eopts: &bmc::EquivOptions,
 ) -> bool {
-    let pretty = source
-        .lines()
-        .map(str::trim)
-        .find(|l| !l.is_empty() && !l.starts_with("//"))
-        .is_some_and(|l| l.starts_with("hir.func"));
-    let module = if pretty {
-        let r = hir::parse_pretty_recover(source, 1);
-        if !r.errors.is_empty() {
-            return false;
-        }
-        r.module
-    } else {
-        let r = ir::parse_module_recover(source, 1);
-        if !r.errors.is_empty() {
-            return false;
-        }
-        r.module
-    };
+    let parsed = hir::parse_recover(source, 1);
+    if !parsed.errors.is_empty() {
+        return false;
+    }
+    let module = parsed.module;
     let registry = hir::hir_registry();
     let mut diags = ir::DiagnosticEngine::new();
     if ir::verify_module(&module, &registry, &mut diags).is_err()
@@ -1125,19 +1032,14 @@ fn candidate_miscompiles(
         return false;
     }
     let mut optimized = module.clone();
-    let mut pm = match explicit_pipeline {
-        Some(names) => match hir_opt::pipeline_from_names(names) {
-            Ok(pm) => pm,
-            Err(_) => return false,
-        },
-        None => hir_opt::standard_pipeline(),
+    let Ok(mut pipeline) = build_pipeline(explicit_pipeline, 1) else {
+        return false;
     };
-    let mut diags = ir::DiagnosticEngine::new();
-    if pm.run(&mut optimized, &registry, &mut diags).is_err() {
+    if pipeline.run(&mut optimized, &registry, &mut diags).is_err() {
         return false;
     }
     matches!(
-        hir_opt::verify_equivalence_with(&module, &optimized, eopts),
+        bmc::check_module_equivalence(&module, &optimized, eopts),
         Ok(reports) if reports
             .iter()
             .any(|r| matches!(r.status, bmc::EquivStatus::Counterexample(_)))
@@ -1308,13 +1210,13 @@ fn finish(
     t_verify: std::time::Duration,
     t_opt: std::time::Duration,
     t_emit: std::time::Duration,
-    pipeline: &Pipeline,
+    pipeline: &ir::FunctionPipeline,
 ) -> ExitCode {
     if opts.timing {
         eprintln!(
             "hirc timing: parse {t_parse:?}, verify {t_verify:?}, optimize {t_opt:?}, emit {t_emit:?}"
         );
-        if !pipeline.timings_empty() {
+        if !pipeline.timings().is_empty() {
             eprint!("{}", pipeline.timing_report());
         }
     }

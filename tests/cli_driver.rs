@@ -382,6 +382,68 @@ fn print_ir_after_all_dumps_round_trip() {
     }
 }
 
+/// `--print-ir-after-all` on a multi-function module runs on the per-function
+/// pipeline: one dump per function per pass, grouped by function in module
+/// order, each banner naming its function, and the same bytes at any thread
+/// count.
+#[test]
+fn print_ir_after_all_dumps_each_function_in_module_order() {
+    let input = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/multi_kernel.mlir");
+    let run = |threads: &str| {
+        let out = hirc()
+            .arg(&input)
+            .arg("--opt")
+            .arg("--print-ir-after-all")
+            .arg("--emit=ir")
+            .arg(format!("--threads={threads}"))
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        String::from_utf8(out.stderr).unwrap()
+    };
+    let err = run("1");
+    assert_eq!(err, run("2"), "dumps must not depend on --threads");
+
+    let module = ir::parse_module(&std::fs::read_to_string(&input).unwrap()).unwrap();
+    let funcs: Vec<String> = module
+        .top_ops()
+        .iter()
+        .map(|&t| {
+            module
+                .op(t)
+                .attr(ir::SYM_NAME)
+                .unwrap()
+                .as_str()
+                .unwrap()
+                .to_string()
+        })
+        .collect();
+    assert!(funcs.len() >= 3, "{funcs:?}");
+    let passes = hir_opt::STANDARD_PASS_NAMES;
+    let mut want = Vec::new();
+    for f in &funcs {
+        for p in passes {
+            want.push((p.to_string(), f.clone()));
+        }
+    }
+    let mut got = Vec::new();
+    for chunk in err.split("// ----- IR dump after ").skip(1) {
+        let (banner, body) = chunk.split_once('\n').unwrap();
+        // `<pass> (<result>) on @<func> -----`
+        let (pass, rest) = banner.split_once(' ').unwrap();
+        let func = rest
+            .split_once(" on @")
+            .and_then(|(_, f)| f.strip_suffix(" -----"))
+            .unwrap_or_else(|| panic!("banner names no function: {banner}"));
+        let dumped = ir::parse_module(body).unwrap_or_else(|e| panic!("{banner}: {e}\n{body}"));
+        assert_eq!(dumped.top_ops().len(), 1, "{banner}: one function per dump");
+        let name = dumped.op(dumped.top_ops()[0]).attr(ir::SYM_NAME).unwrap();
+        assert_eq!(name.as_str(), Some(func), "{banner}");
+        got.push((pass.to_string(), func.to_string()));
+    }
+    assert_eq!(got, want);
+}
+
 #[test]
 fn profile_emits_valid_chrome_trace_with_one_span_per_pass() {
     let dir = std::env::temp_dir().join("hirc_test_profile");
@@ -594,6 +656,46 @@ fn panicking_pass_writes_reproducer_that_retriggers_the_crash() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("input is a crash reproducer"), "{err}");
     assert!(err.contains("pass 'test-panic' panicked"), "{err}");
+}
+
+/// `--print-ir-after-all` does not change which pipeline runs, so the crash
+/// reproducer is still the failing function's pre-pipeline IR plus the full
+/// pipeline.
+#[test]
+fn print_ir_does_not_change_the_crash_reproducer() {
+    let dir = std::env::temp_dir().join("hirc_test_reproducer_print_ir");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("t.mlir");
+    std::fs::write(&input, transpose_source()).unwrap();
+    let repro = dir.join("repro.mlir");
+    let _ = std::fs::remove_file(&repro);
+
+    let out = hirc()
+        .arg(&input)
+        .arg("--pipeline=hir-cse,test-panic,hir-canonicalize")
+        .arg(format!("--crash-reproducer={}", repro.display()))
+        .arg("--print-ir-after-all")
+        .arg("--emit=ir")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(3));
+    let err = String::from_utf8_lossy(&out.stderr);
+    // The pass before the panic dumped its function.
+    assert!(
+        err.contains("// ----- IR dump after hir-cse (unchanged) on @transpose -----"),
+        "{err}"
+    );
+    let parsed =
+        ir::parse_reproducer(&std::fs::read_to_string(&repro).unwrap()).expect("reproducer header");
+    assert_eq!(
+        parsed.pipeline,
+        vec!["hir-cse", "test-panic", "hir-canonicalize"]
+    );
+    assert!(
+        parsed.error.contains("function '@transpose'"),
+        "{}",
+        parsed.error
+    );
 }
 
 #[test]

@@ -11,24 +11,13 @@ fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/malformed")
 }
 
-fn is_pretty(src: &str) -> bool {
-    src.lines()
-        .map(str::trim)
-        .find(|l| !l.is_empty() && !l.starts_with("//"))
-        .is_some_and(|l| l.starts_with("hir.func"))
-}
-
 #[test]
 fn every_malformed_corpus_file_yields_diagnostics_without_panic() {
     let mut seen = 0;
     for entry in std::fs::read_dir(corpus_dir()).expect("corpus dir") {
         let path = entry.unwrap().path();
         let src = std::fs::read_to_string(&path).unwrap();
-        let n_errors = if is_pretty(&src) {
-            hir::parse_pretty_recover(&src, 0).errors.len()
-        } else {
-            ir::parse_module_recover(&src, 0).errors.len()
-        };
+        let n_errors = hir::parse_recover(&src, 0).errors.len();
         assert!(
             n_errors >= 1,
             "{}: a malformed corpus file must produce diagnostics",
@@ -128,11 +117,7 @@ fn recovered_modules_are_safe_to_print_in_both_forms() {
     for entry in std::fs::read_dir(corpus_dir()).expect("corpus dir") {
         let path = entry.unwrap().path();
         let src = std::fs::read_to_string(&path).unwrap();
-        let module = if is_pretty(&src) {
-            hir::parse_pretty_recover(&src, 0).module
-        } else {
-            ir::parse_module_recover(&src, 0).module
-        };
+        let module = hir::parse_recover(&src, 0).module;
         // Partially recovered IR must not break either printer.
         let _ = ir::print_module(&module);
         let _ = hir::pretty_module(&module);

@@ -15,6 +15,11 @@
 //! five programs on which the interpreter, the RTL and the optimizer once
 //! disagreed. Each must give one result under the interpreter and under
 //! `hirc --emit=sim`, with and without `--opt`.
+//!
+//! `loop_counter_overflow.hir` holds a loop whose counter leaves its `i8`
+//! induction variable, which the verifier rejects, and
+//! `loop_counter_boundary.hir` the widest `i8` loop it accepts, which must
+//! write the same memory under the interpreter and the RTL.
 
 use bmc::blast::Blaster;
 use bmc::term::{TermId, Terms};
@@ -371,5 +376,55 @@ fn regressions_agree_under_interpreter_and_rtl_with_and_without_opt() {
             }
             _ => {}
         }
+    }
+}
+
+/// Memory the last function of `m` leaves in its only (memref) argument,
+/// under the interpreter and under the RTL harness, both starting zeroed.
+fn written_memory(m: &Module) -> (Vec<i128>, Vec<i128>) {
+    let func = m
+        .top_ops()
+        .iter()
+        .filter_map(|&t| FuncOp::wrap(m, t))
+        .next_back()
+        .unwrap();
+    let len = MemrefInfo::from_type(&m.value_type(func.args(m)[0]))
+        .unwrap()
+        .num_elements() as usize;
+    let interp = Interpreter::new(m)
+        .run(&func.name(m), &[ArgValue::tensor_from(&vec![0; len])])
+        .unwrap();
+    let interp: Vec<i128> = interp.tensors[&0].iter().map(|v| v.unwrap()).collect();
+    let design = hir_codegen::generate_design(m, &hir_codegen::CodegenOptions::default()).unwrap();
+    let rtl = Harness::new(&design, m, func, &[HarnessArg::zero_mem(len)])
+        .unwrap()
+        .run(100_000)
+        .unwrap();
+    (interp, rtl.mems[&0].clone())
+}
+
+#[test]
+fn loop_counters_must_fit_the_induction_variable() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/regressions");
+    let out = Command::new(env!("CARGO_BIN_EXE_hirc"))
+        .arg(dir.join("loop_counter_overflow.hir"))
+        .arg("--verify-only")
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("hir.for counter 0 to 200 step 1 reaches 200 before the loop exits"),
+        "{err}"
+    );
+
+    let path = dir.join("loop_counter_boundary.hir");
+    let source = std::fs::read_to_string(&path).unwrap();
+    let optimized = hirc(&[path.to_str().unwrap(), "--opt", "--emit=pretty"]);
+    let want: Vec<i128> = (0..128).map(|k| if k < 127 { k } else { 0 }).collect();
+    for (what, text) in [("plain", &source), ("--opt", &optimized)] {
+        let (interp, rtl) = written_memory(&hir::parse_pretty(text).unwrap());
+        assert_eq!(interp, want, "{what}: interpreter");
+        assert_eq!(rtl, want, "{what}: RTL");
     }
 }
